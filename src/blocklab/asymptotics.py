@@ -16,7 +16,7 @@ import numpy as np
 
 from .disorder import DisorderConfig, FieldSample, case_beta, sample_field
 from .inequalities import CheckReport, _require
-from .lattice import CubeSpec, dist1, inner_boundary
+from .lattice import CubeSpec, axis_count, dist1, inner_boundary
 from .operators import (MAX_BLOCK_DIM, assemble_block, build_h, build_h0,
                         component_indices)
 from .spectral import Spectrum, count_leq, eigensolve, plain_block, run_realizations
@@ -317,7 +317,7 @@ def ct_threshold_length(theta: float, d: int, cap: int = 10 ** 9) -> int | None:
     def satisfied(L):
         per_axis = L - 1 if L % 2 == 0 else L          # integer L
         inner = per_axis ** d - max(per_axis - 2, 0) ** d
-        core_axis = len(CubeSpec(1, L / 3.0).axis_offsets())
+        core_axis = axis_count(L / 3.0)
         core = core_axis ** d
         lhs = (0.5 * math.log(inner * core) + math.log(4.0)
                + 0.5 * math.log(L) - math.sqrt(L) / (48.0 * d))

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 One subcommand per experiment kind plus `validate`.  Exit codes: 0 when
-all checks pass, 2 on check violations, 3 on precondition failures.
+all checks pass, 2 on check violations, 3 on precondition failures.  A
+check that asserted nothing (0 instances) prints as VACUOUS, not PASS; it
+does not change the exit code.
 """
 
 import argparse
@@ -56,7 +58,8 @@ def main(argv=None) -> int:
     for p in result.diagnostics:
         print(f"precondition: {p}", file=sys.stderr)
     for rep in result.reports:
-        status = "PASS" if rep.passed else "FAIL"
+        status = ("FAIL" if not rep.passed
+                  else "VACUOUS" if rep.vacuous else "PASS")
         extra = "" if rep.preconditions_failed == 0 \
             else f" (skipped {rep.preconditions_failed} ineligible)"
         print(f"[{status}] {rep.name}: {rep.instances} instances, "

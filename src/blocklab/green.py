@@ -201,45 +201,55 @@ def block_norm_grid(matrix: np.ndarray, n_sites: int) -> np.ndarray:
     return np.sqrt(sq[:n, :n] + sq[:n, n:] + sq[n:, :n] + sq[n:, n:])
 
 
-def _decay_rows(op: BlockOperator, energy: float, pairs):
+@dataclass(frozen=True)
+class DecayProfile:
+    """Resolvent decay of one operator at one energy.
+
+    rows holds (n, m, dist1, block_norm, ct_bound) per requested pair;
+    delta is the spectral distance capped at 1, as used in the bound.
+    """
+
+    energy: float
+    delta: float
+    rows: list
+
+
+def decay_profile(op: BlockOperator, energy: float, pairs=None) -> DecayProfile:
+    """One resolvent, one pass over the pairs (all site pairs by default)."""
     g = resolvent(op, energy)
     delta = min(g.delta, 1.0)
     d = len(op.sites[0])
     if pairs is None:
         pairs = [(n, m) for n in op.sites for m in op.sites]
-    grid = block_norm_grid(g.matrix, len(op.sites))
+    grid = block_norm_grid(g.matrix, len(op.sites)).tolist()
     idx = {s: i for i, s in enumerate(op.sites)}
+    caps = {}           # the bound depends on the pair only through dist1
     rows = []
     for n, m in pairs:
         dist = lattice.dist1(n, m)
-        rows.append((n, m, dist, float(grid[idx[tuple(n)], idx[tuple(m)]]),
-                     combes_thomas_bound(delta, d, dist)))
-    return rows, delta
+        if dist not in caps:
+            caps[dist] = combes_thomas_bound(delta, d, dist)
+        rows.append((n, m, dist, grid[idx[tuple(n)]][idx[tuple(m)]], caps[dist]))
+    return DecayProfile(energy, delta, rows)
 
 
-def decay_profile(op: BlockOperator, energy: float, pairs=None):
-    """Rows (n, m, dist1, block_norm, ct_bound) for export and fitting."""
-    return _decay_rows(op, energy, pairs)[0]
-
-
-def combes_thomas_check(op: BlockOperator, energy: float, pairs=None,
-                        atol: float = 1e-12) -> CheckReport:
-    """Every requested 2x2 resolvent element obeys the exponential bound."""
-    rows, delta = _decay_rows(op, energy, pairs)
-    rep = CheckReport("combes_thomas", parameters={"E": energy, "delta": delta})
-    for _, _, _, value, cap in rows:
+def combes_thomas_check(profile: DecayProfile, atol: float = 1e-12) -> CheckReport:
+    """Every 2x2 resolvent element of the profile obeys the exponential bound."""
+    rep = CheckReport("combes_thomas", parameters={"E": profile.energy,
+                                                   "delta": profile.delta})
+    for _, _, _, value, cap in profile.rows:
         rep.record(cap + atol - value)
     return rep
 
 
-def decay_rate_fit(op: BlockOperator, energy: float, pairs=None,
+def decay_rate_fit(profile: DecayProfile,
                    floor: float = 1e-14) -> tuple[float, float]:
     """Least-squares slope and intercept of ln block-norm against distance.
 
     Entries below `floor` times the resolvent scale sit in rounding noise
     and are excluded.
     """
-    rows = decay_profile(op, energy, pairs)
+    rows = profile.rows
     scale = max(r[3] for r in rows)
     pts = [(r[2], np.log(r[3])) for r in rows if r[3] > floor * scale and r[2] > 0]
     if len(pts) < 2:

@@ -357,16 +357,15 @@ def _exp_dos(cfg, mapper):
 def _exp_wegner(cfg, mapper):
     dis = cfg.disorder()
     cube = cfg.cube()
+    windows = [(e, eps) for e in cfg.floats("energies")
+               for eps in cfg.floats("epsilons")]
+    reports = inequalities.wegner_finite_volume(dis, cube, windows,
+                                                cfg.realizations, mapper)
     rows = []
-    reports = []
-    for e in cfg.floats("energies"):
-        for eps in cfg.floats("epsilons"):
-            rep = inequalities.wegner_finite_volume(dis, cube, e, eps,
-                                                    cfg.realizations, mapper)
-            p = rep.parameters
-            rows.append((e, eps, p["mean"], p["stderr"], p["bound"],
-                         rep.worst_margin, rep.passed))
-            reports.append(rep)
+    for rep in reports:
+        p = rep.parameters
+        rows.append((p["E"], p["eps"], p["mean"], p["stderr"], p["bound"],
+                     rep.worst_margin, rep.passed))
     header = ["E", "eps", "mean_count", "stderr", "bound", "slack", "passed"]
     return {"wegner": (header, rows)}, reports, {}
 
@@ -495,14 +494,15 @@ def _ct_row(r, cube, config, energy):
     f = sample_field(cube, config, r)
     op = assemble_block(build_h(cube, "simple", f), f)
     try:
-        rep = green.combes_thomas_check(op, energy)
-        rate, intercept = green.decay_rate_fit(op, energy)
+        profile = green.decay_profile(op, energy)
+        rep = green.combes_thomas_check(profile)
+        rate, intercept = green.decay_rate_fit(profile)
     except (PreconditionError, ValueError) as e:
         return {"precondition": str(e)}
-    profile = green.decay_profile(op, energy) if r == 0 else None
     return {"worst": rep.worst_margin, "violations": rep.violations,
-            "instances": rep.instances, "delta": rep.parameters["delta"],
-            "rate": rate, "intercept": intercept, "profile": profile}
+            "instances": rep.instances, "delta": profile.delta,
+            "rate": rate, "intercept": intercept,
+            "profile": profile.rows if r == 0 else None}
 
 
 def _exp_ct(cfg, mapper):

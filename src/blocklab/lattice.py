@@ -16,6 +16,13 @@ from itertools import product
 Site = tuple[int, ...]
 
 
+def axis_count(L: float) -> int:
+    """Number of integers k with -L/2 < k < L/2, i.e. 2 ceil(L/2) - 1."""
+    if L <= 1:
+        raise ValueError(f"cube of length {L} contains no sites (need L > 1)")
+    return 2 * math.ceil(L / 2) - 1
+
+
 @dataclass(frozen=True)
 class CubeSpec:
     """A discrete cube ``center + ]-L/2, L/2[^d  intersect  Z^d``."""
@@ -50,7 +57,7 @@ class CubeSpec:
 
     @property
     def site_count(self) -> int:
-        return len(self.axis_offsets()) ** self.d
+        return axis_count(self.L) ** self.d
 
     def __contains__(self, site) -> bool:
         return all(2 * (s - c) > -self.L and 2 * (s - c) < self.L

@@ -170,7 +170,7 @@ def test_criterion_3_resolvent_inequalities():
     for r in range(50):
         f = sample_field(cube, ct_cfg, r)
         op = assemble_block(build_h(cube, "simple", f), f)
-        ct.absorb(green.combes_thomas_check(op, 0.0))
+        ct.absorb(green.combes_thomas_check(green.decay_profile(op, 0.0)))
 
     fh_cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 35)
     fh = CheckReport("feynman_hellmann")
@@ -202,8 +202,8 @@ def test_criterion_4_wegner():
     windows = [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.3), (3.0, 0.5)]
     worst = math.inf
     all_pass = True
-    for e, eps in windows:
-        rep = inequalities.wegner_finite_volume(cfg, cube, e, eps, R)
+    for rep in inequalities.wegner_finite_volume(cfg, cube, windows, R):
+        eps = rep.parameters["eps"]
         stated = 8 * eps * 50 * 4.0       # the looser stated constant
         all_pass &= rep.passed and rep.parameters["mean"] <= stated
         worst = min(worst, rep.worst_margin)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
-from blocklab.green import (block_element, block_norm, combes_thomas_check,
-                            decay_profile, decay_rate_fit, edi_check,
-                            gri_check, gri_residual, resolvent, sli_check)
+from blocklab.green import (block_element, block_norm, combes_thomas_bound,
+                            combes_thomas_check, decay_profile, decay_rate_fit,
+                            edi_check, gri_check, gri_residual, resolvent,
+                            sli_check)
 from blocklab.inequalities import PreconditionError
-from blocklab.lattice import CubeSpec, strictly_inside
+from blocklab.lattice import CubeSpec, dist1, strictly_inside
 from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve
 
@@ -185,7 +186,8 @@ def test_edi_interior_support_gives_slack():
 
 def test_combes_thomas_diagonal_bound():
     op, _ = plain_on(CubeSpec(1, 11), GAPPED, 0)
-    rep = combes_thomas_check(op, 0.0, pairs=[(n, n) for n in op.sites])
+    rep = combes_thomas_check(decay_profile(op, 0.0,
+                                            pairs=[(n, n) for n in op.sites]))
     assert rep.passed
 
 
@@ -195,7 +197,7 @@ def test_combes_thomas_all_pairs():
     for r in range(5):
         f = sample_field(cube, cfg, r)
         op = assemble_block(build_h(cube, "simple", f), f)
-        rep = combes_thomas_check(op, 0.0)
+        rep = combes_thomas_check(decay_profile(op, 0.0))
         assert rep.passed
         assert rep.parameters["delta"] == pytest.approx(1.0)  # capped at 1
 
@@ -205,14 +207,45 @@ def test_decay_rate_beats_ct_rate():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     f = sample_field(cube, cfg, 1)
     op = assemble_block(build_h(cube, "simple", f), f)
-    rate, _ = decay_rate_fit(op, 0.0)
+    rate, _ = decay_rate_fit(decay_profile(op, 0.0))
     assert rate < 0
     assert -rate >= 1.0 / 12.0    # delta = 1, d = 1
 
 
 def test_decay_profile_columns():
     op, _ = plain_on(CubeSpec(1, 7), GAPPED, 6)
-    rows = decay_profile(op, 0.0, pairs=[((0,), (2,))])
+    rows = decay_profile(op, 0.0, pairs=[((0,), (2,))]).rows
     (n, m, dist, nrm, cap), = rows
     assert (n, m, dist) == ((0,), (2,), 2)
     assert nrm <= cap + 1e-12
+
+
+@pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 4)])
+def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
+    op, _ = plain_on(cube, GAPPED, 3)
+    profile = decay_profile(op, 0.0)
+
+    g = resolvent(op, 0.0)
+    delta = min(g.delta, 1.0)
+    pairs = [(n, m) for n in op.sites for m in op.sites]
+    norms = np.array([block_norm(g.block(n, m)) for n, m in pairs])
+    dists = np.array([dist1(n, m) for n, m in pairs])
+    caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists])
+    assert profile.delta == delta
+    assert [(r[0], r[1], r[2]) for r in profile.rows] == \
+        [(n, m, k) for (n, m), k in zip(pairs, dists)]
+    assert np.allclose([r[3] for r in profile.rows], norms, rtol=1e-12, atol=0)
+    assert np.array_equal([r[4] for r in profile.rows], caps)
+
+    rep = combes_thomas_check(profile)
+    assert rep.instances == len(pairs)
+    assert rep.parameters == {"E": 0.0, "delta": delta}
+    assert rep.worst_margin == pytest.approx(np.min(caps + 1e-12 - norms),
+                                             rel=1e-12)
+
+    keep = (norms > 1e-14 * norms.max()) & (dists > 0)
+    slope, intercept = np.polyfit(dists[keep].astype(float),
+                                  np.log(norms[keep]), 1)
+    rate, icept = decay_rate_fit(profile)
+    assert rate == pytest.approx(slope, rel=1e-9)
+    assert icept == pytest.approx(intercept, rel=1e-9)

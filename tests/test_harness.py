@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from blocklab import green
 from blocklab.cli import main as cli_main
 from blocklab.harness import (config_to_text, parse_config, run, validate,
                               write_csv)
@@ -251,3 +252,37 @@ def test_green_experiment(tmp_path):
 def test_cli_missing_config_exits_3(capsys):
     assert cli_main(["gap", "--config", "/no/such/file.ini"]) == 3
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
+    calls = []
+    real = green.resolvent
+    monkeypatch.setattr(green, "resolvent",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    cfg = make_cfg("ct", L=10, R=4, va=1.0, vb=2.0, bk="point_mass",
+                   bargs="c = 0.0", extra="[ct]\nenergy = 0.0\n")
+    result = run(cfg, tmp_path)
+    assert result.exit_code == 0
+    assert len(calls) == 4
+    profile = (tmp_path / "ct_profile.csv").read_text().splitlines()
+    assert len(profile) == 1 + 9 ** 2
+
+
+def test_cli_reports_vacuous_checks(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(BASE.format(kind="suitability", L=12, R=10,
+                                    vk="uniform", vargs="a = 1.0\nb = 2.0",
+                                    bk="point_mass", bargs="c = 0.0")
+                        + "[suitability]\nlengths = 6 12\ntheta = 1.5\n"
+                          "energies = 0.0\n")
+    code = cli_main(["suitability", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "[VACUOUS] gap_event_implies_suitable: 0 instances" in out
+    assert "[PASS] suitability_monotone_theta=1.5: 1 instances" in out
+    record = json.loads((tmp_path / "out/run.json").read_text())
+    reports = [r for r in record["reports"]
+               if r["name"] == "gap_event_implies_suitable"]
+    assert reports and all(r["vacuous"] and r["passed"] for r in reports)
+    assert all(r["vacuous"] == (r["instances"] == 0) for r in record["reports"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocklab import inequalities, spectral
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
 from blocklab.inequalities import (PreconditionError, beta_map_check,
                                    bracketing_gap_check,
@@ -11,7 +12,7 @@ from blocklab.inequalities import (PreconditionError, beta_map_check,
                                    wegner_finite_volume)
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_bracketing, build_h, build_h0
-from blocklab.spectral import count_leq, eigensolve
+from blocklab.spectral import count_leq, count_window, eigensolve, plain_block
 
 POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 
@@ -25,7 +26,7 @@ def constant_field(cube, v, b):
 
 
 def test_wegner_bound_holds():
-    rep = wegner_finite_volume(POS, CubeSpec(1, 20), energy=2.0, eps=0.1, R=60)
+    rep, = wegner_finite_volume(POS, CubeSpec(1, 20), [(2.0, 0.1)], R=60)
     assert rep.passed
     n = CubeSpec(1, 20).site_count
     assert rep.parameters["bound"] == pytest.approx(8 * 0.1 * n * 4.0)
@@ -34,26 +35,61 @@ def test_wegner_bound_holds():
 
 def test_wegner_small_window_ratio_stays_bounded():
     n = CubeSpec(1, 20).site_count
-    for eps in (0.2, 0.1, 0.05):
-        rep = wegner_finite_volume(POS, CubeSpec(1, 20), 2.0, eps, R=80)
-        assert rep.parameters["mean"] / eps <= 8 * n * 4.0
+    reps = wegner_finite_volume(POS, CubeSpec(1, 20),
+                                [(2.0, eps) for eps in (0.2, 0.1, 0.05)], R=80)
+    for rep in reps:
+        assert rep.parameters["mean"] / rep.parameters["eps"] <= 8 * n * 4.0
+
+
+def test_wegner_windows_match_per_window_loop():
+    cube = CubeSpec(1, 12)
+    windows = [(1.0, 0.1), (2.0, 0.3), (3.0, 0.5)]
+    R = 15
+    reps = wegner_finite_volume(POS, cube, windows, R)
+    assert len(reps) == len(windows)
+    for rep, (e, eps) in zip(reps, windows):
+        counts = np.array([count_window(eigensolve(plain_block(cube, POS, r)),
+                                        e - eps, e + eps) for r in range(R)],
+                          dtype=float)
+        p = rep.parameters
+        assert (p["E"], p["eps"], p["R"]) == (e, eps, R)
+        assert p["mean"] == counts.mean()
+        assert p["stderr"] == counts.std(ddof=1) / np.sqrt(R)
+
+
+def test_wegner_samples_and_solves_each_realization_once(monkeypatch):
+    solves, samples = [], []
+    real_solve, real_sample = inequalities.eigensolve, spectral.sample_field
+    monkeypatch.setattr(inequalities, "eigensolve",
+                        lambda op: solves.append(op.dim) or real_solve(op))
+    monkeypatch.setattr(spectral, "sample_field",
+                        lambda *a: samples.append(a[2]) or real_sample(*a))
+    windows = [(e, eps) for e in (1.0, 2.0, 3.0) for eps in (0.1, 0.2)]
+    # a bad window anywhere is rejected before any realization is solved
+    with pytest.raises(PreconditionError, match="E=0.3, eps=0.2"):
+        wegner_finite_volume(POS, CubeSpec(1, 12), windows + [(0.3, 0.2)], R=7)
+    assert solves == samples == []
+    reps = wegner_finite_volume(POS, CubeSpec(1, 12), windows, R=7)
+    assert len(reps) == 6
+    assert len(solves) == 7
+    assert samples == list(range(7))
 
 
 def test_wegner_rejects_point_mass():
     bad = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.point_mass(0), 0)
     with pytest.raises(PreconditionError):
-        wegner_finite_volume(bad, CubeSpec(1, 10), 2.0, 0.1, 5)
+        wegner_finite_volume(bad, CubeSpec(1, 10), [(2.0, 0.1)], 5)
 
 
 def test_wegner_rejects_negative_support():
     bad = DisorderConfig(SiteMeasure.uniform(-1, 1), SiteMeasure.uniform(0, 1), 0)
     with pytest.raises(PreconditionError):
-        wegner_finite_volume(bad, CubeSpec(1, 10), 2.0, 0.1, 5)
+        wegner_finite_volume(bad, CubeSpec(1, 10), [(2.0, 0.1)], 5)
 
 
 def test_wegner_rejects_wide_window():
     with pytest.raises(PreconditionError):
-        wegner_finite_volume(POS, CubeSpec(1, 10), energy=0.3, eps=0.2, R=5)
+        wegner_finite_volume(POS, CubeSpec(1, 10), [(0.3, 0.2)], R=5)
 
 
 def test_dos_energy_bound_v_hypothesis():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocklab.lattice import (CubeSpec, boundary, dist1, inner_boundary,
-                              outer_boundary, sites, strictly_inside)
+from blocklab.lattice import (CubeSpec, axis_count, boundary, dist1,
+                              inner_boundary, outer_boundary, sites,
+                              strictly_inside)
 
 
 def brute_sites(d, L, center):
@@ -124,3 +125,13 @@ def test_strict_inclusion_needs_margin(d, L1, L2):
     c1, c2 = CubeSpec(d, L1), CubeSpec(d, L2)
     expected = set(boundary(c1).endpoints()) <= set(c2.sites())
     assert strictly_inside(c1, c2) == expected
+
+
+def test_axis_count_closed_form_matches_offsets():
+    lengths = ([float(n) for n in range(2, 80)]
+               + [n + 0.5 for n in range(1, 80)]
+               + [n / 3.0 for n in range(4, 400)])
+    for L in lengths:
+        assert axis_count(L) == len(CubeSpec(1, L).axis_offsets()), L
+    with pytest.raises(ValueError):
+        axis_count(1.0)
