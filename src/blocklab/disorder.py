@@ -12,9 +12,11 @@ sub-region of a cube automatically carries the same field values.
 """
 
 import hashlib
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .lattice import CubeSpec, Site
 
@@ -160,33 +162,32 @@ class SiteMeasure:
 
     # -- sampling ----------------------------------------------------------
 
-    def from_uniform(self, u: float) -> float:
-        """Inverse-CDF transform of a uniform [0,1) variate."""
+    def from_uniform(self, u):
+        """Inverse-CDF transform of uniform [0,1) variates.
+
+        Takes a float (returns a float) or an array (returns an array of the
+        same shape); each value goes through the same IEEE operations in the
+        same order either way.
+        """
         k, p = self.kind, self.params
+        x = np.asarray(u, dtype=float)
         if k == "uniform":
             a, b = p
-            return a + u * (b - a)
-        if k == "triangular":
+            out = a + x * (b - a)
+        elif k == "triangular":
             a, b = p
-            if u <= 0.5:
-                return a + (b - a) * math.sqrt(u / 2.0)
-            return b - (b - a) * math.sqrt((1.0 - u) / 2.0)
-        if k == "point_mass":
-            return p[0]
-        v1, prob, v2 = p
-        return v1 if u < prob else v2
+            out = np.where(x <= 0.5, a + (b - a) * np.sqrt(x / 2.0),
+                           b - (b - a) * np.sqrt((1.0 - x) / 2.0))
+        elif k == "point_mass":
+            out = np.full(x.shape, p[0])
+        else:
+            v1, prob, v2 = p
+            out = np.where(x < prob, v1, v2)
+        return out if out.ndim else float(out)
 
     def describe(self) -> str:
         args = ",".join(f"{x:g}" for x in self.params)
         return f"{self.kind}({args})"
-
-
-def bv_norm(m: SiteMeasure) -> float:
-    return m.bv_norm
-
-
-def support_data(m: SiteMeasure) -> tuple[float, float]:
-    return m.support
 
 
 @dataclass(frozen=True)
@@ -263,12 +264,33 @@ def site_uniform(master_seed: int, realization_index: int, site: Site,
     return (int.from_bytes(h.digest(), "little") >> 11) * 2.0 ** -53
 
 
+@lru_cache(maxsize=64)
+def _packed_sites(cube: CubeSpec) -> tuple[bytes, ...]:
+    return tuple(struct.pack(f"<{cube.d}q", *s) for s in cube.sites())
+
+
+def _cube_uniforms(master_seed: int, realization_index: int, family: str,
+                   cube: CubeSpec) -> np.ndarray:
+    """`site_uniform` at every cube site (canonical order), bit for bit:
+    the hash state after the shared (seed, realization, family) prefix is
+    computed once and extended per site."""
+    prefix = hashlib.blake2b(digest_size=8)
+    prefix.update(struct.pack("<qq", master_seed, realization_index))
+    prefix.update(family.encode("ascii"))
+    digests = []
+    for packed in _packed_sites(cube):
+        h = prefix.copy()
+        h.update(packed)
+        digests.append(h.digest())
+    return (np.frombuffer(b"".join(digests), "<u8") >> 11) * 2.0 ** -53
+
+
 def sample_field(cube: CubeSpec, config: DisorderConfig,
                  realization_index: int) -> FieldSample:
     """Draw one i.i.d. realization of the V- and B-fields on a cube."""
-    V, B = {}, {}
     seed = config.master_seed
-    for s in cube.sites():
-        V[s] = config.mu_V.from_uniform(site_uniform(seed, realization_index, s, "V"))
-        B[s] = config.mu_B.from_uniform(site_uniform(seed, realization_index, s, "B"))
-    return FieldSample(cube, V, B, realization_index)
+    sites = cube.sites()
+    V = config.mu_V.from_uniform(_cube_uniforms(seed, realization_index, "V", cube))
+    B = config.mu_B.from_uniform(_cube_uniforms(seed, realization_index, "B", cube))
+    return FieldSample(cube, dict(zip(sites, V.tolist())),
+                       dict(zip(sites, B.tolist())), realization_index)

@@ -18,6 +18,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -25,9 +27,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from . import asymptotics, green, inequalities, spectral
+from . import (asymptotics, blas, disorder, green, inequalities, lattice,
+               spectral)
 from .disorder import DisorderConfig, SiteMeasure, case_beta, sample_field
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
@@ -173,6 +177,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                        f"{MAX_BLOCK_DIM}; reduce L or d")
     if cfg.realizations < 1:
         out.append("realizations must be >= 1")
+    if cfg.workers < 1:
+        out.append(f"workers must be >= 1, got {cfg.workers}")
 
     k = cfg.kind
     if k in ("wegner", "dos"):
@@ -218,16 +224,39 @@ def validate(cfg: ExperimentConfig) -> list[str]:
 # -- parallel mapping ---------------------------------------------------------
 
 
+class PoolMap:
+    """Ordered map over a process pool whose workers run one BLAS thread.
+
+    Each call is cut into about four chunks per worker: enough to balance
+    the load, few enough that dispatch costs nothing next to the tasks.
+    """
+
+    def __init__(self, executor: ProcessPoolExecutor, size: int):
+        self.executor = executor
+        self.size = size
+
+    def __call__(self, fn, items):
+        chunksize = max(1, math.ceil(len(items) / (4 * self.size)))
+        return self.executor.map(fn, items, chunksize=chunksize)
+
+    def worker_blas_threads(self) -> int | None:
+        """OpenBLAS thread count reported by a pool worker."""
+        return self.executor.submit(blas.threads).result()
+
+
 @contextmanager
 def realization_mapper(workers: int):
-    """Yield a pool map for > 1 workers, else None (inline execution).
+    """Yield a `PoolMap` over min(workers, usable CPUs) processes when that
+    is more than one, else None (inline execution).
 
     Either way results come back in realization order, so aggregates are
     identical across worker counts.
     """
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            yield lambda fn, it: ex.map(fn, it, chunksize=8)
+    size = min(workers, len(os.sched_getaffinity(0)))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size, initializer=blas.set_threads,
+                                 initargs=(1,)) as ex:
+            yield PoolMap(ex, size)
     else:
         yield None
 
@@ -757,6 +786,7 @@ class RunResult:
     summary: dict
     diagnostics: list
     wall_time: float
+    environment: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
     @property
@@ -773,6 +803,7 @@ class RunResult:
             "code_version": __version__,
             "wall_time_s": self.wall_time,
             "workers": self.config.workers,
+            "environment": self.environment,
             "seed": self.config.seed,
             "realizations": self.config.realizations,
             "diagnostics": self.diagnostics,
@@ -808,13 +839,25 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     diagnostics = validate(cfg)
+    # cold per-cube caches: a run's cost does not depend on earlier runs in
+    # this process, and the caches hold only this run's cubes
+    lattice._cube_sites.cache_clear()
+    disorder._packed_sites.cache_clear()
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__,
+           "cpu_affinity": len(os.sched_getaffinity(0)),
+           "workers_requested": cfg.workers, "pool_size": 1,
+           "blas_threads_main": blas.threads(), "blas_threads_worker": None}
     t0 = time.perf_counter()
     tables, reports, summary = {}, [], {}
     if not diagnostics:
         with realization_mapper(cfg.workers) as mapper:
             tables, reports, summary = EXPERIMENTS[cfg.kind](cfg, mapper)
+            if mapper is not None:
+                env.update(pool_size=mapper.size,
+                           blas_threads_worker=mapper.worker_blas_threads())
     result = RunResult(cfg, tables, reports, summary, diagnostics,
-                       time.perf_counter() - t0)
+                       time.perf_counter() - t0, env)
     files = emit_plotdata(result, outdir)
     result.outputs = [{"name": f.name,
                        "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}

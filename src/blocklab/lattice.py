@@ -11,6 +11,7 @@ coordinate tuples; every helper here returns sites in that canonical order.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 Site = tuple[int, ...]
@@ -48,12 +49,8 @@ class CubeSpec:
         return tuple(k for k in range(lo, hi + 1) if 2 * k > -self.L and 2 * k < self.L)
 
     def sites(self) -> tuple[Site, ...]:
-        """All cube sites in lexicographic order."""
-        offs = self.axis_offsets()
-        return tuple(
-            tuple(c + k for c, k in zip(self.center, combo))
-            for combo in product(offs, repeat=self.d)
-        )
+        """All cube sites in lexicographic order (computed once per cube)."""
+        return _cube_sites(self)
 
     @property
     def site_count(self) -> int:
@@ -66,6 +63,15 @@ class CubeSpec:
     def concentric(self, L: float) -> "CubeSpec":
         """The cube of length L with the same center."""
         return CubeSpec(self.d, L, self.center)
+
+
+@lru_cache(maxsize=64)
+def _cube_sites(cube: CubeSpec) -> tuple[Site, ...]:
+    offs = cube.axis_offsets()
+    return tuple(
+        tuple(c + k for c, k in zip(cube.center, combo))
+        for combo in product(offs, repeat=cube.d)
+    )
 
 
 @dataclass(frozen=True)

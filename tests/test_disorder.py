@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,66 @@ def test_measure_validation():
         SiteMeasure.two_point(0, 1.5, 1)
     with pytest.raises(ValueError):
         SiteMeasure("gaussian", (0.0, 1.0))
+
+
+def reference_transform(m, u):
+    """The scalar inverse-CDF formulas in plain Python float arithmetic."""
+    k, p = m.kind, m.params
+    if k == "uniform":
+        a, b = p
+        return a + u * (b - a)
+    if k == "triangular":
+        a, b = p
+        if u <= 0.5:
+            return a + (b - a) * math.sqrt(u / 2.0)
+        return b - (b - a) * math.sqrt((1.0 - u) / 2.0)
+    if k == "point_mass":
+        return p[0]
+    v1, prob, v2 = p
+    return v1 if u < prob else v2
+
+
+# triangular(0.1, 0.7): its two branches round differently at u = 0.5
+ALL_KINDS = (SiteMeasure.uniform(-0.7, 1.3), SiteMeasure.triangular(0.1, 0.7),
+             SiteMeasure.point_mass(0.375), SiteMeasure.two_point(-1.5, 0.3, 2.5))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: m.kind)
+def test_from_uniform_array_matches_scalar_formulas(m):
+    # edges of every branch, then a spread of hash-driven variates
+    u = [0.0, 0.5, np.nextafter(0.5, 1.0), 0.3, np.nextafter(0.3, 0.0),
+         1.0 - 2.0 ** -53]
+    u += [site_uniform(11, k, (k,), "V") for k in range(500)]
+    expected = [reference_transform(m, x) for x in u]
+    assert bits(m.from_uniform(np.array(u))) == bits(expected)
+    scalars = [m.from_uniform(x) for x in u]
+    assert all(type(x) is float for x in scalars)
+    assert bits(scalars) == bits(expected)
+
+
+FIELD_CASES = [
+    (1, 17, (-40,), ALL_KINDS[0], ALL_KINDS[1]),
+    (1, 8, (3,), ALL_KINDS[2], ALL_KINDS[3]),
+    (2, 7, (5, -9), ALL_KINDS[1], ALL_KINDS[2]),
+    (2, 6, (0, 0), ALL_KINDS[3], ALL_KINDS[0]),
+    (3, 5, (-2, 7, 1000), ALL_KINDS[0], ALL_KINDS[3]),
+    (3, 4, (1, 1, 1), ALL_KINDS[1], ALL_KINDS[2]),
+]
+
+
+@pytest.mark.parametrize("d, L, center, mu_V, mu_B", FIELD_CASES)
+@pytest.mark.parametrize("seed, r", [(0, 0), (2 ** 62 + 12345, 2 ** 40 + 7),
+                                     (-(2 ** 63), 2 ** 63 - 1)])
+def test_sample_field_matches_per_site_oracle(d, L, center, mu_V, mu_B, seed, r):
+    cube = CubeSpec(d, L, center)
+    f = sample_field(cube, DisorderConfig(mu_V, mu_B, seed), r)
+    sites = cube.sites()
+    assert tuple(f.V) == sites and tuple(f.B) == sites
+    for family, values, m in (("V", f.V, mu_V), ("B", f.B, mu_B)):
+        oracle = [m.from_uniform(site_uniform(seed, r, s, family)) for s in sites]
+        assert all(type(values[s]) is float for s in sites)
+        assert bits([values[s] for s in sites]) == bits(oracle)

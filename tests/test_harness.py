@@ -1,12 +1,20 @@
 import json
 import math
+import os
+import platform
+from concurrent.futures import Future
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
-from blocklab import green
+from blocklab import blas, green, harness
 from blocklab.cli import main as cli_main
-from blocklab.harness import (config_to_text, parse_config, run, validate,
-                              write_csv)
+from blocklab.harness import (config_to_text, parse_config, realization_mapper,
+                              run, validate, write_csv)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = """
 [experiment]
@@ -109,7 +117,9 @@ def test_repeat_run_byte_identical(tmp_path):
         (tmp_path / "b/ids.csv").read_bytes()
 
 
-def test_worker_count_does_not_change_output(tmp_path):
+def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    # two usable CPUs, so that more than one worker starts a real pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     text = BASE.format(kind="ids", L=9, R=12, vk="uniform",
                        vargs="a = 0.0\nb = 1.0",
                        bk="uniform", bargs="a = 0.0\nb = 1.0") \
@@ -121,6 +131,20 @@ def test_worker_count_does_not_change_output(tmp_path):
     assert (tmp_path / "w1/ids.csv").read_bytes() == \
         (tmp_path / "w4/ids.csv").read_bytes()
 
+    tails = BASE.format(kind="tails", L=15, R=24, vk="uniform",
+                        vargs="a = 1.0\nb = 2.0",
+                        bk="point_mass", bargs="c = 0.0") \
+        + ("[tails]\nepsilons = 0.3 0.4 0.5\nlengths = 15 15 15\n"
+           "lower_bound = true\nlower_epsilons = 0.75 1.0\n"
+           "lower_realizations = 2000\nc0_lengths = 8 16\n")
+    results = [run(parse_config(tails, workers=w), tmp_path / f"tails{w}")
+               for w in (1, 2)]
+    assert [r.exit_code for r in results] == [0, 0]
+    assert [r.environment["pool_size"] for r in results] == [1, 2]
+    for name in ("tails.csv", "tails_lower.csv"):
+        assert (tmp_path / "tails1" / name).read_bytes() == \
+            (tmp_path / "tails2" / name).read_bytes()
+
 
 def test_run_json_contents(tmp_path):
     cfg = make_cfg("gap", L=8, R=4, va=1.0, vb=2.0, bargs="a = 1.0\nb = 2.0")
@@ -130,6 +154,103 @@ def test_run_json_contents(tmp_path):
     assert record["exit_code"] == 0
     assert any(o["name"] == "gap.csv" for o in record["outputs"])
     assert all(len(o["sha256"]) == 64 for o in record["outputs"])
+
+
+def test_run_json_environment(tmp_path):
+    cfg = make_cfg("gap", L=8, R=4, va=1.0, vb=2.0, bargs="a = 1.0\nb = 2.0")
+    run(cfg, tmp_path)
+    env = json.loads((tmp_path / "run.json").read_text())["environment"]
+    assert env == {"python": platform.python_version(),
+                   "numpy": np.__version__, "scipy": scipy.__version__,
+                   "cpu_affinity": len(os.sched_getaffinity(0)),
+                   "workers_requested": 1, "pool_size": 1,
+                   "blas_threads_main": blas.threads(),
+                   "blas_threads_worker": None}
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_validate_rejects_nonpositive_workers(tmp_path, workers, capsys):
+    text = config_to_text(make_cfg("gap", L=8, R=4, va=1.0, vb=2.0,
+                                   bargs="a = 1.0\nb = 2.0"))
+    cfg = parse_config(text, workers=workers)
+    assert validate(cfg) == [f"workers must be >= 1, got {workers}"]
+    assert run(cfg, tmp_path / "run").exit_code == 3
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text.replace("workers = 1", f"workers = {workers}"))
+    assert cli_main(["validate", "--config", str(cfg_path)]) == 3
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records how it was built and what
+    it was asked to map, runs every task in this process, starts none."""
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.max_workers = max_workers
+        self.initializer = initializer
+        self.initargs = initargs
+        self.chunksizes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return map(fn, items)
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def test_huge_worker_count_is_clamped_to_usable_cpus(tmp_path, monkeypatch):
+    pools = []
+
+    def make_pool(**kw):
+        pools.append(RecordingPool(**kw))
+        return pools[-1]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfg = make_cfg("ids", L=9, R=30, extra="[ids]\nenergies = -1 0 1\n")
+    cfg.workers = 10 ** 6
+    assert validate(cfg) == []
+    result = run(cfg, tmp_path)
+    assert result.exit_code == 0
+    assert len(pools) == 1
+    pool = pools[0]
+    assert pool.max_workers == 3
+    assert (pool.initializer, pool.initargs) == (blas.set_threads, (1,))
+    assert pool.chunksizes == [math.ceil(30 / (4 * 3))]
+    env = json.loads((tmp_path / "run.json").read_text())["environment"]
+    assert (env["workers_requested"], env["pool_size"]) == (10 ** 6, 3)
+
+
+def _worker_blas_threads(_):
+    return blas.threads()
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    main_threads = blas.threads()
+    with realization_mapper(2) as mapper:
+        assert mapper.size == 2
+        assert list(mapper(_worker_blas_threads, range(8))) == [1] * 8
+        assert mapper.worker_blas_threads() == 1
+    assert blas.threads() == main_threads
+
+
+def test_every_shipped_config_validates(capsys):
+    configs = sorted(CONFIG_DIR.glob("*.ini"))
+    assert configs
+    failing = [p.name for p in configs
+               if cli_main(["validate", "--config", str(p)]) != 0]
+    assert failing == []
 
 
 def test_precondition_exit_code(tmp_path):
