@@ -2,11 +2,12 @@
 
 The library is found among the shared objects mapped into this process
 (``/proc/self/maps``) and driven through ctypes.  Where no OpenBLAS with
-a known thread-count entry point is loaded, both helpers do nothing and
+a known thread-count entry point is loaded, the helpers do nothing and
 report None.
 """
 
 import ctypes
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy  # noqa: F401  (loads the BLAS library that is looked up below)
@@ -54,3 +55,17 @@ def set_threads(n: int) -> None:
     fns = _openblas()
     if fns is not None:
         fns[1](n)
+
+
+@contextmanager
+def limited(n: int):
+    """Run the block with OpenBLAS on `n` threads, then restore the count."""
+    before = threads()
+    if before is None:
+        yield
+        return
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)

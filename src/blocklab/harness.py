@@ -847,15 +847,19 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
            "scipy": scipy.__version__,
            "cpu_affinity": len(os.sched_getaffinity(0)),
            "workers_requested": cfg.workers, "pool_size": 1,
-           "blas_threads_main": blas.threads(), "blas_threads_worker": None}
+           "blas_threads_worker": None}
     t0 = time.perf_counter()
     tables, reports, summary = {}, [], {}
-    if not diagnostics:
-        with realization_mapper(cfg.workers) as mapper:
-            tables, reports, summary = EXPERIMENTS[cfg.kind](cfg, mapper)
-            if mapper is not None:
-                env.update(pool_size=mapper.size,
-                           blas_threads_worker=mapper.worker_blas_threads())
+    # one BLAS thread here as in every pool worker: a threaded LAPACK call
+    # rounds differently, so the bytes would depend on the worker count
+    with blas.limited(1):
+        env["blas_threads_main"] = blas.threads()
+        if not diagnostics:
+            with realization_mapper(cfg.workers) as mapper:
+                tables, reports, summary = EXPERIMENTS[cfg.kind](cfg, mapper)
+                if mapper is not None:
+                    env.update(pool_size=mapper.size,
+                               blas_threads_worker=mapper.worker_blas_threads())
     result = RunResult(cfg, tables, reports, summary, diagnostics,
                        time.perf_counter() - t0, env)
     files = emit_plotdata(result, outdir)

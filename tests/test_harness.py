@@ -145,6 +145,18 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
         assert (tmp_path / "tails1" / name).read_bytes() == \
             (tmp_path / "tails2" / name).read_bytes()
 
+    # dim 242: dense resolvents large enough that a threaded LAPACK call
+    # rounds differently from a single-threaded one
+    ct = BASE.format(kind="ct", L=12, R=4, vk="uniform",
+                     vargs="a = 1.0\nb = 2.0",
+                     bk="uniform", bargs="a = 0.0\nb = 1.0") \
+        .replace("\nd = 1\n", "\nd = 2\n") + "[ct]\nenergy = 0.0\n"
+    for w in (1, 2):
+        assert run(parse_config(ct, workers=w), tmp_path / f"ct{w}").exit_code == 0
+    for name in ("ct.csv", "ct_profile.csv"):
+        assert (tmp_path / "ct1" / name).read_bytes() == \
+            (tmp_path / "ct2" / name).read_bytes()
+
 
 def test_run_json_contents(tmp_path):
     cfg = make_cfg("gap", L=8, R=4, va=1.0, vb=2.0, bargs="a = 1.0\nb = 2.0")
@@ -158,13 +170,15 @@ def test_run_json_contents(tmp_path):
 
 def test_run_json_environment(tmp_path):
     cfg = make_cfg("gap", L=8, R=4, va=1.0, vb=2.0, bargs="a = 1.0\nb = 2.0")
+    before = blas.threads()
     run(cfg, tmp_path)
+    assert blas.threads() == before          # the run's pin is undone
     env = json.loads((tmp_path / "run.json").read_text())["environment"]
     assert env == {"python": platform.python_version(),
                    "numpy": np.__version__, "scipy": scipy.__version__,
                    "cpu_affinity": len(os.sched_getaffinity(0)),
                    "workers_requested": 1, "pool_size": 1,
-                   "blas_threads_main": blas.threads(),
+                   "blas_threads_main": None if before is None else 1,
                    "blas_threads_worker": None}
 
 
