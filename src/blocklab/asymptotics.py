@@ -140,16 +140,6 @@ def tail_exponent_fit(curve: TailCurve, window=(0.0, 0.4)) -> TailFit:
                    int(curve.censored.sum()))
 
 
-def bootstrap_stderr(values: np.ndarray, n_boot: int = 400,
-                     seed: int = 0) -> float:
-    """Bootstrap standard error of the mean (stderr consistency diagnostics)."""
-    rng = np.random.default_rng(seed)
-    values = np.asarray(values)
-    means = np.array([rng.choice(values, size=len(values)).mean()
-                      for _ in range(n_boot)])
-    return float(means.std(ddof=1))
-
-
 def tail_monotonicity_check(curve: TailCurve) -> CheckReport:
     """dN nondecreasing in eps within 3 sigma of the paired standard errors."""
     rep = CheckReport("tail_monotonicity", parameters={"edge": curve.edge})
@@ -445,40 +435,6 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     return SuitabilityReport(L, theta, energies, hits / R, np.array(lo),
                              np.array(hi), R, a_L, float(events.mean()),
                              implication, threshold)
-
-
-# -- Lifschitz estimate for the scalar operator --------------------------------
-
-
-def _edge_event(r, cube, config, cut):
-    f = sample_field(cube, config, r)
-    h = build_h(cube, "simple", f)
-    return 1 if float(np.linalg.eigvalsh(h.matrix)[0]) <= cut else 0
-
-
-def lifschitz_for_h(config: DisorderConfig, d: int, C: float, lengths,
-                    R: int, mapper=None) -> tuple[CheckReport, list]:
-    """Edge-event probability of the scalar operator, decaying along lengths.
-
-    Estimates P(inf spectrum <= lam + C L^-1/2) per length and asserts a
-    nonincreasing trend within 3 sigma.  Needs a genuinely random potential.
-    """
-    _require(config.mu_V.kind != "point_mass",
-             "needs mu_V not concentrated in a single point")
-    lam = config.mu_V.support_inf
-    probs = []
-    for L in lengths:
-        cube = CubeSpec(d, L)
-        cut = lam + C * L ** -0.5
-        hits = sum(run_realizations(
-            partial(_edge_event, cube=cube, config=config, cut=cut), R, mapper))
-        phat = hits / R
-        sigma = math.sqrt(max(phat * (1.0 - phat), 0.0) / R)
-        probs.append((int(L), phat, sigma))
-    rep = CheckReport("lifschitz_edge_trend", parameters={"C": C, "R": R})
-    for (l1, p1, s1), (l2, p2, s2) in zip(probs, probs[1:]):
-        rep.record(p1 - p2 + 3.0 * math.hypot(s1, s2))
-    return rep, probs
 
 
 # -- eigenfunction correlator ---------------------------------------------------

@@ -83,10 +83,6 @@ class SiteMeasure:
         return self.support[0]
 
     @property
-    def support_sup(self) -> float:
-        return self.support[1]
-
-    @property
     def has_density(self) -> bool:
         return self.kind in _DENSITY_KINDS
 

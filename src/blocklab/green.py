@@ -130,10 +130,17 @@ def gri_residual(region1, region2, region3, field: FieldSample,
 
 def gri_check(region1, region2, region3, field: FieldSample, energy: float,
               coeff: float = 1e-9) -> CheckReport:
-    """Residual of the identity against coeff (1 + 1/delta2)(1 + 1/delta3)."""
+    """Residual of the identity against coeff (1 + 1/delta2)(1 + 1/delta3).
+
+    The residual, both spectral distances and the cap are reported as
+    parameters.
+    """
     res, delta2, delta3 = _gri(region1, region2, region3, field, energy)
     cap = coeff * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
-    rep = CheckReport("gri_residual", parameters={"E": energy, "coeff": coeff})
+    rep = CheckReport("gri_residual",
+                      parameters={"E": energy, "coeff": coeff, "residual": res,
+                                  "delta2": delta2, "delta3": delta3,
+                                  "cap": cap})
     rep.record(cap - res)
     return rep
 

@@ -24,6 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -284,14 +285,49 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
+# -- reduction ------------------------------------------------------------------
+
+
+def _attempt(name: str, check, *args) -> CheckReport:
+    """check(*args), or a report of one precondition failure under `name`,
+    the name of the report that check returns."""
+    try:
+        return check(*args)
+    except PreconditionError:
+        return CheckReport(name, preconditions_failed=1)
+
+
+def _fold(rows, *totals: CheckReport) -> list[CheckReport]:
+    """One total per check name from per-realization reports.
+
+    `rows` yields each realization's reports, in realization order; every
+    report is absorbed into the total of its name.  `totals` seeds the
+    totals that carry run-level parameters; any other name gets a fresh
+    total, in order of first appearance.
+    """
+    merged = {t.name: t for t in totals}
+    for reports in rows:
+        for rep in reports:
+            merged.setdefault(rep.name, CheckReport(rep.name)).absorb(rep)
+    return list(merged.values())
+
+
+def _summary_table(reports):
+    rows = [(r.name, r.instances, r.violations,
+             r.worst_margin if r.instances else math.nan,
+             r.preconditions_failed) for r in reports]
+    return (["check", "instances", "violations", "worst_margin",
+             "preconditions_failed"], rows)
+
+
 # -- experiments ---------------------------------------------------------------
 
 # each _exp_* returns (tables, reports, summary); tables maps file stem to
-# (header, row list)
+# (header, row list).  Realization kernels return their CheckReports (beside
+# any CSV values), reduced by _fold.
 
 
 def _exp_spectrum(cfg, mapper):
-    from functools import partial
     cube = cfg.cube()
     dis = cfg.disorder()
     radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
@@ -345,42 +381,23 @@ def _dos_edges(cfg):
 
 
 def _exp_dos(cfg, mapper):
-    dis = cfg.disorder()
-    edges = _dos_edges(cfg)
-    hist = spectral.dos_histogram(dis, cfg.cube(), edges, cfg.realizations, mapper)
-    reports = []
-    bound2 = None
+    hist = spectral.dos_histogram(cfg.disorder(), cfg.cube(), _dos_edges(cfg),
+                                  cfg.realizations, mapper)
+    uniform = inequalities.dos_bound_uniform(hist)
+    reports = [uniform]
+    energy_bounds = [math.inf] * len(hist.density)
     try:
-        bound2 = inequalities.uniform_dos_bound(dis)
-        if dis.mu_V.support_inf >= 0 and dis.mu_B.support_inf >= 0:
-            rep2 = CheckReport("dos_bound_uniform", parameters={"bound": bound2})
-            for dens, se in zip(hist.density, hist.stderr):
-                rep2.record(bound2 + 3 * se - dens)
-            reports.append(rep2)
+        reports.append(inequalities.dos_bound_energy_dependent(hist))
+        energy_bounds = reports[-1].parameters["bounds"]
     except PreconditionError:
-        pass
-    lam = dis.mu_V.support_inf
-    beta = dis.mu_B.support_inf
-    rows = []
-    for k in range(len(hist.centers)):
-        c = hist.centers[k]
-        b1 = math.inf
-        if dis.mu_V.has_density and lam > 0:
-            b1 = min(b1, 2 * (abs(c) + 1) / lam * dis.mu_V.bv_norm)
-        if dis.mu_B.has_density and beta > 0:
-            b1 = min(b1, 2 * (abs(c) + 1) / beta * dis.mu_B.bv_norm)
-        rows.append((hist.edges[k], hist.edges[k + 1], c, hist.density[k],
-                     hist.stderr[k],
-                     bound2 if bound2 is not None else math.inf, b1))
-    if any(np.isfinite(r[6]) for r in rows):
-        rep1 = CheckReport("dos_bound_energy_dependent")
-        for r in rows:
-            if np.isfinite(r[6]):
-                rep1.record(r[6] + 3 * r[4] - r[3])
-        reports.append(rep1)
+        pass                    # neither the V- nor the B-variant applies
+    bound = uniform.parameters["bound"]
+    rows = [(lo, hi, c, dens, se, bound, b) for lo, hi, c, dens, se, b in
+            zip(hist.edges[:-1], hist.edges[1:], hist.centers, hist.density,
+                hist.stderr, energy_bounds)]
     header = ["bin_lo", "bin_hi", "center", "density", "stderr",
               "bound_uniform", "bound_energy_dependent"]
-    return {"dos": (header, rows)}, reports, {"bound_uniform": bound2}
+    return {"dos": (header, rows)}, reports, {"bound_uniform": bound}
 
 
 def _exp_wegner(cfg, mapper):
@@ -399,78 +416,52 @@ def _exp_wegner(cfg, mapper):
     return {"wegner": (header, rows)}, reports, {}
 
 
-def _gap_row(r, cube, config):
+def _gap_row(r, cube, config, edge):
     f = sample_field(cube, config, r)
     s = eigensolve(assemble_block(build_h(cube, "simple", f), f))
-    g_minus, g_plus = spectral.spectral_gap(s)
-    return g_minus, g_plus, float(np.min(np.abs(s.eigenvalues)))
+    min_abs = float(np.min(np.abs(s.eigenvalues)))
+    rep = CheckReport("gap_edge")
+    rep.record(min_abs - edge + 1e-12 * max(edge, 1.0))
+    return [rep], spectral.spectral_gap(s) + (min_abs,)
 
 
 def _exp_gap(cfg, mapper):
-    from functools import partial
-    dis = cfg.disorder()
-    cube = cfg.cube()
     lam = max(cfg.mu_V.support_inf, 0.0)
     beta = case_beta(cfg.mu_B).beta
     edge = math.hypot(lam, beta)
-    rows = []
-    rep = CheckReport("gap_edge", parameters={"lam": lam, "beta": beta,
-                                              "edge": edge})
     vals = spectral.run_realizations(
-        partial(_gap_row, cube=cube, config=dis), cfg.realizations, mapper)
-    for r, (g_minus, g_plus, min_abs) in enumerate(vals):
-        rows.append((r, g_minus, g_plus, min_abs, edge))
-        rep.record(min_abs - edge + 1e-12 * max(edge, 1.0))
+        partial(_gap_row, cube=cfg.cube(), config=cfg.disorder(), edge=edge),
+        cfg.realizations, mapper)
+    reports = _fold((reps for reps, _ in vals),
+                    CheckReport("gap_edge", parameters={"lam": lam, "beta": beta,
+                                                        "edge": edge}))
+    rows = [(r,) + v + (edge,) for r, (_, v) in enumerate(vals)]
     header = ["realization", "gap_lo", "gap_hi", "min_abs_eigenvalue", "edge"]
-    return {"gap": (header, rows)}, [rep], {"edge": edge}
+    return {"gap": (header, rows)}, reports, {"edge": edge}
 
 
 def _interlace_row(r, cube, config, lam, beta, eps):
     f = sample_field(cube, config, r)
-    h = build_h(cube, "simple", f)
-    out = []
-    for fn, args in ((inequalities.interlacing_check, (cube, f, beta)),
-                     (inequalities.half_half_check, (cube, f, lam, beta)),
-                     (inequalities.bracketing_gap_check, (cube, f, lam, beta)),
-                     (asymptotics.finite_volume_tail_bound, (cube, f, lam, beta, eps))):
-        try:
-            out.append(fn(*args).to_json())
-        except PreconditionError as e:
-            out.append({"name": fn.__name__, "precondition": str(e)})
-    out.append(inequalities.beta_map_check(h, beta).to_json())
-    return out
+    return [
+        _attempt("interlacing", inequalities.interlacing_check, cube, f, beta),
+        _attempt("half_half", inequalities.half_half_check, cube, f, lam, beta),
+        _attempt("bracketing_gap", inequalities.bracketing_gap_check, cube, f,
+                 lam, beta),
+        _attempt("finite_volume_tail_bound", asymptotics.finite_volume_tail_bound,
+                 cube, f, lam, beta, eps),
+        inequalities.beta_map_check(build_h(cube, "simple", f), beta),
+    ]
 
 
 def _exp_interlace(cfg, mapper):
-    from functools import partial
-    dis = cfg.disorder()
-    cube = cfg.cube()
     lam = cfg.scalar("lam", max(cfg.mu_V.support_inf, 0.0))
     beta = cfg.scalar("beta", case_beta(cfg.mu_B).beta)
     eps = cfg.scalar("eps", 0.3)
-    merged = {}
-    rows_json = spectral.run_realizations(
-        partial(_interlace_row, cube=cube, config=dis, lam=lam, beta=beta,
-                eps=eps), cfg.realizations, mapper)
-    for row in rows_json:
-        for item in row:
-            name = item["name"]
-            rep = merged.setdefault(name, CheckReport(name))
-            if "precondition" in item:
-                rep.record_precondition_failure()
-            else:
-                rep.instances += item["instances"]
-                rep.violations += item["violations"]
-                if item["worst_margin"] is not None:
-                    rep.worst_margin = min(rep.worst_margin, item["worst_margin"])
-                rep.preconditions_failed += item["preconditions_failed"]
-    reports = list(merged.values())
-    rows = [(r.name, r.instances, r.violations,
-             r.worst_margin if r.instances else math.nan,
-             r.preconditions_failed) for r in reports]
-    header = ["check", "instances", "violations", "worst_margin",
-              "preconditions_failed"]
-    return {"interlace": (header, rows)}, reports, {"lam": lam, "beta": beta}
+    reports = _fold(spectral.run_realizations(
+        partial(_interlace_row, cube=cfg.cube(), config=cfg.disorder(), lam=lam,
+                beta=beta, eps=eps), cfg.realizations, mapper))
+    return ({"interlace": _summary_table(reports)}, reports,
+            {"lam": lam, "beta": beta})
 
 
 def _nested_lengths(cfg):
@@ -485,38 +476,28 @@ def _nested_lengths(cfg):
 
 
 def _green_row(r, d, lengths, config, energy):
-    l1, l2, l3 = lengths
     c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
     f = sample_field(c3, config, r)
     try:
-        res, d2, d3 = green._gri(c1, c2, c3, f, energy)
-    except PreconditionError as e:
-        return {"precondition": str(e)}
-    cap = 1e-9 * (1 + 1 / d2) * (1 + 1 / d3)
-    return {"residual": res, "delta2": d2, "delta3": d3, "cap": cap}
+        rep = green.gri_check(c1, c2, c3, f, energy)
+    except PreconditionError:
+        return [CheckReport("gri_residual", preconditions_failed=1)], None
+    p = rep.parameters
+    return [rep], (p["residual"], p["delta2"], p["delta3"], p["cap"], rep.passed)
 
 
 def _exp_green(cfg, mapper):
-    from functools import partial
-    dis = cfg.disorder()
     energy = cfg.scalar("energy", 0.0)
     lengths = _nested_lengths(cfg)
-    rep = CheckReport("gri_residual", parameters={"E": energy,
-                                                  "lengths": list(lengths)})
-    rows = []
     vals = spectral.run_realizations(
-        partial(_green_row, d=cfg.d, lengths=lengths, config=dis,
+        partial(_green_row, d=cfg.d, lengths=lengths, config=cfg.disorder(),
                 energy=energy), cfg.realizations, mapper)
-    for r, item in enumerate(vals):
-        if "precondition" in item:
-            rep.record_precondition_failure()
-            continue
-        rep.record(item["cap"] - item["residual"])
-        rows.append((r, energy, item["residual"], item["delta2"],
-                     item["delta3"], item["cap"],
-                     item["residual"] <= item["cap"]))
+    reports = _fold((reps for reps, _ in vals),
+                    CheckReport("gri_residual", parameters={
+                        "E": energy, "lengths": list(lengths)}))
+    rows = [(r, energy) + v for r, (_, v) in enumerate(vals) if v is not None]
     header = ["realization", "E", "residual", "delta2", "delta3", "cap", "passed"]
-    return {"green": (header, rows)}, [rep], {}
+    return {"green": (header, rows)}, reports, {}
 
 
 def _ct_row(r, cube, config, energy):
@@ -526,94 +507,61 @@ def _ct_row(r, cube, config, energy):
         profile = green.decay_profile(op, energy)
         rep = green.combes_thomas_check(profile)
         rate, intercept = green.decay_rate_fit(profile)
-    except (PreconditionError, ValueError) as e:
-        return {"precondition": str(e)}
-    return {"worst": rep.worst_margin, "violations": rep.violations,
-            "instances": rep.instances, "delta": profile.delta,
-            "rate": rate, "intercept": intercept,
-            "profile": profile.rows if r == 0 else None}
+    except (PreconditionError, ValueError):
+        return [CheckReport("combes_thomas", preconditions_failed=1)], None
+    fit = CheckReport("ct_rate")
+    fit.record(-rate - profile.delta / (12.0 * cube.d))
+    row = (profile.delta, rep.worst_margin, rate, intercept)
+    return [rep, fit], (row, profile.rows if r == 0 else None)
 
 
 def _exp_ct(cfg, mapper):
-    from functools import partial
-    dis = cfg.disorder()
-    cube = cfg.cube()
     energy = cfg.scalar("energy", 0.0)
-    d = cfg.d
-    rep = CheckReport("combes_thomas", parameters={"E": energy})
-    fit_rep = CheckReport("ct_rate", parameters={"E": energy})
+    vals = spectral.run_realizations(
+        partial(_ct_row, cube=cfg.cube(), config=cfg.disorder(), energy=energy),
+        cfg.realizations, mapper)
+    reports = _fold((reps for reps, _ in vals),
+                    CheckReport("combes_thomas", parameters={"E": energy}),
+                    CheckReport("ct_rate", parameters={"E": energy}))
     rows = []
     profile_rows = []
-    vals = spectral.run_realizations(
-        partial(_ct_row, cube=cube, config=dis, energy=energy),
-        cfg.realizations, mapper)
-    for r, item in enumerate(vals):
-        if "precondition" in item:
-            rep.record_precondition_failure()
+    for r, (_, v) in enumerate(vals):
+        if v is None:
             continue
-        rep.instances += item["instances"]
-        rep.violations += item["violations"]
-        rep.worst_margin = min(rep.worst_margin, item["worst"])
-        delta = min(item["delta"], 1.0)
-        fit_rep.record(-item["rate"] - delta / (12.0 * d))
-        rows.append((r, energy, item["delta"], item["worst"], item["rate"],
-                     item["intercept"]))
-        if item["profile"] is not None:
-            profile_rows = [(n, m, dist, nrm, cap)
-                            for n, m, dist, nrm, cap in item["profile"]]
+        row, profile = v
+        rows.append((r, energy) + row)
+        if profile is not None:
+            profile_rows = profile
     tables = {
         "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
                 "fit_intercept"], rows),
         "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"],
                        profile_rows),
     }
-    return tables, [rep, fit_rep], {}
+    return tables, reports, {}
 
 
 def _sli_edi_row(r, d, lengths, config, energy):
-    l1, l2, l3 = lengths
     c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
     f = sample_field(c3, config, r)
-    out = {}
-    try:
-        out["sli"] = green.sli_check(c1, c2, c3, f, energy).to_json()
-    except PreconditionError as e:
-        out["sli"] = {"precondition": str(e)}
+    sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy)
     try:
         s = eigensolve(assemble_block(build_h(c3, "simple", f), f))
         j = int(np.argmin(np.abs(s.eigenvalues - energy)))
         # probe the eigenpair closest to the requested energy
-        out["edi"] = green.edi_check(c2, c3, f, j).to_json()
-    except (PreconditionError, ValueError) as e:
-        out["edi"] = {"precondition": str(e)}
-    return out
+        edi = green.edi_check(c2, c3, f, j)
+    except (PreconditionError, ValueError):
+        edi = CheckReport("edi", preconditions_failed=1)
+    return [sli, edi]
 
 
 def _exp_sli_edi(cfg, mapper):
-    from functools import partial
-    dis = cfg.disorder()
     energy = cfg.scalar("energy", 0.0)
-    lengths = _nested_lengths(cfg)
-    sli = CheckReport("sli", parameters={"E": energy})
-    edi = CheckReport("edi")
-    vals = spectral.run_realizations(
-        partial(_sli_edi_row, d=cfg.d, lengths=lengths, config=dis,
-                energy=energy), cfg.realizations, mapper)
-    for item in vals:
-        for name, rep in (("sli", sli), ("edi", edi)):
-            payload = item[name]
-            if "precondition" in payload:
-                rep.record_precondition_failure()
-            else:
-                rep.instances += payload["instances"]
-                rep.violations += payload["violations"]
-                rep.worst_margin = min(rep.worst_margin, payload["worst_margin"])
-    rows = [(r.name, r.instances, r.violations,
-             r.worst_margin if r.instances else math.nan,
-             r.preconditions_failed) for r in (sli, edi)]
-    return ({"sli_edi": (["check", "instances", "violations", "worst_margin",
-                          "preconditions_failed"], rows)},
-            [sli, edi], {})
+    reports = _fold(spectral.run_realizations(
+        partial(_sli_edi_row, d=cfg.d, lengths=_nested_lengths(cfg),
+                config=cfg.disorder(), energy=energy), cfg.realizations, mapper),
+        CheckReport("sli", parameters={"E": energy}), CheckReport("edi"))
+    return {"sli_edi": _summary_table(reports)}, reports, {}
 
 
 def _exp_tails(cfg, mapper):
@@ -726,36 +674,27 @@ def _exp_correlator(cfg, mapper):
 def _fh_row(r, cube, config, step, tol):
     f = sample_field(cube, config, r)
     try:
-        return inequalities.feynman_hellmann_report(cube, f, step, tol).to_json()
-    except PreconditionError as e:
-        return {"precondition": str(e)}
+        rep = inequalities.feynman_hellmann_report(cube, f, step, tol)
+    except PreconditionError:
+        return [CheckReport("feynman_hellmann", preconditions_failed=1)], None
+    return [rep], (rep.instances, rep.violations,
+                   rep.worst_margin if rep.instances else None,
+                   rep.preconditions_failed)
 
 
 def _exp_fh(cfg, mapper):
-    from functools import partial
-    dis = cfg.disorder()
-    cube = cfg.cube()
     step = cfg.scalar("step", 1e-5)
     tol = cfg.scalar("tol", 1e-6)
-    rep = CheckReport("feynman_hellmann", parameters={"step": step, "tol": tol})
-    rows = []
     vals = spectral.run_realizations(
-        partial(_fh_row, cube=cube, config=dis, step=step, tol=tol),
-        cfg.realizations, mapper)
-    for r, item in enumerate(vals):
-        if "precondition" in item:
-            rep.record_precondition_failure()
-            continue
-        rep.instances += item["instances"]
-        rep.violations += item["violations"]
-        if item["worst_margin"] is not None:
-            rep.worst_margin = min(rep.worst_margin, item["worst_margin"])
-        rep.preconditions_failed += item["preconditions_failed"]
-        rows.append((r, item["instances"], item["violations"],
-                     item["worst_margin"], item["preconditions_failed"]))
+        partial(_fh_row, cube=cfg.cube(), config=cfg.disorder(), step=step,
+                tol=tol), cfg.realizations, mapper)
+    reports = _fold((reps for reps, _ in vals),
+                    CheckReport("feynman_hellmann",
+                                parameters={"step": step, "tol": tol}))
+    rows = [(r,) + v for r, (_, v) in enumerate(vals) if v is not None]
     header = ["realization", "eigenvalues_checked", "violations",
               "worst_margin", "skipped_near_degenerate"]
-    return {"fh": (header, rows)}, [rep], {}
+    return {"fh": (header, rows)}, reports, {}
 
 
 EXPERIMENTS = {

@@ -11,15 +11,13 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .disorder import DisorderConfig, FieldSample, sample_field
+from .disorder import DisorderConfig, FieldSample
 from .lattice import CubeSpec
 from .operators import (ScalarOperator, assemble_beta_reference, assemble_block,
                         assemble_bracketing, build_h)
-from .spectral import (count_leq, count_window, counting, eigensolve,
-                       ids_monte_carlo, dos_histogram, plain_block,
-                       run_realizations)
+from .spectral import (DosHistogram, count_leq, count_window, eigensolve,
+                       plain_block, run_realizations)
 
 
 class PreconditionError(ValueError):
@@ -58,11 +56,6 @@ class CheckReport:
     def vacuous(self) -> bool:
         """True when nothing was asserted: passed, but without evidence."""
         return self.instances == 0
-
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        if other.name != self.name:
-            raise ValueError("cannot merge reports of different checks")
-        return self.absorb(other)
 
     def absorb(self, other: "CheckReport") -> "CheckReport":
         """Accumulate counts from another report regardless of its name."""
@@ -146,14 +139,15 @@ def _window_counts(r, cube, config, bounds):
     return [count_window(s, lo, hi) for lo, hi in bounds]
 
 
-def dos_bound_energy_dependent(config: DisorderConfig, cube: CubeSpec, edges, R: int,
-                   mapper=None) -> CheckReport:
+def dos_bound_energy_dependent(hist: DosHistogram) -> CheckReport:
     """DOS histogram against the energy-dependent bound 2 (|E|+1)/lambda ||phi||_BV.
 
     Applies the V-variant when inf supp mu_V > 0 with a density, the
     B-variant when inf supp mu_B > 0 with a density; the strictest
-    applicable bound is used per bin (at the bin center).
+    applicable bound is used per bin (at the bin center) and listed, in bin
+    order, as the `bounds` parameter.
     """
+    config = hist.config
     bounds = []
     lam = config.mu_V.support_inf
     if config.mu_V.has_density and lam > 0.0:
@@ -164,30 +158,28 @@ def dos_bound_energy_dependent(config: DisorderConfig, cube: CubeSpec, edges, R:
     _require(bool(bounds), "neither the V- nor the B-hypothesis holds "
              "(need a density bounded away from 0)")
 
-    hist = dos_histogram(config, cube, edges, R, mapper)
+    caps = [min(2.0 * (abs(center) + 1.0) / gap * bv for _, gap, bv in bounds)
+            for center in hist.centers]
     rep = CheckReport("dos_bound_energy_dependent",
-                      parameters={"R": R, "hypotheses": [b[0] for b in bounds]})
-    for center, dens, se in zip(hist.centers, hist.density, hist.stderr):
-        cap = min(2.0 * (abs(center) + 1.0) / gap * bv for _, gap, bv in bounds)
+                      parameters={"R": hist.realizations,
+                                  "hypotheses": [b[0] for b in bounds],
+                                  "bounds": caps})
+    for cap, dens, se in zip(caps, hist.density, hist.stderr):
         rep.record(cap + 3.0 * se - dens)
     return rep
 
 
-def uniform_dos_bound(config: DisorderConfig) -> float:
-    """Uniform DOS bound 2 (||phi_V||_BV + ||phi_B||_BV)."""
-    _require(config.mu_V.has_density and config.mu_B.has_density,
-             "both measures must have densities")
-    return 2.0 * (config.mu_V.bv_norm + config.mu_B.bv_norm)
-
-
-def dos_bound_uniform(config: DisorderConfig, cube: CubeSpec, edges, R: int,
-                   mapper=None) -> CheckReport:
-    """DOS histogram against the uniform bound of the two-density estimate."""
+def dos_bound_uniform(hist: DosHistogram) -> CheckReport:
+    """DOS histogram against the uniform bound 2 (||phi_V||_BV + ||phi_B||_BV)
+    of the two-density estimate."""
+    config = hist.config
     _require(config.mu_V.support_inf >= 0.0 and config.mu_B.support_inf >= 0.0,
              "both supports must lie in [0, inf)")
-    cap = uniform_dos_bound(config)
-    hist = dos_histogram(config, cube, edges, R, mapper)
-    rep = CheckReport("dos_bound_uniform", parameters={"R": R, "bound": cap})
+    _require(config.mu_V.has_density and config.mu_B.has_density,
+             "both measures must have densities")
+    cap = 2.0 * (config.mu_V.bv_norm + config.mu_B.bv_norm)
+    rep = CheckReport("dos_bound_uniform",
+                      parameters={"R": hist.realizations, "bound": cap})
     for dens, se in zip(hist.density, hist.stderr):
         rep.record(cap + 3.0 * se - dens)
     return rep
@@ -221,29 +213,13 @@ def fh_derivative_sums(region, field: FieldSample, step: float = 1e-5) -> np.nda
     return sums
 
 
-def feynman_hellmann_sum(region, field: FieldSample, eigen_index: int,
-                         step: float = 1e-5) -> float:
-    """Finite-difference derivative sum for one positive simple eigenvalue.
-
-    Hypotheses: H >= 0 and B >= 0 on the region; the chosen eigenvalue must
-    be positive and numerically simple (spacing > 10 * step).
-    """
-    h = build_h(region, "simple", field)
-    _require(float(np.linalg.eigvalsh(h.matrix)[0]) >= -1e-12,
-             "Feynman-Hellmann needs H >= 0")
-    _require(min(field.b_vector(h.sites)) >= 0.0, "Feynman-Hellmann needs B >= 0")
-    ev = eigensolve(assemble_block(h, field)).eigenvalues
-    e = ev[eigen_index]
-    _require(e > 0.0, f"eigenvalue {eigen_index} is not positive (E={e:.3g})")
-    spacing = np.min(np.abs(np.delete(ev, eigen_index) - e))
-    _require(spacing > 10.0 * step,
-             f"eigenvalue spacing {spacing:.2e} too small for step {step:.1e}")
-    return float(fh_derivative_sums(region, field, step)[eigen_index])
-
-
 def feynman_hellmann_report(region, field: FieldSample, step: float = 1e-5,
                             tol: float = 1e-6) -> CheckReport:
-    """Derivative sum >= 1 for every positive, numerically simple eigenvalue."""
+    """Derivative sum >= 1 for every positive, numerically simple eigenvalue.
+
+    Hypotheses: H >= 0 and B >= 0 on the region.  Positive eigenvalues within
+    10 * step of another are skipped as precondition failures.
+    """
     h = build_h(region, "simple", field)
     _require(float(np.linalg.eigvalsh(h.matrix)[0]) >= -1e-12,
              "Feynman-Hellmann needs H >= 0")
@@ -353,6 +329,10 @@ def minmaxmax_lambda1(A, B, D, budget: int = 40000, seed: int = 0,
     `stable_starts` independent starts agree with the best value within
     `tol`; raises if the evaluation budget runs out first.
     """
+    # imported here, not at module level: no experiment kind runs this
+    # check, and scipy.optimize is the largest import of a CLI start
+    from scipy.optimize import minimize
+
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -415,35 +395,4 @@ def bracketing_gap_check(region, field: FieldSample, lam: float,
     rep = CheckReport("bracketing_gap", parameters={"lam": lam, "beta": beta,
                                                     "edge": edge})
     rep.record(0.0 if inside == 0 else -float(inside))
-    return rep
-
-
-def _bracketing_counting_row(r, cube, config, grid):
-    f = sample_field(cube, config, r)
-    s = eigensolve(assemble_bracketing(cube, f))
-    return np.array([counting(s, e) for e in grid])
-
-
-def bracketing_ids_comparison(config: DisorderConfig, cube_small: CubeSpec,
-                              cube_large: CubeSpec, grid, R: int,
-                              mapper=None) -> CheckReport:
-    """Large-volume counting mean dominates the bracketing mean (IDS proxy).
-
-    Checks E[N_large(E)] >= E[N^+_small(E)] - 3 sigma on the energy grid,
-    the finite-volume surrogate of the bracketing bound on the IDS.
-    """
-    grid = np.asarray(grid, dtype=float)
-    large = ids_monte_carlo(config, cube_large, grid, R, mapper)
-    rows = run_realizations(partial(_bracketing_counting_row, cube=cube_small,
-                                    config=config, grid=grid), R, mapper)
-    data = np.vstack(rows)
-    mean_plus = data.mean(axis=0)
-    se_plus = data.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros_like(mean_plus)
-    rep = CheckReport("bracketing_ids", parameters={"R": R,
-                                                    "L_small": cube_small.L,
-                                                    "L_large": cube_large.L})
-    for m_large, se_l, m_plus, se_p in zip(large.mean_N, large.stderr_N,
-                                           mean_plus, se_plus):
-        sigma = np.hypot(se_l, se_p)
-        rep.record(m_large - m_plus + 3.0 * sigma)
     return rep

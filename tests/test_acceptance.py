@@ -208,10 +208,12 @@ def test_criterion_4_wegner():
         all_pass &= rep.passed and rep.parameters["mean"] <= stated
         worst = min(worst, rep.worst_margin)
 
-    dos2 = inequalities.dos_bound_uniform(cfg, cube, np.linspace(-9, 9, 61), R)
+    dos2 = inequalities.dos_bound_uniform(
+        spectral.dos_histogram(cfg, cube, np.linspace(-9, 9, 61), R))
 
     cfg1 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 43)
-    dos1 = inequalities.dos_bound_energy_dependent(cfg1, cube, np.linspace(-8, 8, 49), R)
+    dos1 = inequalities.dos_bound_energy_dependent(
+        spectral.dos_histogram(cfg1, cube, np.linspace(-8, 8, 49), R))
 
     ok = all_pass and dos2.passed and dos1.passed
     verdict(4, "wegner", ok,

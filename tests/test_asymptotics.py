@@ -5,7 +5,7 @@ from blocklab.asymptotics import (CorrelatorProfile, TailCurve,
                                   c0_estimate, ct_threshold_length,
                                   eigenfunction_correlator,
                                   finite_volume_tail_bound, gap_edge,
-                                  lifschitz_for_h, lower_bound_probability,
+                                  lower_bound_probability,
                                   lower_bound_scale, stretched_fit, suitable,
                                   suitability_probability, tail_curve,
                                   tail_exponent_fit, tail_monotonicity_check,
@@ -253,31 +253,6 @@ def test_wilson_interval_sane():
     assert lo == 0.0 and hi < 0.4
 
 
-# -- scalar Lifschitz estimate -------------------------------------------------------
-
-
-def test_lifschitz_for_h_zero_c():
-    rep, probs = lifschitz_for_h(
-        DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.point_mass(0), 4),
-        d=1, C=0.0, lengths=[16, 32], R=60)
-    assert all(p == 0.0 for _, p, _ in probs)
-    assert rep.passed
-
-
-def test_lifschitz_for_h_decreasing_trend():
-    rep, probs = lifschitz_for_h(
-        DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.point_mass(0), 4),
-        d=1, C=1.0, lengths=[25, 100, 400], R=120)
-    assert rep.passed
-    assert probs[0][1] >= probs[-1][1]
-
-
-def test_lifschitz_for_h_rejects_point_mass():
-    cfg = DisorderConfig(SiteMeasure.point_mass(1), SiteMeasure.point_mass(0), 0)
-    with pytest.raises(PreconditionError):
-        lifschitz_for_h(cfg, 1, 1.0, [16], 5)
-
-
 # -- correlator ---------------------------------------------------------------------
 
 
@@ -322,8 +297,17 @@ def test_stretched_fit_recovers_synthetic():
     assert fit.c_zeta == pytest.approx(c0, rel=0.15)
 
 
+def bootstrap_stderr(values: np.ndarray, n_boot: int = 400,
+                     seed: int = 0) -> float:
+    """Bootstrap standard error of the mean (the oracle of the test below)."""
+    rng = np.random.default_rng(seed)
+    values = np.asarray(values)
+    means = np.array([rng.choice(values, size=len(values)).mean()
+                      for _ in range(n_boot)])
+    return float(means.std(ddof=1))
+
+
 def test_tail_stderr_consistent_with_bootstrap():
-    from blocklab.asymptotics import bootstrap_stderr
     curve = tail_curve(LAM1, 1, [0.4, 0.5], R=300, lengths=[15, 15],
                        keep_samples=True)
     for k, vals in enumerate(curve.samples):

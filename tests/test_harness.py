@@ -2,6 +2,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 import scipy
 
-from blocklab import blas, green, harness
+import blocklab
+from blocklab import blas, green, harness, spectral
 from blocklab.cli import main as cli_main
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
@@ -35,12 +38,21 @@ kind = {bk}
 """
 
 
-def make_cfg(kind, L=9, R=5, va=0.0, vb=1.0, bk="uniform",
-             bargs="a = 0.0\nb = 1.0", vk=None, vargs=None, extra=""):
+def make_text(kind, L=9, R=5, va=0.0, vb=1.0, bk="uniform",
+              bargs="a = 0.0\nb = 1.0", vk=None, vargs=None, extra=""):
     vk = vk or "uniform"
     vargs = vargs if vargs is not None else f"a = {va}\nb = {vb}"
-    return parse_config(BASE.format(kind=kind, L=L, R=R, vk=vk, vargs=vargs,
-                                    bk=bk, bargs=bargs) + extra)
+    return BASE.format(kind=kind, L=L, R=R, vk=vk, vargs=vargs, bk=bk,
+                       bargs=bargs) + extra
+
+
+def make_cfg(kind, **kw):
+    return parse_config(make_text(kind, **kw))
+
+
+# lam above inf supp mu_V: half-half and bracketing skip 2 of 10 realizations
+INTERLACE_SKIPS = make_text("interlace", L=8, R=10,
+                            extra="[interlace]\nlam = 0.05\n")
 
 
 def test_config_roundtrip_lossless():
@@ -156,6 +168,17 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     for name in ("ct.csv", "ct_profile.csv"):
         assert (tmp_path / "ct1" / name).read_bytes() == \
             (tmp_path / "ct2" / name).read_bytes()
+
+    # per-realization CheckReports cross the pickle boundary, precondition
+    # skips included (the interlace case skips half-half and bracketing)
+    for kind, text in (("interlace", INTERLACE_SKIPS),
+                       ("sli_edi", make_text("sli-edi", L=9, R=6, va=1.0,
+                                             vb=2.0)),
+                       ("fh", make_text("fh", L=6, R=5))):
+        for w in (1, 2):
+            run(parse_config(text, workers=w), tmp_path / f"{kind}{w}")
+        assert (tmp_path / f"{kind}1" / f"{kind}.csv").read_bytes() == \
+            (tmp_path / f"{kind}2" / f"{kind}.csv").read_bytes()
 
 
 def test_run_json_contents(tmp_path):
@@ -314,6 +337,19 @@ def test_interlace_experiment(tmp_path):
             "finite_volume_tail_bound", "beta_map"} <= names
 
 
+def test_interlace_skips_counted_in_their_checks_row(tmp_path):
+    result = run(parse_config(INTERLACE_SKIPS), tmp_path)
+    assert result.exit_code == 0
+    lines = (tmp_path / "interlace.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    assert list(rows) == ["interlacing", "half_half", "bracketing_gap",
+                          "finite_volume_tail_bound", "beta_map"]
+    assert rows["half_half"][4] == "2"
+    assert rows["bracketing_gap"][4] == "2"
+    skipped = {r.name: r.preconditions_failed for r in result.reports}
+    assert skipped["half_half"] == skipped["bracketing_gap"] == 2
+
+
 def test_wegner_experiment(tmp_path):
     cfg = make_cfg("wegner", L=16, R=40,
                    extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n")
@@ -377,11 +413,36 @@ def test_dos_experiment(tmp_path):
     assert result.exit_code == 0
 
 
+def test_dos_run_solves_each_realization_once(tmp_path, monkeypatch):
+    calls = []
+    real = spectral.eigensolve
+    monkeypatch.setattr(spectral, "eigensolve",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    cfg = make_cfg("dos", L=16, R=12, va=1.0, vb=2.0,
+                   extra="[dos]\nbins = -6 6 30\n")
+    result = run(cfg, tmp_path)
+    assert result.exit_code == 0
+    assert len(calls) == 12
+    assert [r.name for r in result.reports] == ["dos_bound_uniform",
+                                                "dos_bound_energy_dependent"]
+    assert all(r.instances == 30 for r in result.reports)
+
+
 def test_green_experiment(tmp_path):
     cfg = make_cfg("green", L=9, R=10, va=1.0, vb=2.0,
                    extra="[green]\nenergy = 0.0\nlengths = 2 5 9\n")
     result = run(cfg, tmp_path)
     assert result.exit_code == 0
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    src = str(Path(blocklab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, blocklab.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_missing_config_exits_3(capsys):

@@ -5,14 +5,14 @@ from blocklab import inequalities, spectral
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
 from blocklab.inequalities import (PreconditionError, beta_map_check,
                                    bracketing_gap_check,
-                                   bracketing_ids_comparison,
                                    dos_bound_energy_dependent, feynman_hellmann_report,
-                                   feynman_hellmann_sum, half_half_check,
+                                   fh_derivative_sums, half_half_check,
                                    interlacing_check, minmaxmax_lambda1,
                                    wegner_finite_volume)
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_bracketing, build_h, build_h0
-from blocklab.spectral import count_leq, count_window, eigensolve, plain_block
+from blocklab.spectral import (count_leq, count_window, dos_histogram, eigensolve,
+                               plain_block)
 
 POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 
@@ -94,24 +94,28 @@ def test_wegner_rejects_wide_window():
 
 def test_dos_energy_bound_v_hypothesis():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 3)
-    rep = dos_bound_energy_dependent(cfg, CubeSpec(1, 16), np.linspace(-7, 7, 29), R=40)
+    rep = dos_bound_energy_dependent(
+        dos_histogram(cfg, CubeSpec(1, 16), np.linspace(-7, 7, 29), R=40))
     assert rep.passed
 
 
 def test_dos_energy_bound_b_hypothesis():
     cfg = DisorderConfig(SiteMeasure.point_mass(0), SiteMeasure.uniform(1, 2), 3)
-    rep = dos_bound_energy_dependent(cfg, CubeSpec(1, 16), np.linspace(-7, 7, 29), R=40)
+    rep = dos_bound_energy_dependent(
+        dos_histogram(cfg, CubeSpec(1, 16), np.linspace(-7, 7, 29), R=40))
     assert rep.passed
 
 
 def test_dos_energy_bound_rejects_when_no_hypothesis():
     with pytest.raises(PreconditionError):
-        dos_bound_energy_dependent(POS, CubeSpec(1, 10), np.linspace(-5, 5, 11), 5)
+        dos_bound_energy_dependent(
+            dos_histogram(POS, CubeSpec(1, 10), np.linspace(-5, 5, 11), 5))
 
 
 def test_dos_energy_bound_empty_bins_trivially_pass():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 3)
-    rep = dos_bound_energy_dependent(cfg, CubeSpec(1, 10), [40.0, 50.0], R=5)
+    rep = dos_bound_energy_dependent(
+        dos_histogram(cfg, CubeSpec(1, 10), [40.0, 50.0], R=5))
     assert rep.passed and rep.worst_margin > 0
 
 
@@ -121,29 +125,22 @@ def test_dos_energy_bound_empty_bins_trivially_pass():
 def test_fh_closed_form_single_site():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 1.0, 2.0)
-    val = feynman_hellmann_sum(cube, f, eigen_index=1)
+    val = fh_derivative_sums(cube, f)[1]
     assert val == pytest.approx(5 / np.sqrt(13), abs=1e-8)
 
 
 def test_fh_boundary_case_equals_one():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 0.0, 0.0)
-    val = feynman_hellmann_sum(cube, f, eigen_index=1)
+    val = fh_derivative_sums(cube, f)[1]
     assert val == pytest.approx(1.0, abs=1e-8)
-
-
-def test_fh_rejects_negative_eigenvalue():
-    cube = CubeSpec(1, 2)
-    f = constant_field(cube, 1.0, 2.0)
-    with pytest.raises(PreconditionError):
-        feynman_hellmann_sum(cube, f, eigen_index=0)
 
 
 def test_fh_rejects_negative_b():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 1.0, -2.0)
     with pytest.raises(PreconditionError):
-        feynman_hellmann_sum(cube, f, eigen_index=1)
+        feynman_hellmann_report(cube, f)
 
 
 def test_fh_random_fields_all_above_one():
@@ -327,10 +324,3 @@ def test_bracketing_counting_extremes():
     r = 4 + 2 + 2
     assert count_leq(s, -r) == 0
     assert count_leq(s, r) == s.dim
-
-
-def test_bracketing_ids_comparison():
-    cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 13)
-    rep = bracketing_ids_comparison(cfg, CubeSpec(1, 8), CubeSpec(1, 40),
-                                    np.linspace(-6, 6, 25), R=60)
-    assert rep.passed
