@@ -16,7 +16,8 @@ import numpy as np
 
 from .disorder import DisorderConfig, FieldSample, case_beta, sample_field
 from .inequalities import CheckReport, _require
-from .lattice import CubeSpec, axis_count, dist1, inner_boundary
+from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
+                      site_array, site_index)
 from .operators import (MAX_BLOCK_DIM, assemble_block, build_h, build_h0,
                         component_indices)
 from .spectral import Spectrum, count_leq, eigensolve, plain_block, run_realizations
@@ -143,9 +144,8 @@ def tail_exponent_fit(curve: TailCurve, window=(0.0, 0.4)) -> TailFit:
 def tail_monotonicity_check(curve: TailCurve) -> CheckReport:
     """dN nondecreasing in eps within 3 sigma of the paired standard errors."""
     rep = CheckReport("tail_monotonicity", parameters={"edge": curve.edge})
-    for k in range(len(curve.eps_grid) - 1):
-        sigma = float(np.hypot(curve.stderr[k], curve.stderr[k + 1]))
-        rep.record(curve.delta_n[k + 1] - curve.delta_n[k] + 3.0 * sigma)
+    sigma = np.hypot(curve.stderr[:-1], curve.stderr[1:])
+    rep.record(np.diff(curve.delta_n) + 3.0 * sigma)
     return rep
 
 
@@ -159,8 +159,9 @@ def finite_volume_tail_bound(region, field: FieldSample, lam: float,
     _require(beta >= 0.0 and lam >= 0.0, "needs lam >= 0 and beta >= 0")
     h = build_h(region, "simple", field)
     _require(float(np.linalg.eigvalsh(h.matrix)[0]) > 0.0, "needs H > 0")
-    _require(min(field.v_vector(h.sites)) >= lam, "needs V_n >= lam")
-    _require(min(field.b_vector(h.sites)) >= beta, "needs B_n >= beta")
+    v, b = field.at(h.sites)
+    _require(v.min() >= lam, "needs V_n >= lam")
+    _require(b.min() >= beta, "needs B_n >= beta")
     edge = np.hypot(lam, beta)
     threshold = edge + eps
     block_count = count_leq(eigensolve(assemble_block(h, field)), threshold) - h.n
@@ -177,9 +178,7 @@ def finite_volume_tail_bound(region, field: FieldSample, lam: float,
 
 
 def _tent_vector(cube: CubeSpec) -> np.ndarray:
-    half = cube.L / 2.0
-    psi = np.array([half - max(abs(c - o) for c, o in zip(s, cube.center))
-                    for s in cube.sites()])
+    psi = cube.L / 2.0 - np.abs(site_array(cube) - cube.center).max(axis=1)
     return psi / np.linalg.norm(psi)
 
 
@@ -215,10 +214,7 @@ def lower_bound_scale(c0_hat: float, eps: float) -> int:
 
 def _lower_bound_event(r, cube, config, lam, beta, eps, psi2):
     f = sample_field(cube, config, r)
-    cube_sites = cube.sites()
-    v = np.array(f.v_vector(cube_sites))
-    b = np.array(f.b_vector(cube_sites))
-    value = psi2 @ (v - lam) + math.sqrt(psi2 @ (b - beta) ** 2)
+    value = psi2 @ (f.V - lam) + math.sqrt(psi2 @ (f.B - beta) ** 2)
     return 1 if value < eps / 2.0 else 0
 
 
@@ -260,10 +256,9 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
 def _suitability_geometry(cube: CubeSpec):
     _require(float(cube.L).is_integer() and int(cube.L) % 6 == 0,
              f"suitability needs a length in 6N, got {cube.L}")
-    cube_sites = cube.sites()
-    rows = component_indices(cube_sites, inner_boundary(cube_sites))
-    cols = component_indices(cube_sites, cube.concentric(cube.L / 3.0).sites())
-    return cube_sites, rows, cols
+    rows = component_indices(cube, inner_boundary(cube))
+    cols = component_indices(cube, cube.concentric(cube.L / 3.0))
+    return rows, cols
 
 
 def _suitability_norm(op_matrix, energy, rows, cols, dim):
@@ -275,8 +270,8 @@ def suitable(cube: CubeSpec, field: FieldSample, energy: float,
              theta: float) -> bool:
     """Whether the resolvent block from the inner third to the inner boundary
     has norm below L^-theta (and the energy misses the spectrum)."""
-    cube_sites, rows, cols = _suitability_geometry(cube)
-    op = assemble_block(build_h(cube_sites, "simple", field), field)
+    rows, cols = _suitability_geometry(cube)
+    op = assemble_block(build_h(cube, "simple", field), field)
     ev = eigensolve(op).eigenvalues
     delta = float(np.min(np.abs(ev - energy)))
     if delta <= 1e-12 * max(np.max(np.abs(ev)), 1.0):
@@ -351,41 +346,39 @@ class SuitabilityReport:
 def _suitability_row(r, cube, config, energies, theta, a_L):
     """Per realization: suitability per energy, the gap event flag, and the
     sharp per-instance CT implication data."""
-    cube_sites, rows, cols = _suitability_geometry(cube)
+    rows, cols = _suitability_geometry(cube)
     f = sample_field(cube, config, r)
-    op = assemble_block(build_h(cube_sites, "simple", f), f)
+    op = assemble_block(build_h(cube, "simple", f), f)
     ev = eigensolve(op).eigenvalues
     scale = max(np.max(np.abs(ev)), 1.0)
     flags = []
-    norms = []
     deltas = []
     for e in energies:
         delta = float(np.min(np.abs(ev - e)))
         if delta <= 1e-12 * scale:
             flags.append(False)
-            norms.append(np.inf)
             deltas.append(0.0)
             continue
         nrm = _suitability_norm(op.matrix, e, rows, cols, op.dim)
         flags.append(nrm < cube.L ** (-theta))
-        norms.append(nrm)
         deltas.append(delta)
     gap_event = bool(np.min(np.abs(ev)) > a_L + cube.L ** -0.5)
-    return flags, norms, deltas, gap_event
+    return flags, deltas, gap_event
 
 
 def _ct_block_budget(cube: CubeSpec, delta: float, d: int) -> float:
     """Frobenius aggregate of per-pair Combes-Thomas bounds over the
     boundary-to-core block; dominates the block operator norm."""
-    cube_sites = cube.sites()
-    bnd = inner_boundary(cube_sites)
-    core = cube.concentric(cube.L / 3.0).sites()
+    bnd = site_array(inner_boundary(cube.sites()))
+    core = site_array(cube.concentric(cube.L / 3.0))
     dcap = min(delta, 1.0)
-    total = 0.0
-    for n in bnd:
-        for m in core:
-            total += (4.0 / dcap * math.exp(-dcap * dist1(n, m) / (12.0 * d))) ** 2
-    return math.sqrt(total)
+    dist = dist1_array(bnd[:, None], core[None]).ravel()
+    # one term per distinct distance, summed left to right over the pairs
+    # (cumsum is sequential) exactly as a loop over them would
+    dists, at = np.unique(dist, return_inverse=True)
+    terms = np.array([(4.0 / dcap * math.exp(-dcap * k / (12.0 * d))) ** 2
+                      for k in dists.tolist()])
+    return math.sqrt(float(np.cumsum(terms[at])[-1]))
 
 
 def suitability_probability(config: DisorderConfig, d: int, L: int,
@@ -412,25 +405,22 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     flags = np.array([row[0] for row in rows], dtype=bool)      # R x nE
     hits = flags.sum(axis=0)
     lo, hi = zip(*(wilson_interval(int(h), R) for h in hits))
-    events = np.array([row[3] for row in rows], dtype=bool)
+    events = np.array([row[2] for row in rows], dtype=bool)
 
     implication = CheckReport(
         "gap_event_implies_suitable",
         parameters={"L": L, "theta": theta, "threshold_L": threshold})
     target = L ** (-theta)
-    for row, event in zip(rows, events):
-        if not event:
-            continue
-        _, norms, deltas, _ = row
-        for k in range(len(energies)):
-            # asymptotic implication: in force only above the threshold length
-            if threshold is not None and L >= threshold:
-                implication.record(1.0 if row[0][k] else -1.0)
-            # sharp implication: the instance's own decay budget
-            if deltas[k] > 0.0:
-                budget = _ct_block_budget(cube, deltas[k], d)
-                if budget < target:
-                    implication.record(1.0 if row[0][k] else -1.0)
+    # per gap event and energy: +1 where the cube is suitable, else -1
+    signs = np.where(flags[events], 1.0, -1.0)
+    # asymptotic implication: in force only above the threshold length
+    if threshold is not None and L >= threshold:
+        implication.record(signs)
+    # sharp implication: the instance's own decay budget
+    deltas = np.array([row[1] for row in rows], dtype=float)[events]
+    sharp = [[delta > 0.0 and _ct_block_budget(cube, delta, d) < target
+              for delta in row] for row in deltas.tolist()]
+    implication.record(signs[np.array(sharp, dtype=bool).reshape(signs.shape)])
 
     return SuitabilityReport(L, theta, energies, hits / R, np.array(lo),
                              np.array(hi), R, a_L, float(events.mean()),
@@ -456,7 +446,8 @@ class CorrelatorProfile:
         return self.contributing == 0
 
     def distances(self) -> np.ndarray:
-        return np.array([dist1(n, m) for n, m in self.pairs], dtype=float)
+        ends = np.array(self.pairs)                # (pairs, 2, d)
+        return dist1_array(ends[:, 0], ends[:, 1]).astype(float)
 
 
 def correlator_q(s: Spectrum, op_sites, interval, pairs) -> np.ndarray:
@@ -471,13 +462,15 @@ def correlator_q(s: Spectrum, op_sites, interval, pairs) -> np.ndarray:
     lo, hi = interval
     sel = (s.eigenvalues >= lo) & (s.eigenvalues <= hi)
     n = len(op_sites)
-    idx = {site: i for i, site in enumerate(op_sites)}
     if not np.any(sel):
         return np.zeros(len(pairs))
+    first, second = (site_index(op_sites, [pair[k] for pair in pairs], strict=True)
+                     for k in (0, 1))
     v = s.eigenvectors[:, sel]
     amp = np.sqrt(v[:n, :] ** 2 + v[n:, :] ** 2)     # site amplitude per vector
-    return np.array([amp[idx[tuple(n1)]] @ amp[idx[tuple(m1)]]
-                     for n1, m1 in pairs])
+    # one BLAS dot per pair: a batched product may sum in another order
+    return np.array([amp[i] @ amp[j]
+                     for i, j in zip(first.tolist(), second.tolist())])
 
 
 def _correlator_row(r, cube, config, interval, pairs):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import CubeSpec, Site
+from .lattice import CubeSpec, Site, site_index
 
 _DENSITY_KINDS = ("uniform", "triangular")
 
@@ -231,18 +231,20 @@ class DisorderConfig:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization of the (V, B) fields on a cube."""
+    """One realization of the (V, B) fields on a cube.
+
+    V and B are float arrays in the canonical site order of the cube.
+    """
 
     cube: CubeSpec
-    V: dict
-    B: dict
+    V: np.ndarray
+    B: np.ndarray
     realization_index: int
 
-    def v_vector(self, region_sites):
-        return [self.V[s] for s in region_sites]
-
-    def b_vector(self, region_sites):
-        return [self.B[s] for s in region_sites]
+    def at(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """(V, B) at the given sites (in their order); each must lie in the cube."""
+        idx = site_index(self.cube, sites, strict=True)
+        return self.V[idx], self.B[idx]
 
 
 def site_uniform(master_seed: int, realization_index: int, site: Site,
@@ -285,8 +287,8 @@ def sample_field(cube: CubeSpec, config: DisorderConfig,
                  realization_index: int) -> FieldSample:
     """Draw one i.i.d. realization of the V- and B-fields on a cube."""
     seed = config.master_seed
-    sites = cube.sites()
-    V = config.mu_V.from_uniform(_cube_uniforms(seed, realization_index, "V", cube))
-    B = config.mu_B.from_uniform(_cube_uniforms(seed, realization_index, "B", cube))
-    return FieldSample(cube, dict(zip(sites, V.tolist())),
-                       dict(zip(sites, B.tolist())), realization_index)
+    # a point mass ignores its uniforms, so its family is not hashed
+    V, B = (np.full(cube.site_count, m.params[0]) if m.kind == "point_mass"
+            else m.from_uniform(_cube_uniforms(seed, realization_index, family, cube))
+            for m, family in ((config.mu_V, "V"), (config.mu_B, "B")))
+    return FieldSample(cube, V, B, realization_index)

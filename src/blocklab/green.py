@@ -32,8 +32,7 @@ class Block2x2:
 def block_element(matrix: np.ndarray, sites, n, m) -> Block2x2:
     """Read the 2x2 element at (n, m) from a block-space matrix."""
     n, m = tuple(n), tuple(m)
-    idx = {s: i for i, s in enumerate(sites)}
-    i, j = idx[n], idx[m]
+    i, j = lattice.site_index(sites, (n, m), strict=True).tolist()
     nn = len(sites)
     e = np.array([[matrix[i, j], matrix[i, j + nn]],
                   [matrix[i + nn, j], matrix[i + nn, j + nn]]])
@@ -117,20 +116,14 @@ def _gri(region1, region2, region3, field, energy):
     return float(np.max(np.abs(lhs + chain))), g2.delta, g3.delta
 
 
-def gri_residual(region1, region2, region3, field: FieldSample,
-                 energy: float) -> float:
-    """Max-entry residual of the geometric resolvent identity.
+def gri_check(region1, region2, region3, field: FieldSample, energy: float,
+              coeff: float = 1e-9) -> CheckReport:
+    """Geometric resolvent identity: its max-entry residual against
+    coeff (1 + 1/delta2)(1 + 1/delta3).
 
     The boundary-block of the large resolvent towards the core region must
     equal the chain large-resolvent -> boundary operator -> small-resolvent
     exactly; the residual is pure rounding noise.
-    """
-    return _gri(region1, region2, region3, field, energy)[0]
-
-
-def gri_check(region1, region2, region3, field: FieldSample, energy: float,
-              coeff: float = 1e-9) -> CheckReport:
-    """Residual of the identity against coeff (1 + 1/delta2)(1 + 1/delta3).
 
     The residual, both spectral distances and the cap are reported as
     parameters.
@@ -183,13 +176,12 @@ def edi_check(region, cube3, field: FieldSample, eigen_index: int,
     i_r = lattice.inner_boundary(r)
     o_r = lattice.outer_boundary(r)
     n3 = len(r3)
-    idx3 = {s: i for i, s in enumerate(r3)}
+    probes = r if probe_sites is None else [tuple(s) for s in probe_sites]
     out_rows = component_indices(r3, o_r)
     psi_out = float(np.linalg.norm(psi[out_rows]))
     rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
                                          "gamma": gamma.norm})
-    for n in (r if probe_sites is None else [tuple(s) for s in probe_sites]):
-        i = idx3[n]
+    for n, i in zip(probes, lattice.site_index(r3, probes, strict=True).tolist()):
         lhs = float(np.hypot(psi[i], psi[i + n3]))
         rhs = gamma.norm * np.linalg.norm(_sub(g.matrix, r, (n,), i_r), 2) * psi_out
         rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
@@ -210,42 +202,49 @@ def block_norm_grid(matrix: np.ndarray, n_sites: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Resolvent decay of one operator at one energy.
+    """Resolvent decay of one operator at one energy, one entry per pair.
 
-    rows holds (n, m, dist1, block_norm, ct_bound) per requested pair;
-    delta is the spectral distance capped at 1, as used in the bound.
+    Pair k joins sites[first[k]] and sites[second[k]] at 1-norm distance
+    dist[k]; norm[k] is the Frobenius norm of its 2x2 resolvent element and
+    bound[k] the Combes-Thomas bound.  delta is the spectral distance
+    capped at 1, as used in the bound.
     """
 
     energy: float
     delta: float
-    rows: list
+    sites: tuple
+    first: np.ndarray
+    second: np.ndarray
+    dist: np.ndarray
+    norm: np.ndarray
+    bound: np.ndarray
 
 
 def decay_profile(op: BlockOperator, energy: float, pairs=None) -> DecayProfile:
-    """One resolvent, one pass over the pairs (all site pairs by default)."""
+    """One resolvent read at the given site pairs (all pairs by default)."""
     g = resolvent(op, energy)
     delta = min(g.delta, 1.0)
-    d = len(op.sites[0])
+    points = lattice.site_array(op.sites)
+    n, d = points.shape
     if pairs is None:
-        pairs = [(n, m) for n in op.sites for m in op.sites]
-    grid = block_norm_grid(g.matrix, len(op.sites)).tolist()
-    idx = {s: i for i, s in enumerate(op.sites)}
-    caps = {}           # the bound depends on the pair only through dist1
-    rows = []
-    for n, m in pairs:
-        dist = lattice.dist1(n, m)
-        if dist not in caps:
-            caps[dist] = combes_thomas_bound(delta, d, dist)
-        rows.append((n, m, dist, grid[idx[tuple(n)]][idx[tuple(m)]], caps[dist]))
-    return DecayProfile(energy, delta, rows)
+        first, second = np.divmod(np.arange(n * n), n)
+    else:
+        first, second = (lattice.site_index(op.sites, [p[k] for p in pairs],
+                                            strict=True) for k in (0, 1))
+    dist = lattice.dist1_array(points[first], points[second])
+    norm = block_norm_grid(g.matrix, n)[first, second]
+    # the bound depends on the pair only through its distance
+    dists, at = np.unique(dist, return_inverse=True)
+    caps = np.array([combes_thomas_bound(delta, d, k) for k in dists.tolist()])
+    return DecayProfile(energy, delta, op.sites, first, second, dist, norm,
+                        caps[at])
 
 
 def combes_thomas_check(profile: DecayProfile, atol: float = 1e-12) -> CheckReport:
     """Every 2x2 resolvent element of the profile obeys the exponential bound."""
     rep = CheckReport("combes_thomas", parameters={"E": profile.energy,
                                                    "delta": profile.delta})
-    for _, _, _, value, cap in profile.rows:
-        rep.record(cap + atol - value)
+    rep.record(profile.bound + atol - profile.norm)
     return rep
 
 
@@ -256,12 +255,9 @@ def decay_rate_fit(profile: DecayProfile,
     Entries below `floor` times the resolvent scale sit in rounding noise
     and are excluded.
     """
-    rows = profile.rows
-    scale = max(r[3] for r in rows)
-    pts = [(r[2], np.log(r[3])) for r in rows if r[3] > floor * scale and r[2] > 0]
-    if len(pts) < 2:
+    keep = (profile.norm > floor * profile.norm.max()) & (profile.dist > 0)
+    if np.count_nonzero(keep) < 2:
         raise ValueError("not enough usable pairs for a decay fit")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = np.polyfit(profile.dist[keep].astype(float),
+                                  np.log(profile.norm[keep]), 1)
     return float(slope), float(intercept)

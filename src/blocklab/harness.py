@@ -338,9 +338,7 @@ def _exp_spectrum(cfg, mapper):
     eigen_rows = spectral.run_realizations(
         partial(spectral._eigenvalue_row, cube=cube, config=dis),
         cfg.realizations, mapper)
-    specs = [spectral.Spectrum(ev, None, "plain", cube.site_count)
-             for ev in eigen_rows]
-    for r, s in enumerate(specs):
+    for r, s in enumerate(spectral.Spectrum(ev) for ev in eigen_rows):
         for j, e in enumerate(s.eigenvalues):
             rows.append((r, j, e))
         c = spectral.symmetry_check(s)
@@ -363,8 +361,7 @@ def _exp_ids(cfg, mapper):
     est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), grid,
                                    cfg.realizations, mapper)
     mono = CheckReport("ids_monotone")
-    for a, b in zip(est.mean_N, est.mean_N[1:]):
-        mono.record(b - a)
+    mono.record(np.diff(est.mean_N))
     rng = CheckReport("ids_range")
     rng.record(float(np.min(est.mean_N)))
     rng.record(1.0 - float(np.max(est.mean_N)))
@@ -512,7 +509,13 @@ def _ct_row(r, cube, config, energy):
     fit = CheckReport("ct_rate")
     fit.record(-rate - profile.delta / (12.0 * cube.d))
     row = (profile.delta, rep.worst_margin, rate, intercept)
-    return [rep, fit], (row, profile.rows if r == 0 else None)
+    rows = None
+    if r == 0:          # ct_profile.csv holds realization 0
+        s = profile.sites
+        rows = [(s[i], s[j], k, v, c) for i, j, k, v, c in zip(
+            profile.first.tolist(), profile.second.tolist(),
+            profile.dist.tolist(), profile.norm.tolist(), profile.bound.tolist())]
+    return [rep, fit], (row, rows)
 
 
 def _exp_ct(cfg, mapper):
@@ -523,20 +526,13 @@ def _exp_ct(cfg, mapper):
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("combes_thomas", parameters={"E": energy}),
                     CheckReport("ct_rate", parameters={"E": energy}))
-    rows = []
-    profile_rows = []
-    for r, (_, v) in enumerate(vals):
-        if v is None:
-            continue
-        row, profile = v
-        rows.append((r, energy) + row)
-        if profile is not None:
-            profile_rows = profile
+    rows = [(r, energy) + v[0] for r, (_, v) in enumerate(vals) if v is not None]
+    first = vals[0][1]          # realization 0 carries the profile rows
     tables = {
         "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
                 "fit_intercept"], rows),
         "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"],
-                       profile_rows),
+                       first[1] if first is not None else []),
     }
     return tables, reports, {}
 
@@ -632,8 +628,7 @@ def _exp_suitability(cfg, mapper):
             if prev is not None:
                 # nondecreasing within CI: the new upper bound must reach the
                 # previous lower bound
-                for k in range(len(energies)):
-                    order.record(rep.wilson_hi[k] - prev.wilson_lo[k])
+                order.record(rep.wilson_hi - prev.wilson_lo)
             prev = rep
         reports.append(order)
         thresholds[f"{theta:g}"] = asymptotics.ct_threshold_length(theta, cfg.d)

@@ -5,14 +5,18 @@ open box c + ]-L/2, L/2[^d.  L may be any real > 1; for even integer L the
 open interval drops the endpoints, so e.g. L=4 and L=3 give the same 1d
 site set {-1, 0, 1}.
 
-All matrices in this package index sites in lexicographic order of their
-coordinate tuples; every helper here returns sites in that canonical order.
+All matrices and field arrays in this package index sites in lexicographic
+order of their coordinate tuples; every helper here returns sites in that
+canonical order, and `site_index` is the one map from sites to those
+indices.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 Site = tuple[int, ...]
 
@@ -80,12 +84,6 @@ class EdgeSet:
 
     pairs: tuple[tuple[Site, Site], ...]
 
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
     def endpoints(self) -> frozenset:
         return frozenset(s for pair in self.pairs for s in pair)
 
@@ -106,9 +104,63 @@ def sites(region) -> tuple[Site, ...]:
     return tuple(out)
 
 
+def site_array(region) -> np.ndarray:
+    """Sites of a region (as for `sites`) as an (N, d) integer array."""
+    if isinstance(region, CubeSpec):
+        k = axis_count(region.L) // 2
+        grid = np.indices((2 * k + 1,) * region.d).reshape(region.d, -1).T
+        return grid + (np.array(region.center, dtype=np.int64) - k)
+    return np.array(sites(region), dtype=np.int64)
+
+
+def site_index(region, query, *, strict: bool = False) -> np.ndarray:
+    """Canonical index in `region` of every site of `query`, -1 if absent.
+
+    `query` is a CubeSpec (its sites in canonical order), an iterable of
+    sites or an (M, d) integer array, read in its own order.  With strict,
+    an absent site raises ValueError instead of being marked.
+    """
+    cube = isinstance(region, CubeSpec)
+    if cube and isinstance(query, tuple) and query == region.sites():
+        return np.arange(len(query))
+    q = (site_array(query) if isinstance(query, CubeSpec)
+         else np.asarray(query, dtype=np.int64))
+    # sites rank by their row-major key in a box around the region, which
+    # is the lexicographic order
+    if cube:
+        k = axis_count(region.L) // 2
+        lo = np.array(region.center, dtype=np.int64) - k
+        shape = (2 * k + 1,) * region.d
+    else:
+        ref = site_array(region)
+        lo = ref.min(axis=0)
+        shape = tuple(ref.max(axis=0) - lo + 1)
+    q = q.reshape(len(q), len(shape))     # raises on a dimension mismatch
+    off = q - lo
+    inside = np.all((off >= 0) & (off < shape), axis=1)
+    key = np.ravel_multi_index(tuple(np.where(inside[:, None], off, 0).T), shape)
+    if cube:            # every site of the box is in the cube
+        idx = np.where(inside, key, -1)
+    else:
+        ref_key = np.ravel_multi_index(tuple((ref - lo).T), shape)
+        pos = np.minimum(np.searchsorted(ref_key, key), len(ref) - 1)
+        idx = np.where(inside & (ref_key[pos] == key), pos, -1)
+    if strict and np.any(idx < 0):
+        site = tuple(q[np.argmin(idx)].tolist())
+        raise ValueError(f"site {site} is not in the region")
+    return idx
+
+
 def dist1(n: Site, m: Site) -> int:
     """1-norm distance sum_j |n_j - m_j|."""
     return sum(abs(a - b) for a, b in zip(n, m))
+
+
+def dist1_array(a, b) -> np.ndarray:
+    """`dist1` along the last axis of two site arrays, broadcasting the rest:
+    (P, d) with (P, d) gives P pair distances, a[:, None] with b[None] the
+    distance matrix."""
+    return np.abs(np.subtract(a, b)).sum(axis=-1)
 
 
 def _neighbours(site: Site):

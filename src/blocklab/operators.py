@@ -38,9 +38,6 @@ class ScalarOperator:
     def n(self) -> int:
         return len(self.sites)
 
-    def index_of(self, site: Site) -> int:
-        return self.sites.index(tuple(site))
-
 
 @dataclass(frozen=True)
 class BlockOperator:
@@ -52,32 +49,8 @@ class BlockOperator:
     beta: float | None = None
 
     @property
-    def n_sites(self) -> int:
-        return len(self.sites)
-
-    @property
     def dim(self) -> int:
         return 2 * len(self.sites)
-
-    def index_of(self, site: Site) -> int:
-        return self.sites.index(tuple(site))
-
-
-def _site_index(region_sites):
-    return {s: i for i, s in enumerate(region_sites)}
-
-
-def _neighbour_pairs(region_sites):
-    """Index pairs (i, j), i < j, of nearest neighbours inside the region."""
-    idx = _site_index(region_sites)
-    pairs = []
-    for s, i in idx.items():
-        for k in range(len(s)):
-            m = s[:k] + (s[k] + 1,) + s[k + 1:]
-            j = idx.get(m)
-            if j is not None:
-                pairs.append((i, j))
-    return pairs
 
 
 def build_h0(region, bc: str = "simple") -> ScalarOperator:
@@ -92,14 +65,14 @@ def build_h0(region, bc: str = "simple") -> ScalarOperator:
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
     region_sites = lattice.sites(region)
-    n = len(region_sites)
-    d = len(region_sites[0])
+    points = lattice.site_array(region)
+    n, d = points.shape
     m = np.zeros((n, n))
-    deg = np.zeros(n)
-    for i, j in _neighbour_pairs(region_sites):
-        m[i, j] = m[j, i] = -1.0
-        deg[i] += 1.0
-        deg[j] += 1.0
+    for step in np.eye(d, dtype=np.int64):
+        j = lattice.site_index(region, points + step)
+        i = np.flatnonzero(j >= 0)
+        m[i, j[i]] = m[j[i], i] = -1.0
+    deg = np.count_nonzero(m, axis=1).astype(float)   # neighbours inside
     if bc == "simple":
         m[np.diag_indices(n)] = 2.0 * d
     elif bc == "neumann":
@@ -109,25 +82,18 @@ def build_h0(region, bc: str = "simple") -> ScalarOperator:
     return ScalarOperator(region_sites, m, "laplacian", bc)
 
 
-def multiplication(region, values) -> ScalarOperator:
-    """Diagonal multiplication operator from a site -> value map."""
-    region_sites = lattice.sites(region)
-    m = np.diag(np.array([values[s] for s in region_sites], dtype=float))
-    return ScalarOperator(region_sites, m, "multiplication")
-
-
 def build_h(region, bc: str, field: FieldSample) -> ScalarOperator:
     """Random Schroedinger operator H = H0 + V on the region."""
     h0 = build_h0(region, bc)
     m = h0.matrix.copy()
-    m[np.diag_indices(h0.n)] += np.array(field.v_vector(h0.sites))
+    m[np.diag_indices(h0.n)] += field.at(h0.sites)[0]
     return ScalarOperator(h0.sites, m, "schrodinger", bc)
 
 
 def assemble_block(h: ScalarOperator, field: FieldSample) -> BlockOperator:
     """Block operator (H  B; B  -H) with diagonal coupling B from the field."""
     n = h.n
-    b = np.array(field.b_vector(h.sites))
+    b = field.at(h.sites)[1]
     m = np.zeros((2 * n, 2 * n))
     m[:n, :n] = h.matrix
     m[n:, n:] = -h.matrix
@@ -152,7 +118,7 @@ def assemble_bracketing(region, field: FieldSample) -> BlockOperator:
     hd = build_h(region, "dirichlet", field)
     hn = build_h(region, "neumann", field)
     n = hd.n
-    b = np.array(field.b_vector(hd.sites))
+    b = field.at(hd.sites)[1]
     m = np.zeros((2 * n, 2 * n))
     m[:n, :n] = hd.matrix
     m[n:, n:] = -hn.matrix
@@ -186,11 +152,11 @@ def build_gamma(inner, ambient) -> BoundaryOperator:
         raise ValueError("inner region is not strictly inside the ambient region")
     ambient_sites = lattice.sites(ambient)
     inner_sites = lattice.sites(inner)
-    idx = _site_index(ambient_sites)
     n = len(ambient_sites)
+    ends = np.array(lattice.boundary(inner).pairs)      # (pairs, 2, d)
     g = np.zeros((n, n))
-    for a, b in lattice.boundary(inner):
-        g[idx[a], idx[b]] = -1.0
+    g[lattice.site_index(ambient_sites, ends[:, 0]),
+      lattice.site_index(ambient_sites, ends[:, 1])] = -1.0
     lifted = np.zeros((2 * n, 2 * n))
     lifted[:n, :n] = g
     lifted[n:, n:] = -g
@@ -199,11 +165,8 @@ def build_gamma(inner, ambient) -> BoundaryOperator:
 
 def indicator(subset, ambient) -> tuple[np.ndarray, np.ndarray]:
     """Projections 1_subset and 1 (+) 1 on the ambient region (diagonal 0/1)."""
-    ambient_sites = lattice.sites(ambient)
-    chosen = set(lattice.sites(subset))
-    if not chosen <= set(ambient_sites):
-        raise ValueError("subset not contained in the ambient region")
-    diag = np.array([1.0 if s in chosen else 0.0 for s in ambient_sites])
+    diag = np.zeros(len(lattice.sites(ambient)))
+    diag[lattice.site_index(ambient, lattice.sites(subset), strict=True)] = 1.0
     scalar = np.diag(diag)
     block = np.diag(np.concatenate([diag, diag]))
     return scalar, block
@@ -227,12 +190,11 @@ def dump_matrix(op, path) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def component_indices(ambient_sites, subset_sites) -> np.ndarray:
-    """Row/column indices of subset sites in both block components."""
-    idx = _site_index(ambient_sites)
-    n = len(ambient_sites)
-    base = np.array([idx[s] for s in subset_sites], dtype=int)
-    return np.concatenate([base, base + n])
+def component_indices(ambient, subset) -> np.ndarray:
+    """Row/column indices of subset sites (in their order) in both block
+    components of the ambient region."""
+    base = lattice.site_index(ambient, subset, strict=True)
+    return np.concatenate([base, base + len(lattice.sites(ambient))])
 
 
 def embed_block(sub: np.ndarray, sub_sites, ambient_sites) -> np.ndarray:

@@ -24,9 +24,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    variant: str = ""
-    n_sites: int = 0
-    realization_index: int | None = None
 
     @property
     def dim(self) -> int:
@@ -50,9 +47,7 @@ def eigensolve(op, want_vectors: bool = False) -> Spectrum:
             raise ArithmeticError(f"eigenpair residual {resid:.2e} exceeds contract")
     else:
         ev, vec = np.linalg.eigvalsh(m), None
-    variant = getattr(op, "variant", getattr(op, "role", ""))
-    n_sites = len(op.sites)
-    return Spectrum(ev, vec, variant, n_sites)
+    return Spectrum(ev, vec)
 
 
 def count_leq(s: Spectrum, energy: float) -> int:

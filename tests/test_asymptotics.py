@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from blocklab.asymptotics import (CorrelatorProfile, TailCurve,
+from blocklab.asymptotics import (CorrelatorProfile, TailCurve, _ct_block_budget,
                                   c0_estimate, ct_threshold_length,
                                   eigenfunction_correlator,
                                   finite_volume_tail_bound, gap_edge,
@@ -12,7 +14,7 @@ from blocklab.asymptotics import (CorrelatorProfile, TailCurve,
                                   trial_function_energy, wilson_interval)
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
 from blocklab.inequalities import PreconditionError
-from blocklab.lattice import CubeSpec
+from blocklab.lattice import CubeSpec, dist1, inner_boundary
 from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve
 
@@ -21,8 +23,8 @@ GAP2 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 52)
 
 
 def constant_field(cube, v, b):
-    return FieldSample(cube, {s: v for s in cube.sites()},
-                       {s: b for s in cube.sites()}, 0)
+    n = cube.site_count
+    return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
 
 
 # -- gap edge -------------------------------------------------------------------
@@ -244,6 +246,19 @@ def test_ct_threshold_is_astronomical_at_desk_scale():
     thr = ct_threshold_length(1.5, 1)
     assert thr is not None and thr > 10 ** 5
     assert thr % 6 == 0
+
+
+@pytest.mark.parametrize("d, L", [(1, 48), (2, 12), (3, 6)])
+def test_ct_block_budget_matches_pair_loop(d, L):
+    # the per-pair sum in pair order, bit for bit
+    cube = CubeSpec(d, L)
+    for delta in (0.05, 0.7, 3.0):
+        dcap = min(delta, 1.0)
+        total = 0.0
+        for n in inner_boundary(cube.sites()):
+            for m in cube.concentric(L / 3.0).sites():
+                total += (4.0 / dcap * math.exp(-dcap * dist1(n, m) / (12.0 * d))) ** 2
+        assert _ct_block_budget(cube, delta, d) == math.sqrt(total)
 
 
 def test_wilson_interval_sane():

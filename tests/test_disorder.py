@@ -102,16 +102,16 @@ def test_mass_atoms_half_open():
 def test_point_mass_field_constant():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.point_mass(0), 9)
     f = sample_field(CubeSpec(1, 9), cfg, 3)
-    assert all(v == 0.0 for v in f.B.values())
+    assert all(v == 0.0 for v in f.B)
 
 
 def test_sampling_deterministic():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(2, 3), 123)
     a = sample_field(CubeSpec(2, 4), cfg, 7)
     b = sample_field(CubeSpec(2, 4), cfg, 7)
-    assert a.V == b.V and a.B == b.B
+    assert np.array_equal(a.V, b.V) and np.array_equal(a.B, b.B)
     c = sample_field(CubeSpec(2, 4), cfg, 8)
-    assert a.V != c.V
+    assert not np.array_equal(a.V, c.V)
 
 
 def test_sampling_restriction_consistent():
@@ -119,15 +119,31 @@ def test_sampling_restriction_consistent():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 5)
     big = sample_field(CubeSpec(1, 11), cfg, 0)
     small = sample_field(CubeSpec(1, 5), cfg, 0)
-    for s in small.V:
-        assert small.V[s] == big.V[s]
-        assert small.B[s] == big.B[s]
+    big_sites = big.cube.sites()
+    for k, s in enumerate(small.cube.sites()):
+        assert small.V[k] == big.V[big_sites.index(s)]
+        assert small.B[k] == big.B[big_sites.index(s)]
+
+
+def test_field_at_reads_sub_regions():
+    cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.triangular(-1, 2), 6)
+    big = sample_field(CubeSpec(2, 9, (1, -2)), cfg, 3)
+    small = sample_field(CubeSpec(2, 4, (2, -1)), cfg, 3)
+    v, b = big.at(small.cube.sites())
+    assert np.array_equal(v, small.V) and np.array_equal(b, small.B)
+    probes = [(1, -2), (5, 2), (-3, -6)]                 # any order
+    v, b = big.at(probes)
+    for k, s in enumerate(probes):
+        j = big.cube.sites().index(s)
+        assert (v[k], b[k]) == (big.V[j], big.B[j])
+    with pytest.raises(ValueError):
+        big.at([(1, -2), (6, -2)])                       # outside the cube
 
 
 def test_families_independent_streams():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 5)
     f = sample_field(CubeSpec(1, 21), cfg, 0)
-    assert all(f.V[s] != f.B[s] for s in f.V)
+    assert all(v != b for v, b in zip(f.V, f.B))
 
 
 def test_uniform_law_of_large_numbers():
@@ -214,6 +230,11 @@ FIELD_CASES = [
     (2, 6, (0, 0), ALL_KINDS[3], ALL_KINDS[0]),
     (3, 5, (-2, 7, 1000), ALL_KINDS[0], ALL_KINDS[3]),
     (3, 4, (1, 1, 1), ALL_KINDS[1], ALL_KINDS[2]),
+    # point masses skip the hash: the other family keeps its own stream
+    (1, 12, (-7,), ALL_KINDS[0], ALL_KINDS[2]),
+    (2, 5, (-3, 4), ALL_KINDS[2], ALL_KINDS[0]),
+    (3, 3, (0, 0, -5), ALL_KINDS[2], ALL_KINDS[1]),
+    (2, 4, (9, 9), ALL_KINDS[2], ALL_KINDS[2]),
 ]
 
 
@@ -224,8 +245,8 @@ def test_sample_field_matches_per_site_oracle(d, L, center, mu_V, mu_B, seed, r)
     cube = CubeSpec(d, L, center)
     f = sample_field(cube, DisorderConfig(mu_V, mu_B, seed), r)
     sites = cube.sites()
-    assert tuple(f.V) == sites and tuple(f.B) == sites
+    assert (f.cube, f.realization_index) == (cube, r)
     for family, values, m in (("V", f.V, mu_V), ("B", f.B, mu_B)):
         oracle = [m.from_uniform(site_uniform(seed, r, s, family)) for s in sites]
-        assert all(type(values[s]) is float for s in sites)
-        assert bits([values[s] for s in sites]) == bits(oracle)
+        assert values.dtype == np.float64 and values.shape == (len(sites),)
+        assert bits(values) == bits(oracle)

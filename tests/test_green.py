@@ -4,7 +4,7 @@ import pytest
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
 from blocklab.green import (block_element, block_norm, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
-                            edi_check, gri_check, gri_residual, resolvent,
+                            edi_check, gri_check, resolvent,
                             sli_check)
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, dist1, strictly_inside
@@ -16,8 +16,8 @@ MIXED = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 41)
 
 
 def constant_field(cube, v, b):
-    return FieldSample(cube, {s: v for s in cube.sites()},
-                       {s: b for s in cube.sites()}, 0)
+    n = cube.site_count
+    return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
 
 
 def two_by_two():
@@ -67,10 +67,11 @@ def test_block_element_reads_assembly():
     f = sample_field(cube, MIXED, 1)
     op = assemble_block(build_h(cube, "simple", f), f)
     b = block_element(op.matrix, op.sites, (0,), (0,))
-    assert b.entries[0, 0] == pytest.approx(2.0 + f.V[(0,)])
-    assert b.entries[0, 1] == pytest.approx(f.B[(0,)])
-    assert b.entries[1, 0] == pytest.approx(f.B[(0,)])
-    assert b.entries[1, 1] == pytest.approx(-2.0 - f.V[(0,)])
+    k = cube.sites().index((0,))
+    assert b.entries[0, 0] == pytest.approx(2.0 + f.V[k])
+    assert b.entries[0, 1] == pytest.approx(f.B[k])
+    assert b.entries[1, 0] == pytest.approx(f.B[k])
+    assert b.entries[1, 1] == pytest.approx(-2.0 - f.V[k])
 
 
 def test_hs_equality_of_block_norm():
@@ -93,14 +94,14 @@ def test_hs_equality_of_block_norm():
 def test_gri_residual_tiny_in_gap():
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     f = sample_field(c3, GAPPED, 0)
-    assert gri_residual(c1, c2, c3, f, 0.0) <= 1e-10
+    assert gri_check(c1, c2, c3, f, 0.0).parameters["residual"] <= 1e-10
 
 
 def test_gri_blockwise_when_decoupled():
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 1)
     f = sample_field(c3, cfg, 0)
-    assert gri_residual(c1, c2, c3, f, 0.0) <= 1e-12
+    assert gri_check(c1, c2, c3, f, 0.0).parameters["residual"] <= 1e-12
 
 
 def test_gri_random_nested_2d():
@@ -123,7 +124,7 @@ def test_gri_random_nested_2d():
 def test_gri_requires_nesting():
     f = sample_field(CubeSpec(1, 9), GAPPED, 0)
     with pytest.raises(PreconditionError):
-        gri_residual(CubeSpec(1, 5), CubeSpec(1, 5), CubeSpec(1, 9), f, 0.0)
+        gri_check(CubeSpec(1, 5), CubeSpec(1, 5), CubeSpec(1, 9), f, 0.0)
 
 
 def test_sli_holds_on_random_instances():
@@ -214,9 +215,10 @@ def test_decay_rate_beats_ct_rate():
 
 def test_decay_profile_columns():
     op, _ = plain_on(CubeSpec(1, 7), GAPPED, 6)
-    rows = decay_profile(op, 0.0, pairs=[((0,), (2,))]).rows
-    (n, m, dist, nrm, cap), = rows
-    assert (n, m, dist) == ((0,), (2,), 2)
+    profile = decay_profile(op, 0.0, pairs=[((0,), (2,))])
+    (i,), (j,), (dist,) = profile.first, profile.second, profile.dist
+    assert (profile.sites[i], profile.sites[j], dist) == ((0,), (2,), 2)
+    (nrm,), (cap,) = profile.norm, profile.bound
     assert nrm <= cap + 1e-12
 
 
@@ -232,10 +234,11 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     dists = np.array([dist1(n, m) for n, m in pairs])
     caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists])
     assert profile.delta == delta
-    assert [(r[0], r[1], r[2]) for r in profile.rows] == \
+    assert [(profile.sites[i], profile.sites[j], k) for i, j, k in
+            zip(profile.first, profile.second, profile.dist)] == \
         [(n, m, k) for (n, m), k in zip(pairs, dists)]
-    assert np.allclose([r[3] for r in profile.rows], norms, rtol=1e-12, atol=0)
-    assert np.array_equal([r[4] for r in profile.rows], caps)
+    assert np.allclose(profile.norm, norms, rtol=1e-12, atol=0)
+    assert np.array_equal(profile.bound, caps)
 
     rep = combes_thomas_check(profile)
     assert rep.instances == len(pairs)

@@ -171,14 +171,33 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
 
     # per-realization CheckReports cross the pickle boundary, precondition
     # skips included (the interlace case skips half-half and bracketing)
+    green_2d = make_text("green", L=7, R=6, va=1.0, vb=2.0,
+                         extra="[green]\nenergy = 0.3\nlengths = 2 4 7\n") \
+        .replace("\nd = 1\n", "\nd = 2\n")
     for kind, text in (("interlace", INTERLACE_SKIPS),
                        ("sli_edi", make_text("sli-edi", L=9, R=6, va=1.0,
                                              vb=2.0)),
-                       ("fh", make_text("fh", L=6, R=5))):
-        for w in (1, 2):
-            run(parse_config(text, workers=w), tmp_path / f"{kind}{w}")
+                       ("fh", make_text("fh", L=6, R=5)),
+                       ("green", green_2d),
+                       ("correlator", make_text(
+                           "correlator", L=21, R=6, va=0.0, vb=5.0,
+                           extra="[correlator]\ninterval = -1.5 1.5\n")),
+                       # theta < 0: the gap-event implication asserts
+                       ("suitability", make_text(
+                           "suitability", L=12, R=8, vk="two_point",
+                           vargs="v1 = 1.0\np = 0.2\nv2 = 3.0",
+                           bk="point_mass", bargs="c = 0.0",
+                           extra="[suitability]\nlengths = 6 12\ntheta = -2 0.5\n"
+                                 "energies = 0.0 1.2\n")),
+                       ("gap", make_text("gap", L=8, R=6, va=1.0, vb=2.0,
+                                         bargs="a = 1.0\nb = 2.0"))):
+        results = [run(parse_config(text, workers=w), tmp_path / f"{kind}{w}")
+                   for w in (1, 2)]
+        assert [r.environment["pool_size"] for r in results] == [1, 2]
         assert (tmp_path / f"{kind}1" / f"{kind}.csv").read_bytes() == \
             (tmp_path / f"{kind}2" / f"{kind}.csv").read_bytes()
+        assert [r.to_json() for r in results[0].reports] == \
+            [r.to_json() for r in results[1].reports]
 
 
 def test_run_json_contents(tmp_path):

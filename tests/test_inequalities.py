@@ -3,7 +3,7 @@ import pytest
 
 from blocklab import inequalities, spectral
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
-from blocklab.inequalities import (PreconditionError, beta_map_check,
+from blocklab.inequalities import (CheckReport, PreconditionError, beta_map_check,
                                    bracketing_gap_check,
                                    dos_bound_energy_dependent, feynman_hellmann_report,
                                    fh_derivative_sums, half_half_check,
@@ -18,8 +18,41 @@ POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 
 
 def constant_field(cube, v, b):
-    return FieldSample(cube, {s: v for s in cube.sites()},
-                       {s: b for s in cube.sites()}, 0)
+    n = cube.site_count
+    return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
+
+
+# -- CheckReport ----------------------------------------------------------------
+
+
+def loop_counts(slacks):
+    """Counts of the one-slack-at-a-time rule: min() keeps the running
+    worst against a NaN, and NaN < 0 is false."""
+    instances, violations, worst = 0, 0, np.inf
+    for s in slacks:
+        instances += 1
+        worst = min(worst, s)
+        if s < 0.0:
+            violations += 1
+    return instances, violations, worst
+
+
+@pytest.mark.parametrize("slacks", [
+    [], [0.5], [-1e-300], [3.0, -2.0, 0.0, -7.5, 1e-12, -7.5],
+    [np.nan, 1.0, -0.25, np.nan], [np.nan], [np.inf, -np.inf, 2.0],
+])
+def test_record_array_matches_per_element_loop(slacks):
+    arr = CheckReport("a", instances=2, worst_margin=0.125)
+    arr.record(np.array(slacks, dtype=float))
+    one = CheckReport("a", instances=2, worst_margin=0.125)
+    for s in slacks:
+        one.record(s)
+    n, v, worst = loop_counts(slacks)
+    for rep in (arr, one):
+        assert (rep.instances, rep.violations) == (2 + n, v)
+        assert rep.worst_margin == min(0.125, worst)
+        assert rep.passed == (v == 0)
+    assert arr.to_json() == one.to_json()
 
 
 # -- Wegner -------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocklab.lattice import (CubeSpec, axis_count, boundary, dist1,
-                              inner_boundary, outer_boundary, sites,
-                              strictly_inside)
+                              dist1_array, inner_boundary, outer_boundary,
+                              site_array, site_index, sites, strictly_inside)
 
 
 def brute_sites(d, L, center):
@@ -135,3 +136,58 @@ def test_axis_count_closed_form_matches_offsets():
         assert axis_count(L) == len(CubeSpec(1, L).axis_offsets()), L
     with pytest.raises(ValueError):
         axis_count(1.0)
+
+
+INDEX_CUBES = [CubeSpec(1, 9, (-40,)), CubeSpec(1, 4, (3,)),
+               CubeSpec(2, 7, (5, -9)), CubeSpec(2, 6),
+               CubeSpec(3, 5, (-2, 7, 1000)), CubeSpec(3, 3.5, (1, 1, 1))]
+
+
+def dict_index(region, query):
+    """The site -> index dict the lookup replaces, -1 for absent sites."""
+    idx = {s: i for i, s in enumerate(sites(region))}
+    return [idx.get(tuple(q), -1) for q in query]
+
+
+@pytest.mark.parametrize("cube", INDEX_CUBES, ids=str)
+def test_site_index_matches_dict_oracle(cube):
+    ss = cube.sites()
+    assert site_array(cube).tolist() == [list(s) for s in ss]
+    sub = CubeSpec(cube.d, 2.5, cube.center)          # a sub-cube, off origin
+    absent = tuple(c + 50 for c in cube.center)
+    shuffled = [ss[k] for k in np.random.default_rng(0).permutation(len(ss))]
+    queries = [ss, shuffled, sub.sites(), [absent] + list(ss[:3]) + [absent]]
+    for region in (cube, ss, shuffled):       # a cube or its sites, any order
+        for query in queries:
+            expected = dict_index(cube, query)
+            assert site_index(region, query).tolist() == expected
+            assert site_index(region, np.array(query)).tolist() == expected
+        assert site_index(region, sub).tolist() == dict_index(cube, sub.sites())
+    # a region that is not a cube: the inner boundary, with its holes
+    ring = inner_boundary(cube) if cube.site_count > 1 else ss
+    assert site_index(ring, ss).tolist() == dict_index(ring, ss)
+    assert site_index(ring, []).tolist() == []
+
+
+def test_site_index_strict_and_dimension():
+    cube = CubeSpec(2, 5, (4, -4))
+    assert site_index(cube, [(4, -4), (9, 9)]).tolist() == [12, -1]
+    with pytest.raises(ValueError, match=r"\(9, 9\)"):
+        site_index(cube, [(4, -4), (9, 9)], strict=True)
+    with pytest.raises(ValueError):
+        site_index(cube, [(4, -4, 0)])
+    with pytest.raises(ValueError):
+        site_index([(0,), (2,)], [(1,)], strict=True)     # gap in the region
+
+
+@pytest.mark.parametrize("cube", INDEX_CUBES, ids=str)
+def test_dist1_array_matches_dist1(cube):
+    ss = cube.sites()
+    other = CubeSpec(cube.d, 3, tuple(c + 7 for c in cube.center)).sites()
+    a, b = site_array(ss), site_array(other)
+    assert dist1_array(a[:, None], b[None]).tolist() == \
+        [[dist1(n, m) for m in other] for n in ss]
+    pairs = list(zip(ss, reversed(ss)))
+    assert dist1_array(np.array([n for n, _ in pairs]),
+                       np.array([m for _, m in pairs])).tolist() == \
+        [dist1(n, m) for n, m in pairs]

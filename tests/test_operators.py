@@ -5,14 +5,14 @@ from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_f
 from blocklab.lattice import CubeSpec, inner_boundary, outer_boundary
 from blocklab.operators import (assemble_beta_reference, assemble_block,
                                 assemble_bracketing, build_gamma, build_h,
-                                build_h0, embed_block, indicator, multiplication)
+                                build_h0, embed_block, indicator)
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 31)
 
 
 def constant_field(cube, v, b):
-    return FieldSample(cube, {s: v for s in cube.sites()},
-                       {s: b for s in cube.sites()}, 0)
+    n = cube.site_count
+    return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
 
 
 def test_h0_simple_1d():
@@ -93,7 +93,7 @@ def test_block_layout_and_symmetry():
     assert np.array_equal(op.matrix[n:, n:], -h.matrix)
     off = op.matrix[:n, n:]
     assert np.array_equal(off, np.diag(np.diag(off)))
-    assert np.diag(off) == pytest.approx(f.b_vector(h.sites))
+    assert np.diag(off) == pytest.approx(f.B)
 
 
 def test_beta_zero_reference_is_block_diagonal():
@@ -184,12 +184,6 @@ def test_indicator_projections():
     a, _ = indicator([(0,)], cube)
     b, _ = indicator([(1,)], cube)
     assert np.all(a @ b == 0)
-
-
-def test_multiplication_operator():
-    cube = CubeSpec(1, 3)
-    m = multiplication(cube, {(-1,): 1.0, (0,): 2.0, (1,): 3.0})
-    assert np.array_equal(m.matrix, np.diag([1.0, 2.0, 3.0]))
 
 
 def test_dump_matrix_format(tmp_path):

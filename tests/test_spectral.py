@@ -16,7 +16,7 @@ ZERO = DisorderConfig(SiteMeasure.point_mass(0), SiteMeasure.point_mass(0), 0)
 
 def two_by_two():
     cube = CubeSpec(1, 2)
-    f = FieldSample(cube, {(0,): 1.0}, {(0,): 2.0}, 0)
+    f = FieldSample(cube, np.array([1.0]), np.array([2.0]), 0)
     return assemble_block(build_h(cube, "simple", f), f)
 
 
