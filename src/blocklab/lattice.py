@@ -106,10 +106,6 @@ def sites(region) -> tuple[Site, ...]:
 
 def site_array(region) -> np.ndarray:
     """Sites of a region (as for `sites`) as an (N, d) integer array."""
-    if isinstance(region, CubeSpec):
-        k = axis_count(region.L) // 2
-        grid = np.indices((2 * k + 1,) * region.d).reshape(region.d, -1).T
-        return grid + (np.array(region.center, dtype=np.int64) - k)
     return np.array(sites(region), dtype=np.int64)
 
 
@@ -118,37 +114,31 @@ def site_index(region, query, *, strict: bool = False) -> np.ndarray:
 
     `query` is a CubeSpec (its sites in canonical order), an iterable of
     sites or an (M, d) integer array, read in its own order.  With strict,
-    an absent site raises ValueError instead of being marked.
+    an absent site raises KeyError instead of being marked.
     """
-    cube = isinstance(region, CubeSpec)
-    if cube and isinstance(query, tuple) and query == region.sites():
-        return np.arange(len(query))
+    lo, shape, ref_key = _ranked(region if isinstance(region, CubeSpec)
+                                 else sites(region))
     q = (site_array(query) if isinstance(query, CubeSpec)
          else np.asarray(query, dtype=np.int64))
-    # sites rank by their row-major key in a box around the region, which
-    # is the lexicographic order
-    if cube:
-        k = axis_count(region.L) // 2
-        lo = np.array(region.center, dtype=np.int64) - k
-        shape = (2 * k + 1,) * region.d
-    else:
-        ref = site_array(region)
-        lo = ref.min(axis=0)
-        shape = tuple(ref.max(axis=0) - lo + 1)
     q = q.reshape(len(q), len(shape))     # raises on a dimension mismatch
     off = q - lo
-    inside = np.all((off >= 0) & (off < shape), axis=1)
-    key = np.ravel_multi_index(tuple(np.where(inside[:, None], off, 0).T), shape)
-    if cube:            # every site of the box is in the cube
-        idx = np.where(inside, key, -1)
-    else:
-        ref_key = np.ravel_multi_index(tuple((ref - lo).T), shape)
-        pos = np.minimum(np.searchsorted(ref_key, key), len(ref) - 1)
-        idx = np.where(inside & (ref_key[pos] == key), pos, -1)
+    inside = ((off >= 0) & (off < shape)).all(axis=1)
+    key = np.ravel_multi_index(tuple(off.T), shape, mode="clip")
+    pos = np.minimum(np.searchsorted(ref_key, key), len(ref_key) - 1)
+    idx = np.where(inside & (ref_key[pos] == key), pos, -1)
     if strict and np.any(idx < 0):
-        site = tuple(q[np.argmin(idx)].tolist())
-        raise ValueError(f"site {site} is not in the region")
+        raise KeyError(f"site {tuple(q[np.argmin(idx)].tolist())} is not in the region")
     return idx
+
+
+@lru_cache(maxsize=64)
+def _ranked(region):
+    """Bounding-box corner and shape of a region, and the row-major keys of
+    its sites in that box, which rank them in lexicographic order."""
+    ref = site_array(region)
+    lo = ref.min(axis=0)
+    shape = ref.max(axis=0) - lo + 1
+    return lo, shape, np.ravel_multi_index(tuple((ref - lo).T), shape)
 
 
 def dist1(n: Site, m: Site) -> int:

@@ -68,8 +68,10 @@ def build_h0(region, bc: str = "simple") -> ScalarOperator:
     points = lattice.site_array(region)
     n, d = points.shape
     m = np.zeros((n, n))
-    for step in np.eye(d, dtype=np.int64):
-        j = lattice.site_index(region, points + step)
+    # canonical index of the +1 neighbour along each axis, -1 outside
+    shifted = points + np.eye(d, dtype=np.int64)[:, None]      # (d, n, d)
+    up = lattice.site_index(region, shifted.reshape(-1, d)).reshape(d, n)
+    for j in up:
         i = np.flatnonzero(j >= 0)
         m[i, j[i]] = m[j[i], i] = -1.0
     deg = np.count_nonzero(m, axis=1).astype(float)   # neighbours inside
@@ -155,8 +157,8 @@ def build_gamma(inner, ambient) -> BoundaryOperator:
     n = len(ambient_sites)
     ends = np.array(lattice.boundary(inner).pairs)      # (pairs, 2, d)
     g = np.zeros((n, n))
-    g[lattice.site_index(ambient_sites, ends[:, 0]),
-      lattice.site_index(ambient_sites, ends[:, 1])] = -1.0
+    g[lattice.site_index(ambient_sites, ends[:, 0], strict=True),
+      lattice.site_index(ambient_sites, ends[:, 1], strict=True)] = -1.0
     lifted = np.zeros((2 * n, 2 * n))
     lifted[:n, :n] = g
     lifted[n:, n:] = -g
@@ -192,9 +194,10 @@ def dump_matrix(op, path) -> None:
 
 def component_indices(ambient, subset) -> np.ndarray:
     """Row/column indices of subset sites (in their order) in both block
-    components of the ambient region."""
+    components of the ambient region (a cube or a canonical site tuple)."""
     base = lattice.site_index(ambient, subset, strict=True)
-    return np.concatenate([base, base + len(lattice.sites(ambient))])
+    n = ambient.site_count if isinstance(ambient, lattice.CubeSpec) else len(ambient)
+    return np.concatenate([base, base + n])
 
 
 def embed_block(sub: np.ndarray, sub_sites, ambient_sites) -> np.ndarray:

@@ -136,7 +136,7 @@ def test_field_at_reads_sub_regions():
     for k, s in enumerate(probes):
         j = big.cube.sites().index(s)
         assert (v[k], b[k]) == (big.V[j], big.B[j])
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):
         big.at([(1, -2), (6, -2)])                       # outside the cube
 
 
