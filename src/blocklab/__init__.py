@@ -9,6 +9,3 @@ asymptotics, resolvent-decay inequalities and localization diagnostics.
 """
 
 __version__ = "0.1.0"
-
-from .disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
-from .lattice import CubeSpec

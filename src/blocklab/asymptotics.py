@@ -261,23 +261,30 @@ def _suitability_geometry(cube: CubeSpec):
     return rows, cols
 
 
-def _suitability_norm(op_matrix, energy, rows, cols, dim):
-    g = np.linalg.solve(op_matrix - energy * np.eye(dim), np.eye(dim))
-    return float(np.linalg.norm(g[np.ix_(rows, cols)], 2))
+def suitability_norms(s: Spectrum, rows, cols,
+                      energies) -> tuple[np.ndarray, np.ndarray]:
+    """Per energy: the norm of the resolvent block [rows, cols] (from
+    `_suitability_geometry`: inner third to inner boundary of the cube),
+    and the distance to the spectrum.
 
-
-def suitable(cube: CubeSpec, field: FieldSample, energy: float,
-             theta: float) -> bool:
-    """Whether the resolvent block from the inner third to the inner boundary
-    has norm below L^-theta (and the energy misses the spectrum)."""
-    rows, cols = _suitability_geometry(cube)
-    op = assemble_block(build_h(cube, "simple", field), field)
-    ev = eigensolve(op).eigenvalues
-    delta = float(np.min(np.abs(ev - energy)))
-    if delta <= 1e-12 * max(np.max(np.abs(ev)), 1.0):
-        return False
-    norm = _suitability_norm(op.matrix, energy, rows, cols, op.dim)
-    return norm < cube.L ** (-theta)
+    The block is read off the eigenpairs in `s`,
+    G[rows, cols] = (V[rows] / (lambda - E)) V[cols]^T.  An energy on the
+    spectrum (within 1e-12 of its scale, at least 1) has norm inf and
+    distance 0: the cube is suitable there for no theta.
+    """
+    ev = s.eigenvalues
+    v_rows, v_cols = s.eigenvectors[rows], s.eigenvectors[cols]
+    scale = max(np.max(np.abs(ev)), 1.0)
+    norms, deltas = [], []
+    for e in energies:
+        delta = float(np.min(np.abs(ev - e)))
+        if delta <= 1e-12 * scale:
+            norms.append(np.inf)
+            deltas.append(0.0)
+            continue
+        norms.append(float(np.linalg.norm((v_rows / (ev - e)) @ v_cols.T, 2)))
+        deltas.append(delta)
+    return np.array(norms), np.array(deltas)
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -343,27 +350,13 @@ class SuitabilityReport:
     threshold_L: int | None
 
 
-def _suitability_row(r, cube, config, energies, theta, a_L):
-    """Per realization: suitability per energy, the gap event flag, and the
-    sharp per-instance CT implication data."""
-    rows, cols = _suitability_geometry(cube)
-    f = sample_field(cube, config, r)
-    op = assemble_block(build_h(cube, "simple", f), f)
-    ev = eigensolve(op).eigenvalues
-    scale = max(np.max(np.abs(ev)), 1.0)
-    flags = []
-    deltas = []
-    for e in energies:
-        delta = float(np.min(np.abs(ev - e)))
-        if delta <= 1e-12 * scale:
-            flags.append(False)
-            deltas.append(0.0)
-            continue
-        nrm = _suitability_norm(op.matrix, e, rows, cols, op.dim)
-        flags.append(nrm < cube.L ** (-theta))
-        deltas.append(delta)
-    gap_event = bool(np.min(np.abs(ev)) > a_L + cube.L ** -0.5)
-    return flags, deltas, gap_event
+def _suitability_row(r, cube, config, geometry, energies, a_L):
+    """Per realization, from one eigh: the suitability norm and spectral
+    distance per energy, and the gap event flag."""
+    s = eigensolve(plain_block(cube, config, r), want_vectors=True)
+    norms, deltas = suitability_norms(s, *geometry, energies)
+    gap_event = bool(np.min(np.abs(s.eigenvalues)) > a_L + cube.L ** -0.5)
+    return norms, deltas, gap_event
 
 
 def _ct_block_budget(cube: CubeSpec, delta: float, d: int) -> float:
@@ -382,14 +375,16 @@ def _ct_block_budget(cube: CubeSpec, delta: float, d: int) -> float:
 
 
 def suitability_probability(config: DisorderConfig, d: int, L: int,
-                            theta: float, energies, R: int,
-                            mapper=None) -> SuitabilityReport:
-    """Suitability frequency per energy, with the gap-event implication.
+                            thetas, energies, R: int,
+                            mapper=None) -> list[SuitabilityReport]:
+    """Suitability frequency per energy, with the gap-event implication,
+    one report per theta in `thetas`.
 
-    Energies must lie in [-a_L, a_L] with a_L = edge + 1/sqrt(L).  Two
-    implications are asserted per instance: the asymptotic one (active only
-    above the reported worst-case threshold length) and a sharp one using
-    the instance's own spectral distance in the decay budget.
+    Each realization is sampled and diagonalized once for every theta and
+    energy.  Energies must lie in [-a_L, a_L] with a_L = edge + 1/sqrt(L).
+    Two implications are asserted per instance: the asymptotic one (active
+    only above the reported worst-case threshold length) and a sharp one
+    using the instance's own spectral distance in the decay budget.
     """
     energies = np.asarray(energies, dtype=float)
     cube = CubeSpec(d, L)
@@ -397,34 +392,40 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     a_L = ge.edge + L ** -0.5
     _require(bool(np.all(np.abs(energies) <= a_L)),
              f"energies must lie in [-a_L, a_L] with a_L = {a_L:.6g}")
-    threshold = ct_threshold_length(theta, d)
     rows = run_realizations(
-        partial(_suitability_row, cube=cube, config=config, energies=energies,
-                theta=theta, a_L=a_L), R, mapper)
-
-    flags = np.array([row[0] for row in rows], dtype=bool)      # R x nE
-    hits = flags.sum(axis=0)
-    lo, hi = zip(*(wilson_interval(int(h), R) for h in hits))
+        partial(_suitability_row, cube=cube, config=config,
+                geometry=_suitability_geometry(cube), energies=energies,
+                a_L=a_L), R, mapper)
+    norms = np.array([row[0] for row in rows])                  # R x nE
     events = np.array([row[2] for row in rows], dtype=bool)
+    # per gap event and energy: the instance's own decay budget (inf on the
+    # spectrum, where no cube is suitable)
+    deltas = np.array([row[1] for row in rows])[events]
+    budgets = np.array([[_ct_block_budget(cube, delta, d) if delta > 0.0
+                         else np.inf for delta in row]
+                        for row in deltas.tolist()]).reshape(deltas.shape)
 
-    implication = CheckReport(
-        "gap_event_implies_suitable",
-        parameters={"L": L, "theta": theta, "threshold_L": threshold})
-    target = L ** (-theta)
-    # per gap event and energy: +1 where the cube is suitable, else -1
-    signs = np.where(flags[events], 1.0, -1.0)
-    # asymptotic implication: in force only above the threshold length
-    if threshold is not None and L >= threshold:
-        implication.record(signs)
-    # sharp implication: the instance's own decay budget
-    deltas = np.array([row[1] for row in rows], dtype=float)[events]
-    sharp = [[delta > 0.0 and _ct_block_budget(cube, delta, d) < target
-              for delta in row] for row in deltas.tolist()]
-    implication.record(signs[np.array(sharp, dtype=bool).reshape(signs.shape)])
-
-    return SuitabilityReport(L, theta, energies, hits / R, np.array(lo),
-                             np.array(hi), R, a_L, float(events.mean()),
-                             implication, threshold)
+    reports = []
+    for theta in thetas:
+        threshold = ct_threshold_length(theta, d)
+        target = L ** (-theta)
+        flags = norms < target
+        hits = flags.sum(axis=0)
+        lo, hi = zip(*(wilson_interval(int(h), R) for h in hits))
+        implication = CheckReport(
+            "gap_event_implies_suitable",
+            parameters={"L": L, "theta": theta, "threshold_L": threshold})
+        # per gap event and energy: +1 where the cube is suitable, else -1
+        signs = np.where(flags[events], 1.0, -1.0)
+        # asymptotic implication: in force only above the threshold length
+        if threshold is not None and L >= threshold:
+            implication.record(signs)
+        # sharp implication: the instance's own decay budget
+        implication.record(signs[budgets < target])
+        reports.append(SuitabilityReport(
+            L, theta, energies, hits / R, np.array(lo), np.array(hi), R, a_L,
+            float(events.mean()), implication, threshold))
+    return reports
 
 
 # -- eigenfunction correlator ---------------------------------------------------

@@ -7,10 +7,16 @@ does not change the exit code.
 """
 
 import argparse
+import os
 import sys
 
-from .inequalities import PreconditionError
-from .harness import KINDS, load_config, run, validate
+# OpenBLAS reads this once, when numpy loads it.  Every run pins one thread
+# anyway (see harness.run); set here, the idle threads of a larger default
+# are never started and do not spin after import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .inequalities import PreconditionError  # noqa: E402  (after the pin)
+from .harness import KINDS, load_config, run, validate  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

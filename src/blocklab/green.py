@@ -22,45 +22,13 @@ SPECTRAL_GUARD_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class Block2x2:
-    """2x2-matrix-valued matrix element of a block operator at a site pair."""
-
-    entries: np.ndarray
-    pair: tuple
-
-
-def block_element(matrix: np.ndarray, sites, n, m) -> Block2x2:
-    """Read the 2x2 element at (n, m) from a block-space matrix."""
-    n, m = tuple(n), tuple(m)
-    i, j = lattice.site_index(sites, (n, m), strict=True).tolist()
-    nn = len(sites)
-    e = np.array([[matrix[i, j], matrix[i, j + nn]],
-                  [matrix[i + nn, j], matrix[i + nn, j + nn]]])
-    return Block2x2(e, (n, m))
-
-
-def block_norm(b: Block2x2, kind: str = "frobenius") -> float:
-    if kind == "frobenius":
-        return float(np.linalg.norm(b.entries, "fro"))
-    if kind == "operator":
-        return float(np.linalg.norm(b.entries, 2))
-    if kind == "max":
-        return float(np.max(np.abs(b.entries)))
-    raise ValueError(f"unknown 2x2 norm {kind!r}")
-
-
-@dataclass(frozen=True)
 class GreenFunction:
     """Dense inverse of (block operator - E) with its spectral distance."""
 
     sites: tuple
-    variant: str
     energy: float
     matrix: np.ndarray
     delta: float
-
-    def block(self, n, m) -> Block2x2:
-        return block_element(self.matrix, self.sites, n, m)
 
 
 def resolvent(op: BlockOperator, energy: float,
@@ -78,7 +46,7 @@ def resolvent(op: BlockOperator, energy: float,
     resid = np.max(np.abs((op.matrix - energy * np.eye(dim)) @ g - np.eye(dim)))
     if resid > RESOLVENT_RESIDUAL_TOL:
         raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
-    return GreenFunction(op.sites, op.variant, energy, g, delta)
+    return GreenFunction(op.sites, energy, g, delta)
 
 
 def _plain_block_on(region, field: FieldSample) -> BlockOperator:

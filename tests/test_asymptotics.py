@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from blocklab.asymptotics import (CorrelatorProfile, TailCurve, _ct_block_budget,
-                                  c0_estimate, ct_threshold_length,
-                                  eigenfunction_correlator,
+                                  _suitability_geometry, c0_estimate,
+                                  ct_threshold_length, eigenfunction_correlator,
                                   finite_volume_tail_bound, gap_edge,
                                   lower_bound_probability,
-                                  lower_bound_scale, stretched_fit, suitable,
-                                  suitability_probability, tail_curve,
+                                  lower_bound_scale, stretched_fit,
+                                  suitability_norms, suitability_probability,
+                                  tail_curve,
                                   tail_exponent_fit, tail_monotonicity_check,
                                   trial_function_energy, wilson_interval)
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
@@ -17,6 +18,7 @@ from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, dist1, inner_boundary
 from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve
+from oracles import dense_suitability_norm
 
 LAM1 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 51)
 GAP2 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 52)
@@ -192,6 +194,15 @@ def test_lower_bound_censoring():
 # -- suitability -------------------------------------------------------------------
 
 
+def suitable(cube, f, energy, theta):
+    """Whether the cube is (theta, E)-suitable for the field."""
+    rows, cols = _suitability_geometry(cube)
+    s = eigensolve(assemble_block(build_h(cube, "simple", f), f),
+                   want_vectors=True)
+    norms, _ = suitability_norms(s, rows, cols, [energy])
+    return bool(norms[0] < cube.L ** -theta)
+
+
 def test_suitable_deep_gap():
     cube = CubeSpec(1, 12)
     f = sample_field(cube, LAM1, 0)
@@ -219,9 +230,37 @@ def test_suitable_needs_length_in_6n():
         suitable(cube, f, 0.0, 1.5)
 
 
+@pytest.mark.parametrize("d, L", [(1, 12), (1, 48), (2, 6)])
+def test_suitability_norms_match_dense_solve(d, L):
+    cube = CubeSpec(d, L)
+    rows, cols = _suitability_geometry(cube)
+    energies = [0.0, 0.5, 0.9]
+    for r in range(4):
+        f = sample_field(cube, LAM1, r)
+        op = assemble_block(build_h(cube, "simple", f), f)
+        s = eigensolve(op, want_vectors=True)
+        norms, deltas = suitability_norms(s, rows, cols, energies)
+        dense = [dense_suitability_norm(op.matrix, e, rows, cols) for e in energies]
+        assert norms == pytest.approx(dense, rel=1e-6)
+        assert deltas == pytest.approx(
+            [np.min(np.abs(s.eigenvalues - e)) for e in energies])
+
+
+def test_suitability_reports_per_theta_match_single_theta_runs():
+    both = suitability_probability(LAM1, d=1, L=12, thetas=[1.5, 3.0],
+                                   energies=[0.0, 0.5], R=20)
+    for rep, theta in zip(both, (1.5, 3.0)):
+        one, = suitability_probability(LAM1, d=1, L=12, thetas=[theta],
+                                       energies=[0.0, 0.5], R=20)
+        assert rep.theta == theta
+        assert np.array_equal(rep.probability, one.probability)
+        assert rep.implication.to_json() == one.implication.to_json()
+    assert both[0].probability.tolist() != both[1].probability.tolist()
+
+
 def test_suitability_probability_report():
-    rep = suitability_probability(LAM1, d=1, L=12, theta=1.5,
-                                  energies=[0.0, 0.5], R=40)
+    rep, = suitability_probability(LAM1, d=1, L=12, thetas=[1.5],
+                                   energies=[0.0, 0.5], R=40)
     assert rep.a_L == pytest.approx(1.0 + 12 ** -0.5)
     assert np.all(rep.probability >= 0.9)
     assert rep.implication.passed
@@ -230,14 +269,15 @@ def test_suitability_probability_report():
 
 def test_suitability_rejects_energy_outside_window():
     with pytest.raises(PreconditionError):
-        suitability_probability(LAM1, d=1, L=12, theta=1.5, energies=[5.0], R=2)
+        suitability_probability(LAM1, d=1, L=12, thetas=[1.5], energies=[5.0],
+                                R=2)
 
 
 def test_suitability_monotone_in_length():
     probs = []
     for L in (12, 24):
-        rep = suitability_probability(LAM1, d=1, L=L, theta=1.5,
-                                      energies=[0.0], R=30)
+        rep, = suitability_probability(LAM1, d=1, L=L, thetas=[1.5],
+                                       energies=[0.0], R=30)
         probs.append((rep.wilson_lo[0], rep.wilson_hi[0]))
     assert probs[1][1] >= probs[0][0]    # nondecreasing within CI
 
@@ -333,7 +373,7 @@ def test_tail_stderr_consistent_with_bootstrap():
 def test_sharp_gap_implication_fires_at_large_length():
     # at L = 480 the per-instance decay budget with delta = 1 beats
     # L^-theta, so the gap event forces suitability non-vacuously
-    rep = suitability_probability(LAM1, d=1, L=480, theta=1.5,
-                                  energies=[0.0], R=3)
+    rep, = suitability_probability(LAM1, d=1, L=480, thetas=[1.5],
+                                   energies=[0.0], R=3)
     assert rep.implication.instances >= 3
     assert rep.implication.passed

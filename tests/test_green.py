@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
-from blocklab.green import (block_element, block_norm, combes_thomas_bound,
-                            combes_thomas_check, decay_profile, decay_rate_fit,
-                            edi_check, gri_check, resolvent,
-                            sli_check)
+from blocklab.green import (combes_thomas_bound, combes_thomas_check,
+                            decay_profile, decay_rate_fit, edi_check, gri_check,
+                            resolvent, sli_check)
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, dist1, strictly_inside
 from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve
+from oracles import block_element, block_norm
 
 GAPPED = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1), 40)
 MIXED = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 41)
@@ -230,7 +230,8 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     g = resolvent(op, 0.0)
     delta = min(g.delta, 1.0)
     pairs = [(n, m) for n in op.sites for m in op.sites]
-    norms = np.array([block_norm(g.block(n, m)) for n, m in pairs])
+    norms = np.array([block_norm(block_element(g.matrix, g.sites, n, m))
+                      for n, m in pairs])
     dists = np.array([dist1(n, m) for n, m in pairs])
     caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists])
     assert profile.delta == delta

@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 import blocklab
-from blocklab import blas, green, harness, spectral
+from blocklab import blas, green, harness, inequalities, spectral
 from blocklab.cli import main as cli_main
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
@@ -420,10 +420,18 @@ def test_correlator_experiment(tmp_path):
     assert result.exit_code == 0
 
 
-def test_fh_experiment(tmp_path):
+def test_fh_experiment(tmp_path, monkeypatch):
+    # one block eigensolve per realization, with vectors, feeds every
+    # derivative sum
+    calls = []
+    real = inequalities.eigensolve
+    monkeypatch.setattr(inequalities, "eigensolve",
+                        lambda *a, **kw: calls.append(kw) or real(*a, **kw))
     cfg = make_cfg("fh", L=6, R=5)
     result = run(cfg, tmp_path)
     assert result.exit_code == 0
+    assert calls == [{"want_vectors": True}] * 5
+    assert result.reports[0].parameters == {"tol": 1e-6}
 
 
 def test_dos_experiment(tmp_path):
@@ -447,6 +455,33 @@ def test_dos_run_solves_each_realization_once(tmp_path, monkeypatch):
     assert all(r.instances == 30 for r in result.reports)
 
 
+def test_suitability_run_solves_each_realization_once(tmp_path, monkeypatch):
+    eighs, solves = [], []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *rest: eighs.append(len(a)) or real(a, *rest))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1))
+    cfg = make_cfg("suitability", L=12, R=6, va=1.0, vb=2.0, bk="point_mass",
+                   bargs="c = 0.0",
+                   extra="[suitability]\nlengths = 6 12\ntheta = 1.5 3\n"
+                         "energies = 0.0 0.5\n")
+    result = run(cfg, tmp_path)
+    assert result.exit_code == 0
+    # R x |lengths| eigh calls (dims 10 and 22) serve both thetas
+    assert eighs == [10] * 6 + [22] * 6
+    assert solves == []
+    # rows and reports stay ordered by theta, then length, then energy
+    rows = [line.split(",")[:3] for line in
+            (tmp_path / "suitability.csv").read_text().splitlines()[1:]]
+    assert [(float(t), int(L), float(e)) for t, L, e in rows] == [
+        (t, L, e) for t in (1.5, 3.0) for L in (6, 12) for e in (0.0, 0.5)]
+    assert [(r.name, r.parameters.get("L")) for r in result.reports] == [
+        ("gap_event_implies_suitable", 6), ("gap_event_implies_suitable", 12),
+        ("suitability_monotone_theta=1.5", None),
+        ("gap_event_implies_suitable", 6), ("gap_event_implies_suitable", 12),
+        ("suitability_monotone_theta=3", None)]
+
+
 def test_green_experiment(tmp_path):
     cfg = make_cfg("green", L=9, R=10, va=1.0, vb=2.0,
                    extra="[green]\nenergy = 0.0\nlengths = 2 5 9\n")
@@ -462,6 +497,20 @@ def test_cli_import_does_not_load_scipy_optimize():
          "import sys, blocklab.cli; print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_starts_openblas_on_one_thread():
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
+    src = str(Path(blocklab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import blocklab.cli; from blocklab import blas; print(blas.threads())"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "1"
 
 
 def test_cli_missing_config_exits_3(capsys):

@@ -1,18 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 from blocklab import inequalities, spectral
+from blocklab.asymptotics import TailCurve, tail_monotonicity_check
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
-from blocklab.inequalities import (CheckReport, PreconditionError, beta_map_check,
-                                   bracketing_gap_check,
+from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionError,
+                                   beta_map_check, bracketing_gap_check,
                                    dos_bound_energy_dependent, feynman_hellmann_report,
                                    fh_derivative_sums, half_half_check,
-                                   interlacing_check, minmaxmax_lambda1,
-                                   wegner_finite_volume)
+                                   interlacing_check, wegner_finite_volume)
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_bracketing, build_h, build_h0
 from blocklab.spectral import (count_leq, count_window, dos_histogram, eigensolve,
                                plain_block)
+from oracles import fh_derivative_sums_fd, minmaxmax_lambda1
 
 POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 
@@ -26,13 +29,13 @@ def constant_field(cube, v, b):
 
 
 def loop_counts(slacks):
-    """Counts of the one-slack-at-a-time rule: min() keeps the running
-    worst against a NaN, and NaN < 0 is false."""
+    """Counts of the one-slack-at-a-time rule: a slack that is not >= 0,
+    NaN included, is a violation, and a NaN makes the worst slack NaN."""
     instances, violations, worst = 0, 0, np.inf
     for s in slacks:
         instances += 1
-        worst = min(worst, s)
-        if s < 0.0:
+        worst = np.nan if np.isnan(s) or np.isnan(worst) else min(worst, s)
+        if not s >= 0.0:
             violations += 1
     return instances, violations, worst
 
@@ -50,9 +53,22 @@ def test_record_array_matches_per_element_loop(slacks):
     n, v, worst = loop_counts(slacks)
     for rep in (arr, one):
         assert (rep.instances, rep.violations) == (2 + n, v)
-        assert rep.worst_margin == min(0.125, worst)
+        np.testing.assert_equal(rep.worst_margin,
+                                np.nan if np.isnan(worst) else min(0.125, worst))
         assert rep.passed == (v == 0)
-    assert arr.to_json() == one.to_json()
+    assert json.dumps(arr.to_json()) == json.dumps(one.to_json())
+
+
+def test_nan_slack_fails_the_check():
+    # a NaN in the measured curve makes two of its three differences NaN
+    curve = TailCurve(np.array([0.1, 0.2, 0.3, 0.4]),
+                      np.array([0.01, np.nan, 0.03, 0.04]), np.zeros(4),
+                      np.full(4, 12), np.zeros(4, dtype=bool), 1.0, 10)
+    rep = tail_monotonicity_check(curve)
+    assert (rep.instances, rep.violations) == (3, 2)
+    assert not rep.passed and np.isnan(rep.worst_margin)
+    total = CheckReport("tail_monotonicity", worst_margin=0.5).absorb(rep)
+    assert not total.passed and np.isnan(total.worst_margin)
 
 
 # -- Wegner -------------------------------------------------------------------
@@ -158,15 +174,28 @@ def test_dos_energy_bound_empty_bins_trivially_pass():
 def test_fh_closed_form_single_site():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 1.0, 2.0)
-    val = fh_derivative_sums(cube, f)[1]
-    assert val == pytest.approx(5 / np.sqrt(13), abs=1e-8)
+    ev, sums = fh_derivative_sums(cube, f)
+    assert ev[1] == pytest.approx(np.sqrt(13))
+    assert sums[1] == pytest.approx(5 / np.sqrt(13), abs=1e-8)
 
 
 def test_fh_boundary_case_equals_one():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 0.0, 0.0)
-    val = fh_derivative_sums(cube, f)[1]
+    val = fh_derivative_sums(cube, f)[1][1]
     assert val == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("cube", [CubeSpec(1, 12), CubeSpec(2, 5),
+                                  CubeSpec(3, 3)])
+def test_fh_sums_match_finite_differences(cube):
+    for r in range(3):
+        f = sample_field(cube, POS, r)
+        ev, sums = fh_derivative_sums(cube, f)
+        assert np.allclose(ev, eigensolve(plain_block(cube, POS, r)).eigenvalues,
+                           rtol=0, atol=1e-12)
+        assert np.min(np.diff(ev)) > FH_MIN_SPACING
+        assert np.max(np.abs(sums - fh_derivative_sums_fd(cube, f))) <= 1e-7
 
 
 def test_fh_rejects_negative_b():
@@ -252,7 +281,7 @@ def test_beta_map_invariant_under_site_relabeling():
     perm = np.array([3, 0, 4, 1, 2])
     relabeled = h.matrix[np.ix_(perm, perm)]
     from blocklab.operators import ScalarOperator
-    h2 = ScalarOperator(tuple(h.sites[i] for i in perm), relabeled, h.role)
+    h2 = ScalarOperator(tuple(h.sites[i] for i in perm), relabeled)
     assert beta_map_check(h2, 0.7).passed
 
 

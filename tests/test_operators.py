@@ -5,7 +5,8 @@ from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_f
 from blocklab.lattice import CubeSpec, inner_boundary, outer_boundary
 from blocklab.operators import (assemble_beta_reference, assemble_block,
                                 assemble_bracketing, build_gamma, build_h,
-                                build_h0, embed_block, indicator)
+                                build_h0, indicator)
+from oracles import dump_matrix, embed_block
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 31)
 
@@ -187,7 +188,6 @@ def test_indicator_projections():
 
 
 def test_dump_matrix_format(tmp_path):
-    from blocklab.operators import dump_matrix
     cube = CubeSpec(1, 3)
     f = constant_field(cube, 1.0, 2.0)
     op = assemble_block(build_h(cube, "simple", f), f)
