@@ -14,12 +14,11 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, FieldSample, case_beta, sample_field
-from .inequalities import CheckReport, _require
+from .disorder import DisorderConfig, case_beta, sample_field
+from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
                       site_array, site_index)
-from .operators import (MAX_BLOCK_DIM, assemble_block, build_h, build_h0,
-                        component_indices)
+from .operators import MAX_BLOCK_DIM, build_h0, component_indices
 from .spectral import Spectrum, count_leq, eigensolve, plain_block, run_realizations
 
 
@@ -82,9 +81,9 @@ def default_tail_length(eps: float, d: int, floor: int = 12) -> int:
     return L
 
 
-def _tail_row(r, cube, config, threshold):
+def _tail_row(r, cube, config, thresholds):
     s = eigensolve(plain_block(cube, config, r))
-    return count_leq(s, threshold) / s.dim - 0.5
+    return [count_leq(s, t) / s.dim - 0.5 for t in thresholds]
 
 
 def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
@@ -94,18 +93,26 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
     The per-realization values are non-negative by the half-half identity,
     which holds under the edge hypotheses (V at or above lam, B in its
     case).  Grid points where no realization captures an eigenvalue are
-    flagged censored.
+    flagged censored.  Grid points whose lengths give the same cube share
+    one ensemble: each realization is solved once per cube.
     """
     ge = gap_edge(config, d)
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     if lengths is None:
         lengths = [default_tail_length(e, d) for e in eps_grid]
+    # grid points by cube: the sites of a centred cube depend on L only
+    # through its axis count
+    by_cube = {}
+    for k, L in enumerate(lengths):
+        by_cube.setdefault(axis_count(L), []).append(k)
+    per_point = {}
+    for ks in by_cube.values():
+        rows = run_realizations(
+            partial(_tail_row, cube=CubeSpec(d, lengths[ks[0]]), config=config,
+                    thresholds=ge.edge + eps_grid[ks]), R, mapper)
+        per_point.update(zip(ks, np.array(rows).T.copy()))
     means, errs, cens, samples = [], [], [], []
-    for eps, L in zip(eps_grid, lengths):
-        cube = CubeSpec(d, L)
-        vals = np.array(run_realizations(
-            partial(_tail_row, cube=cube, config=config, threshold=ge.edge + eps),
-            R, mapper))
+    for _, vals in sorted(per_point.items()):
         means.append(vals.mean())
         errs.append(vals.std(ddof=1) / math.sqrt(R) if R > 1 else 0.0)
         cens.append(bool(np.all(vals == 0.0)))
@@ -149,25 +156,24 @@ def tail_monotonicity_check(curve: TailCurve) -> CheckReport:
     return rep
 
 
-def finite_volume_tail_bound(region, field: FieldSample, lam: float,
-                             beta: float, eps: float) -> CheckReport:
+def finite_volume_tail_bound(spectra: EdgeSpectra, lam: float,
+                             eps: float) -> CheckReport:
     """Exact-count bound of the block tail by the scalar counting function.
 
     Hypotheses as for interlacing: H > 0, V at or above lam, B at or above
     beta >= 0.  Counts are integers; any excess is a violation.
     """
+    beta = spectra.beta
     _require(beta >= 0.0 and lam >= 0.0, "needs lam >= 0 and beta >= 0")
-    h = build_h(region, "simple", field)
-    _require(float(np.linalg.eigvalsh(h.matrix)[0]) > 0.0, "needs H > 0")
-    v, b = field.at(h.sites)
-    _require(v.min() >= lam, "needs V_n >= lam")
-    _require(b.min() >= beta, "needs B_n >= beta")
+    _require(float(spectra.scalar[0]) > 0.0, "needs H > 0")
+    _require(spectra.V.min() >= lam, "needs V_n >= lam")
+    _require(spectra.B.min() >= beta, "needs B_n >= beta")
     edge = np.hypot(lam, beta)
     threshold = edge + eps
-    block_count = count_leq(eigensolve(assemble_block(h, field)), threshold) - h.n
+    block_count = (int(np.searchsorted(spectra.plain, threshold, side="right"))
+                   - len(spectra.scalar))
     scalar_cut = math.sqrt(max(threshold ** 2 - beta ** 2, 0.0))
-    scalar_count = int(np.searchsorted(np.linalg.eigvalsh(h.matrix), scalar_cut,
-                                       side="right"))
+    scalar_count = int(np.searchsorted(spectra.scalar, scalar_cut, side="right"))
     rep = CheckReport("finite_volume_tail_bound",
                       parameters={"lam": lam, "beta": beta, "eps": eps})
     rep.record(float(scalar_count - block_count))
@@ -359,16 +365,24 @@ def _suitability_row(r, cube, config, geometry, energies, a_L):
     return norms, deltas, gap_event
 
 
-def _ct_block_budget(cube: CubeSpec, delta: float, d: int) -> float:
-    """Frobenius aggregate of per-pair Combes-Thomas bounds over the
-    boundary-to-core block; dominates the block operator norm."""
-    bnd = site_array(inner_boundary(cube.sites()))
+def _ct_distances(cube: CubeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct 1-norm distances from the inner boundary to the core
+    (the inner third), and the index among them of every boundary-core
+    pair's distance, pairs in loop order."""
+    bnd = site_array(inner_boundary(cube))
     core = site_array(cube.concentric(cube.L / 3.0))
+    return np.unique(dist1_array(bnd[:, None], core[None]).ravel(),
+                     return_inverse=True)
+
+
+def _ct_block_budget(distances, delta: float, d: int) -> float:
+    """Frobenius aggregate of per-pair Combes-Thomas bounds over the
+    boundary-to-core block (`distances` from `_ct_distances`); dominates
+    the block operator norm."""
+    dists, at = distances
     dcap = min(delta, 1.0)
-    dist = dist1_array(bnd[:, None], core[None]).ravel()
     # one term per distinct distance, summed left to right over the pairs
     # (cumsum is sequential) exactly as a loop over them would
-    dists, at = np.unique(dist, return_inverse=True)
     terms = np.array([(4.0 / dcap * math.exp(-dcap * k / (12.0 * d))) ** 2
                       for k in dists.tolist()])
     return math.sqrt(float(np.cumsum(terms[at])[-1]))
@@ -401,7 +415,8 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     # per gap event and energy: the instance's own decay budget (inf on the
     # spectrum, where no cube is suitable)
     deltas = np.array([row[1] for row in rows])[events]
-    budgets = np.array([[_ct_block_budget(cube, delta, d) if delta > 0.0
+    distances = _ct_distances(cube)
+    budgets = np.array([[_ct_block_budget(distances, delta, d) if delta > 0.0
                          else np.inf for delta in row]
                         for row in deltas.tolist()]).reshape(deltas.shape)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import CubeSpec, Site, site_index
+from .lattice import CubeSpec, site_index
 
 _DENSITY_KINDS = ("uniform", "triangular")
 
@@ -146,16 +146,6 @@ class SiteMeasure:
             return 2.0 / (b - a)
         return 4.0 / (b - a)
 
-    def mass_constants(self) -> tuple[float, float] | None:
-        """(C, kappa) with mass([inf, inf + eta[) >= C * eta**kappa, if closed-form."""
-        if self.kind == "uniform":
-            a, b = self.params
-            return 1.0 / (b - a), 1.0
-        if self.kind == "triangular":
-            a, b = self.params
-            return 2.0 / (b - a) ** 2, 2.0
-        return None
-
     # -- sampling ----------------------------------------------------------
 
     def from_uniform(self, u):
@@ -247,21 +237,6 @@ class FieldSample:
         return self.V[idx], self.B[idx]
 
 
-def site_uniform(master_seed: int, realization_index: int, site: Site,
-                 family: str) -> float:
-    """Deterministic uniform [0,1) variate for one site draw.
-
-    Counter-based: a keyed hash of (seed, realization, family, coordinates)
-    supplies 53 independent bits, so draws commute with any enumeration
-    order and any work partition.
-    """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<qq", master_seed, realization_index))
-    h.update(family.encode("ascii"))
-    h.update(struct.pack(f"<{len(site)}q", *site))
-    return (int.from_bytes(h.digest(), "little") >> 11) * 2.0 ** -53
-
-
 @lru_cache(maxsize=64)
 def _packed_sites(cube: CubeSpec) -> tuple[bytes, ...]:
     return tuple(struct.pack(f"<{cube.d}q", *s) for s in cube.sites())
@@ -269,9 +244,13 @@ def _packed_sites(cube: CubeSpec) -> tuple[bytes, ...]:
 
 def _cube_uniforms(master_seed: int, realization_index: int, family: str,
                    cube: CubeSpec) -> np.ndarray:
-    """`site_uniform` at every cube site (canonical order), bit for bit:
-    the hash state after the shared (seed, realization, family) prefix is
-    computed once and extended per site."""
+    """Uniform [0,1) variates at every cube site, in canonical order.
+
+    A keyed hash of (seed, realization, family, coordinates) supplies 53
+    bits per site.  The hash state after the shared (seed, realization,
+    family) prefix is computed once and extended per site; `site_uniform`
+    in tests/oracles.py hashes each site from scratch and is the
+    bit-for-bit reference."""
     prefix = hashlib.blake2b(digest_size=8)
     prefix.update(struct.pack("<qq", master_seed, realization_index))
     prefix.update(family.encode("ascii"))

@@ -39,8 +39,19 @@ from .lattice import CubeSpec
 from .operators import MAX_BLOCK_DIM, assemble_block, build_h
 from .spectral import deterministic_radius, eigensolve
 
-KINDS = ("spectrum", "ids", "dos", "wegner", "gap", "interlace", "green",
-         "ct", "sli-edi", "tails", "suitability", "correlator", "fh")
+# the keys each kind may set in its own section; `validate` rejects any
+# other, and the ExperimentConfig accessors read no other
+KEYS = {
+    "spectrum": (), "ids": ("energy_range", "energies"), "dos": ("bins",),
+    "wegner": ("energies", "epsilons"), "gap": (),
+    "interlace": ("lam", "beta", "eps"), "green": ("energy", "lengths"),
+    "ct": ("energy",), "sli-edi": ("energy", "lengths"),
+    "tails": ("epsilons", "lengths", "lower_bound", "c0_lengths",
+              "lower_epsilons", "lower_realizations"),
+    "suitability": ("theta", "energies", "lengths"),
+    "correlator": ("interval",), "fh": ("tol",),
+}
+KINDS = tuple(KEYS)
 
 
 # -- configuration -----------------------------------------------------------
@@ -76,8 +87,15 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
+    def get(self, key: str, default=None):
+        """The raw value of a key of the kind's section, else `default`.
+        A key the kind does not declare in KEYS raises KeyError."""
+        if key not in KEYS[self.kind]:
+            raise KeyError(f"experiment {self.kind!r} declares no key {key!r}")
+        return self.extra.get(key, default)
+
     def floats(self, key: str, default: str | None = None) -> list[float]:
-        raw = self.extra.get(key, default)
+        raw = self.get(key, default)
         if raw is None:
             raise PreconditionError(f"experiment {self.kind!r} needs key {key!r}")
         return [float(tok) for tok in str(raw).replace(",", " ").split()]
@@ -86,10 +104,10 @@ class ExperimentConfig:
         return [int(round(x)) for x in self.floats(key, default)]
 
     def scalar(self, key: str, default: float) -> float:
-        return float(self.extra.get(key, default))
+        return float(self.get(key, default))
 
     def flag(self, key: str, default: bool = False) -> bool:
-        raw = str(self.extra.get(key, default)).strip().lower()
+        raw = str(self.get(key, default)).strip().lower()
         return raw in ("1", "true", "yes", "on")
 
 
@@ -182,6 +200,10 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         out.append(f"workers must be >= 1, got {cfg.workers}")
 
     k = cfg.kind
+    unknown = sorted(set(cfg.extra) - set(KEYS[k]))
+    if unknown:
+        out.append(f"[{k}] has unknown key(s) {', '.join(unknown)}; it takes "
+                   f"{', '.join(KEYS[k]) or 'no keys'}")
     if k in ("wegner", "dos"):
         if not (cfg.mu_V.has_density and cfg.mu_B.has_density):
             out.append(f"{k}: the two-density estimate needs densities of "
@@ -356,7 +378,7 @@ def _exp_ids(cfg, mapper):
     radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
     default = f"{-radius} {radius} 41"
     lo, hi, n = cfg.floats("energy_range", default)
-    grid = (np.linspace(lo, hi, int(n)) if "energies" not in cfg.extra
+    grid = (np.linspace(lo, hi, int(n)) if cfg.get("energies") is None
             else np.array(cfg.floats("energies")))
     est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), grid,
                                    cfg.realizations, mapper)
@@ -439,14 +461,15 @@ def _exp_gap(cfg, mapper):
 
 def _interlace_row(r, cube, config, lam, beta, eps):
     f = sample_field(cube, config, r)
+    es = inequalities.edge_spectra(build_h(cube, "simple", f), f, beta)
     return [
-        _attempt("interlacing", inequalities.interlacing_check, cube, f, beta),
-        _attempt("half_half", inequalities.half_half_check, cube, f, lam, beta),
+        _attempt("interlacing", inequalities.interlacing_check, es),
+        _attempt("half_half", inequalities.half_half_check, es, lam),
         _attempt("bracketing_gap", inequalities.bracketing_gap_check, cube, f,
                  lam, beta),
         _attempt("finite_volume_tail_bound", asymptotics.finite_volume_tail_bound,
-                 cube, f, lam, beta, eps),
-        inequalities.beta_map_check(build_h(cube, "simple", f), beta),
+                 es, lam, eps),
+        inequalities.beta_map_check(es),
     ]
 
 
@@ -462,7 +485,7 @@ def _exp_interlace(cfg, mapper):
 
 
 def _nested_lengths(cfg):
-    raw = cfg.extra.get("lengths")
+    raw = cfg.get("lengths")
     if raw:
         l1, l2, l3 = [float(x) for x in str(raw).split()]
     else:
@@ -563,7 +586,7 @@ def _exp_sli_edi(cfg, mapper):
 def _exp_tails(cfg, mapper):
     dis = cfg.disorder()
     eps = sorted(cfg.floats("epsilons", "0.08 0.125 0.2 0.3 0.4 0.5"))
-    lengths = cfg.ints("lengths") if "lengths" in cfg.extra else None
+    lengths = cfg.ints("lengths") if cfg.get("lengths") is not None else None
     if lengths is not None:
         # enforce the resolution floor L >= 10/sqrt(eps) (and the dense cap)
         lengths = [max(L, asymptotics.default_tail_length(e, cfg.d))

@@ -17,8 +17,8 @@ from .disorder import DisorderConfig, FieldSample
 from .lattice import CubeSpec
 from .operators import (ScalarOperator, assemble_beta_reference, assemble_block,
                         assemble_bracketing, build_h)
-from .spectral import (DosHistogram, count_leq, count_window, eigensolve,
-                       plain_block, run_realizations)
+from .spectral import (DosHistogram, count_window, eigensolve, plain_block,
+                       run_realizations)
 
 
 class PreconditionError(ValueError):
@@ -245,65 +245,77 @@ def feynman_hellmann_report(region, field: FieldSample,
 # -- spectral comparisons ----------------------------------------------------
 
 
-def _positive_ascending(ev: np.ndarray, n: int) -> np.ndarray:
-    return ev[-n:]
+@dataclass(frozen=True)
+class EdgeSpectra:
+    """What the gap-edge checks of one realization read, solved once.
+
+    V and B are the field at the operator's sites, in its site order;
+    scalar, plain and reference are the ascending spectra of H, of the
+    plain block (H  B; B  -H) and of the reference block
+    (H  beta*1; beta*1  -H).
+    """
+
+    V: np.ndarray
+    B: np.ndarray
+    beta: float
+    scalar: np.ndarray
+    plain: np.ndarray
+    reference: np.ndarray
 
 
-def interlacing_check(region, field: FieldSample, beta: float,
-                      tol: float = 1e-10) -> CheckReport:
+def edge_spectra(h: ScalarOperator, field: FieldSample, beta: float) -> EdgeSpectra:
+    """One eigensolve each of H, its plain block and its beta-reference block."""
+    v, b = field.at(h.sites)
+    return EdgeSpectra(v, b, beta, np.linalg.eigvalsh(h.matrix),
+                       eigensolve(assemble_block(h, field)).eigenvalues,
+                       eigensolve(assemble_beta_reference(h, beta)).eigenvalues)
+
+
+def interlacing_check(spectra: EdgeSpectra, tol: float = 1e-10) -> CheckReport:
     """Rank-wise domination of the positive block spectrum over the reference.
 
     Hypotheses: H > 0 on the region and B_n >= beta >= 0 sitewise.
     """
+    beta = spectra.beta
     _require(beta >= 0.0, "reference coupling must satisfy beta >= 0")
-    h = build_h(region, "simple", field)
-    _require(float(np.linalg.eigvalsh(h.matrix)[0]) > 0.0,
-             "interlacing needs H > 0")
-    _require(field.at(h.sites)[1].min() >= beta,
-             "interlacing needs B_n >= beta sitewise")
-    n = h.n
-    lam = _positive_ascending(eigensolve(assemble_block(h, field)).eigenvalues, n)
-    mu = _positive_ascending(eigensolve(assemble_beta_reference(h, beta)).eigenvalues, n)
+    _require(float(spectra.scalar[0]) > 0.0, "interlacing needs H > 0")
+    _require(spectra.B.min() >= beta, "interlacing needs B_n >= beta sitewise")
+    n = len(spectra.scalar)
     rep = CheckReport("interlacing", parameters={"beta": beta, "tol": tol})
-    rep.record(lam - mu + tol)
+    rep.record(spectra.plain[-n:] - spectra.reference[-n:] + tol)
     return rep
 
 
-def beta_map_check(h: ScalarOperator, beta: float, rtol: float = 1e-9) -> CheckReport:
+def beta_map_check(spectra: EdgeSpectra, rtol: float = 1e-9) -> CheckReport:
     """Spectrum of the constant-coupling block equals {+-sqrt(e^2 + beta^2)}."""
-    e = np.linalg.eigvalsh(h.matrix)
-    predicted = np.sort(np.concatenate([np.sqrt(e ** 2 + beta ** 2),
-                                        -np.sqrt(e ** 2 + beta ** 2)]))
-    actual = eigensolve(assemble_beta_reference(h, beta)).eigenvalues
+    root = np.sqrt(spectra.scalar ** 2 + spectra.beta ** 2)
+    predicted = np.sort(np.concatenate([root, -root]))
     scale = max(np.max(np.abs(predicted)), 1e-300)
-    rep = CheckReport("beta_map", parameters={"beta": beta, "rtol": rtol})
-    rep.record(rtol * scale - float(np.max(np.abs(predicted - actual))))
+    rep = CheckReport("beta_map", parameters={"beta": spectra.beta, "rtol": rtol})
+    rep.record(rtol * scale - float(np.max(np.abs(predicted - spectra.reference))))
     return rep
 
 
-def half_half_check(region, field: FieldSample, lam: float, beta: float) -> CheckReport:
+def half_half_check(spectra: EdgeSpectra, lam: float) -> CheckReport:
     """Exactly N of the 2N block eigenvalues lie at or below the gap edge.
 
     Hypotheses: V_n >= lam sitewise with H > lam, and the B-field obeys the
     case hypothesis of the edge (B_n >= beta for beta > 0, B_n <= beta for
     beta < 0, unconstrained for beta = 0).
     """
-    h = build_h(region, "simple", field)
-    vvals, bvals = field.at(h.sites)
-    _require(vvals.min() >= lam, "half-half needs V_n >= lam")
-    _require(float(np.linalg.eigvalsh(h.matrix)[0]) > lam,
-             "half-half needs H > lam")
+    beta = spectra.beta
+    _require(spectra.V.min() >= lam, "half-half needs V_n >= lam")
+    _require(float(spectra.scalar[0]) > lam, "half-half needs H > lam")
     if beta > 0.0:
-        _require(bvals.min() >= beta, "half-half (case 1) needs B_n >= beta")
+        _require(spectra.B.min() >= beta, "half-half (case 1) needs B_n >= beta")
     elif beta < 0.0:
-        _require(bvals.max() <= beta, "half-half (case 2) needs B_n <= beta")
+        _require(spectra.B.max() <= beta, "half-half (case 2) needs B_n <= beta")
     edge = np.hypot(lam, beta)
-    n = h.n
+    n = len(spectra.scalar)
     rep = CheckReport("half_half", parameters={"lam": lam, "beta": beta, "edge": edge})
-    count_plain = count_leq(eigensolve(assemble_block(h, field)), edge)
-    count_ref = count_leq(eigensolve(assemble_beta_reference(h, beta)), edge)
-    rep.record(0.0 if count_plain == n else -abs(count_plain - n))
-    rep.record(0.0 if count_ref == n else -abs(count_ref - n))
+    for ev in (spectra.plain, spectra.reference):
+        count = int(np.searchsorted(ev, edge, side="right"))
+        rep.record(0.0 if count == n else -abs(count - n))
     return rep
 
 

@@ -141,15 +141,10 @@ def _ranked(region):
     return lo, shape, np.ravel_multi_index(tuple((ref - lo).T), shape)
 
 
-def dist1(n: Site, m: Site) -> int:
-    """1-norm distance sum_j |n_j - m_j|."""
-    return sum(abs(a - b) for a, b in zip(n, m))
-
-
 def dist1_array(a, b) -> np.ndarray:
-    """`dist1` along the last axis of two site arrays, broadcasting the rest:
-    (P, d) with (P, d) gives P pair distances, a[:, None] with b[None] the
-    distance matrix."""
+    """1-norm distance sum_j |a_j - b_j| along the last axis of two site
+    arrays, broadcasting the rest: (P, d) with (P, d) gives P pair
+    distances, a[:, None] with b[None] the distance matrix."""
     return np.abs(np.subtract(a, b)).sum(axis=-1)
 
 

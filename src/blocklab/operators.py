@@ -3,8 +3,8 @@
 Builds the discrete Laplacian on a region under simple, Dirichlet or
 Neumann conditions, its random-potential perturbation, the 2x2-block
 operator with multiplication off-diagonal coupling, the constant-coupling
-reference block, the Dirichlet/Neumann bracketing block, boundary
-operators and indicator projections.
+reference block, the Dirichlet/Neumann bracketing block and boundary
+operators.
 
 Block layout is fixed throughout the package: with N region sites in
 canonical (lexicographic) order, indices 0..N-1 address the upper
@@ -88,41 +88,34 @@ def build_h(region, bc: str, field: FieldSample) -> ScalarOperator:
     return ScalarOperator(h0.sites, m)
 
 
+def _block(sites, upper: np.ndarray, coupling,
+           lower: np.ndarray) -> BlockOperator:
+    """The block layout (upper  C; C  -lower) over the sites: C is an n x n
+    coupling matrix, or 0.0 for a direct sum."""
+    n = len(sites)
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n] = upper
+    m[n:, n:] = -lower
+    m[:n, n:] = coupling
+    m[n:, :n] = coupling
+    return BlockOperator(sites, m)
+
+
 def assemble_block(h: ScalarOperator, field: FieldSample) -> BlockOperator:
     """Block operator (H  B; B  -H) with diagonal coupling B from the field."""
-    n = h.n
-    b = field.at(h.sites)[1]
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = h.matrix
-    m[n:, n:] = -h.matrix
-    m[:n, n:] = np.diag(b)
-    m[n:, :n] = np.diag(b)
-    return BlockOperator(h.sites, m)
+    return _block(h.sites, h.matrix, np.diag(field.at(h.sites)[1]), h.matrix)
 
 
 def assemble_beta_reference(h: ScalarOperator, beta: float) -> BlockOperator:
     """Constant-coupling reference block (H  beta*1; beta*1  -H)."""
-    n = h.n
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = h.matrix
-    m[n:, n:] = -h.matrix
-    m[:n, n:] = beta * np.eye(n)
-    m[n:, :n] = beta * np.eye(n)
-    return BlockOperator(h.sites, m)
+    return _block(h.sites, h.matrix, beta * np.eye(h.n), h.matrix)
 
 
 def assemble_bracketing(region, field: FieldSample) -> BlockOperator:
     """Bracketing block (H^D  B; B  -H^N) with Dirichlet/Neumann diagonal blocks."""
     hd = build_h(region, "dirichlet", field)
     hn = build_h(region, "neumann", field)
-    n = hd.n
-    b = field.at(hd.sites)[1]
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = hd.matrix
-    m[n:, n:] = -hn.matrix
-    m[:n, n:] = np.diag(b)
-    m[n:, :n] = np.diag(b)
-    return BlockOperator(hd.sites, m)
+    return _block(hd.sites, hd.matrix, np.diag(field.at(hd.sites)[1]), hn.matrix)
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,6 @@ class BoundaryOperator:
     """
 
     ambient_sites: tuple[Site, ...]
-    inner_sites: tuple[Site, ...]
     gamma: np.ndarray
     lifted: np.ndarray
 
@@ -149,25 +141,13 @@ def build_gamma(inner, ambient) -> BoundaryOperator:
     if not lattice.strictly_inside(inner, ambient):
         raise ValueError("inner region is not strictly inside the ambient region")
     ambient_sites = lattice.sites(ambient)
-    inner_sites = lattice.sites(inner)
     n = len(ambient_sites)
     ends = np.array(lattice.boundary(inner).pairs)      # (pairs, 2, d)
     g = np.zeros((n, n))
     g[lattice.site_index(ambient_sites, ends[:, 0], strict=True),
       lattice.site_index(ambient_sites, ends[:, 1], strict=True)] = -1.0
-    lifted = np.zeros((2 * n, 2 * n))
-    lifted[:n, :n] = g
-    lifted[n:, n:] = -g
-    return BoundaryOperator(ambient_sites, inner_sites, g, lifted)
-
-
-def indicator(subset, ambient) -> tuple[np.ndarray, np.ndarray]:
-    """Projections 1_subset and 1 (+) 1 on the ambient region (diagonal 0/1)."""
-    diag = np.zeros(len(lattice.sites(ambient)))
-    diag[lattice.site_index(ambient, lattice.sites(subset), strict=True)] = 1.0
-    scalar = np.diag(diag)
-    block = np.diag(np.concatenate([diag, diag]))
-    return scalar, block
+    lifted = _block(ambient_sites, g, 0.0, g).matrix
+    return BoundaryOperator(ambient_sites, g, lifted)
 
 
 def component_indices(ambient, subset) -> np.ndarray:

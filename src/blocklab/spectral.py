@@ -149,11 +149,6 @@ class IdsEstimate:
     mean_N: np.ndarray
     stderr_N: np.ndarray
     realizations: int
-    cube: CubeSpec = None
-    config: DisorderConfig = None
-
-    def variance(self) -> np.ndarray:
-        return self.stderr_N ** 2 * self.realizations
 
 
 def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int,
@@ -168,7 +163,7 @@ def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int,
     mean = data.mean(axis=0)
     stderr = (data.std(axis=0, ddof=1) / np.sqrt(R) if R > 1
               else np.zeros_like(mean))
-    return IdsEstimate(grid, mean, stderr, R, cube, config)
+    return IdsEstimate(grid, mean, stderr, R)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@
 Each one computes a quantity the library also computes, by a slower or
 more direct route: finite differences for the Feynman-Hellmann sums, a
 dense solve for the suitability norm, a variational minimization for the
-lowest positive block eigenvalue, explicit 2x2 element reads and block
-embeddings for the exact identities.  None of them runs in an experiment.
+lowest positive block eigenvalue, explicit 2x2 element reads, block
+embeddings and indicator projections for the exact identities, a per-site
+hash for the field sampler and a per-pair 1-norm distance.  None of them
+runs in an experiment.
 """
 
+import hashlib
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +22,39 @@ from blocklab.inequalities import PreconditionError
 from blocklab.operators import assemble_block, build_h, component_indices
 from blocklab.spectral import eigensolve
 
+# -- sites and sampling ----------------------------------------------------------
+
+
+def dist1(n, m) -> int:
+    """1-norm distance sum_j |n_j - m_j| of two sites."""
+    return sum(abs(a - b) for a, b in zip(n, m))
+
+
+def site_uniform(master_seed: int, realization_index: int, site,
+                 family: str) -> float:
+    """Deterministic uniform [0,1) variate for one site draw.
+
+    A keyed hash of (seed, realization, family, coordinates) supplies 53
+    independent bits, hashed from scratch for this one site.
+    """
+    h = hashlib.blake2b(digest_size=8)
+    h.update(struct.pack("<qq", master_seed, realization_index))
+    h.update(family.encode("ascii"))
+    h.update(struct.pack(f"<{len(site)}q", *site))
+    return (int.from_bytes(h.digest(), "little") >> 11) * 2.0 ** -53
+
+
 # -- block matrices ------------------------------------------------------------
+
+
+def indicator(subset, ambient) -> tuple[np.ndarray, np.ndarray]:
+    """Projections 1_subset and 1 (+) 1 on the ambient region (diagonal 0/1)."""
+    diag = np.zeros(len(lattice.sites(ambient)))
+    diag[lattice.site_index(ambient, lattice.sites(subset), strict=True)] = 1.0
+    scalar = np.diag(diag)
+    block = np.diag(np.concatenate([diag, diag]))
+    return scalar, block
+
 
 
 def embed_block(sub: np.ndarray, sub_sites, ambient_sites) -> np.ndarray:

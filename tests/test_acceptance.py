@@ -110,14 +110,14 @@ def test_criterion_2_spectral_structure():
             s = eigensolve(assemble_block(h, f))
             c = spectral.symmetry_check(s)
             reports["symmetry"].record(c.threshold - c.value)
-            reports["beta_map"].absorb(inequalities.beta_map_check(h, beta))
+            es = inequalities.edge_spectra(h, f, beta)
+            reports["beta_map"].absorb(inequalities.beta_map_check(es))
             reports["gap"].record(float(np.min(np.abs(s.eigenvalues))) - edge)
             reports["half_half"].absorb(
-                inequalities.half_half_check(cube, f, lam, beta))
-            reports["interlacing"].absorb(
-                inequalities.interlacing_check(cube, f, beta))
+                inequalities.half_half_check(es, lam))
+            reports["interlacing"].absorb(inequalities.interlacing_check(es))
             reports["tail_bound"].absorb(
-                asymptotics.finite_volume_tail_bound(cube, f, lam, beta, 0.3))
+                asymptotics.finite_volume_tail_bound(es, lam, 0.3))
             reports["bracketing"].absorb(
                 inequalities.bracketing_gap_check(cube, f, lam, beta))
             c = spectral.radius_check(s, radius)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blocklab.asymptotics import (CorrelatorProfile, TailCurve, _ct_block_budget,
+                                  _ct_distances,
                                   _suitability_geometry, c0_estimate,
                                   ct_threshold_length, eigenfunction_correlator,
                                   finite_volume_tail_bound, gap_edge,
@@ -14,11 +15,11 @@ from blocklab.asymptotics import (CorrelatorProfile, TailCurve, _ct_block_budget
                                   tail_exponent_fit, tail_monotonicity_check,
                                   trial_function_energy, wilson_interval)
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
-from blocklab.inequalities import PreconditionError
-from blocklab.lattice import CubeSpec, dist1, inner_boundary
+from blocklab.inequalities import PreconditionError, edge_spectra
+from blocklab.lattice import CubeSpec, inner_boundary
 from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve
-from oracles import dense_suitability_norm
+from oracles import dense_suitability_norm, dist1
 
 LAM1 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 51)
 GAP2 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 52)
@@ -27,6 +28,10 @@ GAP2 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 52)
 def constant_field(cube, v, b):
     n = cube.site_count
     return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
+
+
+def spectra(cube, f, beta):
+    return edge_spectra(build_h(cube, "simple", f), f, beta)
 
 
 # -- gap edge -------------------------------------------------------------------
@@ -104,7 +109,7 @@ def test_finite_volume_tail_bound_equality_at_constant_b():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(1), 3)
     for r in range(10):
         f = sample_field(cube, cfg, r)
-        rep = finite_volume_tail_bound(cube, f, lam=1.0, beta=1.0, eps=0.3)
+        rep = finite_volume_tail_bound(spectra(cube, f, beta=1.0), lam=1.0, eps=0.3)
         assert rep.passed
         assert rep.worst_margin == 0.0      # the chain is an equality here
 
@@ -113,13 +118,13 @@ def test_finite_volume_tail_bound_random():
     cube = CubeSpec(1, 20)
     for r in range(50):
         f = sample_field(cube, GAP2, r)
-        assert finite_volume_tail_bound(cube, f, 1.0, 1.0, eps=0.3).passed
+        assert finite_volume_tail_bound(spectra(cube, f, 1.0), 1.0, eps=0.3).passed
 
 
 def test_finite_volume_tail_bound_saturates():
     cube = CubeSpec(1, 10)
     f = sample_field(cube, GAP2, 0)
-    rep = finite_volume_tail_bound(cube, f, 1.0, 1.0, eps=50.0)
+    rep = finite_volume_tail_bound(spectra(cube, f, 1.0), 1.0, eps=50.0)
     assert rep.passed   # both sides count everything
 
 
@@ -298,7 +303,7 @@ def test_ct_block_budget_matches_pair_loop(d, L):
         for n in inner_boundary(cube.sites()):
             for m in cube.concentric(L / 3.0).sites():
                 total += (4.0 / dcap * math.exp(-dcap * dist1(n, m) / (12.0 * d))) ** 2
-        assert _ct_block_budget(cube, delta, d) == math.sqrt(total)
+        assert _ct_block_budget(_ct_distances(cube), delta, d) == math.sqrt(total)
 
 
 def test_wilson_interval_sane():

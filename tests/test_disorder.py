@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from blocklab.disorder import (DisorderConfig, SiteMeasure, case_beta,
-                               sample_field, site_uniform)
+from blocklab.disorder import DisorderConfig, SiteMeasure, case_beta, sample_field
 from blocklab.lattice import CubeSpec
+from oracles import site_uniform
 
 
 def numeric_total_variation(m, n_grid=200001):
@@ -76,20 +76,6 @@ def test_case_beta_classification():
 def test_case_beta_rejects_straddling_atoms():
     with pytest.raises(ValueError):
         case_beta(SiteMeasure.two_point(-1, 0.5, 1))
-
-
-def test_mass_constants_uniform_exact():
-    m = SiteMeasure.uniform(1, 3)
-    C, kappa = m.mass_constants()
-    for eta in (1e-6, 1e-3, 0.1, 0.5, 1.9):
-        assert m.mass(1.0, 1.0 + eta) == pytest.approx(C * eta ** kappa, rel=1e-12)
-
-
-def test_mass_constants_triangular_hold():
-    m = SiteMeasure.triangular(0, 1)
-    C, kappa = m.mass_constants()
-    for eta in (1e-4, 1e-2, 0.2, 0.5):
-        assert m.mass(0.0, eta) >= C * eta ** kappa * (1 - 1e-12)
 
 
 def test_mass_atoms_half_open():

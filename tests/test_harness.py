@@ -309,6 +309,26 @@ def test_every_shipped_config_validates(capsys):
     assert failing == []
 
 
+@pytest.mark.parametrize("section", ["[interlace]\nesp = 0.2\n",
+                                     "[fh]\nstep = 1e-3\n"])
+def test_unknown_section_key_exits_3(section, tmp_path, capsys):
+    # a misspelt key, and the Feynman-Hellmann step that no run reads
+    kind = section[1:section.index("]")]
+    text = make_text(kind, extra=section)
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert "unknown key" in capsys.readouterr().err
+    assert run(parse_config(text), tmp_path / "out").exit_code == 3
+
+
+def test_config_accessors_refuse_undeclared_keys():
+    cfg = make_cfg("fh")
+    assert cfg.scalar("tol", 1e-6) == 1e-6
+    with pytest.raises(KeyError):
+        cfg.scalar("step", 1e-3)
+
+
 def test_precondition_exit_code(tmp_path):
     cfg = make_cfg("wegner", va=-2.0, vb=-1.0,
                    extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n")
@@ -367,6 +387,58 @@ def test_interlace_skips_counted_in_their_checks_row(tmp_path):
     assert rows["bracketing_gap"][4] == "2"
     skipped = {r.name: r.preconditions_failed for r in result.reports}
     assert skipped["half_half"] == skipped["bracketing_gap"] == 2
+
+
+# one small run per kind; V has a density, so no two realizations share a
+# matrix.  sli-edi is left out: edi_check solves its own region for any
+# eigen index it is given (the acceptance tests probe arbitrary ones), so
+# it re-solves the cube that the row solved to pick the index.
+EIGEN_COUNT_CASES = {
+    "spectrum": make_text("spectrum", R=4),
+    "ids": make_text("ids", R=4, extra="[ids]\nenergies = -2 0 2\n"),
+    "dos": make_text("dos", R=4, extra="[dos]\nbins = -6 6 30\n"),
+    "wegner": make_text("wegner", R=4,
+                        extra="[wegner]\nenergies = 2.0 3.0\nepsilons = 0.1 0.2\n"),
+    "gap": make_text("gap", L=8, R=4, va=1.0, vb=2.0, bargs="a = 1.0\nb = 2.0"),
+    "interlace": make_text("interlace", L=8, R=4, va=1.0, vb=2.0,
+                           bargs="a = 1.0\nb = 2.0"),
+    "green": make_text("green", L=9, R=4, va=1.0, vb=2.0,
+                       extra="[green]\nenergy = 0.0\nlengths = 2 5 9\n"),
+    "ct": make_text("ct", L=10, R=4, va=1.0, vb=2.0, extra="[ct]\nenergy = 0.0\n"),
+    # 15 and 16 give the same cube
+    "tails": make_text("tails", L=15, R=4, va=1.0, vb=2.0, bk="point_mass",
+                       bargs="c = 0.0",
+                       extra="[tails]\nepsilons = 0.3 0.4 0.5\nlengths = 15 15 15\n"),
+    "suitability": make_text("suitability", L=12, R=4, va=1.0, vb=2.0,
+                             bk="point_mass", bargs="c = 0.0",
+                             extra="[suitability]\nlengths = 6 12\ntheta = 1.5 3\n"
+                                   "energies = 0.0 0.5\n"),
+    "correlator": make_text("correlator", L=21, R=4, va=0.0, vb=5.0,
+                            extra="[correlator]\ninterval = -1.5 1.5\n"),
+    "fh": make_text("fh", L=6, R=4),
+}
+
+
+def test_eigen_count_cases_cover_every_kind_but_sli_edi():
+    assert set(EIGEN_COUNT_CASES) == set(harness.KINDS) - {"sli-edi"}
+
+
+@pytest.mark.parametrize("kind", sorted(EIGEN_COUNT_CASES))
+def test_one_eigen_call_per_distinct_matrix(kind, tmp_path, monkeypatch):
+    solved = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            a = np.asarray(a)
+            solved.append((a.shape, a.tobytes()))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = parse_config(EIGEN_COUNT_CASES[kind])
+    run(cfg, tmp_path)
+    assert solved
+    assert len(solved) == len(set(solved))
+    if kind == "interlace":
+        # H, the plain block, the reference block and the bracketing block
+        assert len(solved) == 4 * cfg.realizations
 
 
 def test_wegner_experiment(tmp_path):

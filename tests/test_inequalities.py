@@ -9,8 +9,9 @@ from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_f
 from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionError,
                                    beta_map_check, bracketing_gap_check,
                                    dos_bound_energy_dependent, feynman_hellmann_report,
-                                   fh_derivative_sums, half_half_check,
-                                   interlacing_check, wegner_finite_volume)
+                                   edge_spectra, fh_derivative_sums,
+                                   half_half_check, interlacing_check,
+                                   wegner_finite_volume)
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_bracketing, build_h, build_h0
 from blocklab.spectral import (count_leq, count_window, dos_histogram, eigensolve,
@@ -23,6 +24,10 @@ POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 def constant_field(cube, v, b):
     n = cube.site_count
     return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
+
+
+def spectra(cube, f, beta):
+    return edge_spectra(build_h(cube, "simple", f), f, beta)
 
 
 # -- CheckReport ----------------------------------------------------------------
@@ -219,7 +224,7 @@ def test_fh_random_fields_all_above_one():
 def test_interlacing_equality_at_constant_b():
     cube = CubeSpec(1, 6)
     f = constant_field(cube, 0.5, 1.0)
-    rep = interlacing_check(cube, f, beta=1.0)
+    rep = interlacing_check(spectra(cube, f, beta=1.0))
     assert rep.passed
     assert rep.worst_margin == pytest.approx(1e-10, abs=1e-12)
 
@@ -228,7 +233,7 @@ def test_interlacing_random():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(1, 2), 5)
     for r in range(25):
         f = sample_field(CubeSpec(1, 8), cfg, r)
-        assert interlacing_check(CubeSpec(1, 8), f, beta=1.0).passed
+        assert interlacing_check(spectra(CubeSpec(1, 8), f, beta=1.0)).passed
 
 
 def test_interlacing_beta_zero_dominates_scalar():
@@ -236,7 +241,7 @@ def test_interlacing_beta_zero_dominates_scalar():
     cube = CubeSpec(1, 8)
     for r in range(10):
         f = sample_field(cube, cfg, r)
-        assert interlacing_check(cube, f, beta=0.0).passed
+        assert interlacing_check(spectra(cube, f, beta=0.0)).passed
         h = build_h(cube, "simple", f)
         lam_pos = eigensolve(
             __import__("blocklab.operators", fromlist=["assemble_block"])
@@ -249,13 +254,13 @@ def test_interlacing_rejects_b_below_beta():
     cube = CubeSpec(1, 6)
     f = constant_field(cube, 1.0, 0.5)
     with pytest.raises(PreconditionError):
-        interlacing_check(cube, f, beta=1.0)
+        interlacing_check(spectra(cube, f, beta=1.0))
 
 
 def test_beta_map_single_site():
     cube = CubeSpec(1, 2)
-    h = build_h(cube, "simple", constant_field(cube, 1.0, 0.0))
-    assert beta_map_check(h, 2.0).passed
+    f = constant_field(cube, 1.0, 0.0)
+    assert beta_map_check(spectra(cube, f, 2.0)).passed
 
 
 def test_beta_map_toeplitz_frozen_values():
@@ -265,13 +270,14 @@ def test_beta_map_toeplitz_frozen_values():
     e = np.array([2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
     expected = np.sort(np.concatenate([np.sqrt(e ** 2 + 1), -np.sqrt(e ** 2 + 1)]))
     assert s.eigenvalues == pytest.approx(expected)
-    assert beta_map_check(h, 1.0).passed
+    f = constant_field(CubeSpec(1, 3), 0.0, 0.0)
+    assert beta_map_check(edge_spectra(h, f, 1.0)).passed
 
 
 def test_beta_map_zero_coupling():
     cube = CubeSpec(2, 3)
     f = sample_field(cube, POS, 4)
-    assert beta_map_check(build_h(cube, "simple", f), 0.0).passed
+    assert beta_map_check(spectra(cube, f, 0.0)).passed
 
 
 def test_beta_map_invariant_under_site_relabeling():
@@ -282,7 +288,7 @@ def test_beta_map_invariant_under_site_relabeling():
     relabeled = h.matrix[np.ix_(perm, perm)]
     from blocklab.operators import ScalarOperator
     h2 = ScalarOperator(tuple(h.sites[i] for i in perm), relabeled)
-    assert beta_map_check(h2, 0.7).passed
+    assert beta_map_check(edge_spectra(h2, f, 0.7)).passed
 
 
 def test_half_half_exact_count():
@@ -290,7 +296,7 @@ def test_half_half_exact_count():
     cube = CubeSpec(1, 10)
     for r in range(30):
         f = sample_field(cube, cfg, r)
-        rep = half_half_check(cube, f, lam=1.0, beta=0.0)
+        rep = half_half_check(spectra(cube, f, beta=0.0), lam=1.0)
         assert rep.passed
 
 
@@ -298,14 +304,14 @@ def test_half_half_block_diagonal_case():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 2)
     cube = CubeSpec(1, 8)
     f = sample_field(cube, cfg, 0)
-    assert half_half_check(cube, f, lam=1.0, beta=0.0).passed
+    assert half_half_check(spectra(cube, f, beta=0.0), lam=1.0).passed
 
 
 def test_half_half_rejects_v_below_lam():
     cube = CubeSpec(1, 8)
     f = sample_field(cube, POS, 0)      # V in [0, 1]
     with pytest.raises(PreconditionError):
-        half_half_check(cube, f, lam=0.5, beta=0.0)
+        half_half_check(spectra(cube, f, beta=0.0), lam=0.5)
 
 
 # -- min-max-max ---------------------------------------------------------------

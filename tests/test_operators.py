@@ -5,8 +5,8 @@ from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_f
 from blocklab.lattice import CubeSpec, inner_boundary, outer_boundary
 from blocklab.operators import (assemble_beta_reference, assemble_block,
                                 assemble_bracketing, build_gamma, build_h,
-                                build_h0, indicator)
-from oracles import dump_matrix, embed_block
+                                build_h0)
+from oracles import dump_matrix, embed_block, indicator
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 31)
 

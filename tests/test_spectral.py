@@ -168,7 +168,7 @@ def test_self_averaging_variance_trend():
     variances = []
     for L in (20, 40, 80):
         est = ids_monte_carlo(cfg, CubeSpec(1, L), [1.0], R)
-        variances.append(est.variance()[0])
+        variances.append(est.stderr_N[0] ** 2 * R)
     # var-of-var slack ~ var * sqrt(2/(R-1)) per term, 3 sigma
     for small, large in zip(variances[1:], variances):
         slack = 3.0 * np.hypot(small, large) * np.sqrt(2.0 / (R - 1))
