@@ -14,12 +14,13 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, case_beta, sample_field
+from .disorder import DisorderConfig, case_beta, sample_fields
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
                       site_array, site_index)
 from .operators import MAX_BLOCK_DIM, build_h0, component_indices
-from .spectral import Spectrum, count_leq, eigensolve, plain_block, run_realizations
+from .spectral import (Spectrum, count_below, eigensolve, per_realization,
+                       plain_block, run_realizations)
 
 
 # -- gap edge ----------------------------------------------------------------
@@ -81,9 +82,12 @@ def default_tail_length(eps: float, d: int, floor: int = 12) -> int:
     return L
 
 
-def _tail_row(r, cube, config, thresholds):
-    s = eigensolve(plain_block(cube, config, r))
-    return [count_leq(s, t) / s.dim - 0.5 for t in thresholds]
+def _tail_rows(rs, cube, config, thresholds):
+    """N(t) - 1/2 at every threshold t, per realization of the block:
+    N(t) counts the eigenvalues at or below t (<=), by inertia."""
+    below = count_below(cube, *sample_fields(cube, config, rs), thresholds,
+                        side="right")
+    return below / (2 * cube.site_count) - 0.5
 
 
 def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
@@ -94,7 +98,8 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
     which holds under the edge hypotheses (V at or above lam, B in its
     case).  Grid points where no realization captures an eigenvalue are
     flagged censored.  Grid points whose lengths give the same cube share
-    one ensemble: each realization is solved once per cube.
+    one ensemble: each realization is sampled and counted once per cube,
+    at all of their thresholds.
     """
     ge = gap_edge(config, d)
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
@@ -108,7 +113,7 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
     per_point = {}
     for ks in by_cube.values():
         rows = run_realizations(
-            partial(_tail_row, cube=CubeSpec(d, lengths[ks[0]]), config=config,
+            partial(_tail_rows, cube=CubeSpec(d, lengths[ks[0]]), config=config,
                     thresholds=ge.edge + eps_grid[ks]), R, mapper)
         per_point.update(zip(ks, np.array(rows).T.copy()))
     means, errs, cens, samples = [], [], [], []
@@ -218,10 +223,13 @@ def lower_bound_scale(c0_hat: float, eps: float) -> int:
     return L
 
 
-def _lower_bound_event(r, cube, config, lam, beta, eps, psi2):
-    f = sample_field(cube, config, r)
-    value = psi2 @ (f.V - lam) + math.sqrt(psi2 @ (f.B - beta) ** 2)
-    return 1 if value < eps / 2.0 else 0
+def _lower_bound_events(rs, cube, config, lam, beta, eps, psi2):
+    """Per realization of the block, whether the quadratic form
+    <psi2, V - lam> + sqrt(<psi2, (B - beta)^2>) lies below eps/2.  Each
+    row is summed on its own, so its value does not depend on the block."""
+    V, B = sample_fields(cube, config, rs)
+    value = (psi2 * (V - lam)).sum(axis=1) + np.sqrt((psi2 * (B - beta) ** 2).sum(axis=1))
+    return value < eps / 2.0
 
 
 def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
@@ -240,9 +248,9 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
     n = cube.site_count
     bound = (config.mu_V.mass(ge.lam, ge.lam + eps / 4.0) ** n
              * config.mu_B.mass(ge.beta - eps / 4.0, ge.beta + eps / 4.0) ** n)
-    hits = sum(run_realizations(
-        partial(_lower_bound_event, cube=cube, config=config, lam=ge.lam,
-                beta=ge.beta, eps=eps, psi2=psi2), R, mapper))
+    hits = int(np.count_nonzero(run_realizations(
+        partial(_lower_bound_events, cube=cube, config=config, lam=ge.lam,
+                beta=ge.beta, eps=eps, psi2=psi2), R, mapper)))
     phat = hits / R
     sigma = math.sqrt(max(phat * (1.0 - phat), 0.0) / R)
     rep = CheckReport("lower_bound_probability",
@@ -406,10 +414,10 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     a_L = ge.edge + L ** -0.5
     _require(bool(np.all(np.abs(energies) <= a_L)),
              f"energies must lie in [-a_L, a_L] with a_L = {a_L:.6g}")
-    rows = run_realizations(
+    rows = run_realizations(per_realization(
         partial(_suitability_row, cube=cube, config=config,
                 geometry=_suitability_geometry(cube), energies=energies,
-                a_L=a_L), R, mapper)
+                a_L=a_L)), R, mapper)
     norms = np.array([row[0] for row in rows])                  # R x nE
     events = np.array([row[2] for row in rows], dtype=bool)
     # per gap event and energy: the instance's own decay budget (inf on the
@@ -502,9 +510,9 @@ def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
         pairs = tuple((cube.center, m) for m in cube.sites())
     else:
         pairs = tuple((tuple(n), tuple(m)) for n, m in pairs)
-    rows = np.vstack(run_realizations(
+    rows = np.vstack(run_realizations(per_realization(
         partial(_correlator_row, cube=cube, config=config,
-                interval=tuple(interval), pairs=pairs), R, mapper))
+                interval=tuple(interval), pairs=pairs)), R, mapper))
     contributing = int(np.sum(rows.any(axis=1)))
     stderr = (rows.std(axis=0, ddof=1) / math.sqrt(R) if R > 1
               else np.zeros(rows.shape[1]))

@@ -262,12 +262,26 @@ def _cube_uniforms(master_seed: int, realization_index: int, family: str,
     return (np.frombuffer(b"".join(digests), "<u8") >> 11) * 2.0 ** -53
 
 
+def sample_fields(cube: CubeSpec, config: DisorderConfig,
+                  realizations) -> tuple[np.ndarray, np.ndarray]:
+    """The V- and B-fields of a block of realizations on a cube.
+
+    Row i of each (R, N) array is realization realizations[i], in canonical
+    site order: the same values `sample_field` draws for it, whatever the
+    other rows of the block are.
+    """
+    seed = config.master_seed
+    n = cube.site_count
+    # a point mass ignores its uniforms, so its family is not hashed
+    return tuple(
+        np.full((len(realizations), n), m.params[0]) if m.kind == "point_mass"
+        else m.from_uniform(np.array([_cube_uniforms(seed, r, family, cube)
+                                      for r in realizations]).reshape(-1, n))
+        for m, family in ((config.mu_V, "V"), (config.mu_B, "B")))
+
+
 def sample_field(cube: CubeSpec, config: DisorderConfig,
                  realization_index: int) -> FieldSample:
     """Draw one i.i.d. realization of the V- and B-fields on a cube."""
-    seed = config.master_seed
-    # a point mass ignores its uniforms, so its family is not hashed
-    V, B = (np.full(cube.site_count, m.params[0]) if m.kind == "point_mass"
-            else m.from_uniform(_cube_uniforms(seed, realization_index, family, cube))
-            for m, family in ((config.mu_V, "V"), (config.mu_B, "B")))
-    return FieldSample(cube, V, B, realization_index)
+    V, B = sample_fields(cube, config, (realization_index,))
+    return FieldSample(cube, V[0], B[0], realization_index)

@@ -59,15 +59,17 @@ def _sub(matrix, ambient_sites, row_sites, col_sites):
     return matrix[np.ix_(rows, cols)]
 
 
-def _nested_resolvents(region1, region2, region3, field, energy):
+def _nested_resolvents(region1, region2, region3, field, energy,
+                       spectra=(None, None)):
     r1 = lattice.sites(region1)
     r2 = lattice.sites(region2)
     r3 = lattice.sites(region3)
     _require(lattice.strictly_inside(r1, r2) and lattice.strictly_inside(r2, r3),
              "need region1 strictly inside region2 strictly inside region3")
     _require(set(r2) <= set(r3), "region2 must be contained in region3")
-    g2 = resolvent(_plain_block_on(r2, field), energy)
-    g3 = resolvent(_plain_block_on(r3, field), energy)
+    s2, s3 = spectra
+    g2 = resolvent(_plain_block_on(r2, field), energy, s2)
+    g3 = resolvent(_plain_block_on(r3, field), energy, s3)
     return r1, r2, r3, g2, g3
 
 
@@ -107,9 +109,14 @@ def gri_check(region1, region2, region3, field: FieldSample, energy: float,
 
 
 def sli_check(region1, region2, region3, field: FieldSample, energy: float,
-              rtol: float = 1e-9) -> CheckReport:
-    """Boundary-to-core resolvent block bounded through the intermediate scale."""
-    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field, energy)
+              rtol: float = 1e-9, spectra=(None, None)) -> CheckReport:
+    """Boundary-to-core resolvent block bounded through the intermediate scale.
+
+    `spectra` holds the spectra of the plain blocks on region2 and region3
+    where the caller has solved them; None solves that block here.
+    """
+    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field,
+                                            energy, spectra)
     gamma = build_gamma(r2, r3)
     i3 = lattice.inner_boundary(r3)
     i2 = lattice.inner_boundary(r2)
@@ -124,22 +131,27 @@ def sli_check(region1, region2, region3, field: FieldSample, energy: float,
 
 
 def edi_check(region, cube3, field: FieldSample, eigen_index: int,
-              probe_sites=None, rtol: float = 1e-9) -> CheckReport:
+              probe_sites=None, rtol: float = 1e-9, host: Spectrum | None = None,
+              inner: Spectrum | None = None) -> CheckReport:
     """Eigenfunction mass at a site bounded by resolvent times boundary mass.
 
     The eigenpair comes from the enclosing cube; the identity behind the
     bound is volume-local, so exact finite-volume eigenfunctions stand in
-    for generalized eigenfunctions.
+    for generalized eigenfunctions.  `host` (with eigenvectors) and
+    `inner` are the spectra of the plain blocks on cube3 and on the region
+    where the caller has solved them; None solves that block here.
     """
     r = lattice.sites(region)
     r3 = lattice.sites(cube3)
     _require(lattice.strictly_inside(r, r3),
              "region must be strictly inside the host cube")
-    host = eigensolve(_plain_block_on(r3, field), want_vectors=True)
+    if host is None:
+        host = eigensolve(_plain_block_on(r3, field), want_vectors=True)
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
     inner_op = _plain_block_on(r, field)
-    g = resolvent(inner_op, energy)   # raises if E is too close to sigma(H_region)
+    # raises if E is too close to sigma(H_region)
+    g = resolvent(inner_op, energy, inner)
     gamma = build_gamma(r, r3)
     i_r = lattice.inner_boundary(r)
     o_r = lattice.outer_boundary(r)

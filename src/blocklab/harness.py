@@ -8,9 +8,10 @@ for its specific knobs.  Outputs are CSV tables (UTF-8, comma-separated,
 its hash, check summaries and an outputs manifest.
 
 Determinism contract: with a fixed config and seed, every CSV is
-byte-identical regardless of the worker count, because realization kernels
-are pure functions of (seed, realization index) and aggregation always
-consumes results in realization order.
+byte-identical regardless of the worker count and the realization block
+size, because a realization's row is a pure function of (seed, realization
+index), whatever block it is computed in, and aggregation always consumes
+results in realization order.
 """
 
 import configparser
@@ -28,7 +29,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import (asymptotics, blas, disorder, green, inequalities, lattice,
@@ -37,7 +37,7 @@ from .disorder import DisorderConfig, SiteMeasure, case_beta, sample_field
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
 from .operators import MAX_BLOCK_DIM, assemble_block, build_h
-from .spectral import deterministic_radius, eigensolve
+from .spectral import deterministic_radius, eigensolve, per_realization
 
 # the keys each kind may set in its own section; `validate` rejects any
 # other, and the ExperimentConfig accessors read no other
@@ -299,22 +299,44 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _bit(x) -> str:
+    return "1" if x else "0"
+
+
+# the `_fmt` text of every value of one type, for the types tables hold
+_COLUMN_FORMATS = {float: "{:.17g}".format, np.float64: "{:.17g}".format,
+                   int: str, bool: _bit, np.bool_: _bit, str: str}
+
+
+def _format_column(col) -> list[str]:
+    """`_fmt` of every value of a column, with one formatter for the whole
+    column when it holds values of one type."""
+    kinds = set(map(type, col))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is tuple:
+        # lattice sites repeat down a column: format each distinct one once
+        text = {site: _fmt(site) for site in set(col)}
+        return [text[site] for site in col]
+    return list(map(_COLUMN_FORMATS.get(kind, _fmt), col))
+
+
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """A header line, then one line per row of `_fmt` values."""
+    cols = [_format_column(col) for col in zip(*rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in zip(*cols))
     return path
 
 
 # -- reduction ------------------------------------------------------------------
 
 
-def _attempt(name: str, check, *args) -> CheckReport:
-    """check(*args), or a report of one precondition failure under `name`,
-    the name of the report that check returns."""
+def _attempt(name: str, check, *args, **kwargs) -> CheckReport:
+    """check(*args, **kwargs), or a report of one precondition failure
+    under `name`, the name of the report that check returns."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except PreconditionError:
         return CheckReport(name, preconditions_failed=1)
 
@@ -358,7 +380,7 @@ def _exp_spectrum(cfg, mapper):
     rad = CheckReport("radius", parameters={"radius": radius})
     rows = []
     eigen_rows = spectral.run_realizations(
-        partial(spectral._eigenvalue_row, cube=cube, config=dis),
+        per_realization(partial(spectral._eigenvalue_row, cube=cube, config=dis)),
         cfg.realizations, mapper)
     for r, s in enumerate(spectral.Spectrum(ev) for ev in eigen_rows):
         for j, e in enumerate(s.eigenvalues):
@@ -449,8 +471,8 @@ def _exp_gap(cfg, mapper):
     beta = case_beta(cfg.mu_B).beta
     edge = math.hypot(lam, beta)
     vals = spectral.run_realizations(
-        partial(_gap_row, cube=cfg.cube(), config=cfg.disorder(), edge=edge),
-        cfg.realizations, mapper)
+        per_realization(partial(_gap_row, cube=cfg.cube(), config=cfg.disorder(),
+                                edge=edge)), cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("gap_edge", parameters={"lam": lam, "beta": beta,
                                                         "edge": edge}))
@@ -478,8 +500,9 @@ def _exp_interlace(cfg, mapper):
     beta = cfg.scalar("beta", case_beta(cfg.mu_B).beta)
     eps = cfg.scalar("eps", 0.3)
     reports = _fold(spectral.run_realizations(
-        partial(_interlace_row, cube=cfg.cube(), config=cfg.disorder(), lam=lam,
-                beta=beta, eps=eps), cfg.realizations, mapper))
+        per_realization(partial(_interlace_row, cube=cfg.cube(),
+                                config=cfg.disorder(), lam=lam, beta=beta,
+                                eps=eps)), cfg.realizations, mapper))
     return ({"interlace": _summary_table(reports)}, reports,
             {"lam": lam, "beta": beta})
 
@@ -510,8 +533,9 @@ def _exp_green(cfg, mapper):
     energy = cfg.scalar("energy", 0.0)
     lengths = _nested_lengths(cfg)
     vals = spectral.run_realizations(
-        partial(_green_row, d=cfg.d, lengths=lengths, config=cfg.disorder(),
-                energy=energy), cfg.realizations, mapper)
+        per_realization(partial(_green_row, d=cfg.d, lengths=lengths,
+                                config=cfg.disorder(), energy=energy)),
+        cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("gri_residual", parameters={
                         "E": energy, "lengths": list(lengths)}))
@@ -544,8 +568,8 @@ def _ct_row(r, cube, config, energy):
 def _exp_ct(cfg, mapper):
     energy = cfg.scalar("energy", 0.0)
     vals = spectral.run_realizations(
-        partial(_ct_row, cube=cfg.cube(), config=cfg.disorder(), energy=energy),
-        cfg.realizations, mapper)
+        per_realization(partial(_ct_row, cube=cfg.cube(), config=cfg.disorder(),
+                                energy=energy)), cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("combes_thomas", parameters={"E": energy}),
                     CheckReport("ct_rate", parameters={"E": energy}))
@@ -563,12 +587,19 @@ def _exp_ct(cfg, mapper):
 def _sli_edi_row(r, d, lengths, config, energy):
     c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
     f = sample_field(c3, config, r)
-    sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy)
+    if not lattice.strictly_inside(c2, c3):      # both checks need it
+        return [CheckReport("sli", preconditions_failed=1),
+                CheckReport("edi", preconditions_failed=1)]
+    # one solve each of the host cube and the middle cube serves both checks
+    host = eigensolve(assemble_block(build_h(c3, "simple", f), f),
+                      want_vectors=True)
+    middle = eigensolve(assemble_block(build_h(c2, "simple", f), f))
+    sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy,
+                   spectra=(middle, host))
     try:
-        s = eigensolve(assemble_block(build_h(c3, "simple", f), f))
-        j = int(np.argmin(np.abs(s.eigenvalues - energy)))
         # probe the eigenpair closest to the requested energy
-        edi = green.edi_check(c2, c3, f, j)
+        j = int(np.argmin(np.abs(host.eigenvalues - energy)))
+        edi = green.edi_check(c2, c3, f, j, host=host, inner=middle)
     except (PreconditionError, ValueError):
         edi = CheckReport("edi", preconditions_failed=1)
     return [sli, edi]
@@ -577,8 +608,10 @@ def _sli_edi_row(r, d, lengths, config, energy):
 def _exp_sli_edi(cfg, mapper):
     energy = cfg.scalar("energy", 0.0)
     reports = _fold(spectral.run_realizations(
-        partial(_sli_edi_row, d=cfg.d, lengths=_nested_lengths(cfg),
-                config=cfg.disorder(), energy=energy), cfg.realizations, mapper),
+        per_realization(partial(_sli_edi_row, d=cfg.d,
+                                lengths=_nested_lengths(cfg),
+                                config=cfg.disorder(), energy=energy)),
+        cfg.realizations, mapper),
         CheckReport("sli", parameters={"E": energy}), CheckReport("edi"))
     return {"sli_edi": _summary_table(reports)}, reports, {}
 
@@ -706,8 +739,8 @@ def _fh_row(r, cube, config, tol):
 def _exp_fh(cfg, mapper):
     tol = cfg.scalar("tol", 1e-6)
     vals = spectral.run_realizations(
-        partial(_fh_row, cube=cfg.cube(), config=cfg.disorder(), tol=tol),
-        cfg.realizations, mapper)
+        per_realization(partial(_fh_row, cube=cfg.cube(), config=cfg.disorder(),
+                                tol=tol)), cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("feynman_hellmann", parameters={"tol": tol}))
     rows = [(r,) + v for r, (_, v) in enumerate(vals) if v is not None]
@@ -801,6 +834,9 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     # this process, and the caches hold only this run's cubes
     lattice._cube_sites.cache_clear()
     disorder._packed_sites.cache_clear()
+    # scipy is recorded, not used: imported here, importing the CLI loads
+    # no scipy module
+    import scipy
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__,
            "cpu_affinity": len(os.sched_getaffinity(0)),

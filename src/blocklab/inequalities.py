@@ -13,12 +13,11 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, FieldSample
+from .disorder import DisorderConfig, FieldSample, sample_fields
 from .lattice import CubeSpec
 from .operators import (ScalarOperator, assemble_beta_reference, assemble_block,
                         assemble_bracketing, build_h)
-from .spectral import (DosHistogram, count_window, eigensolve, plain_block,
-                       run_realizations)
+from .spectral import DosHistogram, count_below, eigensolve, run_realizations
 
 
 class PreconditionError(ValueError):
@@ -115,8 +114,8 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
     """Expected eigenvalue count in [E-eps, E+eps[ against 8 eps N (BV_V + BV_B).
 
     `windows` is a sequence of (E, eps) pairs; one report is returned per
-    window, in order.  Each realization is sampled and diagonalized once
-    and counted in every window.
+    window, in order.  Realizations are sampled and counted a block at a
+    time, by inertia (`count_below`), at every window edge at once.
 
     Hypotheses: both single-site measures supported in [0, inf) with
     densities of bounded variation, E > 0 and 3 eps < E.
@@ -134,7 +133,8 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
 
     rows = run_realizations(
         partial(_window_counts, cube=cube, config=config,
-                bounds=[(e - eps, e + eps) for e, eps in windows]), R, mapper)
+                edges=[x for e, eps in windows for x in (e - eps, e + eps)]),
+        R, mapper)
     reports = []
     for k, (energy, eps) in enumerate(windows):
         counts = np.array([row[k] for row in rows], dtype=float)
@@ -150,9 +150,13 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
     return reports
 
 
-def _window_counts(r, cube, config, bounds):
-    s = eigensolve(plain_block(cube, config, r))
-    return [count_window(s, lo, hi) for lo, hi in bounds]
+def _window_counts(rs, cube, config, edges):
+    """Per realization of the block, the eigenvalue count in each window
+    [lo, hi[ (`edges` lists lo, hi window by window): below hi minus
+    below lo, both strict, so an eigenvalue at lo counts and one at hi
+    does not."""
+    below = count_below(cube, *sample_fields(cube, config, rs), edges)
+    return below[:, 1::2] - below[:, 0::2]
 
 
 def dos_bound_energy_dependent(hist: DosHistogram) -> CheckReport:
@@ -207,15 +211,18 @@ def dos_bound_uniform(hist: DosHistogram) -> CheckReport:
 FH_MIN_SPACING = 1e-4
 
 
-def fh_derivative_sums(region, field: FieldSample) -> tuple[np.ndarray, np.ndarray]:
+def fh_derivative_sums(region, field: FieldSample,
+                       h: ScalarOperator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Block eigenvalues E_j on the region, ascending, and the sums
     sum_n (d/dV_n + d/dB_n) E_j over the region's sites, from one eigh.
 
     By Hellmann-Feynman, with u and l the upper and lower components of the
     normalized eigenvector of E_j, dE_j/dV_n = u_n^2 - l_n^2 and
-    dE_j/dB_n = 2 u_n l_n.  Exact for a simple eigenvalue.
+    dE_j/dB_n = 2 u_n l_n.  Exact for a simple eigenvalue.  `h` is
+    build_h(region, "simple", field) when the caller has built it already.
     """
-    h = build_h(region, "simple", field)
+    if h is None:
+        h = build_h(region, "simple", field)
     s = eigensolve(assemble_block(h, field), want_vectors=True)
     u, l = s.eigenvectors[:h.n], s.eigenvectors[h.n:]
     return s.eigenvalues, np.sum(u * u - l * l + 2.0 * u * l, axis=0)
@@ -232,7 +239,7 @@ def feynman_hellmann_report(region, field: FieldSample,
     _require(float(np.linalg.eigvalsh(h.matrix)[0]) >= -1e-12,
              "Feynman-Hellmann needs H >= 0")
     _require(field.at(h.sites)[1].min() >= 0.0, "Feynman-Hellmann needs B >= 0")
-    ev, sums = fh_derivative_sums(region, field)
+    ev, sums = fh_derivative_sums(region, field, h)
     rep = CheckReport("feynman_hellmann", parameters={"tol": tol})
     gaps = np.diff(ev)          # ev ascends: the nearest level is adjacent
     spacing = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))

@@ -101,6 +101,16 @@ def _block(sites, upper: np.ndarray, coupling,
     return BlockOperator(sites, m)
 
 
+def assemble_plain(h0: ScalarOperator, V: np.ndarray,
+                   B: np.ndarray) -> BlockOperator:
+    """Plain block (H  B; B  -H) with H = H0 + V, for V and B given at the
+    sites of h0, in its order: the matrix that
+    assemble_block(build_h(region, bc, field), field) writes."""
+    m = h0.matrix.copy()
+    m[np.diag_indices(h0.n)] += V
+    return _block(h0.sites, m, np.diag(B), m)
+
+
 def assemble_block(h: ScalarOperator, field: FieldSample) -> BlockOperator:
     """Block operator (H  B; B  -H) with diagonal coupling B from the field."""
     return _block(h.sites, h.matrix, np.diag(field.at(h.sites)[1]), h.matrix)

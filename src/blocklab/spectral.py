@@ -4,8 +4,12 @@ The normalized eigenvalue counting function of a block operator is
 N(E) = #{eigenvalues <= E} / (2 |region|); its ensemble mean over
 realizations estimates the integrated density of states, and the ensemble
 eigenvalue histogram estimates the density of states directly.
+
+Eigenvalue counts alone need no spectrum: `count_below` reads them off the
+inertia of (H_hat - E) for a whole block of realizations at once.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -13,7 +17,7 @@ import numpy as np
 
 from .disorder import DisorderConfig, SiteMeasure, sample_field
 from .lattice import CubeSpec
-from .operators import BlockOperator, assemble_block, build_h
+from .operators import BlockOperator, assemble_plain, build_h0
 
 EIG_RESIDUAL_RTOL = 1e-10
 
@@ -51,7 +55,12 @@ def eigensolve(op, want_vectors: bool = False) -> Spectrum:
 
 
 def count_leq(s: Spectrum, energy: float) -> int:
-    """Number of eigenvalues in ]-inf, energy], with multiplicity."""
+    """Number of eigenvalues in ]-inf, energy], with multiplicity.
+
+    Ties count: an eigenvalue equal to `energy` is included (<=).  It reads
+    a computed spectrum, so no pivot is involved; count_below(...,
+    side="right") is the same count from the inertia, without a spectrum.
+    """
     return int(np.searchsorted(s.eigenvalues, energy, side="right"))
 
 
@@ -60,10 +69,86 @@ def counting(s: Spectrum, energy: float) -> float:
     return count_leq(s, energy) / s.dim
 
 
-def count_window(s: Spectrum, lo: float, hi: float) -> int:
-    """Number of eigenvalues in the half-open window [lo, hi[."""
-    e = s.eigenvalues
-    return int(np.searchsorted(e, hi, side="left") - np.searchsorted(e, lo, side="left"))
+# -- counting by inertia ---------------------------------------------------
+
+# an exactly singular 2x2 Schur complement is shifted by this multiple of
+# the identity: far below rounding at the operator's scale (its diagonal
+# is at least 2d), and its inverse stays far from overflow
+PIVOT_SHIFT = 2.0 ** -500
+
+
+def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
+                side: str = "left") -> np.ndarray:
+    """Eigenvalue counts of the plain blocks (H  B; B  -H) of a block of
+    realizations on the cube, H = H0 + V under the simple condition.
+
+    Row i of the (R, N) arrays V and B is one realization's field in
+    canonical site order.  Entry (i, k) of the (R, len(energies)) integer
+    result is the number of eigenvalues of realization i, with
+    multiplicity, strictly below energies[k] (side "left": lambda < E) or
+    at or below it (side "right": lambda <= E), as np.searchsorted counts
+    them on the ascending spectrum.
+
+    At d = 1, by Sylvester's law of inertia the count below E is the
+    number of negative eigenvalues of (H_hat - E), and with the two
+    components of each site put together that matrix is block tridiagonal
+    with 2x2 blocks.  Haynsworth's additivity sums the negative
+    eigenvalues of the Schur complements
+    S_n = A_n - E - C S_(n-1)^-1 C, C = diag(-1, 1), over the sites.  The
+    recursion runs elementwise over realizations and energies and builds
+    no matrix, so a realization's counts do not depend on the block it
+    sits in.  A Schur complement that is exactly singular (a zero pivot:
+    E is then an eigenvalue of a leading section of the chain) is shifted
+    by +PIVOT_SHIFT times the identity for side "left" and by
+    -PIVOT_SHIFT for side "right": a semidefinite change that moves a
+    zero mode to the side the tie policy puts it on, as in the
+    constant-field case, where the spectrum is exactly representable.
+    A count can differ from one read off a computed spectrum only when an
+    eigenvalue lies within rounding of E.
+
+    At d >= 2 each realization is diagonalized densely.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    V = np.asarray(V, dtype=float)
+    B = np.asarray(B, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(B))):
+        raise ValueError("field arrays have non-finite entries")
+    if cube.d == 1:
+        return _schur_counts(V, B, energies,
+                             PIVOT_SHIFT if side == "left" else -PIVOT_SHIFT)
+    h0 = build_h0(cube, "simple")
+    counts = [np.searchsorted(eigensolve(assemble_plain(h0, v, b)).eigenvalues,
+                              energies, side=side) for v, b in zip(V, B)]
+    return np.array(counts, dtype=np.int64).reshape(len(V), len(energies))
+
+
+def _schur_counts(V, B, energies, shift):
+    """count_below at d = 1: the 2x2 Schur recursion over the sites, on
+    (realizations x energies) arrays.  S = (a b; b c) is the current
+    Schur complement, and C S^-1 C = (c b; b a) / det S."""
+    E = energies[None, :]
+    neg = np.zeros((len(V), len(energies)), dtype=np.int64)
+    for n in range(V.shape[1]):
+        v = V[:, n, None]
+        a = 2.0 + v - E
+        c = -2.0 - v - E
+        b = B[:, n, None]
+        if n:
+            a -= c_prev / det
+            c -= a_prev / det
+            b = b - b_prev / det
+        det = a * c - b * b
+        zero = det == 0.0
+        if zero.any():
+            a[zero] += shift
+            c[zero] += shift
+            det = a * c - b * b
+        # det < 0: one negative eigenvalue; det > 0: two when a < 0
+        neg += (det < 0.0) + 2 * ((det > 0.0) & (a < 0.0))
+        a_prev, b_prev, c_prev = a, b, c
+    return neg
 
 
 def spectral_gap(s: Spectrum) -> tuple[float, float]:
@@ -118,7 +203,7 @@ def deterministic_radius(d: int, mu_V: SiteMeasure, mu_B: SiteMeasure) -> float:
 def plain_block(cube: CubeSpec, config: DisorderConfig, r: int) -> BlockOperator:
     """Realization r of the plain block operator on the cube (simple BC)."""
     f = sample_field(cube, config, r)
-    return assemble_block(build_h(cube, "simple", f), f)
+    return assemble_plain(build_h0(cube, "simple"), f.V, f.B)
 
 
 def _counting_row(r: int, cube, config, grid):
@@ -130,15 +215,37 @@ def _eigenvalue_row(r: int, cube, config):
     return eigensolve(plain_block(cube, config, r)).eigenvalues
 
 
-def run_realizations(kernel, R: int, mapper=None) -> list:
-    """Evaluate kernel(r) for r = 0..R-1, preserving realization order.
+# realizations per block kernel call (fewer when a pool needs more blocks)
+REALIZATION_BLOCK = 256
 
-    `mapper` may be a pool map; results are consumed in index order either
-    way, so aggregates do not depend on the degree of parallelism.
+
+def run_realizations(kernel, R: int, mapper=None) -> list:
+    """One row per realization r = 0..R-1, in realization order, from a
+    block kernel: kernel(rs) takes a range of consecutive realization
+    indices and returns one row per index, in order.  `per_realization`
+    lifts a kernel of one index.
+
+    Blocks hold REALIZATION_BLOCK realizations, or fewer when `mapper`, a
+    pool map, needs about four blocks per worker.  Results are consumed in
+    index order either way, and a kernel's row for r may not depend on
+    the block r sits in, so aggregates depend neither on the degree of
+    parallelism nor on the block size.
     """
-    if mapper is None:
-        return [kernel(r) for r in range(R)]
-    return list(mapper(kernel, range(R)))
+    size = REALIZATION_BLOCK
+    if mapper is not None:
+        size = min(size, max(1, math.ceil(R / (4 * mapper.size))))
+    blocks = [range(lo, min(lo + size, R)) for lo in range(0, R, size)]
+    results = map(kernel, blocks) if mapper is None else mapper(kernel, blocks)
+    return [row for rows in results for row in rows]
+
+
+def per_realization(kernel):
+    """The block kernel [kernel(r) for r in rs] of a kernel of one index."""
+    return partial(_each_realization, kernel)
+
+
+def _each_realization(kernel, rs):
+    return [kernel(r) for r in rs]
 
 
 @dataclass(frozen=True)
@@ -157,8 +264,8 @@ def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int,
     if R < 1:
         raise ValueError("need at least one realization")
     grid = np.asarray(grid, dtype=float)
-    rows = run_realizations(partial(_counting_row, cube=cube, config=config,
-                                    grid=grid), R, mapper)
+    rows = run_realizations(per_realization(
+        partial(_counting_row, cube=cube, config=config, grid=grid)), R, mapper)
     data = np.vstack(rows)
     mean = data.mean(axis=0)
     stderr = (data.std(axis=0, ddof=1) / np.sqrt(R) if R > 1
@@ -192,8 +299,8 @@ def dos_histogram(config: DisorderConfig, cube: CubeSpec, edges, R: int,
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("bin edges must be strictly increasing")
-    rows = run_realizations(partial(_eigenvalue_row, cube=cube, config=config),
-                            R, mapper)
+    rows = run_realizations(per_realization(
+        partial(_eigenvalue_row, cube=cube, config=config)), R, mapper)
     dim = 2 * cube.site_count
     widths = np.diff(edges)
     counts = np.vstack([np.histogram(ev, bins=edges)[0] for ev in rows])

@@ -5,8 +5,8 @@ more direct route: finite differences for the Feynman-Hellmann sums, a
 dense solve for the suitability norm, a variational minimization for the
 lowest positive block eigenvalue, explicit 2x2 element reads, block
 embeddings and indicator projections for the exact identities, a per-site
-hash for the field sampler and a per-pair 1-norm distance.  None of them
-runs in an experiment.
+hash for the field sampler, a per-pair 1-norm distance and window counts
+read off a dense spectrum.  None of them runs in an experiment.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from blocklab import lattice
 from blocklab.disorder import FieldSample
 from blocklab.inequalities import PreconditionError
 from blocklab.operators import assemble_block, build_h, component_indices
-from blocklab.spectral import eigensolve
+from blocklab.spectral import Spectrum, eigensolve
 
 # -- sites and sampling ----------------------------------------------------------
 
@@ -42,6 +42,19 @@ def site_uniform(master_seed: int, realization_index: int, site,
     h.update(family.encode("ascii"))
     h.update(struct.pack(f"<{len(site)}q", *site))
     return (int.from_bytes(h.digest(), "little") >> 11) * 2.0 ** -53
+
+
+# -- eigenvalue counts ---------------------------------------------------------
+
+
+def count_window(s: Spectrum, lo: float, hi: float) -> int:
+    """Number of eigenvalues in the half-open window [lo, hi[, read off a
+    computed spectrum: an eigenvalue equal to lo counts, one equal to hi
+    does not, and no pivot is involved.  The library counts the same
+    window by inertia, as count_below(hi) - count_below(lo) with strict
+    (side "left") counts."""
+    e = s.eigenvalues
+    return int(np.searchsorted(e, hi, side="left") - np.searchsorted(e, lo, side="left"))
 
 
 # -- block matrices ------------------------------------------------------------

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blocklab.disorder import DisorderConfig, SiteMeasure, case_beta, sample_field
+from blocklab.disorder import (DisorderConfig, SiteMeasure, case_beta, sample_field,
+                               sample_fields)
 from blocklab.lattice import CubeSpec
 from oracles import site_uniform
 
@@ -236,3 +237,18 @@ def test_sample_field_matches_per_site_oracle(d, L, center, mu_V, mu_B, seed, r)
         oracle = [m.from_uniform(site_uniform(seed, r, s, family)) for s in sites]
         assert values.dtype == np.float64 and values.shape == (len(sites),)
         assert bits(values) == bits(oracle)
+
+
+@pytest.mark.parametrize("d, L, center, mu_V, mu_B", FIELD_CASES)
+def test_sample_fields_rows_match_sample_field(d, L, center, mu_V, mu_B):
+    # any realizations, in any order: row i is realization rs[i] exactly
+    cube = CubeSpec(d, L, center)
+    cfg = DisorderConfig(mu_V, mu_B, 2 ** 40 + 3)
+    rs = [5, 0, 2 ** 62, 5, 17]
+    V, B = sample_fields(cube, cfg, rs)
+    assert V.shape == B.shape == (len(rs), cube.site_count)
+    for i, r in enumerate(rs):
+        f = sample_field(cube, cfg, r)
+        assert bits(V[i]) == bits(f.V) and bits(B[i]) == bits(f.B)
+    empty = sample_fields(cube, cfg, range(0))
+    assert [a.shape for a in empty] == [(0, cube.site_count)] * 2

@@ -177,6 +177,22 @@ def test_edi_all_eigenpairs_all_regions():
     assert checked > dim
 
 
+def test_sli_and_edi_read_spectra_solved_by_the_caller(monkeypatch):
+    c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
+    f = sample_field(c3, GAPPED, 6)
+    host = eigensolve(assemble_block(build_h(c3, "simple", f), f), want_vectors=True)
+    middle = eigensolve(assemble_block(build_h(c2, "simple", f), f))
+    fresh = [sli_check(c1, c2, c3, f, 0.3).to_json(),
+             edi_check(c2, c3, f, 7).to_json()]
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **kw: solves.append(1))
+    given = [sli_check(c1, c2, c3, f, 0.3, spectra=(middle, host)).to_json(),
+             edi_check(c2, c3, f, 7, host=host, inner=middle).to_json()]
+    assert solves == []
+    assert given == fresh
+
+
 def test_edi_interior_support_gives_slack():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)

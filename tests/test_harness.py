@@ -54,6 +54,17 @@ def make_cfg(kind, **kw):
 INTERLACE_SKIPS = make_text("interlace", L=8, R=10,
                             extra="[interlace]\nlam = 0.05\n")
 
+# realization-block kernels: inertia counts and the lower-bound events
+WEGNER_BLOCKS = make_text("wegner", L=20, R=24,
+                          extra="[wegner]\nenergies = 1.0 2.0 3.0\n"
+                                "epsilons = 0.1 0.2\n")
+TAILS_BLOCKS = BASE.format(kind="tails", L=15, R=24, vk="uniform",
+                           vargs="a = 1.0\nb = 2.0",
+                           bk="point_mass", bargs="c = 0.0") \
+    + ("[tails]\nepsilons = 0.3 0.4 0.5\nlengths = 15 15 15\n"
+       "lower_bound = true\nlower_epsilons = 0.75 1.0\n"
+       "lower_realizations = 2000\nc0_lengths = 8 16\n")
+
 
 def test_config_roundtrip_lossless():
     cfg = make_cfg("wegner", extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n")
@@ -143,13 +154,7 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     assert (tmp_path / "w1/ids.csv").read_bytes() == \
         (tmp_path / "w4/ids.csv").read_bytes()
 
-    tails = BASE.format(kind="tails", L=15, R=24, vk="uniform",
-                        vargs="a = 1.0\nb = 2.0",
-                        bk="point_mass", bargs="c = 0.0") \
-        + ("[tails]\nepsilons = 0.3 0.4 0.5\nlengths = 15 15 15\n"
-           "lower_bound = true\nlower_epsilons = 0.75 1.0\n"
-           "lower_realizations = 2000\nc0_lengths = 8 16\n")
-    results = [run(parse_config(tails, workers=w), tmp_path / f"tails{w}")
+    results = [run(parse_config(TAILS_BLOCKS, workers=w), tmp_path / f"tails{w}")
                for w in (1, 2)]
     assert [r.exit_code for r in results] == [0, 0]
     assert [r.environment["pool_size"] for r in results] == [1, 2]
@@ -174,7 +179,7 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     green_2d = make_text("green", L=7, R=6, va=1.0, vb=2.0,
                          extra="[green]\nenergy = 0.3\nlengths = 2 4 7\n") \
         .replace("\nd = 1\n", "\nd = 2\n")
-    for kind, text in (("interlace", INTERLACE_SKIPS),
+    for kind, text in (("wegner", WEGNER_BLOCKS), ("interlace", INTERLACE_SKIPS),
                        ("sli_edi", make_text("sli-edi", L=9, R=6, va=1.0,
                                              vb=2.0)),
                        ("fh", make_text("fh", L=6, R=5)),
@@ -198,6 +203,44 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
             (tmp_path / f"{kind}2" / f"{kind}.csv").read_bytes()
         assert [r.to_json() for r in results[0].reports] == \
             [r.to_json() for r in results[1].reports]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 6])
+def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
+    # two usable CPUs, so that two workers start a real pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cases = ((WEGNER_BLOCKS, ["wegner.csv"]),
+             (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]))
+    expected = {}
+    for text, names in cases:
+        out = tmp_path / "default"
+        assert run(parse_config(text), out).exit_code == 0
+        expected.update((name, (out / name).read_bytes()) for name in names)
+    monkeypatch.setattr(spectral, "REALIZATION_BLOCK", block)
+    for w in (1, 2):
+        for text, names in cases:
+            out = tmp_path / f"w{w}"
+            assert run(parse_config(text, workers=w), out).exit_code == 0
+            for name in names:
+                assert (out / name).read_bytes() == expected[name], (w, name)
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    rows = [(1.0 / 3.0, np.float64(-0.0), 7, np.int64(-4), True, np.True_,
+             (1, -2), "name", math.nan, None),
+            (-math.inf, np.float64(2.5e-300), 0, np.int64(9), False, np.False_,
+             (0, 0), "x", 1.0, 0.0),
+            (0.0, np.float64(math.inf), -3, np.int64(0), True, np.False_,
+             (1, -2), "", np.float64(math.nan), "mixed")]
+    header = [f"c{k}" for k in range(10)]
+    path = write_csv(tmp_path / "t.csv", header, rows)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(harness._fmt(x) for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.read_text().splitlines()[1] == \
+        "0.33333333333333331,-0,7,-4,1,1,1 -2,name,nan,None"
+    empty = write_csv(tmp_path / "e.csv", ["a", "b"], [])
+    assert empty.read_text() == "a,b\n"
 
 
 def test_run_json_contents(tmp_path):
@@ -245,6 +288,7 @@ class RecordingPool:
         self.initializer = initializer
         self.initargs = initargs
         self.chunksizes = []
+        self.mapped = []
 
     def __enter__(self):
         return self
@@ -254,6 +298,7 @@ class RecordingPool:
 
     def map(self, fn, items, chunksize=1):
         self.chunksizes.append(chunksize)
+        self.mapped.append(list(items))
         return map(fn, items)
 
     def submit(self, fn, *args):
@@ -280,7 +325,10 @@ def test_huge_worker_count_is_clamped_to_usable_cpus(tmp_path, monkeypatch):
     pool = pools[0]
     assert pool.max_workers == 3
     assert (pool.initializer, pool.initargs) == (blas.set_threads, (1,))
-    assert pool.chunksizes == [math.ceil(30 / (4 * 3))]
+    # blocks of ceil(30 / (4 * 3)) realizations, about four per worker,
+    # dispatched one by one
+    assert pool.mapped == [[range(k, k + 3) for k in range(0, 30, 3)]]
+    assert pool.chunksizes == [1]
     env = json.loads((tmp_path / "run.json").read_text())["environment"]
     assert (env["workers_requested"], env["pool_size"]) == (10 ** 6, 3)
 
@@ -390,9 +438,7 @@ def test_interlace_skips_counted_in_their_checks_row(tmp_path):
 
 
 # one small run per kind; V has a density, so no two realizations share a
-# matrix.  sli-edi is left out: edi_check solves its own region for any
-# eigen index it is given (the acceptance tests probe arbitrary ones), so
-# it re-solves the cube that the row solved to pick the index.
+# matrix
 EIGEN_COUNT_CASES = {
     "spectrum": make_text("spectrum", R=4),
     "ids": make_text("ids", R=4, extra="[ids]\nenergies = -2 0 2\n"),
@@ -416,11 +462,12 @@ EIGEN_COUNT_CASES = {
     "correlator": make_text("correlator", L=21, R=4, va=0.0, vb=5.0,
                             extra="[correlator]\ninterval = -1.5 1.5\n"),
     "fh": make_text("fh", L=6, R=4),
+    "sli-edi": make_text("sli-edi", L=9, R=4, va=1.0, vb=2.0),
 }
 
 
-def test_eigen_count_cases_cover_every_kind_but_sli_edi():
-    assert set(EIGEN_COUNT_CASES) == set(harness.KINDS) - {"sli-edi"}
+def test_eigen_count_cases_cover_every_kind():
+    assert set(EIGEN_COUNT_CASES) == set(harness.KINDS)
 
 
 @pytest.mark.parametrize("kind", sorted(EIGEN_COUNT_CASES))
@@ -434,11 +481,18 @@ def test_one_eigen_call_per_distinct_matrix(kind, tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = parse_config(EIGEN_COUNT_CASES[kind])
     run(cfg, tmp_path)
-    assert solved
     assert len(solved) == len(set(solved))
+    if kind in ("wegner", "tails"):
+        # d = 1 counts come from the inertia, with no dense eigensolve
+        assert solved == []
+    else:
+        assert solved
     if kind == "interlace":
         # H, the plain block, the reference block and the bracketing block
         assert len(solved) == 4 * cfg.realizations
+    if kind == "sli-edi":
+        # the host cube (with vectors) and the middle cube
+        assert len(solved) == 2 * cfg.realizations
 
 
 def test_wegner_experiment(tmp_path):
@@ -561,14 +615,15 @@ def test_green_experiment(tmp_path):
     assert result.exit_code == 0
 
 
-def test_cli_import_does_not_load_scipy_optimize():
+def test_cli_import_loads_no_scipy_module():
     src = str(Path(blocklab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, blocklab.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, blocklab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_cli_import_starts_openblas_on_one_thread():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blocklab import inequalities, spectral
+from blocklab import inequalities
 from blocklab.asymptotics import TailCurve, tail_monotonicity_check
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
 from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionError,
@@ -14,9 +14,8 @@ from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionErro
                                    wegner_finite_volume)
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_bracketing, build_h, build_h0
-from blocklab.spectral import (count_leq, count_window, dos_histogram, eigensolve,
-                               plain_block)
-from oracles import fh_derivative_sums_fd, minmaxmax_lambda1
+from blocklab.spectral import count_leq, dos_histogram, eigensolve, plain_block
+from oracles import count_window, fh_derivative_sums_fd, minmaxmax_lambda1
 
 POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 
@@ -113,20 +112,21 @@ def test_wegner_windows_match_per_window_loop():
 
 def test_wegner_samples_and_solves_each_realization_once(monkeypatch):
     solves, samples = [], []
-    real_solve, real_sample = inequalities.eigensolve, spectral.sample_field
-    monkeypatch.setattr(inequalities, "eigensolve",
-                        lambda op: solves.append(op.dim) or real_solve(op))
-    monkeypatch.setattr(spectral, "sample_field",
-                        lambda *a: samples.append(a[2]) or real_sample(*a))
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **kw: solves.append(1))
+    real_sample = inequalities.sample_fields
+    monkeypatch.setattr(inequalities, "sample_fields",
+                        lambda *a: samples.extend(a[2]) or real_sample(*a))
     windows = [(e, eps) for e in (1.0, 2.0, 3.0) for eps in (0.1, 0.2)]
-    # a bad window anywhere is rejected before any realization is solved
+    # a bad window anywhere is rejected before any realization is sampled
     with pytest.raises(PreconditionError, match="E=0.3, eps=0.2"):
         wegner_finite_volume(POS, CubeSpec(1, 12), windows + [(0.3, 0.2)], R=7)
     assert solves == samples == []
     reps = wegner_finite_volume(POS, CubeSpec(1, 12), windows, R=7)
     assert len(reps) == 6
-    assert len(solves) == 7
+    # sampled once each and counted by inertia at d = 1: no dense solve
     assert samples == list(range(7))
+    assert solves == []
 
 
 def test_wegner_rejects_point_mass():
@@ -208,6 +208,21 @@ def test_fh_rejects_negative_b():
     f = constant_field(cube, 1.0, -2.0)
     with pytest.raises(PreconditionError):
         feynman_hellmann_report(cube, f)
+
+
+def test_fh_report_builds_h_once(monkeypatch):
+    built = []
+    real = inequalities.build_h
+    monkeypatch.setattr(inequalities, "build_h",
+                        lambda *a: built.append(a[1]) or real(*a))
+    cube = CubeSpec(1, 8)
+    f = sample_field(cube, POS, 1)
+    rep = feynman_hellmann_report(cube, f)
+    assert built == ["simple"]
+    # the sums read off the prebuilt H are those built from scratch
+    ev, sums = fh_derivative_sums(cube, f, real(cube, "simple", f))
+    assert np.array_equal(sums, fh_derivative_sums(cube, f)[1])
+    assert rep.instances == int(np.count_nonzero(ev > 0.0)) - rep.preconditions_failed
 
 
 def test_fh_random_fields_all_above_one():

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
+from blocklab import spectral
+from blocklab.disorder import (DisorderConfig, FieldSample, SiteMeasure, sample_field,
+                               sample_fields)
 from blocklab.lattice import CubeSpec
-from blocklab.operators import assemble_block, build_h, build_h0
-from blocklab.spectral import (count_leq, count_window, counting,
+from blocklab.operators import assemble_block, assemble_plain, build_h, build_h0
+from blocklab.spectral import (count_below, count_leq, counting,
                                deterministic_radius, dos_histogram, eigensolve,
                                ids_monte_carlo, nondegeneracy_check,
-                               plain_block, radius_check, spectral_gap,
-                               symmetry_check)
+                               per_realization, plain_block, radius_check,
+                               run_realizations, spectral_gap, symmetry_check)
+from oracles import count_window
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 17)
 ZERO = DisorderConfig(SiteMeasure.point_mass(0), SiteMeasure.point_mass(0), 0)
@@ -173,3 +176,120 @@ def test_self_averaging_variance_trend():
     for small, large in zip(variances[1:], variances):
         slack = 3.0 * np.hypot(small, large) * np.sqrt(2.0 / (R - 1))
         assert small <= large + slack
+
+
+# -- counting by inertia ------------------------------------------------------
+
+FIELD_MEASURES = [SiteMeasure.uniform(0, 1), SiteMeasure.triangular(-1, 2),
+                  SiteMeasure.two_point(0.0, 0.3, 1.5)]
+
+
+def dense_spectra(cube, V, B):
+    h0 = build_h0(cube, "simple")
+    return [eigensolve(assemble_plain(h0, v, b)).eigenvalues for v, b in zip(V, B)]
+
+
+@pytest.mark.parametrize("L", [2, 3, 12, 50])
+@pytest.mark.parametrize("mu", FIELD_MEASURES, ids=lambda m: m.kind)
+def test_inertia_counts_match_dense_counts(L, mu):
+    cube = CubeSpec(1, L)
+    cfg = DisorderConfig(mu, SiteMeasure.triangular(-1, 1), 31)
+    V, B = sample_fields(cube, cfg, range(12))
+    energies = np.linspace(-6.5, 6.5, 61)
+    spectra = dense_spectra(cube, V, B)
+    checked = 0
+    for side in ("left", "right"):
+        counts = count_below(cube, V, B, energies, side)
+        assert counts.shape == (12, 61) and counts.dtype == np.int64
+        for row, ev in zip(counts, spectra):
+            # every energy at least 1e-9 from the dense spectrum
+            far = np.min(np.abs(ev[:, None] - energies), axis=0) >= 1e-9
+            assert np.array_equal(row[far],
+                                  np.searchsorted(ev, energies[far], side=side))
+            checked += int(far.sum())
+    assert checked > 0.9 * 2 * 12 * 61
+
+
+@pytest.mark.parametrize("L", [3, 5, 11])
+def test_inertia_tie_policy_on_a_constant_field(L):
+    # V = B = 0: the spectrum is +-(2 - 2 cos(k pi / (n + 1))), and the
+    # energies -3..3 hit it exactly where 2 cos(k pi / (n + 1)) is an integer
+    cube = CubeSpec(1, L)
+    n = cube.site_count
+    exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    spectrum = np.concatenate([exact, -exact])
+    energies = np.arange(-3.0, 4.0)
+    on = np.min(np.abs(spectrum[:, None] - energies), axis=0) < 1e-12
+    assert on.any()
+    zero = np.zeros((1, n))
+    below = count_below(cube, zero, zero, energies, "left")[0]
+    at_or_below = count_below(cube, zero, zero, energies, "right")[0]
+    # a zero pivot puts an eigenvalue at E outside "<" and inside "<="
+    assert below.tolist() == [int(np.sum(spectrum < e - 1e-12)) for e in energies]
+    assert at_or_below.tolist() == [int(np.sum(spectrum <= e + 1e-12))
+                                    for e in energies]
+    assert np.array_equal(at_or_below - below, on.astype(int))
+
+
+def test_inertia_counts_per_realization_do_not_depend_on_the_block():
+    cube = CubeSpec(1, 20)
+    V, B = sample_fields(cube, UNIT, range(9))
+    energies = [-2.5, 0.0, 0.7, 3.1]
+    whole = count_below(cube, V, B, energies)
+    rows = [count_below(cube, V[i:i + 1], B[i:i + 1], energies)[0] for i in range(9)]
+    assert np.array_equal(whole, np.array(rows))
+
+
+def test_count_below_dense_at_d2():
+    cube = CubeSpec(2, 4)
+    V, B = sample_fields(cube, UNIT, range(3))
+    energies = [-1.0, 0.25, 2.0]
+    for side in ("left", "right"):
+        expected = [np.searchsorted(ev, energies, side=side)
+                    for ev in dense_spectra(cube, V, B)]
+        assert np.array_equal(count_below(cube, V, B, energies, side), expected)
+
+
+def test_count_below_rejects_bad_input():
+    cube = CubeSpec(1, 5)
+    V, B = sample_fields(cube, UNIT, range(2))
+    with pytest.raises(ValueError, match="side"):
+        count_below(cube, V, B, [0.0], "both")
+    V[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        count_below(cube, V, B, [0.0])
+
+
+def test_assemble_plain_writes_the_plain_block():
+    cube = CubeSpec(2, 5)
+    f = sample_field(cube, UNIT, 4)
+    expected = assemble_block(build_h(cube, "simple", f), f).matrix
+    assert np.array_equal(assemble_plain(build_h0(cube, "simple"), f.V, f.B).matrix,
+                          expected)
+
+
+class Pool:
+    size = 3
+
+    def __init__(self):
+        self.mapped = []
+
+    def __call__(self, fn, items):
+        self.mapped.append(list(items))
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_run_realizations_cuts_blocks_and_keeps_order(block, monkeypatch):
+    monkeypatch.setattr(spectral, "REALIZATION_BLOCK", block)
+    assert run_realizations(lambda rs: [(r, len(rs)) for r in rs], 20) == [
+        (r, min(block, 20 - block * (r // block))) for r in range(20)]
+    assert run_realizations(per_realization(str), 20) == [str(r) for r in range(20)]
+    # a pool map gets about four blocks per worker
+    pool = Pool()
+    assert run_realizations(per_realization(str), 20, pool) == [
+        str(r) for r in range(20)]
+    size = min(block, 2)
+    assert pool.mapped == [[range(lo, min(lo + size, 20))
+                            for lo in range(0, 20, size)]]
+    assert run_realizations(per_realization(str), 0) == []
