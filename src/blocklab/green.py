@@ -113,7 +113,8 @@ def sli_check(region1, region2, region3, field: FieldSample, energy: float,
     """Boundary-to-core resolvent block bounded through the intermediate scale.
 
     `spectra` holds the spectra of the plain blocks on region2 and region3
-    where the caller has solved them; None solves that block here.
+    where the caller has solved them; None solves that block here, as
+    gri_check always does through the same helper.
     """
     r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field,
                                             energy, spectra)

@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -287,45 +287,49 @@ def realization_mapper(workers: int):
 # -- CSV output ---------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    if isinstance(x, tuple):                 # lattice site
-        return " ".join(str(int(c)) for c in x)
-    return str(x)
-
-
 def _bit(x) -> str:
     return "1" if x else "0"
 
 
-# the `_fmt` text of every value of one type, for the types tables hold
-_COLUMN_FORMATS = {float: "{:.17g}".format, np.float64: "{:.17g}".format,
-                   int: str, bool: _bit, np.bool_: _bit, str: str}
+def _integer(x) -> str:
+    return str(int(x))
 
 
-def _format_column(col) -> list[str]:
-    """`_fmt` of every value of a column, with one formatter for the whole
-    column when it holds values of one type."""
-    kinds = set(map(type, col))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is tuple:
-        # lattice sites repeat down a column: format each distinct one once
-        text = {site: _fmt(site) for site in set(col)}
-        return [text[site] for site in col]
-    return list(map(_COLUMN_FORMATS.get(kind, _fmt), col))
+def _real(x) -> str:
+    return f"{float(x):.17g}"
+
+
+@lru_cache(maxsize=4096)
+def _site(x) -> str:
+    # lattice sites repeat down a table: each is formatted once
+    return " ".join(str(int(c)) for c in x)
+
+
+@cache
+def _formatter(kind):
+    """How a CSV cell writes a value of type `kind`: bools as 0/1, integers
+    in decimal, floats as .17g (nan, inf and -0 as Python writes them),
+    lattice sites (tuples) as their coordinates, anything else by str."""
+    if issubclass(kind, (bool, np.bool_)):
+        return _bit
+    if issubclass(kind, (int, np.integer)):
+        return _integer
+    if issubclass(kind, (float, np.floating)):
+        return _real
+    if issubclass(kind, tuple):
+        return _site
+    return str
+
+
+def _fmt(x) -> str:
+    return _formatter(type(x))(x)
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
     """A header line, then one line per row of `_fmt` values."""
-    cols = [_format_column(col) for col in zip(*rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(cells) + "\n" for cells in zip(*cols))
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     return path
 
 

@@ -211,18 +211,16 @@ def dos_bound_uniform(hist: DosHistogram) -> CheckReport:
 FH_MIN_SPACING = 1e-4
 
 
-def fh_derivative_sums(region, field: FieldSample,
-                       h: ScalarOperator | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Block eigenvalues E_j on the region, ascending, and the sums
-    sum_n (d/dV_n + d/dB_n) E_j over the region's sites, from one eigh.
+def fh_derivative_sums(h: ScalarOperator,
+                       field: FieldSample) -> tuple[np.ndarray, np.ndarray]:
+    """Block eigenvalues E_j on the sites of h = build_h(region, "simple",
+    field), ascending, and the sums sum_n (d/dV_n + d/dB_n) E_j over those
+    sites, from one eigh.
 
     By Hellmann-Feynman, with u and l the upper and lower components of the
     normalized eigenvector of E_j, dE_j/dV_n = u_n^2 - l_n^2 and
-    dE_j/dB_n = 2 u_n l_n.  Exact for a simple eigenvalue.  `h` is
-    build_h(region, "simple", field) when the caller has built it already.
+    dE_j/dB_n = 2 u_n l_n.  Exact for a simple eigenvalue.
     """
-    if h is None:
-        h = build_h(region, "simple", field)
     s = eigensolve(assemble_block(h, field), want_vectors=True)
     u, l = s.eigenvectors[:h.n], s.eigenvectors[h.n:]
     return s.eigenvalues, np.sum(u * u - l * l + 2.0 * u * l, axis=0)
@@ -239,7 +237,7 @@ def feynman_hellmann_report(region, field: FieldSample,
     _require(float(np.linalg.eigvalsh(h.matrix)[0]) >= -1e-12,
              "Feynman-Hellmann needs H >= 0")
     _require(field.at(h.sites)[1].min() >= 0.0, "Feynman-Hellmann needs B >= 0")
-    ev, sums = fh_derivative_sums(region, field, h)
+    ev, sums = fh_derivative_sums(h, field)
     rep = CheckReport("feynman_hellmann", parameters={"tol": tol})
     gaps = np.diff(ev)          # ev ascends: the nearest level is adjacent
     spacing = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))

@@ -57,6 +57,24 @@ def count_window(s: Spectrum, lo: float, hi: float) -> int:
     return int(np.searchsorted(e, hi, side="left") - np.searchsorted(e, lo, side="left"))
 
 
+# -- CSV cells ----------------------------------------------------------------
+
+
+def csv_cell(x) -> str:
+    """The CSV text of one value, rule by rule: bools as 0/1, integers in
+    decimal, floats as .17g, lattice sites as their coordinates, anything
+    else by str."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    if isinstance(x, tuple):
+        return " ".join(str(int(c)) for c in x)
+    return str(x)
+
+
 # -- block matrices ------------------------------------------------------------
 
 

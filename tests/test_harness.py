@@ -16,6 +16,7 @@ from blocklab import blas, green, harness, inequalities, spectral
 from blocklab.cli import main as cli_main
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
+from oracles import csv_cell
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -235,7 +236,7 @@ def test_write_csv_matches_per_value_format(tmp_path):
     header = [f"c{k}" for k in range(10)]
     path = write_csv(tmp_path / "t.csv", header, rows)
     expected = ",".join(header) + "\n" + "".join(
-        ",".join(harness._fmt(x) for x in row) + "\n" for row in rows)
+        ",".join(csv_cell(x) for x in row) + "\n" for row in rows)
     assert path.read_bytes() == expected.encode("utf-8")
     assert path.read_text().splitlines()[1] == \
         "0.33333333333333331,-0,7,-4,1,1,1 -2,name,nan,None"

@@ -189,6 +189,24 @@ def dense_spectra(cube, V, B):
     return [eigensolve(assemble_plain(h0, v, b)).eigenvalues for v, b in zip(V, B)]
 
 
+def assert_counts_match_dense(cube, V, B, energies):
+    """count_below equals the dense count at every energy at least 1e-9
+    from the dense spectrum, and lies between the dense counts at E -+ 1e-9
+    at the others; returns how many counts were compared exactly."""
+    checked = 0
+    for side in ("left", "right"):
+        counts = count_below(cube, V, B, energies, side)
+        assert counts.shape == (len(V), len(energies)) and counts.dtype == np.int64
+        for row, ev in zip(counts, dense_spectra(cube, V, B)):
+            far = np.min(np.abs(ev[:, None] - energies), axis=0) >= 1e-9
+            assert np.array_equal(row[far],
+                                  np.searchsorted(ev, energies[far], side=side))
+            assert np.all(np.searchsorted(ev, energies - 1e-9, side="left") <= row)
+            assert np.all(row <= np.searchsorted(ev, energies + 1e-9, side="right"))
+            checked += int(far.sum())
+    return checked
+
+
 @pytest.mark.parametrize("L", [2, 3, 12, 50])
 @pytest.mark.parametrize("mu", FIELD_MEASURES, ids=lambda m: m.kind)
 def test_inertia_counts_match_dense_counts(L, mu):
@@ -196,39 +214,106 @@ def test_inertia_counts_match_dense_counts(L, mu):
     cfg = DisorderConfig(mu, SiteMeasure.triangular(-1, 1), 31)
     V, B = sample_fields(cube, cfg, range(12))
     energies = np.linspace(-6.5, 6.5, 61)
-    spectra = dense_spectra(cube, V, B)
-    checked = 0
-    for side in ("left", "right"):
-        counts = count_below(cube, V, B, energies, side)
-        assert counts.shape == (12, 61) and counts.dtype == np.int64
-        for row, ev in zip(counts, spectra):
-            # every energy at least 1e-9 from the dense spectrum
-            far = np.min(np.abs(ev[:, None] - energies), axis=0) >= 1e-9
-            assert np.array_equal(row[far],
-                                  np.searchsorted(ev, energies[far], side=side))
-            checked += int(far.sum())
-    assert checked > 0.9 * 2 * 12 * 61
+    assert assert_counts_match_dense(cube, V, B, energies) > 0.9 * 2 * 12 * 61
+
+
+# the tails fields V in {0, 1}, B = 1.5: at the threshold
+# hypot(0, 1.5) + 1 = 2.5, a first site with V = 0 is a zero pivot
+DISCRETE = DisorderConfig(SiteMeasure.two_point(0, 0.5, 1),
+                          SiteMeasure.point_mass(1.5), 11)
+
+
+@pytest.mark.parametrize("L", [2, 4, 15, 40])
+def test_inertia_counts_match_dense_counts_on_discrete_fields(L):
+    cube = CubeSpec(1, L)
+    V, B = sample_fields(cube, DISCRETE, range(40))
+    assert (V[:, 0] == 0.0).any()
+    energies = np.arange(-6.0, 6.01, 0.25)
+    assert assert_counts_match_dense(cube, V, B, energies) > 0.5 * 2 * 40 * 49
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_inertia_counts_match_dense_counts_on_half_integer_fields(L):
+    # exact ties of every kind: zero pivots with B = 0 and B != 0, S = 0,
+    # and zero pivots at consecutive sites
+    cube = CubeSpec(1, L)
+    rng = np.random.default_rng(L)
+    V = rng.choice(np.arange(-2.0, 2.01, 0.5), size=(400, cube.site_count))
+    B = rng.choice([-1.0, 0.0, 0.5, 1.0, 1.5], size=V.shape)
+    B[:200] = 0.0
+    energies = np.arange(-6.0, 6.01, 0.25)
+    assert assert_counts_match_dense(cube, V, B, energies) > 0.5 * 2 * 400 * 49
+
+
+def test_inertia_counts_after_a_rounded_zero_pivot():
+    # at E = -1 the fourth site's pivot is a rounding residue (about 8e-16)
+    # of an exact zero, so the next Schur complement has entries near 1e15
+    # and a c - b^2 cancels to nothing; det A - tr(adj(A) G) + det G does not
+    cube = CubeSpec(1, 6)
+    V = np.array([[0.0, 1.5, -2.0, 0.0, -1.0]])
+    B = np.array([[-1.0, 1.5, -1.0, -1.0, -1.0]])
+    assert assert_counts_match_dense(cube, V, B, np.array([-1.0, 1.0])) == 4
+
+
+def constant_field_spectrum(n, v, b):
+    """Spectrum of the plain block of V = v, B = b on n sites:
+    +-sqrt((h_k + v)^2 + b^2), h_k = 2 - 2 cos(k pi / (n + 1))."""
+    h = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    e = np.hypot(h + v, b)
+    return np.concatenate([-e, e])
+
+
+@pytest.mark.parametrize("L", [2, 4, 15])
+def test_inertia_counts_through_coupled_zero_pivots(L):
+    # V = 0, B = 1.5: every odd leading section has hypot(2, 1.5) = 2.5 in
+    # its spectrum, so E = 2.5 is a zero pivot with B != 0
+    cube = CubeSpec(1, L)
+    n = cube.site_count
+    spectrum = constant_field_spectrum(n, 0.0, 1.5)
+    lo, hi = np.sum(spectrum < 2.5 - 1e-12), np.sum(spectrum <= 2.5 + 1e-12)
+    V, B = np.zeros((1, n)), np.full((1, n), 1.5)
+    below, at_or_below = (count_below(cube, V, B, [2.5], side)[0, 0]
+                          for side in ("left", "right"))
+    # the whole chain has 2.5 in its spectrum as well; on one site the
+    # arithmetic is exact, on more the tie itself is decided by rounding
+    assert lo <= below <= at_or_below <= hi
+    if n == 1:
+        assert (below, at_or_below) == (lo, hi)
+    else:
+        # only the first site ties: the whole chain is off the tie
+        V[0, 1:] = 0.5
+        assert assert_counts_match_dense(cube, V, B, np.array([2.5])) == 2
+
+
+def test_count_below_raises_when_the_recursion_overflows():
+    cube = CubeSpec(1, 5)
+    V = np.full((1, 5), 1e200)
+    with pytest.raises(ArithmeticError, match="floating-point range"):
+        count_below(cube, V, np.zeros_like(V), [0.0])
 
 
 @pytest.mark.parametrize("L", [3, 5, 11])
-def test_inertia_tie_policy_on_a_constant_field(L):
-    # V = B = 0: the spectrum is +-(2 - 2 cos(k pi / (n + 1))), and the
-    # energies -3..3 hit it exactly where 2 cos(k pi / (n + 1)) is an integer
+@pytest.mark.parametrize("v", [0.0, -1.5, -2.0])
+def test_inertia_tie_policy_on_a_constant_field(L, v):
+    # V = v, B = 0: the spectrum is +-(v + 2 - 2 cos(k pi / (n + 1))), and
+    # the half-integer energies hit it exactly where 2 cos(k pi / (n + 1))
+    # is an integer.  Zero pivots recur down the chain: at v = -2, E = 0
+    # both components vanish at once (S = 0), and at v = -1.5, E = 0.5 a
+    # zero in one component follows one in the other.  The arithmetic is
+    # exact, so an eigenvalue at E is outside "<" and inside "<=".
     cube = CubeSpec(1, L)
     n = cube.site_count
-    exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-    spectrum = np.concatenate([exact, -exact])
-    energies = np.arange(-3.0, 4.0)
-    on = np.min(np.abs(spectrum[:, None] - energies), axis=0) < 1e-12
-    assert on.any()
-    zero = np.zeros((1, n))
-    below = count_below(cube, zero, zero, energies, "left")[0]
-    at_or_below = count_below(cube, zero, zero, energies, "right")[0]
-    # a zero pivot puts an eigenvalue at E outside "<" and inside "<="
+    spectrum = constant_field_spectrum(n, v, 0.0)
+    energies = np.arange(-3.0, 3.01, 0.5)
+    ties = np.sum(np.abs(spectrum[:, None] - energies) < 1e-12, axis=0)
+    assert ties.any()
+    V, B = np.full((1, n), v), np.zeros((1, n))
+    below = count_below(cube, V, B, energies, "left")[0]
+    at_or_below = count_below(cube, V, B, energies, "right")[0]
     assert below.tolist() == [int(np.sum(spectrum < e - 1e-12)) for e in energies]
     assert at_or_below.tolist() == [int(np.sum(spectrum <= e + 1e-12))
                                     for e in energies]
-    assert np.array_equal(at_or_below - below, on.astype(int))
+    assert np.array_equal(at_or_below - below, ties)
 
 
 def test_inertia_counts_per_realization_do_not_depend_on_the_block():
