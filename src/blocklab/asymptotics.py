@@ -528,18 +528,24 @@ class StretchedFit:
     r_squared: float
 
 
+# exponents k / 20 for k = 2..20, each correctly rounded, so the top one is
+# exactly 1.0; float steps of 0.05 would end at 1.0000000000000004 > 1
+ZETA_GRID = np.arange(2, 21) / 20.0
+
+
 def stretched_fit(profile: CorrelatorProfile, zeta_grid=None) -> StretchedFit:
     """Best stretched-exponential description of the correlator decay.
 
     For each exponent in the grid, ln Q is regressed on |n-m|^zeta; the
     exponent with the highest R^2 wins and its intercept gives the
-    prefactor.  Zero entries (below machine reach) are excluded.
+    prefactor.  Zero entries (below machine reach) are excluded.  The
+    default grid is ZETA_GRID.
     """
     if profile.empty:
         raise ValueError("correlator profile is empty: the interval missed "
                          "the spectrum in every realization")
     if zeta_grid is None:
-        zeta_grid = np.arange(0.1, 1.01, 0.05)
+        zeta_grid = ZETA_GRID
     dists = profile.distances()
     keep = (profile.mean_q > 0.0) & (dists > 0)
     if int(keep.sum()) < 3:

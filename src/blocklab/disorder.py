@@ -6,19 +6,21 @@ total-variation norms and interval masses, which is all the estimates here
 ever need.
 
 Sampling is counter-based: the value at a site is a pure function of
-(master seed, realization index, site, family tag), so fields are
-reproducible independently of enumeration order and worker count, and a
-sub-region of a cube automatically carries the same field values.
+(master seed, realization index, site coordinates, family tag), so fields
+are reproducible independently of enumeration order, block size and
+worker count, and a sub-region of a cube automatically carries the same
+field values.  A SplitMix64-style counter hash (Steele, Lea & Flood,
+OOPSLA 2014) draws a whole block of realizations at once as uint64 array
+arithmetic; seeds, realization indices and coordinates are signed 64-bit
+integers.
 """
 
-import hashlib
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import CubeSpec, site_index
+from .lattice import CubeSpec, site_array, site_index
 
 _DENSITY_KINDS = ("uniform", "triangular")
 
@@ -237,29 +239,74 @@ class FieldSample:
         return self.V[idx], self.B[idx]
 
 
+# SplitMix64's increment and finalizer multipliers, its three shifts and the
+# shift to 53 bits, as 0-d arrays (faster operands than numpy scalars)
+_GAMMA, _M1, _M2, _S30, _S27, _S31, _S11 = (
+    np.array(c, dtype=np.uint64) for c in (
+        0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 11))
+# distinct starting keys keep site keys apart from (seed, family) keys
+_SEED_KEY0, _SITE_KEY0 = 0x5EED5EED5EED5EED, 0x5173517351735173
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """One SplitMix64 step of every element of a uint64 array: add the
+    increment, then the finalizer, all mod 2^64.  Returns a new array."""
+    z = z + _GAMMA
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
+
+
+def _absorb(key: int, words) -> np.ndarray:
+    """Fold signed 64-bit words into a key, one SplitMix64 step per word."""
+    z = np.array([key], dtype=np.uint64)
+    for w in words:
+        z = _mix(z ^ np.array([w], dtype=np.int64).view(np.uint64))
+    return z
+
+
 @lru_cache(maxsize=64)
-def _packed_sites(cube: CubeSpec) -> tuple[bytes, ...]:
-    return tuple(struct.pack(f"<{cube.d}q", *s) for s in cube.sites())
+def _family_key(master_seed: int, family: str) -> np.ndarray:
+    """The key of one (seed, family) stream, as a read-only one-element
+    array."""
+    key = _absorb(_SEED_KEY0, (master_seed, *family.encode("ascii")))
+    key.flags.writeable = False
+    return key
 
 
-def _cube_uniforms(master_seed: int, realization_index: int, family: str,
-                   cube: CubeSpec) -> np.ndarray:
-    """Uniform [0,1) variates at every cube site, in canonical order.
+@lru_cache(maxsize=64)
+def _site_keys(cube: CubeSpec) -> np.ndarray:
+    """One key per cube site, in canonical order, mixed from (d, coordinates).
 
-    A keyed hash of (seed, realization, family, coordinates) supplies 53
-    bits per site.  The hash state after the shared (seed, realization,
-    family) prefix is computed once and extended per site; `site_uniform`
-    in tests/oracles.py hashes each site from scratch and is the
-    bit-for-bit reference."""
-    prefix = hashlib.blake2b(digest_size=8)
-    prefix.update(struct.pack("<qq", master_seed, realization_index))
-    prefix.update(family.encode("ascii"))
-    digests = []
-    for packed in _packed_sites(cube):
-        h = prefix.copy()
-        h.update(packed)
-        digests.append(h.digest())
-    return (np.frombuffer(b"".join(digests), "<u8") >> 11) * 2.0 ** -53
+    A key depends on the site's coordinates, not its index, so a site has
+    the same key in every cube that contains it.  Read-only: it is shared.
+    """
+    coords = site_array(cube).view(np.uint64)
+    keys = _absorb(_SITE_KEY0, (cube.d,)).repeat(len(coords))
+    for j in range(cube.d):
+        keys = _mix(keys ^ coords[:, j])
+    keys.flags.writeable = False
+    return keys
+
+
+def _uniforms(master_seed: int, realizations, family: str,
+              cube: CubeSpec) -> np.ndarray:
+    """Uniform [0,1) variates of a block of realizations at every cube site.
+
+    A counter hash in the style of SplitMix64: the (seed, family) key and
+    each realization index give a realization key, each site its
+    `_site_keys` key, and element (i, n) is two SplitMix64 steps of
+    r_key[i] ^ site_key[n], whose top 53 bits give the uniform.  So every
+    value is a pure function of (seed, realization, family, coordinates),
+    whatever else the block holds.  `site_uniform` in tests/oracles.py
+    computes one value on Python ints and is the bit-for-bit reference.
+    """
+    rs = np.asarray(realizations, dtype=np.int64).view(np.uint64)
+    z = _mix(rs ^ _family_key(master_seed, family))[:, None] ^ _site_keys(cube)
+    return (_mix(_mix(z)) >> _S11) * 2.0 ** -53
 
 
 def sample_fields(cube: CubeSpec, config: DisorderConfig,
@@ -275,8 +322,7 @@ def sample_fields(cube: CubeSpec, config: DisorderConfig,
     # a point mass ignores its uniforms, so its family is not hashed
     return tuple(
         np.full((len(realizations), n), m.params[0]) if m.kind == "point_mass"
-        else m.from_uniform(np.array([_cube_uniforms(seed, r, family, cube)
-                                      for r in realizations]).reshape(-1, n))
+        else m.from_uniform(_uniforms(seed, realizations, family, cube))
         for m, family in ((config.mu_V, "V"), (config.mu_B, "B")))
 
 

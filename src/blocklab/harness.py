@@ -198,6 +198,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         out.append("realizations must be >= 1")
     if cfg.workers < 1:
         out.append(f"workers must be >= 1, got {cfg.workers}")
+    if not -2 ** 63 <= cfg.seed < 2 ** 63:        # the sampler's key width
+        out.append(f"seed must be a signed 64-bit integer, got {cfg.seed}")
 
     k = cfg.kind
     unknown = sorted(set(cfg.extra) - set(KEYS[k]))
@@ -588,6 +590,19 @@ def _exp_ct(cfg, mapper):
     return tables, reports, {}
 
 
+def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
+    """Index of the eigenvalue closest to `energy`, among ascending ones.
+
+    Distances within 1e-12 * max(1, max |lambda|) of the smallest count as
+    a tie, and a tie goes to the largest eigenvalue.  The block spectrum is
+    symmetric about 0, so at energy 0 the probe is always the nonnegative
+    member of a +-lambda pair, whichever solver rounded the pair.
+    """
+    dist = np.abs(eigenvalues - energy)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(eigenvalues))))
+    return int(np.flatnonzero(dist <= dist.min() + tol)[-1])
+
+
 def _sli_edi_row(r, d, lengths, config, energy):
     c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
     f = sample_field(c3, config, r)
@@ -601,9 +616,8 @@ def _sli_edi_row(r, d, lengths, config, energy):
     sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy,
                    spectra=(middle, host))
     try:
-        # probe the eigenpair closest to the requested energy
-        j = int(np.argmin(np.abs(host.eigenvalues - energy)))
-        edi = green.edi_check(c2, c3, f, j, host=host, inner=middle)
+        edi = green.edi_check(c2, c3, f, _probe_index(host.eigenvalues, energy),
+                              host=host, inner=middle)
     except (PreconditionError, ValueError):
         edi = CheckReport("edi", preconditions_failed=1)
     return [sli, edi]
@@ -837,7 +851,8 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     # cold per-cube caches: a run's cost does not depend on earlier runs in
     # this process, and the caches hold only this run's cubes
     lattice._cube_sites.cache_clear()
-    disorder._packed_sites.cache_clear()
+    disorder._site_keys.cache_clear()
+    disorder._family_key.cache_clear()
     # scipy is recorded, not used: imported here, importing the CLI loads
     # no scipy module
     import scipy

@@ -9,8 +9,6 @@ hash for the field sampler, a per-pair 1-norm distance and window counts
 read off a dense spectrum.  None of them runs in an experiment.
 """
 
-import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +28,42 @@ def dist1(n, m) -> int:
     return sum(abs(a - b) for a, b in zip(n, m))
 
 
+_MASK = (1 << 64) - 1
+
+
+def _splitmix(z: int) -> int:
+    """One SplitMix64 step on a Python int: add the increment, then the
+    finalizer, each operation reduced mod 2^64."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _absorb(key: int, words) -> int:
+    """Fold signed 64-bit words into a key, one SplitMix64 step per word."""
+    for w in words:
+        key = _splitmix(key ^ (w & _MASK))
+    return key
+
+
 def site_uniform(master_seed: int, realization_index: int, site,
                  family: str) -> float:
     """Deterministic uniform [0,1) variate for one site draw.
 
-    A keyed hash of (seed, realization, family, coordinates) supplies 53
-    independent bits, hashed from scratch for this one site.
+    The counter hash of the sampler, one site at a time on Python ints:
+    the (seed, family) key and the realization index give a realization
+    key, the dimension and coordinates give a site key, and the top 53
+    bits of two SplitMix64 steps of their xor are the variate.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<qq", master_seed, realization_index))
-    h.update(family.encode("ascii"))
-    h.update(struct.pack(f"<{len(site)}q", *site))
-    return (int.from_bytes(h.digest(), "little") >> 11) * 2.0 ** -53
+    if not all(-2 ** 63 <= w < 2 ** 63
+               for w in (master_seed, realization_index, *site)):
+        raise OverflowError("seed, realization and coordinates are int64")
+    key = _absorb(0x5EED5EED5EED5EED, (master_seed, *family.encode("ascii")))
+    r_key = _absorb(key, (realization_index,))
+    site_key = _absorb(0x5173517351735173, (len(site), *site))
+    z = _splitmix(_splitmix(r_key ^ site_key))
+    return (z >> 11) * 2.0 ** -53
 
 
 # -- eigenvalue counts ---------------------------------------------------------

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blocklab.asymptotics import (CorrelatorProfile, TailCurve, _ct_block_budget,
+from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
+                                  _ct_block_budget,
                                   _ct_distances,
                                   _suitability_geometry, c0_estimate,
                                   ct_threshold_length, eigenfunction_correlator,
@@ -355,6 +356,19 @@ def test_stretched_fit_recovers_synthetic():
     assert fit.zeta == pytest.approx(zeta0, abs=0.051)
     assert fit.log_slope == pytest.approx(-1.0, abs=0.05)
     assert fit.c_zeta == pytest.approx(c0, rel=0.15)
+
+
+def test_zeta_grid_tops_out_at_exactly_one():
+    assert ZETA_GRID.max() == 1.0
+    assert ZETA_GRID.tolist() == [k / 20 for k in range(2, 21)]
+
+
+def test_stretched_fit_of_a_pure_exponential_reports_zeta_one():
+    dists = np.arange(0, 21, dtype=float)
+    pairs = tuple(((0,), (int(d),)) for d in dists)
+    q = 1.7 * np.exp(-0.8 * dists)
+    prof = CorrelatorProfile((-1, 1), pairs, q, np.zeros_like(q), 10, 10)
+    assert stretched_fit(prof).zeta == 1.0
 
 
 def bootstrap_stderr(values: np.ndarray, n_boot: int = 400,

@@ -127,6 +127,16 @@ def test_field_at_reads_sub_regions():
         big.at([(1, -2), (6, -2)])                       # outside the cube
 
 
+ONE_SITE = CubeSpec(1, 2)                                # the site (0,)
+
+
+def library_draws(m, seed, n, family="V", cube=ONE_SITE):
+    """n realizations of measure m at the sites of a cube, drawn by the
+    library's sampler in one block: an (n, N) array."""
+    V, B = sample_fields(cube, DisorderConfig(m, m, seed), range(n))
+    return V if family == "V" else B
+
+
 def test_families_independent_streams():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 5)
     f = sample_field(CubeSpec(1, 21), cfg, 0)
@@ -134,8 +144,7 @@ def test_families_independent_streams():
 
 
 def test_uniform_law_of_large_numbers():
-    m = SiteMeasure.uniform(0, 1)
-    draws = [m.from_uniform(site_uniform(1, k, (0,), "V")) for k in range(100000)]
+    draws = library_draws(SiteMeasure.uniform(0, 1), 1, 100000)
     assert np.mean(draws) == pytest.approx(0.5, abs=0.01)
 
 
@@ -143,23 +152,30 @@ def test_values_stay_in_closed_support():
     for m in (SiteMeasure.uniform(-1, 2), SiteMeasure.triangular(0, 1),
               SiteMeasure.two_point(-3, 0.5, 4)):
         lo, hi = m.support
-        vals = [m.from_uniform(site_uniform(2, k, (1,), "B")) for k in range(2000)]
-        assert min(vals) >= lo and max(vals) <= hi
+        vals = library_draws(m, 2, 2000, "B", CubeSpec(1, 2, (1,)))
+        assert vals.min() >= lo and vals.max() <= hi
 
 
 def test_triangular_sampling_statistics():
-    m = SiteMeasure.triangular(0, 1)
-    vals = np.array([m.from_uniform(site_uniform(3, k, (0,), "V"))
-                     for k in range(50000)])
+    vals = library_draws(SiteMeasure.triangular(0, 1), 3, 50000)
     assert np.mean(vals) == pytest.approx(0.5, abs=0.01)
     assert np.mean(vals < 0.5) == pytest.approx(0.5, abs=0.01)
 
 
 def test_two_point_sampling_frequencies():
-    m = SiteMeasure.two_point(0.0, 0.3, 1.0)
-    vals = np.array([m.from_uniform(site_uniform(4, k, (0,), "V"))
-                     for k in range(50000)])
+    vals = library_draws(SiteMeasure.two_point(0.0, 0.3, 1.0), 4, 50000)
     assert np.mean(vals == 0.0) == pytest.approx(0.3, abs=0.01)
+
+
+@pytest.mark.parametrize("cube", [CubeSpec(1, 65), CubeSpec(2, 9, (3, -4))],
+                         ids=["d1", "d2"])
+def test_lag1_correlations_vanish(cube):
+    # neighbouring sites in canonical order, consecutive realizations and
+    # the two families of one draw: each correlation within 4 / sqrt(n)
+    cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 8)
+    V, B = sample_fields(cube, cfg, range(2000))
+    for a, b in ((V[:, :-1], V[:, 1:]), (V[:-1], V[1:]), (V, B)):
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 4.0 / math.sqrt(a.size)
 
 
 def test_measure_validation():
@@ -237,6 +253,31 @@ def test_sample_field_matches_per_site_oracle(d, L, center, mu_V, mu_B, seed, r)
         oracle = [m.from_uniform(site_uniform(seed, r, s, family)) for s in sites]
         assert values.dtype == np.float64 and values.shape == (len(sites),)
         assert bits(values) == bits(oracle)
+
+
+# the first uniforms of (seed 42, realization 0), in canonical site order:
+# any change of the sampler's stream changes them
+GOLDEN = [
+    (CubeSpec(1, 5),
+     [0.7202331007652163, 0.7304283610913548, 0.19869419226900198,
+      0.14400258182977443, 0.671402244197535],
+     [0.04230998312530376, 0.18808713089938345, 0.7348876516228647,
+      0.24244584899252886, 0.3897861797631157]),
+    (CubeSpec(2, 3, (4, -7)),
+     [0.3031527443395132, 0.5485634878359156, 0.13894196924901447,
+      0.8251312881239221, 0.9683987467857845, 0.5144964816215204,
+      0.6495509653005397, 0.7505006992873591, 0.11030192037328934],
+     [0.12232663797775989, 0.2578332893498746, 0.6311128859874766,
+      0.07463236533958761, 0.19383792036515046, 0.5319164345527051,
+      0.9826551295704081, 0.9272456136179407, 0.05355720179411638]),
+]
+
+
+@pytest.mark.parametrize("cube, v, b", GOLDEN, ids=["d1", "d2"])
+def test_sampler_golden_values(cube, v, b):
+    u = SiteMeasure.uniform(0, 1)                # from_uniform(x) is x
+    f = sample_field(cube, DisorderConfig(u, u, 42), 0)
+    assert bits(f.V) == bits(v) and bits(f.B) == bits(b)
 
 
 @pytest.mark.parametrize("d, L, center, mu_V, mu_B", FIELD_CASES)

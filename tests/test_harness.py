@@ -12,8 +12,10 @@ import pytest
 import scipy
 
 import blocklab
-from blocklab import blas, green, harness, inequalities, spectral
+from blocklab import (blas, green, harness, inequalities, lattice, operators,
+                      spectral)
 from blocklab.cli import main as cli_main
+from blocklab.disorder import sample_field
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
 from oracles import csv_cell
@@ -51,7 +53,8 @@ def make_cfg(kind, **kw):
     return parse_config(make_text(kind, **kw))
 
 
-# lam above inf supp mu_V: half-half and bracketing skip 2 of 10 realizations
+# lam above inf supp mu_V: half-half and bracketing skip the realizations
+# with some V_n < lam
 INTERLACE_SKIPS = make_text("interlace", L=8, R=10,
                             extra="[interlace]\nlam = 0.05\n")
 
@@ -358,6 +361,27 @@ def test_every_shipped_config_validates(capsys):
     assert failing == []
 
 
+@pytest.mark.parametrize("seed, code", [(2 ** 63 - 1, 0), (-(2 ** 63), 0),
+                                        (2 ** 63, 3), (-(2 ** 63) - 1, 3)])
+def test_seed_outside_int64_exits_3(seed, code, tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(make_text("spectrum", R=2).replace("seed = 7",
+                                                       f"seed = {seed}"))
+    assert cli_main(["validate", "--config", str(path)]) == code
+    assert cli_main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == code
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")),
+                         ids=lambda p: p.stem)
+def test_every_shipped_config_runs_clean(path, tmp_path, capsys):
+    kind = parse_config(path.read_text()).kind
+    assert cli_main([kind, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    record = json.loads((tmp_path / "run.json").read_text())
+    assert record["exit_code"] == 0 and record["outputs"]
+
+
 @pytest.mark.parametrize("section", ["[interlace]\nesp = 0.2\n",
                                      "[fh]\nstep = 1e-3\n"])
 def test_unknown_section_key_exits_3(section, tmp_path, capsys):
@@ -426,16 +450,20 @@ def test_interlace_experiment(tmp_path):
 
 
 def test_interlace_skips_counted_in_their_checks_row(tmp_path):
-    result = run(parse_config(INTERLACE_SKIPS), tmp_path)
+    cfg = parse_config(INTERLACE_SKIPS)
+    lam = float(cfg.get("lam"))
+    low = sum(sample_field(cfg.cube(), cfg.disorder(), r).V.min() < lam
+              for r in range(cfg.realizations))
+    assert 0 < low < cfg.realizations
+    result = run(cfg, tmp_path)
     assert result.exit_code == 0
     lines = (tmp_path / "interlace.csv").read_text().splitlines()
     rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
     assert list(rows) == ["interlacing", "half_half", "bracketing_gap",
                           "finite_volume_tail_bound", "beta_map"]
-    assert rows["half_half"][4] == "2"
-    assert rows["bracketing_gap"][4] == "2"
+    assert rows["half_half"][4] == rows["bracketing_gap"][4] == str(low)
     skipped = {r.name: r.preconditions_failed for r in result.reports}
-    assert skipped["half_half"] == skipped["bracketing_gap"] == 2
+    assert skipped["half_half"] == skipped["bracketing_gap"] == low
 
 
 # one small run per kind; V has a density, so no two realizations share a
@@ -529,6 +557,31 @@ def test_sli_edi_experiment(tmp_path):
                    bargs="a = 0.0\nb = 1.0")
     result = run(cfg, tmp_path)
     assert result.exit_code == 0
+
+
+def test_sli_edi_probe_ties_go_to_the_larger_eigenvalue():
+    probe = harness._probe_index
+    # -0.3 is closer to 0 by one rounding step: still a tie, 0.3 wins
+    assert probe(np.array([-2.0, -0.3, 0.30000000000000004, 2.0]), 0.0) == 2
+    assert probe(np.array([-2.0, -0.30000000000000004, 0.3, 2.0]), 0.0) == 2
+    assert probe(np.array([-0.3, 0.31]), 0.0) == 0       # no tie
+    assert probe(np.array([0.1, 0.2, 0.3]), 0.21) == 1
+    assert probe(np.array([-1.0, 1.0, 1.0 + 1e-15]), 1.0) == 2
+
+
+def test_sli_edi_probe_does_not_depend_on_the_solver():
+    # eigh and eigvalsh round a +-lambda pair differently; at E = 0 the
+    # probe is the nonnegative member either way
+    cfg = parse_config(EIGEN_COUNT_CASES["sli-edi"])
+    cube = lattice.CubeSpec(cfg.d, harness._nested_lengths(cfg)[2])
+    for r in range(20):
+        f = sample_field(cube, cfg.disorder(), r)
+        block = operators.assemble_block(operators.build_h(cube, "simple", f), f)
+        ev = [spectral.eigensolve(block, want_vectors=v).eigenvalues
+              for v in (True, False)]
+        j = harness._probe_index(ev[0], 0.0)
+        assert j == harness._probe_index(ev[1], 0.0) == len(ev[0]) // 2
+        assert ev[0][j] > 0.0
 
 
 def test_tails_experiment(tmp_path):
