@@ -14,11 +14,12 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, case_beta, sample_fields
+from .disorder import DisorderConfig, FieldSample, case_beta, sample_fields
+from .green import resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
                       site_array, site_index)
-from .operators import MAX_BLOCK_DIM, build_h0, component_indices
+from .operators import MAX_BLOCK_DIM, BlockOperator, build_h0, component_indices
 from .spectral import (Spectrum, count_below, eigensolve, per_realization,
                        plain_block, run_realizations)
 
@@ -275,30 +276,28 @@ def _suitability_geometry(cube: CubeSpec):
     return rows, cols
 
 
-def suitability_norms(s: Spectrum, rows, cols,
+def suitability_norms(op: BlockOperator, eigenvalues: np.ndarray, rows, cols,
                       energies) -> tuple[np.ndarray, np.ndarray]:
-    """Per energy: the norm of the resolvent block [rows, cols] (from
-    `_suitability_geometry`: inner third to inner boundary of the cube),
-    and the distance to the spectrum.
+    """Per energy: the norm of the resolvent block [rows, cols] of the
+    operator (from `_suitability_geometry`: inner third to inner boundary
+    of the cube), and the distance to the spectrum `eigenvalues`.
 
-    The block is read off the eigenpairs in `s`,
-    G[rows, cols] = (V[rows] / (lambda - E)) V[cols]^T.  An energy on the
+    G = (op - E)^-1 is symmetric, so the block is the transpose of
+    G[cols, rows], read off the columns `rows` of G: one stacked LU solve
+    (`green.resolvent_columns`) against only the boundary columns serves
+    every energy, and one batched SVD gives the norms.  An energy on the
     spectrum (within 1e-12 of its scale, at least 1) has norm inf and
     distance 0: the cube is suitable there for no theta.
     """
-    ev = s.eigenvalues
-    v_rows, v_cols = s.eigenvectors[rows], s.eigenvectors[cols]
-    scale = max(np.max(np.abs(ev)), 1.0)
-    norms, deltas = [], []
-    for e in energies:
-        delta = float(np.min(np.abs(ev - e)))
-        if delta <= 1e-12 * scale:
-            norms.append(np.inf)
-            deltas.append(0.0)
-            continue
-        norms.append(float(np.linalg.norm((v_rows / (ev - e)) @ v_cols.T, 2)))
-        deltas.append(delta)
-    return np.array(norms), np.array(deltas)
+    energies = np.asarray(energies, dtype=float)
+    deltas = np.abs(eigenvalues[None, :] - energies[:, None]).min(axis=1)
+    off = deltas > 1e-12 * max(np.max(np.abs(eigenvalues)), 1.0)
+    norms = np.full(len(energies), np.inf)
+    if off.any():
+        g = resolvent_columns(op, energies[off], rows)
+        # the 2-norm is the largest singular value; svd sorts them descending
+        norms[off] = np.linalg.svd(g[:, cols], compute_uv=False)[:, 0]
+    return norms, np.where(off, deltas, 0.0)
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -364,12 +363,14 @@ class SuitabilityReport:
     threshold_L: int | None
 
 
-def _suitability_row(r, cube, config, geometry, energies, a_L):
-    """Per realization, from one eigh: the suitability norm and spectral
-    distance per energy, and the gap event flag."""
-    s = eigensolve(plain_block(cube, config, r), want_vectors=True)
-    norms, deltas = suitability_norms(s, *geometry, energies)
-    gap_event = bool(np.min(np.abs(s.eigenvalues)) > a_L + cube.L ** -0.5)
+def _suitability_row(f: FieldSample, geometry, energies, a_L):
+    """Per realization, from one eigvalsh and one stacked solve: the
+    suitability norm and spectral distance per energy, and the gap event
+    flag."""
+    op = plain_block(f)
+    ev = eigensolve(op).eigenvalues
+    norms, deltas = suitability_norms(op, ev, *geometry, energies)
+    gap_event = bool(np.min(np.abs(ev)) > a_L + f.cube.L ** -0.5)
     return norms, deltas, gap_event
 
 
@@ -402,7 +403,7 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     """Suitability frequency per energy, with the gap-event implication,
     one report per theta in `thetas`.
 
-    Each realization is sampled and diagonalized once for every theta and
+    Each realization is sampled and solved once for every theta and
     energy.  Energies must lie in [-a_L, a_L] with a_L = edge + 1/sqrt(L).
     Two implications are asserted per instance: the asymptotic one (active
     only above the reported worst-case threshold length) and a sharp one
@@ -415,9 +416,8 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     _require(bool(np.all(np.abs(energies) <= a_L)),
              f"energies must lie in [-a_L, a_L] with a_L = {a_L:.6g}")
     rows = run_realizations(per_realization(
-        partial(_suitability_row, cube=cube, config=config,
-                geometry=_suitability_geometry(cube), energies=energies,
-                a_L=a_L)), R, mapper)
+        partial(_suitability_row, geometry=_suitability_geometry(cube),
+                energies=energies, a_L=a_L), cube, config), R, mapper)
     norms = np.array([row[0] for row in rows])                  # R x nE
     events = np.array([row[2] for row in rows], dtype=bool)
     # per gap event and energy: the instance's own decay budget (inf on the
@@ -474,8 +474,9 @@ class CorrelatorProfile:
         return dist1_array(ends[:, 0], ends[:, 1]).astype(float)
 
 
-def correlator_q(s: Spectrum, op_sites, interval, pairs) -> np.ndarray:
-    """Projector-sum correlator Q(n, m) for one realization.
+def correlator_q(s: Spectrum, first, second, interval) -> np.ndarray:
+    """Projector-sum correlator Q(n, m) for one realization, at the site
+    pairs (first[k], second[k]), given as canonical site indices.
 
     Q sums the 2x2 Frobenius norms of the rank-one spectral projectors with
     eigenvalue in the interval; it dominates the sup over unit-bounded Borel
@@ -485,34 +486,35 @@ def correlator_q(s: Spectrum, op_sites, interval, pairs) -> np.ndarray:
         raise ValueError("correlator needs eigenvectors")
     lo, hi = interval
     sel = (s.eigenvalues >= lo) & (s.eigenvalues <= hi)
-    n = len(op_sites)
+    n = s.dim // 2
     if not np.any(sel):
-        return np.zeros(len(pairs))
-    first, second = (site_index(op_sites, [pair[k] for pair in pairs], strict=True)
-                     for k in (0, 1))
+        return np.zeros(len(first))
     v = s.eigenvectors[:, sel]
     amp = np.sqrt(v[:n, :] ** 2 + v[n:, :] ** 2)     # site amplitude per vector
     # one BLAS dot per pair: a batched product may sum in another order
-    return np.array([amp[i] @ amp[j]
-                     for i, j in zip(first.tolist(), second.tolist())])
+    return np.array([amp[i] @ amp[j] for i, j in zip(first, second)])
 
 
-def _correlator_row(r, cube, config, interval, pairs):
-    s = eigensolve(plain_block(cube, config, r), want_vectors=True)
-    return correlator_q(s, cube.sites(), interval, pairs)
+def _correlator_row(f: FieldSample, first, second, interval):
+    s = eigensolve(plain_block(f), want_vectors=True)
+    return correlator_q(s, first, second, interval)
 
 
 def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
                              interval, pairs=None, R: int = 1,
                              mapper=None) -> CorrelatorProfile:
-    """Ensemble mean of the correlator over site pairs (default: centre to all)."""
+    """Ensemble mean of the correlator over site pairs (default: centre to all).
+
+    The pairs are indexed in the cube once, for every realization."""
     if pairs is None:
         pairs = tuple((cube.center, m) for m in cube.sites())
     else:
         pairs = tuple((tuple(n), tuple(m)) for n, m in pairs)
+    first, second = (site_index(cube, [pair[k] for pair in pairs], strict=True)
+                     .tolist() for k in (0, 1))
     rows = np.vstack(run_realizations(per_realization(
-        partial(_correlator_row, cube=cube, config=config,
-                interval=tuple(interval), pairs=pairs)), R, mapper))
+        partial(_correlator_row, first=first, second=second,
+                interval=tuple(interval)), cube, config), R, mapper))
     contributing = int(np.sum(rows.any(axis=1)))
     stderr = (rows.std(axis=0, ddof=1) / math.sqrt(R) if R > 1
               else np.zeros(rows.shape[1]))

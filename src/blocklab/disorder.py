@@ -234,9 +234,20 @@ class FieldSample:
     realization_index: int
 
     def at(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """(V, B) at the given sites (in their order); each must lie in the cube."""
-        idx = site_index(self.cube, sites, strict=True)
+        """(V, B) at the given sites (in their order); each must lie in the
+        cube.  The positions of a tuple of sites or of a cube in this cube
+        are computed once per run and cached."""
+        idx = (_positions(self.cube, sites) if isinstance(sites, (CubeSpec, tuple))
+               else site_index(self.cube, sites, strict=True))
         return self.V[idx], self.B[idx]
+
+
+@lru_cache(maxsize=64)
+def _positions(cube: CubeSpec, sites) -> np.ndarray:
+    """Canonical index in the cube of every site of `sites`, read-only."""
+    idx = site_index(cube, sites, strict=True)
+    idx.flags.writeable = False
+    return idx
 
 
 # SplitMix64's increment and finalizer multipliers, its three shifts and the
@@ -314,8 +325,8 @@ def sample_fields(cube: CubeSpec, config: DisorderConfig,
     """The V- and B-fields of a block of realizations on a cube.
 
     Row i of each (R, N) array is realization realizations[i], in canonical
-    site order: the same values `sample_field` draws for it, whatever the
-    other rows of the block are.
+    site order, and its values do not depend on the other rows of the
+    block: a block of one realization draws the same row.
     """
     seed = config.master_seed
     n = cube.site_count
@@ -325,9 +336,3 @@ def sample_fields(cube: CubeSpec, config: DisorderConfig,
         else m.from_uniform(_uniforms(seed, realizations, family, cube))
         for m, family in ((config.mu_V, "V"), (config.mu_B, "B")))
 
-
-def sample_field(cube: CubeSpec, config: DisorderConfig,
-                 realization_index: int) -> FieldSample:
-    """Draw one i.i.d. realization of the V- and B-fields on a cube."""
-    V, B = sample_fields(cube, config, (realization_index,))
-    return FieldSample(cube, V[0], B[0], realization_index)

@@ -7,6 +7,7 @@ factorizations.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,12 +42,35 @@ def resolvent(op: BlockOperator, energy: float,
         raise PreconditionError(
             f"E={energy} is within {delta:.3e} of the spectrum (guard "
             f"{SPECTRAL_GUARD_RTOL * scale:.3e})")
-    dim = op.dim
-    g = np.linalg.solve(op.matrix - energy * np.eye(dim), np.eye(dim))
-    resid = np.max(np.abs((op.matrix - energy * np.eye(dim)) @ g - np.eye(dim)))
+    eye = np.eye(op.dim)
+    shifted = op.matrix - energy * eye
+    g = np.linalg.solve(shifted, eye)
+    resid = np.max(np.abs(shifted @ g - eye))
     if resid > RESOLVENT_RESIDUAL_TOL:
         raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
     return GreenFunction(op.sites, energy, g, delta)
+
+
+def resolvent_columns(op: BlockOperator, energies, columns) -> np.ndarray:
+    """The given columns of (op - E)^-1 at every energy, as a
+    (len(energies), dim, len(columns)) array, from one stacked LU solve.
+
+    The caller keeps every energy off the spectrum.  Residual contract, per
+    energy: max |(op - E) X - 1[:, columns]| stays within
+    RESOLVENT_RESIDUAL_TOL * max(1, max|op - E| * max|X|), the scale of the
+    rounding of a backward-stable solve, since X grows like the inverse
+    distance to the spectrum; beyond it ArithmeticError is raised.
+    """
+    energies = np.asarray(energies, dtype=float)
+    eye = np.eye(op.dim)
+    shifted = op.matrix - energies[:, None, None] * eye
+    rhs = eye[:, columns]
+    x = np.linalg.solve(shifted, rhs)
+    resid = np.abs(shifted @ x - rhs).max(axis=(1, 2))
+    scale = np.abs(shifted).max(axis=(1, 2)) * np.abs(x).max(axis=(1, 2))
+    if np.any(resid > RESOLVENT_RESIDUAL_TOL * np.maximum(scale, 1.0)):
+        raise ArithmeticError(f"resolvent residual {resid.max():.2e} exceeds contract")
+    return x
 
 
 def _plain_block_on(region, field: FieldSample) -> BlockOperator:
@@ -68,8 +92,8 @@ def _nested_resolvents(region1, region2, region3, field, energy,
              "need region1 strictly inside region2 strictly inside region3")
     _require(set(r2) <= set(r3), "region2 must be contained in region3")
     s2, s3 = spectra
-    g2 = resolvent(_plain_block_on(r2, field), energy, s2)
-    g3 = resolvent(_plain_block_on(r3, field), energy, s3)
+    g2 = resolvent(_plain_block_on(region2, field), energy, s2)
+    g3 = resolvent(_plain_block_on(region3, field), energy, s3)
     return r1, r2, r3, g2, g3
 
 
@@ -147,10 +171,10 @@ def edi_check(region, cube3, field: FieldSample, eigen_index: int,
     _require(lattice.strictly_inside(r, r3),
              "region must be strictly inside the host cube")
     if host is None:
-        host = eigensolve(_plain_block_on(r3, field), want_vectors=True)
+        host = eigensolve(_plain_block_on(cube3, field), want_vectors=True)
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    inner_op = _plain_block_on(r, field)
+    inner_op = _plain_block_on(region, field)
     # raises if E is too close to sigma(H_region)
     g = resolvent(inner_op, energy, inner)
     gamma = build_gamma(r, r3)
@@ -202,23 +226,44 @@ class DecayProfile:
 
 
 def decay_profile(op: BlockOperator, energy: float, pairs=None) -> DecayProfile:
-    """One resolvent read at the given site pairs (all pairs by default)."""
+    """One resolvent read at the given site pairs (all pairs by default).
+
+    The geometry of all pairs (indices, distances, distinct distances) is
+    built once per region and shared by every profile on it."""
     g = resolvent(op, energy)
     delta = min(g.delta, 1.0)
-    points = lattice.site_array(op.sites)
-    n, d = points.shape
     if pairs is None:
-        first, second = np.divmod(np.arange(n * n), n)
+        first, second, dist, dists, at = _all_pairs(op.sites)
     else:
         first, second = (lattice.site_index(op.sites, [p[k] for p in pairs],
                                             strict=True) for k in (0, 1))
-    dist = lattice.dist1_array(points[first], points[second])
-    norm = block_norm_grid(g.matrix, n)[first, second]
+        first, second, dist, dists, at = _pair_geometry(op.sites, first, second)
+    norm = block_norm_grid(g.matrix, len(op.sites))[first, second]
     # the bound depends on the pair only through its distance
-    dists, at = np.unique(dist, return_inverse=True)
+    d = len(op.sites[0])
     caps = np.array([combes_thomas_bound(delta, d, k) for k in dists.tolist()])
     return DecayProfile(energy, delta, op.sites, first, second, dist, norm,
                         caps[at])
+
+
+def _pair_geometry(sites, first, second):
+    """The pairs (first, second) of site indices, their 1-norm distances,
+    and the distinct distances with the index among them of each pair's."""
+    points = lattice.site_array(sites)
+    dist = lattice.dist1_array(points[first], points[second])
+    return (first, second, dist) + tuple(np.unique(dist, return_inverse=True))
+
+
+@lru_cache(maxsize=8)
+def _all_pairs(sites):
+    """_pair_geometry of every ordered pair of the sites, in row-major
+    order, built once per region and shared: the arrays are read-only.
+    `harness.run` clears the cache."""
+    n = len(sites)
+    geometry = _pair_geometry(sites, *np.divmod(np.arange(n * n), n))
+    for a in geometry:
+        a.flags.writeable = False
+    return geometry
 
 
 def combes_thomas_check(profile: DecayProfile, atol: float = 1e-12) -> CheckReport:

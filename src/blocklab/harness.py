@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from . import (asymptotics, blas, disorder, green, inequalities, lattice,
-               spectral)
-from .disorder import DisorderConfig, SiteMeasure, case_beta, sample_field
+               operators, spectral)
+from .disorder import DisorderConfig, SiteMeasure, case_beta
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
 from .operators import MAX_BLOCK_DIM, assemble_block, build_h
-from .spectral import deterministic_radius, eigensolve, per_realization
+from .spectral import deterministic_radius, eigensolve, per_realization, plain_block
 
 # the keys each kind may set in its own section; `validate` rejects any
 # other, and the ExperimentConfig accessors read no other
@@ -253,7 +253,8 @@ class PoolMap:
     """Ordered map over a process pool whose workers run one BLAS thread.
 
     Each call is cut into about four chunks per worker: enough to balance
-    the load, few enough that dispatch costs nothing next to the tasks.
+    the load with few dispatches.  Starting the pool still costs more than
+    it saves on small runs (README, "Parallel execution").
     """
 
     def __init__(self, executor: ProcessPoolExecutor, size: int):
@@ -373,8 +374,9 @@ def _summary_table(reports):
 # -- experiments ---------------------------------------------------------------
 
 # each _exp_* returns (tables, reports, summary); tables maps file stem to
-# (header, row list).  Realization kernels return their CheckReports (beside
-# any CSV values), reduced by _fold.
+# (header, row list).  Realization kernels take one realization's
+# FieldSample (see spectral.per_realization) and return their CheckReports
+# (beside any CSV values), reduced by _fold.
 
 
 def _exp_spectrum(cfg, mapper):
@@ -386,8 +388,8 @@ def _exp_spectrum(cfg, mapper):
     rad = CheckReport("radius", parameters={"radius": radius})
     rows = []
     eigen_rows = spectral.run_realizations(
-        per_realization(partial(spectral._eigenvalue_row, cube=cube, config=dis)),
-        cfg.realizations, mapper)
+        per_realization(spectral._eigenvalue_row, cube, dis), cfg.realizations,
+        mapper)
     for r, s in enumerate(spectral.Spectrum(ev) for ev in eigen_rows):
         for j, e in enumerate(s.eigenvalues):
             rows.append((r, j, e))
@@ -463,9 +465,8 @@ def _exp_wegner(cfg, mapper):
     return {"wegner": (header, rows)}, reports, {}
 
 
-def _gap_row(r, cube, config, edge):
-    f = sample_field(cube, config, r)
-    s = eigensolve(assemble_block(build_h(cube, "simple", f), f))
+def _gap_row(f, edge):
+    s = eigensolve(plain_block(f))
     min_abs = float(np.min(np.abs(s.eigenvalues)))
     rep = CheckReport("gap_edge")
     rep.record(min_abs - edge + 1e-12 * max(edge, 1.0))
@@ -477,8 +478,8 @@ def _exp_gap(cfg, mapper):
     beta = case_beta(cfg.mu_B).beta
     edge = math.hypot(lam, beta)
     vals = spectral.run_realizations(
-        per_realization(partial(_gap_row, cube=cfg.cube(), config=cfg.disorder(),
-                                edge=edge)), cfg.realizations, mapper)
+        per_realization(partial(_gap_row, edge=edge), cfg.cube(), cfg.disorder()),
+        cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("gap_edge", parameters={"lam": lam, "beta": beta,
                                                         "edge": edge}))
@@ -487,8 +488,8 @@ def _exp_gap(cfg, mapper):
     return {"gap": (header, rows)}, reports, {"edge": edge}
 
 
-def _interlace_row(r, cube, config, lam, beta, eps):
-    f = sample_field(cube, config, r)
+def _interlace_row(f, lam, beta, eps):
+    cube = f.cube
     es = inequalities.edge_spectra(build_h(cube, "simple", f), f, beta)
     return [
         _attempt("interlacing", inequalities.interlacing_check, es),
@@ -506,9 +507,8 @@ def _exp_interlace(cfg, mapper):
     beta = cfg.scalar("beta", case_beta(cfg.mu_B).beta)
     eps = cfg.scalar("eps", 0.3)
     reports = _fold(spectral.run_realizations(
-        per_realization(partial(_interlace_row, cube=cfg.cube(),
-                                config=cfg.disorder(), lam=lam, beta=beta,
-                                eps=eps)), cfg.realizations, mapper))
+        per_realization(partial(_interlace_row, lam=lam, beta=beta, eps=eps),
+                        cfg.cube(), cfg.disorder()), cfg.realizations, mapper))
     return ({"interlace": _summary_table(reports)}, reports,
             {"lam": lam, "beta": beta})
 
@@ -524,11 +524,9 @@ def _nested_lengths(cfg):
     return l1, l2, l3
 
 
-def _green_row(r, d, lengths, config, energy):
-    c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
-    f = sample_field(c3, config, r)
+def _green_row(f, cubes, energy):
     try:
-        rep = green.gri_check(c1, c2, c3, f, energy)
+        rep = green.gri_check(*cubes, f, energy)
     except PreconditionError:
         return [CheckReport("gri_residual", preconditions_failed=1)], None
     p = rep.parameters
@@ -538,10 +536,11 @@ def _green_row(r, d, lengths, config, energy):
 def _exp_green(cfg, mapper):
     energy = cfg.scalar("energy", 0.0)
     lengths = _nested_lengths(cfg)
+    cubes = tuple(CubeSpec(cfg.d, l) for l in lengths)
+    # the field is sampled on the host cube, the largest
     vals = spectral.run_realizations(
-        per_realization(partial(_green_row, d=cfg.d, lengths=lengths,
-                                config=cfg.disorder(), energy=energy)),
-        cfg.realizations, mapper)
+        per_realization(partial(_green_row, cubes=cubes, energy=energy),
+                        cubes[2], cfg.disorder()), cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("gri_residual", parameters={
                         "E": energy, "lengths": list(lengths)}))
@@ -550,9 +549,8 @@ def _exp_green(cfg, mapper):
     return {"green": (header, rows)}, reports, {}
 
 
-def _ct_row(r, cube, config, energy):
-    f = sample_field(cube, config, r)
-    op = assemble_block(build_h(cube, "simple", f), f)
+def _ct_row(f, energy):
+    op = plain_block(f)
     try:
         profile = green.decay_profile(op, energy)
         rep = green.combes_thomas_check(profile)
@@ -560,10 +558,10 @@ def _ct_row(r, cube, config, energy):
     except (PreconditionError, ValueError):
         return [CheckReport("combes_thomas", preconditions_failed=1)], None
     fit = CheckReport("ct_rate")
-    fit.record(-rate - profile.delta / (12.0 * cube.d))
+    fit.record(-rate - profile.delta / (12.0 * f.cube.d))
     row = (profile.delta, rep.worst_margin, rate, intercept)
     rows = None
-    if r == 0:          # ct_profile.csv holds realization 0
+    if f.realization_index == 0:          # ct_profile.csv holds realization 0
         s = profile.sites
         rows = [(s[i], s[j], k, v, c) for i, j, k, v, c in zip(
             profile.first.tolist(), profile.second.tolist(),
@@ -574,8 +572,8 @@ def _ct_row(r, cube, config, energy):
 def _exp_ct(cfg, mapper):
     energy = cfg.scalar("energy", 0.0)
     vals = spectral.run_realizations(
-        per_realization(partial(_ct_row, cube=cfg.cube(), config=cfg.disorder(),
-                                energy=energy)), cfg.realizations, mapper)
+        per_realization(partial(_ct_row, energy=energy), cfg.cube(),
+                        cfg.disorder()), cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("combes_thomas", parameters={"E": energy}),
                     CheckReport("ct_rate", parameters={"E": energy}))
@@ -603,15 +601,13 @@ def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
     return int(np.flatnonzero(dist <= dist.min() + tol)[-1])
 
 
-def _sli_edi_row(r, d, lengths, config, energy):
-    c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
-    f = sample_field(c3, config, r)
+def _sli_edi_row(f, cubes, energy):
+    c1, c2, c3 = cubes
     if not lattice.strictly_inside(c2, c3):      # both checks need it
         return [CheckReport("sli", preconditions_failed=1),
                 CheckReport("edi", preconditions_failed=1)]
     # one solve each of the host cube and the middle cube serves both checks
-    host = eigensolve(assemble_block(build_h(c3, "simple", f), f),
-                      want_vectors=True)
+    host = eigensolve(plain_block(f), want_vectors=True)
     middle = eigensolve(assemble_block(build_h(c2, "simple", f), f))
     sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy,
                    spectra=(middle, host))
@@ -625,11 +621,10 @@ def _sli_edi_row(r, d, lengths, config, energy):
 
 def _exp_sli_edi(cfg, mapper):
     energy = cfg.scalar("energy", 0.0)
+    cubes = tuple(CubeSpec(cfg.d, l) for l in _nested_lengths(cfg))
     reports = _fold(spectral.run_realizations(
-        per_realization(partial(_sli_edi_row, d=cfg.d,
-                                lengths=_nested_lengths(cfg),
-                                config=cfg.disorder(), energy=energy)),
-        cfg.realizations, mapper),
+        per_realization(partial(_sli_edi_row, cubes=cubes, energy=energy),
+                        cubes[2], cfg.disorder()), cfg.realizations, mapper),
         CheckReport("sli", parameters={"E": energy}), CheckReport("edi"))
     return {"sli_edi": _summary_table(reports)}, reports, {}
 
@@ -715,6 +710,12 @@ def _exp_suitability(cfg, mapper):
             {"threshold_L": thresholds})
 
 
+# the correlator_decay check needs this many realizations with spectrum in
+# the interval: a slope fitted from a handful is noise (2 of them gave a
+# slope of +5.1 at r^2 = 0.03)
+CORRELATOR_MIN_CONTRIBUTING = 10
+
+
 def _exp_correlator(cfg, mapper):
     dis = cfg.disorder()
     cube = cfg.cube()
@@ -728,7 +729,12 @@ def _exp_correlator(cfg, mapper):
                 profile.stderr_q)]
     summary = {"interval": [lo, hi], "contributing": profile.contributing}
     reports = []
-    if not profile.empty:
+    if profile.contributing < CORRELATOR_MIN_CONTRIBUTING:
+        reports.append(CheckReport(
+            "correlator_decay", preconditions_failed=1,
+            parameters={"contributing": profile.contributing,
+                        "min_contributing": CORRELATOR_MIN_CONTRIBUTING}))
+    else:
         try:
             fit = asymptotics.stretched_fit(profile)
             summary.update(zeta=fit.zeta, c_zeta=fit.c_zeta,
@@ -743,10 +749,9 @@ def _exp_correlator(cfg, mapper):
             reports, summary)
 
 
-def _fh_row(r, cube, config, tol):
-    f = sample_field(cube, config, r)
+def _fh_row(f, tol):
     try:
-        rep = inequalities.feynman_hellmann_report(cube, f, tol)
+        rep = inequalities.feynman_hellmann_report(f.cube, f, tol)
     except PreconditionError:
         return [CheckReport("feynman_hellmann", preconditions_failed=1)], None
     return [rep], (rep.instances, rep.violations,
@@ -757,8 +762,8 @@ def _fh_row(r, cube, config, tol):
 def _exp_fh(cfg, mapper):
     tol = cfg.scalar("tol", 1e-6)
     vals = spectral.run_realizations(
-        per_realization(partial(_fh_row, cube=cfg.cube(), config=cfg.disorder(),
-                                tol=tol)), cfg.realizations, mapper)
+        per_realization(partial(_fh_row, tol=tol), cfg.cube(), cfg.disorder()),
+        cfg.realizations, mapper)
     reports = _fold((reps for reps, _ in vals),
                     CheckReport("feynman_hellmann", parameters={"tol": tol}))
     rows = [(r,) + v for r, (_, v) in enumerate(vals) if v is not None]
@@ -850,9 +855,9 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     diagnostics = validate(cfg)
     # cold per-cube caches: a run's cost does not depend on earlier runs in
     # this process, and the caches hold only this run's cubes
-    lattice._cube_sites.cache_clear()
-    disorder._site_keys.cache_clear()
-    disorder._family_key.cache_clear()
+    for cache in (lattice._cube_sites, disorder._site_keys, disorder._family_key,
+                  disorder._positions, operators._template, green._all_pairs):
+        cache.cache_clear()
     # scipy is recorded, not used: imported here, importing the CLI loads
     # no scipy module
     import scipy

@@ -12,6 +12,7 @@ component and N..2N-1 the lower one.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,9 +81,31 @@ def build_h0(region, bc: str = "simple") -> ScalarOperator:
     return ScalarOperator(region_sites, m)
 
 
+def template(region, bc: str = "simple") -> ScalarOperator:
+    """The operator template of a region: H0 under the boundary condition,
+    built once per (region, bc) and shared, so its matrix is read-only.
+
+    An operator of one realization copies the matrix and writes only its
+    diagonal; the positions of the region's sites in a field cube are
+    cached beside the field (`FieldSample.at`).  `region` is a CubeSpec or
+    a tuple of sites (the cache key); any other iterable of sites is made
+    canonical first.  `harness.run` clears the cache.
+    """
+    if not isinstance(region, (lattice.CubeSpec, tuple)):
+        region = lattice.sites(region)
+    return _template(region, bc)
+
+
+@lru_cache(maxsize=32)
+def _template(region, bc):
+    h0 = build_h0(region, bc)
+    h0.matrix.flags.writeable = False
+    return h0
+
+
 def build_h(region, bc: str, field: FieldSample) -> ScalarOperator:
     """Random Schroedinger operator H = H0 + V on the region."""
-    h0 = build_h0(region, bc)
+    h0 = template(region, bc)
     m = h0.matrix.copy()
     m[np.diag_indices(h0.n)] += field.at(h0.sites)[0]
     return ScalarOperator(h0.sites, m)

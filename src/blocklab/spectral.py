@@ -15,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, SiteMeasure, sample_field
+from .disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
 from .lattice import CubeSpec
-from .operators import BlockOperator, assemble_plain, build_h0
+from .operators import BlockOperator, assemble_plain, template
 
 EIG_RESIDUAL_RTOL = 1e-10
 
@@ -122,7 +122,7 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
         # the recursion raises
         with np.errstate(over="ignore"):
             return _schur_counts(V, B, energies, side == "right")
-    h0 = build_h0(cube, "simple")
+    h0 = template(cube, "simple")
     counts = [np.searchsorted(eigensolve(assemble_plain(h0, v, b)).eigenvalues,
                               energies, side=side) for v, b in zip(V, B)]
     return np.array(counts, dtype=np.int64).reshape(len(V), len(energies))
@@ -266,19 +266,18 @@ def deterministic_radius(d: int, mu_V: SiteMeasure, mu_B: SiteMeasure) -> float:
 # -- ensembles -------------------------------------------------------------
 
 
-def plain_block(cube: CubeSpec, config: DisorderConfig, r: int) -> BlockOperator:
-    """Realization r of the plain block operator on the cube (simple BC)."""
-    f = sample_field(cube, config, r)
-    return assemble_plain(build_h0(cube, "simple"), f.V, f.B)
+def plain_block(field: FieldSample) -> BlockOperator:
+    """The plain block operator of a field on its cube (simple BC)."""
+    return assemble_plain(template(field.cube, "simple"), field.V, field.B)
 
 
-def _counting_row(r: int, cube, config, grid):
-    s = eigensolve(plain_block(cube, config, r))
+def _counting_row(field: FieldSample, grid):
+    s = eigensolve(plain_block(field))
     return np.array([counting(s, e) for e in grid])
 
 
-def _eigenvalue_row(r: int, cube, config):
-    return eigensolve(plain_block(cube, config, r)).eigenvalues
+def _eigenvalue_row(field: FieldSample):
+    return eigensolve(plain_block(field)).eigenvalues
 
 
 # realizations per block kernel call (fewer when a pool needs more blocks)
@@ -289,7 +288,7 @@ def run_realizations(kernel, R: int, mapper=None) -> list:
     """One row per realization r = 0..R-1, in realization order, from a
     block kernel: kernel(rs) takes a range of consecutive realization
     indices and returns one row per index, in order.  `per_realization`
-    lifts a kernel of one index.
+    lifts a kernel of one realization's field.
 
     Blocks hold REALIZATION_BLOCK realizations, or fewer when `mapper`, a
     pool map, needs about four blocks per worker.  Results are consumed in
@@ -305,13 +304,19 @@ def run_realizations(kernel, R: int, mapper=None) -> list:
     return [row for rows in results for row in rows]
 
 
-def per_realization(kernel):
-    """The block kernel [kernel(r) for r in rs] of a kernel of one index."""
-    return partial(_each_realization, kernel)
+def per_realization(kernel, cube: CubeSpec, config: DisorderConfig):
+    """The block kernel of a kernel of one realization's field.
+
+    Each block of realizations is sampled once on the cube
+    (`disorder.sample_fields`), and kernel(field) gets the FieldSample of
+    each row in turn.
+    """
+    return partial(_each_realization, kernel, cube, config)
 
 
-def _each_realization(kernel, rs):
-    return [kernel(r) for r in rs]
+def _each_realization(kernel, cube, config, rs):
+    V, B = sample_fields(cube, config, rs)
+    return [kernel(FieldSample(cube, v, b, r)) for r, v, b in zip(rs, V, B)]
 
 
 @dataclass(frozen=True)
@@ -331,7 +336,7 @@ def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int,
         raise ValueError("need at least one realization")
     grid = np.asarray(grid, dtype=float)
     rows = run_realizations(per_realization(
-        partial(_counting_row, cube=cube, config=config, grid=grid)), R, mapper)
+        partial(_counting_row, grid=grid), cube, config), R, mapper)
     data = np.vstack(rows)
     mean = data.mean(axis=0)
     stderr = (data.std(axis=0, ddof=1) / np.sqrt(R) if R > 1
@@ -365,8 +370,8 @@ def dos_histogram(config: DisorderConfig, cube: CubeSpec, edges, R: int,
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("bin edges must be strictly increasing")
-    rows = run_realizations(per_realization(
-        partial(_eigenvalue_row, cube=cube, config=config)), R, mapper)
+    rows = run_realizations(per_realization(_eigenvalue_row, cube, config),
+                            R, mapper)
     dim = 2 * cube.site_count
     widths = np.diff(edges)
     counts = np.vstack([np.histogram(ev, bins=edges)[0] for ev in rows])

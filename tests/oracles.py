@@ -2,11 +2,13 @@
 
 Each one computes a quantity the library also computes, by a slower or
 more direct route: finite differences for the Feynman-Hellmann sums, a
-dense solve for the suitability norm, a variational minimization for the
-lowest positive block eigenvalue, explicit 2x2 element reads, block
-embeddings and indicator projections for the exact identities, a per-site
-hash for the field sampler, a per-pair 1-norm distance and window counts
-read off a dense spectrum.  None of them runs in an experiment.
+dense solve and an eigenpair sum for the suitability norm, a variational
+minimization for the lowest positive block eigenvalue, explicit 2x2
+element reads, block embeddings and indicator projections for the exact
+identities, a per-site hash for the field sampler, a per-pair 1-norm
+distance and window counts read off a dense spectrum.  `sample_field`
+draws one realization's field, as a one-row block.  None of them runs in
+an experiment.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from blocklab import lattice
-from blocklab.disorder import FieldSample
+from blocklab.disorder import FieldSample, sample_fields
 from blocklab.inequalities import PreconditionError
 from blocklab.operators import assemble_block, build_h, component_indices
 from blocklab.spectral import Spectrum, eigensolve
@@ -45,6 +47,13 @@ def _absorb(key: int, words) -> int:
     for w in words:
         key = _splitmix(key ^ (w & _MASK))
     return key
+
+
+def sample_field(cube, config, realization_index: int) -> FieldSample:
+    """One realization of the V- and B-fields on a cube: the block of
+    `sample_fields` that holds that realization alone."""
+    V, B = sample_fields(cube, config, (realization_index,))
+    return FieldSample(cube, V[0], B[0], realization_index)
 
 
 def site_uniform(master_seed: int, realization_index: int, site,
@@ -201,6 +210,28 @@ def dense_suitability_norm(op_matrix, energy, rows, cols) -> float:
     dim = op_matrix.shape[0]
     g = np.linalg.solve(op_matrix - energy * np.eye(dim), np.eye(dim))
     return float(np.linalg.norm(g[np.ix_(rows, cols)], 2))
+
+
+def eigenpair_suitability_norms(s: Spectrum, rows, cols,
+                                energies) -> tuple[np.ndarray, np.ndarray]:
+    """Per energy: the norm of the resolvent block [rows, cols] and the
+    distance to the spectrum, read off the eigenpairs in `s`,
+    G[rows, cols] = (V[rows] / (lambda - E)) V[cols]^T, with one 2-norm
+    per energy.  An energy on the spectrum (within 1e-12 of its scale, at
+    least 1) has norm inf and distance 0."""
+    ev = s.eigenvalues
+    v_rows, v_cols = s.eigenvectors[rows], s.eigenvectors[cols]
+    scale = max(np.max(np.abs(ev)), 1.0)
+    norms, deltas = [], []
+    for e in energies:
+        delta = float(np.min(np.abs(ev - e)))
+        if delta <= 1e-12 * scale:
+            norms.append(np.inf)
+            deltas.append(0.0)
+            continue
+        norms.append(float(np.linalg.norm((v_rows / (ev - e)) @ v_cols.T, 2)))
+        deltas.append(delta)
+    return np.array(norms), np.array(deltas)
 
 
 # -- min-max-max principle ---------------------------------------------------------

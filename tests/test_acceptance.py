@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from blocklab import asymptotics, green, inequalities, spectral
-from blocklab.disorder import DisorderConfig, SiteMeasure, sample_field
+from blocklab.disorder import DisorderConfig, SiteMeasure
 from blocklab.harness import parse_config, run
 from blocklab.inequalities import CheckReport, PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.operators import assemble_block, build_gamma, build_h
 from blocklab.spectral import deterministic_radius, eigensolve
-from oracles import block_element, block_norm, embed_block, minmaxmax_lambda1
+from oracles import (block_element, block_norm, embed_block, minmaxmax_lambda1,
+                     sample_field)
 
 
 def verdict(number: int, name: str, ok: bool, detail: str):

@@ -15,12 +15,14 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   tail_curve,
                                   tail_exponent_fit, tail_monotonicity_check,
                                   trial_function_energy, wilson_interval)
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
+from blocklab.green import resolvent_columns
 from blocklab.inequalities import PreconditionError, edge_spectra
 from blocklab.lattice import CubeSpec, inner_boundary
 from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve
-from oracles import dense_suitability_norm, dist1
+from oracles import (dense_suitability_norm, dist1, eigenpair_suitability_norms,
+                     sample_field)
 
 LAM1 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 51)
 GAP2 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 52)
@@ -203,9 +205,9 @@ def test_lower_bound_censoring():
 def suitable(cube, f, energy, theta):
     """Whether the cube is (theta, E)-suitable for the field."""
     rows, cols = _suitability_geometry(cube)
-    s = eigensolve(assemble_block(build_h(cube, "simple", f), f),
-                   want_vectors=True)
-    norms, _ = suitability_norms(s, rows, cols, [energy])
+    op = assemble_block(build_h(cube, "simple", f), f)
+    norms, _ = suitability_norms(op, eigensolve(op).eigenvalues, rows, cols,
+                                 [energy])
     return bool(norms[0] < cube.L ** -theta)
 
 
@@ -244,12 +246,67 @@ def test_suitability_norms_match_dense_solve(d, L):
     for r in range(4):
         f = sample_field(cube, LAM1, r)
         op = assemble_block(build_h(cube, "simple", f), f)
-        s = eigensolve(op, want_vectors=True)
-        norms, deltas = suitability_norms(s, rows, cols, energies)
+        ev = eigensolve(op).eigenvalues
+        norms, deltas = suitability_norms(op, ev, rows, cols, energies)
         dense = [dense_suitability_norm(op.matrix, e, rows, cols) for e in energies]
-        assert norms == pytest.approx(dense, rel=1e-6)
-        assert deltas == pytest.approx(
-            [np.min(np.abs(s.eigenvalues - e)) for e in energies])
+        assert norms == pytest.approx(dense, rel=1e-10)
+        assert deltas == pytest.approx([np.min(np.abs(ev - e)) for e in energies])
+
+
+@pytest.mark.parametrize("d, L, config", [(1, 12, LAM1), (1, 48, LAM1),
+                                          (2, 6, LAM1), (2, 12, GAP2)])
+def test_suitability_norms_match_the_eigenpair_oracle(d, L, config):
+    # the boundary-column LU solve against the eigenpair sum, with one
+    # energy on the spectrum of each realization
+    cube = CubeSpec(d, L)
+    rows, cols = _suitability_geometry(cube)
+    for r in range(3):
+        f = sample_field(cube, config, r)
+        op = assemble_block(build_h(cube, "simple", f), f)
+        s = eigensolve(op, want_vectors=True)
+        energies = [0.0, 0.4, float(s.eigenvalues[len(s.eigenvalues) // 2 + r]),
+                    -0.7]
+        norms, deltas = suitability_norms(op, eigensolve(op).eigenvalues, rows,
+                                          cols, energies)
+        ref_norms, ref_deltas = eigenpair_suitability_norms(s, rows, cols, energies)
+        assert norms[2] == ref_norms[2] == np.inf
+        assert deltas[2] == ref_deltas[2] == 0.0
+        assert np.all(np.isfinite(np.delete(norms, 2)))
+        assert norms == pytest.approx(ref_norms, rel=1e-10)
+        assert deltas == pytest.approx(ref_deltas, rel=1e-10)
+
+
+def test_suitability_norms_solve_only_the_boundary_columns(monkeypatch):
+    # one stacked solve for every energy off the spectrum, against 4
+    # columns at d = 1: two boundary sites, two components each
+    solves = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append((a.shape, b.shape)) or real(a, b))
+    cube = CubeSpec(1, 24)
+    rows, cols = _suitability_geometry(cube)
+    f = sample_field(cube, LAM1, 0)
+    op = assemble_block(build_h(cube, "simple", f), f)
+    ev = eigensolve(op).eigenvalues
+    norms, _ = suitability_norms(op, ev, rows, cols, [0.0, float(ev[5]), 0.5])
+    assert solves == [((2, 46, 46), (46, 4))]
+    assert norms[1] == np.inf
+
+
+def test_resolvent_columns_residual_contract(monkeypatch):
+    cube = CubeSpec(1, 12)
+    f = sample_field(cube, LAM1, 0)
+    op = assemble_block(build_h(cube, "simple", f), f)
+    cols = [0, 3, 11]
+    x = resolvent_columns(op, [0.0, 0.5], cols)
+    for k, e in enumerate((0.0, 0.5)):
+        full = np.linalg.inv(op.matrix - e * np.eye(op.dim))
+        assert np.allclose(x[k], full[:, cols], rtol=1e-12, atol=1e-14)
+    # a solve that misses its system is caught
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) * (1 + 1e-6))
+    with pytest.raises(ArithmeticError, match="residual"):
+        resolvent_columns(op, [0.0], cols)
 
 
 def test_suitability_reports_per_theta_match_single_theta_runs():

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from blocklab.disorder import (DisorderConfig, SiteMeasure, case_beta, sample_field,
-                               sample_fields)
+from blocklab.disorder import DisorderConfig, SiteMeasure, case_beta, sample_fields
 from blocklab.lattice import CubeSpec
-from oracles import site_uniform
+from oracles import sample_field, site_uniform
 
 
 def numeric_total_variation(m, n_grid=200001):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
 from blocklab.green import (combes_thomas_bound, combes_thomas_check,
                             decay_profile, decay_rate_fit, edi_check, gri_check,
                             resolvent, sli_check)
@@ -9,7 +9,7 @@ from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve
-from oracles import block_element, block_norm, dist1
+from oracles import block_element, block_norm, dist1, sample_field
 
 GAPPED = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1), 40)
 MIXED = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 41)

@@ -12,13 +12,12 @@ import pytest
 import scipy
 
 import blocklab
-from blocklab import (blas, green, harness, inequalities, lattice, operators,
-                      spectral)
+from blocklab import (blas, disorder, green, harness, inequalities, lattice,
+                      operators, spectral)
 from blocklab.cli import main as cli_main
-from blocklab.disorder import sample_field
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
-from oracles import csv_cell
+from oracles import csv_cell, sample_field
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -209,22 +208,37 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
             [r.to_json() for r in results[1].reports]
 
 
+# one-realization kernels fed a field row per realization of a block
+SUITABILITY_BLOCKS = make_text("suitability", L=12, R=9, vk="two_point",
+                               vargs="v1 = 1.0\np = 0.2\nv2 = 3.0",
+                               bk="point_mass", bargs="c = 0.0",
+                               extra="[suitability]\nlengths = 6 12\n"
+                                     "theta = -2 0.5\nenergies = 0.0 1.2\n")
+CT_BLOCKS = make_text("ct", L=10, R=9, va=1.0, vb=2.0, extra="[ct]\nenergy = 0.0\n")
+
+
 @pytest.mark.parametrize("block", [1, 7, 10 ** 6])
 def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
     # two usable CPUs, so that two workers start a real pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cases = ((WEGNER_BLOCKS, ["wegner.csv"]),
-             (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]))
+             (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]),
+             (SUITABILITY_BLOCKS, ["suitability.csv"]),
+             (CT_BLOCKS, ["ct.csv", "ct_profile.csv"]))
     expected = {}
     for text, names in cases:
         out = tmp_path / "default"
-        assert run(parse_config(text), out).exit_code == 0
+        result = run(parse_config(text), out)
+        assert result.exit_code == 0
         expected.update((name, (out / name).read_bytes()) for name in names)
+        expected[text] = [r.to_json() for r in result.reports]
     monkeypatch.setattr(spectral, "REALIZATION_BLOCK", block)
     for w in (1, 2):
         for text, names in cases:
             out = tmp_path / f"w{w}"
-            assert run(parse_config(text, workers=w), out).exit_code == 0
+            result = run(parse_config(text, workers=w), out)
+            assert result.exit_code == 0
+            assert [r.to_json() for r in result.reports] == expected[text]
             for name in names:
                 assert (out / name).read_bytes() == expected[name], (w, name)
 
@@ -524,6 +538,78 @@ def test_one_eigen_call_per_distinct_matrix(kind, tmp_path, monkeypatch):
         assert len(solved) == 2 * cfg.realizations
 
 
+def _wrap_everywhere(monkeypatch, module, name, wrapper):
+    """Replace module.name by wrapper(original) in every blocklab module
+    that binds it."""
+    real = getattr(module, name)
+    wrapped = wrapper(real)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("blocklab") and \
+                getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, wrapped)
+
+
+@pytest.mark.parametrize("kind", sorted(EIGEN_COUNT_CASES))
+def test_each_block_is_sampled_once(kind, tmp_path, monkeypatch):
+    # blocks of 3: realizations 0-2 and 3 of R = 4
+    monkeypatch.setattr(spectral, "REALIZATION_BLOCK", 3)
+    calls = []
+
+    def counted(real):
+        def sample_fields(cube, config, rs):
+            calls.append((cube, tuple(rs)))
+            return real(cube, config, rs)
+        return sample_fields
+    _wrap_everywhere(monkeypatch, disorder, "sample_fields", counted)
+    cfg = parse_config(EIGEN_COUNT_CASES[kind])
+    assert cfg.realizations == 4
+    run(cfg, tmp_path)
+    cubes = list(dict.fromkeys(cube for cube, _ in calls))
+    assert cubes
+    assert calls == [(cube, rs) for cube in cubes for rs in ((0, 1, 2), (3,))]
+
+
+@pytest.mark.parametrize("kind", sorted(EIGEN_COUNT_CASES))
+def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch):
+    built = []
+
+    def counted(real):
+        def build_h0(region, bc="simple"):
+            built.append((lattice.sites(region), bc))
+            return real(region, bc)
+        return build_h0
+    _wrap_everywhere(monkeypatch, operators, "build_h0", counted)
+    cfg = parse_config(EIGEN_COUNT_CASES[kind])
+    run(cfg, tmp_path)
+    assert len(built) == len(set(built))
+    # d = 1 counts come from the inertia, with no operator
+    assert bool(built) != (kind in ("wegner", "tails"))
+
+
+def test_correlator_decay_needs_enough_contributing_realizations(tmp_path):
+    # R = 4: 2 (seed 7) and 3 (seed 42) realizations reach the interval,
+    # too few to fit a slope, so the check is a precondition skip
+    for seed, contributing in ((7, 2), (42, 3)):
+        cfg = parse_config(EIGEN_COUNT_CASES["correlator"], seed=seed)
+        result = run(cfg, tmp_path / str(seed))
+        assert result.exit_code == 0
+        rep, = result.reports
+        assert (rep.name, rep.instances, rep.preconditions_failed) == \
+            ("correlator_decay", 0, 1)
+        assert rep.parameters == {
+            "contributing": contributing,
+            "min_contributing": harness.CORRELATOR_MIN_CONTRIBUTING}
+        assert "log_slope" not in result.summary
+    # with enough of them the slope is asserted
+    cfg = make_cfg("correlator", L=21, R=30, va=0.0, vb=5.0,
+                   extra="[correlator]\ninterval = -1.5 1.5\n")
+    result = run(cfg, tmp_path / "many")
+    assert result.summary["contributing"] >= harness.CORRELATOR_MIN_CONTRIBUTING
+    rep, = result.reports
+    assert (rep.instances, rep.preconditions_failed) == (1, 0)
+    assert result.exit_code == 0
+
+
 def test_wegner_experiment(tmp_path):
     cfg = make_cfg("wegner", L=16, R=40,
                    extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n")
@@ -636,20 +722,23 @@ def test_dos_run_solves_each_realization_once(tmp_path, monkeypatch):
 
 
 def test_suitability_run_solves_each_realization_once(tmp_path, monkeypatch):
-    eighs, solves = [], []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a, *rest: eighs.append(len(a)) or real(a, *rest))
-    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1))
+    calls = {"eigvalsh": [], "eigh": [], "solve": []}
+    for name, log in calls.items():
+        def counted(a, *rest, _real=getattr(np.linalg, name), _log=log):
+            _log.append(np.shape(a)[-3:])
+            return _real(a, *rest)
+        monkeypatch.setattr(np.linalg, name, counted)
     cfg = make_cfg("suitability", L=12, R=6, va=1.0, vb=2.0, bk="point_mass",
                    bargs="c = 0.0",
                    extra="[suitability]\nlengths = 6 12\ntheta = 1.5 3\n"
                          "energies = 0.0 0.5\n")
     result = run(cfg, tmp_path)
     assert result.exit_code == 0
-    # R x |lengths| eigh calls (dims 10 and 22) serve both thetas
-    assert eighs == [10] * 6 + [22] * 6
-    assert solves == []
+    # per realization and length one eigvalsh (dims 10 and 22) and one
+    # stacked solve over both energies serve both thetas
+    assert calls["eigvalsh"] == [(10, 10)] * 6 + [(22, 22)] * 6
+    assert calls["solve"] == [(2, 10, 10)] * 6 + [(2, 22, 22)] * 6
+    assert calls["eigh"] == []
     # rows and reports stay ordered by theta, then length, then energy
     rows = [line.split(",")[:3] for line in
             (tmp_path / "suitability.csv").read_text().splitlines()[1:]]

@@ -5,7 +5,7 @@ import pytest
 
 from blocklab import inequalities
 from blocklab.asymptotics import TailCurve, tail_monotonicity_check
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
 from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionError,
                                    beta_map_check, bracketing_gap_check,
                                    dos_bound_energy_dependent, feynman_hellmann_report,
@@ -15,7 +15,8 @@ from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionErro
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_bracketing, build_h, build_h0
 from blocklab.spectral import count_leq, dos_histogram, eigensolve, plain_block
-from oracles import count_window, fh_derivative_sums_fd, minmaxmax_lambda1
+from oracles import (count_window, fh_derivative_sums_fd, minmaxmax_lambda1,
+                     sample_field)
 
 POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 
@@ -101,9 +102,9 @@ def test_wegner_windows_match_per_window_loop():
     reps = wegner_finite_volume(POS, cube, windows, R)
     assert len(reps) == len(windows)
     for rep, (e, eps) in zip(reps, windows):
-        counts = np.array([count_window(eigensolve(plain_block(cube, POS, r)),
-                                        e - eps, e + eps) for r in range(R)],
-                          dtype=float)
+        counts = np.array([count_window(
+            eigensolve(plain_block(sample_field(cube, POS, r))), e - eps, e + eps)
+            for r in range(R)], dtype=float)
         p = rep.parameters
         assert (p["E"], p["eps"], p["R"]) == (e, eps, R)
         assert p["mean"] == counts.mean()
@@ -197,7 +198,7 @@ def test_fh_sums_match_finite_differences(cube):
     for r in range(3):
         f = sample_field(cube, POS, r)
         ev, sums = fh_derivative_sums(build_h(cube, "simple", f), f)
-        assert np.allclose(ev, eigensolve(plain_block(cube, POS, r)).eigenvalues,
+        assert np.allclose(ev, eigensolve(plain_block(f)).eigenvalues,
                            rtol=0, atol=1e-12)
         assert np.min(np.diff(ev)) > FH_MIN_SPACING
         assert np.max(np.abs(sums - fh_derivative_sums_fd(cube, f))) <= 1e-7

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_field
-from blocklab.lattice import CubeSpec, inner_boundary, outer_boundary
-from blocklab.operators import (assemble_beta_reference, assemble_block,
-                                assemble_bracketing, build_gamma, build_h,
-                                build_h0)
-from oracles import dump_matrix, embed_block, indicator
+from blocklab import disorder, operators
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
+from blocklab.lattice import CubeSpec, inner_boundary, outer_boundary, site_index
+from blocklab.operators import (BOUNDARY_CONDITIONS, assemble_beta_reference,
+                                assemble_block, assemble_bracketing, build_gamma,
+                                build_h, build_h0, template)
+from oracles import dump_matrix, embed_block, indicator, sample_field
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 31)
 
@@ -198,3 +199,61 @@ def test_dump_matrix_format(tmp_path):
     assert "block layout" in lines[0]
     data = np.array([[float(x) for x in line.split()] for line in lines[1:]])
     assert np.array_equal(data, op.matrix)
+
+
+# -- operator templates ------------------------------------------------------------
+
+
+def template_cases():
+    """(field cube, region) pairs at d = 1, 2, 3: the cube itself, an
+    off-centre sub-cube, and a region that is no cube, given as a list."""
+    for cube, sub in ((CubeSpec(1, 9), CubeSpec(1, 4, (2,))),
+                      (CubeSpec(2, 6), CubeSpec(2, 3, (1, -1))),
+                      (CubeSpec(3, 5), CubeSpec(3, 2.5, (1, 0, -1)))):
+        ragged = list(cube.sites())[1:-2]
+        yield cube, cube
+        yield cube, sub
+        yield cube, ragged
+
+
+@pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+def test_cached_templates_equal_fresh_operators(bc):
+    operators._template.cache_clear()
+    for cube, region in template_cases():
+        f = sample_field(cube, UNIT, 3)
+        fresh = build_h0(region, bc)
+        idx = site_index(cube, fresh.sites, strict=True)
+        v, b = f.V[idx], f.B[idx]
+        h = fresh.matrix + np.diag(v)
+        for _ in range(2):              # a cold cache, then a warm one
+            t = template(region, bc)
+            assert t.sites == fresh.sites
+            assert np.array_equal(t.matrix, fresh.matrix)
+            built = build_h(region, bc, f)
+            assert built.sites == fresh.sites
+            assert np.array_equal(built.matrix, h)
+            assert np.array_equal(assemble_block(built, f).matrix,
+                                  np.block([[h, np.diag(b)], [np.diag(b), -h]]))
+            assert np.array_equal(f.at(fresh.sites)[0], v)
+        hd = build_h0(region, "dirichlet").matrix + np.diag(v)
+        hn = build_h0(region, "neumann").matrix + np.diag(v)
+        assert np.array_equal(assemble_bracketing(region, f).matrix,
+                              np.block([[hd, np.diag(b)], [np.diag(b), -hn]]))
+
+
+def test_template_matrix_is_read_only():
+    cube = CubeSpec(2, 4)
+    t = template(cube, "simple")
+    with pytest.raises(ValueError, match="read-only"):
+        t.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        t.matrix += 1.0
+    # an operator built from it owns its matrix
+    h = build_h(cube, "simple", sample_field(cube, UNIT, 0))
+    h.matrix[0, 0] += 1.0
+    assert np.array_equal(template(cube, "simple").matrix,
+                          build_h0(cube, "simple").matrix)
+    # so is the cached index of a region in a field cube
+    idx = disorder._positions(cube, CubeSpec(2, 2).sites())
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0] = 0

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from blocklab import spectral
-from blocklab.disorder import (DisorderConfig, FieldSample, SiteMeasure, sample_field,
-                               sample_fields)
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_block, assemble_plain, build_h, build_h0
 from blocklab.spectral import (count_below, count_leq, counting,
@@ -11,7 +10,7 @@ from blocklab.spectral import (count_below, count_leq, counting,
                                ids_monte_carlo, nondegeneracy_check,
                                per_realization, plain_block, radius_check,
                                run_realizations, spectral_gap, symmetry_check)
-from oracles import count_window
+from oracles import count_window, sample_field
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 17)
 ZERO = DisorderConfig(SiteMeasure.point_mass(0), SiteMeasure.point_mass(0), 0)
@@ -34,7 +33,7 @@ def test_eigensolve_toeplitz_oracle():
 
 
 def test_eigensolve_vectors_residual():
-    op = plain_block(CubeSpec(1, 9), UNIT, 0)
+    op = plain_block(sample_field(CubeSpec(1, 9), UNIT, 0))
     s = eigensolve(op, want_vectors=True)
     resid = np.max(np.abs(op.matrix @ s.eigenvectors
                           - s.eigenvectors * s.eigenvalues))
@@ -44,7 +43,7 @@ def test_eigensolve_vectors_residual():
 
 
 def test_eigensolve_rejects_nonfinite():
-    op = plain_block(CubeSpec(1, 3), UNIT, 0)
+    op = plain_block(sample_field(CubeSpec(1, 3), UNIT, 0))
     op.matrix[0, 0] = np.nan
     with pytest.raises(ValueError):
         eigensolve(op)
@@ -71,7 +70,7 @@ def test_counting_basics():
 
 
 def test_counting_monotone_right_continuous():
-    s = eigensolve(plain_block(CubeSpec(1, 11), UNIT, 1))
+    s = eigensolve(plain_block(sample_field(CubeSpec(1, 11), UNIT, 1)))
     grid = np.linspace(-8, 8, 200)
     vals = [counting(s, e) for e in grid]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -96,20 +95,20 @@ def test_spectral_gap():
 def test_gap_with_v_bounded_below():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 5)
     for r in range(30):
-        s = eigensolve(plain_block(CubeSpec(1, 12), cfg, r))
+        s = eigensolve(plain_block(sample_field(CubeSpec(1, 12), cfg, r)))
         assert np.min(np.abs(s.eigenvalues)) >= 1.0
 
 
 def test_gap_with_both_bounded_below():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 5)
     for r in range(30):
-        s = eigensolve(plain_block(CubeSpec(1, 12), cfg, r))
+        s = eigensolve(plain_block(sample_field(CubeSpec(1, 12), cfg, r)))
         assert np.min(np.abs(s.eigenvalues)) >= np.sqrt(2.0)
 
 
 def test_structural_checks():
     for r in range(20):
-        s = eigensolve(plain_block(CubeSpec(2, 3), UNIT, r))
+        s = eigensolve(plain_block(sample_field(CubeSpec(2, 3), UNIT, r)))
         assert symmetry_check(s).passed
         assert nondegeneracy_check(s).passed
         assert radius_check(s, deterministic_radius(2, UNIT.mu_V, UNIT.mu_B)).passed
@@ -123,14 +122,14 @@ def test_radius_value():
 def test_ids_deterministic_case():
     est = ids_monte_carlo(ZERO, CubeSpec(1, 5), np.linspace(-5, 5, 21), 4)
     assert np.all(est.stderr_N == 0.0)
-    s = eigensolve(plain_block(CubeSpec(1, 5), ZERO, 0))
+    s = eigensolve(plain_block(sample_field(CubeSpec(1, 5), ZERO, 0)))
     assert est.mean_N == pytest.approx([counting(s, e) for e in est.grid])
 
 
 def test_ids_single_realization():
     grid = np.linspace(-4, 4, 9)
     est = ids_monte_carlo(UNIT, CubeSpec(1, 7), grid, 1)
-    s = eigensolve(plain_block(CubeSpec(1, 7), UNIT, 0))
+    s = eigensolve(plain_block(sample_field(CubeSpec(1, 7), UNIT, 0)))
     assert est.mean_N == pytest.approx([counting(s, e) for e in grid])
 
 
@@ -364,17 +363,24 @@ class Pool:
         return map(fn, items)
 
 
+def field_row(f):
+    return f.realization_index, f.cube, f.V.tolist(), f.B.tolist()
+
+
 @pytest.mark.parametrize("block", [1, 7, 256])
 def test_run_realizations_cuts_blocks_and_keeps_order(block, monkeypatch):
     monkeypatch.setattr(spectral, "REALIZATION_BLOCK", block)
     assert run_realizations(lambda rs: [(r, len(rs)) for r in rs], 20) == [
         (r, min(block, 20 - block * (r // block))) for r in range(20)]
-    assert run_realizations(per_realization(str), 20) == [str(r) for r in range(20)]
+    # per_realization hands each kernel call its realization's field
+    cube = CubeSpec(2, 3)
+    expected = [field_row(sample_field(cube, UNIT, r)) for r in range(20)]
+    lifted = per_realization(field_row, cube, UNIT)
+    assert run_realizations(lifted, 20) == expected
     # a pool map gets about four blocks per worker
     pool = Pool()
-    assert run_realizations(per_realization(str), 20, pool) == [
-        str(r) for r in range(20)]
+    assert run_realizations(lifted, 20, pool) == expected
     size = min(block, 2)
     assert pool.mapped == [[range(lo, min(lo + size, 20))
                             for lo in range(0, 20, size)]]
-    assert run_realizations(per_realization(str), 0) == []
+    assert run_realizations(lifted, 0) == []
