@@ -21,8 +21,8 @@ import json
 import math
 import os
 import platform
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
@@ -30,9 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
+# asymptotics and green load with the kinds that use them, and
+# concurrent.futures with the first pool: a run pays only for its own kind
 from . import __version__
-from . import (asymptotics, blas, disorder, green, inequalities, lattice,
-               operators, spectral)
+from . import blas, disorder, inequalities, lattice, operators, spectral
 from .disorder import DisorderConfig, SiteMeasure, case_beta
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
@@ -182,18 +183,27 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 # -- validation ---------------------------------------------------------------
 
 
+def _cube_problems(d: int, L: float, what: str = "") -> list[str]:
+    """Why a run cannot solve the block (2 |cube| wide) of the cube of
+    length L densely: no sites, or past MAX_BLOCK_DIM.  `what` prefixes
+    the diagnostic; a dimension below 1 is reported once, elsewhere."""
+    if d < 1:
+        return []
+    if L <= 1:
+        return [f"{what}cube length must exceed 1, got {L}"]
+    dim = 2 * CubeSpec(d, L).site_count
+    if dim > MAX_BLOCK_DIM:
+        return [f"{what}matrix dimension {dim} exceeds the hard cap "
+                f"{MAX_BLOCK_DIM}; reduce L or d"]
+    return []
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
     """All hypothesis diagnostics for the configured experiment, no computation."""
     out = []
     if cfg.d < 1:
         out.append(f"dimension must be >= 1, got {cfg.d}")
-    if cfg.L <= 1:
-        out.append(f"cube length must exceed 1, got {cfg.L}")
-    else:
-        dim = 2 * cfg.cube().site_count
-        if dim > MAX_BLOCK_DIM:
-            out.append(f"matrix dimension {dim} exceeds the hard cap "
-                       f"{MAX_BLOCK_DIM}; reduce L or d")
+    out += _cube_problems(cfg.d, cfg.L)
     if cfg.realizations < 1:
         out.append("realizations must be >= 1")
     if cfg.workers < 1:
@@ -232,12 +242,29 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"{k}: {e}")
         if cfg.mu_V.support_inf < 0:
             out.append(f"{k}: needs inf supp mu_V >= 0")
+    # the kinds that solve cubes other than the experiment's
     if k == "suitability":
         for L in cfg.ints("lengths", "12 24 48"):
             if L % 6 != 0:
                 out.append(f"suitability: length {L} not in 6N")
-    if k == "tails" and cfg.mu_V.kind == "point_mass":
-        out.append("tails: mu_V concentrated in a single point has no tail")
+            out += _cube_problems(cfg.d, L, f"suitability: length {L}: ")
+    if k in ("green", "sli-edi") and cfg.get("lengths") is not None:
+        try:
+            l3 = _nested_lengths(cfg)[2]
+        except ValueError:
+            out.append(f"{k}: lengths must be three numbers l1 l2 l3")
+        else:
+            out += _cube_problems(cfg.d, l3, f"{k}: host length {l3:g}: ")
+    if k == "tails":
+        if cfg.mu_V.kind == "point_mass":
+            out.append("tails: mu_V concentrated in a single point has no tail")
+        if cfg.d >= 1:
+            eps, lengths = _tail_grid(cfg)
+            n = len(eps) if cfg.get("lengths") is None else len(cfg.ints("lengths"))
+            if n != len(eps):
+                out.append(f"tails: {n} lengths for {len(eps)} epsilons")
+            for e, L in zip(eps, lengths):
+                out += _cube_problems(cfg.d, L, f"tails: length {L} at eps {e:g}: ")
     if k == "fh":
         if cfg.mu_V.support_inf < 0:
             out.append("fh: needs V >= 0 so that H >= 0")
@@ -249,42 +276,87 @@ def validate(cfg: ExperimentConfig) -> list[str]:
 # -- parallel mapping ---------------------------------------------------------
 
 
-class PoolMap:
-    """Ordered map over a process pool whose workers run one BLAS thread.
+# What a run pays to start, feed and join a process pool, in seconds.  On a
+# 2-vCPU host (Python 3.11, numpy 2.4, fork start), in-process wall time at
+# 2 workers minus half the inline one, median of 5 runs of each shipped
+# config: 0.09 to 0.16 s, median 0.10 s.  An idle pool's import, start and
+# join alone take about 0.05 s; feeding real kernels and their results
+# takes the rest.
+POOL_START_S = 0.1
 
-    Each call is cut into about four chunks per worker: enough to balance
-    the load with few dispatches.  Starting the pool still costs more than
-    it saves on small runs (README, "Parallel execution").
+
+class PoolMap:
+    """Ordered map of realization-block kernels (`spectral.run_realizations`)
+    over a process pool of `size` workers that starts only when the
+    measured work pays for it.
+
+    A call cuts R realizations into blocks of ceil(R / (4 size)), at most
+    REALIZATION_BLOCK: about four per worker.  While no pool runs, the
+    call computes the first block inline and times it, t.  The B - 1
+    other blocks would take about t (B - 1) inline, and a pool saves
+    (1 - 1/size) of that; it starts when the saving exceeds POOL_START_S.
+    Otherwise the rest runs inline, in blocks of REALIZATION_BLOCK.  Once
+    started, the pool maps every block of later calls, in about four
+    chunks per worker, and each worker runs one BLAS thread.
+    `estimate_s` is the largest t (B - 1) measured, None before a probe.
     """
 
-    def __init__(self, executor: ProcessPoolExecutor, size: int):
-        self.executor = executor
+    def __init__(self, size: int):
         self.size = size
+        self.executor = None
+        self.estimate_s = None
 
-    def __call__(self, fn, items):
-        chunksize = max(1, math.ceil(len(items) / (4 * self.size)))
-        return self.executor.map(fn, items, chunksize=chunksize)
+    def __call__(self, kernel, R: int):
+        block = min(spectral.REALIZATION_BLOCK, max(1, math.ceil(R / (4 * self.size))))
+        blocks = spectral.realization_blocks(0, R, block)
+        if self.executor is not None:
+            return self._map(kernel, blocks)
+        if not blocks:
+            return []
+        t0 = time.perf_counter()
+        first = kernel(blocks[0])
+        rest = (time.perf_counter() - t0) * (len(blocks) - 1)
+        self.estimate_s = max(self.estimate_s or 0.0, rest)
+        if rest * (1.0 - 1.0 / self.size) <= POOL_START_S:
+            return [first, *map(kernel, spectral.realization_blocks(
+                block, R, spectral.REALIZATION_BLOCK))]
+        # only a pool needs concurrent.futures and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        self.executor = ProcessPoolExecutor(
+            max_workers=self.size, initializer=blas.set_threads, initargs=(1,))
+        return [first, *self._map(kernel, blocks[1:])]
+
+    def _map(self, kernel, blocks):
+        chunksize = max(1, math.ceil(len(blocks) / (4 * self.size)))
+        return self.executor.map(kernel, blocks, chunksize=chunksize)
 
     def worker_blas_threads(self) -> int | None:
         """OpenBLAS thread count reported by a pool worker."""
         return self.executor.submit(blas.threads).result()
 
+    def close(self):
+        """Join the pool, if one started."""
+        if self.executor is not None:
+            self.executor.shutdown()
+
 
 @contextmanager
 def realization_mapper(workers: int):
-    """Yield a `PoolMap` over min(workers, usable CPUs) processes when that
-    is more than one, else None (inline execution).
+    """Yield a `PoolMap` of up to min(workers, usable CPUs) processes when
+    that is more than one, else None (inline execution).
 
     Either way results come back in realization order, so aggregates are
     identical across worker counts.
     """
     size = min(workers, len(os.sched_getaffinity(0)))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size, initializer=blas.set_threads,
-                                 initargs=(1,)) as ex:
-            yield PoolMap(ex, size)
-    else:
+    if size <= 1:
         yield None
+        return
+    mapper = PoolMap(size)
+    try:
+        yield mapper
+    finally:
+        mapper.close()
 
 
 # -- CSV output ---------------------------------------------------------------
@@ -376,7 +448,8 @@ def _summary_table(reports):
 # each _exp_* returns (tables, reports, summary); tables maps file stem to
 # (header, row list).  Realization kernels take one realization's
 # FieldSample (see spectral.per_realization) and return their CheckReports
-# (beside any CSV values), reduced by _fold.
+# (beside any CSV values), reduced by _fold.  A kind's function, or its
+# kernel where pool workers run it, imports asymptotics or green itself.
 
 
 def _exp_spectrum(cfg, mapper):
@@ -489,6 +562,7 @@ def _exp_gap(cfg, mapper):
 
 
 def _interlace_row(f, lam, beta, eps):
+    from . import asymptotics
     cube = f.cube
     es = inequalities.edge_spectra(build_h(cube, "simple", f), f, beta)
     return [
@@ -525,6 +599,7 @@ def _nested_lengths(cfg):
 
 
 def _green_row(f, cubes, energy):
+    from . import green
     try:
         rep = green.gri_check(*cubes, f, energy)
     except PreconditionError:
@@ -550,6 +625,7 @@ def _exp_green(cfg, mapper):
 
 
 def _ct_row(f, energy):
+    from . import green
     op = plain_block(f)
     try:
         profile = green.decay_profile(op, energy)
@@ -602,6 +678,7 @@ def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
 
 
 def _sli_edi_row(f, cubes, energy):
+    from . import green
     c1, c2, c3 = cubes
     if not lattice.strictly_inside(c2, c3):      # both checks need it
         return [CheckReport("sli", preconditions_failed=1),
@@ -629,14 +706,24 @@ def _exp_sli_edi(cfg, mapper):
     return {"sli_edi": _summary_table(reports)}, reports, {}
 
 
-def _exp_tails(cfg, mapper):
-    dis = cfg.disorder()
+def _tail_grid(cfg):
+    """The sorted epsilons of a tails run and the cube length of each:
+    the configured lengths raised to the resolution floor
+    L >= 10/sqrt(eps) of `asymptotics.default_tail_length`, else that
+    floor.  `validate` holds these lengths to the dense cap.
+    """
+    from . import asymptotics
     eps = sorted(cfg.floats("epsilons", "0.08 0.125 0.2 0.3 0.4 0.5"))
-    lengths = cfg.ints("lengths") if cfg.get("lengths") is not None else None
-    if lengths is not None:
-        # enforce the resolution floor L >= 10/sqrt(eps) (and the dense cap)
-        lengths = [max(L, asymptotics.default_tail_length(e, cfg.d))
-                   for L, e in zip(lengths, eps)]
+    floor = [asymptotics.default_tail_length(e, cfg.d) for e in eps]
+    if cfg.get("lengths") is None:
+        return eps, floor
+    return eps, [max(L, f) for L, f in zip(cfg.ints("lengths"), floor)]
+
+
+def _exp_tails(cfg, mapper):
+    from . import asymptotics
+    dis = cfg.disorder()
+    eps, lengths = _tail_grid(cfg)
     curve = asymptotics.tail_curve(dis, cfg.d, eps, cfg.realizations,
                                    lengths=lengths, mapper=mapper)
     mono = asymptotics.tail_monotonicity_check(curve)
@@ -674,6 +761,7 @@ def _exp_tails(cfg, mapper):
 
 
 def _exp_suitability(cfg, mapper):
+    from . import asymptotics
     dis = cfg.disorder()
     # default sweep: theta just above the dimension, and well above it
     thetas = cfg.floats("theta", f"{cfg.d + 0.5} {2 * cfg.d}")
@@ -717,6 +805,7 @@ CORRELATOR_MIN_CONTRIBUTING = 10
 
 
 def _exp_correlator(cfg, mapper):
+    from . import asymptotics
     dis = cfg.disorder()
     cube = cfg.cube()
     lo, hi = cfg.floats("interval", "-0.5 0.5")
@@ -855,8 +944,12 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     diagnostics = validate(cfg)
     # cold per-cube caches: a run's cost does not depend on earlier runs in
     # this process, and the caches hold only this run's cubes
-    for cache in (lattice._cube_sites, disorder._site_keys, disorder._family_key,
-                  disorder._positions, operators._template, green._all_pairs):
+    caches = [lattice._cube_sites, disorder._site_keys, disorder._family_key,
+              disorder._positions, operators._template]
+    green = sys.modules.get(f"{__package__}.green")   # loaded by its kinds only
+    if green is not None:
+        caches.append(green._all_pairs)
+    for cache in caches:
         cache.cache_clear()
     # scipy is recorded, not used: imported here, importing the CLI loads
     # no scipy module
@@ -865,7 +958,7 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
            "scipy": scipy.__version__,
            "cpu_affinity": len(os.sched_getaffinity(0)),
            "workers_requested": cfg.workers, "pool_size": 1,
-           "blas_threads_worker": None}
+           "pool_estimate_s": None, "blas_threads_worker": None}
     t0 = time.perf_counter()
     tables, reports, summary = {}, [], {}
     # one BLAS thread here as in every pool worker: a threaded LAPACK call
@@ -876,8 +969,10 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
             with realization_mapper(cfg.workers) as mapper:
                 tables, reports, summary = EXPERIMENTS[cfg.kind](cfg, mapper)
                 if mapper is not None:
-                    env.update(pool_size=mapper.size,
-                               blas_threads_worker=mapper.worker_blas_threads())
+                    env["pool_estimate_s"] = mapper.estimate_s
+                    if mapper.executor is not None:
+                        env.update(pool_size=mapper.size,
+                                   blas_threads_worker=mapper.worker_blas_threads())
     result = RunResult(cfg, tables, reports, summary, diagnostics,
                        time.perf_counter() - t0, env)
     files = emit_plotdata(result, outdir)

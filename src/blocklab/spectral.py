@@ -9,7 +9,6 @@ Eigenvalue counts alone need no spectrum: `count_below` reads them off the
 inertia of (H_hat - E) for a whole block of realizations at once.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -280,8 +279,14 @@ def _eigenvalue_row(field: FieldSample):
     return eigensolve(plain_block(field)).eigenvalues
 
 
-# realizations per block kernel call (fewer when a pool needs more blocks)
+# realizations per block kernel call run inline (a pool may cut smaller ones)
 REALIZATION_BLOCK = 256
+
+
+def realization_blocks(start: int, stop: int, size: int) -> list[range]:
+    """Consecutive ranges of at most `size` realization indices that cover
+    start..stop-1."""
+    return [range(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
 def run_realizations(kernel, R: int, mapper=None) -> list:
@@ -290,17 +295,14 @@ def run_realizations(kernel, R: int, mapper=None) -> list:
     indices and returns one row per index, in order.  `per_realization`
     lifts a kernel of one realization's field.
 
-    Blocks hold REALIZATION_BLOCK realizations, or fewer when `mapper`, a
-    pool map, needs about four blocks per worker.  Results are consumed in
-    index order either way, and a kernel's row for r may not depend on
+    Inline, blocks hold REALIZATION_BLOCK realizations.  A `mapper`
+    (harness.PoolMap) takes the kernel and R, cuts its own blocks and
+    returns their rows in order.  A kernel's row for r may not depend on
     the block r sits in, so aggregates depend neither on the degree of
     parallelism nor on the block size.
     """
-    size = REALIZATION_BLOCK
-    if mapper is not None:
-        size = min(size, max(1, math.ceil(R / (4 * mapper.size))))
-    blocks = [range(lo, min(lo + size, R)) for lo in range(0, R, size)]
-    results = map(kernel, blocks) if mapper is None else mapper(kernel, blocks)
+    results = (map(kernel, realization_blocks(0, R, REALIZATION_BLOCK))
+               if mapper is None else mapper(kernel, R))
     return [row for rows in results for row in rows]
 
 

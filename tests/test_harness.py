@@ -1,3 +1,5 @@
+import ast
+import concurrent.futures
 import json
 import math
 import os
@@ -14,6 +16,9 @@ import scipy
 import blocklab
 from blocklab import (blas, disorder, green, harness, inequalities, lattice,
                       operators, spectral)
+# loaded before any test patches a name it binds, as the kinds that use it
+# would load it: _wrap_everywhere reaches only modules already loaded
+from blocklab import asymptotics  # noqa: F401
 from blocklab.cli import main as cli_main
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
@@ -108,9 +113,45 @@ def test_validate_suitability_length():
     assert any("6N" in p for p in validate(cfg))
 
 
-def test_validate_matrix_cap():
-    cfg = make_cfg("spectrum", L=5000)
-    assert any("hard cap" in p for p in validate(cfg))
+def _d2(text):
+    return text.replace("\nd = 1\n", "\nd = 2\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    (make_text("spectrum", L=5000), "matrix dimension 9998"),
+    # cubes other than the experiment's: suitability lengths, tails lengths
+    # (kept above the resolution floor) and the nested host cube
+    (make_text("suitability", L=12, va=1.0, vb=2.0, bk="point_mass",
+               bargs="c = 0.0", extra="[suitability]\nlengths = 12 24 2400\n"),
+     "suitability: length 2400"),
+    (_d2(make_text("tails", L=9, va=1.0, vb=2.0, bk="point_mass", bargs="c = 0.0",
+                   extra="[tails]\nepsilons = 0.3\nlengths = 60\n")),
+     "tails: length 60"),
+    (make_text("green", L=9, va=1.0, vb=2.0,
+               extra="[green]\nlengths = 2 5 2400\n"), "green: host length 2400"),
+    (make_text("sli-edi", L=9, va=1.0, vb=2.0,
+               extra="[sli-edi]\nlengths = 2 5 2400\n"), "sli-edi: host length 2400"),
+], ids=["experiment", "suitability", "tails", "green", "sli-edi"])
+def test_validate_matrix_cap(text, where, tmp_path, capsys):
+    problems = validate(parse_config(text))
+    assert [p for p in problems if "hard cap" in p and where in p] == problems
+    assert len(problems) == 1
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert run(parse_config(text), tmp_path / "out").exit_code == 3
+
+
+def test_validate_tails_lengths_pair_with_epsilons():
+    cfg = make_cfg("tails", va=1.0, vb=2.0, bk="point_mass", bargs="c = 0.0",
+                   extra="[tails]\nepsilons = 0.3 0.5\nlengths = 15\n")
+    assert validate(cfg) == ["tails: 1 lengths for 2 epsilons"]
+
+
+@pytest.mark.parametrize("kind", ["green", "sli-edi"])
+def test_validate_nested_lengths_need_three(kind):
+    cfg = make_cfg(kind, va=1.0, vb=2.0, extra=f"[{kind}]\nlengths = 2 5\n")
+    assert validate(cfg) == [f"{kind}: lengths must be three numbers l1 l2 l3"]
 
 
 def test_spectrum_run_writes_toeplitz_values(tmp_path):
@@ -144,8 +185,10 @@ def test_repeat_run_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    # two usable CPUs, so that more than one worker starts a real pool
+    # two usable CPUs and a pool that always pays, so that more than one
+    # worker starts a real pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "POOL_START_S", 0)
     text = BASE.format(kind="ids", L=9, R=12, vk="uniform",
                        vargs="a = 0.0\nb = 1.0",
                        bk="uniform", bargs="a = 0.0\nb = 1.0") \
@@ -219,8 +262,10 @@ CT_BLOCKS = make_text("ct", L=10, R=9, va=1.0, vb=2.0, extra="[ct]\nenergy = 0.0
 
 @pytest.mark.parametrize("block", [1, 7, 10 ** 6])
 def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
-    # two usable CPUs, so that two workers start a real pool
+    # two usable CPUs and a pool that always pays, so that two workers
+    # start a real pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "POOL_START_S", 0)
     cases = ((WEGNER_BLOCKS, ["wegner.csv"]),
              (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]),
              (SUITABILITY_BLOCKS, ["suitability.csv"]),
@@ -280,7 +325,7 @@ def test_run_json_environment(tmp_path):
     assert env == {"python": platform.python_version(),
                    "numpy": np.__version__, "scipy": scipy.__version__,
                    "cpu_affinity": len(os.sched_getaffinity(0)),
-                   "workers_requested": 1, "pool_size": 1,
+                   "workers_requested": 1, "pool_size": 1, "pool_estimate_s": None,
                    "blas_threads_main": None if before is None else 1,
                    "blas_threads_worker": None}
 
@@ -298,8 +343,9 @@ def test_validate_rejects_nonpositive_workers(tmp_path, workers, capsys):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records how it was built and what
-    it was asked to map, runs every task in this process, starts none."""
+    """Stands in for ProcessPoolExecutor: records how it was built, what
+    it was asked to map and whether it was shut down, runs every task in
+    this process, starts none."""
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
@@ -307,12 +353,10 @@ class RecordingPool:
         self.initargs = initargs
         self.chunksizes = []
         self.mapped = []
+        self.shut_down = False
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self):
+        self.shut_down = True
 
     def map(self, fn, items, chunksize=1):
         self.chunksizes.append(chunksize)
@@ -325,14 +369,21 @@ class RecordingPool:
         return done
 
 
-def test_huge_worker_count_is_clamped_to_usable_cpus(tmp_path, monkeypatch):
+def recording_pools(monkeypatch) -> list:
+    """Make every pool a run starts a RecordingPool; the list collects them."""
     pools = []
 
     def make_pool(**kw):
         pools.append(RecordingPool(**kw))
         return pools[-1]
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
+    return pools
+
+
+def test_huge_worker_count_is_clamped_to_usable_cpus(tmp_path, monkeypatch):
+    pools = recording_pools(monkeypatch)
+    monkeypatch.setattr(harness, "POOL_START_S", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     cfg = make_cfg("ids", L=9, R=30, extra="[ids]\nenergies = -1 0 1\n")
     cfg.workers = 10 ** 6
@@ -343,10 +394,11 @@ def test_huge_worker_count_is_clamped_to_usable_cpus(tmp_path, monkeypatch):
     pool = pools[0]
     assert pool.max_workers == 3
     assert (pool.initializer, pool.initargs) == (blas.set_threads, (1,))
-    # blocks of ceil(30 / (4 * 3)) realizations, about four per worker,
-    # dispatched one by one
-    assert pool.mapped == [[range(k, k + 3) for k in range(0, 30, 3)]]
+    # blocks of ceil(30 / (4 * 3)) realizations, about four per worker:
+    # the first ran inline, the pool got the others one by one
+    assert pool.mapped == [[range(k, k + 3) for k in range(3, 30, 3)]]
     assert pool.chunksizes == [1]
+    assert pool.shut_down
     env = json.loads((tmp_path / "run.json").read_text())["environment"]
     assert (env["workers_requested"], env["pool_size"]) == (10 ** 6, 3)
 
@@ -359,12 +411,80 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     if blas.threads() is None:
         pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "POOL_START_S", 0)
     main_threads = blas.threads()
     with realization_mapper(2) as mapper:
         assert mapper.size == 2
-        assert list(mapper(_worker_blas_threads, range(8))) == [1] * 8
+        # 8 blocks of one realization: the first runs here, the rest in
+        # the workers
+        assert list(mapper(_worker_blas_threads, 8)) == [main_threads] + [1] * 7
+        assert mapper.executor is not None
         assert mapper.worker_blas_threads() == 1
     assert blas.threads() == main_threads
+
+
+def _gated_pools(monkeypatch, threshold) -> list:
+    """Two usable CPUs, POOL_START_S = threshold and recording pools."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "POOL_START_S", threshold)
+    return recording_pools(monkeypatch)
+
+
+def _rows_of(rs):
+    return [(r, r * r) for r in rs]
+
+
+def test_pool_map_below_threshold_runs_the_rest_inline(monkeypatch):
+    pools = _gated_pools(monkeypatch, math.inf)
+    monkeypatch.setattr(spectral, "REALIZATION_BLOCK", 4)
+    ran = []
+    with realization_mapper(2) as mapper:
+        rows = list(mapper(lambda rs: ran.append(rs) or _rows_of(rs), 10))
+        assert mapper.executor is None and mapper.estimate_s >= 0.0
+    assert pools == []
+    # the probe block of ceil(10 / (4 * 2)) = 2, then blocks of
+    # REALIZATION_BLOCK
+    assert ran == [range(0, 2), range(2, 6), range(6, 10)]
+    assert rows == [_rows_of(rs) for rs in ran]
+
+
+def test_run_below_pool_threshold_starts_no_pool(tmp_path, monkeypatch):
+    pools = _gated_pools(monkeypatch, math.inf)
+    for text, names in ((WEGNER_BLOCKS, ["wegner.csv"]),
+                        (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]),
+                        (CT_BLOCKS, ["ct.csv", "ct_profile.csv"])):
+        results = [run(parse_config(text, workers=w), tmp_path / f"w{w}")
+                   for w in (1, 2)]
+        assert pools == []
+        env = [r.environment for r in results]
+        assert [(e["pool_size"], e["blas_threads_worker"]) for e in env] == \
+            [(1, None), (1, None)]
+        assert env[0]["pool_estimate_s"] is None and env[1]["pool_estimate_s"] > 0.0
+        assert [r.to_json() for r in results[0].reports] == \
+            [r.to_json() for r in results[1].reports]
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == \
+                (tmp_path / "w2" / name).read_bytes()
+
+
+def test_pool_map_above_threshold_starts_one_pool(monkeypatch):
+    pools = _gated_pools(monkeypatch, 0)
+    ran = []
+    kernel = (lambda rs: ran.append(rs) or _rows_of(rs))
+    with realization_mapper(2) as mapper:
+        first = list(mapper(kernel, 10))
+        second = list(mapper(kernel, 6))
+        assert mapper.executor is pools[0]
+    assert len(pools) == 1
+    pool = pools[0]
+    assert pool.shut_down
+    # blocks of ceil(R / (4 * 2)): block 0 of the first call ran inline,
+    # its other blocks and every block of the second call went to the pool
+    assert ran[0] == range(0, 2)
+    assert pool.mapped == [[range(k, k + 2) for k in range(2, 10, 2)],
+                           [range(k, k + 1) for k in range(6)]]
+    assert first == [_rows_of(range(k, k + 2)) for k in range(0, 10, 2)]
+    assert second == [_rows_of(range(k, k + 1)) for k in range(6)]
 
 
 def test_every_shipped_config_validates(capsys):
@@ -758,15 +878,32 @@ def test_green_experiment(tmp_path):
     assert result.exit_code == 0
 
 
-def test_cli_import_loads_no_scipy_module():
-    src = str(Path(blocklab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+def _loaded_after(code: str) -> list[str]:
+    """The modules of scipy, concurrent, multiprocessing, asymptotics and
+    green that a fresh interpreter has loaded after running `code`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, blocklab.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing') "
+         "or m in ('blocklab.asymptotics', 'blocklab.green')))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
+    # importing the CLI loads no scipy module, no other kind's module and
+    # nothing a process pool needs
+    assert _loaded_after("import blocklab.cli") == []
+    # a wegner run loads scipy to record its version, and none of the others
+    path = tmp_path / "wegner.ini"
+    path.write_text(make_text("wegner", R=4,
+                              extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n"))
+    loaded = _loaded_after(
+        "from blocklab.cli import main\n"
+        f"assert main(['wegner', '--config', {str(path)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}]) == 0")
+    assert "scipy" in loaded
+    assert [m for m in loaded if m.split(".")[0] != "scipy"] == []
 
 
 def test_cli_import_starts_openblas_on_one_thread():

@@ -352,15 +352,16 @@ def test_assemble_plain_writes_the_plain_block():
                           expected)
 
 
-class Pool:
-    size = 3
+class Mapper:
+    """Stands in for harness.PoolMap: records each R and maps the kernel
+    over blocks of 3."""
 
     def __init__(self):
-        self.mapped = []
+        self.calls = []
 
-    def __call__(self, fn, items):
-        self.mapped.append(list(items))
-        return map(fn, items)
+    def __call__(self, kernel, R):
+        self.calls.append(R)
+        return map(kernel, spectral.realization_blocks(0, R, 3))
 
 
 def field_row(f):
@@ -377,10 +378,8 @@ def test_run_realizations_cuts_blocks_and_keeps_order(block, monkeypatch):
     expected = [field_row(sample_field(cube, UNIT, r)) for r in range(20)]
     lifted = per_realization(field_row, cube, UNIT)
     assert run_realizations(lifted, 20) == expected
-    # a pool map gets about four blocks per worker
-    pool = Pool()
-    assert run_realizations(lifted, 20, pool) == expected
-    size = min(block, 2)
-    assert pool.mapped == [[range(lo, min(lo + size, 20))
-                            for lo in range(0, 20, size)]]
+    # a mapper gets the kernel and R and cuts its own blocks
+    mapper = Mapper()
+    assert run_realizations(lifted, 20, mapper) == expected
+    assert mapper.calls == [20]
     assert run_realizations(lifted, 0) == []
