@@ -19,7 +19,8 @@ from .green import resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
                       site_array, site_index)
-from .operators import MAX_BLOCK_DIM, BlockOperator, build_h0, component_indices
+from .operators import (MAX_BLOCK_DIM, BlockOperator, build_h0, component_indices,
+                        rim_indices)
 from .spectral import (Spectrum, count_below, eigensolve, per_realization,
                        plain_block, run_realizations)
 
@@ -271,7 +272,7 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
 def _suitability_geometry(cube: CubeSpec):
     _require(float(cube.L).is_integer() and int(cube.L) % 6 == 0,
              f"suitability needs a length in 6N, got {cube.L}")
-    rows = component_indices(cube, inner_boundary(cube))
+    rows = rim_indices(cube)
     cols = component_indices(cube, cube.concentric(cube.L / 3.0))
     return rows, cols
 

@@ -14,9 +14,8 @@ import numpy as np
 from . import lattice
 from .disorder import FieldSample
 from .inequalities import CheckReport, PreconditionError, _require
-from .operators import (BlockOperator, assemble_block, build_gamma, build_h,
-                        component_indices)
-from .spectral import Spectrum, eigensolve
+from .operators import BlockOperator, build_gamma, component_indices, rim_indices
+from .spectral import Spectrum, eigensolve, plain_block
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
 SPECTRAL_GUARD_RTOL = 1e-8
@@ -73,41 +72,49 @@ def resolvent_columns(op: BlockOperator, energies, columns) -> np.ndarray:
     return x
 
 
-def _plain_block_on(region, field: FieldSample) -> BlockOperator:
-    return assemble_block(build_h(region, "simple", field), field)
+@dataclass(frozen=True)
+class Nesting:
+    """A cube strictly inside an enclosing one, as the nested checks read
+    it: the indices, in both block components, of the cube (`inside`) and
+    of its outer boundary (`rim_out`) in the enclosing one; the block
+    Gamma[rim_out, inner boundary] of the lifted boundary operator, and
+    the norm of Gamma."""
+
+    inside: np.ndarray
+    rim_out: np.ndarray
+    gamma: np.ndarray
+    gamma_norm: float
 
 
-def _sub(matrix, ambient_sites, row_sites, col_sites):
-    rows = component_indices(ambient_sites, row_sites)
-    cols = component_indices(ambient_sites, col_sites)
-    return matrix[np.ix_(rows, cols)]
+@lru_cache(maxsize=8)
+def nesting(inner, outer) -> Nesting | None:
+    """The read-only Nesting of cube `inner` in cube `outer`, None unless
+    `inner` lies strictly inside `outer`; decided once per pair per run
+    (`harness.run` clears the cache)."""
+    if not lattice.strictly_inside(inner, outer):
+        return None
+    inside = component_indices(outer, inner)
+    rim_out = component_indices(outer, lattice.outer_boundary(inner))
+    gamma = build_gamma(inner, outer)
+    block = gamma.lifted[np.ix_(rim_out, inside[rim_indices(inner)])]
+    for a in (inside, rim_out, block):
+        a.flags.writeable = False
+    return Nesting(inside, rim_out, block, gamma.norm)
 
 
-def _nested_resolvents(region1, region2, region3, field, energy,
-                       spectra=(None, None)):
-    r1 = lattice.sites(region1)
-    r2 = lattice.sites(region2)
-    r3 = lattice.sites(region3)
-    _require(lattice.strictly_inside(r1, r2) and lattice.strictly_inside(r2, r3),
+def _gri_blocks(region1, region2, region3, field, energy, spectra=(None, None)):
+    """G3[i3, r1], G3[i3, o2] and G2[i2, r1] (i: inner boundary, o: outer
+    boundary) of the resolvents on region3 and region2, the Nesting of
+    region2 in region3, which holds Gamma[o2, i2], and delta2, delta3."""
+    n12, n23 = nesting(region1, region2), nesting(region2, region3)
+    _require(n12 is not None and n23 is not None,
              "need region1 strictly inside region2 strictly inside region3")
-    _require(set(r2) <= set(r3), "region2 must be contained in region3")
-    s2, s3 = spectra
-    g2 = resolvent(_plain_block_on(region2, field), energy, s2)
-    g3 = resolvent(_plain_block_on(region3, field), energy, s3)
-    return r1, r2, r3, g2, g3
-
-
-def _gri(region1, region2, region3, field, energy):
-    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field, energy)
-    gamma = build_gamma(r2, r3)
-    i3 = lattice.inner_boundary(r3)
-    i2 = lattice.inner_boundary(r2)
-    o2 = lattice.outer_boundary(r2)
-    lhs = _sub(g3.matrix, r3, i3, r1)
-    chain = (_sub(g3.matrix, r3, i3, o2)
-             @ _sub(gamma.lifted, r3, o2, i2)
-             @ _sub(g2.matrix, r2, i2, r1))
-    return float(np.max(np.abs(lhs + chain))), g2.delta, g3.delta
+    g2, g3 = (resolvent(plain_block(field, region), energy, s)
+              for region, s in zip((region2, region3), spectra))
+    i3, r1 = rim_indices(region3), n23.inside[n12.inside]
+    return (g3.matrix[np.ix_(i3, r1)], g3.matrix[np.ix_(i3, n23.rim_out)],
+            g2.matrix[np.ix_(rim_indices(region2), n12.inside)], n23,
+            g2.delta, g3.delta)
 
 
 def gri_check(region1, region2, region3, field: FieldSample, energy: float,
@@ -122,7 +129,9 @@ def gri_check(region1, region2, region3, field: FieldSample, energy: float,
     The residual, both spectral distances and the cap are reported as
     parameters.
     """
-    res, delta2, delta3 = _gri(region1, region2, region3, field, energy)
+    lhs, a, b, n23, delta2, delta3 = _gri_blocks(region1, region2, region3,
+                                                 field, energy)
+    res = float(np.max(np.abs(lhs + a @ n23.gamma @ b)))
     cap = coeff * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
     rep = CheckReport("gri_residual",
                       parameters={"E": energy, "coeff": coeff, "residual": res,
@@ -140,17 +149,11 @@ def sli_check(region1, region2, region3, field: FieldSample, energy: float,
     where the caller has solved them; None solves that block here, as
     gri_check always does through the same helper.
     """
-    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field,
-                                            energy, spectra)
-    gamma = build_gamma(r2, r3)
-    i3 = lattice.inner_boundary(r3)
-    i2 = lattice.inner_boundary(r2)
-    o2 = lattice.outer_boundary(r2)
-    lhs = np.linalg.norm(_sub(g3.matrix, r3, i3, r1), 2)
-    rhs = (gamma.norm
-           * np.linalg.norm(_sub(g3.matrix, r3, i3, o2), 2)
-           * np.linalg.norm(_sub(g2.matrix, r2, i2, r1), 2))
-    rep = CheckReport("sli", parameters={"E": energy, "gamma": gamma.norm})
+    g3_r1, a, b, n23, _, _ = _gri_blocks(region1, region2, region3, field,
+                                         energy, spectra)
+    lhs = np.linalg.norm(g3_r1, 2)
+    rhs = n23.gamma_norm * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    rep = CheckReport("sli", parameters={"E": energy, "gamma": n23.gamma_norm})
     rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
     return rep
 
@@ -166,30 +169,26 @@ def edi_check(region, cube3, field: FieldSample, eigen_index: int,
     `inner` are the spectra of the plain blocks on cube3 and on the region
     where the caller has solved them; None solves that block here.
     """
-    r = lattice.sites(region)
-    r3 = lattice.sites(cube3)
-    _require(lattice.strictly_inside(r, r3),
-             "region must be strictly inside the host cube")
+    nest = nesting(region, cube3)
+    _require(nest is not None, "region must be strictly inside the host cube")
     if host is None:
-        host = eigensolve(_plain_block_on(cube3, field), want_vectors=True)
+        host = eigensolve(plain_block(field, cube3), want_vectors=True)
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    inner_op = _plain_block_on(region, field)
     # raises if E is too close to sigma(H_region)
-    g = resolvent(inner_op, energy, inner)
-    gamma = build_gamma(r, r3)
-    i_r = lattice.inner_boundary(r)
-    o_r = lattice.outer_boundary(r)
-    n3 = len(r3)
-    probes = r if probe_sites is None else [tuple(s) for s in probe_sites]
-    out_rows = component_indices(r3, o_r)
-    psi_out = float(np.linalg.norm(psi[out_rows]))
+    g = resolvent(plain_block(field, region), energy, inner)
+    n = len(nest.inside) // 2
+    at = (np.arange(n) if probe_sites is None
+          else lattice.site_index(region, probe_sites, strict=True))
+    rows = np.stack([at, at + n])       # the probes' rows in both components
+    # per probe the 2-norm of G[probe, rim]: its largest singular value
+    norms = np.linalg.svd(g.matrix[rows.T[:, :, None], rim_indices(region)],
+                          compute_uv=False)[:, 0]
+    lhs = np.hypot(*psi[nest.inside[rows]])
+    rhs = nest.gamma_norm * norms * float(np.linalg.norm(psi[nest.rim_out]))
     rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
-                                         "gamma": gamma.norm})
-    for n, i in zip(probes, lattice.site_index(r3, probes, strict=True).tolist()):
-        lhs = float(np.hypot(psi[i], psi[i + n3]))
-        rhs = gamma.norm * np.linalg.norm(_sub(g.matrix, r, (n,), i_r), 2) * psi_out
-        rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
+                                         "gamma": nest.gamma_norm})
+    rep.record(rhs - lhs + rtol * np.maximum(np.maximum(lhs, rhs), 1.0))
     return rep
 
 

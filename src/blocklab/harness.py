@@ -37,7 +37,7 @@ from . import blas, disorder, inequalities, lattice, operators, spectral
 from .disorder import DisorderConfig, SiteMeasure, case_beta
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
-from .operators import MAX_BLOCK_DIM, assemble_block, build_h
+from .operators import MAX_BLOCK_DIM, build_h
 from .spectral import deterministic_radius, eigensolve, per_realization, plain_block
 
 # the keys each kind may set in its own section; `validate` rejects any
@@ -250,11 +250,12 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             out += _cube_problems(cfg.d, L, f"suitability: length {L}: ")
     if k in ("green", "sli-edi") and cfg.get("lengths") is not None:
         try:
-            l3 = _nested_lengths(cfg)[2]
+            lengths = _nested_lengths(cfg)
         except ValueError:
             out.append(f"{k}: lengths must be three numbers l1 l2 l3")
         else:
-            out += _cube_problems(cfg.d, l3, f"{k}: host length {l3:g}: ")
+            for what, L in zip(("core", "middle", "host"), lengths):
+                out += _cube_problems(cfg.d, L, f"{k}: {what} length {L:g}: ")
     if k == "tails":
         if cfg.mu_V.kind == "point_mass":
             out.append("tails: mu_V concentrated in a single point has no tail")
@@ -265,6 +266,17 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                 out.append(f"tails: {n} lengths for {len(eps)} epsilons")
             for e, L in zip(eps, lengths):
                 out += _cube_problems(cfg.d, L, f"tails: length {L} at eps {e:g}: ")
+        if cfg.d >= 1 and cfg.flag("lower_bound"):
+            c0 = _c0_lengths(cfg)
+            if not c0:
+                out.append("tails: the lower bound needs at least one c0 length")
+            for L in c0:
+                if L < 4:
+                    out.append(f"tails: c0 length {L} is below 4, the least "
+                               "the test function takes")
+                elif (n := CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
+                    out.append(f"tails: c0 length {L}: Dirichlet matrix dimension "
+                               f"{n} exceeds the hard cap {MAX_BLOCK_DIM}")
     if k == "fh":
         if cfg.mu_V.support_inf < 0:
             out.append("fh: needs V >= 0 so that H >= 0")
@@ -680,12 +692,12 @@ def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
 def _sli_edi_row(f, cubes, energy):
     from . import green
     c1, c2, c3 = cubes
-    if not lattice.strictly_inside(c2, c3):      # both checks need it
+    if green.nesting(c2, c3) is None:      # both checks need it
         return [CheckReport("sli", preconditions_failed=1),
                 CheckReport("edi", preconditions_failed=1)]
     # one solve each of the host cube and the middle cube serves both checks
     host = eigensolve(plain_block(f), want_vectors=True)
-    middle = eigensolve(assemble_block(build_h(c2, "simple", f), f))
+    middle = eigensolve(plain_block(f, c2))
     sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy,
                    spectra=(middle, host))
     try:
@@ -720,6 +732,17 @@ def _tail_grid(cfg):
     return eps, [max(L, f) for L, f in zip(cfg.ints("lengths"), floor)]
 
 
+def _c0_lengths(cfg):
+    """The lengths of the test-function grid of a tails lower bound: the
+    configured ones, else those of 8 16 32 64 128 whose cube's dense
+    Dirichlet matrix (|cube| wide) stays within MAX_BLOCK_DIM, all five at
+    d = 1.  `validate` holds configured lengths to 4 and to that cap."""
+    if cfg.get("c0_lengths") is not None:
+        return cfg.ints("c0_lengths")
+    return [L for L in (8, 16, 32, 64, 128)
+            if CubeSpec(cfg.d, L).site_count <= MAX_BLOCK_DIM]
+
+
 def _exp_tails(cfg, mapper):
     from . import asymptotics
     dis = cfg.disorder()
@@ -743,8 +766,7 @@ def _exp_tails(cfg, mapper):
     tables = {"tails": (["eps", "L", "delta_N", "stderr", "censored",
                          "ln_eps", "ln_abs_ln_delta_N"], rows)}
     if cfg.flag("lower_bound"):
-        c0 = asymptotics.c0_estimate(cfg.ints("c0_lengths", "8 16 32 64 128"),
-                                     cfg.d)
+        c0 = asymptotics.c0_estimate(_c0_lengths(cfg), cfg.d)
         lb_rows = []
         for e in cfg.floats("lower_epsilons", "0.5"):
             L = asymptotics.lower_bound_scale(c0.c0_hat, e)
@@ -944,11 +966,12 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     diagnostics = validate(cfg)
     # cold per-cube caches: a run's cost does not depend on earlier runs in
     # this process, and the caches hold only this run's cubes
-    caches = [lattice._cube_sites, disorder._site_keys, disorder._family_key,
-              disorder._positions, operators._template]
+    caches = [lattice._cube_sites, lattice._ranked, disorder._site_keys,
+              disorder._family_key, disorder._positions, operators._template,
+              operators.rim_indices]
     green = sys.modules.get(f"{__package__}.green")   # loaded by its kinds only
     if green is not None:
-        caches.append(green._all_pairs)
+        caches += [green._all_pairs, green.nesting]
     for cache in caches:
         cache.cache_clear()
     # scipy is recorded, not used: imported here, importing the CLI loads

@@ -190,3 +190,12 @@ def component_indices(ambient, subset) -> np.ndarray:
     n = ambient.site_count if isinstance(ambient, lattice.CubeSpec) else len(ambient)
     return np.concatenate([base, base + n])
 
+
+@lru_cache(maxsize=8)
+def rim_indices(cube) -> np.ndarray:
+    """Indices of a cube's inner boundary in it, in both components, built
+    once per cube and shared, so read-only.  `harness.run` clears the
+    cache."""
+    rim = component_indices(cube, lattice.inner_boundary(cube))
+    rim.flags.writeable = False
+    return rim

@@ -265,9 +265,10 @@ def deterministic_radius(d: int, mu_V: SiteMeasure, mu_B: SiteMeasure) -> float:
 # -- ensembles -------------------------------------------------------------
 
 
-def plain_block(field: FieldSample) -> BlockOperator:
-    """The plain block operator of a field on its cube (simple BC)."""
-    return assemble_plain(template(field.cube, "simple"), field.V, field.B)
+def plain_block(field: FieldSample, cube=None) -> BlockOperator:
+    """The plain block operator (simple BC) of a field on its cube or `cube` in it."""
+    cube = field.cube if cube is None else cube
+    return assemble_plain(template(cube, "simple"), *field.at(cube))
 
 
 def _counting_row(field: FieldSample, grid):

@@ -6,9 +6,10 @@ dense solve and an eigenpair sum for the suitability norm, a variational
 minimization for the lowest positive block eigenvalue, explicit 2x2
 element reads, block embeddings and indicator projections for the exact
 identities, a per-site hash for the field sampler, a per-pair 1-norm
-distance and window counts read off a dense spectrum.  `sample_field`
-draws one realization's field, as a one-row block.  None of them runs in
-an experiment.
+distance, window counts read off a dense spectrum, and the nested-cube
+checks with their geometry rebuilt on every call and one norm per EDI
+probe.  `sample_field` draws one realization's field, as a one-row block.
+None of them runs in an experiment.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,9 @@ from scipy.optimize import minimize
 
 from blocklab import lattice
 from blocklab.disorder import FieldSample, sample_fields
-from blocklab.inequalities import PreconditionError
-from blocklab.operators import assemble_block, build_h, component_indices
+from blocklab.green import resolvent
+from blocklab.inequalities import CheckReport, PreconditionError, _require
+from blocklab.operators import assemble_block, build_gamma, build_h, component_indices
 from blocklab.spectral import Spectrum, eigensolve
 
 # -- sites and sampling ----------------------------------------------------------
@@ -232,6 +234,109 @@ def eigenpair_suitability_norms(s: Spectrum, rows, cols,
         norms.append(float(np.linalg.norm((v_rows / (ev - e)) @ v_cols.T, 2)))
         deltas.append(delta)
     return np.array(norms), np.array(deltas)
+
+
+# -- nested-cube checks, geometry rebuilt per call ------------------------------
+
+
+def _plain_block_on(region, field: FieldSample):
+    return assemble_block(build_h(region, "simple", field), field)
+
+
+def _sub(matrix, ambient_sites, row_sites, col_sites):
+    rows = component_indices(ambient_sites, row_sites)
+    cols = component_indices(ambient_sites, col_sites)
+    return matrix[np.ix_(rows, cols)]
+
+
+def _nested_resolvents(region1, region2, region3, field, energy,
+                       spectra=(None, None)):
+    r1 = lattice.sites(region1)
+    r2 = lattice.sites(region2)
+    r3 = lattice.sites(region3)
+    _require(lattice.strictly_inside(r1, r2) and lattice.strictly_inside(r2, r3),
+             "need region1 strictly inside region2 strictly inside region3")
+    _require(set(r2) <= set(r3), "region2 must be contained in region3")
+    s2, s3 = spectra
+    g2 = resolvent(_plain_block_on(region2, field), energy, s2)
+    g3 = resolvent(_plain_block_on(region3, field), energy, s3)
+    return r1, r2, r3, g2, g3
+
+
+def _gri(region1, region2, region3, field, energy):
+    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field, energy)
+    gamma = build_gamma(r2, r3)
+    i3 = lattice.inner_boundary(r3)
+    i2 = lattice.inner_boundary(r2)
+    o2 = lattice.outer_boundary(r2)
+    lhs = _sub(g3.matrix, r3, i3, r1)
+    chain = (_sub(g3.matrix, r3, i3, o2)
+             @ _sub(gamma.lifted, r3, o2, i2)
+             @ _sub(g2.matrix, r2, i2, r1))
+    return float(np.max(np.abs(lhs + chain))), g2.delta, g3.delta
+
+
+def gri_check_per_realization(region1, region2, region3, field: FieldSample,
+                              energy: float, coeff: float = 1e-9) -> CheckReport:
+    """green.gri_check with the nested geometry (boundaries, Gamma and
+    index maps) rebuilt from site tuples on every call."""
+    res, delta2, delta3 = _gri(region1, region2, region3, field, energy)
+    cap = coeff * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
+    rep = CheckReport("gri_residual",
+                      parameters={"E": energy, "coeff": coeff, "residual": res,
+                                  "delta2": delta2, "delta3": delta3,
+                                  "cap": cap})
+    rep.record(cap - res)
+    return rep
+
+
+def sli_check_per_realization(region1, region2, region3, field: FieldSample,
+                              energy: float, rtol: float = 1e-9,
+                              spectra=(None, None)) -> CheckReport:
+    """green.sli_check with the nested geometry rebuilt on every call."""
+    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field,
+                                            energy, spectra)
+    gamma = build_gamma(r2, r3)
+    i3 = lattice.inner_boundary(r3)
+    i2 = lattice.inner_boundary(r2)
+    o2 = lattice.outer_boundary(r2)
+    lhs = np.linalg.norm(_sub(g3.matrix, r3, i3, r1), 2)
+    rhs = (gamma.norm
+           * np.linalg.norm(_sub(g3.matrix, r3, i3, o2), 2)
+           * np.linalg.norm(_sub(g2.matrix, r2, i2, r1), 2))
+    rep = CheckReport("sli", parameters={"E": energy, "gamma": gamma.norm})
+    rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
+    return rep
+
+
+def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
+                        probe_sites=None, rtol: float = 1e-9,
+                        host: Spectrum | None = None,
+                        inner: Spectrum | None = None) -> CheckReport:
+    """green.edi_check with the geometry rebuilt on every call and one
+    2-norm, and one recorded slack, per probe site."""
+    r = lattice.sites(region)
+    r3 = lattice.sites(cube3)
+    _require(lattice.strictly_inside(r, r3),
+             "region must be strictly inside the host cube")
+    if host is None:
+        host = eigensolve(_plain_block_on(cube3, field), want_vectors=True)
+    energy = float(host.eigenvalues[eigen_index])
+    psi = host.eigenvectors[:, eigen_index]
+    g = resolvent(_plain_block_on(region, field), energy, inner)
+    gamma = build_gamma(r, r3)
+    i_r = lattice.inner_boundary(r)
+    o_r = lattice.outer_boundary(r)
+    n3 = len(r3)
+    probes = r if probe_sites is None else [tuple(s) for s in probe_sites]
+    psi_out = float(np.linalg.norm(psi[component_indices(r3, o_r)]))
+    rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
+                                         "gamma": gamma.norm})
+    for n, i in zip(probes, lattice.site_index(r3, probes, strict=True).tolist()):
+        lhs = float(np.hypot(psi[i], psi[i + n3]))
+        rhs = gamma.norm * np.linalg.norm(_sub(g.matrix, r, (n,), i_r), 2) * psi_out
+        rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
+    return rep
 
 
 # -- min-max-max principle ---------------------------------------------------------

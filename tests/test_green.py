@@ -8,8 +8,10 @@ from blocklab.green import (combes_thomas_bound, combes_thomas_check,
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.operators import assemble_block, build_h
-from blocklab.spectral import eigensolve
-from oracles import block_element, block_norm, dist1, sample_field
+from blocklab.spectral import eigensolve, plain_block
+from oracles import (block_element, block_norm, dist1, edi_check_per_probe,
+                     gri_check_per_realization, sample_field,
+                     sli_check_per_realization)
 
 GAPPED = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1), 40)
 MIXED = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 41)
@@ -191,6 +193,50 @@ def test_sli_and_edi_read_spectra_solved_by_the_caller(monkeypatch):
              edi_check(c2, c3, f, 7, host=host, inner=middle).to_json()]
     assert solves == []
     assert given == fresh
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs).to_json()
+    except PreconditionError:
+        return "precondition failed"
+
+
+@pytest.mark.parametrize("d, lengths", [
+    (1, (2, 5, 9)), (1, (3, 7, 13)), (1, (5, 5, 9)), (1, (2, 5, 5)),
+    (2, (2, 5, 9)), (2, (3, 5, 7)), (2, (5, 5, 9)), (2, (2, 5, 5)),
+])
+def test_nested_checks_match_the_per_realization_oracle(d, lengths):
+    # strict triples and triples with region1 = region2 or region2 = region3
+    cubes = tuple(CubeSpec(d, l) for l in lengths)
+    c2, c3 = cubes[1:]
+    sites = c2.sites()
+    probes = [sites[-1], c2.center, sites[0], c2.center]
+    seen = set()
+    for r in range(3):
+        f = sample_field(c3, GAPPED, r)
+        host = eigensolve(plain_block(f), want_vectors=True)
+        middle = eigensolve(plain_block(f, c2))
+        j = len(host.eigenvalues) // 2 + r
+        for e in (0.0, 0.5, 2.0):
+            pairs = [
+                (gri_check, gri_check_per_realization, (*cubes, f, e), {}),
+                (sli_check, sli_check_per_realization, (*cubes, f, e), {}),
+                (sli_check, sli_check_per_realization, (*cubes, f, e),
+                 {"spectra": (middle, host)}),
+            ]
+            for lib, oracle, args, kwargs in pairs:
+                out = _outcome(lib, *args, **kwargs)
+                assert out == _outcome(oracle, *args, **kwargs)
+                seen.add(out if isinstance(out, str) else out["name"])
+        for kwargs in ({}, {"probe_sites": probes}, {"host": host, "inner": middle}):
+            out = _outcome(edi_check, c2, c3, f, j, **kwargs)
+            assert out == _outcome(edi_check_per_probe, c2, c3, f, j, **kwargs)
+            seen.add(out if isinstance(out, str) else out["name"])
+    strict = lengths[0] < lengths[1] < lengths[2]
+    assert ("gri_residual" in seen) == ("sli" in seen) == strict
+    assert ("edi" in seen) == (lengths[1] < lengths[2])
+    assert ("precondition failed" in seen) != strict
 
 
 def test_edi_interior_support_gives_slack():

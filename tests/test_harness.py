@@ -1,11 +1,14 @@
 import ast
 import concurrent.futures
+import importlib
 import json
 import math
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -149,9 +152,55 @@ def test_validate_tails_lengths_pair_with_epsilons():
 
 
 @pytest.mark.parametrize("kind", ["green", "sli-edi"])
-def test_validate_nested_lengths_need_three(kind):
-    cfg = make_cfg(kind, va=1.0, vb=2.0, extra=f"[{kind}]\nlengths = 2 5\n")
-    assert validate(cfg) == [f"{kind}: lengths must be three numbers l1 l2 l3"]
+@pytest.mark.parametrize("lengths, problem", [
+    ("2 5", "lengths must be three numbers l1 l2 l3"),
+    # each nested cube needs a site, not only the host cube
+    ("1 5 9", "core length 1: cube length must exceed 1, got 1.0"),
+    ("2 1 9", "middle length 1: cube length must exceed 1, got 1.0"),
+], ids=["two", "core", "middle"])
+def test_validate_nested_lengths(kind, lengths, problem, tmp_path):
+    text = make_text(kind, va=1.0, vb=2.0, extra=f"[{kind}]\nlengths = {lengths}\n")
+    assert validate(parse_config(text)) == [f"{kind}: {problem}"]
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert run(parse_config(text), tmp_path / "out").exit_code == 3
+
+
+def _tails_lower_bound(d, c0_lengths=None):
+    text = make_text("tails", L=9, va=1.0, vb=2.0, bk="point_mass", bargs="c = 0.0",
+                     extra="[tails]\nepsilons = 0.3 0.5\nlower_bound = true\n"
+                           "lower_realizations = 200\n"
+                           + ("" if c0_lengths is None
+                              else f"c0_lengths = {c0_lengths}\n"))
+    return text.replace("\nd = 1\n", f"\nd = {d}\n")
+
+
+@pytest.mark.parametrize("d, c0_lengths, problem", [
+    (1, "2 8", "tails: c0 length 2 is below 4, the least the test function takes"),
+    (2, "8 128", "tails: c0 length 128: Dirichlet matrix dimension 16129 exceeds "
+                 "the hard cap 4096"),
+    (1, "", "tails: the lower bound needs at least one c0 length"),
+], ids=["below-4", "over-cap", "empty"])
+def test_validate_tails_c0_lengths(d, c0_lengths, problem, tmp_path):
+    text = _tails_lower_bound(d, c0_lengths)
+    assert validate(parse_config(text)) == [problem]
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert run(parse_config(text), tmp_path / "out").exit_code == 3
+
+
+def test_default_c0_grid_stays_within_the_cap():
+    # all five lengths at d = 1; at d = 2 the cube of length 128 (127^2
+    # sites) is dropped
+    grids = {d: harness._c0_lengths(parse_config(_tails_lower_bound(d)))
+             for d in (1, 2, 3)}
+    assert grids == {1: [8, 16, 32, 64, 128], 2: [8, 16, 32, 64], 3: [8, 16]}
+    for d, grid in grids.items():
+        assert max(lattice.CubeSpec(d, L).site_count for L in grid) \
+            <= operators.MAX_BLOCK_DIM
+        assert validate(parse_config(_tails_lower_bound(d))) == []
 
 
 def test_spectrum_run_writes_toeplitz_values(tmp_path):
@@ -704,6 +753,62 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     assert len(built) == len(set(built))
     # d = 1 counts come from the inertia, with no operator
     assert bool(built) != (kind in ("wegner", "tails"))
+
+
+@pytest.mark.parametrize("kind", ["green", "sli-edi"])
+def test_nested_geometry_is_built_once_per_run(kind, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+    for module, name in ((operators, "build_gamma"), (lattice, "strictly_inside"),
+                         (lattice, "inner_boundary"), (lattice, "outer_boundary")):
+        _wrap_everywhere(monkeypatch, module, name, counted)
+    counts = []
+    for R in (2, 6):
+        calls.clear()
+        text = EIGEN_COUNT_CASES[kind].replace("realizations = 4",
+                                               f"realizations = {R}")
+        assert run(parse_config(text), tmp_path / str(R)).exit_code == 0
+        counts.append(Counter(calls))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"build_gamma", "strictly_inside", "inner_boundary",
+                              "outer_boundary"}
+
+
+class _ClearSpy:
+    """Stands in for a functools cache and notes each clear."""
+
+    def __init__(self, cache, name, cleared):
+        self.cache, self.name, self.cleared = cache, name, cleared
+
+    def __call__(self, *args, **kwargs):
+        return self.cache(*args, **kwargs)
+
+    def cache_clear(self):
+        self.cleared.append(self.name)
+        self.cache.cache_clear()
+
+
+# process-wide memos, which hold nothing that depends on a run's cubes
+PROCESS_MEMOS = {"blas._openblas", "harness._formatter", "harness._site"}
+
+
+def test_run_clears_every_cache(tmp_path, monkeypatch):
+    found, cleared = set(), []
+    for info in pkgutil.iter_modules(blocklab.__path__):
+        module = importlib.import_module(f"blocklab.{info.name}")
+        for name, obj in list(vars(module).items()):
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                found.add(f"{info.name}.{name}")
+                monkeypatch.setattr(module, name,
+                                    _ClearSpy(obj, f"{info.name}.{name}", cleared))
+    assert PROCESS_MEMOS <= found
+    run(make_cfg("spectrum", R=2), tmp_path)
+    assert sorted(set(cleared)) == sorted(found - PROCESS_MEMOS)
 
 
 def test_correlator_decay_needs_enough_contributing_realizations(tmp_path):
