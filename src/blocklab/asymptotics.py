@@ -9,7 +9,7 @@ reported with the fitting window, never extrapolated.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -21,7 +21,7 @@ from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
                       site_array, site_index)
 from .operators import (MAX_BLOCK_DIM, BlockOperator, build_h0, component_indices,
                         rim_indices)
-from .spectral import (Spectrum, count_below, eigensolve, per_realization,
+from .spectral import (Spectrum, eigensolve, ensemble_counts, per_realization,
                        plain_block, run_realizations)
 
 
@@ -70,7 +70,6 @@ class TailCurve:
     censored: np.ndarray          # True where no eigenvalue was ever captured
     edge: float
     realizations: int
-    samples: list = field(default_factory=list, repr=False)
 
 
 def default_tail_length(eps: float, d: int, floor: int = 12) -> int:
@@ -84,17 +83,10 @@ def default_tail_length(eps: float, d: int, floor: int = 12) -> int:
     return L
 
 
-def _tail_rows(rs, cube, config, thresholds):
-    """N(t) - 1/2 at every threshold t, per realization of the block:
-    N(t) counts the eigenvalues at or below t (<=), by inertia."""
-    below = count_below(cube, *sample_fields(cube, config, rs), thresholds,
-                        side="right")
-    return below / (2 * cube.site_count) - 0.5
-
-
 def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
-               lengths=None, mapper=None, keep_samples: bool = False) -> TailCurve:
-    """Ensemble mean of N(edge + eps) - 1/2 over an epsilon grid.
+               lengths=None, mapper=None) -> TailCurve:
+    """Ensemble mean of N(edge + eps) - 1/2 over an epsilon grid, N(t) the
+    eigenvalues at or below t (<=) over 2 |cube|.
 
     The per-realization values are non-negative by the half-half identity,
     which holds under the edge hypotheses (V at or above lam, B in its
@@ -114,20 +106,17 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
         by_cube.setdefault(axis_count(L), []).append(k)
     per_point = {}
     for ks in by_cube.values():
-        rows = run_realizations(
-            partial(_tail_rows, cube=CubeSpec(d, lengths[ks[0]]), config=config,
-                    thresholds=ge.edge + eps_grid[ks]), R, mapper)
-        per_point.update(zip(ks, np.array(rows).T.copy()))
-    means, errs, cens, samples = [], [], [], []
+        cube = CubeSpec(d, lengths[ks[0]])
+        counts = ensemble_counts(config, cube, ge.edge + eps_grid[ks], R, "right",
+                                 mapper)
+        per_point.update(zip(ks, (counts / (2 * cube.site_count) - 0.5).T.copy()))
+    means, errs, cens = [], [], []
     for _, vals in sorted(per_point.items()):
         means.append(vals.mean())
         errs.append(vals.std(ddof=1) / math.sqrt(R) if R > 1 else 0.0)
         cens.append(bool(np.all(vals == 0.0)))
-        if keep_samples:
-            samples.append(vals)
     return TailCurve(eps_grid, np.array(means), np.array(errs),
-                     np.array(lengths, dtype=int), np.array(cens), ge.edge, R,
-                     samples)
+                     np.array(lengths, dtype=int), np.array(cens), ge.edge, R)
 
 
 @dataclass(frozen=True)
@@ -502,15 +491,12 @@ def _correlator_row(f: FieldSample, first, second, interval):
 
 
 def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
-                             interval, pairs=None, R: int = 1,
+                             interval, R: int = 1,
                              mapper=None) -> CorrelatorProfile:
-    """Ensemble mean of the correlator over site pairs (default: centre to all).
+    """Ensemble mean of the correlator from the centre to every site.
 
     The pairs are indexed in the cube once, for every realization."""
-    if pairs is None:
-        pairs = tuple((cube.center, m) for m in cube.sites())
-    else:
-        pairs = tuple((tuple(n), tuple(m)) for n, m in pairs)
+    pairs = tuple((cube.center, m) for m in cube.sites())
     first, second = (site_index(cube, [pair[k] for pair in pairs], strict=True)
                      .tolist() for k in (0, 1))
     rows = np.vstack(run_realizations(per_realization(
@@ -536,19 +522,16 @@ class StretchedFit:
 ZETA_GRID = np.arange(2, 21) / 20.0
 
 
-def stretched_fit(profile: CorrelatorProfile, zeta_grid=None) -> StretchedFit:
+def stretched_fit(profile: CorrelatorProfile) -> StretchedFit:
     """Best stretched-exponential description of the correlator decay.
 
-    For each exponent in the grid, ln Q is regressed on |n-m|^zeta; the
+    For each exponent in ZETA_GRID, ln Q is regressed on |n-m|^zeta; the
     exponent with the highest R^2 wins and its intercept gives the
-    prefactor.  Zero entries (below machine reach) are excluded.  The
-    default grid is ZETA_GRID.
+    prefactor.  Zero entries (below machine reach) are excluded.
     """
     if profile.empty:
         raise ValueError("correlator profile is empty: the interval missed "
                          "the spectrum in every realization")
-    if zeta_grid is None:
-        zeta_grid = ZETA_GRID
     dists = profile.distances()
     keep = (profile.mean_q > 0.0) & (dists > 0)
     if int(keep.sum()) < 3:
@@ -556,7 +539,7 @@ def stretched_fit(profile: CorrelatorProfile, zeta_grid=None) -> StretchedFit:
     x0 = dists[keep]
     y = np.log(profile.mean_q[keep])
     best = None
-    for zeta in zeta_grid:
+    for zeta in ZETA_GRID:
         x = x0 ** zeta
         slope, intercept = np.polyfit(x, y, 1)
         resid = y - (slope * x + intercept)

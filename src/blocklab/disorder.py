@@ -88,21 +88,6 @@ class SiteMeasure:
     def has_density(self) -> bool:
         return self.kind in _DENSITY_KINDS
 
-    def density(self, x: float) -> float:
-        """Lebesgue density at x (density kinds only)."""
-        if not self.has_density:
-            raise ValueError(f"{self.kind} measure has no density")
-        a, b = self.params
-        if x < a or x > b:
-            return 0.0
-        if self.kind == "uniform":
-            return 1.0 / (b - a)
-        mid = 0.5 * (a + b)
-        peak = 2.0 / (b - a)
-        if x <= mid:
-            return peak * (x - a) / (mid - a)
-        return peak * (b - x) / (b - mid)
-
     def cdf(self, x: float) -> float:
         k = self.kind
         if k == "uniform":
@@ -120,9 +105,8 @@ class SiteMeasure:
             return 1.0 - 2.0 * ((b - x) / (b - a)) ** 2
         raise ValueError(f"{k} measure has no continuous cdf")
 
-    def mass(self, lo: float, hi: float,
-             closed_lo: bool = True, closed_hi: bool = False) -> float:
-        """Measure of the interval from lo to hi (default [lo, hi[)."""
+    def mass(self, lo: float, hi: float) -> float:
+        """Measure of the half-open interval [lo, hi[."""
         if hi < lo:
             return 0.0
         if self.has_density:
@@ -132,9 +116,7 @@ class SiteMeasure:
                        (self.params[2], 1.0 - self.params[1])])
         total = 0.0
         for x, w in atoms:
-            above = x >= lo if closed_lo else x > lo
-            below = x <= hi if closed_hi else x < hi
-            if above and below:
+            if lo <= x < hi:
                 total += w
         return total
 

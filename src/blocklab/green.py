@@ -159,9 +159,10 @@ def sli_check(region1, region2, region3, field: FieldSample, energy: float,
 
 
 def edi_check(region, cube3, field: FieldSample, eigen_index: int,
-              probe_sites=None, rtol: float = 1e-9, host: Spectrum | None = None,
+              rtol: float = 1e-9, host: Spectrum | None = None,
               inner: Spectrum | None = None) -> CheckReport:
-    """Eigenfunction mass at a site bounded by resolvent times boundary mass.
+    """Eigenfunction mass at every site of the region bounded by resolvent
+    times boundary mass.
 
     The eigenpair comes from the enclosing cube; the identity behind the
     bound is volume-local, so exact finite-volume eigenfunctions stand in
@@ -178,9 +179,7 @@ def edi_check(region, cube3, field: FieldSample, eigen_index: int,
     # raises if E is too close to sigma(H_region)
     g = resolvent(plain_block(field, region), energy, inner)
     n = len(nest.inside) // 2
-    at = (np.arange(n) if probe_sites is None
-          else lattice.site_index(region, probe_sites, strict=True))
-    rows = np.stack([at, at + n])       # the probes' rows in both components
+    rows = np.arange(n) + np.array([[0], [n]])   # the probes' rows in both components
     # per probe the 2-norm of G[probe, rim]: its largest singular value
     norms = np.linalg.svd(g.matrix[rows.T[:, :, None], rim_indices(region)],
                           compute_uv=False)[:, 0]
@@ -224,19 +223,14 @@ class DecayProfile:
     bound: np.ndarray
 
 
-def decay_profile(op: BlockOperator, energy: float, pairs=None) -> DecayProfile:
-    """One resolvent read at the given site pairs (all pairs by default).
+def decay_profile(op: BlockOperator, energy: float) -> DecayProfile:
+    """One resolvent read at every ordered pair of sites.
 
     The geometry of all pairs (indices, distances, distinct distances) is
     built once per region and shared by every profile on it."""
     g = resolvent(op, energy)
     delta = min(g.delta, 1.0)
-    if pairs is None:
-        first, second, dist, dists, at = _all_pairs(op.sites)
-    else:
-        first, second = (lattice.site_index(op.sites, [p[k] for p in pairs],
-                                            strict=True) for k in (0, 1))
-        first, second, dist, dists, at = _pair_geometry(op.sites, first, second)
+    first, second, dist, dists, at = _all_pairs(op.sites)
     norm = block_norm_grid(g.matrix, len(op.sites))[first, second]
     # the bound depends on the pair only through its distance
     d = len(op.sites[0])
@@ -245,21 +239,17 @@ def decay_profile(op: BlockOperator, energy: float, pairs=None) -> DecayProfile:
                         caps[at])
 
 
-def _pair_geometry(sites, first, second):
-    """The pairs (first, second) of site indices, their 1-norm distances,
-    and the distinct distances with the index among them of each pair's."""
-    points = lattice.site_array(sites)
-    dist = lattice.dist1_array(points[first], points[second])
-    return (first, second, dist) + tuple(np.unique(dist, return_inverse=True))
-
-
 @lru_cache(maxsize=8)
 def _all_pairs(sites):
-    """_pair_geometry of every ordered pair of the sites, in row-major
-    order, built once per region and shared: the arrays are read-only.
-    `harness.run` clears the cache."""
+    """Every ordered pair (first, second) of site indices, in row-major
+    order, their 1-norm distances, and the distinct distances with the
+    index among them of each pair's; built once per region and shared: the
+    arrays are read-only.  `harness.run` clears the cache."""
     n = len(sites)
-    geometry = _pair_geometry(sites, *np.divmod(np.arange(n * n), n))
+    first, second = np.divmod(np.arange(n * n), n)
+    points = lattice.site_array(sites)
+    dist = lattice.dist1_array(points[first], points[second])
+    geometry = (first, second, dist) + tuple(np.unique(dist, return_inverse=True))
     for a in geometry:
         a.flags.writeable = False
     return geometry

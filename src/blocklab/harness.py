@@ -40,22 +40,67 @@ from .lattice import CubeSpec
 from .operators import MAX_BLOCK_DIM, build_h
 from .spectral import deterministic_radius, eigensolve, per_realization, plain_block
 
-# the keys each kind may set in its own section; `validate` rejects any
-# other, and the ExperimentConfig accessors read no other
+# -- configuration -----------------------------------------------------------
+
+
+def _numbers(raw) -> list[float]:
+    """The finite numbers of a value, split at spaces and commas."""
+    values = [float(tok) for tok in str(raw).replace(",", " ").split()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{raw!r} is not finite")
+    return values
+
+
+def _number(raw) -> float:
+    (x,) = _numbers(raw)
+    return x
+
+
+def _ints(raw) -> list[int]:
+    return [int(round(x)) for x in _numbers(raw)]
+
+
+FLAGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+         **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _flag(raw) -> bool:
+    return FLAGS[str(raw).strip().lower()]
+
+
+# the keys each kind may set in its own section, each with the converter
+# that reads it: loading rejects a value its converter cannot read,
+# `validate` rejects any other key, and ExperimentConfig.value reads no other
 KEYS = {
-    "spectrum": (), "ids": ("energy_range", "energies"), "dos": ("bins",),
-    "wegner": ("energies", "epsilons"), "gap": (),
-    "interlace": ("lam", "beta", "eps"), "green": ("energy", "lengths"),
-    "ct": ("energy",), "sli-edi": ("energy", "lengths"),
-    "tails": ("epsilons", "lengths", "lower_bound", "c0_lengths",
-              "lower_epsilons", "lower_realizations"),
-    "suitability": ("theta", "energies", "lengths"),
-    "correlator": ("interval",), "fh": ("tol",),
+    "spectrum": {}, "ids": {"energy_range": _numbers, "energies": _numbers},
+    "dos": {"bins": _numbers}, "wegner": {"energies": _numbers, "epsilons": _numbers},
+    "gap": {}, "interlace": {"lam": _number, "beta": _number, "eps": _number},
+    "green": {"energy": _number, "lengths": _numbers}, "ct": {"energy": _number},
+    "sli-edi": {"energy": _number, "lengths": _numbers},
+    "tails": {"epsilons": _numbers, "lengths": _ints, "lower_bound": _flag,
+              "c0_lengths": _ints, "lower_epsilons": _numbers,
+              "lower_realizations": _number},
+    "suitability": {"theta": _numbers, "energies": _numbers, "lengths": _ints},
+    "correlator": {"interval": _numbers}, "fh": {"tol": _number},
 }
 KINDS = tuple(KEYS)
+# each measure kind's constructor and its parameters, in constructor order
+MEASURES = {"uniform": (SiteMeasure.uniform, ("a", "b")),
+            "triangular": (SiteMeasure.triangular, ("a", "b")),
+            "point_mass": (SiteMeasure.point_mass, ("c",)),
+            "two_point": (SiteMeasure.two_point, ("v1", "p", "v2"))}
 
 
-# -- configuration -----------------------------------------------------------
+def _read(section: str, key: str, raw, convert):
+    """convert(raw), raw the value of `key` in `section` (None: missing);
+    PreconditionError, naming both, if it is missing or does not convert."""
+    if raw is None:
+        raise PreconditionError(f"[{section}] needs key {key!r}")
+    try:
+        return convert(raw)
+    except (KeyError, ValueError):
+        raise PreconditionError(f"[{section}] {key} = {raw!r} does not parse") \
+            from None
 
 
 @dataclass
@@ -95,41 +140,36 @@ class ExperimentConfig:
             raise KeyError(f"experiment {self.kind!r} declares no key {key!r}")
         return self.extra.get(key, default)
 
-    def floats(self, key: str, default: str | None = None) -> list[float]:
-        raw = self.get(key, default)
-        if raw is None:
-            raise PreconditionError(f"experiment {self.kind!r} needs key {key!r}")
-        return [float(tok) for tok in str(raw).replace(",", " ").split()]
-
-    def ints(self, key: str, default: str | None = None) -> list[int]:
-        return [int(round(x)) for x in self.floats(key, default)]
-
-    def scalar(self, key: str, default: float) -> float:
-        return float(self.get(key, default))
-
-    def flag(self, key: str, default: bool = False) -> bool:
-        raw = str(self.get(key, default)).strip().lower()
-        return raw in ("1", "true", "yes", "on")
+    def value(self, key: str, default=None):
+        """A key of the kind's section, else `default` (None: the key is
+        required), read by the key's converter in KEYS."""
+        return _read(self.kind, key, self.get(key, default), KEYS[self.kind][key])
 
 
-def parse_measure(section) -> SiteMeasure:
-    kind = section.get("kind", "").strip()
-    if kind == "uniform":
-        return SiteMeasure.uniform(section.getfloat("a"), section.getfloat("b"))
-    if kind == "triangular":
-        return SiteMeasure.triangular(section.getfloat("a"), section.getfloat("b"))
-    if kind == "point_mass":
-        return SiteMeasure.point_mass(section.getfloat("c"))
-    if kind == "two_point":
-        return SiteMeasure.two_point(section.getfloat("v1"), section.getfloat("p"),
-                                     section.getfloat("v2"))
-    raise PreconditionError(f"unknown measure kind {kind!r}")
+def parse_measure(cp, name: str) -> SiteMeasure:
+    """The measure of section `name`; PreconditionError if the section, its
+    kind or a parameter is missing, unknown, unparsable or out of range."""
+    if not cp.has_section(name):
+        raise PreconditionError(f"config has no [{name}] section")
+    kind = cp[name].get("kind", "").strip()
+    if kind not in MEASURES:
+        raise PreconditionError(f"[{name}] unknown measure kind {kind!r}")
+    construct, keys = MEASURES[kind]
+    try:
+        return construct(*(_read(name, k, cp[name].get(k), _number) for k in keys))
+    except ValueError as e:
+        raise PreconditionError(f"[{name}] {e}") from None
 
 
 def parse_config(text: str, kind: str | None = None, seed: int | None = None,
                  workers: int | None = None) -> ExperimentConfig:
+    """The config of INI text; PreconditionError if the text is not INI
+    or a value does not parse."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as e:
+        raise PreconditionError(f"config is not valid INI: {e}") from None
     exp = cp["experiment"] if cp.has_section("experiment") else {}
     cfg_kind = kind or exp.get("kind")
     if cfg_kind is None:
@@ -140,17 +180,20 @@ def parse_config(text: str, kind: str | None = None, seed: int | None = None,
     if cfg_kind not in KINDS:
         raise PreconditionError(f"unknown experiment kind {cfg_kind!r}")
     extra = dict(cp[cfg_kind]) if cp.has_section(cfg_kind) else {}
-    return ExperimentConfig(
-        kind=cfg_kind,
-        d=int(exp.get("d", 1)),
-        L=float(exp.get("l", exp.get("L", 16))),
-        realizations=int(exp.get("realizations", 100)),
-        seed=int(exp.get("seed", 0)) if seed is None else seed,
-        workers=int(exp.get("workers", 1)) if workers is None else workers,
-        mu_V=parse_measure(cp["mu_V"]),
-        mu_B=parse_measure(cp["mu_B"]),
-        extra=extra,
-    )
+
+    def number(key, convert, default):
+        return _read("experiment", key, exp.get(key, default), convert)
+    cfg = ExperimentConfig(
+        kind=cfg_kind, d=number("d", int, "1"), L=number("L", _number, "16"),
+        realizations=number("realizations", int, "100"),
+        seed=number("seed", int, "0") if seed is None else seed,
+        workers=number("workers", int, "1") if workers is None else workers,
+        mu_V=parse_measure(cp, "mu_V"), mu_B=parse_measure(cp, "mu_B"),
+        extra=extra)
+    for key in KEYS[cfg_kind]:
+        if key in extra:
+            cfg.value(key)
+    return cfg
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -164,15 +207,8 @@ def config_to_text(cfg: ExperimentConfig) -> str:
                         "realizations": str(cfg.realizations),
                         "seed": str(cfg.seed), "workers": str(cfg.workers)}
     for name, m in (("mu_V", cfg.mu_V), ("mu_B", cfg.mu_B)):
-        sec = {"kind": m.kind}
-        if m.kind in ("uniform", "triangular"):
-            sec.update(a=repr(m.params[0]), b=repr(m.params[1]))
-        elif m.kind == "point_mass":
-            sec.update(c=repr(m.params[0]))
-        else:
-            sec.update(v1=repr(m.params[0]), p=repr(m.params[1]),
-                       v2=repr(m.params[2]))
-        cp[name] = sec
+        cp[name] = {"kind": m.kind, **{key: repr(x) for key, x in
+                                       zip(MEASURES[m.kind][1], m.params)}}
     if cfg.extra:
         cp[cfg.kind] = {k: str(v) for k, v in cfg.extra.items()}
     buf = io.StringIO()
@@ -198,8 +234,26 @@ def _cube_problems(d: int, L: float, what: str = "") -> list[str]:
     return []
 
 
+# the key of each kind that sets an interval lo hi (and n points, for a grid)
+INTERVALS = {"ids": "energy_range", "dos": "bins", "correlator": "interval"}
+
+
+def _interval_problems(cfg: ExperimentConfig) -> list[str]:
+    """Why the configured interval of the kind is not "lo hi" (with "n",
+    a whole number >= 1, for a grid) with lo < hi."""
+    key = INTERVALS[cfg.kind]
+    grid = key != "interval"
+    v = cfg.value(key, "0 1 1" if grid else "0 1")
+    if len(v) == 2 + grid and v[0] < v[1] and (not grid or v[2] >= 1 and
+                                                v[2].is_integer()):
+        return []
+    return [f"{cfg.kind}: {key} = {cfg.get(key)!r} is not lo hi{' n' * grid} "
+            f"with lo < hi{' and a whole n >= 1' * grid}"]
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
-    """All hypothesis diagnostics for the configured experiment, no computation."""
+    """All hypothesis diagnostics for the configured experiment, no
+    computation: every count and range the run relies on."""
     out = []
     if cfg.d < 1:
         out.append(f"dimension must be >= 1, got {cfg.d}")
@@ -216,6 +270,10 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     if unknown:
         out.append(f"[{k}] has unknown key(s) {', '.join(unknown)}; it takes "
                    f"{', '.join(KEYS[k]) or 'no keys'}")
+    if k in INTERVALS:
+        out += _interval_problems(cfg)
+    if k == "ids" and cfg.value("energies", "0") == []:
+        out.append("ids: energies lists no energy")
     if k in ("wegner", "dos"):
         if not (cfg.mu_V.has_density and cfg.mu_B.has_density):
             out.append(f"{k}: the two-density estimate needs densities of "
@@ -225,16 +283,14 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                        "inf supp mu_V >= 0 and inf supp mu_B >= 0")
     if k == "wegner":
         try:
-            energies = cfg.floats("energies")
-            epsilons = cfg.floats("epsilons")
+            energies = cfg.value("energies")
+            epsilons = cfg.value("epsilons")
         except PreconditionError as e:
             out.append(str(e))
         else:
-            for e in energies:
-                for eps in epsilons:
-                    if not (e > 0 and 0 < eps and 3 * eps < e):
-                        out.append(f"wegner: window (E={e}, eps={eps}) violates "
-                                   "E > 0, 3*eps < E")
+            out += [f"wegner: window (E={e}, eps={eps}) violates E > 0, 3*eps < E"
+                    for e in energies for eps in epsilons
+                    if not (e > 0 and 0 < eps and 3 * eps < e)]
     if k in ("gap", "interlace", "tails", "suitability"):
         try:
             case_beta(cfg.mu_B)
@@ -244,10 +300,19 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"{k}: needs inf supp mu_V >= 0")
     # the kinds that solve cubes other than the experiment's
     if k == "suitability":
-        for L in cfg.ints("lengths", "12 24 48"):
+        lengths = cfg.value("lengths", "12 24 48")
+        for L in lengths:
             if L % 6 != 0:
                 out.append(f"suitability: length {L} not in 6N")
             out += _cube_problems(cfg.d, L, f"suitability: length {L}: ")
+        try:        # a_L = edge + L^-1/2, as suitability_probability has it
+            edge = float(np.hypot(cfg.mu_V.support_inf, case_beta(cfg.mu_B).beta))
+        except ValueError:
+            edge = math.inf             # reported above
+        top = max(map(abs, cfg.value("energies", "0.0")), default=0.0)
+        out += [f"suitability: energies must lie in [-a_L, a_L], a_L = "
+                f"{edge + L ** -0.5:.6g} at length {L}"
+                for L in lengths if L >= 1 and top > edge + L ** -0.5]
     if k in ("green", "sli-edi") and cfg.get("lengths") is not None:
         try:
             lengths = _nested_lengths(cfg)
@@ -261,12 +326,14 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             out.append("tails: mu_V concentrated in a single point has no tail")
         if cfg.d >= 1:
             eps, lengths = _tail_grid(cfg)
-            n = len(eps) if cfg.get("lengths") is None else len(cfg.ints("lengths"))
+            if min(eps, default=1.0) <= 0:
+                out.append("tails: epsilons must be > 0")
+            n = len(eps) if cfg.get("lengths") is None else len(cfg.value("lengths"))
             if n != len(eps):
                 out.append(f"tails: {n} lengths for {len(eps)} epsilons")
             for e, L in zip(eps, lengths):
                 out += _cube_problems(cfg.d, L, f"tails: length {L} at eps {e:g}: ")
-        if cfg.d >= 1 and cfg.flag("lower_bound"):
+        if cfg.d >= 1 and cfg.value("lower_bound", "false"):
             c0 = _c0_lengths(cfg)
             if not c0:
                 out.append("tails: the lower bound needs at least one c0 length")
@@ -277,6 +344,12 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                 elif (n := CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
                     out.append(f"tails: c0 length {L}: Dirichlet matrix dimension "
                                f"{n} exceeds the hard cap {MAX_BLOCK_DIM}")
+            if min(cfg.value("lower_epsilons", "0.5"), default=1.0) <= 0:
+                out.append("tails: lower_epsilons must be > 0")
+            if not (r := cfg.value("lower_realizations", 100000)) >= 1 \
+                    or not r.is_integer():
+                out.append(f"tails: lower_realizations {r:g} is not a whole "
+                           "number >= 1")
     if k == "fh":
         if cfg.mu_V.support_inf < 0:
             out.append("fh: needs V >= 0 so that H >= 0")
@@ -464,37 +537,35 @@ def _summary_table(reports):
 # kernel where pool workers run it, imports asymptotics or green itself.
 
 
+def _spectrum_row(f, radius, simple):
+    """The structural checks of one realization's spectrum (nondegeneracy
+    where the spectrum is a.s. `simple`) and its eigenvalues."""
+    s = eigensolve(plain_block(f))
+    reports = [inequalities.symmetry_check(s), inequalities.radius_check(s, radius)]
+    if simple:
+        reports.append(inequalities.nondegeneracy_check(s))
+    return reports, s.eigenvalues
+
+
 def _exp_spectrum(cfg, mapper):
-    cube = cfg.cube()
-    dis = cfg.disorder()
     radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
-    sym = CheckReport("symmetry")
-    nondeg = CheckReport("nondegeneracy")
-    rad = CheckReport("radius", parameters={"radius": radius})
-    rows = []
-    eigen_rows = spectral.run_realizations(
-        per_realization(spectral._eigenvalue_row, cube, dis), cfg.realizations,
-        mapper)
-    for r, s in enumerate(spectral.Spectrum(ev) for ev in eigen_rows):
-        for j, e in enumerate(s.eigenvalues):
-            rows.append((r, j, e))
-        c = spectral.symmetry_check(s)
-        sym.record(c.threshold - c.value)
-        if cfg.mu_V.has_density:
-            c = spectral.nondegeneracy_check(s)
-            nondeg.record(c.value - c.threshold)
-        c = spectral.radius_check(s, radius)
-        rad.record(c.threshold - c.value)
+    vals = spectral.run_realizations(
+        per_realization(partial(_spectrum_row, radius=radius,
+                                simple=cfg.mu_V.has_density),
+                        cfg.cube(), cfg.disorder()), cfg.realizations, mapper)
+    reports = _fold((reps for reps, _ in vals), CheckReport("symmetry"),
+                    CheckReport("nondegeneracy"),
+                    CheckReport("radius", parameters={"radius": radius}))
+    rows = [(r, j, e) for r, (_, ev) in enumerate(vals) for j, e in enumerate(ev)]
     tables = {"eigenvalues": (["realization", "index", "eigenvalue"], rows)}
-    return tables, [sym, nondeg, rad], {"radius_bound": radius}
+    return tables, reports, {"radius_bound": radius}
 
 
 def _exp_ids(cfg, mapper):
     radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
-    default = f"{-radius} {radius} 41"
-    lo, hi, n = cfg.floats("energy_range", default)
+    lo, hi, n = cfg.value("energy_range", f"{-radius} {radius} 41")
     grid = (np.linspace(lo, hi, int(n)) if cfg.get("energies") is None
-            else np.array(cfg.floats("energies")))
+            else np.array(cfg.value("energies")))
     est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), grid,
                                    cfg.realizations, mapper)
     mono = CheckReport("ids_monotone")
@@ -504,18 +575,14 @@ def _exp_ids(cfg, mapper):
     rng.record(1.0 - float(np.max(est.mean_N)))
     rows = [(e, m, s, est.realizations)
             for e, m, s in zip(est.grid, est.mean_N, est.stderr_N)]
-    return ({"ids": (["E", "mean_N", "stderr", "R"], rows)},
-            [mono, rng], {})
-
-
-def _dos_edges(cfg):
-    radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
-    lo, hi, n = cfg.floats("bins", f"{-radius} {radius} 40")
-    return np.linspace(lo, hi, int(n) + 1)
+    return {"ids": (["E", "mean_N", "stderr", "R"], rows)}, [mono, rng], {}
 
 
 def _exp_dos(cfg, mapper):
-    hist = spectral.dos_histogram(cfg.disorder(), cfg.cube(), _dos_edges(cfg),
+    radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
+    lo, hi, n = cfg.value("bins", f"{-radius} {radius} 40")
+    hist = spectral.dos_histogram(cfg.disorder(), cfg.cube(),
+                                  np.linspace(lo, hi, int(n) + 1),
                                   cfg.realizations, mapper)
     uniform = inequalities.dos_bound_uniform(hist)
     reports = [uniform]
@@ -537,8 +604,8 @@ def _exp_dos(cfg, mapper):
 def _exp_wegner(cfg, mapper):
     dis = cfg.disorder()
     cube = cfg.cube()
-    windows = [(e, eps) for e in cfg.floats("energies")
-               for eps in cfg.floats("epsilons")]
+    windows = [(e, eps) for e in cfg.value("energies")
+               for eps in cfg.value("epsilons")]
     reports = inequalities.wegner_finite_volume(dis, cube, windows,
                                                 cfg.realizations, mapper)
     rows = []
@@ -589,9 +656,9 @@ def _interlace_row(f, lam, beta, eps):
 
 
 def _exp_interlace(cfg, mapper):
-    lam = cfg.scalar("lam", max(cfg.mu_V.support_inf, 0.0))
-    beta = cfg.scalar("beta", case_beta(cfg.mu_B).beta)
-    eps = cfg.scalar("eps", 0.3)
+    lam = cfg.value("lam", max(cfg.mu_V.support_inf, 0.0))
+    beta = cfg.value("beta", case_beta(cfg.mu_B).beta)
+    eps = cfg.value("eps", 0.3)
     reports = _fold(spectral.run_realizations(
         per_realization(partial(_interlace_row, lam=lam, beta=beta, eps=eps),
                         cfg.cube(), cfg.disorder()), cfg.realizations, mapper))
@@ -600,9 +667,8 @@ def _exp_interlace(cfg, mapper):
 
 
 def _nested_lengths(cfg):
-    raw = cfg.get("lengths")
-    if raw:
-        l1, l2, l3 = [float(x) for x in str(raw).split()]
+    if cfg.get("lengths"):
+        l1, l2, l3 = cfg.value("lengths")
     else:
         l3 = cfg.L
         l2 = max(math.ceil(l3 / 2), 5)
@@ -621,7 +687,7 @@ def _green_row(f, cubes, energy):
 
 
 def _exp_green(cfg, mapper):
-    energy = cfg.scalar("energy", 0.0)
+    energy = cfg.value("energy", 0.0)
     lengths = _nested_lengths(cfg)
     cubes = tuple(CubeSpec(cfg.d, l) for l in lengths)
     # the field is sampled on the host cube, the largest
@@ -658,7 +724,7 @@ def _ct_row(f, energy):
 
 
 def _exp_ct(cfg, mapper):
-    energy = cfg.scalar("energy", 0.0)
+    energy = cfg.value("energy", 0.0)
     vals = spectral.run_realizations(
         per_realization(partial(_ct_row, energy=energy), cfg.cube(),
                         cfg.disorder()), cfg.realizations, mapper)
@@ -709,7 +775,7 @@ def _sli_edi_row(f, cubes, energy):
 
 
 def _exp_sli_edi(cfg, mapper):
-    energy = cfg.scalar("energy", 0.0)
+    energy = cfg.value("energy", 0.0)
     cubes = tuple(CubeSpec(cfg.d, l) for l in _nested_lengths(cfg))
     reports = _fold(spectral.run_realizations(
         per_realization(partial(_sli_edi_row, cubes=cubes, energy=energy),
@@ -725,11 +791,11 @@ def _tail_grid(cfg):
     floor.  `validate` holds these lengths to the dense cap.
     """
     from . import asymptotics
-    eps = sorted(cfg.floats("epsilons", "0.08 0.125 0.2 0.3 0.4 0.5"))
+    eps = sorted(cfg.value("epsilons", "0.08 0.125 0.2 0.3 0.4 0.5"))
     floor = [asymptotics.default_tail_length(e, cfg.d) for e in eps]
     if cfg.get("lengths") is None:
         return eps, floor
-    return eps, [max(L, f) for L, f in zip(cfg.ints("lengths"), floor)]
+    return eps, [max(L, f) for L, f in zip(cfg.value("lengths"), floor)]
 
 
 def _c0_lengths(cfg):
@@ -738,7 +804,7 @@ def _c0_lengths(cfg):
     Dirichlet matrix (|cube| wide) stays within MAX_BLOCK_DIM, all five at
     d = 1.  `validate` holds configured lengths to 4 and to that cap."""
     if cfg.get("c0_lengths") is not None:
-        return cfg.ints("c0_lengths")
+        return cfg.value("c0_lengths")
     return [L for L in (8, 16, 32, 64, 128)
             if CubeSpec(cfg.d, L).site_count <= MAX_BLOCK_DIM]
 
@@ -765,13 +831,13 @@ def _exp_tails(cfg, mapper):
                                        curve.censored)]
     tables = {"tails": (["eps", "L", "delta_N", "stderr", "censored",
                          "ln_eps", "ln_abs_ln_delta_N"], rows)}
-    if cfg.flag("lower_bound"):
+    if cfg.value("lower_bound", "false"):
         c0 = asymptotics.c0_estimate(_c0_lengths(cfg), cfg.d)
         lb_rows = []
-        for e in cfg.floats("lower_epsilons", "0.5"):
+        for e in cfg.value("lower_epsilons", "0.5"):
             L = asymptotics.lower_bound_scale(c0.c0_hat, e)
             rep = asymptotics.lower_bound_probability(
-                dis, cfg.d, e, L, int(cfg.scalar("lower_realizations", 100000)),
+                dis, cfg.d, e, L, int(cfg.value("lower_realizations", 100000)),
                 mapper)
             reports.append(rep)
             p = rep.parameters
@@ -786,14 +852,14 @@ def _exp_suitability(cfg, mapper):
     from . import asymptotics
     dis = cfg.disorder()
     # default sweep: theta just above the dimension, and well above it
-    thetas = cfg.floats("theta", f"{cfg.d + 0.5} {2 * cfg.d}")
-    energies = cfg.floats("energies", "0.0")
+    thetas = cfg.value("theta", f"{cfg.d + 0.5} {2 * cfg.d}")
+    energies = cfg.value("energies", "0.0")
     # one ensemble per length serves every theta: by_length[i][k] is the
     # report at the i-th length and the k-th theta
     by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas,
                                                      energies,
                                                      cfg.realizations, mapper)
-                 for L in cfg.ints("lengths", "12 24 48")]
+                 for L in cfg.value("lengths", "12 24 48")]
     rows = []
     reports = []
     thresholds = {}
@@ -830,11 +896,9 @@ def _exp_correlator(cfg, mapper):
     from . import asymptotics
     dis = cfg.disorder()
     cube = cfg.cube()
-    lo, hi = cfg.floats("interval", "-0.5 0.5")
+    lo, hi = cfg.value("interval", "-0.5 0.5")
     profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi),
-                                                   pairs=None,
-                                                   R=cfg.realizations,
-                                                   mapper=mapper)
+                                                   cfg.realizations, mapper)
     rows = [(n, m, d, q, s) for (n, m), d, q, s in
             zip(profile.pairs, profile.distances(), profile.mean_q,
                 profile.stderr_q)]
@@ -871,7 +935,7 @@ def _fh_row(f, tol):
 
 
 def _exp_fh(cfg, mapper):
-    tol = cfg.scalar("tol", 1e-6)
+    tol = cfg.value("tol", 1e-6)
     vals = spectral.run_realizations(
         per_realization(partial(_fh_row, tol=tol), cfg.cube(), cfg.disorder()),
         cfg.realizations, mapper)

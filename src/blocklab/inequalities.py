@@ -9,15 +9,14 @@ beyond its declared tolerance.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, FieldSample, sample_fields
+from .disorder import DisorderConfig, FieldSample
 from .lattice import CubeSpec
 from .operators import (ScalarOperator, assemble_beta_reference, assemble_block,
                         assemble_bracketing, build_h)
-from .spectral import DosHistogram, count_below, eigensolve, run_realizations
+from .spectral import DosHistogram, Spectrum, eigensolve, ensemble_counts
 
 
 class PreconditionError(ValueError):
@@ -114,8 +113,9 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
     """Expected eigenvalue count in [E-eps, E+eps[ against 8 eps N (BV_V + BV_B).
 
     `windows` is a sequence of (E, eps) pairs; one report is returned per
-    window, in order.  Realizations are sampled and counted a block at a
-    time, by inertia (`count_below`), at every window edge at once.
+    window, in order.  A window's count is the strict count below hi
+    minus the strict count below lo (`spectral.ensemble_counts`, every
+    edge at once), so an eigenvalue at lo counts and one at hi does not.
 
     Hypotheses: both single-site measures supported in [0, inf) with
     densities of bounded variation, E > 0 and 3 eps < E.
@@ -131,13 +131,13 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
     n_sites = cube.site_count
     bv = config.mu_V.bv_norm + config.mu_B.bv_norm
 
-    rows = run_realizations(
-        partial(_window_counts, cube=cube, config=config,
-                edges=[x for e, eps in windows for x in (e - eps, e + eps)]),
-        R, mapper)
+    below = ensemble_counts(config, cube,
+                            [x for e, eps in windows for x in (e - eps, e + eps)],
+                            R, "left", mapper)
+    in_window = below[:, 1::2] - below[:, 0::2]
     reports = []
     for k, (energy, eps) in enumerate(windows):
-        counts = np.array([row[k] for row in rows], dtype=float)
+        counts = in_window[:, k].astype(float)
         mean = counts.mean()
         stderr = counts.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
         bound = 8.0 * eps * n_sites * bv
@@ -148,15 +148,6 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
         rep.record(bound + 3.0 * stderr - mean)
         reports.append(rep)
     return reports
-
-
-def _window_counts(rs, cube, config, edges):
-    """Per realization of the block, the eigenvalue count in each window
-    [lo, hi[ (`edges` lists lo, hi window by window): below hi minus
-    below lo, both strict, so an eigenvalue at lo counts and one at hi
-    does not."""
-    below = count_below(cube, *sample_fields(cube, config, rs), edges)
-    return below[:, 1::2] - below[:, 0::2]
 
 
 def dos_bound_energy_dependent(hist: DosHistogram) -> CheckReport:
@@ -200,6 +191,33 @@ def dos_bound_uniform(hist: DosHistogram) -> CheckReport:
     rep = CheckReport("dos_bound_uniform",
                       parameters={"R": hist.realizations, "bound": cap})
     rep.record(cap + 3.0 * hist.stderr - hist.density)
+    return rep
+
+
+# -- structural checks -------------------------------------------------------
+
+
+def symmetry_check(s: Spectrum, rtol: float = 1e-9) -> CheckReport:
+    """Spectrum symmetry around 0: max_j |E_j + E_(dim+1-j)| <= rtol ||H||."""
+    e = s.eigenvalues
+    defect = float(np.max(np.abs(e + e[::-1]))) if s.dim else 0.0
+    rep = CheckReport("symmetry")
+    rep.record(rtol * max(s.norm, 1e-300) - defect)
+    return rep
+
+
+def nondegeneracy_check(s: Spectrum, min_spacing: float = 1e-12) -> CheckReport:
+    """All eigenvalues simple (continuous-density disorder, a.s.)."""
+    spacing = float(np.min(np.diff(s.eigenvalues))) if s.dim > 1 else np.inf
+    rep = CheckReport("nondegeneracy")
+    rep.record(spacing - min_spacing)
+    return rep
+
+
+def radius_check(s: Spectrum, r: float) -> CheckReport:
+    """All eigenvalues inside the deterministic radius [-r, r]."""
+    rep = CheckReport("radius")
+    rep.record(r - s.norm)
     return rep
 
 

@@ -1,15 +1,16 @@
-"""Eigensolves, counting functions and Monte Carlo spectral statistics.
+"""Eigensolves, eigenvalue counts and Monte Carlo spectral statistics.
 
 The normalized eigenvalue counting function of a block operator is
 N(E) = #{eigenvalues <= E} / (2 |region|); its ensemble mean over
-realizations estimates the integrated density of states, and the ensemble
-eigenvalue histogram estimates the density of states directly.
+realizations estimates the integrated density of states, and differenced
+counts at bin edges estimate the density of states.
 
-Eigenvalue counts alone need no spectrum: `count_below` reads them off the
-inertia of (H_hat - E) for a whole block of realizations at once.
+Eigenvalue counts need no spectrum: `count_below` reads them off the
+inertia of (H_hat - E) for a whole block of realizations at once, and
+`ensemble_counts` maps it over an ensemble for every count-only kind.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -53,21 +54,6 @@ def eigensolve(op, want_vectors: bool = False) -> Spectrum:
     return Spectrum(ev, vec)
 
 
-def count_leq(s: Spectrum, energy: float) -> int:
-    """Number of eigenvalues in ]-inf, energy], with multiplicity.
-
-    Ties count: an eigenvalue equal to `energy` is included (<=).  It reads
-    a computed spectrum, so no pivot is involved; count_below(...,
-    side="right") is the same count from the inertia, without a spectrum.
-    """
-    return int(np.searchsorted(s.eigenvalues, energy, side="right"))
-
-
-def counting(s: Spectrum, energy: float) -> float:
-    """Normalized counting function of a block spectrum, value in [0, 1]."""
-    return count_leq(s, energy) / s.dim
-
-
 # -- counting by inertia ---------------------------------------------------
 
 
@@ -99,13 +85,14 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
     (H_hat - E + s), with s > 0 for side "left" and s < 0 for "right".
     A zero pivot inside the chain is no eigenvalue and does not bias the
     count, and one at the last site is an eigenvalue at E, counted as the
-    side says; where
-    the recursion's arithmetic is exact, as on constant half-integer
-    fields, the counts are the exact ones.  Otherwise it rounds like
-    any eigensolver: a count can differ from one read off a computed
-    spectrum when an eigenvalue of the operator, or of one of its leading
-    sections, lies within rounding of E.  A recursion that leaves the
-    floating-point range raises ArithmeticError.
+    side says; where the recursion's arithmetic is exact, as on constant
+    half-integer fields, the counts are the exact ones.  Otherwise it
+    rounds like any eigensolver: a count can differ from one read off a
+    computed spectrum when an eigenvalue of the operator, or of one of its
+    leading sections, lies within rounding of E.  An energy beyond
+    r = 5 + max|V| + max|B|, past every eigenvalue (Gershgorin), is
+    counted at +-r; fields that drive the recursion out of the
+    floating-point range raise ArithmeticError.
 
     At d >= 2 each realization is diagonalized densely.
     """
@@ -117,10 +104,11 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
     if not all(np.all(np.isfinite(x)) for x in (V, B, energies)):
         raise ValueError("fields or energies have non-finite entries")
     if cube.d == 1:
+        r = 5.0 + np.abs(V).max(initial=0.0) + np.abs(B).max(initial=0.0)
         # a product that overflows loses to the other form of det S, or
         # the recursion raises
         with np.errstate(over="ignore"):
-            return _schur_counts(V, B, energies, side == "right")
+            return _schur_counts(V, B, np.clip(energies, -r, r), side == "right")
     h0 = template(cube, "simple")
     counts = [np.searchsorted(eigensolve(assemble_plain(h0, v, b)).eigenvalues,
                               energies, side=side) for v, b in zip(V, B)]
@@ -226,34 +214,6 @@ def spectral_gap(s: Spectrum) -> tuple[float, float]:
     return g_minus, g_plus
 
 
-@dataclass(frozen=True)
-class StructuralCheck:
-    name: str
-    value: float
-    threshold: float
-    passed: bool
-
-
-def symmetry_check(s: Spectrum, rtol: float = 1e-9) -> StructuralCheck:
-    """Spectrum symmetry around 0: max_j |E_j + E_(dim+1-j)| small."""
-    e = s.eigenvalues
-    defect = float(np.max(np.abs(e + e[::-1]))) if s.dim else 0.0
-    thr = rtol * max(s.norm, 1e-300)
-    return StructuralCheck("symmetry", defect, thr, defect <= thr)
-
-
-def nondegeneracy_check(s: Spectrum, min_spacing: float = 1e-12) -> StructuralCheck:
-    """All eigenvalues simple (continuous-density disorder, a.s.)."""
-    spacing = float(np.min(np.diff(s.eigenvalues))) if s.dim > 1 else np.inf
-    return StructuralCheck("nondegeneracy", spacing, min_spacing, spacing > min_spacing)
-
-
-def radius_check(s: Spectrum, r: float) -> StructuralCheck:
-    """All eigenvalues inside the deterministic radius [-r, r]."""
-    top = s.norm
-    return StructuralCheck("radius", top, r, top <= r + 1e-12 * max(r, 1.0))
-
-
 def deterministic_radius(d: int, mu_V: SiteMeasure, mu_B: SiteMeasure) -> float:
     """Finite-volume radius bound 4d + max|supp mu_V| + max|supp mu_B|."""
     def extent(m):
@@ -269,15 +229,6 @@ def plain_block(field: FieldSample, cube=None) -> BlockOperator:
     """The plain block operator (simple BC) of a field on its cube or `cube` in it."""
     cube = field.cube if cube is None else cube
     return assemble_plain(template(cube, "simple"), *field.at(cube))
-
-
-def _counting_row(field: FieldSample, grid):
-    s = eigensolve(plain_block(field))
-    return np.array([counting(s, e) for e in grid])
-
-
-def _eigenvalue_row(field: FieldSample):
-    return eigensolve(plain_block(field)).eigenvalues
 
 
 # realizations per block kernel call run inline (a pool may cut smaller ones)
@@ -322,6 +273,22 @@ def _each_realization(kernel, cube, config, rs):
     return [kernel(FieldSample(cube, v, b, r)) for r, v, b in zip(rs, V, B)]
 
 
+def ensemble_counts(config: DisorderConfig, cube: CubeSpec, energies, R: int,
+                    side: str, mapper=None) -> np.ndarray:
+    """The (R, len(energies)) count_below of realizations 0..R-1 on the
+    cube at every energy, with the side given.  Each block of realizations
+    is sampled once and counted by one count_below call; the count-only
+    kinds (ids, dos, wegner, tails) differ only in how they reduce this."""
+    energies = np.asarray(energies, dtype=float)
+    rows = run_realizations(partial(_block_counts, cube=cube, config=config,
+                                    energies=energies, side=side), R, mapper)
+    return np.array(rows, dtype=np.int64).reshape(R, len(energies))
+
+
+def _block_counts(rs, cube, config, energies, side):
+    return count_below(cube, *sample_fields(cube, config, rs), energies, side)
+
+
 @dataclass(frozen=True)
 class IdsEstimate:
     """Monte Carlo estimate of the integrated density of states on a grid."""
@@ -334,13 +301,13 @@ class IdsEstimate:
 
 def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int,
                     mapper=None) -> IdsEstimate:
-    """Mean and standard error of the counting function over R realizations."""
+    """Mean and standard error of the counting function over R realizations:
+    the eigenvalues at or below each grid energy (<=), over 2 |cube|."""
     if R < 1:
         raise ValueError("need at least one realization")
     grid = np.asarray(grid, dtype=float)
-    rows = run_realizations(per_realization(
-        partial(_counting_row, grid=grid), cube, config), R, mapper)
-    data = np.vstack(rows)
+    data = (ensemble_counts(config, cube, grid, R, "right", mapper)
+            / (2 * cube.site_count))
     mean = data.mean(axis=0)
     stderr = (data.std(axis=0, ddof=1) / np.sqrt(R) if R > 1
               else np.zeros_like(mean))
@@ -355,31 +322,26 @@ class DosHistogram:
     density: np.ndarray
     stderr: np.ndarray
     realizations: int
-    cube: CubeSpec = None
     config: DisorderConfig = None
 
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
-
 
 def dos_histogram(config: DisorderConfig, cube: CubeSpec, edges, R: int,
                   mapper=None) -> DosHistogram:
-    """Density-of-states estimate: counted eigenvalues per bin / (2N * width)."""
+    """Density-of-states estimate: eigenvalues per bin / (2N * width).
+
+    Every bin is half-open, [lo, hi[, the last one too: the strict counts
+    below its two edges, differenced, as the Wegner windows count.
+    """
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("bin edges must be strictly increasing")
-    rows = run_realizations(per_realization(_eigenvalue_row, cube, config),
-                            R, mapper)
-    dim = 2 * cube.site_count
-    widths = np.diff(edges)
-    counts = np.vstack([np.histogram(ev, bins=edges)[0] for ev in rows])
-    scale = 1.0 / (dim * widths)
+    counts = np.diff(ensemble_counts(config, cube, edges, R, "left", mapper), axis=1)
+    scale = 1.0 / (2 * cube.site_count * np.diff(edges))
     density = counts.mean(axis=0) * scale
     stderr = (counts.std(axis=0, ddof=1) / np.sqrt(R)) * scale if R > 1 \
         else np.zeros_like(density)
-    return DosHistogram(edges, density, stderr, R, cube, config)
+    return DosHistogram(edges, density, stderr, R, config)

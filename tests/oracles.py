@@ -1,15 +1,16 @@
 """Reference implementations that the tests check the library against.
 
 Each one computes a quantity the library also computes, by a slower or
-more direct route: finite differences for the Feynman-Hellmann sums, a
-dense solve and an eigenpair sum for the suitability norm, a variational
-minimization for the lowest positive block eigenvalue, explicit 2x2
-element reads, block embeddings and indicator projections for the exact
-identities, a per-site hash for the field sampler, a per-pair 1-norm
-distance, window counts read off a dense spectrum, and the nested-cube
-checks with their geometry rebuilt on every call and one norm per EDI
-probe.  `sample_field` draws one realization's field, as a one-row block.
-None of them runs in an experiment.
+more direct route: the densities whose variation the BV norms sum,
+finite differences for the Feynman-Hellmann sums, a dense solve and an
+eigenpair sum for the suitability norm, a variational minimization for
+the lowest positive block eigenvalue, explicit 2x2 element reads, block
+embeddings and indicator projections for the exact identities, a
+per-site hash for the field sampler, a per-pair 1-norm distance, window
+counts read off a dense spectrum, and the nested-cube checks with their
+geometry rebuilt on every call and one norm per EDI probe.
+`sample_field` draws one realization's field, as a one-row block.  None
+of them runs in an experiment.
 """
 
 from dataclasses import dataclass
@@ -75,6 +76,26 @@ def site_uniform(master_seed: int, realization_index: int, site,
     site_key = _absorb(0x5173517351735173, (len(site), *site))
     z = _splitmix(_splitmix(r_key ^ site_key))
     return (z >> 11) * 2.0 ** -53
+
+
+# -- measures --------------------------------------------------------------------
+
+
+def density(m, x: float) -> float:
+    """Lebesgue density of a uniform or triangular SiteMeasure at x, from
+    its parameters."""
+    if not m.has_density:
+        raise ValueError(f"{m.kind} measure has no density")
+    a, b = m.params
+    if x < a or x > b:
+        return 0.0
+    if m.kind == "uniform":
+        return 1.0 / (b - a)
+    mid = 0.5 * (a + b)
+    peak = 2.0 / (b - a)
+    if x <= mid:
+        return peak * (x - a) / (mid - a)
+    return peak * (b - x) / (b - mid)
 
 
 # -- eigenvalue counts ---------------------------------------------------------
@@ -310,8 +331,7 @@ def sli_check_per_realization(region1, region2, region3, field: FieldSample,
 
 
 def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
-                        probe_sites=None, rtol: float = 1e-9,
-                        host: Spectrum | None = None,
+                        rtol: float = 1e-9, host: Spectrum | None = None,
                         inner: Spectrum | None = None) -> CheckReport:
     """green.edi_check with the geometry rebuilt on every call and one
     2-norm, and one recorded slack, per probe site."""
@@ -328,7 +348,7 @@ def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
     i_r = lattice.inner_boundary(r)
     o_r = lattice.outer_boundary(r)
     n3 = len(r3)
-    probes = r if probe_sites is None else [tuple(s) for s in probe_sites]
+    probes = r
     psi_out = float(np.linalg.norm(psi[component_indices(r3, o_r)]))
     rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
                                          "gamma": gamma.norm})

@@ -7,6 +7,7 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   _ct_block_budget,
                                   _ct_distances,
                                   _suitability_geometry, c0_estimate,
+                                  correlator_q,
                                   ct_threshold_length, eigenfunction_correlator,
                                   finite_volume_tail_bound, gap_edge,
                                   lower_bound_probability,
@@ -20,7 +21,7 @@ from blocklab.green import resolvent_columns
 from blocklab.inequalities import PreconditionError, edge_spectra
 from blocklab.lattice import CubeSpec, inner_boundary
 from blocklab.operators import assemble_block, build_h
-from blocklab.spectral import eigensolve
+from blocklab.spectral import eigensolve, ensemble_counts, plain_block
 from oracles import (dense_suitability_norm, dist1, eigenpair_suitability_norms,
                      sample_field)
 
@@ -71,11 +72,20 @@ def test_tail_zero_offset_is_exactly_zero():
     assert curve.censored[0]
 
 
+def tail_samples(config, cube, eps_grid, R):
+    """N(edge + eps) - 1/2 per realization (rows) and eps (columns), from
+    the count kernel that tail_curve reduces."""
+    edge = gap_edge(config, cube.d).edge
+    counts = ensemble_counts(config, cube, edge + np.asarray(eps_grid), R, "right")
+    return counts / (2 * cube.site_count) - 0.5
+
+
 def test_tail_values_nonnegative_and_bounded():
-    curve = tail_curve(GAP2, 1, [0.2, 0.5, 1.0], R=20, lengths=[15, 15, 15],
-                       keep_samples=True)
-    for vals in curve.samples:
-        assert np.all(vals >= 0.0) and np.all(vals <= 0.5)
+    eps = [0.2, 0.5, 1.0]
+    curve = tail_curve(GAP2, 1, eps, R=20, lengths=[15, 15, 15])
+    vals = tail_samples(GAP2, CubeSpec(1, 15), eps, 20)
+    assert np.all(vals >= 0.0) and np.all(vals <= 0.5)
+    assert curve.delta_n.tolist() == [v.mean() for v in vals.T.copy()]
 
 
 def test_tail_monotone_within_slack():
@@ -385,9 +395,10 @@ def test_correlator_empty_below_spectrum():
 def test_correlator_diagonal_contraction():
     cube = CubeSpec(1, 9)
     cfg = DisorderConfig(SiteMeasure.uniform(0, 5), SiteMeasure.uniform(0, 1), 8)
-    prof = eigenfunction_correlator(cfg, cube, (-1.0, 1.0),
-                                    pairs=[(s, s) for s in cube.sites()], R=8)
-    assert np.all(prof.mean_q <= 2.0 + 1e-12)
+    sites = np.arange(cube.site_count)
+    for r in range(8):
+        s = eigensolve(plain_block(sample_field(cube, cfg, r)), want_vectors=True)
+        assert np.all(correlator_q(s, sites, sites, (-1.0, 1.0)) <= 2.0 + 1e-12)
 
 
 def test_correlator_strong_disorder_decays():
@@ -409,7 +420,7 @@ def test_stretched_fit_recovers_synthetic():
     zeta0, c0 = 0.6, 1.7
     q = c0 * np.exp(-dists ** zeta0)
     prof = CorrelatorProfile((-1, 1), pairs, q, np.zeros_like(q), 10, 10)
-    fit = stretched_fit(prof, zeta_grid=np.arange(0.3, 1.01, 0.05))
+    fit = stretched_fit(prof)
     assert fit.zeta == pytest.approx(zeta0, abs=0.051)
     assert fit.log_slope == pytest.approx(-1.0, abs=0.05)
     assert fit.c_zeta == pytest.approx(c0, rel=0.15)
@@ -439,9 +450,9 @@ def bootstrap_stderr(values: np.ndarray, n_boot: int = 400,
 
 
 def test_tail_stderr_consistent_with_bootstrap():
-    curve = tail_curve(LAM1, 1, [0.4, 0.5], R=300, lengths=[15, 15],
-                       keep_samples=True)
-    for k, vals in enumerate(curve.samples):
+    curve = tail_curve(LAM1, 1, [0.4, 0.5], R=300, lengths=[15, 15])
+    samples = tail_samples(LAM1, CubeSpec(1, 15), [0.4, 0.5], 300)
+    for k, vals in enumerate(samples.T):
         boot = bootstrap_stderr(vals, seed=k)
         assert boot == pytest.approx(curve.stderr[k], rel=0.35, abs=1e-6)
 

@@ -210,8 +210,6 @@ def test_nested_checks_match_the_per_realization_oracle(d, lengths):
     # strict triples and triples with region1 = region2 or region2 = region3
     cubes = tuple(CubeSpec(d, l) for l in lengths)
     c2, c3 = cubes[1:]
-    sites = c2.sites()
-    probes = [sites[-1], c2.center, sites[0], c2.center]
     seen = set()
     for r in range(3):
         f = sample_field(c3, GAPPED, r)
@@ -229,7 +227,7 @@ def test_nested_checks_match_the_per_realization_oracle(d, lengths):
                 out = _outcome(lib, *args, **kwargs)
                 assert out == _outcome(oracle, *args, **kwargs)
                 seen.add(out if isinstance(out, str) else out["name"])
-        for kwargs in ({}, {"probe_sites": probes}, {"host": host, "inner": middle}):
+        for kwargs in ({}, {"host": host, "inner": middle}):
             out = _outcome(edi_check, c2, c3, f, j, **kwargs)
             assert out == _outcome(edi_check_per_probe, c2, c3, f, j, **kwargs)
             seen.add(out if isinstance(out, str) else out["name"])
@@ -243,15 +241,15 @@ def test_edi_interior_support_gives_slack():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)
     f = sample_field(cube3, GAPPED, 4)
-    rep = edi_check(region, cube3, f, eigen_index=0, probe_sites=[(0,)])
+    rep = edi_check(region, cube3, f, eigen_index=0)
     assert rep.passed and rep.worst_margin > 0
 
 
 def test_combes_thomas_diagonal_bound():
     op, _ = plain_on(CubeSpec(1, 11), GAPPED, 0)
-    rep = combes_thomas_check(decay_profile(op, 0.0,
-                                            pairs=[(n, n) for n in op.sites]))
-    assert rep.passed
+    profile = decay_profile(op, 0.0)
+    diagonal = profile.first == profile.second
+    assert np.all(profile.norm[diagonal] <= profile.bound[diagonal] + 1e-12)
 
 
 def test_combes_thomas_all_pairs():
@@ -277,11 +275,12 @@ def test_decay_rate_beats_ct_rate():
 
 def test_decay_profile_columns():
     op, _ = plain_on(CubeSpec(1, 7), GAPPED, 6)
-    profile = decay_profile(op, 0.0, pairs=[((0,), (2,))])
-    (i,), (j,), (dist,) = profile.first, profile.second, profile.dist
+    profile = decay_profile(op, 0.0)
+    n = len(profile.sites)
+    k = profile.sites.index((0,)) * n + profile.sites.index((2,))
+    i, j, dist = profile.first[k], profile.second[k], profile.dist[k]
     assert (profile.sites[i], profile.sites[j], dist) == ((0,), (2,), 2)
-    (nrm,), (cap,) = profile.norm, profile.bound
-    assert nrm <= cap + 1e-12
+    assert profile.norm[k] <= profile.bound[k] + 1e-12
 
 
 @pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 4)])

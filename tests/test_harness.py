@@ -25,6 +25,7 @@ from blocklab import asymptotics  # noqa: F401
 from blocklab.cli import main as cli_main
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
+from blocklab.inequalities import PreconditionError
 from oracles import csv_cell, sample_field
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -69,6 +70,8 @@ INTERLACE_SKIPS = make_text("interlace", L=8, R=10,
 WEGNER_BLOCKS = make_text("wegner", L=20, R=24,
                           extra="[wegner]\nenergies = 1.0 2.0 3.0\n"
                                 "epsilons = 0.1 0.2\n")
+IDS_BLOCKS = make_text("ids", L=20, R=24)
+DOS_BLOCKS = make_text("dos", L=20, R=24, extra="[dos]\nbins = -6 6 24\n")
 TAILS_BLOCKS = BASE.format(kind="tails", L=15, R=24, vk="uniform",
                            vargs="a = 1.0\nb = 2.0",
                            bk="point_mass", bargs="c = 0.0") \
@@ -274,7 +277,8 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     green_2d = make_text("green", L=7, R=6, va=1.0, vb=2.0,
                          extra="[green]\nenergy = 0.3\nlengths = 2 4 7\n") \
         .replace("\nd = 1\n", "\nd = 2\n")
-    for kind, text in (("wegner", WEGNER_BLOCKS), ("interlace", INTERLACE_SKIPS),
+    for kind, text in (("wegner", WEGNER_BLOCKS), ("ids", IDS_BLOCKS),
+                       ("dos", DOS_BLOCKS), ("interlace", INTERLACE_SKIPS),
                        ("sli_edi", make_text("sli-edi", L=9, R=6, va=1.0,
                                              vb=2.0)),
                        ("fh", make_text("fh", L=6, R=5)),
@@ -316,6 +320,8 @@ def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(harness, "POOL_START_S", 0)
     cases = ((WEGNER_BLOCKS, ["wegner.csv"]),
+             (IDS_BLOCKS, ["ids.csv"]),
+             (DOS_BLOCKS, ["dos.csv"]),
              (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]),
              (SUITABILITY_BLOCKS, ["suitability.csv"]),
              (CT_BLOCKS, ["ct.csv", "ct_profile.csv"]))
@@ -578,11 +584,95 @@ def test_unknown_section_key_exits_3(section, tmp_path, capsys):
     assert run(parse_config(text), tmp_path / "out").exit_code == 3
 
 
+TAILS_BASE = BASE.format(kind="tails", L=15, R=4, vk="uniform",
+                         vargs="a = 1.0\nb = 2.0", bk="point_mass",
+                         bargs="c = 0.0") \
+    + "[tails]\nepsilons = 0.3\nlengths = 15\nc0_lengths = 8\n"
+SUITABILITY_BASE = make_text("suitability", L=12, R=4, va=1.0, vb=2.0,
+                             bk="point_mass", bargs="c = 0.0",
+                             extra="[suitability]\nlengths = 6 12\n")
+
+# a value that does not parse, a count or range a run cannot use, and a
+# flag that is no flag: each once crashed validate or the run, or ran wrong
+MALFORMED = {
+    "d": make_text("spectrum").replace("\nd = 1\n", "\nd = x\n"),
+    "L": make_text("spectrum").replace("\nL = 9\n", "\nL = abc\n"),
+    "seed": make_text("spectrum").replace("seed = 7", "seed = 4.5"),
+    "realizations": make_text("spectrum").replace("realizations = 5",
+                                                  "realizations = x"),
+    "mu_V-b": make_text("spectrum", vargs="a = 0.0\nb = x"),
+    "mu_V-b-missing": make_text("spectrum", vargs="a = 0.0"),
+    "mu_V-a-above-b": make_text("spectrum", vargs="a = 2\nb = 1.3"),
+    "suitability-lengths": SUITABILITY_BASE.replace("lengths = 6 12",
+                                                    "lengths = x"),
+    "tails-epsilons": TAILS_BASE.replace("epsilons = 0.3", "epsilons = x"),
+    "ct-energy": make_text("ct", extra="[ct]\nenergy = x\n"),
+    "interlace-eps": make_text("interlace", extra="[interlace]\neps = x\n"),
+    "ids-energy_range": make_text("ids", extra="[ids]\nenergy_range = 1 2\n"),
+    "correlator-interval": make_text("correlator",
+                                     extra="[correlator]\ninterval = 1\n"),
+    "dos-bins": make_text("dos", extra="[dos]\nbins = 1 0 4\n"),
+    "suitability-energies": SUITABILITY_BASE + "energies = 5.0\n",
+    "lower_epsilons-x": TAILS_BASE + "lower_bound = true\nlower_epsilons = x\n",
+    "lower_epsilons-negative": TAILS_BASE + "lower_bound = true\n"
+                                            "lower_epsilons = -1\n",
+    "lower_realizations-x": TAILS_BASE + "lower_bound = true\n"
+                                         "lower_realizations = x\n",
+    "lower_realizations-0": TAILS_BASE + "lower_bound = true\n"
+                                         "lower_realizations = 0\n",
+    "lower_bound-ture": TAILS_BASE + "lower_bound = ture\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_exits_3(name, tmp_path, capsys):
+    text = MALFORMED[name]
+    kind = text.split("kind = ", 1)[1].split()[0]
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert cli_main([kind, "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("precondition: ")
+
+
+def test_unparsable_values_name_their_section_and_key():
+    with pytest.raises(PreconditionError, match=r"\[experiment\] seed = '4.5'"):
+        parse_config(MALFORMED["seed"])
+    with pytest.raises(PreconditionError, match=r"\[mu_V\] needs key 'b'"):
+        parse_config(MALFORMED["mu_V-b-missing"])
+    with pytest.raises(PreconditionError, match=r"\[tails\] lower_bound = 'ture'"):
+        parse_config(MALFORMED["lower_bound-ture"])
+    for word, value in (("Yes", True), ("on", True), ("0", False), ("off", False)):
+        cfg = parse_config(TAILS_BASE + f"lower_bound = {word}\n")
+        assert cfg.value("lower_bound") is value
+
+
+def test_validate_loads_no_module(tmp_path):
+    # no c0 estimate, no matrix: validating a tails config loads no module
+    # beyond the CLI, its argument parsing (gettext loads locale) and the
+    # asymptotics that the epsilon grid reads
+    path = tmp_path / "cfg.ini"
+    path.write_text(MALFORMED["lower_realizations-0"])
+    env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
+    argv = ["validate", "--config", str(path)]
+    code = ("import sys, blocklab.cli\nfrom blocklab import asymptotics\n"
+            f"blocklab.cli.build_parser().parse_args({argv!r})\n"
+            "before = set(sys.modules)\n"
+            f"assert blocklab.cli.main({argv!r}) == 3\n"
+            "print(sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_config_accessors_refuse_undeclared_keys():
     cfg = make_cfg("fh")
-    assert cfg.scalar("tol", 1e-6) == 1e-6
+    assert cfg.value("tol", 1e-6) == 1e-6
     with pytest.raises(KeyError):
-        cfg.scalar("step", 1e-3)
+        cfg.value("step", 1e-3)
 
 
 def test_precondition_exit_code(tmp_path):
@@ -678,6 +768,10 @@ EIGEN_COUNT_CASES = {
 }
 
 
+# the kinds that only count eigenvalues, through spectral.ensemble_counts
+COUNT_KINDS = ("ids", "dos", "wegner", "tails")
+
+
 def test_eigen_count_cases_cover_every_kind():
     assert set(EIGEN_COUNT_CASES) == set(harness.KINDS)
 
@@ -694,7 +788,7 @@ def test_one_eigen_call_per_distinct_matrix(kind, tmp_path, monkeypatch):
     cfg = parse_config(EIGEN_COUNT_CASES[kind])
     run(cfg, tmp_path)
     assert len(solved) == len(set(solved))
-    if kind in ("wegner", "tails"):
+    if kind in COUNT_KINDS:
         # d = 1 counts come from the inertia, with no dense eigensolve
         assert solved == []
     else:
@@ -722,20 +816,30 @@ def _wrap_everywhere(monkeypatch, module, name, wrapper):
 def test_each_block_is_sampled_once(kind, tmp_path, monkeypatch):
     # blocks of 3: realizations 0-2 and 3 of R = 4
     monkeypatch.setattr(spectral, "REALIZATION_BLOCK", 3)
-    calls = []
+    calls, counted_rows = [], []
 
     def counted(real):
         def sample_fields(cube, config, rs):
             calls.append((cube, tuple(rs)))
             return real(cube, config, rs)
         return sample_fields
+
+    def counting(real):
+        def count_below(cube, V, B, energies, side="left"):
+            counted_rows.append((cube, len(V)))
+            return real(cube, V, B, energies, side)
+        return count_below
     _wrap_everywhere(monkeypatch, disorder, "sample_fields", counted)
+    _wrap_everywhere(monkeypatch, spectral, "count_below", counting)
     cfg = parse_config(EIGEN_COUNT_CASES[kind])
     assert cfg.realizations == 4
     run(cfg, tmp_path)
     cubes = list(dict.fromkeys(cube for cube, _ in calls))
     assert cubes
     assert calls == [(cube, rs) for cube in cubes for rs in ((0, 1, 2), (3,))]
+    # a count-only kind counts each sampled block with one count_below call
+    assert counted_rows == ([(cube, len(rs)) for cube, rs in calls]
+                            if kind in COUNT_KINDS else [])
 
 
 @pytest.mark.parametrize("kind", sorted(EIGEN_COUNT_CASES))
@@ -752,7 +856,7 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     run(cfg, tmp_path)
     assert len(built) == len(set(built))
     # d = 1 counts come from the inertia, with no operator
-    assert bool(built) != (kind in ("wegner", "tails"))
+    assert bool(built) != (kind in COUNT_KINDS)
 
 
 @pytest.mark.parametrize("kind", ["green", "sli-edi"])
@@ -931,16 +1035,19 @@ def test_dos_experiment(tmp_path):
     assert result.exit_code == 0
 
 
-def test_dos_run_solves_each_realization_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("d, solves", [(1, 0), (2, 12)])
+def test_dos_run_solves_each_realization_once(d, solves, tmp_path, monkeypatch):
+    # by inertia at d = 1; one dense solve per realization at d = 2
     calls = []
     real = spectral.eigensolve
     monkeypatch.setattr(spectral, "eigensolve",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    cfg = make_cfg("dos", L=16, R=12, va=1.0, vb=2.0,
-                   extra="[dos]\nbins = -6 6 30\n")
-    result = run(cfg, tmp_path)
+    text = make_text("dos", L=16 if d == 1 else 5, R=12, va=1.0, vb=2.0,
+                     extra="[dos]\nbins = -12 12 30\n")
+    result = run(parse_config(text.replace("\nd = 1\n", f"\nd = {d}\n")),
+                 tmp_path)
     assert result.exit_code == 0
-    assert len(calls) == 12
+    assert len(calls) == solves
     assert [r.name for r in result.reports] == ["dos_bound_uniform",
                                                 "dos_bound_energy_dependent"]
     assert all(r.instances == 30 for r in result.reports)

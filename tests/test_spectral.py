@@ -3,13 +3,13 @@ import pytest
 
 from blocklab import spectral
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
+from blocklab.inequalities import nondegeneracy_check, radius_check, symmetry_check
 from blocklab.lattice import CubeSpec
 from blocklab.operators import assemble_block, assemble_plain, build_h, build_h0
-from blocklab.spectral import (count_below, count_leq, counting,
-                               deterministic_radius, dos_histogram, eigensolve,
-                               ids_monte_carlo, nondegeneracy_check,
-                               per_realization, plain_block, radius_check,
-                               run_realizations, spectral_gap, symmetry_check)
+from blocklab.spectral import (count_below, deterministic_radius, dos_histogram,
+                               eigensolve, ensemble_counts, ids_monte_carlo,
+                               per_realization, plain_block, run_realizations,
+                               spectral_gap)
 from oracles import count_window, sample_field
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 17)
@@ -61,21 +61,17 @@ def test_block_with_zero_coupling_symmetric_union():
 
 
 def test_counting_basics():
-    s = eigensolve(two_by_two())
-    assert counting(s, 0.0) == 0.5
-    assert counting(s, 100.0) == 1.0
-    assert counting(s, -100.0) == 0.0
-    # closed interval ]-inf, E]: an eigenvalue at exactly E is included
-    assert count_leq(s, float(s.eigenvalues[-1])) == 2
+    # the one-site block of two_by_two: eigenvalues -+sqrt(13)
+    cfg = DisorderConfig(SiteMeasure.point_mass(1), SiteMeasure.point_mass(2), 0)
+    est = ids_monte_carlo(cfg, CubeSpec(1, 2), [-100.0, 0.0, 100.0], 1)
+    assert est.mean_N.tolist() == [0.0, 0.5, 1.0]
 
 
-def test_counting_monotone_right_continuous():
-    s = eigensolve(plain_block(sample_field(CubeSpec(1, 11), UNIT, 1)))
-    grid = np.linspace(-8, 8, 200)
-    vals = [counting(s, e) for e in grid]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    e0 = s.eigenvalues[3]
-    assert count_leq(s, e0) == count_leq(s, e0 + 1e-12)
+def test_counting_monotone():
+    counts = ensemble_counts(UNIT, CubeSpec(1, 11), np.linspace(-8, 8, 200), 3,
+                             "right")
+    assert np.all(np.diff(counts, axis=1) >= 0)
+    assert counts[:, 0].tolist() == [0] * 3 and counts[:, -1].tolist() == [22] * 3
 
 
 def test_count_window_half_open():
@@ -119,18 +115,35 @@ def test_radius_value():
                                 SiteMeasure.uniform(0, 3)) == 4 + 2 + 3
 
 
-def test_ids_deterministic_case():
-    est = ids_monte_carlo(ZERO, CubeSpec(1, 5), np.linspace(-5, 5, 21), 4)
+@pytest.mark.parametrize("L", [3, 5, 11])
+def test_ids_and_dos_count_exact_ties_exactly(L):
+    # V = B = 0: the spectrum +-(2 - 2 cos(k pi / (n + 1))) holds the
+    # integers where 2 cos(k pi / (n + 1)) is one (+-1, +-2 and +-3 at L = 5,
+    # where eigvalsh returns -2 as -1.9999999999999996); an eigenvalue at E
+    # is inside N(E), and in the bin that E opens
+    cube = CubeSpec(1, L)
+    n = cube.site_count
+    spectrum = constant_field_spectrum(n, 0.0, 0.0)
+    grid = np.linspace(-5, 5, 21)
+    assert np.any(np.abs(spectrum[:, None] - grid) < 1e-12)
+    est = ids_monte_carlo(ZERO, cube, grid, 4)
     assert np.all(est.stderr_N == 0.0)
-    s = eigensolve(plain_block(sample_field(CubeSpec(1, 5), ZERO, 0)))
-    assert est.mean_N == pytest.approx([counting(s, e) for e in est.grid])
+    assert est.mean_N.tolist() == [np.sum(spectrum <= e + 1e-12) / (2 * n)
+                                   for e in grid]
+    hist = dos_histogram(ZERO, cube, grid, 4)
+    below = np.array([np.sum(spectrum < e - 1e-12) for e in grid])
+    assert (hist.density * np.diff(hist.edges) * 2 * n).round(12).tolist() == \
+        np.diff(below).tolist()
+    if L == 5:
+        assert est.mean_N[grid.tolist().index(-2.0)] == 0.3
 
 
 def test_ids_single_realization():
     grid = np.linspace(-4, 4, 9)
     est = ids_monte_carlo(UNIT, CubeSpec(1, 7), grid, 1)
     s = eigensolve(plain_block(sample_field(CubeSpec(1, 7), UNIT, 0)))
-    assert est.mean_N == pytest.approx([counting(s, e) for e in grid])
+    assert est.mean_N.tolist() == (np.searchsorted(s.eigenvalues, grid, "right")
+                                   / s.dim).tolist()
 
 
 def test_ids_monotone_and_bounded():
@@ -155,12 +168,64 @@ def test_dos_normalization():
     r = deterministic_radius(1, UNIT.mu_V, UNIT.mu_B)
     edges = np.linspace(-r, r, 61)
     hist = dos_histogram(UNIT, CubeSpec(1, 9), edges, 10)
-    assert np.sum(hist.density * hist.widths) == pytest.approx(1.0)
+    assert np.sum(hist.density * np.diff(hist.edges)) == pytest.approx(1.0)
 
 
 def test_dos_rejects_bad_edges():
     with pytest.raises(ValueError):
         dos_histogram(UNIT, CubeSpec(1, 5), [0.0, 0.0, 1.0], 2)
+
+
+# the V measures of the count oracles: B is triangular, so no eigenvalue
+# sits on a grid energy
+COUNT_ORACLE_CASES = [(d, L, mu) for d, L in ((1, 16), (1, 50), (2, 5))
+                      for mu in (SiteMeasure.uniform(0, 1),
+                                 SiteMeasure.triangular(-1, 2),
+                                 SiteMeasure.two_point(0.0, 0.3, 1.5))]
+
+
+def dense_counts(cube, cfg, R, energies, side):
+    """Per realization, the counts read off its computed spectrum."""
+    V, B = sample_fields(cube, cfg, range(R))
+    return np.array([np.searchsorted(ev, energies, side)
+                     for ev in dense_spectra(cube, V, B)])
+
+
+@pytest.mark.parametrize("d, L, mu", COUNT_ORACLE_CASES,
+                         ids=lambda x: getattr(x, "kind", str(x)))
+def test_ids_matches_dense_counts(d, L, mu):
+    cfg = DisorderConfig(mu, SiteMeasure.triangular(-1, 1), 5)
+    cube = CubeSpec(d, L)
+    grid = np.linspace(-7, 7, 41)
+    est = ids_monte_carlo(cfg, cube, grid, 12)
+    data = dense_counts(cube, cfg, 12, grid, "right") / (2 * cube.site_count)
+    assert est.mean_N.tolist() == data.mean(axis=0).tolist()
+    assert est.stderr_N.tolist() == (data.std(axis=0, ddof=1) / np.sqrt(12)).tolist()
+
+
+@pytest.mark.parametrize("d, L, mu", COUNT_ORACLE_CASES,
+                         ids=lambda x: getattr(x, "kind", str(x)))
+def test_dos_matches_dense_half_open_bins(d, L, mu):
+    cfg = DisorderConfig(mu, SiteMeasure.triangular(-1, 1), 5)
+    cube = CubeSpec(d, L)
+    edges = np.linspace(-7, 7, 29)
+    hist = dos_histogram(cfg, cube, edges, 12)
+    V, B = sample_fields(cube, cfg, range(12))
+    # [lo, hi[ per bin, read off each computed spectrum
+    counts = np.array([[np.sum((lo <= ev) & (ev < hi))
+                        for lo, hi in zip(edges[:-1], edges[1:])]
+                       for ev in dense_spectra(cube, V, B)])
+    scale = 1.0 / (2 * cube.site_count * np.diff(edges))
+    assert hist.density.tolist() == (counts.mean(axis=0) * scale).tolist()
+
+
+def test_dos_top_bin_is_half_open():
+    # one site, V = 1, B = 4: eigenvalues -5 and 5, exact ties at the outer
+    # edges; the bottom one counts, the top one does not (np.histogram
+    # closed the last bin)
+    cfg = DisorderConfig(SiteMeasure.point_mass(1), SiteMeasure.point_mass(4), 0)
+    hist = dos_histogram(cfg, CubeSpec(1, 2), [-5.0, 0.0, 5.0], 1)
+    assert (hist.density * np.diff(hist.edges) * 2).tolist() == [1.0, 0.0]
 
 
 def test_self_averaging_variance_trend():
@@ -282,6 +347,15 @@ def test_inertia_counts_through_coupled_zero_pivots(L):
         # only the first site ties: the whole chain is off the tie
         V[0, 1:] = 0.5
         assert assert_counts_match_dense(cube, V, B, np.array([2.5])) == 2
+
+
+def test_count_below_counts_far_energies_without_overflow():
+    # 1e200 squared overflows; past every eigenvalue the count is 0 or 2N
+    cube = CubeSpec(1, 9)
+    V, B = sample_fields(cube, UNIT, range(3))
+    for side in ("left", "right"):
+        counts = count_below(cube, V, B, [-1e200, -7.0, 7.0, 1e200], side)
+        assert counts.tolist() == [[0, 0, 18, 18]] * 3
 
 
 def test_count_below_raises_when_the_recursion_overflows():

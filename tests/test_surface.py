@@ -2,7 +2,9 @@
 
 A public module-level function or class, or a public method, that no code
 in src/blocklab names outside its own definition serves only the tests;
-such a reference belongs in tests/oracles.py.
+such a reference belongs in tests/oracles.py.  Likewise a public
+function's option (a parameter that defaults to None or a bool) that no
+call in src/blocklab passes another value is a branch only tests take.
 """
 
 import ast
@@ -45,6 +47,98 @@ def unreached_names(src=SRC) -> list[str]:
         _scan(ast.parse(path.read_text(encoding="utf-8")), path.stem, defined, named)
     return sorted(q for name, qualified in defined.items() if name not in named
                   for q in qualified)
+
+
+# options that only a caller outside the package sets
+EXEMPT_OPTIONS = ("cli.main(argv)",)
+
+
+def _options(fn):
+    """The parameters of a function definition that default to None or a
+    bool, with their defaults, and its positional parameters (without a
+    leading self or cls)."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    defaults = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+    defaults += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    if positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    return ([(p, d.value) for p, d in defaults if isinstance(d, ast.Constant)
+             and (d.value is None or isinstance(d.value, bool))], positional)
+
+
+def _callee(node):
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _sets_option(call_args, keywords, param, default, positional) -> bool:
+    """Whether a call passes `param` a value other than its default: by
+    keyword, by position, or possibly through * or ** forwarding."""
+    if any(k.arg is None for k in keywords):
+        return True
+    given = [k.value for k in keywords if k.arg == param.arg]
+    if param in positional:
+        i = positional.index(param)
+        if any(isinstance(x, ast.Starred) for x in call_args[:i + 1]):
+            return True
+        given += call_args[i:i + 1]
+    return any(not (isinstance(v, ast.Constant) and v.value is default)
+               for v in given)
+
+
+def unused_options(src=SRC) -> list[str]:
+    """module.function(parameter) for every option of a public function or
+    method that no call in src, direct or through functools.partial, sets
+    to another value.  Calls match definitions by name."""
+    defs, calls = {}, []
+    for path in sorted(Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            members = ([(f"{path.stem}.{node.name}", m) for m in node.body]
+                       if isinstance(node, ast.ClassDef) else [(path.stem, node)])
+            for owner, fn in members:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    defs.setdefault(fn.name, []).append((f"{owner}.{fn.name}", fn))
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    set_options = set()
+    for call in calls:
+        func, args = call.func, call.args
+        if _callee(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        for qualified, fn in defs.get(_callee(func), ()):
+            options, positional = _options(fn)
+            set_options.update(
+                (qualified, p.arg) for p, default in options
+                if _sets_option(args, call.keywords, p, default, positional))
+    return sorted(f"{q}({p.arg})" for entries in defs.values() for q, fn in entries
+                  for p, _ in _options(fn)[0]
+                  if (q, p.arg) not in set_options
+                  and f"{q}({p.arg})" not in EXEMPT_OPTIONS)
+
+
+def test_every_public_option_is_set_from_src():
+    assert unused_options() == []
+
+
+def test_scan_flags_an_option_no_call_sets(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from functools import partial\n\n"
+        "def solve(x, vectors=False, guess=None, tol=1e-9):\n    return x\n\n"
+        "def fit(y, grid=None, keep=False, flip=True):\n    return y\n\n"
+        "def spread(z, cut=None):\n    return z\n\n"
+        "class Box:\n"
+        "    def mass(self, lo, closed=False):\n        return lo\n\n"
+        "def use(kw):\n"
+        "    solve(1, True)\n"
+        "    fit(2, grid=None, keep=kw)\n"
+        "    spread(3, **kw)\n"
+        "    partial(Box().mass, closed=True)\n")
+    # solve's vectors is set by position, fit's keep by keyword, spread's
+    # cut possibly through **, and mass's closed through partial; guess is
+    # never passed, grid only its default, flip never; tol is no option
+    assert unused_options(tmp_path) == ["mod.fit(flip)", "mod.fit(grid)",
+                                        "mod.solve(guess)"]
 
 
 def test_every_public_name_is_reached_from_src():
