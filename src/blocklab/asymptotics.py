@@ -19,10 +19,20 @@ from .green import resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
                       site_array, site_index)
-from .operators import (MAX_BLOCK_DIM, BlockOperator, build_h0, component_indices,
-                        rim_indices)
+from .operators import MAX_BLOCK_DIM, build_h0, component_indices, rim_indices
 from .spectral import (Spectrum, eigensolve, ensemble_counts, per_realization,
                        plain_block, run_realizations)
+
+# the smallest cube length of a tail-curve point
+TAIL_LENGTH_FLOOR = 12
+# the open window of delta_N whose points the tail-exponent fit uses
+TAIL_FIT_WINDOW = (0.0, 0.4)
+# a lower-bound run with fewer hits is censored: too rare to resolve
+LOWER_BOUND_MIN_SUCCESSES = 10
+# the normal quantile of the Wilson intervals (95 %)
+WILSON_Z = 1.96
+# ct_threshold_length gives up past this length
+CT_THRESHOLD_CAP = 10 ** 9
 
 
 # -- gap edge ----------------------------------------------------------------
@@ -72,11 +82,13 @@ class TailCurve:
     realizations: int
 
 
-def default_tail_length(eps: float, d: int, floor: int = 12) -> int:
+def default_tail_length(eps: float, d: int) -> int:
     """Smallest workable cube length for resolving the edge at offset eps.
 
-    Grows like 10/sqrt(eps) and is capped by the dense-solver budget.
+    Grows like 10/sqrt(eps) from TAIL_LENGTH_FLOOR and is capped by the
+    dense-solver budget.
     """
+    floor = TAIL_LENGTH_FLOOR
     L = floor if eps <= 0.0 else max(int(math.ceil(10.0 / math.sqrt(eps))), floor)
     while (2 * CubeSpec(d, L).site_count) > MAX_BLOCK_DIM and L > floor:
         L -= 1
@@ -127,13 +139,13 @@ class TailFit:
     censored_points: int
 
 
-def tail_exponent_fit(curve: TailCurve, window=(0.0, 0.4)) -> TailFit:
+def tail_exponent_fit(curve: TailCurve) -> TailFit:
     """Regress ln|ln dN| on ln eps; the negated slope estimates the exponent.
 
-    Only points with dN inside the open window participate; censored points
-    are excluded by construction.
+    Only points with dN inside the open TAIL_FIT_WINDOW participate;
+    censored points are excluded by construction.
     """
-    lo, hi = window
+    lo, hi = TAIL_FIT_WINDOW
     usable = (~curve.censored) & (curve.delta_n > lo) & (curve.delta_n < hi)
     if int(usable.sum()) < 2:
         raise ValueError("fewer than two usable points for the tail fit")
@@ -188,7 +200,7 @@ def trial_function_energy(cube: CubeSpec) -> float:
     """Dirichlet form of the normalized tent function on the cube."""
     _require(cube.L >= 4, f"test function needs L >= 4, got {cube.L}")
     psi = _tent_vector(cube)
-    hd = build_h0(cube, "dirichlet").matrix
+    hd = build_h0(cube, "dirichlet")
     return float(psi @ hd @ psi)
 
 
@@ -224,31 +236,36 @@ def _lower_bound_events(rs, cube, config, lam, beta, eps, psi2):
 
 
 def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
-                            L: int, R: int, mapper=None,
-                            min_successes: int = 10) -> CheckReport:
+                            L: int, R: int, mapper=None) -> CheckReport:
     """Frequency of the small-quadratic-form event against the product bound.
 
     The analytic bound is mass_V([lam, lam + eps/4[)^N times
     mass_B([beta - eps/4, beta + eps/4[)^N; the all-sites event it counts
     implies the quadratic-form event, so the frequency must reach the bound
-    up to 3 sigma.  Runs with fewer than `min_successes` hits are censored.
+    up to 3 sigma.  Runs with fewer than LOWER_BOUND_MIN_SUCCESSES hits are
+    censored.  A cube of more than MAX_BLOCK_DIM sites, the cap of the c0
+    cubes, is a precondition failure, censored with no frequency: its
+    fields are not sampled.
     """
     ge = gap_edge(config, d)
     cube = CubeSpec(d, L)
-    psi2 = _tent_vector(cube) ** 2
     n = cube.site_count
     bound = (config.mu_V.mass(ge.lam, ge.lam + eps / 4.0) ** n
              * config.mu_B.mass(ge.beta - eps / 4.0, ge.beta + eps / 4.0) ** n)
+    rep = CheckReport("lower_bound_probability",
+                      parameters={"eps": eps, "L": L, "R": R, "bound": bound})
+    if n > MAX_BLOCK_DIM:
+        rep.parameters.update(empirical=math.nan, censored=True)
+        rep.record_precondition_failure()
+        return rep
     hits = int(np.count_nonzero(run_realizations(
         partial(_lower_bound_events, cube=cube, config=config, lam=ge.lam,
-                beta=ge.beta, eps=eps, psi2=psi2), R, mapper)))
+                beta=ge.beta, eps=eps, psi2=_tent_vector(cube) ** 2), R, mapper)))
     phat = hits / R
     sigma = math.sqrt(max(phat * (1.0 - phat), 0.0) / R)
-    rep = CheckReport("lower_bound_probability",
-                      parameters={"eps": eps, "L": L, "R": R, "bound": bound,
-                                  "empirical": phat,
-                                  "censored": hits < min_successes and phat < 1.0})
-    if hits < min_successes and phat < 1.0:
+    censored = hits < LOWER_BOUND_MIN_SUCCESSES and phat < 1.0
+    rep.parameters.update(empirical=phat, censored=censored)
+    if censored:
         rep.record_precondition_failure()   # too rare to resolve at this R
     else:
         rep.record(phat - bound + 3.0 * sigma)
@@ -266,13 +283,13 @@ def _suitability_geometry(cube: CubeSpec):
     return rows, cols
 
 
-def suitability_norms(op: BlockOperator, eigenvalues: np.ndarray, rows, cols,
+def suitability_norms(m: np.ndarray, eigenvalues: np.ndarray, rows, cols,
                       energies) -> tuple[np.ndarray, np.ndarray]:
     """Per energy: the norm of the resolvent block [rows, cols] of the
-    operator (from `_suitability_geometry`: inner third to inner boundary
-    of the cube), and the distance to the spectrum `eigenvalues`.
+    block matrix m (from `_suitability_geometry`: inner third to inner
+    boundary of the cube), and the distance to the spectrum `eigenvalues`.
 
-    G = (op - E)^-1 is symmetric, so the block is the transpose of
+    G = (m - E)^-1 is symmetric, so the block is the transpose of
     G[cols, rows], read off the columns `rows` of G: one stacked LU solve
     (`green.resolvent_columns`) against only the boundary columns serves
     every energy, and one batched SVD gives the norms.  An energy on the
@@ -284,14 +301,15 @@ def suitability_norms(op: BlockOperator, eigenvalues: np.ndarray, rows, cols,
     off = deltas > 1e-12 * max(np.max(np.abs(eigenvalues)), 1.0)
     norms = np.full(len(energies), np.inf)
     if off.any():
-        g = resolvent_columns(op, energies[off], rows)
+        g = resolvent_columns(m, energies[off], rows)
         # the 2-norm is the largest singular value; svd sorts them descending
         norms[off] = np.linalg.svd(g[:, cols], compute_uv=False)[:, 0]
     return norms, np.where(off, deltas, 0.0)
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at quantile WILSON_Z."""
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     p = hits / trials
@@ -301,13 +319,14 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, flo
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def ct_threshold_length(theta: float, d: int, cap: int = 10 ** 9) -> int | None:
+def ct_threshold_length(theta: float, d: int) -> int | None:
     """Smallest length in 6N where the worst-case resolvent-decay budget
     4 sqrt(L) exp(-sqrt(L)/(48 d)) beats L^-theta across the whole block.
 
     The block aggregation costs a factor sqrt(|inner boundary| x |core|).
     Desk-scale lengths sit far below this threshold; it is reported so the
     gap-event implication can be asserted exactly where it is in force.
+    None when no length up to CT_THRESHOLD_CAP qualifies.
     """
     def satisfied(L):
         per_axis = L - 1 if L % 2 == 0 else L          # integer L
@@ -319,9 +338,9 @@ def ct_threshold_length(theta: float, d: int, cap: int = 10 ** 9) -> int | None:
         return lhs < -theta * math.log(L)
 
     L = 6
-    while L <= cap and not satisfied(L):
+    while L <= CT_THRESHOLD_CAP and not satisfied(L):
         L *= 2
-    if L > cap:
+    if L > CT_THRESHOLD_CAP:
         return None
     lo, hi = L // 2, L
     while hi - lo > 6:
@@ -357,9 +376,9 @@ def _suitability_row(f: FieldSample, geometry, energies, a_L):
     """Per realization, from one eigvalsh and one stacked solve: the
     suitability norm and spectral distance per energy, and the gap event
     flag."""
-    op = plain_block(f)
-    ev = eigensolve(op).eigenvalues
-    norms, deltas = suitability_norms(op, ev, *geometry, energies)
+    m = plain_block(f)
+    ev = eigensolve(m).eigenvalues
+    norms, deltas = suitability_norms(m, ev, *geometry, energies)
     gap_event = bool(np.min(np.abs(ev)) > a_L + f.cube.L ** -0.5)
     return norms, deltas, gap_event
 

@@ -215,19 +215,18 @@ class FieldSample:
     B: np.ndarray
     realization_index: int
 
-    def at(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """(V, B) at the given sites (in their order); each must lie in the
-        cube.  The positions of a tuple of sites or of a cube in this cube
-        are computed once per run and cached."""
-        idx = (_positions(self.cube, sites) if isinstance(sites, (CubeSpec, tuple))
-               else site_index(self.cube, sites, strict=True))
+    def at(self, cube: CubeSpec) -> tuple[np.ndarray, np.ndarray]:
+        """(V, B) on a cube inside this field's cube, in its canonical site
+        order.  The positions of the cube's sites in this cube are
+        computed once per run and cached."""
+        idx = _positions(self.cube, cube)
         return self.V[idx], self.B[idx]
 
 
 @lru_cache(maxsize=64)
-def _positions(cube: CubeSpec, sites) -> np.ndarray:
-    """Canonical index in the cube of every site of `sites`, read-only."""
-    idx = site_index(cube, sites, strict=True)
+def _positions(cube: CubeSpec, sub: CubeSpec) -> np.ndarray:
+    """Canonical index in the cube of every site of the sub-cube, read-only."""
+    idx = site_index(cube, sub, strict=True)
     idx.flags.writeable = False
     return idx
 

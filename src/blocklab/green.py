@@ -14,55 +14,64 @@ import numpy as np
 from . import lattice
 from .disorder import FieldSample
 from .inequalities import CheckReport, PreconditionError, _require
-from .operators import BlockOperator, build_gamma, component_indices, rim_indices
+from .lattice import CubeSpec
+from .operators import block, build_gamma, component_indices, rim_indices
 from .spectral import Spectrum, eigensolve, plain_block
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
 SPECTRAL_GUARD_RTOL = 1e-8
+# the declared tolerances of the checks: the GRI residual cap's
+# coefficient, the relative slack of the SLI and EDI bounds, the absolute
+# slack of the Combes-Thomas bound
+GRI_COEFF = 1e-9
+NESTED_RTOL = 1e-9
+CT_ATOL = 1e-12
+# decay fits drop block norms below this fraction of the largest one:
+# they sit in rounding noise
+DECAY_FIT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class GreenFunction:
     """Dense inverse of (block operator - E) with its spectral distance."""
 
-    sites: tuple
     energy: float
     matrix: np.ndarray
     delta: float
 
 
-def resolvent(op: BlockOperator, energy: float,
+def resolvent(m: np.ndarray, energy: float,
               spectrum: Spectrum | None = None) -> GreenFunction:
-    """Invert (op - E); requires E safely away from the spectrum."""
-    s = spectrum if spectrum is not None else eigensolve(op)
+    """Invert (m - E); requires E safely away from the spectrum of m."""
+    s = spectrum if spectrum is not None else eigensolve(m)
     delta = float(np.min(np.abs(s.eigenvalues - energy)))
     scale = max(s.norm, 1e-300)
     if delta < SPECTRAL_GUARD_RTOL * scale:
         raise PreconditionError(
             f"E={energy} is within {delta:.3e} of the spectrum (guard "
             f"{SPECTRAL_GUARD_RTOL * scale:.3e})")
-    eye = np.eye(op.dim)
-    shifted = op.matrix - energy * eye
+    eye = np.eye(len(m))
+    shifted = m - energy * eye
     g = np.linalg.solve(shifted, eye)
     resid = np.max(np.abs(shifted @ g - eye))
     if resid > RESOLVENT_RESIDUAL_TOL:
         raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
-    return GreenFunction(op.sites, energy, g, delta)
+    return GreenFunction(energy, g, delta)
 
 
-def resolvent_columns(op: BlockOperator, energies, columns) -> np.ndarray:
-    """The given columns of (op - E)^-1 at every energy, as a
+def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
+    """The given columns of (m - E)^-1 at every energy, as a
     (len(energies), dim, len(columns)) array, from one stacked LU solve.
 
     The caller keeps every energy off the spectrum.  Residual contract, per
-    energy: max |(op - E) X - 1[:, columns]| stays within
-    RESOLVENT_RESIDUAL_TOL * max(1, max|op - E| * max|X|), the scale of the
+    energy: max |(m - E) X - 1[:, columns]| stays within
+    RESOLVENT_RESIDUAL_TOL * max(1, max|m - E| * max|X|), the scale of the
     rounding of a backward-stable solve, since X grows like the inverse
     distance to the spectrum; beyond it ArithmeticError is raised.
     """
     energies = np.asarray(energies, dtype=float)
-    eye = np.eye(op.dim)
-    shifted = op.matrix - energies[:, None, None] * eye
+    eye = np.eye(len(m))
+    shifted = m - energies[:, None, None] * eye
     rhs = eye[:, columns]
     x = np.linalg.solve(shifted, rhs)
     resid = np.abs(shifted @ x - rhs).max(axis=(1, 2))
@@ -96,10 +105,10 @@ def nesting(inner, outer) -> Nesting | None:
     inside = component_indices(outer, inner)
     rim_out = component_indices(outer, lattice.outer_boundary(inner))
     gamma = build_gamma(inner, outer)
-    block = gamma.lifted[np.ix_(rim_out, inside[rim_indices(inner)])]
-    for a in (inside, rim_out, block):
+    lifted = block(gamma, 0.0, gamma)[np.ix_(rim_out, inside[rim_indices(inner)])]
+    for a in (inside, rim_out, lifted):
         a.flags.writeable = False
-    return Nesting(inside, rim_out, block, gamma.norm)
+    return Nesting(inside, rim_out, lifted, float(np.linalg.norm(gamma, 2)))
 
 
 def _gri_blocks(region1, region2, region3, field, energy, spectra=(None, None)):
@@ -117,10 +126,10 @@ def _gri_blocks(region1, region2, region3, field, energy, spectra=(None, None)):
             g2.delta, g3.delta)
 
 
-def gri_check(region1, region2, region3, field: FieldSample, energy: float,
-              coeff: float = 1e-9) -> CheckReport:
+def gri_check(region1, region2, region3, field: FieldSample,
+              energy: float) -> CheckReport:
     """Geometric resolvent identity: its max-entry residual against
-    coeff (1 + 1/delta2)(1 + 1/delta3).
+    GRI_COEFF (1 + 1/delta2)(1 + 1/delta3).
 
     The boundary-block of the large resolvent towards the core region must
     equal the chain large-resolvent -> boundary operator -> small-resolvent
@@ -132,9 +141,9 @@ def gri_check(region1, region2, region3, field: FieldSample, energy: float,
     lhs, a, b, n23, delta2, delta3 = _gri_blocks(region1, region2, region3,
                                                  field, energy)
     res = float(np.max(np.abs(lhs + a @ n23.gamma @ b)))
-    cap = coeff * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
+    cap = GRI_COEFF * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
     rep = CheckReport("gri_residual",
-                      parameters={"E": energy, "coeff": coeff, "residual": res,
+                      parameters={"E": energy, "coeff": GRI_COEFF, "residual": res,
                                   "delta2": delta2, "delta3": delta3,
                                   "cap": cap})
     rep.record(cap - res)
@@ -142,7 +151,7 @@ def gri_check(region1, region2, region3, field: FieldSample, energy: float,
 
 
 def sli_check(region1, region2, region3, field: FieldSample, energy: float,
-              rtol: float = 1e-9, spectra=(None, None)) -> CheckReport:
+              spectra=(None, None)) -> CheckReport:
     """Boundary-to-core resolvent block bounded through the intermediate scale.
 
     `spectra` holds the spectra of the plain blocks on region2 and region3
@@ -154,12 +163,12 @@ def sli_check(region1, region2, region3, field: FieldSample, energy: float,
     lhs = np.linalg.norm(g3_r1, 2)
     rhs = n23.gamma_norm * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
     rep = CheckReport("sli", parameters={"E": energy, "gamma": n23.gamma_norm})
-    rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
+    rep.record(rhs - lhs + NESTED_RTOL * max(lhs, rhs, 1.0))
     return rep
 
 
 def edi_check(region, cube3, field: FieldSample, eigen_index: int,
-              rtol: float = 1e-9, host: Spectrum | None = None,
+              host: Spectrum | None = None,
               inner: Spectrum | None = None) -> CheckReport:
     """Eigenfunction mass at every site of the region bounded by resolvent
     times boundary mass.
@@ -187,7 +196,7 @@ def edi_check(region, cube3, field: FieldSample, eigen_index: int,
     rhs = nest.gamma_norm * norms * float(np.linalg.norm(psi[nest.rim_out]))
     rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
                                          "gamma": nest.gamma_norm})
-    rep.record(rhs - lhs + rtol * np.maximum(np.maximum(lhs, rhs), 1.0))
+    rep.record(rhs - lhs + NESTED_RTOL * np.maximum(np.maximum(lhs, rhs), 1.0))
     return rep
 
 
@@ -205,17 +214,17 @@ def block_norm_grid(matrix: np.ndarray, n_sites: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Resolvent decay of one operator at one energy, one entry per pair.
+    """Resolvent decay of one operator on a cube at one energy, one entry
+    per pair.
 
-    Pair k joins sites[first[k]] and sites[second[k]] at 1-norm distance
-    dist[k]; norm[k] is the Frobenius norm of its 2x2 resolvent element and
-    bound[k] the Combes-Thomas bound.  delta is the spectral distance
-    capped at 1, as used in the bound.
+    Pair k joins the cube's sites of canonical indices first[k] and
+    second[k] at 1-norm distance dist[k]; norm[k] is the Frobenius norm of
+    its 2x2 resolvent element and bound[k] the Combes-Thomas bound.  delta
+    is the spectral distance capped at 1, as used in the bound.
     """
 
     energy: float
     delta: float
-    sites: tuple
     first: np.ndarray
     second: np.ndarray
     dist: np.ndarray
@@ -223,31 +232,30 @@ class DecayProfile:
     bound: np.ndarray
 
 
-def decay_profile(op: BlockOperator, energy: float) -> DecayProfile:
-    """One resolvent read at every ordered pair of sites.
+def decay_profile(cube: CubeSpec, m: np.ndarray, energy: float) -> DecayProfile:
+    """One resolvent read of the block matrix m on the cube at every
+    ordered pair of sites.
 
     The geometry of all pairs (indices, distances, distinct distances) is
-    built once per region and shared by every profile on it."""
-    g = resolvent(op, energy)
+    built once per cube and shared by every profile on it."""
+    g = resolvent(m, energy)
     delta = min(g.delta, 1.0)
-    first, second, dist, dists, at = _all_pairs(op.sites)
-    norm = block_norm_grid(g.matrix, len(op.sites))[first, second]
+    first, second, dist, dists, at = _all_pairs(cube)
+    norm = block_norm_grid(g.matrix, cube.site_count)[first, second]
     # the bound depends on the pair only through its distance
-    d = len(op.sites[0])
-    caps = np.array([combes_thomas_bound(delta, d, k) for k in dists.tolist()])
-    return DecayProfile(energy, delta, op.sites, first, second, dist, norm,
-                        caps[at])
+    caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists.tolist()])
+    return DecayProfile(energy, delta, first, second, dist, norm, caps[at])
 
 
 @lru_cache(maxsize=8)
-def _all_pairs(sites):
+def _all_pairs(cube):
     """Every ordered pair (first, second) of site indices, in row-major
     order, their 1-norm distances, and the distinct distances with the
-    index among them of each pair's; built once per region and shared: the
+    index among them of each pair's; built once per cube and shared: the
     arrays are read-only.  `harness.run` clears the cache."""
-    n = len(sites)
+    n = cube.site_count
     first, second = np.divmod(np.arange(n * n), n)
-    points = lattice.site_array(sites)
+    points = lattice.site_array(cube)
     dist = lattice.dist1_array(points[first], points[second])
     geometry = (first, second, dist) + tuple(np.unique(dist, return_inverse=True))
     for a in geometry:
@@ -255,24 +263,23 @@ def _all_pairs(sites):
     return geometry
 
 
-def combes_thomas_check(profile: DecayProfile, atol: float = 1e-12) -> CheckReport:
+def combes_thomas_check(profile: DecayProfile) -> CheckReport:
     """Every 2x2 resolvent element of the profile obeys the exponential bound."""
     rep = CheckReport("combes_thomas", parameters={"E": profile.energy,
                                                    "delta": profile.delta})
-    rep.record(profile.bound + atol - profile.norm)
+    rep.record(profile.bound + CT_ATOL - profile.norm)
     return rep
 
 
-def decay_rate_fit(profile: DecayProfile,
-                   floor: float = 1e-14) -> tuple[float, float]:
+def decay_rate_fit(profile: DecayProfile) -> tuple[float, float]:
     """Least-squares slope and intercept of ln block-norm against distance.
 
-    Entries below `floor` times the resolvent scale sit in rounding noise
-    and are excluded.
+    Entries below DECAY_FIT_FLOOR times the resolvent scale sit in rounding
+    noise and are excluded; fewer than two pairs left is a precondition
+    failure.
     """
-    keep = (profile.norm > floor * profile.norm.max()) & (profile.dist > 0)
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("not enough usable pairs for a decay fit")
+    keep = (profile.norm > DECAY_FIT_FLOOR * profile.norm.max()) & (profile.dist > 0)
+    _require(np.count_nonzero(keep) >= 2, "not enough usable pairs for a decay fit")
     slope, intercept = np.polyfit(profile.dist[keep].astype(float),
                                   np.log(profile.norm[keep]), 1)
     return float(slope), float(intercept)

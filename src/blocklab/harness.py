@@ -37,7 +37,7 @@ from . import blas, disorder, inequalities, lattice, operators, spectral
 from .disorder import DisorderConfig, SiteMeasure, case_beta
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
-from .operators import MAX_BLOCK_DIM, build_h
+from .operators import MAX_BLOCK_DIM
 from .spectral import deterministic_radius, eigensolve, per_realization, plain_block
 
 # -- configuration -----------------------------------------------------------
@@ -642,13 +642,11 @@ def _exp_gap(cfg, mapper):
 
 def _interlace_row(f, lam, beta, eps):
     from . import asymptotics
-    cube = f.cube
-    es = inequalities.edge_spectra(build_h(cube, "simple", f), f, beta)
+    es = inequalities.edge_spectra(f, beta)
     return [
         _attempt("interlacing", inequalities.interlacing_check, es),
         _attempt("half_half", inequalities.half_half_check, es, lam),
-        _attempt("bracketing_gap", inequalities.bracketing_gap_check, cube, f,
-                 lam, beta),
+        _attempt("bracketing_gap", inequalities.bracketing_gap_check, f, lam, beta),
         _attempt("finite_volume_tail_bound", asymptotics.finite_volume_tail_bound,
                  es, lam, eps),
         inequalities.beta_map_check(es),
@@ -704,19 +702,23 @@ def _exp_green(cfg, mapper):
 
 def _ct_row(f, energy):
     from . import green
-    op = plain_block(f)
     try:
-        profile = green.decay_profile(op, energy)
-        rep = green.combes_thomas_check(profile)
-        rate, intercept = green.decay_rate_fit(profile)
-    except (PreconditionError, ValueError):
+        profile = green.decay_profile(f.cube, plain_block(f), energy)
+    except PreconditionError:
         return [CheckReport("combes_thomas", preconditions_failed=1)], None
-    fit = CheckReport("ct_rate")
-    fit.record(-rate - profile.delta / (12.0 * f.cube.d))
+    rep = green.combes_thomas_check(profile)
+    try:
+        rate, intercept = green.decay_rate_fit(profile)
+    except PreconditionError:        # the bound stands without a fitted rate
+        rate = intercept = math.nan
+        fit = CheckReport("ct_rate", preconditions_failed=1)
+    else:
+        fit = CheckReport("ct_rate")
+        fit.record(-rate - profile.delta / (12.0 * f.cube.d))
     row = (profile.delta, rep.worst_margin, rate, intercept)
     rows = None
     if f.realization_index == 0:          # ct_profile.csv holds realization 0
-        s = profile.sites
+        s = f.cube.sites()
         rows = [(s[i], s[j], k, v, c) for i, j, k, v, c in zip(
             profile.first.tolist(), profile.second.tolist(),
             profile.dist.tolist(), profile.norm.tolist(), profile.bound.tolist())]
@@ -766,11 +768,8 @@ def _sli_edi_row(f, cubes, energy):
     middle = eigensolve(plain_block(f, c2))
     sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy,
                    spectra=(middle, host))
-    try:
-        edi = green.edi_check(c2, c3, f, _probe_index(host.eigenvalues, energy),
-                              host=host, inner=middle)
-    except (PreconditionError, ValueError):
-        edi = CheckReport("edi", preconditions_failed=1)
+    edi = _attempt("edi", green.edi_check, c2, c3, f,
+                   _probe_index(host.eigenvalues, energy), host=host, inner=middle)
     return [sli, edi]
 
 
@@ -926,7 +925,7 @@ def _exp_correlator(cfg, mapper):
 
 def _fh_row(f, tol):
     try:
-        rep = inequalities.feynman_hellmann_report(f.cube, f, tol)
+        rep = inequalities.feynman_hellmann_report(f, tol)
     except PreconditionError:
         return [CheckReport("feynman_hellmann", preconditions_failed=1)], None
     return [rep], (rep.instances, rep.violations,
@@ -1031,7 +1030,7 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     # cold per-cube caches: a run's cost does not depend on earlier runs in
     # this process, and the caches hold only this run's cubes
     caches = [lattice._cube_sites, lattice._ranked, disorder._site_keys,
-              disorder._family_key, disorder._positions, operators._template,
+              disorder._family_key, disorder._positions, operators.template,
               operators.rim_indices]
     green = sys.modules.get(f"{__package__}.green")   # loaded by its kinds only
     if green is not None:

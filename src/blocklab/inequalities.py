@@ -14,9 +14,14 @@ import numpy as np
 
 from .disorder import DisorderConfig, FieldSample
 from .lattice import CubeSpec
-from .operators import (ScalarOperator, assemble_beta_reference, assemble_block,
-                        assemble_bracketing, build_h)
+from .operators import assemble_bracketing, block, build_h
 from .spectral import DosHistogram, Spectrum, eigensolve, ensemble_counts
+
+# the declared tolerances of the structural and spectral-comparison checks
+SYMMETRY_RTOL = 1e-9
+NONDEGENERACY_MIN_SPACING = 1e-12
+INTERLACING_TOL = 1e-10
+BETA_MAP_RTOL = 1e-9
 
 
 class PreconditionError(ValueError):
@@ -197,20 +202,20 @@ def dos_bound_uniform(hist: DosHistogram) -> CheckReport:
 # -- structural checks -------------------------------------------------------
 
 
-def symmetry_check(s: Spectrum, rtol: float = 1e-9) -> CheckReport:
-    """Spectrum symmetry around 0: max_j |E_j + E_(dim+1-j)| <= rtol ||H||."""
+def symmetry_check(s: Spectrum) -> CheckReport:
+    """Spectrum symmetry around 0: max_j |E_j + E_(dim+1-j)| <= SYMMETRY_RTOL ||H||."""
     e = s.eigenvalues
     defect = float(np.max(np.abs(e + e[::-1]))) if s.dim else 0.0
     rep = CheckReport("symmetry")
-    rep.record(rtol * max(s.norm, 1e-300) - defect)
+    rep.record(SYMMETRY_RTOL * max(s.norm, 1e-300) - defect)
     return rep
 
 
-def nondegeneracy_check(s: Spectrum, min_spacing: float = 1e-12) -> CheckReport:
+def nondegeneracy_check(s: Spectrum) -> CheckReport:
     """All eigenvalues simple (continuous-density disorder, a.s.)."""
     spacing = float(np.min(np.diff(s.eigenvalues))) if s.dim > 1 else np.inf
     rep = CheckReport("nondegeneracy")
-    rep.record(spacing - min_spacing)
+    rep.record(spacing - NONDEGENERACY_MIN_SPACING)
     return rep
 
 
@@ -229,32 +234,33 @@ def radius_check(s: Spectrum, r: float) -> CheckReport:
 FH_MIN_SPACING = 1e-4
 
 
-def fh_derivative_sums(h: ScalarOperator,
+def fh_derivative_sums(h: np.ndarray,
                        field: FieldSample) -> tuple[np.ndarray, np.ndarray]:
-    """Block eigenvalues E_j on the sites of h = build_h(region, "simple",
-    field), ascending, and the sums sum_n (d/dV_n + d/dB_n) E_j over those
-    sites, from one eigh.
+    """Eigenvalues E_j of the plain block of h = build_h(field.cube,
+    "simple", field.V), ascending, and the sums sum_n (d/dV_n + d/dB_n) E_j
+    over the cube's sites, from one eigh.
 
     By Hellmann-Feynman, with u and l the upper and lower components of the
     normalized eigenvector of E_j, dE_j/dV_n = u_n^2 - l_n^2 and
     dE_j/dB_n = 2 u_n l_n.  Exact for a simple eigenvalue.
     """
-    s = eigensolve(assemble_block(h, field), want_vectors=True)
-    u, l = s.eigenvectors[:h.n], s.eigenvectors[h.n:]
+    n = len(h)
+    s = eigensolve(block(h, np.diag(field.B), h), want_vectors=True)
+    u, l = s.eigenvectors[:n], s.eigenvectors[n:]
     return s.eigenvalues, np.sum(u * u - l * l + 2.0 * u * l, axis=0)
 
 
-def feynman_hellmann_report(region, field: FieldSample,
-                            tol: float = 1e-6) -> CheckReport:
-    """Derivative sum >= 1 for every positive, numerically simple eigenvalue.
+def feynman_hellmann_report(field: FieldSample, tol: float = 1e-6) -> CheckReport:
+    """Derivative sum >= 1 - tol for every positive, numerically simple
+    eigenvalue of the plain block of the field on its cube.
 
-    Hypotheses: H >= 0 and B >= 0 on the region.  Positive eigenvalues within
+    Hypotheses: H >= 0 and B >= 0 on the cube.  Positive eigenvalues within
     FH_MIN_SPACING of another are skipped as precondition failures.
     """
-    h = build_h(region, "simple", field)
-    _require(float(np.linalg.eigvalsh(h.matrix)[0]) >= -1e-12,
+    h = build_h(field.cube, "simple", field.V)
+    _require(float(np.linalg.eigvalsh(h)[0]) >= -1e-12,
              "Feynman-Hellmann needs H >= 0")
-    _require(field.at(h.sites)[1].min() >= 0.0, "Feynman-Hellmann needs B >= 0")
+    _require(field.B.min() >= 0.0, "Feynman-Hellmann needs B >= 0")
     ev, sums = fh_derivative_sums(h, field)
     rep = CheckReport("feynman_hellmann", parameters={"tol": tol})
     gaps = np.diff(ev)          # ev ascends: the nearest level is adjacent
@@ -272,10 +278,9 @@ def feynman_hellmann_report(region, field: FieldSample,
 class EdgeSpectra:
     """What the gap-edge checks of one realization read, solved once.
 
-    V and B are the field at the operator's sites, in its site order;
-    scalar, plain and reference are the ascending spectra of H, of the
-    plain block (H  B; B  -H) and of the reference block
-    (H  beta*1; beta*1  -H).
+    V and B are the field on its cube, in canonical site order; scalar,
+    plain and reference are the ascending spectra of H, of the plain block
+    (H  B; B  -H) and of the reference block (H  beta*1; beta*1  -H).
     """
 
     V: np.ndarray
@@ -286,15 +291,16 @@ class EdgeSpectra:
     reference: np.ndarray
 
 
-def edge_spectra(h: ScalarOperator, field: FieldSample, beta: float) -> EdgeSpectra:
-    """One eigensolve each of H, its plain block and its beta-reference block."""
-    v, b = field.at(h.sites)
-    return EdgeSpectra(v, b, beta, np.linalg.eigvalsh(h.matrix),
-                       eigensolve(assemble_block(h, field)).eigenvalues,
-                       eigensolve(assemble_beta_reference(h, beta)).eigenvalues)
+def edge_spectra(field: FieldSample, beta: float) -> EdgeSpectra:
+    """One eigensolve each of H = build_h(field.cube, "simple", field.V),
+    its plain block and its beta-reference block."""
+    h = build_h(field.cube, "simple", field.V)
+    return EdgeSpectra(field.V, field.B, beta, np.linalg.eigvalsh(h),
+                       eigensolve(block(h, np.diag(field.B), h)).eigenvalues,
+                       eigensolve(block(h, beta, h)).eigenvalues)
 
 
-def interlacing_check(spectra: EdgeSpectra, tol: float = 1e-10) -> CheckReport:
+def interlacing_check(spectra: EdgeSpectra) -> CheckReport:
     """Rank-wise domination of the positive block spectrum over the reference.
 
     Hypotheses: H > 0 on the region and B_n >= beta >= 0 sitewise.
@@ -304,18 +310,21 @@ def interlacing_check(spectra: EdgeSpectra, tol: float = 1e-10) -> CheckReport:
     _require(float(spectra.scalar[0]) > 0.0, "interlacing needs H > 0")
     _require(spectra.B.min() >= beta, "interlacing needs B_n >= beta sitewise")
     n = len(spectra.scalar)
-    rep = CheckReport("interlacing", parameters={"beta": beta, "tol": tol})
-    rep.record(spectra.plain[-n:] - spectra.reference[-n:] + tol)
+    rep = CheckReport("interlacing", parameters={"beta": beta,
+                                                 "tol": INTERLACING_TOL})
+    rep.record(spectra.plain[-n:] - spectra.reference[-n:] + INTERLACING_TOL)
     return rep
 
 
-def beta_map_check(spectra: EdgeSpectra, rtol: float = 1e-9) -> CheckReport:
+def beta_map_check(spectra: EdgeSpectra) -> CheckReport:
     """Spectrum of the constant-coupling block equals {+-sqrt(e^2 + beta^2)}."""
     root = np.sqrt(spectra.scalar ** 2 + spectra.beta ** 2)
     predicted = np.sort(np.concatenate([root, -root]))
     scale = max(np.max(np.abs(predicted)), 1e-300)
-    rep = CheckReport("beta_map", parameters={"beta": spectra.beta, "rtol": rtol})
-    rep.record(rtol * scale - float(np.max(np.abs(predicted - spectra.reference))))
+    rep = CheckReport("beta_map", parameters={"beta": spectra.beta,
+                                              "rtol": BETA_MAP_RTOL})
+    defect = float(np.max(np.abs(predicted - spectra.reference)))
+    rep.record(BETA_MAP_RTOL * scale - defect)
     return rep
 
 
@@ -345,21 +354,20 @@ def half_half_check(spectra: EdgeSpectra, lam: float) -> CheckReport:
 # -- Dirichlet bracketing ----------------------------------------------------
 
 
-def bracketing_gap_check(region, field: FieldSample, lam: float,
+def bracketing_gap_check(field: FieldSample, lam: float,
                          beta: float) -> CheckReport:
-    """Positive eigenvalues of the bracketing block clear the gap edge.
+    """Positive eigenvalues of the bracketing block of the field on its
+    cube clear the gap edge.
 
     Hypotheses: V_n >= lam >= 0 and B_n >= beta >= 0.  Counted exactly: no
     eigenvalue may fall in the open interval ]0, edge[ (equality at the
     edge is admitted; it occurs for degenerate constant fields).
     """
     _require(lam >= 0.0 and beta >= 0.0, "bracketing check needs lam, beta >= 0")
-    hplus = assemble_bracketing(region, field)
-    v, b = field.at(hplus.sites)
-    _require(v.min() >= lam, "needs V_n >= lam")
-    _require(b.min() >= beta, "needs B_n >= beta")
+    _require(field.V.min() >= lam, "needs V_n >= lam")
+    _require(field.B.min() >= beta, "needs B_n >= beta")
     edge = np.hypot(lam, beta)
-    ev = eigensolve(hplus).eigenvalues
+    ev = eigensolve(assemble_bracketing(field.cube, field.V, field.B)).eigenvalues
     atol = 1e-12 * max(1.0, float(np.max(np.abs(ev))))
     inside = int(np.sum((ev > 0.0) & (ev < edge - atol)))
     rep = CheckReport("bracketing_gap", parameters={"lam": lam, "beta": beta,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
 from .lattice import CubeSpec
-from .operators import BlockOperator, assemble_plain, template
+from .operators import assemble_plain
 
 EIG_RESIDUAL_RTOL = 1e-10
 
@@ -38,9 +38,8 @@ class Spectrum:
         return float(np.max(np.abs(self.eigenvalues))) if self.dim else 0.0
 
 
-def eigensolve(op, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a block or scalar operator, ascending with multiplicity."""
-    m = op.matrix
+def eigensolve(m: np.ndarray, want_vectors: bool = False) -> Spectrum:
+    """Full spectrum of a real symmetric matrix, ascending with multiplicity."""
     if not np.all(np.isfinite(m)):
         raise ValueError("operator matrix has non-finite entries")
     if want_vectors:
@@ -109,8 +108,7 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
         # the recursion raises
         with np.errstate(over="ignore"):
             return _schur_counts(V, B, np.clip(energies, -r, r), side == "right")
-    h0 = template(cube, "simple")
-    counts = [np.searchsorted(eigensolve(assemble_plain(h0, v, b)).eigenvalues,
+    counts = [np.searchsorted(eigensolve(assemble_plain(cube, v, b)).eigenvalues,
                               energies, side=side) for v, b in zip(V, B)]
     return np.array(counts, dtype=np.int64).reshape(len(V), len(energies))
 
@@ -225,10 +223,10 @@ def deterministic_radius(d: int, mu_V: SiteMeasure, mu_B: SiteMeasure) -> float:
 # -- ensembles -------------------------------------------------------------
 
 
-def plain_block(field: FieldSample, cube=None) -> BlockOperator:
+def plain_block(field: FieldSample, cube=None) -> np.ndarray:
     """The plain block operator (simple BC) of a field on its cube or `cube` in it."""
     cube = field.cube if cube is None else cube
-    return assemble_plain(template(cube, "simple"), *field.at(cube))
+    return assemble_plain(cube, *field.at(cube))
 
 
 # realizations per block kernel call run inline (a pool may cut smaller ones)

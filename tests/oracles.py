@@ -5,7 +5,9 @@ more direct route: the densities whose variation the BV norms sum,
 finite differences for the Feynman-Hellmann sums, a dense solve and an
 eigenpair sum for the suitability norm, a variational minimization for
 the lowest positive block eigenvalue, explicit 2x2 element reads, block
-embeddings and indicator projections for the exact identities, a
+embeddings and indicator projections for the exact identities, the
+Laplacian built site by site and the plain block of a field on any
+region (a fresh build_h0 and one site_index lookup), a
 per-site hash for the field sampler, a per-pair 1-norm distance, window
 counts read off a dense spectrum, and the nested-cube checks with their
 geometry rebuilt on every call and one norm per EDI probe.
@@ -20,9 +22,9 @@ from scipy.optimize import minimize
 
 from blocklab import lattice
 from blocklab.disorder import FieldSample, sample_fields
-from blocklab.green import resolvent
+from blocklab.green import GRI_COEFF, NESTED_RTOL, resolvent
 from blocklab.inequalities import CheckReport, PreconditionError, _require
-from blocklab.operators import assemble_block, build_gamma, build_h, component_indices
+from blocklab.operators import block, build_gamma, build_h0, component_indices
 from blocklab.spectral import Spectrum, eigensolve
 
 # -- sites and sampling ----------------------------------------------------------
@@ -151,21 +153,49 @@ def embed_block(sub: np.ndarray, sub_sites, ambient_sites) -> np.ndarray:
     return out
 
 
-def dump_matrix(op, path) -> None:
-    """Write an operator matrix as text: one row per line, space-separated.
+def laplacian_on(region, bc: str = "simple") -> np.ndarray:
+    """H0 on a region from its definition, site by site: -1 on neighbour
+    pairs; 2d (simple), the neighbours kept inside (neumann) or 4d less
+    those (dirichlet) on the diagonal; in canonical site order."""
+    sites = lattice.sites(region)
+    n, d = len(sites), len(sites[0])
+    m = np.zeros((n, n))
+    for i, s in enumerate(sites):
+        up = [s[:j] + (s[j] + 1,) + s[j + 1:] for j in range(d)]
+        for j in lattice.site_index(sites, up).tolist():
+            if j >= 0:
+                m[i, j] = m[j, i] = -1.0
+    kept = np.count_nonzero(m, axis=1)
+    m[np.diag_indices(n)] = {"simple": 2.0 * d, "neumann": kept,
+                             "dirichlet": 4.0 * d - kept}[bc]
+    return m
+
+
+def plain_block_on(region, field: FieldSample) -> np.ndarray:
+    """The plain block (H  B; B  -H) of the field on any region inside its
+    cube, H = H0 + V, from a fresh build_h0 and one site_index lookup."""
+    idx = lattice.site_index(field.cube, lattice.sites(region), strict=True)
+    h = build_h0(region) + np.diag(field.V[idx])
+    b = np.diag(field.B[idx])
+    return np.block([[h, b], [b, -h]])
+
+
+def dump_matrix(matrix, sites, path) -> None:
+    """Write an operator matrix on the given sites as text: one row per
+    line, space-separated.
 
     A leading comment line documents the canonical site order (and the
     upper/lower component split for block operators).
     """
     sites_str = " ".join("(" + ",".join(str(c) for c in s) + ")"
-                         for s in op.sites)
+                         for s in sites)
     layout = ""
-    if op.matrix.shape[0] == 2 * len(op.sites):
+    if matrix.shape[0] == 2 * len(sites):
         layout = (" | block layout: first half upper component,"
                   " second half lower component")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# site order: {sites_str}{layout}\n")
-        for row in op.matrix:
+        for row in matrix:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
@@ -205,7 +235,7 @@ def _block_eigs_shifted(region, field: FieldSample, k, family, delta):
     v, b = field.V.copy(), field.B.copy()
     (v if family == "V" else b)[k] += delta
     f = FieldSample(field.cube, v, b, field.realization_index)
-    return eigensolve(assemble_block(build_h(region, "simple", f), f)).eigenvalues
+    return eigensolve(plain_block_on(region, f)).eigenvalues
 
 
 def fh_derivative_sums_fd(region, field: FieldSample,
@@ -215,9 +245,9 @@ def fh_derivative_sums_fd(region, field: FieldSample,
     Eigenvalues are tracked by sort order, which is stable for perturbations
     much smaller than the level spacing.  Costs 4N + 1 eigensolves.
     """
-    h = build_h(region, "simple", field)
-    sums = np.zeros(2 * h.n)
-    for k in lattice.site_index(field.cube, h.sites, strict=True).tolist():
+    region_sites = lattice.sites(region)
+    sums = np.zeros(2 * len(region_sites))
+    for k in lattice.site_index(field.cube, region_sites, strict=True).tolist():
         for family in ("V", "B"):
             up = _block_eigs_shifted(region, field, k, family, +step)
             dn = _block_eigs_shifted(region, field, k, family, -step)
@@ -260,10 +290,6 @@ def eigenpair_suitability_norms(s: Spectrum, rows, cols,
 # -- nested-cube checks, geometry rebuilt per call ------------------------------
 
 
-def _plain_block_on(region, field: FieldSample):
-    return assemble_block(build_h(region, "simple", field), field)
-
-
 def _sub(matrix, ambient_sites, row_sites, col_sites):
     rows = component_indices(ambient_sites, row_sites)
     cols = component_indices(ambient_sites, col_sites)
@@ -279,8 +305,8 @@ def _nested_resolvents(region1, region2, region3, field, energy,
              "need region1 strictly inside region2 strictly inside region3")
     _require(set(r2) <= set(r3), "region2 must be contained in region3")
     s2, s3 = spectra
-    g2 = resolvent(_plain_block_on(region2, field), energy, s2)
-    g3 = resolvent(_plain_block_on(region3, field), energy, s3)
+    g2 = resolvent(plain_block_on(region2, field), energy, s2)
+    g3 = resolvent(plain_block_on(region3, field), energy, s3)
     return r1, r2, r3, g2, g3
 
 
@@ -292,19 +318,19 @@ def _gri(region1, region2, region3, field, energy):
     o2 = lattice.outer_boundary(r2)
     lhs = _sub(g3.matrix, r3, i3, r1)
     chain = (_sub(g3.matrix, r3, i3, o2)
-             @ _sub(gamma.lifted, r3, o2, i2)
+             @ _sub(block(gamma, 0.0, gamma), r3, o2, i2)
              @ _sub(g2.matrix, r2, i2, r1))
     return float(np.max(np.abs(lhs + chain))), g2.delta, g3.delta
 
 
 def gri_check_per_realization(region1, region2, region3, field: FieldSample,
-                              energy: float, coeff: float = 1e-9) -> CheckReport:
+                              energy: float) -> CheckReport:
     """green.gri_check with the nested geometry (boundaries, Gamma and
     index maps) rebuilt from site tuples on every call."""
     res, delta2, delta3 = _gri(region1, region2, region3, field, energy)
-    cap = coeff * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
+    cap = GRI_COEFF * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
     rep = CheckReport("gri_residual",
-                      parameters={"E": energy, "coeff": coeff, "residual": res,
+                      parameters={"E": energy, "coeff": GRI_COEFF, "residual": res,
                                   "delta2": delta2, "delta3": delta3,
                                   "cap": cap})
     rep.record(cap - res)
@@ -312,26 +338,25 @@ def gri_check_per_realization(region1, region2, region3, field: FieldSample,
 
 
 def sli_check_per_realization(region1, region2, region3, field: FieldSample,
-                              energy: float, rtol: float = 1e-9,
-                              spectra=(None, None)) -> CheckReport:
+                              energy: float, spectra=(None, None)) -> CheckReport:
     """green.sli_check with the nested geometry rebuilt on every call."""
     r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field,
                                             energy, spectra)
-    gamma = build_gamma(r2, r3)
+    gamma = float(np.linalg.norm(build_gamma(r2, r3), 2))
     i3 = lattice.inner_boundary(r3)
     i2 = lattice.inner_boundary(r2)
     o2 = lattice.outer_boundary(r2)
     lhs = np.linalg.norm(_sub(g3.matrix, r3, i3, r1), 2)
-    rhs = (gamma.norm
+    rhs = (gamma
            * np.linalg.norm(_sub(g3.matrix, r3, i3, o2), 2)
            * np.linalg.norm(_sub(g2.matrix, r2, i2, r1), 2))
-    rep = CheckReport("sli", parameters={"E": energy, "gamma": gamma.norm})
-    rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
+    rep = CheckReport("sli", parameters={"E": energy, "gamma": gamma})
+    rep.record(rhs - lhs + NESTED_RTOL * max(lhs, rhs, 1.0))
     return rep
 
 
 def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
-                        rtol: float = 1e-9, host: Spectrum | None = None,
+                        host: Spectrum | None = None,
                         inner: Spectrum | None = None) -> CheckReport:
     """green.edi_check with the geometry rebuilt on every call and one
     2-norm, and one recorded slack, per probe site."""
@@ -340,22 +365,22 @@ def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
     _require(lattice.strictly_inside(r, r3),
              "region must be strictly inside the host cube")
     if host is None:
-        host = eigensolve(_plain_block_on(cube3, field), want_vectors=True)
+        host = eigensolve(plain_block_on(cube3, field), want_vectors=True)
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    g = resolvent(_plain_block_on(region, field), energy, inner)
-    gamma = build_gamma(r, r3)
+    g = resolvent(plain_block_on(region, field), energy, inner)
+    gamma = float(np.linalg.norm(build_gamma(r, r3), 2))
     i_r = lattice.inner_boundary(r)
     o_r = lattice.outer_boundary(r)
     n3 = len(r3)
     probes = r
     psi_out = float(np.linalg.norm(psi[component_indices(r3, o_r)]))
     rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
-                                         "gamma": gamma.norm})
+                                         "gamma": gamma})
     for n, i in zip(probes, lattice.site_index(r3, probes, strict=True).tolist()):
         lhs = float(np.hypot(psi[i], psi[i + n3]))
-        rhs = gamma.norm * np.linalg.norm(_sub(g.matrix, r, (n,), i_r), 2) * psi_out
-        rep.record(rhs - lhs + rtol * max(lhs, rhs, 1.0))
+        rhs = gamma * np.linalg.norm(_sub(g.matrix, r, (n,), i_r), 2) * psi_out
+        rep.record(rhs - lhs + NESTED_RTOL * max(lhs, rhs, 1.0))
     return rep
 
 

@@ -16,10 +16,10 @@ from blocklab.disorder import DisorderConfig, SiteMeasure
 from blocklab.harness import parse_config, run
 from blocklab.inequalities import CheckReport, PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
-from blocklab.operators import assemble_block, build_gamma, build_h
-from blocklab.spectral import deterministic_radius, eigensolve
+from blocklab.operators import block, build_gamma
+from blocklab.spectral import deterministic_radius, eigensolve, plain_block
 from oracles import (block_element, block_norm, embed_block, minmaxmax_lambda1,
-                     sample_field)
+                     plain_block_on, sample_field)
 
 
 def verdict(number: int, name: str, ok: bool, detail: str):
@@ -58,16 +58,14 @@ def test_criterion_1_exact_identities():
         l2, l3 = (5, 9) if d == 1 else (3, 6)
         c2, c3 = CubeSpec(d, l2), CubeSpec(d, l3)
         f = sample_field(c3, cfg, 500 + k)
-        big = assemble_block(build_h(c3, "simple", f), f)
+        big = plain_block(f)
         inner = c2.sites()
         rest = tuple(s for s in c3.sites() if s not in set(inner))
-        parts = (embed_block(assemble_block(build_h(inner, "simple", f), f).matrix,
-                             inner, c3.sites())
-                 + embed_block(assemble_block(build_h(rest, "simple", f), f).matrix,
-                               rest, c3.sites()))
+        parts = (embed_block(plain_block_on(inner, f), inner, c3.sites())
+                 + embed_block(plain_block_on(rest, f), rest, c3.sites()))
         gamma = build_gamma(c2, c3)
         worst_decomp = max(worst_decomp, float(np.max(np.abs(
-            big.matrix - parts - gamma.lifted))))
+            big - parts - block(gamma, 0.0, gamma)))))
 
     worst_hs = 0.0
     sites = CubeSpec(1, 9).sites()
@@ -107,10 +105,9 @@ def test_criterion_2_spectral_structure():
         radius = deterministic_radius(d, cfg.mu_V, cfg.mu_B)
         for r in range(count):
             f = sample_field(cube, cfg, r)
-            h = build_h(cube, "simple", f)
-            s = eigensolve(assemble_block(h, f))
+            s = eigensolve(plain_block(f))
             reports["symmetry"].absorb(inequalities.symmetry_check(s))
-            es = inequalities.edge_spectra(h, f, beta)
+            es = inequalities.edge_spectra(f, beta)
             reports["beta_map"].absorb(inequalities.beta_map_check(es))
             reports["gap"].record(float(np.min(np.abs(s.eigenvalues))) - edge)
             reports["half_half"].absorb(
@@ -119,7 +116,7 @@ def test_criterion_2_spectral_structure():
             reports["tail_bound"].absorb(
                 asymptotics.finite_volume_tail_bound(es, lam, 0.3))
             reports["bracketing"].absorb(
-                inequalities.bracketing_gap_check(cube, f, lam, beta))
+                inequalities.bracketing_gap_check(f, lam, beta))
             reports["radius"].absorb(inequalities.radius_check(s, radius))
             total += 1
     violations = {k: v.violations for k, v in reports.items()}
@@ -168,15 +165,15 @@ def test_criterion_3_resolvent_inequalities():
     cube = CubeSpec(1, 30)
     for r in range(50):
         f = sample_field(cube, ct_cfg, r)
-        op = assemble_block(build_h(cube, "simple", f), f)
-        ct.absorb(green.combes_thomas_check(green.decay_profile(op, 0.0)))
+        ct.absorb(green.combes_thomas_check(
+            green.decay_profile(cube, plain_block(f), 0.0)))
 
     fh_cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 35)
     fh = CheckReport("feynman_hellmann")
     cube = CubeSpec(1, 6)
     for r in range(50):
         f = sample_field(cube, fh_cfg, r)
-        fh.absorb(inequalities.feynman_hellmann_report(cube, f, tol=1e-6))
+        fh.absorb(inequalities.feynman_hellmann_report(f, tol=1e-6))
     pairs_per_instance = CubeSpec(1, 30).site_count ** 2
     ok = (sli.passed and sli.instances >= 100
           and edi.passed and calls >= 100

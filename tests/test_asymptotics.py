@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blocklab import asymptotics
 from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   _ct_block_budget,
                                   _ct_distances,
@@ -20,7 +21,7 @@ from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
 from blocklab.green import resolvent_columns
 from blocklab.inequalities import PreconditionError, edge_spectra
 from blocklab.lattice import CubeSpec, inner_boundary
-from blocklab.operators import assemble_block, build_h
+from blocklab.operators import MAX_BLOCK_DIM
 from blocklab.spectral import eigensolve, ensemble_counts, plain_block
 from oracles import (dense_suitability_norm, dist1, eigenpair_suitability_norms,
                      sample_field)
@@ -32,10 +33,6 @@ GAP2 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 52)
 def constant_field(cube, v, b):
     n = cube.site_count
     return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
-
-
-def spectra(cube, f, beta):
-    return edge_spectra(build_h(cube, "simple", f), f, beta)
 
 
 # -- gap edge -------------------------------------------------------------------
@@ -122,7 +119,7 @@ def test_finite_volume_tail_bound_equality_at_constant_b():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(1), 3)
     for r in range(10):
         f = sample_field(cube, cfg, r)
-        rep = finite_volume_tail_bound(spectra(cube, f, beta=1.0), lam=1.0, eps=0.3)
+        rep = finite_volume_tail_bound(edge_spectra(f, beta=1.0), lam=1.0, eps=0.3)
         assert rep.passed
         assert rep.worst_margin == 0.0      # the chain is an equality here
 
@@ -131,13 +128,13 @@ def test_finite_volume_tail_bound_random():
     cube = CubeSpec(1, 20)
     for r in range(50):
         f = sample_field(cube, GAP2, r)
-        assert finite_volume_tail_bound(spectra(cube, f, 1.0), 1.0, eps=0.3).passed
+        assert finite_volume_tail_bound(edge_spectra(f, 1.0), 1.0, eps=0.3).passed
 
 
 def test_finite_volume_tail_bound_saturates():
     cube = CubeSpec(1, 10)
     f = sample_field(cube, GAP2, 0)
-    rep = finite_volume_tail_bound(spectra(cube, f, 1.0), 1.0, eps=50.0)
+    rep = finite_volume_tail_bound(edge_spectra(f, 1.0), 1.0, eps=50.0)
     assert rep.passed   # both sides count everything
 
 
@@ -209,13 +206,30 @@ def test_lower_bound_censoring():
     assert rep.preconditions_failed == 1
 
 
+def test_lower_bound_cube_over_the_cap_is_not_sampled(monkeypatch):
+    # eps = 1e-4 at d = 2 gives L = 818, 667,489 sites: a precondition
+    # failure, decided before the test function or any field is built
+    L = lower_bound_scale(c0_estimate([8, 16, 32], d=2).c0_hat, 1e-4)
+    assert CubeSpec(2, L).site_count > MAX_BLOCK_DIM
+
+    def refuse(cube, *args):
+        raise AssertionError(f"built a field or test function on {cube}")
+    monkeypatch.setattr(asymptotics, "sample_fields", refuse)
+    monkeypatch.setattr(asymptotics, "_tent_vector", refuse)
+    cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
+    rep = lower_bound_probability(cfg, d=2, eps=1e-4, L=L, R=100)
+    assert (rep.instances, rep.preconditions_failed) == (0, 1)
+    p = rep.parameters
+    assert p["L"] == L and p["censored"] and math.isnan(p["empirical"])
+
+
 # -- suitability -------------------------------------------------------------------
 
 
 def suitable(cube, f, energy, theta):
     """Whether the cube is (theta, E)-suitable for the field."""
     rows, cols = _suitability_geometry(cube)
-    op = assemble_block(build_h(cube, "simple", f), f)
+    op = plain_block(f)
     norms, _ = suitability_norms(op, eigensolve(op).eigenvalues, rows, cols,
                                  [energy])
     return bool(norms[0] < cube.L ** -theta)
@@ -230,7 +244,7 @@ def test_suitable_deep_gap():
 def test_suitable_false_at_eigenvalue():
     cube = CubeSpec(1, 12)
     f = sample_field(cube, LAM1, 1)
-    op = assemble_block(build_h(cube, "simple", f), f)
+    op = plain_block(f)
     e = float(eigensolve(op).eigenvalues[3])
     assert not suitable(cube, f, e, theta=1.5)
 
@@ -255,10 +269,10 @@ def test_suitability_norms_match_dense_solve(d, L):
     energies = [0.0, 0.5, 0.9]
     for r in range(4):
         f = sample_field(cube, LAM1, r)
-        op = assemble_block(build_h(cube, "simple", f), f)
+        op = plain_block(f)
         ev = eigensolve(op).eigenvalues
         norms, deltas = suitability_norms(op, ev, rows, cols, energies)
-        dense = [dense_suitability_norm(op.matrix, e, rows, cols) for e in energies]
+        dense = [dense_suitability_norm(op, e, rows, cols) for e in energies]
         assert norms == pytest.approx(dense, rel=1e-10)
         assert deltas == pytest.approx([np.min(np.abs(ev - e)) for e in energies])
 
@@ -272,7 +286,7 @@ def test_suitability_norms_match_the_eigenpair_oracle(d, L, config):
     rows, cols = _suitability_geometry(cube)
     for r in range(3):
         f = sample_field(cube, config, r)
-        op = assemble_block(build_h(cube, "simple", f), f)
+        op = plain_block(f)
         s = eigensolve(op, want_vectors=True)
         energies = [0.0, 0.4, float(s.eigenvalues[len(s.eigenvalues) // 2 + r]),
                     -0.7]
@@ -296,7 +310,7 @@ def test_suitability_norms_solve_only_the_boundary_columns(monkeypatch):
     cube = CubeSpec(1, 24)
     rows, cols = _suitability_geometry(cube)
     f = sample_field(cube, LAM1, 0)
-    op = assemble_block(build_h(cube, "simple", f), f)
+    op = plain_block(f)
     ev = eigensolve(op).eigenvalues
     norms, _ = suitability_norms(op, ev, rows, cols, [0.0, float(ev[5]), 0.5])
     assert solves == [((2, 46, 46), (46, 4))]
@@ -306,11 +320,11 @@ def test_suitability_norms_solve_only_the_boundary_columns(monkeypatch):
 def test_resolvent_columns_residual_contract(monkeypatch):
     cube = CubeSpec(1, 12)
     f = sample_field(cube, LAM1, 0)
-    op = assemble_block(build_h(cube, "simple", f), f)
+    op = plain_block(f)
     cols = [0, 3, 11]
     x = resolvent_columns(op, [0.0, 0.5], cols)
     for k, e in enumerate((0.0, 0.5)):
-        full = np.linalg.inv(op.matrix - e * np.eye(op.dim))
+        full = np.linalg.inv(op - e * np.eye(len(op)))
         assert np.allclose(x[k], full[:, cols], rtol=1e-12, atol=1e-14)
     # a solve that misses its system is caught
     real = np.linalg.solve

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocklab.disorder import DisorderConfig, SiteMeasure, case_beta, sample_fields
-from blocklab.lattice import CubeSpec
+from blocklab.lattice import CubeSpec, site_index
 from oracles import density, sample_field, site_uniform
 
 
@@ -116,15 +116,15 @@ def test_field_at_reads_sub_regions():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.triangular(-1, 2), 6)
     big = sample_field(CubeSpec(2, 9, (1, -2)), cfg, 3)
     small = sample_field(CubeSpec(2, 4, (2, -1)), cfg, 3)
-    v, b = big.at(small.cube.sites())
+    v, b = big.at(small.cube)
     assert np.array_equal(v, small.V) and np.array_equal(b, small.B)
     probes = [(1, -2), (5, 2), (-3, -6)]                 # any order
-    v, b = big.at(probes)
+    idx = site_index(big.cube, probes, strict=True)
     for k, s in enumerate(probes):
         j = big.cube.sites().index(s)
-        assert (v[k], b[k]) == (big.V[j], big.B[j])
+        assert (big.V[idx[k]], big.B[idx[k]]) == (big.V[j], big.B[j])
     with pytest.raises(KeyError):
-        big.at([(1, -2), (6, -2)])                       # outside the cube
+        big.at(CubeSpec(2, 4, (5, -2)))                  # leaves the cube at x = 6
 
 
 ONE_SITE = CubeSpec(1, 2)                                # the site (0,)

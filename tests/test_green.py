@@ -7,7 +7,6 @@ from blocklab.green import (combes_thomas_bound, combes_thomas_check,
                             resolvent, sli_check)
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
-from blocklab.operators import assemble_block, build_h
 from blocklab.spectral import eigensolve, plain_block
 from oracles import (block_element, block_norm, dist1, edi_check_per_probe,
                      gri_check_per_realization, sample_field,
@@ -24,20 +23,19 @@ def constant_field(cube, v, b):
 
 def two_by_two():
     cube = CubeSpec(1, 2)
-    f = constant_field(cube, 1.0, 2.0)
-    return assemble_block(build_h(cube, "simple", f), f)
+    return plain_block(constant_field(cube, 1.0, 2.0))
 
 
 def plain_on(cube, cfg, r):
     f = sample_field(cube, cfg, r)
-    return assemble_block(build_h(cube, "simple", f), f), f
+    return plain_block(f), f
 
 
 def test_resolvent_2x2_closed_form():
     op = two_by_two()
     g = resolvent(op, 0.0)
     # H^2 = 13 I, so the inverse at E = 0 is H / 13
-    assert np.allclose(g.matrix, op.matrix / 13.0, atol=1e-14)
+    assert np.allclose(g.matrix, op / 13.0, atol=1e-14)
     assert g.delta == pytest.approx(np.sqrt(13))
 
 
@@ -67,8 +65,7 @@ def test_block_element_identity():
 def test_block_element_reads_assembly():
     cube = CubeSpec(1, 5)
     f = sample_field(cube, MIXED, 1)
-    op = assemble_block(build_h(cube, "simple", f), f)
-    b = block_element(op.matrix, op.sites, (0,), (0,))
+    b = block_element(plain_block(f), cube.sites(), (0,), (0,))
     k = cube.sites().index((0,))
     assert b.entries[0, 0] == pytest.approx(2.0 + f.V[k])
     assert b.entries[0, 1] == pytest.approx(f.B[k])
@@ -79,18 +76,18 @@ def test_block_element_reads_assembly():
 def test_hs_equality_of_block_norm():
     # Frobenius of the projected operator equals the 2x2 element norm
     cube = CubeSpec(1, 7)
-    op, _ = plain_on(cube, MIXED, 3)
-    nn = len(op.sites)
+    sites = cube.sites()
+    nn = len(sites)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2 * nn, 2 * nn))
     for n, m in (((0,), (1,)), ((-2,), (3,)), ((1,), (1,))):
-        i, j = op.sites.index(n), op.sites.index(m)
+        i, j = sites.index(n), sites.index(m)
         proj = np.zeros_like(a)
         rows = [i, i + nn]
         cols = [j, j + nn]
         proj[np.ix_(rows, cols)] = a[np.ix_(rows, cols)]
         assert np.linalg.norm(proj, "fro") == pytest.approx(
-            block_norm(block_element(a, op.sites, n, m)), abs=1e-12)
+            block_norm(block_element(a, sites, n, m)), abs=1e-12)
 
 
 def test_gri_residual_tiny_in_gap():
@@ -182,8 +179,8 @@ def test_edi_all_eigenpairs_all_regions():
 def test_sli_and_edi_read_spectra_solved_by_the_caller(monkeypatch):
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     f = sample_field(c3, GAPPED, 6)
-    host = eigensolve(assemble_block(build_h(c3, "simple", f), f), want_vectors=True)
-    middle = eigensolve(assemble_block(build_h(c2, "simple", f), f))
+    host = eigensolve(plain_block(f), want_vectors=True)
+    middle = eigensolve(plain_block(f, c2))
     fresh = [sli_check(c1, c2, c3, f, 0.3).to_json(),
              edi_check(c2, c3, f, 7).to_json()]
     solves = []
@@ -246,8 +243,9 @@ def test_edi_interior_support_gives_slack():
 
 
 def test_combes_thomas_diagonal_bound():
-    op, _ = plain_on(CubeSpec(1, 11), GAPPED, 0)
-    profile = decay_profile(op, 0.0)
+    cube = CubeSpec(1, 11)
+    op, _ = plain_on(cube, GAPPED, 0)
+    profile = decay_profile(cube, op, 0.0)
     diagonal = profile.first == profile.second
     assert np.all(profile.norm[diagonal] <= profile.bound[diagonal] + 1e-12)
 
@@ -257,8 +255,7 @@ def test_combes_thomas_all_pairs():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     for r in range(5):
         f = sample_field(cube, cfg, r)
-        op = assemble_block(build_h(cube, "simple", f), f)
-        rep = combes_thomas_check(decay_profile(op, 0.0))
+        rep = combes_thomas_check(decay_profile(cube, plain_block(f), 0.0))
         assert rep.passed
         assert rep.parameters["delta"] == pytest.approx(1.0)  # capped at 1
 
@@ -267,36 +264,38 @@ def test_decay_rate_beats_ct_rate():
     cube = CubeSpec(1, 30)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     f = sample_field(cube, cfg, 1)
-    op = assemble_block(build_h(cube, "simple", f), f)
-    rate, _ = decay_rate_fit(decay_profile(op, 0.0))
+    rate, _ = decay_rate_fit(decay_profile(cube, plain_block(f), 0.0))
     assert rate < 0
     assert -rate >= 1.0 / 12.0    # delta = 1, d = 1
 
 
 def test_decay_profile_columns():
-    op, _ = plain_on(CubeSpec(1, 7), GAPPED, 6)
-    profile = decay_profile(op, 0.0)
-    n = len(profile.sites)
-    k = profile.sites.index((0,)) * n + profile.sites.index((2,))
+    cube = CubeSpec(1, 7)
+    op, _ = plain_on(cube, GAPPED, 6)
+    profile = decay_profile(cube, op, 0.0)
+    sites = cube.sites()
+    n = len(sites)
+    k = sites.index((0,)) * n + sites.index((2,))
     i, j, dist = profile.first[k], profile.second[k], profile.dist[k]
-    assert (profile.sites[i], profile.sites[j], dist) == ((0,), (2,), 2)
+    assert (sites[i], sites[j], dist) == ((0,), (2,), 2)
     assert profile.norm[k] <= profile.bound[k] + 1e-12
 
 
 @pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 4)])
 def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     op, _ = plain_on(cube, GAPPED, 3)
-    profile = decay_profile(op, 0.0)
+    profile = decay_profile(cube, op, 0.0)
 
     g = resolvent(op, 0.0)
     delta = min(g.delta, 1.0)
-    pairs = [(n, m) for n in op.sites for m in op.sites]
-    norms = np.array([block_norm(block_element(g.matrix, g.sites, n, m))
+    sites = cube.sites()
+    pairs = [(n, m) for n in sites for m in sites]
+    norms = np.array([block_norm(block_element(g.matrix, sites, n, m))
                       for n, m in pairs])
     dists = np.array([dist1(n, m) for n, m in pairs])
     caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists])
     assert profile.delta == delta
-    assert [(profile.sites[i], profile.sites[j], k) for i, j, k in
+    assert [(sites[i], sites[j], k) for i, j, k in
             zip(profile.first, profile.second, profile.dist)] == \
         [(n, m, k) for (n, m), k in zip(pairs, dists)]
     assert np.allclose(profile.norm, norms, rtol=1e-12, atol=0)

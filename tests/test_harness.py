@@ -967,6 +967,44 @@ def test_ct_experiment(tmp_path):
     assert header == "n,m,dist1,block_norm,ct_bound"
 
 
+def test_ct_failed_rate_fit_keeps_the_bound(tmp_path):
+    # one site: the bound reads its one pair, and no pair is left to fit
+    cfg = parse_config(make_text("ct", L=2, R=3).replace("seed = 7", "seed = 1"))
+    result = run(cfg, tmp_path)
+    reports = {r.name: r for r in result.reports}
+    assert (reports["combes_thomas"].instances,
+            reports["combes_thomas"].preconditions_failed) == (3, 0)
+    assert (reports["ct_rate"].instances,
+            reports["ct_rate"].preconditions_failed) == (0, 3)
+    rows = [line.split(",") for line in
+            (tmp_path / "ct.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(row[4:] == ["nan", "nan"] for row in rows)
+
+
+def test_tails_lower_bound_cube_over_the_cap_is_skipped(tmp_path, monkeypatch):
+    from blocklab import asymptotics
+
+    def sample_fields(cube, config, rs):
+        assert cube.site_count <= operators.MAX_BLOCK_DIM, "over-cap cube sampled"
+        return disorder.sample_fields(cube, config, rs)
+    monkeypatch.setattr(asymptotics, "sample_fields", sample_fields)
+    # at d = 1, eps = 1e-7 asks for a cube of more than 4096 sites
+    cfg = parse_config(TAILS_BASE + "lower_bound = true\nlower_epsilons = 1e-7 0.75\n"
+                       "lower_realizations = 200\n")
+    result = run(cfg, tmp_path)
+    lower = [r for r in result.reports if r.name == "lower_bound_probability"]
+    assert [r.preconditions_failed for r in lower][0] == 1
+    assert lower[0].instances == 0
+    L = lower[0].parameters["L"]
+    assert lattice.CubeSpec(1, L).site_count > operators.MAX_BLOCK_DIM
+    rows = [line.split(",") for line in
+            (tmp_path / "tails_lower.csv").read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == pytest.approx(1e-7)
+    assert rows[0][1:3] == [str(L), "nan"] and rows[0][4] == "1"
+    assert rows[1][2] != "nan"
+
+
 def test_sli_edi_experiment(tmp_path):
     cfg = make_cfg("sli-edi", L=9, R=6, va=1.0, vb=2.0,
                    bargs="a = 0.0\nb = 1.0")
@@ -991,7 +1029,7 @@ def test_sli_edi_probe_does_not_depend_on_the_solver():
     cube = lattice.CubeSpec(cfg.d, harness._nested_lengths(cfg)[2])
     for r in range(20):
         f = sample_field(cube, cfg.disorder(), r)
-        block = operators.assemble_block(operators.build_h(cube, "simple", f), f)
+        block = spectral.plain_block(f)
         ev = [spectral.eigensolve(block, want_vectors=v).eigenvalues
               for v in (True, False)]
         j = harness._probe_index(ev[0], 0.0)

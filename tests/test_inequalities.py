@@ -8,12 +8,13 @@ from blocklab.asymptotics import TailCurve, tail_monotonicity_check
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
 from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionError,
                                    beta_map_check, bracketing_gap_check,
-                                   dos_bound_energy_dependent, feynman_hellmann_report,
-                                   edge_spectra, fh_derivative_sums,
+                                   EdgeSpectra, dos_bound_energy_dependent,
+                                   edge_spectra, feynman_hellmann_report,
+                                   fh_derivative_sums,
                                    half_half_check, interlacing_check,
                                    wegner_finite_volume)
 from blocklab.lattice import CubeSpec
-from blocklab.operators import assemble_bracketing, build_h, build_h0
+from blocklab.operators import assemble_bracketing, block, build_h, build_h0
 from blocklab.spectral import dos_histogram, eigensolve, plain_block
 from oracles import (count_window, fh_derivative_sums_fd, minmaxmax_lambda1,
                      sample_field)
@@ -24,10 +25,6 @@ POS = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 77)
 def constant_field(cube, v, b):
     n = cube.site_count
     return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
-
-
-def spectra(cube, f, beta):
-    return edge_spectra(build_h(cube, "simple", f), f, beta)
 
 
 # -- CheckReport ----------------------------------------------------------------
@@ -181,7 +178,7 @@ def test_dos_energy_bound_empty_bins_trivially_pass():
 def test_fh_closed_form_single_site():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 1.0, 2.0)
-    ev, sums = fh_derivative_sums(build_h(cube, "simple", f), f)
+    ev, sums = fh_derivative_sums(build_h(cube, "simple", f.V), f)
     assert ev[1] == pytest.approx(np.sqrt(13))
     assert sums[1] == pytest.approx(5 / np.sqrt(13), abs=1e-8)
 
@@ -189,7 +186,7 @@ def test_fh_closed_form_single_site():
 def test_fh_boundary_case_equals_one():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 0.0, 0.0)
-    val = fh_derivative_sums(build_h(cube, "simple", f), f)[1][1]
+    val = fh_derivative_sums(build_h(cube, "simple", f.V), f)[1][1]
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -198,7 +195,7 @@ def test_fh_boundary_case_equals_one():
 def test_fh_sums_match_finite_differences(cube):
     for r in range(3):
         f = sample_field(cube, POS, r)
-        ev, sums = fh_derivative_sums(build_h(cube, "simple", f), f)
+        ev, sums = fh_derivative_sums(build_h(cube, "simple", f.V), f)
         assert np.allclose(ev, eigensolve(plain_block(f)).eigenvalues,
                            rtol=0, atol=1e-12)
         assert np.min(np.diff(ev)) > FH_MIN_SPACING
@@ -209,7 +206,7 @@ def test_fh_rejects_negative_b():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 1.0, -2.0)
     with pytest.raises(PreconditionError):
-        feynman_hellmann_report(cube, f)
+        feynman_hellmann_report(f)
 
 
 def test_fh_report_builds_h_once(monkeypatch):
@@ -219,17 +216,17 @@ def test_fh_report_builds_h_once(monkeypatch):
                         lambda *a: built.append(a[1]) or real(*a))
     cube = CubeSpec(1, 8)
     f = sample_field(cube, POS, 1)
-    rep = feynman_hellmann_report(cube, f)
+    rep = feynman_hellmann_report(f)
     assert built == ["simple"]
     # the sums read off the prebuilt H are those built from scratch
-    ev, sums = fh_derivative_sums(real(cube, "simple", f), f)
+    ev, sums = fh_derivative_sums(real(cube, "simple", f.V), f)
     assert rep.instances == int(np.count_nonzero(ev > 0.0)) - rep.preconditions_failed
 
 
 def test_fh_random_fields_all_above_one():
     for r in range(6):
         f = sample_field(CubeSpec(1, 6), POS, r)
-        rep = feynman_hellmann_report(CubeSpec(1, 6), f)
+        rep = feynman_hellmann_report(f)
         assert rep.passed
         assert rep.worst_margin >= 0.0
 
@@ -240,7 +237,7 @@ def test_fh_random_fields_all_above_one():
 def test_interlacing_equality_at_constant_b():
     cube = CubeSpec(1, 6)
     f = constant_field(cube, 0.5, 1.0)
-    rep = interlacing_check(spectra(cube, f, beta=1.0))
+    rep = interlacing_check(edge_spectra(f, beta=1.0))
     assert rep.passed
     assert rep.worst_margin == pytest.approx(1e-10, abs=1e-12)
 
@@ -249,7 +246,7 @@ def test_interlacing_random():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(1, 2), 5)
     for r in range(25):
         f = sample_field(CubeSpec(1, 8), cfg, r)
-        assert interlacing_check(spectra(CubeSpec(1, 8), f, beta=1.0)).passed
+        assert interlacing_check(edge_spectra(f, beta=1.0)).passed
 
 
 def test_interlacing_beta_zero_dominates_scalar():
@@ -257,12 +254,10 @@ def test_interlacing_beta_zero_dominates_scalar():
     cube = CubeSpec(1, 8)
     for r in range(10):
         f = sample_field(cube, cfg, r)
-        assert interlacing_check(spectra(cube, f, beta=0.0)).passed
-        h = build_h(cube, "simple", f)
-        lam_pos = eigensolve(
-            __import__("blocklab.operators", fromlist=["assemble_block"])
-            .assemble_block(h, f)).eigenvalues[h.n:]
-        scalar = np.sort(np.abs(np.linalg.eigvalsh(h.matrix)))
+        assert interlacing_check(edge_spectra(f, beta=0.0)).passed
+        h = build_h(cube, "simple", f.V)
+        lam_pos = eigensolve(plain_block(f)).eigenvalues[len(h):]
+        scalar = np.sort(np.abs(np.linalg.eigvalsh(h)))
         assert np.all(lam_pos >= scalar - 1e-10)
 
 
@@ -270,41 +265,42 @@ def test_interlacing_rejects_b_below_beta():
     cube = CubeSpec(1, 6)
     f = constant_field(cube, 1.0, 0.5)
     with pytest.raises(PreconditionError):
-        interlacing_check(spectra(cube, f, beta=1.0))
+        interlacing_check(edge_spectra(f, beta=1.0))
 
 
 def test_beta_map_single_site():
     cube = CubeSpec(1, 2)
     f = constant_field(cube, 1.0, 0.0)
-    assert beta_map_check(spectra(cube, f, 2.0)).passed
+    assert beta_map_check(edge_spectra(f, 2.0)).passed
 
 
 def test_beta_map_toeplitz_frozen_values():
     h = build_h0(CubeSpec(1, 3), "simple")
-    from blocklab.operators import assemble_beta_reference
-    s = eigensolve(assemble_beta_reference(h, 1.0))
+    s = eigensolve(block(h, 1.0, h))
     e = np.array([2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
     expected = np.sort(np.concatenate([np.sqrt(e ** 2 + 1), -np.sqrt(e ** 2 + 1)]))
     assert s.eigenvalues == pytest.approx(expected)
     f = constant_field(CubeSpec(1, 3), 0.0, 0.0)
-    assert beta_map_check(edge_spectra(h, f, 1.0)).passed
+    assert beta_map_check(edge_spectra(f, 1.0)).passed
 
 
 def test_beta_map_zero_coupling():
     cube = CubeSpec(2, 3)
     f = sample_field(cube, POS, 4)
-    assert beta_map_check(spectra(cube, f, 0.0)).passed
+    assert beta_map_check(edge_spectra(f, 0.0)).passed
 
 
 def test_beta_map_invariant_under_site_relabeling():
     cube = CubeSpec(1, 5)
     f = sample_field(cube, POS, 2)
-    h = build_h(cube, "simple", f)
+    h = build_h(cube, "simple", f.V)
     perm = np.array([3, 0, 4, 1, 2])
-    relabeled = h.matrix[np.ix_(perm, perm)]
-    from blocklab.operators import ScalarOperator
-    h2 = ScalarOperator(tuple(h.sites[i] for i in perm), relabeled)
-    assert beta_map_check(edge_spectra(h2, f, 0.7)).passed
+    relabeled = h[np.ix_(perm, perm)]
+    b = f.B[perm]
+    es = EdgeSpectra(f.V[perm], b, 0.7, np.linalg.eigvalsh(relabeled),
+                     eigensolve(block(relabeled, np.diag(b), relabeled)).eigenvalues,
+                     eigensolve(block(relabeled, 0.7, relabeled)).eigenvalues)
+    assert beta_map_check(es).passed
 
 
 def test_half_half_exact_count():
@@ -312,7 +308,7 @@ def test_half_half_exact_count():
     cube = CubeSpec(1, 10)
     for r in range(30):
         f = sample_field(cube, cfg, r)
-        rep = half_half_check(spectra(cube, f, beta=0.0), lam=1.0)
+        rep = half_half_check(edge_spectra(f, beta=0.0), lam=1.0)
         assert rep.passed
 
 
@@ -320,14 +316,14 @@ def test_half_half_block_diagonal_case():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 2)
     cube = CubeSpec(1, 8)
     f = sample_field(cube, cfg, 0)
-    assert half_half_check(spectra(cube, f, beta=0.0), lam=1.0).passed
+    assert half_half_check(edge_spectra(f, beta=0.0), lam=1.0).passed
 
 
 def test_half_half_rejects_v_below_lam():
     cube = CubeSpec(1, 8)
     f = sample_field(cube, POS, 0)      # V in [0, 1]
     with pytest.raises(PreconditionError):
-        half_half_check(spectra(cube, f, beta=0.0), lam=0.5)
+        half_half_check(edge_spectra(f, beta=0.0), lam=0.5)
 
 
 # -- min-max-max ---------------------------------------------------------------
@@ -339,7 +335,7 @@ def test_minmaxmax_2x2():
 
 
 def test_minmaxmax_matches_beta_reference():
-    h = build_h0(CubeSpec(1, 3), "simple").matrix
+    h = build_h0(CubeSpec(1, 3), "simple")
     beta = 1.3
     val = minmaxmax_lambda1(h, beta * np.eye(3), h, seed=4)
     e_min = 2 - np.sqrt(2)
@@ -385,10 +381,10 @@ def test_minmaxmax_budget_exhaustion():
 def test_bracketing_gap_constant_fields():
     cube = CubeSpec(1, 8)
     f = constant_field(cube, 1.0, 1.0)
-    rep = bracketing_gap_check(cube, f, lam=1.0, beta=1.0)
+    rep = bracketing_gap_check(f, lam=1.0, beta=1.0)
     assert rep.passed
     # equality can only occur at the degenerate Neumann ground state
-    ev = eigensolve(assemble_bracketing(cube, f)).eigenvalues
+    ev = eigensolve(assemble_bracketing(cube, f.V, f.B)).eigenvalues
     pos = ev[ev > 0]
     assert np.all(pos >= np.sqrt(2.0) - 1e-12)
 
@@ -397,13 +393,13 @@ def test_bracketing_gap_random():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 6)
     for r in range(25):
         f = sample_field(CubeSpec(1, 10), cfg, r)
-        assert bracketing_gap_check(CubeSpec(1, 10), f, 1.0, 1.0).passed
+        assert bracketing_gap_check(f, 1.0, 1.0).passed
 
 
 def test_bracketing_counting_extremes():
     cube = CubeSpec(1, 8)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 10)
     f = sample_field(cube, cfg, 0)
-    s = eigensolve(assemble_bracketing(cube, f))
+    s = eigensolve(assemble_bracketing(cube, f.V, f.B))
     r = 4 + 2 + 2
     assert -r < s.eigenvalues[0] and s.eigenvalues[-1] <= r

@@ -5,12 +5,12 @@ from blocklab import spectral
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
 from blocklab.inequalities import nondegeneracy_check, radius_check, symmetry_check
 from blocklab.lattice import CubeSpec
-from blocklab.operators import assemble_block, assemble_plain, build_h, build_h0
+from blocklab.operators import assemble_plain, build_h, build_h0
 from blocklab.spectral import (count_below, deterministic_radius, dos_histogram,
                                eigensolve, ensemble_counts, ids_monte_carlo,
                                per_realization, plain_block, run_realizations,
                                spectral_gap)
-from oracles import count_window, sample_field
+from oracles import count_window, plain_block_on, sample_field
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 17)
 ZERO = DisorderConfig(SiteMeasure.point_mass(0), SiteMeasure.point_mass(0), 0)
@@ -18,8 +18,7 @@ ZERO = DisorderConfig(SiteMeasure.point_mass(0), SiteMeasure.point_mass(0), 0)
 
 def two_by_two():
     cube = CubeSpec(1, 2)
-    f = FieldSample(cube, np.array([1.0]), np.array([2.0]), 0)
-    return assemble_block(build_h(cube, "simple", f), f)
+    return plain_block(FieldSample(cube, np.array([1.0]), np.array([2.0]), 0))
 
 
 def test_eigensolve_2x2():
@@ -35,7 +34,7 @@ def test_eigensolve_toeplitz_oracle():
 def test_eigensolve_vectors_residual():
     op = plain_block(sample_field(CubeSpec(1, 9), UNIT, 0))
     s = eigensolve(op, want_vectors=True)
-    resid = np.max(np.abs(op.matrix @ s.eigenvectors
+    resid = np.max(np.abs(op @ s.eigenvectors
                           - s.eigenvectors * s.eigenvalues))
     assert resid <= 1e-10 * s.norm
     assert np.allclose(s.eigenvectors.T @ s.eigenvectors,
@@ -44,7 +43,7 @@ def test_eigensolve_vectors_residual():
 
 def test_eigensolve_rejects_nonfinite():
     op = plain_block(sample_field(CubeSpec(1, 3), UNIT, 0))
-    op.matrix[0, 0] = np.nan
+    op[0, 0] = np.nan
     with pytest.raises(ValueError):
         eigensolve(op)
 
@@ -53,9 +52,8 @@ def test_block_with_zero_coupling_symmetric_union():
     cube = CubeSpec(1, 7)
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.point_mass(0), 3)
     f = sample_field(cube, cfg, 0)
-    h = build_h(cube, "simple", f)
-    s = eigensolve(assemble_block(h, f))
-    scalar = np.linalg.eigvalsh(h.matrix)
+    s = eigensolve(plain_block(f))
+    scalar = np.linalg.eigvalsh(build_h(cube, "simple", f.V))
     assert s.eigenvalues == pytest.approx(
         np.sort(np.concatenate([scalar, -scalar])))
 
@@ -249,8 +247,7 @@ FIELD_MEASURES = [SiteMeasure.uniform(0, 1), SiteMeasure.triangular(-1, 2),
 
 
 def dense_spectra(cube, V, B):
-    h0 = build_h0(cube, "simple")
-    return [eigensolve(assemble_plain(h0, v, b)).eigenvalues for v, b in zip(V, B)]
+    return [eigensolve(assemble_plain(cube, v, b)).eigenvalues for v, b in zip(V, B)]
 
 
 def assert_counts_match_dense(cube, V, B, energies):
@@ -421,9 +418,7 @@ def test_count_below_rejects_bad_input():
 def test_assemble_plain_writes_the_plain_block():
     cube = CubeSpec(2, 5)
     f = sample_field(cube, UNIT, 4)
-    expected = assemble_block(build_h(cube, "simple", f), f).matrix
-    assert np.array_equal(assemble_plain(build_h0(cube, "simple"), f.V, f.B).matrix,
-                          expected)
+    assert np.array_equal(assemble_plain(cube, f.V, f.B), plain_block_on(cube, f))
 
 
 class Mapper:

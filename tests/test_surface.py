@@ -3,8 +3,9 @@
 A public module-level function or class, or a public method, that no code
 in src/blocklab names outside its own definition serves only the tests;
 such a reference belongs in tests/oracles.py.  Likewise a public
-function's option (a parameter that defaults to None or a bool) that no
-call in src/blocklab passes another value is a branch only tests take.
+function's option (a parameter with a default) that no call in
+src/blocklab passes another value is a branch only tests take, or a
+constant dressed as a setting.
 """
 
 import ast
@@ -54,8 +55,8 @@ EXEMPT_OPTIONS = ("cli.main(argv)",)
 
 
 def _options(fn):
-    """The parameters of a function definition that default to None or a
-    bool, with their defaults, and its positional parameters (without a
+    """The parameters of a function definition that have a default, with
+    their default expressions, and its positional parameters (without a
     leading self or cls)."""
     a = fn.args
     positional = a.posonlyargs + a.args
@@ -63,8 +64,7 @@ def _options(fn):
     defaults += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
     if positional and positional[0].arg in ("self", "cls"):
         positional = positional[1:]
-    return ([(p, d.value) for p, d in defaults if isinstance(d, ast.Constant)
-             and (d.value is None or isinstance(d.value, bool))], positional)
+    return defaults, positional
 
 
 def _callee(node):
@@ -73,8 +73,9 @@ def _callee(node):
 
 
 def _sets_option(call_args, keywords, param, default, positional) -> bool:
-    """Whether a call passes `param` a value other than its default: by
-    keyword, by position, or possibly through * or ** forwarding."""
+    """Whether a call passes `param` a value other than its default (an
+    expression of another syntax tree): by keyword, by position, or
+    possibly through * or ** forwarding."""
     if any(k.arg is None for k in keywords):
         return True
     given = [k.value for k in keywords if k.arg == param.arg]
@@ -83,14 +84,15 @@ def _sets_option(call_args, keywords, param, default, positional) -> bool:
         if any(isinstance(x, ast.Starred) for x in call_args[:i + 1]):
             return True
         given += call_args[i:i + 1]
-    return any(not (isinstance(v, ast.Constant) and v.value is default)
-               for v in given)
+    return any(ast.dump(v) != ast.dump(default) for v in given)
 
 
 def unused_options(src=SRC) -> list[str]:
     """module.function(parameter) for every option of a public function or
-    method that no call in src, direct or through functools.partial, sets
-    to another value.  Calls match definitions by name."""
+    method that no call in src sets to another value: directly, through
+    functools.partial, or by a keyword of a call that passes the function
+    itself as an argument (as `_attempt(name, check, ..., spectra=s)`
+    forwards `spectra` to `check`).  Calls match definitions by name."""
     defs, calls = {}, []
     for path in sorted(Path(src).glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -106,11 +108,15 @@ def unused_options(src=SRC) -> list[str]:
         func, args = call.func, call.args
         if _callee(func) == "partial" and args:
             func, args = args[0], args[1:]
-        for qualified, fn in defs.get(_callee(func), ()):
-            options, positional = _options(fn)
-            set_options.update(
-                (qualified, p.arg) for p, default in options
-                if _sets_option(args, call.keywords, p, default, positional))
+        # a function passed as an argument gets the call's keywords only
+        targets = [(func, args)] + [(a, []) for a in call.args if a is not func]
+        for target, target_args in targets:
+            for qualified, fn in defs.get(_callee(target), ()):
+                options, positional = _options(fn)
+                set_options.update(
+                    (qualified, p.arg) for p, default in options
+                    if _sets_option(target_args, call.keywords, p, default,
+                                    positional))
     return sorted(f"{q}({p.arg})" for entries in defs.values() for q, fn in entries
                   for p, _ in _options(fn)[0]
                   if (q, p.arg) not in set_options
@@ -127,18 +133,26 @@ def test_scan_flags_an_option_no_call_sets(tmp_path):
         "def solve(x, vectors=False, guess=None, tol=1e-9):\n    return x\n\n"
         "def fit(y, grid=None, keep=False, flip=True):\n    return y\n\n"
         "def spread(z, cut=None):\n    return z\n\n"
+        "def check(x, rtol=1e-9, spectra=(None, None), cap=10 ** 9):\n"
+        "    return x\n\n"
+        "def attempt(name, fn, *args, **kwargs):\n    return fn(*args, **kwargs)\n\n"
         "class Box:\n"
         "    def mass(self, lo, closed=False):\n        return lo\n\n"
         "def use(kw):\n"
         "    solve(1, True)\n"
         "    fit(2, grid=None, keep=kw)\n"
         "    spread(3, **kw)\n"
-        "    partial(Box().mass, closed=True)\n")
+        "    partial(Box().mass, closed=True)\n"
+        "    attempt('c', check, 1, spectra=kw)\n"
+        "    check(2, 1e-09, cap=10 ** 9)\n")
     # solve's vectors is set by position, fit's keep by keyword, spread's
-    # cut possibly through **, and mass's closed through partial; guess is
-    # never passed, grid only its default, flip never; tol is no option
-    assert unused_options(tmp_path) == ["mod.fit(flip)", "mod.fit(grid)",
-                                        "mod.solve(guess)"]
+    # cut possibly through **, mass's closed through partial, and check's
+    # spectra through attempt, which forwards its keywords to check; guess
+    # is never passed, grid and check's rtol and cap only expressions equal
+    # to their defaults, flip and tol never
+    assert unused_options(tmp_path) == ["mod.check(cap)", "mod.check(rtol)",
+                                        "mod.fit(flip)", "mod.fit(grid)",
+                                        "mod.solve(guess)", "mod.solve(tol)"]
 
 
 def test_every_public_name_is_reached_from_src():
