@@ -232,13 +232,14 @@ class DecayProfile:
     bound: np.ndarray
 
 
-def decay_profile(cube: CubeSpec, m: np.ndarray, energy: float) -> DecayProfile:
-    """One resolvent read of the block matrix m on the cube at every
-    ordered pair of sites.
+def decay_profile(field: FieldSample, energy: float) -> DecayProfile:
+    """One resolvent read of the field's plain block at every ordered pair
+    of sites of its cube.
 
     The geometry of all pairs (indices, distances, distinct distances) is
     built once per cube and shared by every profile on it."""
-    g = resolvent(m, energy)
+    cube = field.cube
+    g = resolvent(plain_block(field), energy)
     delta = min(g.delta, 1.0)
     first, second, dist, dists, at = _all_pairs(cube)
     norm = block_norm_grid(g.matrix, cube.site_count)[first, second]

@@ -703,7 +703,7 @@ def _exp_green(cfg, mapper):
 def _ct_row(f, energy):
     from . import green
     try:
-        profile = green.decay_profile(f.cube, plain_block(f), energy)
+        profile = green.decay_profile(f, energy)
     except PreconditionError:
         return [CheckReport("combes_thomas", preconditions_failed=1)], None
     rep = green.combes_thomas_check(profile)

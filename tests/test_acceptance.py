@@ -166,7 +166,7 @@ def test_criterion_3_resolvent_inequalities():
     for r in range(50):
         f = sample_field(cube, ct_cfg, r)
         ct.absorb(green.combes_thomas_check(
-            green.decay_profile(cube, plain_block(f), 0.0)))
+            green.decay_profile(f, 0.0)))
 
     fh_cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 35)
     fh = CheckReport("feynman_hellmann")

@@ -244,8 +244,7 @@ def test_edi_interior_support_gives_slack():
 
 def test_combes_thomas_diagonal_bound():
     cube = CubeSpec(1, 11)
-    op, _ = plain_on(cube, GAPPED, 0)
-    profile = decay_profile(cube, op, 0.0)
+    profile = decay_profile(sample_field(cube, GAPPED, 0), 0.0)
     diagonal = profile.first == profile.second
     assert np.all(profile.norm[diagonal] <= profile.bound[diagonal] + 1e-12)
 
@@ -255,7 +254,7 @@ def test_combes_thomas_all_pairs():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     for r in range(5):
         f = sample_field(cube, cfg, r)
-        rep = combes_thomas_check(decay_profile(cube, plain_block(f), 0.0))
+        rep = combes_thomas_check(decay_profile(f, 0.0))
         assert rep.passed
         assert rep.parameters["delta"] == pytest.approx(1.0)  # capped at 1
 
@@ -264,15 +263,14 @@ def test_decay_rate_beats_ct_rate():
     cube = CubeSpec(1, 30)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     f = sample_field(cube, cfg, 1)
-    rate, _ = decay_rate_fit(decay_profile(cube, plain_block(f), 0.0))
+    rate, _ = decay_rate_fit(decay_profile(f, 0.0))
     assert rate < 0
     assert -rate >= 1.0 / 12.0    # delta = 1, d = 1
 
 
 def test_decay_profile_columns():
     cube = CubeSpec(1, 7)
-    op, _ = plain_on(cube, GAPPED, 6)
-    profile = decay_profile(cube, op, 0.0)
+    profile = decay_profile(sample_field(cube, GAPPED, 6), 0.0)
     sites = cube.sites()
     n = len(sites)
     k = sites.index((0,)) * n + sites.index((2,))
@@ -283,8 +281,8 @@ def test_decay_profile_columns():
 
 @pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 4)])
 def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
-    op, _ = plain_on(cube, GAPPED, 3)
-    profile = decay_profile(cube, op, 0.0)
+    op, f = plain_on(cube, GAPPED, 3)
+    profile = decay_profile(f, 0.0)
 
     g = resolvent(op, 0.0)
     delta = min(g.delta, 1.0)

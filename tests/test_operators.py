@@ -100,6 +100,21 @@ def test_block_layout_and_symmetry():
     assert np.diag(off) == pytest.approx(f.B)
 
 
+def test_block_matrix_reads_as_itself_and_stops_at_arithmetic():
+    f = sample_field(CubeSpec(1, 4), UNIT, 0)
+    plain = plain_block_on(f.cube, f)
+    for m in (plain_block(f), assemble_bracketing(f.cube, f.V, f.B),
+              block(np.eye(3), 0.5, np.eye(3))):
+        assert isinstance(m, operators.BlockMatrix)
+        assert type(m.matrix) is np.ndarray
+        assert np.shares_memory(m.matrix, m)
+    m = plain_block(f)
+    assert np.array_equal(m.matrix, plain)
+    for derived in (m - np.eye(len(m)), m @ m, np.abs(m), np.linalg.eigh(m)[1]):
+        assert type(derived) is np.ndarray
+    assert type(np.max(m)) is np.float64
+
+
 def test_beta_zero_reference_is_block_diagonal():
     cube = CubeSpec(1, 5)
     f = sample_field(cube, UNIT, 3)
