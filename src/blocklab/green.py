@@ -14,7 +14,6 @@ import numpy as np
 from . import lattice
 from .disorder import FieldSample
 from .inequalities import CheckReport, PreconditionError, _require
-from .lattice import CubeSpec
 from .operators import block, build_gamma, component_indices, rim_indices
 from .spectral import Spectrum, eigensolve, plain_block
 
