@@ -20,8 +20,8 @@ from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
                       site_array, site_index)
 from .operators import MAX_BLOCK_DIM, build_h0, component_indices, rim_indices
-from .spectral import (Spectrum, eigensolve, ensemble_counts, per_realization,
-                       plain_block, run_realizations)
+from .spectral import (Spectrum, eigensolve, ensemble_counts, ensemble_mean,
+                       per_realization, plain_block, run_realizations)
 
 # the smallest cube length of a tail-curve point
 TAIL_LENGTH_FLOOR = 12
@@ -124,8 +124,9 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
         per_point.update(zip(ks, (counts / (2 * cube.site_count) - 0.5).T.copy()))
     means, errs, cens = [], [], []
     for _, vals in sorted(per_point.items()):
-        means.append(vals.mean())
-        errs.append(vals.std(ddof=1) / math.sqrt(R) if R > 1 else 0.0)
+        mean, stderr = ensemble_mean(vals)
+        means.append(mean)
+        errs.append(stderr)
         cens.append(bool(np.all(vals == 0.0)))
     return TailCurve(eps_grid, np.array(means), np.array(errs),
                      np.array(lengths, dtype=int), np.array(cens), ge.edge, R)
@@ -521,11 +522,9 @@ def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
     rows = np.vstack(run_realizations(per_realization(
         partial(_correlator_row, first=first, second=second,
                 interval=tuple(interval)), cube, config), R, mapper))
-    contributing = int(np.sum(rows.any(axis=1)))
-    stderr = (rows.std(axis=0, ddof=1) / math.sqrt(R) if R > 1
-              else np.zeros(rows.shape[1]))
-    return CorrelatorProfile(tuple(interval), pairs, rows.mean(axis=0), stderr,
-                             R, contributing)
+    mean, stderr = ensemble_mean(rows)
+    return CorrelatorProfile(tuple(interval), pairs, mean, stderr, R,
+                             int(np.sum(rows.any(axis=1))))
 
 
 @dataclass(frozen=True)

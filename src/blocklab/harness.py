@@ -38,7 +38,8 @@ from .disorder import DisorderConfig, SiteMeasure, case_beta
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
 from .operators import MAX_BLOCK_DIM
-from .spectral import deterministic_radius, eigensolve, per_realization, plain_block
+from .spectral import (MAX_COUNT_ENERGIES, deterministic_radius, eigensolve,
+                       per_realization, plain_block)
 
 # -- configuration -----------------------------------------------------------
 
@@ -68,20 +69,58 @@ def _flag(raw) -> bool:
     return FLAGS[str(raw).strip().lower()]
 
 
+def _span(cfg, n):
+    """-r r n, r the deterministic radius bound of the spectrum."""
+    r = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
+    return [-r, r, n]
+
+
+def _grid(lo, hi, n):
+    return np.linspace(lo, hi, int(n))
+
+
+def _nested(cfg):
+    """Core, middle and host lengths: 2, half the host's (at least 5), L."""
+    return [2.0, max(math.ceil(cfg.L / 2), 5), cfg.L]
+
+
+def _tail_floors(cfg):
+    """The resolution floor L >= 10/sqrt(eps) of the cube of each sorted
+    tails epsilon (`asymptotics.default_tail_length`)."""
+    from . import asymptotics
+    return [asymptotics.default_tail_length(e, cfg.d)
+            for e in sorted(cfg.value("epsilons"))]
+
+
 # the keys each kind may set in its own section, each with the converter
-# that reads it: loading rejects a value its converter cannot read,
-# `validate` rejects any other key, and ExperimentConfig.value reads no other
+# that reads it and its default: a value, a function of the config (called
+# when the key is read) or None, required.  Loading rejects a value its
+# converter cannot read, `validate` rejects any other key, and
+# ExperimentConfig.value is the only reader of either.
 KEYS = {
-    "spectrum": {}, "ids": {"energy_range": _numbers, "energies": _numbers},
-    "dos": {"bins": _numbers}, "wegner": {"energies": _numbers, "epsilons": _numbers},
-    "gap": {}, "interlace": {"lam": _number, "beta": _number, "eps": _number},
-    "green": {"energy": _number, "lengths": _numbers}, "ct": {"energy": _number},
-    "sli-edi": {"energy": _number, "lengths": _numbers},
-    "tails": {"epsilons": _numbers, "lengths": _ints, "lower_bound": _flag,
-              "c0_lengths": _ints, "lower_epsilons": _numbers,
-              "lower_realizations": _number},
-    "suitability": {"theta": _numbers, "energies": _numbers, "lengths": _ints},
-    "correlator": {"interval": _numbers}, "fh": {"tol": _number},
+    "spectrum": {},
+    "ids": {"energy_range": (_numbers, lambda cfg: _span(cfg, 41.0)),
+            "energies": (_numbers, lambda cfg: _grid(*cfg.value("energy_range")))},
+    "dos": {"bins": (_numbers, lambda cfg: _span(cfg, 40.0))},
+    "wegner": {"energies": (_numbers, None), "epsilons": (_numbers, None)}, "gap": {},
+    "interlace": {"lam": (_number, lambda cfg: max(cfg.mu_V.support_inf, 0.0)),
+                  "beta": (_number, lambda cfg: case_beta(cfg.mu_B).beta),
+                  "eps": (_number, 0.3)},
+    "green": {"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
+    "ct": {"energy": (_number, 0.0)},
+    "sli-edi": {"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
+    "tails": {"epsilons": (_numbers, (0.08, 0.125, 0.2, 0.3, 0.4, 0.5)),
+              "lengths": (_ints, _tail_floors), "lower_bound": (_flag, False),
+              # the test-function lengths whose Dirichlet matrix fits the cap
+              "c0_lengths": (_ints, lambda cfg: [
+                  L for L in (8, 16, 32, 64, 128)
+                  if CubeSpec(cfg.d, L).site_count <= MAX_BLOCK_DIM]),
+              "lower_epsilons": (_numbers, (0.5,)),
+              "lower_realizations": (_number, 100000.0)},
+    # theta just above the dimension, and well above it
+    "suitability": {"theta": (_numbers, lambda cfg: [cfg.d + 0.5, 2.0 * cfg.d]),
+                    "energies": (_numbers, (0.0,)), "lengths": (_ints, (12, 24, 48))},
+    "correlator": {"interval": (_numbers, (-0.5, 0.5))}, "fh": {"tol": (_number, 1e-6)},
 }
 KINDS = tuple(KEYS)
 # each measure kind's constructor and its parameters, in constructor order
@@ -133,17 +172,14 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
-    def get(self, key: str, default=None):
-        """The raw value of a key of the kind's section, else `default`.
-        A key the kind does not declare in KEYS raises KeyError."""
-        if key not in KEYS[self.kind]:
-            raise KeyError(f"experiment {self.kind!r} declares no key {key!r}")
-        return self.extra.get(key, default)
-
-    def value(self, key: str, default=None):
-        """A key of the kind's section, else `default` (None: the key is
-        required), read by the key's converter in KEYS."""
-        return _read(self.kind, key, self.get(key, default), KEYS[self.kind][key])
+    def value(self, key: str):
+        """A key of the kind's section read by its converter in KEYS, else
+        its default there.  A key the kind does not declare raises
+        KeyError, a missing required one PreconditionError."""
+        convert, default = KEYS[self.kind][key]
+        if key in self.extra or default is None:
+            return _read(self.kind, key, self.extra.get(key), convert)
+        return default(self) if callable(default) else default
 
 
 def parse_measure(cp, name: str) -> SiteMeasure:
@@ -239,16 +275,26 @@ INTERVALS = {"ids": "energy_range", "dos": "bins", "correlator": "interval"}
 
 
 def _interval_problems(cfg: ExperimentConfig) -> list[str]:
-    """Why the configured interval of the kind is not "lo hi" (with "n",
-    a whole number >= 1, for a grid) with lo < hi."""
+    """Why the interval of the kind is not "lo hi" (with "n", a whole
+    number >= 1, for a grid) with lo < hi, or is a grid too long to count."""
     key = INTERVALS[cfg.kind]
     grid = key != "interval"
-    v = cfg.value(key, "0 1 1" if grid else "0 1")
+    v = cfg.value(key)
     if len(v) == 2 + grid and v[0] < v[1] and (not grid or v[2] >= 1 and
                                                 v[2].is_integer()):
-        return []
-    return [f"{cfg.kind}: {key} = {cfg.get(key)!r} is not lo hi{' n' * grid} "
+        # n points for ids, the n + 1 edges of n bins for dos
+        return _count_problems(cfg.kind, key, int(v[2]) + (key == "bins")) if grid else []
+    # echo the text as configured
+    return [f"{cfg.kind}: {key} = {cfg.extra.get(key, v)!r} is not lo hi{' n' * grid} "
             f"with lo < hi{' and a whole n >= 1' * grid}"]
+
+
+def _count_problems(kind: str, what: str, n: int) -> list[str]:
+    """Why one `spectral.ensemble_counts` call at the n energies of `what`
+    exceeds MAX_COUNT_ENERGIES."""
+    return [] if n <= MAX_COUNT_ENERGIES else [
+        f"{kind}: {what} asks one eigenvalue count for {n} energies, more than the "
+        f"cap {MAX_COUNT_ENERGIES}"]
 
 
 def validate(cfg: ExperimentConfig) -> list[str]:
@@ -270,10 +316,12 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     if unknown:
         out.append(f"[{k}] has unknown key(s) {', '.join(unknown)}; it takes "
                    f"{', '.join(KEYS[k]) or 'no keys'}")
-    if k in INTERVALS:
-        out += _interval_problems(cfg)
-    if k == "ids" and cfg.value("energies", "0") == []:
-        out.append("ids: energies lists no energy")
+    out += (bad := _interval_problems(cfg) if k in INTERVALS else [])
+    if k == "ids" and not bad:          # the default grid needs a valid range
+        n = len(cfg.value("energies"))
+        if n == 0:
+            out.append("ids: energies lists no energy")
+        out += _count_problems(k, "energies", n)
     if k in ("wegner", "dos"):
         if not (cfg.mu_V.has_density and cfg.mu_B.has_density):
             out.append(f"{k}: the two-density estimate needs densities of "
@@ -291,6 +339,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             out += [f"wegner: window (E={e}, eps={eps}) violates E > 0, 3*eps < E"
                     for e in energies for eps in epsilons
                     if not (e > 0 and 0 < eps and 3 * eps < e)]
+            out += _count_problems(k, "window edges", 2 * len(energies) * len(epsilons))
     if k in ("gap", "interlace", "tails", "suitability"):
         try:
             case_beta(cfg.mu_B)
@@ -300,7 +349,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"{k}: needs inf supp mu_V >= 0")
     # the kinds that solve cubes other than the experiment's
     if k == "suitability":
-        lengths = cfg.value("lengths", "12 24 48")
+        lengths = cfg.value("lengths")
         for L in lengths:
             if L % 6 != 0:
                 out.append(f"suitability: length {L} not in 6N")
@@ -309,18 +358,18 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             edge = float(np.hypot(cfg.mu_V.support_inf, case_beta(cfg.mu_B).beta))
         except ValueError:
             edge = math.inf             # reported above
-        top = max(map(abs, cfg.value("energies", "0.0")), default=0.0)
+        top = max(map(abs, cfg.value("energies")), default=0.0)
         out += [f"suitability: energies must lie in [-a_L, a_L], a_L = "
                 f"{edge + L ** -0.5:.6g} at length {L}"
                 for L in lengths if L >= 1 and top > edge + L ** -0.5]
-    if k in ("green", "sli-edi") and cfg.get("lengths") is not None:
-        try:
-            lengths = _nested_lengths(cfg)
-        except ValueError:
+    if k in ("green", "sli-edi"):
+        lengths = cfg.value("lengths")
+        if len(lengths) != 3:
             out.append(f"{k}: lengths must be three numbers l1 l2 l3")
         else:
             for what, L in zip(("core", "middle", "host"), lengths):
-                out += _cube_problems(cfg.d, L, f"{k}: {what} length {L:g}: ")
+                if L != cfg.L:          # the experiment's cube is reported above
+                    out += _cube_problems(cfg.d, L, f"{k}: {what} length {L:g}: ")
     if k == "tails":
         if cfg.mu_V.kind == "point_mass":
             out.append("tails: mu_V concentrated in a single point has no tail")
@@ -328,13 +377,14 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             eps, lengths = _tail_grid(cfg)
             if min(eps, default=1.0) <= 0:
                 out.append("tails: epsilons must be > 0")
-            n = len(eps) if cfg.get("lengths") is None else len(cfg.value("lengths"))
-            if n != len(eps):
+            if (n := len(cfg.value("lengths"))) != len(eps):
                 out.append(f"tails: {n} lengths for {len(eps)} epsilons")
+            # grid points whose lengths give one cube share one count
+            out += _count_problems(k, "epsilons", len(eps))
             for e, L in zip(eps, lengths):
                 out += _cube_problems(cfg.d, L, f"tails: length {L} at eps {e:g}: ")
-        if cfg.d >= 1 and cfg.value("lower_bound", "false"):
-            c0 = _c0_lengths(cfg)
+        if cfg.d >= 1 and cfg.value("lower_bound"):
+            c0 = cfg.value("c0_lengths")
             if not c0:
                 out.append("tails: the lower bound needs at least one c0 length")
             for L in c0:
@@ -344,10 +394,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                 elif (n := CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
                     out.append(f"tails: c0 length {L}: Dirichlet matrix dimension "
                                f"{n} exceeds the hard cap {MAX_BLOCK_DIM}")
-            if min(cfg.value("lower_epsilons", "0.5"), default=1.0) <= 0:
+            if min(cfg.value("lower_epsilons"), default=1.0) <= 0:
                 out.append("tails: lower_epsilons must be > 0")
-            if not (r := cfg.value("lower_realizations", 100000)) >= 1 \
-                    or not r.is_integer():
+            if not (r := cfg.value("lower_realizations")) >= 1 or not r.is_integer():
                 out.append(f"tails: lower_realizations {r:g} is not a whole "
                            "number >= 1")
     if k == "fh":
@@ -505,19 +554,21 @@ def _attempt(name: str, check, *args, **kwargs) -> CheckReport:
         return CheckReport(name, preconditions_failed=1)
 
 
-def _fold(rows, *totals: CheckReport) -> list[CheckReport]:
-    """One total per check name from per-realization reports.
-
-    `rows` yields each realization's reports, in realization order; every
-    report is absorbed into the total of its name.  `totals` seeds the
-    totals that carry run-level parameters; any other name gets a fresh
-    total, in order of first appearance.
+def _realizations(cfg, mapper, row, *totals: CheckReport, cube=None, **kw):
+    """Map row(field, **kw) -> (reports, values) over the run's fields on
+    `cube` (None: the experiment's), and return one total per check name,
+    absorbing each realization's reports in realization order, and the
+    rows' values.  `totals` seed the totals that carry run-level
+    parameters; any other name gets a fresh one, in order of appearance.
     """
+    rows = spectral.run_realizations(
+        per_realization(partial(row, **kw), cfg.cube() if cube is None else cube,
+                        cfg.disorder()), cfg.realizations, mapper)
     merged = {t.name: t for t in totals}
-    for reports in rows:
+    for reports, _ in rows:
         for rep in reports:
             merged.setdefault(rep.name, CheckReport(rep.name)).absorb(rep)
-    return list(merged.values())
+    return list(merged.values()), [values for _, values in rows]
 
 
 def _summary_table(reports):
@@ -533,8 +584,9 @@ def _summary_table(reports):
 # each _exp_* returns (tables, reports, summary); tables maps file stem to
 # (header, row list).  Realization kernels take one realization's
 # FieldSample (see spectral.per_realization) and return their CheckReports
-# (beside any CSV values), reduced by _fold.  A kind's function, or its
-# kernel where pool workers run it, imports asymptotics or green itself.
+# beside their CSV values, mapped and reduced by _realizations.  A kind's
+# function, or its kernel where pool workers run it, imports asymptotics or
+# green itself.
 
 
 def _spectrum_row(f, radius, simple):
@@ -549,24 +601,17 @@ def _spectrum_row(f, radius, simple):
 
 def _exp_spectrum(cfg, mapper):
     radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
-    vals = spectral.run_realizations(
-        per_realization(partial(_spectrum_row, radius=radius,
-                                simple=cfg.mu_V.has_density),
-                        cfg.cube(), cfg.disorder()), cfg.realizations, mapper)
-    reports = _fold((reps for reps, _ in vals), CheckReport("symmetry"),
-                    CheckReport("nondegeneracy"),
-                    CheckReport("radius", parameters={"radius": radius}))
-    rows = [(r, j, e) for r, (_, ev) in enumerate(vals) for j, e in enumerate(ev)]
+    reports, spectra = _realizations(
+        cfg, mapper, _spectrum_row, CheckReport("symmetry"), CheckReport("nondegeneracy"),
+        CheckReport("radius", parameters={"radius": radius}),
+        radius=radius, simple=cfg.mu_V.has_density)
+    rows = [(r, j, e) for r, ev in enumerate(spectra) for j, e in enumerate(ev)]
     tables = {"eigenvalues": (["realization", "index", "eigenvalue"], rows)}
     return tables, reports, {"radius_bound": radius}
 
 
 def _exp_ids(cfg, mapper):
-    radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
-    lo, hi, n = cfg.value("energy_range", f"{-radius} {radius} 41")
-    grid = (np.linspace(lo, hi, int(n)) if cfg.get("energies") is None
-            else np.array(cfg.value("energies")))
-    est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), grid,
+    est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), cfg.value("energies"),
                                    cfg.realizations, mapper)
     mono = CheckReport("ids_monotone")
     mono.record(np.diff(est.mean_N))
@@ -579,10 +624,8 @@ def _exp_ids(cfg, mapper):
 
 
 def _exp_dos(cfg, mapper):
-    radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
-    lo, hi, n = cfg.value("bins", f"{-radius} {radius} 40")
-    hist = spectral.dos_histogram(cfg.disorder(), cfg.cube(),
-                                  np.linspace(lo, hi, int(n) + 1),
+    lo, hi, n = cfg.value("bins")
+    hist = spectral.dos_histogram(cfg.disorder(), cfg.cube(), _grid(lo, hi, n + 1),
                                   cfg.realizations, mapper)
     uniform = inequalities.dos_bound_uniform(hist)
     reports = [uniform]
@@ -629,13 +672,11 @@ def _exp_gap(cfg, mapper):
     lam = max(cfg.mu_V.support_inf, 0.0)
     beta = case_beta(cfg.mu_B).beta
     edge = math.hypot(lam, beta)
-    vals = spectral.run_realizations(
-        per_realization(partial(_gap_row, edge=edge), cfg.cube(), cfg.disorder()),
-        cfg.realizations, mapper)
-    reports = _fold((reps for reps, _ in vals),
-                    CheckReport("gap_edge", parameters={"lam": lam, "beta": beta,
-                                                        "edge": edge}))
-    rows = [(r,) + v + (edge,) for r, (_, v) in enumerate(vals)]
+    reports, vals = _realizations(
+        cfg, mapper, _gap_row,
+        CheckReport("gap_edge", parameters={"lam": lam, "beta": beta, "edge": edge}),
+        edge=edge)
+    rows = [(r,) + v + (edge,) for r, v in enumerate(vals)]
     header = ["realization", "gap_lo", "gap_hi", "min_abs_eigenvalue", "edge"]
     return {"gap": (header, rows)}, reports, {"edge": edge}
 
@@ -650,28 +691,15 @@ def _interlace_row(f, lam, beta, eps):
         _attempt("finite_volume_tail_bound", asymptotics.finite_volume_tail_bound,
                  es, lam, eps),
         inequalities.beta_map_check(es),
-    ]
+    ], None
 
 
 def _exp_interlace(cfg, mapper):
-    lam = cfg.value("lam", max(cfg.mu_V.support_inf, 0.0))
-    beta = cfg.value("beta", case_beta(cfg.mu_B).beta)
-    eps = cfg.value("eps", 0.3)
-    reports = _fold(spectral.run_realizations(
-        per_realization(partial(_interlace_row, lam=lam, beta=beta, eps=eps),
-                        cfg.cube(), cfg.disorder()), cfg.realizations, mapper))
+    lam, beta = cfg.value("lam"), cfg.value("beta")
+    reports, _ = _realizations(cfg, mapper, _interlace_row, lam=lam, beta=beta,
+                               eps=cfg.value("eps"))
     return ({"interlace": _summary_table(reports)}, reports,
             {"lam": lam, "beta": beta})
-
-
-def _nested_lengths(cfg):
-    if cfg.get("lengths"):
-        l1, l2, l3 = cfg.value("lengths")
-    else:
-        l3 = cfg.L
-        l2 = max(math.ceil(l3 / 2), 5)
-        l1 = 2.0
-    return l1, l2, l3
 
 
 def _green_row(f, cubes, energy):
@@ -685,17 +713,15 @@ def _green_row(f, cubes, energy):
 
 
 def _exp_green(cfg, mapper):
-    energy = cfg.value("energy", 0.0)
-    lengths = _nested_lengths(cfg)
+    energy = cfg.value("energy")
+    lengths = cfg.value("lengths")
     cubes = tuple(CubeSpec(cfg.d, l) for l in lengths)
     # the field is sampled on the host cube, the largest
-    vals = spectral.run_realizations(
-        per_realization(partial(_green_row, cubes=cubes, energy=energy),
-                        cubes[2], cfg.disorder()), cfg.realizations, mapper)
-    reports = _fold((reps for reps, _ in vals),
-                    CheckReport("gri_residual", parameters={
-                        "E": energy, "lengths": list(lengths)}))
-    rows = [(r, energy) + v for r, (_, v) in enumerate(vals) if v is not None]
+    reports, vals = _realizations(
+        cfg, mapper, _green_row,
+        CheckReport("gri_residual", parameters={"E": energy, "lengths": list(lengths)}),
+        cube=cubes[2], cubes=cubes, energy=energy)
+    rows = [(r, energy) + v for r, v in enumerate(vals) if v is not None]
     header = ["realization", "E", "residual", "delta2", "delta3", "cap", "passed"]
     return {"green": (header, rows)}, reports, {}
 
@@ -726,15 +752,12 @@ def _ct_row(f, energy):
 
 
 def _exp_ct(cfg, mapper):
-    energy = cfg.value("energy", 0.0)
-    vals = spectral.run_realizations(
-        per_realization(partial(_ct_row, energy=energy), cfg.cube(),
-                        cfg.disorder()), cfg.realizations, mapper)
-    reports = _fold((reps for reps, _ in vals),
-                    CheckReport("combes_thomas", parameters={"E": energy}),
-                    CheckReport("ct_rate", parameters={"E": energy}))
-    rows = [(r, energy) + v[0] for r, (_, v) in enumerate(vals) if v is not None]
-    first = vals[0][1]          # realization 0 carries the profile rows
+    energy = cfg.value("energy")
+    reports, vals = _realizations(
+        cfg, mapper, _ct_row, CheckReport("combes_thomas", parameters={"E": energy}),
+        CheckReport("ct_rate", parameters={"E": energy}), energy=energy)
+    rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
+    first = vals[0]             # realization 0 carries the profile rows
     tables = {
         "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
                 "fit_intercept"], rows),
@@ -762,7 +785,7 @@ def _sli_edi_row(f, cubes, energy):
     c1, c2, c3 = cubes
     if green.nesting(c2, c3) is None:      # both checks need it
         return [CheckReport("sli", preconditions_failed=1),
-                CheckReport("edi", preconditions_failed=1)]
+                CheckReport("edi", preconditions_failed=1)], None
     # one solve each of the host cube and the middle cube serves both checks
     host = eigensolve(plain_block(f), want_vectors=True)
     middle = eigensolve(plain_block(f, c2))
@@ -770,42 +793,24 @@ def _sli_edi_row(f, cubes, energy):
                    spectra=(middle, host))
     edi = _attempt("edi", green.edi_check, c2, c3, f,
                    _probe_index(host.eigenvalues, energy), host=host, inner=middle)
-    return [sli, edi]
+    return [sli, edi], None
 
 
 def _exp_sli_edi(cfg, mapper):
-    energy = cfg.value("energy", 0.0)
-    cubes = tuple(CubeSpec(cfg.d, l) for l in _nested_lengths(cfg))
-    reports = _fold(spectral.run_realizations(
-        per_realization(partial(_sli_edi_row, cubes=cubes, energy=energy),
-                        cubes[2], cfg.disorder()), cfg.realizations, mapper),
-        CheckReport("sli", parameters={"E": energy}), CheckReport("edi"))
+    energy = cfg.value("energy")
+    cubes = tuple(CubeSpec(cfg.d, l) for l in cfg.value("lengths"))
+    reports, _ = _realizations(cfg, mapper, _sli_edi_row,
+                               CheckReport("sli", parameters={"E": energy}),
+                               CheckReport("edi"), cube=cubes[2], cubes=cubes,
+                               energy=energy)
     return {"sli_edi": _summary_table(reports)}, reports, {}
 
 
 def _tail_grid(cfg):
-    """The sorted epsilons of a tails run and the cube length of each:
-    the configured lengths raised to the resolution floor
-    L >= 10/sqrt(eps) of `asymptotics.default_tail_length`, else that
-    floor.  `validate` holds these lengths to the dense cap.
-    """
-    from . import asymptotics
-    eps = sorted(cfg.value("epsilons", "0.08 0.125 0.2 0.3 0.4 0.5"))
-    floor = [asymptotics.default_tail_length(e, cfg.d) for e in eps]
-    if cfg.get("lengths") is None:
-        return eps, floor
-    return eps, [max(L, f) for L, f in zip(cfg.value("lengths"), floor)]
-
-
-def _c0_lengths(cfg):
-    """The lengths of the test-function grid of a tails lower bound: the
-    configured ones, else those of 8 16 32 64 128 whose cube's dense
-    Dirichlet matrix (|cube| wide) stays within MAX_BLOCK_DIM, all five at
-    d = 1.  `validate` holds configured lengths to 4 and to that cap."""
-    if cfg.get("c0_lengths") is not None:
-        return cfg.value("c0_lengths")
-    return [L for L in (8, 16, 32, 64, 128)
-            if CubeSpec(cfg.d, L).site_count <= MAX_BLOCK_DIM]
+    """The sorted epsilons of a tails run and the cube length of each, its
+    length raised to the resolution floor; `validate` holds it to the cap."""
+    eps = sorted(cfg.value("epsilons"))
+    return eps, [max(L, f) for L, f in zip(cfg.value("lengths"), _tail_floors(cfg))]
 
 
 def _exp_tails(cfg, mapper):
@@ -830,14 +835,13 @@ def _exp_tails(cfg, mapper):
                                        curve.censored)]
     tables = {"tails": (["eps", "L", "delta_N", "stderr", "censored",
                          "ln_eps", "ln_abs_ln_delta_N"], rows)}
-    if cfg.value("lower_bound", "false"):
-        c0 = asymptotics.c0_estimate(_c0_lengths(cfg), cfg.d)
+    if cfg.value("lower_bound"):
+        c0 = asymptotics.c0_estimate(cfg.value("c0_lengths"), cfg.d)
         lb_rows = []
-        for e in cfg.value("lower_epsilons", "0.5"):
+        for e in cfg.value("lower_epsilons"):
             L = asymptotics.lower_bound_scale(c0.c0_hat, e)
             rep = asymptotics.lower_bound_probability(
-                dis, cfg.d, e, L, int(cfg.value("lower_realizations", 100000)),
-                mapper)
+                dis, cfg.d, e, L, int(cfg.value("lower_realizations")), mapper)
             reports.append(rep)
             p = rep.parameters
             lb_rows.append((e, L, p["empirical"], p["bound"], p["censored"]))
@@ -850,15 +854,14 @@ def _exp_tails(cfg, mapper):
 def _exp_suitability(cfg, mapper):
     from . import asymptotics
     dis = cfg.disorder()
-    # default sweep: theta just above the dimension, and well above it
-    thetas = cfg.value("theta", f"{cfg.d + 0.5} {2 * cfg.d}")
-    energies = cfg.value("energies", "0.0")
+    thetas = cfg.value("theta")
+    energies = cfg.value("energies")
     # one ensemble per length serves every theta: by_length[i][k] is the
     # report at the i-th length and the k-th theta
     by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas,
                                                      energies,
                                                      cfg.realizations, mapper)
-                 for L in cfg.value("lengths", "12 24 48")]
+                 for L in cfg.value("lengths")]
     rows = []
     reports = []
     thresholds = {}
@@ -895,7 +898,7 @@ def _exp_correlator(cfg, mapper):
     from . import asymptotics
     dis = cfg.disorder()
     cube = cfg.cube()
-    lo, hi = cfg.value("interval", "-0.5 0.5")
+    lo, hi = cfg.value("interval")
     profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi),
                                                    cfg.realizations, mapper)
     rows = [(n, m, d, q, s) for (n, m), d, q, s in
@@ -934,13 +937,11 @@ def _fh_row(f, tol):
 
 
 def _exp_fh(cfg, mapper):
-    tol = cfg.value("tol", 1e-6)
-    vals = spectral.run_realizations(
-        per_realization(partial(_fh_row, tol=tol), cfg.cube(), cfg.disorder()),
-        cfg.realizations, mapper)
-    reports = _fold((reps for reps, _ in vals),
-                    CheckReport("feynman_hellmann", parameters={"tol": tol}))
-    rows = [(r,) + v for r, (_, v) in enumerate(vals) if v is not None]
+    tol = cfg.value("tol")
+    reports, vals = _realizations(
+        cfg, mapper, _fh_row, CheckReport("feynman_hellmann", parameters={"tol": tol}),
+        tol=tol)
+    rows = [(r,) + v for r, v in enumerate(vals) if v is not None]
     header = ["realization", "eigenvalues_checked", "violations",
               "worst_margin", "skipped_near_degenerate"]
     return {"fh": (header, rows)}, reports, {}
@@ -996,20 +997,10 @@ class RunResult:
             "realizations": self.config.realizations,
             "diagnostics": self.diagnostics,
             "reports": [r.to_json() for r in self.reports],
-            "summary": _jsonable(self.summary),
+            "summary": self.summary,
             "outputs": self.outputs,
             "exit_code": self.exit_code,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def emit_plotdata(result: RunResult, outdir) -> list[Path]:
@@ -1066,6 +1057,8 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
                        "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
                       for f in files]
     with open(outdir / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(result.record(), fh, indent=2, sort_keys=True)
+        # numpy scalars in the summary write as the Python numbers they hold
+        json.dump(result.record(), fh, indent=2, sort_keys=True,
+                  default=inequalities._plain)
         fh.write("\n")
     return result

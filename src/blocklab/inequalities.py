@@ -15,7 +15,7 @@ import numpy as np
 from .disorder import DisorderConfig, FieldSample
 from .lattice import CubeSpec
 from .operators import assemble_bracketing, block, build_h
-from .spectral import DosHistogram, Spectrum, eigensolve, ensemble_counts
+from .spectral import DosHistogram, Spectrum, eigensolve, ensemble_counts, ensemble_mean
 
 # the declared tolerances of the structural and spectral-comparison checks
 SYMMETRY_RTOL = 1e-9
@@ -98,7 +98,8 @@ def _lower(a: float, b: float) -> float:
 
 
 def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
+    """A numpy scalar or array as Python values, anything else as it is."""
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
         return v.item()
     if isinstance(v, np.ndarray):
         return v.tolist()
@@ -142,9 +143,7 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
     in_window = below[:, 1::2] - below[:, 0::2]
     reports = []
     for k, (energy, eps) in enumerate(windows):
-        counts = in_window[:, k].astype(float)
-        mean = counts.mean()
-        stderr = counts.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
+        mean, stderr = ensemble_mean(in_window[:, k].astype(float))
         bound = 8.0 * eps * n_sites * bv
         rep = CheckReport("wegner_finite_volume",
                           parameters={"E": energy, "eps": eps, "R": R,
@@ -250,7 +249,7 @@ def fh_derivative_sums(h: np.ndarray,
     return s.eigenvalues, np.sum(u * u - l * l + 2.0 * u * l, axis=0)
 
 
-def feynman_hellmann_report(field: FieldSample, tol: float = 1e-6) -> CheckReport:
+def feynman_hellmann_report(field: FieldSample, tol: float) -> CheckReport:
     """Derivative sum >= 1 - tol for every positive, numerically simple
     eigenvalue of the plain block of the field on its cube.
 

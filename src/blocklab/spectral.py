@@ -231,6 +231,9 @@ def plain_block(field: FieldSample, cube=None) -> np.ndarray:
 
 # realizations per block kernel call run inline (a pool may cut smaller ones)
 REALIZATION_BLOCK = 256
+# energies per ensemble_counts call, whose block arrays take about 37 KB
+# per energy at d = 1, L = 16: `harness.validate` rejects a run past it
+MAX_COUNT_ENERGIES = 4096
 
 
 def realization_blocks(start: int, stop: int, size: int) -> list[range]:
@@ -287,6 +290,16 @@ def _block_counts(rs, cube, config, energies, side):
     return count_below(cube, *sample_fields(cube, config, rs), energies, side)
 
 
+def ensemble_mean(samples: np.ndarray):
+    """Mean over axis 0 of R per-realization samples and its standard error
+    std(ddof=1)/sqrt(R), 0 when R = 1.  The last bits depend on the layout:
+    numpy sums a 1-D array pairwise, axis 0 of a 2-D one row by row."""
+    R = len(samples)
+    mean = samples.mean(axis=0)
+    spread = samples.std(axis=0, ddof=1) if R > 1 else np.zeros_like(mean)
+    return mean, spread / np.sqrt(R)
+
+
 @dataclass(frozen=True)
 class IdsEstimate:
     """Monte Carlo estimate of the integrated density of states on a grid."""
@@ -304,11 +317,8 @@ def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int,
     if R < 1:
         raise ValueError("need at least one realization")
     grid = np.asarray(grid, dtype=float)
-    data = (ensemble_counts(config, cube, grid, R, "right", mapper)
-            / (2 * cube.site_count))
-    mean = data.mean(axis=0)
-    stderr = (data.std(axis=0, ddof=1) / np.sqrt(R) if R > 1
-              else np.zeros_like(mean))
+    mean, stderr = ensemble_mean(ensemble_counts(config, cube, grid, R, "right", mapper)
+                                 / (2 * cube.site_count))
     return IdsEstimate(grid, mean, stderr, R)
 
 
@@ -337,9 +347,7 @@ def dos_histogram(config: DisorderConfig, cube: CubeSpec, edges, R: int,
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("bin edges must be strictly increasing")
-    counts = np.diff(ensemble_counts(config, cube, edges, R, "left", mapper), axis=1)
+    mean, stderr = ensemble_mean(
+        np.diff(ensemble_counts(config, cube, edges, R, "left", mapper), axis=1))
     scale = 1.0 / (2 * cube.site_count * np.diff(edges))
-    density = counts.mean(axis=0) * scale
-    stderr = (counts.std(axis=0, ddof=1) / np.sqrt(R)) * scale if R > 1 \
-        else np.zeros_like(density)
-    return DosHistogram(edges, density, stderr, R, config)
+    return DosHistogram(edges, mean * scale, stderr * scale, R, config)

@@ -160,7 +160,9 @@ def test_validate_tails_lengths_pair_with_epsilons():
     # each nested cube needs a site, not only the host cube
     ("1 5 9", "core length 1: cube length must exceed 1, got 1.0"),
     ("2 1 9", "middle length 1: cube length must exceed 1, got 1.0"),
-], ids=["two", "core", "middle"])
+    # an empty list is no list of three, not the default lengths
+    ("", "lengths must be three numbers l1 l2 l3"),
+], ids=["two", "core", "middle", "empty"])
 def test_validate_nested_lengths(kind, lengths, problem, tmp_path):
     text = make_text(kind, va=1.0, vb=2.0, extra=f"[{kind}]\nlengths = {lengths}\n")
     assert validate(parse_config(text)) == [f"{kind}: {problem}"]
@@ -197,13 +199,49 @@ def test_validate_tails_c0_lengths(d, c0_lengths, problem, tmp_path):
 def test_default_c0_grid_stays_within_the_cap():
     # all five lengths at d = 1; at d = 2 the cube of length 128 (127^2
     # sites) is dropped
-    grids = {d: harness._c0_lengths(parse_config(_tails_lower_bound(d)))
+    grids = {d: parse_config(_tails_lower_bound(d)).value("c0_lengths")
              for d in (1, 2, 3)}
     assert grids == {1: [8, 16, 32, 64, 128], 2: [8, 16, 32, 64], 3: [8, 16]}
     for d, grid in grids.items():
         assert max(lattice.CubeSpec(d, L).site_count for L in grid) \
             <= operators.MAX_BLOCK_DIM
         assert validate(parse_config(_tails_lower_bound(d))) == []
+
+
+def test_declared_default_is_the_one_validate_and_the_run_read(monkeypatch,
+                                                               tmp_path):
+    text = make_text("suitability", L=12, R=4, va=1.0, vb=2.0, bk="point_mass",
+                     bargs="c = 0.0")
+    convert, _ = harness.KEYS["suitability"]["lengths"]
+    monkeypatch.setitem(harness.KEYS["suitability"], "lengths", (convert, (2400,)))
+    assert validate(parse_config(text)) == [
+        "suitability: length 2400: matrix dimension 4798 exceeds the hard cap "
+        "4096; reduce L or d"]
+    monkeypatch.setitem(harness.KEYS["suitability"], "lengths", (convert, (18,)))
+    result = run(parse_config(text), tmp_path)
+    assert result.diagnostics == []
+    assert {r.parameters["L"] for r in result.reports
+            if r.name == "gap_event_implies_suitable"} == {18}
+
+
+@pytest.mark.parametrize("extra", [
+    "[ids]\nenergy_range = -3 3 1e9\n",
+    "[ids]\nenergies = " + "0 " * 4097 + "\n",
+    # 4096 bins have 4097 edges
+    "[dos]\nbins = -3 3 4096\n",
+    # two edges for each of 2049 windows
+    "[wegner]\nenergies = 100\nepsilons = " + "1 " * 2049 + "\n",
+    "[tails]\nepsilons = " + "0.5 " * 4097 + "\n",
+], ids=["ids-range", "ids-energies", "dos", "wegner", "tails"])
+def test_validate_caps_the_energies_of_one_count(extra, tmp_path):
+    text = make_text(extra[1:extra.index("]")], L=16, R=256, extra=extra)
+    problems = validate(parse_config(text))
+    assert len(problems) == 1
+    assert "more than the cap 4096" in problems[0]
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert run(parse_config(text), tmp_path / "out").exit_code == 3
 
 
 def test_spectrum_run_writes_toeplitz_values(tmp_path):
@@ -670,9 +708,9 @@ def test_validate_loads_no_module(tmp_path):
 
 def test_config_accessors_refuse_undeclared_keys():
     cfg = make_cfg("fh")
-    assert cfg.value("tol", 1e-6) == 1e-6
+    assert cfg.value("tol") == 1e-6
     with pytest.raises(KeyError):
-        cfg.value("step", 1e-3)
+        cfg.value("step")
 
 
 def test_precondition_exit_code(tmp_path):
@@ -724,7 +762,7 @@ def test_interlace_experiment(tmp_path):
 
 def test_interlace_skips_counted_in_their_checks_row(tmp_path):
     cfg = parse_config(INTERLACE_SKIPS)
-    lam = float(cfg.get("lam"))
+    lam = cfg.value("lam")
     low = sum(sample_field(cfg.cube(), cfg.disorder(), r).V.min() < lam
               for r in range(cfg.realizations))
     assert 0 < low < cfg.realizations
@@ -1026,7 +1064,7 @@ def test_sli_edi_probe_does_not_depend_on_the_solver():
     # eigh and eigvalsh round a +-lambda pair differently; at E = 0 the
     # probe is the nonnegative member either way
     cfg = parse_config(EIGEN_COUNT_CASES["sli-edi"])
-    cube = lattice.CubeSpec(cfg.d, harness._nested_lengths(cfg)[2])
+    cube = lattice.CubeSpec(cfg.d, cfg.value("lengths")[2])
     for r in range(20):
         f = sample_field(cube, cfg.disorder(), r)
         block = spectral.plain_block(f)

@@ -170,3 +170,35 @@ def test_scan_flags_a_name_only_its_own_definition_uses(tmp_path):
         "    def _private(self):\n        return 0\n")
     # Box and open are named nowhere, lonely only inside itself
     assert unreached_names(tmp_path) == ["mod.Box", "mod.Box.open", "mod.lonely"]
+
+
+def config_key_problems(src=SRC) -> list[str]:
+    """Each entry of harness.KEYS that is not a literal (converter, default)
+    pair, as kind.key, and each `.value(` call in src that passes more than
+    the key, as module:line."""
+    out = []
+    tree = ast.parse((Path(src) / "harness.py").read_text(encoding="utf-8"))
+    (keys,) = [n.value for n in tree.body if isinstance(n, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "KEYS" for t in n.targets)]
+    for kind, section in zip(keys.keys, keys.values):
+        out += [f"{kind.value}.{key.value}" for key, entry in
+                zip(section.keys, section.values)
+                if not (isinstance(entry, ast.Tuple) and len(entry.elts) == 2)]
+    for path in sorted(Path(src).glob("*.py")):
+        out += [f"{path.stem}:{n.lineno}"
+                for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "value" and len(n.args) + len(n.keywords) > 1]
+    return out
+
+
+def test_every_config_key_declares_its_default_once():
+    assert config_key_problems() == []
+
+
+def test_scan_flags_a_bare_converter_and_a_reader_default(tmp_path):
+    (tmp_path / "harness.py").write_text(
+        "KEYS = {'a': {'x': (int, 1), 'y': int}, 'b': {'z': (float, None, 2)}}\n\n"
+        "def read(cfg):\n"
+        "    return cfg.value('x'), cfg.value('y', 2), cfg.value('z', default=3)\n")
+    assert config_key_problems(tmp_path) == ["a.y", "b.z", "harness:4", "harness:4"]
