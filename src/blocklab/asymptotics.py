@@ -96,9 +96,10 @@ def default_tail_length(eps: float, d: int) -> int:
 
 
 def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
-               lengths=None, mapper=None) -> TailCurve:
+               lengths, mapper=None) -> TailCurve:
     """Ensemble mean of N(edge + eps) - 1/2 over an epsilon grid, N(t) the
-    eigenvalues at or below t (<=) over 2 |cube|.
+    eigenvalues at or below t (<=) over 2 |cube|, on the cube of length
+    lengths[k] at the k-th smallest eps.
 
     The per-realization values are non-negative by the half-half identity,
     which holds under the edge hypotheses (V at or above lam, B in its
@@ -109,8 +110,6 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
     """
     ge = gap_edge(config, d)
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-    if lengths is None:
-        lengths = [default_tail_length(e, d) for e in eps_grid]
     # grid points by cube: the sites of a centred cube depend on L only
     # through its axis count
     by_cube = {}

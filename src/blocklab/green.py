@@ -39,6 +39,18 @@ class GreenFunction:
     delta: float
 
 
+def _inverse(m: np.ndarray, energy: float) -> np.ndarray:
+    """(m - E)^-1 from one dense solve; a residual beyond
+    RESOLVENT_RESIDUAL_TOL raises ArithmeticError."""
+    eye = np.eye(len(m))
+    shifted = m - energy * eye
+    g = np.linalg.solve(shifted, eye)
+    resid = np.max(np.abs(shifted @ g - eye))
+    if resid > RESOLVENT_RESIDUAL_TOL:
+        raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
+    return g
+
+
 def resolvent(m: np.ndarray, energy: float,
               spectrum: Spectrum | None = None) -> GreenFunction:
     """Invert (m - E); requires E safely away from the spectrum of m."""
@@ -49,13 +61,33 @@ def resolvent(m: np.ndarray, energy: float,
         raise PreconditionError(
             f"E={energy} is within {delta:.3e} of the spectrum (guard "
             f"{SPECTRAL_GUARD_RTOL * scale:.3e})")
-    eye = np.eye(len(m))
-    shifted = m - energy * eye
-    g = np.linalg.solve(shifted, eye)
-    resid = np.max(np.abs(shifted @ g - eye))
-    if resid > RESOLVENT_RESIDUAL_TOL:
-        raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
-    return GreenFunction(energy, g, delta)
+    return GreenFunction(energy, _inverse(m, energy), delta)
+
+
+def distance_at_least_one(m: np.ndarray, energy: float) -> bool:
+    """Whether every eigenvalue of the symmetric m is at least 1 from E,
+    proven with no spectrum by one Cholesky factorization of
+    S^2 - (1 + eta), S = m - E.
+
+    With r the Gershgorin bound of S plus |E| (so r bounds |S| and |m|),
+    n = dim m and u the unit roundoff, eta = 4 (n + 1)^2 u (r + 2)^2
+    covers the rounding of the product, the factorization and an
+    eigensolve of m: min(delta, 1) of the computed spectrum is 1.0 too.
+    Not proven: a distance within that margin of 1, non-finite entries,
+    and r >= 1 / (2 SPECTRAL_GUARD_RTOL), where `resolvent`'s guard could
+    fire at distance 1.
+    """
+    s = np.asarray(m) - energy * np.eye(len(m))
+    r = float(np.abs(s).sum(axis=1).max(initial=0.0)) + abs(energy)
+    if not 2.0 * SPECTRAL_GUARD_RTOL * r < 1.0:
+        return False
+    p, n = s @ s, len(s)
+    p.flat[::n + 1] -= 1.0 + 2.0 * (n + 1) ** 2 * np.finfo(float).eps * (r + 2.0) ** 2
+    try:
+        np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
@@ -231,17 +263,24 @@ class DecayProfile:
     bound: np.ndarray
 
 
-def decay_profile(field: FieldSample, energy: float) -> DecayProfile:
+def decay_profile(field: FieldSample, energy: float,
+                  certify: bool = False) -> DecayProfile:
     """One resolvent read of the field's plain block at every ordered pair
     of sites of its cube.
 
-    The geometry of all pairs (indices, distances, distinct distances) is
-    built once per cube and shared by every profile on it."""
+    With `certify`, a distance that `distance_at_least_one` proves spares
+    `resolvent`'s eigensolve, to the same profile.  The geometry of all
+    pairs (indices, distances, distinct distances) is built once per cube
+    and shared by every profile on it."""
     cube = field.cube
-    g = resolvent(plain_block(field), energy)
-    delta = min(g.delta, 1.0)
+    m = plain_block(field)
+    if certify and distance_at_least_one(m, energy):
+        delta, g = 1.0, _inverse(m, energy)
+    else:
+        res = resolvent(m, energy)
+        delta, g = min(res.delta, 1.0), res.matrix
     first, second, dist, dists, at = _all_pairs(cube)
-    norm = block_norm_grid(g.matrix, cube.site_count)[first, second]
+    norm = block_norm_grid(g, cube.site_count)[first, second]
     # the bound depends on the pair only through its distance
     caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists.tolist()])
     return DecayProfile(energy, delta, first, second, dist, norm, caps[at])

@@ -25,7 +25,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -508,9 +508,7 @@ def _real(x) -> str:
     return f"{float(x):.17g}"
 
 
-@lru_cache(maxsize=4096)
 def _site(x) -> str:
-    # lattice sites repeat down a table: each is formatted once
     return " ".join(str(int(c)) for c in x)
 
 
@@ -535,10 +533,12 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
-    """A header line, then one line per row of `_fmt` values."""
+    """A header line, then one line per row: a row of `_fmt` values, or a
+    str, a line formatted already (newline included), written as it is."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(row if type(row) is str else ",".join(map(_fmt, row)) + "\n"
+                      for row in rows)
     return path
 
 
@@ -668,10 +668,20 @@ def _gap_row(f, edge):
     return [rep], spectral.spectral_gap(s) + (min_abs,)
 
 
+def _gap_edge(cfg):
+    """(lam, beta, edge hypot(lam, beta)) of the deterministic gap, lam =
+    inf supp mu_V and beta = case_beta(mu_B).beta; None outside the
+    admissible cases (lam < 0, or a mu_B that case_beta rejects)."""
+    lam = cfg.mu_V.support_inf
+    try:
+        beta = case_beta(cfg.mu_B).beta
+    except ValueError:
+        return None
+    return None if lam < 0 else (lam, beta, math.hypot(lam, beta))
+
+
 def _exp_gap(cfg, mapper):
-    lam = max(cfg.mu_V.support_inf, 0.0)
-    beta = case_beta(cfg.mu_B).beta
-    edge = math.hypot(lam, beta)
+    lam, beta, edge = _gap_edge(cfg)
     reports, vals = _realizations(
         cfg, mapper, _gap_row,
         CheckReport("gap_edge", parameters={"lam": lam, "beta": beta, "edge": edge}),
@@ -726,10 +736,10 @@ def _exp_green(cfg, mapper):
     return {"green": (header, rows)}, reports, {}
 
 
-def _ct_row(f, energy):
+def _ct_row(f, energy, certify):
     from . import green
     try:
-        profile = green.decay_profile(f, energy)
+        profile = green.decay_profile(f, energy, certify)
     except PreconditionError:
         return [CheckReport("combes_thomas", preconditions_failed=1)], None
     rep = green.combes_thomas_check(profile)
@@ -742,27 +752,36 @@ def _ct_row(f, energy):
         fit = CheckReport("ct_rate")
         fit.record(-rate - profile.delta / (12.0 * f.cube.d))
     row = (profile.delta, rep.worst_margin, rate, intercept)
-    rows = None
-    if f.realization_index == 0:          # ct_profile.csv holds realization 0
-        s = f.cube.sites()
-        rows = [(s[i], s[j], k, v, c) for i, j, k, v, c in zip(
-            profile.first.tolist(), profile.second.tolist(),
-            profile.dist.tolist(), profile.norm.tolist(), profile.bound.tolist())]
-    return [rep, fit], (row, rows)
+    # ct_profile.csv holds realization 0
+    return [rep, fit], (row, profile if f.realization_index == 0 else None)
+
+
+def _profile_lines(cube, profile):
+    """The lines of ct_profile.csv from the profile's pair arrays, each
+    made as the file is written; a site's label is formatted once."""
+    label = [_site(x) for x in lattice.site_array(cube).tolist()].__getitem__
+    return map("%s,%s,%d,%.17g,%.17g\n".__mod__, zip(
+        map(label, profile.first.tolist()), map(label, profile.second.tolist()),
+        profile.dist.tolist(), profile.norm.tolist(), profile.bound.tolist()))
 
 
 def _exp_ct(cfg, mapper):
     energy = cfg.value("energy")
+    # E at least 1 inside the deterministic gap: the capped spectral
+    # distance is 1, which a factorization proves without the spectrum
+    gap = _gap_edge(cfg)
+    certify = gap is not None and gap[2] - abs(energy) >= 1.0
     reports, vals = _realizations(
         cfg, mapper, _ct_row, CheckReport("combes_thomas", parameters={"E": energy}),
-        CheckReport("ct_rate", parameters={"E": energy}), energy=energy)
+        CheckReport("ct_rate", parameters={"E": energy}), energy=energy,
+        certify=certify)
     rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
-    first = vals[0]             # realization 0 carries the profile rows
+    first = vals[0]             # realization 0 carries the profile
     tables = {
         "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
                 "fit_intercept"], rows),
         "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"],
-                       first[1] if first is not None else []),
+                       [] if first is None else _profile_lines(cfg.cube(), first[1])),
     }
     return tables, reports, {}
 

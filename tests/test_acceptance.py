@@ -224,7 +224,7 @@ def test_criterion_5_lifschitz_tails():
     cfg = DisorderConfig(SiteMeasure.uniform(1.0, 1.3), SiteMeasure.point_mass(0.0),
                          51)
     curve = asymptotics.tail_curve(cfg, 1, [0.05, 0.08, 0.125, 0.2, 0.3, 0.4, 0.5],
-                                   R=800)
+                                   R=800, lengths=[45, 36, 29, 23, 19, 16, 15])
     mono = asymptotics.tail_monotonicity_check(curve)
     fit = asymptotics.tail_exponent_fit(curve)
 

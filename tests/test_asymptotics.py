@@ -86,7 +86,7 @@ def test_tail_values_nonnegative_and_bounded():
 
 
 def test_tail_monotone_within_slack():
-    curve = tail_curve(LAM1, 1, [0.3, 0.4, 0.5], R=150)
+    curve = tail_curve(LAM1, 1, [0.3, 0.4, 0.5], R=150, lengths=[19, 16, 15])
     assert tail_monotonicity_check(curve).passed
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
 from blocklab.green import (combes_thomas_bound, combes_thomas_check,
-                            decay_profile, decay_rate_fit, edi_check, gri_check,
-                            resolvent, sli_check)
+                            decay_profile, decay_rate_fit, distance_at_least_one,
+                            edi_check, gri_check, resolvent, sli_check)
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.spectral import eigensolve, plain_block
@@ -311,3 +311,60 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     rate, icept = decay_rate_fit(profile)
     assert rate == pytest.approx(slope, rel=1e-9)
     assert icept == pytest.approx(intercept, rel=1e-9)
+
+
+# the certificate's oracle cases: V and B with a gap edge of 1 (the
+# measures of the resolvent-decay benchmark), with no gap, and constant
+CERT_MEASURES = [(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1)),
+                 (SiteMeasure.uniform(0, 5), SiteMeasure.uniform(0, 1)),
+                 (SiteMeasure.point_mass(1), SiteMeasure.point_mass(0))]
+CERT_CUBES = [CubeSpec(1, 15), CubeSpec(1, 31), CubeSpec(2, 9), CubeSpec(2, 12)]
+
+
+def _capped(f, energy, certify):
+    """decay_profile's capped distance and norms, or its guard's message."""
+    try:
+        profile = decay_profile(f, energy, certify)
+    except PreconditionError as e:
+        return str(e)
+    return profile.delta, profile.norm.tobytes()
+
+
+@pytest.mark.parametrize("cube", CERT_CUBES)
+def test_certified_distance_matches_the_eigensolve(cube):
+    outcomes = []
+    for k, (mu_V, mu_B) in enumerate(CERT_MEASURES):
+        f = sample_field(cube, DisorderConfig(mu_V, mu_B, 60 + k), 0)
+        m = plain_block(f)
+        top = eigensolve(m).eigenvalues[-1]
+        # an eigenvalue, on which the guard fires, besides the grid
+        for energy in (0.0, 0.5, 1.2, 2.0, 3.0, top):
+            got = _capped(f, energy, True)
+            assert got == _capped(f, energy, False)
+            proven = distance_at_least_one(m, energy)
+            if isinstance(got, str):
+                with pytest.raises(PreconditionError) as err:
+                    resolvent(m, energy)
+                assert str(err.value) == got and not proven
+                outcomes.append("guard")
+            else:
+                assert got[0] == min(resolvent(m, energy).delta, 1.0)
+                assert got[0] == 1.0 or not proven
+                outcomes.append(proven)
+    assert {True, False, "guard"} <= set(outcomes)
+
+
+@pytest.mark.parametrize("cube", CERT_CUBES)
+def test_distance_within_the_margin_of_one_falls_back(cube):
+    mu_V, mu_B = CERT_MEASURES[2]
+    f = sample_field(cube, DisorderConfig(mu_V, mu_B, 62), 0)
+    m = plain_block(f)
+    top = eigensolve(m).eigenvalues[-1]
+    # E above the spectrum, 1 + tau from its top: proven only past the
+    # rounding margin
+    for tau, proven in ((0.0, False), (1e-12, False), (1e-6, True)):
+        energy = top + 1.0 + tau
+        assert distance_at_least_one(m, energy) == proven
+        assert _capped(f, energy, True) == _capped(f, energy, False)
+        assert _capped(f, energy, True)[0] == min(resolvent(m, energy).delta, 1.0)
+    assert not distance_at_least_one(m * np.nan, 0.0)

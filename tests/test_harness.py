@@ -829,6 +829,10 @@ def test_one_eigen_call_per_distinct_matrix(kind, tmp_path, monkeypatch):
     if kind in COUNT_KINDS:
         # d = 1 counts come from the inertia, with no dense eigensolve
         assert solved == []
+    elif kind == "ct":
+        # E = 0 lies 1 inside the gap edge hypot(1, 0): a factorization
+        # proves the capped spectral distance, with no dense eigensolve
+        assert solved == []
     else:
         assert solved
     if kind == "interlace":
@@ -936,7 +940,7 @@ class _ClearSpy:
 
 
 # process-wide memos, which hold nothing that depends on a run's cubes
-PROCESS_MEMOS = {"blas._openblas", "harness._formatter", "harness._site"}
+PROCESS_MEMOS = {"blas._openblas", "harness._formatter"}
 
 
 def test_run_clears_every_cache(tmp_path, monkeypatch):
@@ -1214,9 +1218,11 @@ def test_cli_missing_config_exits_3(capsys):
 
 
 def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
+    # the one dense solve behind `green.resolvent` and behind a certified
+    # spectral distance alike
     calls = []
-    real = green.resolvent
-    monkeypatch.setattr(green, "resolvent",
+    real = green._inverse
+    monkeypatch.setattr(green, "_inverse",
                         lambda *a: calls.append(a[1]) or real(*a))
     cfg = make_cfg("ct", L=10, R=4, va=1.0, vb=2.0, bk="point_mass",
                    bargs="c = 0.0", extra="[ct]\nenergy = 0.0\n")
@@ -1225,6 +1231,67 @@ def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
     assert len(calls) == 4
     profile = (tmp_path / "ct_profile.csv").read_text().splitlines()
     assert len(profile) == 1 + 9 ** 2
+
+
+@pytest.mark.parametrize("d, L", [(1, 16), (2, 12)])
+def test_ct_certificate_keeps_the_bytes_of_the_eigensolve(d, L, tmp_path,
+                                                          monkeypatch):
+    # the resolvent-decay measures: E = 0 lies 1 inside the gap edge
+    text = make_text("ct", L=L, R=5, va=1.0, vb=2.0,
+                     extra="[ct]\nenergy = 0.0\n").replace("\nd = 1\n", f"\nd = {d}\n")
+    proven = []
+    real = green.distance_at_least_one
+    monkeypatch.setattr(green, "distance_at_least_one",
+                        lambda *a: proven.append(real(*a)) or proven[-1])
+    certified = run(parse_config(text), tmp_path / "certified")
+    assert proven == [True] * 5
+    monkeypatch.setattr(green, "distance_at_least_one", lambda *a: False)
+    solved = run(parse_config(text), tmp_path / "solved")
+    assert certified.exit_code == solved.exit_code == 0
+    assert [r.to_json() for r in certified.reports] == \
+        [r.to_json() for r in solved.reports]
+    for name in ("ct.csv", "ct_profile.csv"):
+        assert (tmp_path / "certified" / name).read_bytes() == \
+            (tmp_path / "solved" / name).read_bytes()
+
+
+def test_ct_certificate_only_inside_the_gap(tmp_path, monkeypatch):
+    attempts = []
+    monkeypatch.setattr(green, "distance_at_least_one",
+                        lambda *a: attempts.append(a[1]) or False)
+    # attempted at every realization when E lies at least 1 inside the gap
+    # edge hypot(inf supp V, beta); never nearer the edge, or with no
+    # admissible edge (inf supp V < 0, or a B that case_beta rejects)
+    for k, (energy, va, bk, bargs, tries) in enumerate((
+            (-0.5, 1.5, "uniform", "a = 0.0\nb = 1.0", 3),
+            (0.0, 1.0, "uniform", "a = 0.0\nb = 1.0", 3),
+            (0.0, 1.0, "uniform", "a = -2.0\nb = -1.0", 3),
+            (0.5, 1.0, "uniform", "a = 0.0\nb = 1.0", 0),
+            (0.0, -1.0, "uniform", "a = 0.0\nb = 1.0", 0),
+            (0.0, 1.0, "two_point", "v1 = -1.0\np = 0.5\nv2 = 1.0", 0))):
+        attempts.clear()
+        run(make_cfg("ct", L=6, R=3, va=va, vb=va + 1.0, bk=bk, bargs=bargs,
+                     extra=f"[ct]\nenergy = {energy}\n"), tmp_path / str(k))
+        assert attempts == [energy] * tries, k
+
+
+@pytest.mark.parametrize("d, L", [(1, 16), (2, 7)])
+def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, tmp_path, monkeypatch):
+    profiles = {}
+    real = green.decay_profile
+    monkeypatch.setattr(green, "decay_profile", lambda f, *a: profiles.setdefault(
+        f.realization_index, real(f, *a)))
+    text = make_text("ct", L=L, R=3, va=0.0, vb=2.0,
+                     extra="[ct]\nenergy = 0.3\n").replace("\nd = 1\n", f"\nd = {d}\n")
+    assert run(parse_config(text), tmp_path).exit_code == 0
+    p = profiles[0]
+    s = lattice.CubeSpec(d, L).sites()
+    rows = [(s[i], s[j], k, v, c) for i, j, k, v, c in zip(
+        p.first.tolist(), p.second.tolist(), p.dist.tolist(), p.norm.tolist(),
+        p.bound.tolist())]
+    old = write_csv(tmp_path / "old.csv", ["n", "m", "dist1", "block_norm",
+                                            "ct_bound"], rows)
+    assert (tmp_path / "ct_profile.csv").read_bytes() == old.read_bytes()
 
 
 def test_cli_reports_vacuous_checks(tmp_path, capsys):
