@@ -81,7 +81,8 @@ def distance_at_least_one(m: np.ndarray, energy: float) -> bool:
     r = float(np.abs(s).sum(axis=1).max(initial=0.0)) + abs(energy)
     if not 2.0 * SPECTRAL_GUARD_RTOL * r < 1.0:
         return False
-    p, n = s @ s, len(s)
+    # S S^T is S^2 for the symmetric S, and numpy forms it by syrk
+    p, n = s @ s.T, len(s)
     p.flat[::n + 1] -= 1.0 + 2.0 * (n + 1) ** 2 * np.finfo(float).eps * (r + 2.0) ** 2
     try:
         np.linalg.cholesky(p)

@@ -354,10 +354,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             if L % 6 != 0:
                 out.append(f"suitability: length {L} not in 6N")
             out += _cube_problems(cfg.d, L, f"suitability: length {L}: ")
-        try:        # a_L = edge + L^-1/2, as suitability_probability has it
-            edge = float(np.hypot(cfg.mu_V.support_inf, case_beta(cfg.mu_B).beta))
-        except ValueError:
-            edge = math.inf             # reported above
+        # a_L = edge + L^-1/2 by np.hypot, as suitability_probability has it
+        gap = _gap_edge(cfg)            # None: reported above
+        edge = math.inf if gap is None else float(np.hypot(gap[0], gap[1]))
         top = max(map(abs, cfg.value("energies")), default=0.0)
         out += [f"suitability: energies must lie in [-a_L, a_L], a_L = "
                 f"{edge + L ** -0.5:.6g} at length {L}"
@@ -533,12 +532,10 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
-    """A header line, then one line per row: a row of `_fmt` values, or a
-    str, a line formatted already (newline included), written as it is."""
+    """A header line, then one line per row of `_fmt` values."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row if type(row) is str else ",".join(map(_fmt, row)) + "\n"
-                      for row in rows)
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     return path
 
 
@@ -669,14 +666,14 @@ def _gap_row(f, edge):
 
 
 def _gap_edge(cfg):
-    """(lam, beta, edge hypot(lam, beta)) of the deterministic gap, lam =
-    inf supp mu_V and beta = case_beta(mu_B).beta; None outside the
-    admissible cases (lam < 0, or a mu_B that case_beta rejects)."""
-    lam = cfg.mu_V.support_inf
+    """(lam, beta, hypot(lam, beta)), lam = inf supp mu_V and beta that of
+    case_beta(mu_B): the deterministic gap edge; None if lam < 0 or
+    case_beta rejects mu_B."""
     try:
         beta = case_beta(cfg.mu_B).beta
     except ValueError:
         return None
+    lam = cfg.mu_V.support_inf
     return None if lam < 0 else (lam, beta, math.hypot(lam, beta))
 
 
@@ -756,19 +753,19 @@ def _ct_row(f, energy, certify):
     return [rep, fit], (row, profile if f.realization_index == 0 else None)
 
 
-def _profile_lines(cube, profile):
-    """The lines of ct_profile.csv from the profile's pair arrays, each
-    made as the file is written; a site's label is formatted once."""
+def _profile_rows(cube, profile):
+    """The rows of ct_profile.csv from the profile's pair arrays, each made
+    as the file is written; a site's label is formatted once."""
     label = [_site(x) for x in lattice.site_array(cube).tolist()].__getitem__
-    return map("%s,%s,%d,%.17g,%.17g\n".__mod__, zip(
-        map(label, profile.first.tolist()), map(label, profile.second.tolist()),
-        profile.dist.tolist(), profile.norm.tolist(), profile.bound.tolist()))
+    return zip(map(label, profile.first.tolist()), map(label, profile.second.tolist()),
+               profile.dist.tolist(), profile.norm.tolist(), profile.bound.tolist())
 
 
 def _exp_ct(cfg, mapper):
     energy = cfg.value("energy")
     # E at least 1 inside the deterministic gap: the capped spectral
-    # distance is 1, which a factorization proves without the spectrum
+    # distance is 1, which a factorization proves without the spectrum;
+    # elsewhere the factorization mostly fails and would only add its cost
     gap = _gap_edge(cfg)
     certify = gap is not None and gap[2] - abs(energy) >= 1.0
     reports, vals = _realizations(
@@ -781,7 +778,7 @@ def _exp_ct(cfg, mapper):
         "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
                 "fit_intercept"], rows),
         "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"],
-                       [] if first is None else _profile_lines(cfg.cube(), first[1])),
+                       [] if first is None else _profile_rows(cfg.cube(), first[1])),
     }
     return tables, reports, {}
 

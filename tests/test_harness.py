@@ -119,6 +119,25 @@ def test_validate_suitability_length():
     assert any("6N" in p for p in validate(cfg))
 
 
+def test_validate_suitability_energies_against_the_gap_edge():
+    # a_L = hypot(inf supp V, beta) + L^-1/2: 1.408 at L = 6, 1.289 at 12
+    def energy_problems(energy, **kw):
+        kw = dict(dict(va=1.0, vb=2.0, bk="point_mass", bargs="c = 0.0"), **kw)
+        problems = validate(make_cfg("suitability", L=12, **kw, extra=(
+            f"[suitability]\nlengths = 6 12\nenergies = {energy}\n")))
+        return problems, [p for p in problems if "energies must lie" in p]
+    assert energy_problems(-1.28) == ([], [])
+    assert energy_problems(1.3)[1] == [
+        "suitability: energies must lie in [-a_L, a_L], a_L = 1.28868 at length 12"]
+    assert len(energy_problems(-1.5)[1]) == 2
+    # with no admissible edge only the edge's own problem is reported
+    problems, energies = energy_problems(5.0, va=-1.0)
+    assert problems == ["suitability: needs inf supp mu_V >= 0"] and not energies
+    problems, energies = energy_problems(5.0, bk="two_point",
+                                         bargs="v1 = -1.0\np = 0.5\nv2 = 1.0")
+    assert len(problems) == 1 and not energies
+
+
 def _d2(text):
     return text.replace("\nd = 1\n", "\nd = 2\n")
 
