@@ -17,8 +17,7 @@ import numpy as np
 from .disorder import DisorderConfig, FieldSample, case_beta, sample_fields
 from .green import resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
-from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
-                      site_array, site_index)
+from .lattice import CubeSpec, axis_count, dist1_array, inner_boundary, site_array
 from .operators import MAX_BLOCK_DIM, build_h0, component_indices, rim_indices
 from .spectral import (Spectrum, eigensolve, ensemble_counts, ensemble_mean,
                        per_realization, plain_block, run_realizations)
@@ -387,7 +386,7 @@ def _ct_distances(cube: CubeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The distinct 1-norm distances from the inner boundary to the core
     (the inner third), and the index among them of every boundary-core
     pair's distance, pairs in loop order."""
-    bnd = site_array(inner_boundary(cube))
+    bnd = inner_boundary(cube)
     core = site_array(cube.concentric(cube.L / 3.0))
     return np.unique(dist1_array(bnd[:, None], core[None]).ravel(),
                      return_inverse=True)
@@ -465,10 +464,13 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
 
 @dataclass(frozen=True)
 class CorrelatorProfile:
-    """Ensemble mean of the spectral-projector correlator over site pairs."""
+    """Ensemble mean of the spectral-projector correlator over the site
+    pairs (first[k], second[k]) of the cube, as canonical site indices."""
 
     interval: tuple[float, float]
-    pairs: tuple
+    cube: CubeSpec
+    first: np.ndarray
+    second: np.ndarray
     mean_q: np.ndarray
     stderr_q: np.ndarray
     realizations: int
@@ -479,8 +481,8 @@ class CorrelatorProfile:
         return self.contributing == 0
 
     def distances(self) -> np.ndarray:
-        ends = np.array(self.pairs)                # (pairs, 2, d)
-        return dist1_array(ends[:, 0], ends[:, 1]).astype(float)
+        points = site_array(self.cube)
+        return dist1_array(points[self.first], points[self.second]).astype(float)
 
 
 def correlator_q(s: Spectrum, first, second, interval) -> np.ndarray:
@@ -512,18 +514,17 @@ def _correlator_row(f: FieldSample, first, second, interval):
 def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
                              interval, R: int = 1,
                              mapper=None) -> CorrelatorProfile:
-    """Ensemble mean of the correlator from the centre to every site.
-
-    The pairs are indexed in the cube once, for every realization."""
-    pairs = tuple((cube.center, m) for m in cube.sites())
-    first, second = (site_index(cube, [pair[k] for pair in pairs], strict=True)
-                     .tolist() for k in (0, 1))
+    """Ensemble mean of the correlator from the centre to every site, in
+    canonical order."""
+    n = cube.site_count
+    # an odd number of sites per axis: the centre is the middle site
+    first, second = np.full(n, n // 2), np.arange(n)
     rows = np.vstack(run_realizations(per_realization(
-        partial(_correlator_row, first=first, second=second,
+        partial(_correlator_row, first=first.tolist(), second=second.tolist(),
                 interval=tuple(interval)), cube, config), R, mapper))
     mean, stderr = ensemble_mean(rows)
-    return CorrelatorProfile(tuple(interval), pairs, mean, stderr, R,
-                             int(np.sum(rows.any(axis=1))))
+    return CorrelatorProfile(tuple(interval), cube, first, second, mean, stderr,
+                             R, int(np.sum(rows.any(axis=1))))
 
 
 @dataclass(frozen=True)

@@ -366,9 +366,16 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         if len(lengths) != 3:
             out.append(f"{k}: lengths must be three numbers l1 l2 l3")
         else:
-            for what, L in zip(("core", "middle", "host"), lengths):
+            names = ("core", "middle", "host")
+            for what, L in zip(names, lengths):
                 if L != cfg.L:          # the experiment's cube is reported above
                     out += _cube_problems(cfg.d, L, f"{k}: {what} length {L:g}: ")
+            if cfg.d >= 1 and min(lengths) > 1:
+                cubes = [CubeSpec(cfg.d, L) for L in lengths]
+                out += [f"{k}: the {names[j]} cube (length {lengths[j]:g}) is not "
+                        f"strictly inside the {names[j + 1]} cube (length "
+                        f"{lengths[j + 1]:g})" for j in (0, 1)
+                        if not lattice.strictly_inside(cubes[j], cubes[j + 1])]
     if k == "tails":
         if cfg.mu_V.kind == "point_mass":
             out.append("tails: mu_V concentrated in a single point has no tail")
@@ -507,23 +514,17 @@ def _real(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _site(x) -> str:
-    return " ".join(str(int(c)) for c in x)
-
-
 @cache
 def _formatter(kind):
     """How a CSV cell writes a value of type `kind`: bools as 0/1, integers
     in decimal, floats as .17g (nan, inf and -0 as Python writes them),
-    lattice sites (tuples) as their coordinates, anything else by str."""
+    anything else by str."""
     if issubclass(kind, (bool, np.bool_)):
         return _bit
     if issubclass(kind, (int, np.integer)):
         return _integer
     if issubclass(kind, (float, np.floating)):
         return _real
-    if issubclass(kind, tuple):
-        return _site
     return str
 
 
@@ -579,7 +580,7 @@ def _summary_table(reports):
 # -- experiments ---------------------------------------------------------------
 
 # each _exp_* returns (tables, reports, summary); tables maps file stem to
-# (header, row list).  Realization kernels take one realization's
+# (header, rows), rows iterated once, as the file is written.  Realization kernels take one realization's
 # FieldSample (see spectral.per_realization) and return their CheckReports
 # beside their CSV values, mapped and reduced by _realizations.  A kind's
 # function, or its kernel where pool workers run it, imports asymptotics or
@@ -753,12 +754,15 @@ def _ct_row(f, energy, certify):
     return [rep, fit], (row, profile if f.realization_index == 0 else None)
 
 
-def _profile_rows(cube, profile):
-    """The rows of ct_profile.csv from the profile's pair arrays, each made
-    as the file is written; a site's label is formatted once."""
-    label = [_site(x) for x in lattice.site_array(cube).tolist()].__getitem__
-    return zip(map(label, profile.first.tolist()), map(label, profile.second.tolist()),
-               profile.dist.tolist(), profile.norm.tolist(), profile.bound.tolist())
+def _profile_rows(cube, first, second, *columns):
+    """The rows of a site-pair table (ct_profile.csv, correlator.csv): the
+    sites of the canonical index arrays `first` and `second` of the cube,
+    each labelled by its coordinates, then the value columns, each row
+    made as the file is written; a site's label is formatted once."""
+    label = [" ".join(map(str, x))
+             for x in lattice.site_array(cube).tolist()].__getitem__
+    return zip(map(label, first.tolist()), map(label, second.tolist()),
+               *(c.tolist() for c in columns))
 
 
 def _exp_ct(cfg, mapper):
@@ -773,12 +777,13 @@ def _exp_ct(cfg, mapper):
         CheckReport("ct_rate", parameters={"E": energy}), energy=energy,
         certify=certify)
     rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
-    first = vals[0]             # realization 0 carries the profile
+    p = None if vals[0] is None else vals[0][1]     # realization 0's profile
     tables = {
         "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
                 "fit_intercept"], rows),
         "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"],
-                       [] if first is None else _profile_rows(cfg.cube(), first[1])),
+                       [] if p is None else _profile_rows(
+                           cfg.cube(), p.first, p.second, p.dist, p.norm, p.bound)),
     }
     return tables, reports, {}
 
@@ -799,9 +804,6 @@ def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
 def _sli_edi_row(f, cubes, energy):
     from . import green
     c1, c2, c3 = cubes
-    if green.nesting(c2, c3) is None:      # both checks need it
-        return [CheckReport("sli", preconditions_failed=1),
-                CheckReport("edi", preconditions_failed=1)], None
     # one solve each of the host cube and the middle cube serves both checks
     host = eigensolve(plain_block(f), want_vectors=True)
     middle = eigensolve(plain_block(f, c2))
@@ -917,9 +919,8 @@ def _exp_correlator(cfg, mapper):
     lo, hi = cfg.value("interval")
     profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi),
                                                    cfg.realizations, mapper)
-    rows = [(n, m, d, q, s) for (n, m), d, q, s in
-            zip(profile.pairs, profile.distances(), profile.mean_q,
-                profile.stderr_q)]
+    rows = _profile_rows(cube, profile.first, profile.second, profile.distances(),
+                         profile.mean_q, profile.stderr_q)
     summary = {"interval": [lo, hi], "contributing": profile.contributing}
     reports = []
     if profile.contributing < CORRELATOR_MIN_CONTRIBUTING:
@@ -1036,9 +1037,8 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     diagnostics = validate(cfg)
     # cold per-cube caches: a run's cost does not depend on earlier runs in
     # this process, and the caches hold only this run's cubes
-    caches = [lattice._cube_sites, lattice._ranked, disorder._site_keys,
-              disorder._family_key, disorder._positions, operators.template,
-              operators.rim_indices]
+    caches = [disorder._site_keys, disorder._family_key, disorder._positions,
+              operators.template, operators.rim_indices]
     green = sys.modules.get(f"{__package__}.green")   # loaded by its kinds only
     if green is not None:
         caches += [green._all_pairs, green.nesting]

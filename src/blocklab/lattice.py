@@ -7,14 +7,14 @@ site set {-1, 0, 1}.
 
 All matrices and field arrays in this package index sites in lexicographic
 order of their coordinate tuples; every helper here returns sites in that
-canonical order, and `site_index` is the one map from sites to those
-indices.
+canonical order, as (k, d) integer arrays, and `site_index` is the one map
+from sites to those indices.  A cube has n = axis_count(L) sites per axis
+from its least corner, so its geometry is index arithmetic on the offsets
+from that corner.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -44,101 +44,50 @@ class CubeSpec:
         if len(self.center) != self.d:
             raise ValueError(f"center {self.center} does not match d={self.d}")
 
-    def axis_offsets(self) -> tuple[int, ...]:
-        """Integers k with -L/2 < k < L/2 (offsets from the center)."""
-        if self.L <= 1:
-            raise ValueError(f"cube of length {self.L} contains no sites (need L > 1)")
-        lo = -math.floor(self.L / 2) - 1
-        hi = math.floor(self.L / 2) + 1
-        return tuple(k for k in range(lo, hi + 1) if 2 * k > -self.L and 2 * k < self.L)
-
-    def sites(self) -> tuple[Site, ...]:
-        """All cube sites in lexicographic order (computed once per cube)."""
-        return _cube_sites(self)
-
     @property
     def site_count(self) -> int:
         return axis_count(self.L) ** self.d
-
-    def __contains__(self, site) -> bool:
-        return all(2 * (s - c) > -self.L and 2 * (s - c) < self.L
-                   for s, c in zip(site, self.center))
 
     def concentric(self, L: float) -> "CubeSpec":
         """The cube of length L with the same center."""
         return CubeSpec(self.d, L, self.center)
 
 
-@lru_cache(maxsize=64)
-def _cube_sites(cube: CubeSpec) -> tuple[Site, ...]:
-    offs = cube.axis_offsets()
-    return tuple(
-        tuple(c + k for c, k in zip(cube.center, combo))
-        for combo in product(offs, repeat=cube.d)
-    )
+def _corner(cube: CubeSpec) -> tuple[np.ndarray, int]:
+    """The cube's least corner, as a (d, 1) column, and its sites per axis."""
+    n = axis_count(cube.L)
+    return np.array(cube.center, dtype=np.int64)[:, None] - (n - 1) // 2, n
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """Ordered nearest-neighbour pairs (n, m) crossing a region boundary."""
-
-    pairs: tuple[tuple[Site, Site], ...]
-
-    def endpoints(self) -> frozenset:
-        return frozenset(s for pair in self.pairs for s in pair)
+def _offsets(n: int, d: int) -> np.ndarray:
+    """The (d, n^d) offsets of an n^d box from its corner, in canonical
+    order."""
+    return np.indices((n,) * d).reshape(d, -1)
 
 
-def sites(region) -> tuple[Site, ...]:
-    """Canonical (lexicographic, duplicate-free) site tuple of a region.
+def site_array(cube: CubeSpec) -> np.ndarray:
+    """The cube's sites as an (N, d) integer array, in canonical order."""
+    lo, n = _corner(cube)
+    return (_offsets(n, cube.d) + lo).T
 
-    Accepts a CubeSpec or any iterable of integer coordinate tuples.
+
+def site_index(cube: CubeSpec, query, *, strict: bool = False) -> np.ndarray:
+    """Canonical index in the cube of every site of `query`, -1 if absent.
+
+    `query` is a CubeSpec (its sites in canonical order) or an (M, d)
+    integer array, read in its own order.  With strict, an absent site
+    raises KeyError instead of being marked.
     """
-    if isinstance(region, CubeSpec):
-        return region.sites()
-    out = sorted({tuple(int(c) for c in s) for s in region})
-    if not out:
-        raise ValueError("empty region")
-    d = len(out[0])
-    if any(len(s) != d for s in out):
-        raise ValueError("sites of mixed dimension")
-    return tuple(out)
-
-
-def site_array(region) -> np.ndarray:
-    """Sites of a region (as for `sites`) as an (N, d) integer array."""
-    return np.array(sites(region), dtype=np.int64)
-
-
-def site_index(region, query, *, strict: bool = False) -> np.ndarray:
-    """Canonical index in `region` of every site of `query`, -1 if absent.
-
-    `query` is a CubeSpec (its sites in canonical order), an iterable of
-    sites or an (M, d) integer array, read in its own order.  With strict,
-    an absent site raises KeyError instead of being marked.
-    """
-    lo, shape, ref_key = _ranked(region if isinstance(region, CubeSpec)
-                                 else sites(region))
+    lo, n = _corner(cube)
     q = (site_array(query) if isinstance(query, CubeSpec)
          else np.asarray(query, dtype=np.int64))
-    q = q.reshape(len(q), len(shape))     # raises on a dimension mismatch
-    off = q - lo
-    inside = ((off >= 0) & (off < shape)).all(axis=1)
-    key = np.ravel_multi_index(tuple(off.T), shape, mode="clip")
-    pos = np.minimum(np.searchsorted(ref_key, key), len(ref_key) - 1)
-    idx = np.where(inside & (ref_key[pos] == key), pos, -1)
-    if strict and np.any(idx < 0):
-        raise KeyError(f"site {tuple(q[np.argmin(idx)].tolist())} is not in the region")
+    off = q.reshape(len(q), cube.d).T - lo     # raises on a dimension mismatch
+    inside = ((off >= 0) & (off < n)).all(axis=0)
+    idx = np.where(inside, np.ravel_multi_index(tuple(off), (n,) * cube.d,
+                                                mode="clip"), -1)
+    if strict and not inside.all():
+        raise KeyError(f"site {tuple(q[np.argmin(inside)].tolist())} is not in the cube")
     return idx
-
-
-@lru_cache(maxsize=64)
-def _ranked(region):
-    """Bounding-box corner and shape of a region, and the row-major keys of
-    its sites in that box, which rank them in lexicographic order."""
-    ref = site_array(region)
-    lo = ref.min(axis=0)
-    shape = ref.max(axis=0) - lo + 1
-    return lo, shape, np.ravel_multi_index(tuple((ref - lo).T), shape)
 
 
 def dist1_array(a, b) -> np.ndarray:
@@ -148,48 +97,25 @@ def dist1_array(a, b) -> np.ndarray:
     return np.abs(np.subtract(a, b)).sum(axis=-1)
 
 
-def _neighbours(site: Site):
-    for j in range(len(site)):
-        for step in (-1, 1):
-            yield site[:j] + (site[j] + step,) + site[j + 1:]
+def inner_boundary(cube: CubeSpec) -> np.ndarray:
+    """Sites of the cube with a neighbour outside it: an offset 0 or n - 1
+    on some axis.  A (k, d) array in canonical order."""
+    lo, n = _corner(cube)
+    off = _offsets(n, cube.d)
+    return (off[:, ((off == 0) | (off == n - 1)).any(axis=0)] + lo).T
 
 
-def boundary(region) -> EdgeSet:
-    """All pairs (n, m), |n-m| = 1, with exactly one endpoint in the region.
-
-    Both orientations are listed, matching the symmetric pair set used to
-    define the boundary operator.
-    """
-    inside = set(sites(region))
-    pairs = []
-    for n in sorted(inside):
-        for m in _neighbours(n):
-            if m not in inside:
-                pairs.append((n, m))
-                pairs.append((m, n))
-    return EdgeSet(tuple(sorted(pairs)))
+def outer_boundary(cube: CubeSpec) -> np.ndarray:
+    """Sites outside the cube with a neighbour inside it: in the (n + 2)^d
+    box around it, one step outside on exactly one axis.  A (k, d) array
+    in canonical order."""
+    lo, n = _corner(cube)
+    off = _offsets(n + 2, cube.d) - 1
+    return (off[:, ((off < 0) | (off >= n)).sum(axis=0) == 1] + lo).T
 
 
-def inner_boundary(region) -> tuple[Site, ...]:
-    """Sites of the region with at least one neighbour outside."""
-    inside = set(sites(region))
-    return tuple(sorted(n for n in inside
-                        if any(m not in inside for m in _neighbours(n))))
-
-
-def outer_boundary(region) -> tuple[Site, ...]:
-    """Sites outside the region with at least one neighbour inside."""
-    inside = set(sites(region))
-    out = set()
-    for n in inside:
-        for m in _neighbours(n):
-            if m not in inside:
-                out.add(m)
-    return tuple(sorted(out))
-
-
-def strictly_inside(region1, region2) -> bool:
-    """Whether every endpoint of every boundary edge of region1 lies in region2."""
-    outside = sites(region2)
-    have = set(outside)
-    return all(s in have for s in boundary(region1).endpoints())
+def strictly_inside(inner: CubeSpec, outer: CubeSpec) -> bool:
+    """Whether every boundary edge of `inner` has both endpoints in
+    `outer`: on every axis, `outer` reaches one step past `inner`."""
+    (lo1, n1), (lo2, n2) = _corner(inner), _corner(outer)
+    return bool(np.all((lo2 < lo1) & (lo1 + n1 < lo2 + n2)))

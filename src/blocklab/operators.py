@@ -1,14 +1,14 @@
 """Finite-volume operator assembly.
 
-Builds the discrete Laplacian on a region under simple, Dirichlet or
-Neumann conditions, its random-potential perturbation on a cube, the
+Builds the discrete Laplacian on a cube under simple, Dirichlet or
+Neumann conditions, its random-potential perturbation, the
 2x2-block layout with multiplication off-diagonal coupling, the plain and
 the Dirichlet/Neumann bracketing blocks of a field on a cube, and the
 boundary hopping operator.
 
 Every operator is a float matrix; the block layout's are `BlockMatrix`
 arrays.  Block layout is fixed throughout
-the package: with N region sites in canonical (lexicographic) order,
+the package: with N cube sites in canonical (lexicographic) order,
 indices 0..N-1 address the upper component and N..2N-1 the lower one.
 """
 
@@ -24,10 +24,10 @@ BOUNDARY_CONDITIONS = ("simple", "dirichlet", "neumann")
 MAX_BLOCK_DIM = 4096
 
 
-def build_h0(region, bc: str = "simple") -> np.ndarray:
-    """Discrete Laplacian on a region under the given boundary condition.
+def build_h0(cube, bc: str = "simple") -> np.ndarray:
+    """Discrete Laplacian on a cube under the given boundary condition.
 
-    All variants have -1 on neighbour pairs inside the region.  Diagonals:
+    All variants have -1 on neighbour pairs inside the cube.  Diagonals:
     simple 2d everywhere (plain truncation of the full-lattice matrix),
     neumann = number of neighbours kept inside, dirichlet = 2d + number of
     neighbours lost to the outside.  This pins the quadratic-form bracketing
@@ -35,12 +35,12 @@ def build_h0(region, bc: str = "simple") -> np.ndarray:
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    points = lattice.site_array(region)
+    points = lattice.site_array(cube)
     n, d = points.shape
     m = np.zeros((n, n))
     # canonical index of the +1 neighbour along each axis, -1 outside
     shifted = points + np.eye(d, dtype=np.int64)[:, None]      # (d, n, d)
-    up = lattice.site_index(region, shifted.reshape(-1, d)).reshape(d, n)
+    up = lattice.site_index(cube, shifted.reshape(-1, d)).reshape(d, n)
     for j in up:
         i = np.flatnonzero(j >= 0)
         m[i, j[i]] = m[j[i], i] = -1.0
@@ -113,26 +113,30 @@ def assemble_bracketing(cube, V: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def build_gamma(inner, ambient) -> np.ndarray:
-    """Boundary operator Gamma of `inner` acting on l2(ambient): -1 on the
-    boundary edge pairs of the inner region.  Its block version is
-    block(Gamma, 0.0, Gamma), of the same operator norm."""
+    """Boundary operator Gamma of cube `inner` acting on l2(cube
+    `ambient`): -1 on the boundary edge pairs of `inner`, each rim site
+    with each unit step that leaves `inner`, both ways.  Its block version
+    is block(Gamma, 0.0, Gamma), of the same operator norm."""
     if not lattice.strictly_inside(inner, ambient):
         raise ValueError("inner region is not strictly inside the ambient region")
-    ambient_sites = lattice.sites(ambient)
-    n = len(ambient_sites)
-    ends = np.array(lattice.boundary(inner).pairs)      # (pairs, 2, d)
+    rim = lattice.inner_boundary(inner)
+    eye = np.eye(inner.d, dtype=np.int64)
+    steps = np.concatenate([eye, -eye])
+    ends = (rim[:, None] + steps).reshape(-1, inner.d)     # (rim x 2d, d)
+    leaves = lattice.site_index(inner, ends) < 0
+    i = lattice.site_index(ambient, rim).repeat(len(steps))[leaves]
+    j = lattice.site_index(ambient, ends[leaves], strict=True)
+    n = ambient.site_count
     g = np.zeros((n, n))
-    g[lattice.site_index(ambient_sites, ends[:, 0], strict=True),
-      lattice.site_index(ambient_sites, ends[:, 1], strict=True)] = -1.0
+    g[i, j] = g[j, i] = -1.0
     return g
 
 
 def component_indices(ambient, subset) -> np.ndarray:
-    """Row/column indices of subset sites (in their order) in both block
-    components of the ambient region (a cube or a canonical site tuple)."""
+    """Row/column indices of subset sites (a cube, or an (M, d) site array
+    in its order) in both block components of the cube `ambient`."""
     base = lattice.site_index(ambient, subset, strict=True)
-    n = ambient.site_count if isinstance(ambient, lattice.CubeSpec) else len(ambient)
-    return np.concatenate([base, base + n])
+    return np.concatenate([base, base + ambient.site_count])
 
 
 @lru_cache(maxsize=8)

@@ -1,33 +1,136 @@
 """Reference implementations that the tests check the library against.
 
 Each one computes a quantity the library also computes, by a slower or
-more direct route: the densities whose variation the BV norms sum,
+more direct route.  The library's geometry is index arithmetic on cubes;
+here it is Python site sets on any region, a cube or a tuple of sites:
+sites enumerated from the axis offsets, a site -> index dict, the
+boundary pairs, the inner and outer boundaries, strict inclusion, the
+block-component indices and the boundary operator built from the pair
+list.  The rest: the densities whose variation the BV norms sum,
 finite differences for the Feynman-Hellmann sums, a dense solve and an
 eigenpair sum for the suitability norm, a variational minimization for
 the lowest positive block eigenvalue, explicit 2x2 element reads, block
 embeddings and indicator projections for the exact identities, the
 Laplacian built site by site and the plain block of a field on any
-region (a fresh build_h0 and one site_index lookup), a
-per-site hash for the field sampler, a per-pair 1-norm distance, window
-counts read off a dense spectrum, and the nested-cube checks with their
-geometry rebuilt on every call and one norm per EDI probe.
+region (from that Laplacian and one dict lookup), a per-site hash for
+the field sampler, a per-pair 1-norm distance, window counts read off a
+dense spectrum, and the nested-cube checks with their geometry rebuilt
+from site sets on every call and one norm per EDI probe.
 `sample_field` draws one realization's field, as a one-row block.  None
 of them runs in an experiment.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
 
-from blocklab import lattice
 from blocklab.disorder import FieldSample, sample_fields
 from blocklab.green import GRI_COEFF, NESTED_RTOL, resolvent
 from blocklab.inequalities import CheckReport, PreconditionError, _require
-from blocklab.operators import block, build_gamma, build_h0, component_indices
+from blocklab.lattice import CubeSpec
+from blocklab.operators import block
 from blocklab.spectral import Spectrum, eigensolve
 
-# -- sites and sampling ----------------------------------------------------------
+# -- site sets -------------------------------------------------------------------
+
+
+def axis_offsets(L: float) -> tuple[int, ...]:
+    """Integers k with -L/2 < k < L/2, by enumeration."""
+    if L <= 1:
+        raise ValueError(f"cube of length {L} contains no sites (need L > 1)")
+    lo, hi = -int(L // 2) - 1, int(L // 2) + 1
+    return tuple(k for k in range(lo, hi + 1) if -L < 2 * k < L)
+
+
+def sites(region) -> tuple:
+    """Canonical (lexicographic, duplicate-free) site tuple of a region: a
+    CubeSpec, enumerated from its axis offsets, or any iterable of integer
+    coordinate tuples."""
+    if isinstance(region, CubeSpec):
+        offs = axis_offsets(region.L)
+        return tuple(tuple(c + k for c, k in zip(region.center, combo))
+                     for combo in product(offs, repeat=region.d))
+    out = sorted({tuple(int(c) for c in s) for s in region})
+    if not out:
+        raise ValueError("empty region")
+    if any(len(s) != len(out[0]) for s in out):
+        raise ValueError("sites of mixed dimension")
+    return tuple(out)
+
+
+def site_index(region, query, strict: bool = False) -> np.ndarray:
+    """Index in the canonical sites of `region` of every site of `query`
+    (a region's sites, or sites in their own order), -1 if absent, read
+    off a site -> index dict; with strict, an absent site raises KeyError."""
+    idx = {s: i for i, s in enumerate(sites(region))}
+    q = (sites(query) if isinstance(query, CubeSpec)
+         else [tuple(int(c) for c in s) for s in query])
+    out = [idx.get(s, -1) for s in q]
+    if strict and -1 in out:
+        raise KeyError(f"site {q[out.index(-1)]} is not in the region")
+    return np.array(out, dtype=np.int64)
+
+
+def component_indices(ambient, subset) -> np.ndarray:
+    """Indices of the subset's sites (in their order) in both block
+    components of the ambient region."""
+    base = site_index(ambient, subset, strict=True)
+    return np.concatenate([base, base + len(sites(ambient))])
+
+
+def _neighbours(site):
+    for j in range(len(site)):
+        for step in (-1, 1):
+            yield site[:j] + (site[j] + step,) + site[j + 1:]
+
+
+def boundary(region) -> tuple:
+    """All pairs (n, m), |n-m| = 1, with exactly one endpoint in the
+    region, in both orientations, sorted."""
+    inside = set(sites(region))
+    pairs = []
+    for n in sorted(inside):
+        for m in _neighbours(n):
+            if m not in inside:
+                pairs += [(n, m), (m, n)]
+    return tuple(sorted(pairs))
+
+
+def inner_boundary(region) -> tuple:
+    """Sites of the region with at least one neighbour outside."""
+    inside = set(sites(region))
+    return tuple(sorted(n for n in inside
+                        if any(m not in inside for m in _neighbours(n))))
+
+
+def outer_boundary(region) -> tuple:
+    """Sites outside the region with at least one neighbour inside."""
+    inside = set(sites(region))
+    return tuple(sorted({m for n in inside for m in _neighbours(n)
+                         if m not in inside}))
+
+
+def strictly_inside(region1, region2) -> bool:
+    """Whether every endpoint of every boundary edge of region1 lies in
+    region2."""
+    have = set(sites(region2))
+    return all(s in have for pair in boundary(region1) for s in pair)
+
+
+def gamma_on(inner, ambient) -> np.ndarray:
+    """The boundary operator of `inner` on l2(ambient), -1 on every
+    boundary pair, from the pair list."""
+    _require(strictly_inside(inner, ambient), "inner must be strictly inside")
+    ends = np.array(boundary(inner))                    # (pairs, 2, d)
+    n = len(sites(ambient))
+    g = np.zeros((n, n))
+    g[site_index(ambient, ends[:, 0]), site_index(ambient, ends[:, 1])] = -1.0
+    return g
+
+
+# -- sampling --------------------------------------------------------------------
 
 
 def dist1(n, m) -> int:
@@ -118,17 +221,19 @@ def count_window(s: Spectrum, lo: float, hi: float) -> int:
 
 def csv_cell(x) -> str:
     """The CSV text of one value, rule by rule: bools as 0/1, integers in
-    decimal, floats as .17g, lattice sites as their coordinates, anything
-    else by str."""
+    decimal, floats as .17g, anything else by str."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
-    if isinstance(x, tuple):
-        return " ".join(str(int(c)) for c in x)
     return str(x)
+
+
+def site_label(site) -> str:
+    """The CSV label of a lattice site: its coordinates, space-separated."""
+    return " ".join(str(int(c)) for c in site)
 
 
 # -- block matrices ------------------------------------------------------------
@@ -136,8 +241,8 @@ def csv_cell(x) -> str:
 
 def indicator(subset, ambient) -> tuple[np.ndarray, np.ndarray]:
     """Projections 1_subset and 1 (+) 1 on the ambient region (diagonal 0/1)."""
-    diag = np.zeros(len(lattice.sites(ambient)))
-    diag[lattice.site_index(ambient, lattice.sites(subset), strict=True)] = 1.0
+    diag = np.zeros(len(sites(ambient)))
+    diag[site_index(ambient, sites(subset), strict=True)] = 1.0
     scalar = np.diag(diag)
     block = np.diag(np.concatenate([diag, diag]))
     return scalar, block
@@ -157,14 +262,14 @@ def laplacian_on(region, bc: str = "simple") -> np.ndarray:
     """H0 on a region from its definition, site by site: -1 on neighbour
     pairs; 2d (simple), the neighbours kept inside (neumann) or 4d less
     those (dirichlet) on the diagonal; in canonical site order."""
-    sites = lattice.sites(region)
-    n, d = len(sites), len(sites[0])
+    index = {s: i for i, s in enumerate(sites(region))}
+    n, d = len(index), len(next(iter(index)))
     m = np.zeros((n, n))
-    for i, s in enumerate(sites):
-        up = [s[:j] + (s[j] + 1,) + s[j + 1:] for j in range(d)]
-        for j in lattice.site_index(sites, up).tolist():
-            if j >= 0:
-                m[i, j] = m[j, i] = -1.0
+    for s, i in index.items():
+        for j in range(d):
+            k = index.get(s[:j] + (s[j] + 1,) + s[j + 1:])
+            if k is not None:
+                m[i, k] = m[k, i] = -1.0
     kept = np.count_nonzero(m, axis=1)
     m[np.diag_indices(n)] = {"simple": 2.0 * d, "neumann": kept,
                              "dirichlet": 4.0 * d - kept}[bc]
@@ -173,9 +278,9 @@ def laplacian_on(region, bc: str = "simple") -> np.ndarray:
 
 def plain_block_on(region, field: FieldSample) -> np.ndarray:
     """The plain block (H  B; B  -H) of the field on any region inside its
-    cube, H = H0 + V, from a fresh build_h0 and one site_index lookup."""
-    idx = lattice.site_index(field.cube, lattice.sites(region), strict=True)
-    h = build_h0(region) + np.diag(field.V[idx])
+    cube, H = H0 + V, from laplacian_on and one site_index lookup."""
+    idx = site_index(field.cube, sites(region), strict=True)
+    h = laplacian_on(region) + np.diag(field.V[idx])
     b = np.diag(field.B[idx])
     return np.block([[h, b], [b, -h]])
 
@@ -210,7 +315,7 @@ class Block2x2:
 def block_element(matrix: np.ndarray, sites, n, m) -> Block2x2:
     """Read the 2x2 element at (n, m) from a block-space matrix."""
     n, m = tuple(n), tuple(m)
-    i, j = lattice.site_index(sites, (n, m), strict=True).tolist()
+    i, j = site_index(sites, (n, m), strict=True).tolist()
     nn = len(sites)
     e = np.array([[matrix[i, j], matrix[i, j + nn]],
                   [matrix[i + nn, j], matrix[i + nn, j + nn]]])
@@ -245,9 +350,9 @@ def fh_derivative_sums_fd(region, field: FieldSample,
     Eigenvalues are tracked by sort order, which is stable for perturbations
     much smaller than the level spacing.  Costs 4N + 1 eigensolves.
     """
-    region_sites = lattice.sites(region)
+    region_sites = sites(region)
     sums = np.zeros(2 * len(region_sites))
-    for k in lattice.site_index(field.cube, region_sites, strict=True).tolist():
+    for k in site_index(field.cube, region_sites, strict=True).tolist():
         for family in ("V", "B"):
             up = _block_eigs_shifted(region, field, k, family, +step)
             dn = _block_eigs_shifted(region, field, k, family, -step)
@@ -298,10 +403,10 @@ def _sub(matrix, ambient_sites, row_sites, col_sites):
 
 def _nested_resolvents(region1, region2, region3, field, energy,
                        spectra=(None, None)):
-    r1 = lattice.sites(region1)
-    r2 = lattice.sites(region2)
-    r3 = lattice.sites(region3)
-    _require(lattice.strictly_inside(r1, r2) and lattice.strictly_inside(r2, r3),
+    r1 = sites(region1)
+    r2 = sites(region2)
+    r3 = sites(region3)
+    _require(strictly_inside(r1, r2) and strictly_inside(r2, r3),
              "need region1 strictly inside region2 strictly inside region3")
     _require(set(r2) <= set(r3), "region2 must be contained in region3")
     s2, s3 = spectra
@@ -312,10 +417,10 @@ def _nested_resolvents(region1, region2, region3, field, energy,
 
 def _gri(region1, region2, region3, field, energy):
     r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field, energy)
-    gamma = build_gamma(r2, r3)
-    i3 = lattice.inner_boundary(r3)
-    i2 = lattice.inner_boundary(r2)
-    o2 = lattice.outer_boundary(r2)
+    gamma = gamma_on(r2, r3)
+    i3 = inner_boundary(r3)
+    i2 = inner_boundary(r2)
+    o2 = outer_boundary(r2)
     lhs = _sub(g3.matrix, r3, i3, r1)
     chain = (_sub(g3.matrix, r3, i3, o2)
              @ _sub(block(gamma, 0.0, gamma), r3, o2, i2)
@@ -342,10 +447,10 @@ def sli_check_per_realization(region1, region2, region3, field: FieldSample,
     """green.sli_check with the nested geometry rebuilt on every call."""
     r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field,
                                             energy, spectra)
-    gamma = float(np.linalg.norm(build_gamma(r2, r3), 2))
-    i3 = lattice.inner_boundary(r3)
-    i2 = lattice.inner_boundary(r2)
-    o2 = lattice.outer_boundary(r2)
+    gamma = float(np.linalg.norm(gamma_on(r2, r3), 2))
+    i3 = inner_boundary(r3)
+    i2 = inner_boundary(r2)
+    o2 = outer_boundary(r2)
     lhs = np.linalg.norm(_sub(g3.matrix, r3, i3, r1), 2)
     rhs = (gamma
            * np.linalg.norm(_sub(g3.matrix, r3, i3, o2), 2)
@@ -360,24 +465,24 @@ def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
                         inner: Spectrum | None = None) -> CheckReport:
     """green.edi_check with the geometry rebuilt on every call and one
     2-norm, and one recorded slack, per probe site."""
-    r = lattice.sites(region)
-    r3 = lattice.sites(cube3)
-    _require(lattice.strictly_inside(r, r3),
+    r = sites(region)
+    r3 = sites(cube3)
+    _require(strictly_inside(r, r3),
              "region must be strictly inside the host cube")
     if host is None:
         host = eigensolve(plain_block_on(cube3, field), want_vectors=True)
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
     g = resolvent(plain_block_on(region, field), energy, inner)
-    gamma = float(np.linalg.norm(build_gamma(r, r3), 2))
-    i_r = lattice.inner_boundary(r)
-    o_r = lattice.outer_boundary(r)
+    gamma = float(np.linalg.norm(gamma_on(r, r3), 2))
+    i_r = inner_boundary(r)
+    o_r = outer_boundary(r)
     n3 = len(r3)
     probes = r
     psi_out = float(np.linalg.norm(psi[component_indices(r3, o_r)]))
     rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
                                          "gamma": gamma})
-    for n, i in zip(probes, lattice.site_index(r3, probes, strict=True).tolist()):
+    for n, i in zip(probes, site_index(r3, probes, strict=True).tolist()):
         lhs = float(np.hypot(psi[i], psi[i + n3]))
         rhs = gamma * np.linalg.norm(_sub(g.matrix, r, (n,), i_r), 2) * psi_out
         rep.record(rhs - lhs + NESTED_RTOL * max(lhs, rhs, 1.0))

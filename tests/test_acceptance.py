@@ -18,6 +18,7 @@ from blocklab.inequalities import CheckReport, PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.operators import block, build_gamma
 from blocklab.spectral import deterministic_radius, eigensolve, plain_block
+import oracles
 from oracles import (block_element, block_norm, embed_block, minmaxmax_lambda1,
                      plain_block_on, sample_field)
 
@@ -59,16 +60,16 @@ def test_criterion_1_exact_identities():
         c2, c3 = CubeSpec(d, l2), CubeSpec(d, l3)
         f = sample_field(c3, cfg, 500 + k)
         big = plain_block(f)
-        inner = c2.sites()
-        rest = tuple(s for s in c3.sites() if s not in set(inner))
-        parts = (embed_block(plain_block_on(inner, f), inner, c3.sites())
-                 + embed_block(plain_block_on(rest, f), rest, c3.sites()))
+        inner = oracles.sites(c2)
+        rest = tuple(s for s in oracles.sites(c3) if s not in set(inner))
+        parts = (embed_block(plain_block_on(inner, f), inner, oracles.sites(c3))
+                 + embed_block(plain_block_on(rest, f), rest, oracles.sites(c3)))
         gamma = build_gamma(c2, c3)
         worst_decomp = max(worst_decomp, float(np.max(np.abs(
             big - parts - block(gamma, 0.0, gamma)))))
 
     worst_hs = 0.0
-    sites = CubeSpec(1, 9).sites()
+    sites = oracles.sites(CubeSpec(1, 9))
     nn = len(sites)
     for k in range(50):
         a = rng.standard_normal((2 * nn, 2 * nn))

@@ -20,9 +20,10 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
 from blocklab.green import resolvent_columns
 from blocklab.inequalities import PreconditionError, edge_spectra
-from blocklab.lattice import CubeSpec, inner_boundary
+from blocklab.lattice import CubeSpec
 from blocklab.operators import MAX_BLOCK_DIM
 from blocklab.spectral import eigensolve, ensemble_counts, plain_block
+import oracles
 from oracles import (dense_suitability_norm, dist1, eigenpair_suitability_norms,
                      sample_field)
 
@@ -145,7 +146,7 @@ def test_tent_energy_direct_oracle():
     # independent evaluation: <psi, H^D psi> = sum over undirected edges of
     # the squared gradient plus 2 (2d - deg_n) psi_n^2 at boundary sites
     cube = CubeSpec(1, 4)
-    sites = cube.sites()
+    sites = oracles.sites(cube)
     psi = np.array([cube.L / 2 - abs(s[0]) for s in sites])
     psi = psi / np.linalg.norm(psi)
     val = 0.0
@@ -382,8 +383,8 @@ def test_ct_block_budget_matches_pair_loop(d, L):
     for delta in (0.05, 0.7, 3.0):
         dcap = min(delta, 1.0)
         total = 0.0
-        for n in inner_boundary(cube.sites()):
-            for m in cube.concentric(L / 3.0).sites():
+        for n in oracles.inner_boundary(cube):
+            for m in oracles.sites(cube.concentric(L / 3.0)):
                 total += (4.0 / dcap * math.exp(-dcap * dist1(n, m) / (12.0 * d))) ** 2
         assert _ct_block_budget(_ct_distances(cube), delta, d) == math.sqrt(total)
 
@@ -404,6 +405,17 @@ def test_correlator_empty_below_spectrum():
     assert np.all(profile.mean_q == 0.0)
     with pytest.raises(ValueError):
         stretched_fit(profile)
+
+
+@pytest.mark.parametrize("cube", [CubeSpec(1, 9, (4,)), CubeSpec(2, 5, (-3, 2)),
+                                  CubeSpec(2, 2)], ids=str)
+def test_correlator_pairs_run_from_the_centre(cube):
+    profile = eigenfunction_correlator(GAP2, cube, (-0.5, 0.5), R=2)
+    ss = oracles.sites(cube)
+    centre = oracles.site_index(cube, [cube.center]).tolist()
+    assert profile.first.tolist() == centre * len(ss)
+    assert profile.second.tolist() == list(range(len(ss)))
+    assert profile.distances().tolist() == [dist1(cube.center, m) for m in ss]
 
 
 def test_correlator_diagonal_contraction():
@@ -428,12 +440,20 @@ def test_correlator_strong_disorder_decays():
     assert fit.c_zeta > 0
 
 
+def _ray_profile(q):
+    """A profile of the pairs ((0,), (k,)), k = 0..20, on the 1d cube of
+    41 sites about 0, with mean Q = q."""
+    second = np.arange(20, 41)                # the sites 0..20
+    return CorrelatorProfile((-1, 1), CubeSpec(1, 41), np.full_like(second, 20),
+                             second, q, np.zeros_like(q), 10, 10)
+
+
 def test_stretched_fit_recovers_synthetic():
     dists = np.arange(0, 21, dtype=float)
-    pairs = tuple(((0,), (int(d),)) for d in dists)
     zeta0, c0 = 0.6, 1.7
     q = c0 * np.exp(-dists ** zeta0)
-    prof = CorrelatorProfile((-1, 1), pairs, q, np.zeros_like(q), 10, 10)
+    prof = _ray_profile(q)
+    assert prof.distances().tolist() == dists.tolist()
     fit = stretched_fit(prof)
     assert fit.zeta == pytest.approx(zeta0, abs=0.051)
     assert fit.log_slope == pytest.approx(-1.0, abs=0.05)
@@ -447,9 +467,8 @@ def test_zeta_grid_tops_out_at_exactly_one():
 
 def test_stretched_fit_of_a_pure_exponential_reports_zeta_one():
     dists = np.arange(0, 21, dtype=float)
-    pairs = tuple(((0,), (int(d),)) for d in dists)
     q = 1.7 * np.exp(-0.8 * dists)
-    prof = CorrelatorProfile((-1, 1), pairs, q, np.zeros_like(q), 10, 10)
+    prof = _ray_profile(q)
     assert stretched_fit(prof).zeta == 1.0
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from blocklab.disorder import DisorderConfig, SiteMeasure, case_beta, sample_fields
 from blocklab.lattice import CubeSpec, site_index
-from oracles import density, sample_field, site_uniform
+from oracles import density, sample_field, site_uniform, sites
 
 
 def numeric_total_variation(m, n_grid=200001):
@@ -106,8 +106,8 @@ def test_sampling_restriction_consistent():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 5)
     big = sample_field(CubeSpec(1, 11), cfg, 0)
     small = sample_field(CubeSpec(1, 5), cfg, 0)
-    big_sites = big.cube.sites()
-    for k, s in enumerate(small.cube.sites()):
+    big_sites = sites(big.cube)
+    for k, s in enumerate(sites(small.cube)):
         assert small.V[k] == big.V[big_sites.index(s)]
         assert small.B[k] == big.B[big_sites.index(s)]
 
@@ -121,7 +121,7 @@ def test_field_at_reads_sub_regions():
     probes = [(1, -2), (5, 2), (-3, -6)]                 # any order
     idx = site_index(big.cube, probes, strict=True)
     for k, s in enumerate(probes):
-        j = big.cube.sites().index(s)
+        j = sites(big.cube).index(s)
         assert (big.V[idx[k]], big.B[idx[k]]) == (big.V[j], big.B[j])
     with pytest.raises(KeyError):
         big.at(CubeSpec(2, 4, (5, -2)))                  # leaves the cube at x = 6
@@ -247,11 +247,11 @@ FIELD_CASES = [
 def test_sample_field_matches_per_site_oracle(d, L, center, mu_V, mu_B, seed, r):
     cube = CubeSpec(d, L, center)
     f = sample_field(cube, DisorderConfig(mu_V, mu_B, seed), r)
-    sites = cube.sites()
+    ss = sites(cube)
     assert (f.cube, f.realization_index) == (cube, r)
     for family, values, m in (("V", f.V, mu_V), ("B", f.B, mu_B)):
-        oracle = [m.from_uniform(site_uniform(seed, r, s, family)) for s in sites]
-        assert values.dtype == np.float64 and values.shape == (len(sites),)
+        oracle = [m.from_uniform(site_uniform(seed, r, s, family)) for s in ss]
+        assert values.dtype == np.float64 and values.shape == (len(ss),)
         assert bits(values) == bits(oracle)
 
 

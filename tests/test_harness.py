@@ -26,7 +26,8 @@ from blocklab.cli import main as cli_main
 from blocklab.harness import (config_to_text, parse_config, realization_mapper,
                               run, validate, write_csv)
 from blocklab.inequalities import PreconditionError
-from oracles import csv_cell, sample_field
+import oracles
+from oracles import csv_cell, sample_field, site_label
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -174,17 +175,28 @@ def test_validate_tails_lengths_pair_with_epsilons():
 
 
 @pytest.mark.parametrize("kind", ["green", "sli-edi"])
-@pytest.mark.parametrize("lengths, problem", [
-    ("2 5", "lengths must be three numbers l1 l2 l3"),
+@pytest.mark.parametrize("L, lengths, problem", [
+    (9, "2 5", "lengths must be three numbers l1 l2 l3"),
     # each nested cube needs a site, not only the host cube
-    ("1 5 9", "core length 1: cube length must exceed 1, got 1.0"),
-    ("2 1 9", "middle length 1: cube length must exceed 1, got 1.0"),
+    (9, "1 5 9", "core length 1: cube length must exceed 1, got 1.0"),
+    (9, "2 1 9", "middle length 1: cube length must exceed 1, got 1.0"),
     # an empty list is no list of three, not the default lengths
-    ("", "lengths must be three numbers l1 l2 l3"),
-], ids=["two", "core", "middle", "empty"])
-def test_validate_nested_lengths(kind, lengths, problem, tmp_path):
-    text = make_text(kind, va=1.0, vb=2.0, extra=f"[{kind}]\nlengths = {lengths}\n")
-    assert validate(parse_config(text)) == [f"{kind}: {problem}"]
+    (9, "", "lengths must be three numbers l1 l2 l3"),
+    # cubes that do not nest, here twice: the run would skip every
+    # realization
+    (9, "11 11 12", ("the core cube (length 11) is not strictly inside the "
+                     "middle cube (length 11)",
+                     "the middle cube (length 11) is not strictly inside the "
+                     "host cube (length 12)")),
+    # the default lengths 2 5 6: 5 and 6 give the same cube
+    (6, None, "the middle cube (length 5) is not strictly inside the host "
+              "cube (length 6)"),
+], ids=["two", "core", "middle", "empty", "not-nested", "default-not-nested"])
+def test_validate_nested_lengths(kind, L, lengths, problem, tmp_path):
+    text = make_text(kind, L=L, va=1.0, vb=2.0,
+                     extra="" if lengths is None else f"[{kind}]\nlengths = {lengths}\n")
+    problems = (problem,) if isinstance(problem, str) else problem
+    assert validate(parse_config(text)) == [f"{kind}: {p}" for p in problems]
     path = tmp_path / "cfg.ini"
     path.write_text(text)
     assert cli_main(["validate", "--config", str(path)]) == 3
@@ -402,11 +414,11 @@ def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
 
 def test_write_csv_matches_per_value_format(tmp_path):
     rows = [(1.0 / 3.0, np.float64(-0.0), 7, np.int64(-4), True, np.True_,
-             (1, -2), "name", math.nan, None),
+             "1 -2", "name", math.nan, None),
             (-math.inf, np.float64(2.5e-300), 0, np.int64(9), False, np.False_,
-             (0, 0), "x", 1.0, 0.0),
+             "0 0", "x", 1.0, 0.0),
             (0.0, np.float64(math.inf), -3, np.int64(0), True, np.False_,
-             (1, -2), "", np.float64(math.nan), "mixed")]
+             "1 -2", "", np.float64(math.nan), "mixed")]
     header = [f"c{k}" for k in range(10)]
     path = write_csv(tmp_path / "t.csv", header, rows)
     expected = ",".join(header) + "\n" + "".join(
@@ -908,9 +920,12 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     built = []
 
     def counted(real):
-        def build_h0(region, bc="simple"):
-            built.append((lattice.sites(region), bc))
-            return real(region, bc)
+        def build_h0(cube, bc="simple"):
+            # a cube's site set: cubes of lengths 15 and 16 share one
+            built.append((cube.d, lattice.axis_count(cube.L), cube.center, bc))
+            m = real(cube, bc)
+            assert np.array_equal(m, oracles.laplacian_on(cube, bc))
+            return m
         return build_h0
     _wrap_everywhere(monkeypatch, operators, "build_h0", counted)
     cfg = parse_config(EIGEN_COUNT_CASES[kind])
@@ -1304,13 +1319,32 @@ def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, tmp_path, monkeypatc
                      extra="[ct]\nenergy = 0.3\n").replace("\nd = 1\n", f"\nd = {d}\n")
     assert run(parse_config(text), tmp_path).exit_code == 0
     p = profiles[0]
-    s = lattice.CubeSpec(d, L).sites()
-    rows = [(s[i], s[j], k, v, c) for i, j, k, v, c in zip(
+    s = oracles.sites(lattice.CubeSpec(d, L))
+    rows = [(site_label(s[i]), site_label(s[j]), k, v, c) for i, j, k, v, c in zip(
         p.first.tolist(), p.second.tolist(), p.dist.tolist(), p.norm.tolist(),
         p.bound.tolist())]
     old = write_csv(tmp_path / "old.csv", ["n", "m", "dist1", "block_norm",
                                             "ct_bound"], rows)
     assert (tmp_path / "ct_profile.csv").read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("d, L", [(1, 21), (2, 5)])
+def test_correlator_lines_match_write_csv_of_the_rows(d, L, tmp_path, monkeypatch):
+    # the centre and every site, labelled by their coordinates, cell by cell
+    profiles = []
+    real = asymptotics.eigenfunction_correlator
+    monkeypatch.setattr(asymptotics, "eigenfunction_correlator",
+                        lambda *a: profiles.append(real(*a)) or profiles[-1])
+    text = _d2(EIGEN_COUNT_CASES["correlator"]) if d == 2 else \
+        EIGEN_COUNT_CASES["correlator"]
+    assert run(parse_config(text.replace("L = 21", f"L = {L}")), tmp_path).exit_code == 0
+    (p,) = profiles
+    s = oracles.sites(lattice.CubeSpec(d, L))
+    rows = [(site_label([0] * d), site_label(m), oracles.dist1([0] * d, m), q, e)
+            for m, q, e in zip(s, p.mean_q.tolist(), p.stderr_q.tolist())]
+    old = write_csv(tmp_path / "old.csv", ["n", "m", "dist1", "mean_Q", "stderr_Q"],
+                    rows)
+    assert (tmp_path / "correlator.csv").read_bytes() == old.read_bytes()
 
 
 def test_cli_reports_vacuous_checks(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from blocklab import disorder, operators
+from blocklab import disorder, lattice, operators
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
-from blocklab.lattice import CubeSpec, inner_boundary, outer_boundary, site_index
+from blocklab.lattice import CubeSpec, site_index
 from blocklab.operators import (BOUNDARY_CONDITIONS, assemble_bracketing,
                                 assemble_plain, block, build_gamma, build_h,
-                                build_h0, template)
+                                build_h0, component_indices, template)
 from blocklab.spectral import plain_block
+import oracles
 from oracles import (dump_matrix, embed_block, indicator, laplacian_on, plain_block_on,
                      sample_field)
 
@@ -49,7 +50,7 @@ def test_h0_symmetric_exactly():
 def test_h0_offdiagonal_structure_2d():
     cube = CubeSpec(2, 3)
     h = build_h0(cube, "simple")
-    sites = cube.sites()
+    sites = oracles.sites(cube)
     idx = {s: i for i, s in enumerate(sites)}
     for n in sites:
         for m in sites:
@@ -149,13 +150,37 @@ def test_quadratic_form_bracketing():
 
 def test_gamma_star_graph():
     ambient = CubeSpec(1, 3)
-    g = build_gamma([(0,)], ambient)
-    sites = ambient.sites()
+    g = build_gamma(CubeSpec(1, 1.5), ambient)         # the site (0,) alone
+    assert np.array_equal(g, oracles.gamma_on([(0,)], ambient))
+    sites = oracles.sites(ambient)
     idx = {s: i for i, s in enumerate(sites)}
     nz = {(a, b) for a in sites for b in sites if g[idx[a], idx[b]] != 0}
     assert nz == {((0,), (1,)), ((1,), (0,)), ((0,), (-1,)), ((-1,), (0,))}
     assert np.linalg.norm(g, 2) == pytest.approx(np.sqrt(2))
     assert np.linalg.norm(block(g, 0.0, g), 2) == pytest.approx(np.sqrt(2))
+
+
+# (inner, ambient) cube pairs at d = 1, 2, 3, off-centre, with one site
+# per axis or more
+NESTED_PAIRS = [(CubeSpec(1, 1.5, (2,)), CubeSpec(1, 7)),
+                (CubeSpec(1, 4, (3,)), CubeSpec(1, 11, (1,))),
+                (CubeSpec(2, 3, (1, -1)), CubeSpec(2, 7)),
+                (CubeSpec(2, 2, (1, 1)), CubeSpec(2, 6)),
+                (CubeSpec(3, 3, (0, 1, 0)), CubeSpec(3, 7)),
+                (CubeSpec(3, 2, (5, 5, 5)), CubeSpec(3, 4, (5, 5, 5)))]
+
+
+@pytest.mark.parametrize("inner, ambient", NESTED_PAIRS, ids=str)
+def test_gamma_and_component_indices_match_set_oracles(inner, ambient):
+    assert np.array_equal(build_gamma(inner, ambient), oracles.gamma_on(inner, ambient))
+    assert component_indices(ambient, inner).tolist() == \
+        oracles.component_indices(ambient, inner).tolist()
+    assert component_indices(ambient, lattice.outer_boundary(inner)).tolist() == \
+        oracles.component_indices(ambient, oracles.outer_boundary(inner)).tolist()
+    assert operators.rim_indices(inner).tolist() == \
+        oracles.component_indices(inner, oracles.inner_boundary(inner)).tolist()
+    with pytest.raises(KeyError):
+        component_indices(inner, ambient)
 
 
 def test_gamma_requires_strict_inclusion():
@@ -170,13 +195,13 @@ def test_decomposition_identity_exact():
         c2, c3 = CubeSpec(d, l2), CubeSpec(d, l3)
         f = sample_field(c3, rng_cfg, d)
         big = plain_block(f)
-        inner_sites = c2.sites()
-        rest = tuple(s for s in c3.sites() if s not in set(inner_sites))
+        inner_sites = oracles.sites(c2)
+        rest = tuple(s for s in oracles.sites(c3) if s not in set(inner_sites))
         small = plain_block_on(inner_sites, f)
         comp = plain_block_on(rest, f)
         gamma = build_gamma(c2, c3)
-        direct_sum = (embed_block(small, inner_sites, c3.sites())
-                      + embed_block(comp, rest, c3.sites()))
+        direct_sum = (embed_block(small, inner_sites, oracles.sites(c3))
+                      + embed_block(comp, rest, oracles.sites(c3)))
         residual = np.max(np.abs(big - direct_sum - block(gamma, 0.0, gamma)))
         assert residual <= 1e-14
 
@@ -187,8 +212,8 @@ def test_gamma_boundary_identity_exact():
     g = build_gamma(c2, c3)
     lifted = block(g, 0.0, g)
     _, ind_inner = indicator(c2, c3)
-    _, ind_ib = indicator(inner_boundary(c2.sites()), c3)
-    _, ind_ob = indicator(outer_boundary(c2.sites()), c3)
+    _, ind_ib = indicator(oracles.inner_boundary(c2), c3)
+    _, ind_ob = indicator(oracles.outer_boundary(c2), c3)
     lhs = lifted @ ind_inner
     rhs = ind_ob @ lifted @ ind_ib
     assert np.array_equal(lhs, rhs)
@@ -211,7 +236,7 @@ def test_dump_matrix_format(tmp_path):
     f = constant_field(cube, 1.0, 2.0)
     m = plain_block(f)
     path = tmp_path / "op.txt"
-    dump_matrix(m, cube.sites(), path)
+    dump_matrix(m, oracles.sites(cube), path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# site order: (-1) (0) (1)")
     assert "block layout" in lines[0]
@@ -238,10 +263,16 @@ def template_cases():
 
 @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
 def test_h0_on_ragged_regions_equals_its_definition(bc):
-    # cubes, and regions that are no cube, given as a list
     for cube, sub in SUB_CUBES:
-        for region in (cube, sub, list(cube.sites())[1:-2]):
+        for region in (cube, sub):
             assert np.array_equal(build_h0(region, bc), laplacian_on(region, bc))
+        # a region that is no cube: off the diagonal, its Laplacian is the
+        # cube's restricted to it
+        ragged = oracles.sites(cube)[1:-2]
+        idx = oracles.site_index(cube, ragged)
+        off = ~np.eye(len(idx), dtype=bool)
+        assert np.array_equal(laplacian_on(ragged, bc)[off],
+                              build_h0(cube, bc)[np.ix_(idx, idx)][off])
 
 
 @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
@@ -250,7 +281,7 @@ def test_cached_templates_equal_fresh_operators(bc):
     for cube, sub in template_cases():
         f = sample_field(cube, UNIT, 3)
         fresh = build_h0(sub, bc)
-        idx = site_index(cube, sub.sites(), strict=True)
+        idx = site_index(cube, sub, strict=True)
         v, b = f.V[idx], f.B[idx]
         h = fresh + np.diag(v)
         for _ in range(2):              # a cold cache, then a warm one
