@@ -15,12 +15,14 @@ from functools import partial
 import numpy as np
 
 from .disorder import DisorderConfig, FieldSample, case_beta, sample_fields
-from .green import resolvent_columns
+from .green import chain_rim_norms, resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
-from .lattice import CubeSpec, axis_count, dist1_array, inner_boundary, site_array
+from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary, site_array,
+                      site_index)
 from .operators import MAX_BLOCK_DIM, build_h0, component_indices, rim_indices
-from .spectral import (Spectrum, eigensolve, ensemble_counts, ensemble_mean,
-                       per_realization, plain_block, run_realizations)
+from .spectral import (Spectrum, count_below, deterministic_radius, eigensolve,
+                       ensemble_counts, ensemble_mean, per_realization, plain_block,
+                       run_realizations)
 
 # the smallest cube length of a tail-curve point
 TAIL_LENGTH_FLOOR = 12
@@ -274,6 +276,11 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
 # -- suitability ---------------------------------------------------------------
 
 
+# an energy this close to the spectrum, relative to its scale (at least
+# 1), is on it: its suitability norm is inf
+ON_SPECTRUM_RTOL = 1e-12
+
+
 def _suitability_geometry(cube: CubeSpec):
     _require(float(cube.L).is_integer() and int(cube.L) % 6 == 0,
              f"suitability needs a length in 6N, got {cube.L}")
@@ -287,17 +294,19 @@ def suitability_norms(m: np.ndarray, eigenvalues: np.ndarray, rows, cols,
     """Per energy: the norm of the resolvent block [rows, cols] of the
     block matrix m (from `_suitability_geometry`: inner third to inner
     boundary of the cube), and the distance to the spectrum `eigenvalues`.
+    This is the dense path of `suitability_probability`; at d = 1 inside
+    the gap `green.chain_rim_norms` gives the same norms in O(N).
 
     G = (m - E)^-1 is symmetric, so the block is the transpose of
     G[cols, rows], read off the columns `rows` of G: one stacked LU solve
     (`green.resolvent_columns`) against only the boundary columns serves
     every energy, and one batched SVD gives the norms.  An energy on the
-    spectrum (within 1e-12 of its scale, at least 1) has norm inf and
-    distance 0: the cube is suitable there for no theta.
+    spectrum (within ON_SPECTRUM_RTOL of its scale, at least 1) has norm
+    inf and distance 0: the cube is suitable there for no theta.
     """
     energies = np.asarray(energies, dtype=float)
     deltas = np.abs(eigenvalues[None, :] - energies[:, None]).min(axis=1)
-    off = deltas > 1e-12 * max(np.max(np.abs(eigenvalues)), 1.0)
+    off = deltas > ON_SPECTRUM_RTOL * max(np.max(np.abs(eigenvalues)), 1.0)
     norms = np.full(len(energies), np.inf)
     if off.any():
         g = resolvent_columns(m, energies[off], rows)
@@ -371,15 +380,43 @@ class SuitabilityReport:
     threshold_L: int | None
 
 
-def _suitability_row(f: FieldSample, geometry, energies, a_L):
+def _suitability_row(f: FieldSample, geometry, energies, a_L, cuts):
     """Per realization, from one eigvalsh and one stacked solve: the
-    suitability norm and spectral distance per energy, and the gap event
-    flag."""
+    suitability norm per energy, whether the spectral distance exceeds
+    each cut (theta x energy), and the gap event flag."""
     m = plain_block(f)
     ev = eigensolve(m).eigenvalues
     norms, deltas = suitability_norms(m, ev, *geometry, energies)
     gap_event = bool(np.min(np.abs(ev)) > a_L + f.cube.L ** -0.5)
-    return norms, deltas, gap_event
+    return norms, deltas[None, :] > cuts[:, None], gap_event
+
+
+def _suitability_block(rs, cube, config, energies, a_L, cuts, tol):
+    """The rows of `_suitability_row` at d = 1 for a block of realizations,
+    every energy inside the gap, with no eigensolve.
+
+    Two `count_below` calls, one per side, count the eigenvalues in
+    [c - r, c + r] for every window the rule needs: c = 0 with r the gap
+    event's threshold, and c = E with r = tol (on the spectrum) or a
+    finite cut.  An empty window is the event, off the spectrum, or a
+    distance past the cut.  `green.chain_rim_norms` gives the norms off
+    the spectrum."""
+    V, B = sample_fields(cube, config, rs)
+    live = np.isfinite(cuts)
+    radii = np.concatenate([[tol], cuts[live]])
+    centres = np.concatenate([[0.0], np.tile(energies, len(radii))])
+    reach = np.concatenate([[a_L + cube.L ** -0.5],
+                            np.repeat(radii, len(energies))])
+    empty = (count_below(cube, V, B, centres + reach, "right")
+             - count_below(cube, V, B, centres - reach, "left")) == 0
+    free = empty[:, 1:].reshape(len(rs), len(radii), len(energies))
+    far = np.zeros((len(rs), len(cuts), len(energies)), dtype=bool)
+    far[:, live] = free[:, 1:]
+    norms = np.full((len(rs), len(energies)), np.inf)
+    i, j = np.nonzero(free[:, 0])
+    core = site_index(cube, cube.concentric(cube.L / 3.0))
+    norms[i, j] = chain_rim_norms(V[i], B[i], energies[j], core)
+    return list(zip(norms, far, empty[:, 0].tolist()))
 
 
 def _ct_distances(cube: CubeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -405,6 +442,26 @@ def _ct_block_budget(distances, delta: float, d: int) -> float:
     return math.sqrt(float(np.cumsum(terms[at])[-1]))
 
 
+def _ct_cut(distances, target: float, d: int) -> float:
+    """delta* of the sharp implication: the budget `_ct_block_budget`
+    beats `target` at a spectral distance delta > delta*, and at no other.
+
+    The budget falls strictly in delta up to 1 and is constant past it, so
+    delta* is the root of budget = target in ]0, 1[, bisected down to
+    adjacent floats; inf when the budget at 1 does not beat the target.
+    """
+    if _ct_block_budget(distances, 1.0, d) >= target:
+        return math.inf
+    lo, hi = 0.0, 1.0             # the budget is inf at 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        try:
+            beats = _ct_block_budget(distances, mid, d) < target
+        except OverflowError:     # a term past the float range
+            beats = False
+        lo, hi = (lo, mid) if beats else (mid, hi)
+    return lo
+
+
 def suitability_probability(config: DisorderConfig, d: int, L: int,
                             thetas, energies, R: int,
                             mapper=None) -> list[SuitabilityReport]:
@@ -414,8 +471,19 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     Each realization is sampled and solved once for every theta and
     energy.  Energies must lie in [-a_L, a_L] with a_L = edge + 1/sqrt(L).
     Two implications are asserted per instance: the asymptotic one (active
-    only above the reported worst-case threshold length) and a sharp one
-    using the instance's own spectral distance in the decay budget.
+    only above the reported worst-case threshold length) and a sharp one,
+    where the instance's spectral distance exceeds the cut delta* of
+    (L, theta) (`_ct_cut`), past which the decay budget beats L^-theta.
+
+    At d = 1 with every energy strictly inside the gap, |E| < edge, each
+    block of realizations runs `_suitability_block`: eigenvalue counts
+    decide the gap event, the energies on the spectrum and the distances
+    past delta*, and a Schur recursion gives the norms, in O(N) per
+    realization.  There every leading and trailing section of H_hat - E
+    is a plain block on a shorter chain, with no eigenvalue within
+    edge - |E| of E, so the recursion's pivots stay that far from
+    singular.  Otherwise each realization is solved densely
+    (`_suitability_row`).
     """
     energies = np.asarray(energies, dtype=float)
     cube = CubeSpec(d, L)
@@ -423,24 +491,29 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     a_L = ge.edge + L ** -0.5
     _require(bool(np.all(np.abs(energies) <= a_L)),
              f"energies must lie in [-a_L, a_L] with a_L = {a_L:.6g}")
-    rows = run_realizations(per_realization(
-        partial(_suitability_row, geometry=_suitability_geometry(cube),
-                energies=energies, a_L=a_L), cube, config), R, mapper)
-    norms = np.array([row[0] for row in rows])                  # R x nE
-    events = np.array([row[2] for row in rows], dtype=bool)
-    # per gap event and energy: the instance's own decay budget (inf on the
-    # spectrum, where no cube is suitable)
-    deltas = np.array([row[1] for row in rows])[events]
+    geometry = _suitability_geometry(cube)
     distances = _ct_distances(cube)
-    budgets = np.array([[_ct_block_budget(distances, delta, d) if delta > 0.0
-                         else np.inf for delta in row]
-                        for row in deltas.tolist()]).reshape(deltas.shape)
+    cuts = np.array([_ct_cut(distances, L ** -theta, d) for theta in thetas])
+    if d == 1 and np.all(np.abs(energies) < ge.edge):
+        # the on-spectrum tolerance at the deterministic radius, which
+        # bounds every realization's scale
+        tol = ON_SPECTRUM_RTOL * max(
+            deterministic_radius(d, config.mu_V, config.mu_B), 1.0)
+        kernel = partial(_suitability_block, cube=cube, config=config,
+                         energies=energies, a_L=a_L, cuts=cuts, tol=tol)
+    else:
+        kernel = per_realization(partial(_suitability_row, geometry=geometry,
+                                         energies=energies, a_L=a_L, cuts=cuts),
+                                 cube, config)
+    rows = run_realizations(kernel, R, mapper)
+    norms = np.array([row[0] for row in rows])                  # R x nE
+    far = np.array([row[1] for row in rows])                    # R x ntheta x nE
+    events = np.array([row[2] for row in rows], dtype=bool)
 
     reports = []
-    for theta in thetas:
+    for k, theta in enumerate(thetas):
         threshold = ct_threshold_length(theta, d)
-        target = L ** (-theta)
-        flags = norms < target
+        flags = norms < L ** (-theta)
         hits = flags.sum(axis=0)
         lo, hi = zip(*(wilson_interval(int(h), R) for h in hits))
         implication = CheckReport(
@@ -451,8 +524,8 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
         # asymptotic implication: in force only above the threshold length
         if threshold is not None and L >= threshold:
             implication.record(signs)
-        # sharp implication: the instance's own decay budget
-        implication.record(signs[budgets < target])
+        # sharp implication: the distances past delta*
+        implication.record(signs[far[events, k]])
         reports.append(SuitabilityReport(
             L, theta, energies, hits / R, np.array(lo), np.array(hi), R, a_L,
             float(events.mean()), implication, threshold))

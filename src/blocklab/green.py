@@ -113,6 +113,115 @@ def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
     return x
 
 
+# rows per chunk of `chain_rim_norms`: its arrays take about 256 bytes per
+# site and row, so a chunk holds about this many bytes
+CHAIN_CHUNK_BYTES = 2 ** 20
+
+
+def chain_rim_norms(V, B, energies, core) -> np.ndarray:
+    """d = 1: per row m of the (M, n) fields V and B, the norm
+    ||G[core, rim]||_2 of G = (H_hat - E)^-1 at E = energies[m], for the
+    plain block of the chain of n sites.  The rim is the two end sites,
+    `core` the indices of the core sites, both components of each: the
+    norm `suitability_norms` reads off a stacked solve.
+
+    With the two components of each site put together, H_hat - E is block
+    tridiagonal with 2x2 blocks D_k and couplings C = diag(-1, 1), as in
+    `spectral.count_below`.  The forward and backward Schur complements
+    S_k = D_k - C S_(k-1)^-1 C and T_k = D_k - C T_(k+1)^-1 C give the
+    block columns of G at the two ends by back-substitution:
+    X_(n-1) = S_(n-1)^-1, X_k = -S_k^-1 C X_(k+1), and Y_0 = T_0^-1,
+    Y_k = -T_k^-1 C Y_(k-1).  The squared norm is the top eigenvalue of
+    the 4x4 Gram matrix of [Y X] over the core, scaled by its largest core
+    entry so that it does not underflow.  Everything runs elementwise over
+    rows, in chunks of about CHAIN_CHUNK_BYTES, so a row's norm does not
+    depend on the rows beside it.
+
+    The caller keeps every energy off the spectrum.  The recursion is
+    stable where the pivots S_k and T_k, inverses of diagonal blocks of
+    the inverses of leading and trailing sections of H_hat - E, stay away
+    from singular, as inside the deterministic gap.  Residual contract as
+    in `resolvent_columns`: max |(H_hat - E) [Y X] - 1[:, rim]| stays
+    within RESOLVENT_RESIDUAL_TOL * max(1, max|H_hat - E| * max|[Y X]|),
+    else ArithmeticError.
+    """
+    V = np.asarray(V, dtype=float)
+    B = np.asarray(B, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    core = np.asarray(core)
+    step = max(1, CHAIN_CHUNK_BYTES // (256 * V.shape[1]))
+    norms = np.empty(len(V))
+    for lo in range(0, len(V), step):
+        rows = slice(lo, lo + step)
+        norms[rows] = _chain_rim_norms(V[rows].T, B[rows].T, energies[rows], core)
+    return norms
+
+
+def _chain_rim_norms(V, B, E, core):
+    """chain_rim_norms on site-major (n, m) fields and m energies."""
+    n = len(V)
+    a0, b0, c0 = 2.0 + V - E, B, -2.0 - V - E       # D_k = (a0 b0; b0 c0)
+    # z[k, i, j]: row i of site k in column j of [Y X]
+    z = np.empty((n, 2, 4, len(E)))
+    _back_substitute(z[:, :, 2:], _schur_sweep(a0, b0, c0, range(n)),
+                     range(n - 1, -1, -1))
+    _back_substitute(z[:, :, :2], _schur_sweep(a0, b0, c0, range(n - 1, -1, -1)),
+                     range(n))
+    # the rows of (H_hat - E) z: D_k z_k + C z_(k-1) + C z_(k+1)
+    r = np.empty_like(z)
+    r[:, 0] = a0[:, None] * z[:, 0] + b0[:, None] * z[:, 1]
+    r[:, 1] = b0[:, None] * z[:, 0] + c0[:, None] * z[:, 1]
+    for near, far in ((slice(1, None), slice(None, -1)),
+                      (slice(None, -1), slice(1, None))):
+        r[near, 0] -= z[far, 0]
+        r[near, 1] += z[far, 1]
+    eye = np.eye(2)[:, :, None]
+    r[0, :, :2] -= eye
+    r[-1, :, 2:] -= eye
+    resid = np.abs(r).max(axis=(0, 1, 2))
+    # the couplings are 1 in modulus
+    scale = np.maximum(np.abs(np.array([a0, b0, c0])).max(axis=(0, 1)), 1.0)
+    scale *= np.abs(z).max(axis=(0, 1, 2))
+    if np.any(resid > RESOLVENT_RESIDUAL_TOL * np.maximum(scale, 1.0)):
+        raise ArithmeticError(f"resolvent residual {resid.max():.2e} exceeds contract")
+    top = np.abs(z[core]).max(axis=(0, 1, 2))
+    top[top == 0.0] = 1.0
+    gram = np.zeros((4, 4, len(E)))
+    for k in core:
+        for row in z[k] / top:
+            gram += row[:, None] * row[None, :]
+    return top * np.sqrt(np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, -1])
+
+
+def _schur_sweep(a0, b0, c0, order):
+    """The 2x2 Schur complements S of (a0 b0; b0 c0) - C S_prev^-1 C along
+    the sites in `order`, as (3, n, m) entries (11, 12, 22) of C S^-1 C,
+    the term each passes on."""
+    p = np.empty((3,) + a0.shape)
+    p11 = p12 = p22 = 0.0
+    for k in order:
+        a, b, c = a0[k] - p11, b0[k] - p12, c0[k] - p22
+        det = a * c - b * b
+        p[:, k] = c / det, b / det, a / det
+        p11, p12, p22 = p[:, k]
+    return p
+
+
+def _back_substitute(x, p, order):
+    """x[k] = -S_k^-1 C x[prev] along the sites in `order`, from the first
+    one's S^-1, for p from _schur_sweep: S^-1 = C p C and -S^-1 C = -C p."""
+    first, *rest = order
+    p11, p12, p22 = p[:, first]
+    x[first] = (p11, -p12), (-p12, p22)
+    prev = first
+    for k in rest:
+        p11, p12, p22 = p[:, k]
+        u, w = x[prev]
+        x[k, 0] = p11 * u + p12 * w
+        x[k, 1] = -p12 * u - p22 * w
+        prev = k
+
+
 @dataclass(frozen=True)
 class Nesting:
     """A cube strictly inside an enclosing one, as the nested checks read

@@ -297,6 +297,13 @@ def _count_problems(kind: str, what: str, n: int) -> list[str]:
         f"cap {MAX_COUNT_ENERGIES}"]
 
 
+# the list keys of each kind that a run reads value by value: set but
+# empty, the run asserts nothing or fails
+LISTS = {"ids": ("energies",), "wegner": ("energies", "epsilons"),
+         "tails": ("epsilons", "lower_epsilons"),
+         "suitability": ("theta", "energies", "lengths")}
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
     """All hypothesis diagnostics for the configured experiment, no
     computation: every count and range the run relies on."""
@@ -317,11 +324,10 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         out.append(f"[{k}] has unknown key(s) {', '.join(unknown)}; it takes "
                    f"{', '.join(KEYS[k]) or 'no keys'}")
     out += (bad := _interval_problems(cfg) if k in INTERVALS else [])
+    out += [f"{k}: {key} lists no value" for key in LISTS.get(k, ())
+            if key in cfg.extra and not cfg.value(key)]
     if k == "ids" and not bad:          # the default grid needs a valid range
-        n = len(cfg.value("energies"))
-        if n == 0:
-            out.append("ids: energies lists no energy")
-        out += _count_problems(k, "energies", n)
+        out += _count_problems(k, "energies", len(cfg.value("energies")))
     if k in ("wegner", "dos"):
         if not (cfg.mu_V.has_density and cfg.mu_B.has_density):
             out.append(f"{k}: the two-density estimate needs densities of "
@@ -406,6 +412,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                 out.append(f"tails: lower_realizations {r:g} is not a whole "
                            "number >= 1")
     if k == "fh":
+        if (tol := cfg.value("tol")) < 0:
+            out.append(f"fh: tol must be >= 0, got {tol:g}")
         if cfg.mu_V.support_inf < 0:
             out.append("fh: needs V >= 0 so that H >= 0")
         if cfg.mu_B.support_inf < 0:

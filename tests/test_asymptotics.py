@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from blocklab import asymptotics
+from blocklab import asymptotics, green
 from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
-                                  _ct_block_budget,
-                                  _ct_distances,
-                                  _suitability_geometry, c0_estimate,
+                                  _ct_block_budget, _ct_cut,
+                                  _ct_distances, _suitability_block,
+                                  _suitability_geometry, _suitability_row,
+                                  c0_estimate,
                                   correlator_q,
                                   ct_threshold_length, eigenfunction_correlator,
                                   finite_volume_tail_bound, gap_edge,
@@ -17,18 +18,21 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   tail_curve,
                                   tail_exponent_fit, tail_monotonicity_check,
                                   trial_function_energy, wilson_interval)
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
-from blocklab.green import resolvent_columns
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
+from blocklab.green import chain_rim_norms, resolvent_columns
 from blocklab.inequalities import PreconditionError, edge_spectra
-from blocklab.lattice import CubeSpec
+from blocklab.lattice import CubeSpec, site_index
 from blocklab.operators import MAX_BLOCK_DIM
-from blocklab.spectral import eigensolve, ensemble_counts, plain_block
+from blocklab.spectral import (deterministic_radius, eigensolve, ensemble_counts,
+                               plain_block)
 import oracles
 from oracles import (dense_suitability_norm, dist1, eigenpair_suitability_norms,
                      sample_field)
 
 LAM1 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 51)
 GAP2 = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(1, 2), 52)
+# edge 1 as for LAM1, with B != 0
+GAPB = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1), 53)
 
 
 def constant_field(cube, v, b):
@@ -332,6 +336,112 @@ def test_resolvent_columns_residual_contract(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) * (1 + 1e-6))
     with pytest.raises(ArithmeticError, match="residual"):
         resolvent_columns(op, [0.0], cols)
+
+
+def chain_norms(cube, config, rs, energies):
+    """chain_rim_norms of realizations rs at every energy, (len(rs), nE)."""
+    V, B = sample_fields(cube, config, rs)
+    core = site_index(cube, cube.concentric(cube.L / 3.0))
+    n = len(energies)
+    return chain_rim_norms(np.repeat(V, n, axis=0), np.repeat(B, n, axis=0),
+                           np.tile(energies, len(V)), core).reshape(len(V), n)
+
+
+@pytest.mark.parametrize("config", [LAM1, GAPB], ids=["B=0", "B~U[0,1]"])
+@pytest.mark.parametrize("L", [12, 24, 48, 96])
+def test_chain_rim_norms_match_the_dense_solves(L, config):
+    cube = CubeSpec(1, L)
+    rows, cols = _suitability_geometry(cube)
+    edge = gap_edge(config, 1).edge
+    energies = np.array([0.0, edge / 2, 0.9 * edge])
+    norms = chain_norms(cube, config, range(4), energies)
+    for r in range(4):
+        op = plain_block(sample_field(cube, config, r))
+        ref, _ = suitability_norms(op, eigensolve(op).eigenvalues, rows, cols,
+                                   energies)
+        assert norms[r] == pytest.approx(ref, rel=1e-12)
+        assert norms[r] == pytest.approx(
+            [dense_suitability_norm(op, e, rows, cols) for e in energies], rel=1e-12)
+
+
+def test_chain_rim_norms_of_a_row_do_not_depend_on_the_chunk(monkeypatch):
+    cube = CubeSpec(1, 48)
+    energies = np.array([0.0, 0.5, -0.9])
+    whole = chain_norms(cube, GAPB, range(7), energies)
+    # chunks of one row
+    monkeypatch.setattr(green, "CHAIN_CHUNK_BYTES", 1)
+    assert np.array_equal(chain_norms(cube, GAPB, range(7), energies), whole)
+    assert np.array_equal(chain_norms(cube, GAPB, range(3, 4), energies), whole[3:4])
+
+
+def test_chain_rim_norms_residual_contract(monkeypatch):
+    cube = CubeSpec(1, 48)
+    chain_norms(cube, GAPB, range(2), np.array([0.0, 0.5]))
+    # a rounding residual breaks a contract with no slack
+    monkeypatch.setattr(green, "RESOLVENT_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ArithmeticError, match="residual"):
+        chain_norms(cube, GAPB, range(2), np.array([0.0, 0.5]))
+
+
+# V = 3 at every site with probability 0.8^11 at L = 12: both gap events
+TWO_POINT = DisorderConfig(SiteMeasure.two_point(1.0, 0.2, 3.0),
+                           SiteMeasure.point_mass(0.0), 54)
+
+
+@pytest.mark.parametrize("config, L", [(TWO_POINT, 12), (GAPB, 24), (LAM1, 48)])
+def test_suitability_block_decides_as_the_eigenvalues(config, L):
+    # the counts against the dense eigenvalue rule: gap event, energies on
+    # the spectrum, distances past each cut
+    cube = CubeSpec(1, L)
+    edge = gap_edge(config, 1).edge
+    a_L = edge + L ** -0.5
+    energies = np.array([0.0, edge / 2, 0.9 * edge])
+    cuts = np.array([0.2, 0.6, _ct_cut(_ct_distances(cube), L ** 2.0, 1), np.inf])
+    R = 40
+    tol = asymptotics.ON_SPECTRUM_RTOL * deterministic_radius(1, config.mu_V,
+                                                              config.mu_B)
+    block = _suitability_block(range(R), cube, config, energies, a_L, cuts, tol)
+    geometry = _suitability_geometry(cube)
+    dense = [_suitability_row(sample_field(cube, config, r), geometry, energies,
+                              a_L, cuts) for r in range(R)]
+    assert [row[2] for row in block] == [row[2] for row in dense]
+    assert np.array_equal([row[1] for row in block], [row[1] for row in dense])
+    norms = np.array([row[0] for row in block])
+    assert np.all(np.isfinite(norms))
+    assert norms == pytest.approx(np.array([row[0] for row in dense]), rel=1e-12)
+    far = np.array([row[1] for row in block])
+    assert far[:, :3].any() and not far.all() and not far[:, 3].any()
+    if config is TWO_POINT:
+        assert len({row[2] for row in block}) == 2
+
+
+def test_suitability_block_reads_an_energy_on_the_spectrum():
+    # outside the gap, where no run dispatches it: an eigenvalue of the
+    # realization is on the spectrum, with norm inf
+    cube = CubeSpec(1, 12)
+    op = plain_block(sample_field(cube, LAM1, 1))
+    e = float(eigensolve(op).eigenvalues[13])
+    (norms, far, _), = _suitability_block(range(1, 2), cube, LAM1, np.array([e, 0.0]),
+                                          1.0 + 12 ** -0.5, np.array([0.1]), 1e-11)
+    assert norms[0] == np.inf and np.isfinite(norms[1])
+    assert far.tolist() == [[False, True]]
+
+
+@pytest.mark.parametrize("d, L", [(1, 12), (1, 480), (2, 12)])
+def test_ct_cut_splits_the_distances_as_the_budget_does(d, L):
+    distances = _ct_distances(CubeSpec(d, L))
+    rng = np.random.default_rng(0)
+    deltas = np.concatenate([rng.uniform(0.0, 1.2, 200), [1.0, 2.0]])
+    for theta in (-3.0, -1.0, 1.5, 3.0):
+        target = L ** -theta
+        cut = _ct_cut(distances, target, d)
+        assert [delta > cut for delta in deltas] == \
+            [_ct_block_budget(distances, delta, d) < target for delta in deltas]
+        if math.isfinite(cut):
+            assert _ct_block_budget(distances, cut, d) >= target > \
+                _ct_block_budget(distances, np.nextafter(cut, 2.0), d)
+        else:
+            assert _ct_block_budget(distances, 1.0, d) >= target
 
 
 def test_suitability_reports_per_theta_match_single_theta_runs():

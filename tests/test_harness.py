@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import hashlib
 import importlib
 import json
 import math
@@ -137,6 +138,28 @@ def test_validate_suitability_energies_against_the_gap_edge():
     problems, energies = energy_problems(5.0, bk="two_point",
                                          bargs="v1 = -1.0\np = 0.5\nv2 = 1.0")
     assert len(problems) == 1 and not energies
+
+
+@pytest.mark.parametrize("kind, key, other", [
+    ("suitability", "energies", ""), ("suitability", "lengths", ""),
+    ("suitability", "theta", ""), ("tails", "epsilons", ""),
+    ("tails", "lower_epsilons", ""), ("wegner", "energies", "epsilons = 0.1"),
+    ("wegner", "epsilons", "energies = 2.0"), ("ids", "energies", "")])
+def test_validate_rejects_an_empty_list(kind, key, other, tmp_path):
+    # the two-density estimate of wegner needs a density of B
+    measures = {} if kind == "wegner" else {"bk": "point_mass", "bargs": "c = 0.0"}
+    text = make_text(kind, L=12, va=1.0, vb=2.0, **measures,
+                     extra=f"[{kind}]\n{key} =\n{other}\n")
+    assert validate(parse_config(text)) == [f"{kind}: {key} lists no value"]
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    assert cli_main(["validate", "--config", str(cfg_path)]) == 3
+
+
+def test_validate_rejects_a_negative_fh_tolerance():
+    assert validate(make_cfg("fh", L=12, extra="[fh]\ntol = -1\n")) == \
+        ["fh: tol must be >= 0, got -1"]
+    assert validate(make_cfg("fh", L=12, extra="[fh]\ntol = 0\n")) == []
 
 
 def _d2(text):
@@ -379,6 +402,10 @@ SUITABILITY_BLOCKS = make_text("suitability", L=12, R=9, vk="two_point",
                                bk="point_mass", bargs="c = 0.0",
                                extra="[suitability]\nlengths = 6 12\n"
                                      "theta = -2 0.5\nenergies = 0.0 1.2\n")
+# every energy inside the gap (edge 1), B != 0: counts and the Schur recursion
+SUITABILITY_GATED = make_text("suitability", L=12, R=9, va=1.0, vb=2.0,
+                              extra="[suitability]\nlengths = 6 12 48\n"
+                                    "theta = -2 1.5\nenergies = 0.0 0.5 -0.9\n")
 CT_BLOCKS = make_text("ct", L=10, R=9, va=1.0, vb=2.0, extra="[ct]\nenergy = 0.0\n")
 
 
@@ -393,13 +420,14 @@ def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
              (DOS_BLOCKS, ["dos.csv"]),
              (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]),
              (SUITABILITY_BLOCKS, ["suitability.csv"]),
+             (SUITABILITY_GATED, ["suitability.csv"]),
              (CT_BLOCKS, ["ct.csv", "ct_profile.csv"]))
     expected = {}
     for text, names in cases:
         out = tmp_path / "default"
         result = run(parse_config(text), out)
         assert result.exit_code == 0
-        expected.update((name, (out / name).read_bytes()) for name in names)
+        expected.update(((text, name), (out / name).read_bytes()) for name in names)
         expected[text] = [r.to_json() for r in result.reports]
     monkeypatch.setattr(spectral, "REALIZATION_BLOCK", block)
     for w in (1, 2):
@@ -409,7 +437,7 @@ def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
             assert result.exit_code == 0
             assert [r.to_json() for r in result.reports] == expected[text]
             for name in names:
-                assert (out / name).read_bytes() == expected[name], (w, name)
+                assert (out / name).read_bytes() == expected[text, name], (w, name)
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -910,9 +938,11 @@ def test_each_block_is_sampled_once(kind, tmp_path, monkeypatch):
     cubes = list(dict.fromkeys(cube for cube, _ in calls))
     assert cubes
     assert calls == [(cube, rs) for cube in cubes for rs in ((0, 1, 2), (3,))]
-    # a count-only kind counts each sampled block with one count_below call
-    assert counted_rows == ([(cube, len(rs)) for cube, rs in calls]
-                            if kind in COUNT_KINDS else [])
+    # a count-only kind counts each sampled block with one count_below call,
+    # suitability at d = 1 inside the gap with two, one per side
+    per_block = {**dict.fromkeys(COUNT_KINDS, 1), "suitability": 2}.get(kind, 0)
+    assert counted_rows == [(cube, len(rs)) for cube, rs in calls
+                            for _ in range(per_block)]
 
 
 @pytest.mark.parametrize("kind", sorted(EIGEN_COUNT_CASES))
@@ -931,8 +961,9 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     cfg = parse_config(EIGEN_COUNT_CASES[kind])
     run(cfg, tmp_path)
     assert len(built) == len(set(built))
-    # d = 1 counts come from the inertia, with no operator
-    assert bool(built) != (kind in COUNT_KINDS)
+    # d = 1 counts come from the inertia, with no operator, and so do the
+    # suitability counts and norms inside the gap
+    assert bool(built) != (kind in COUNT_KINDS + ("suitability",))
 
 
 @pytest.mark.parametrize("kind", ["green", "sli-edi"])
@@ -1174,10 +1205,11 @@ def test_suitability_run_solves_each_realization_once(tmp_path, monkeypatch):
             _log.append(np.shape(a)[-3:])
             return _real(a, *rest)
         monkeypatch.setattr(np.linalg, name, counted)
+    # E = 1.2 lies in [edge, a_L] (edge 1): the dense path, for every energy
     cfg = make_cfg("suitability", L=12, R=6, va=1.0, vb=2.0, bk="point_mass",
                    bargs="c = 0.0",
                    extra="[suitability]\nlengths = 6 12\ntheta = 1.5 3\n"
-                         "energies = 0.0 0.5\n")
+                         "energies = 0.0 1.2\n")
     result = run(cfg, tmp_path)
     assert result.exit_code == 0
     # per realization and length one eigvalsh (dims 10 and 22) and one
@@ -1189,12 +1221,49 @@ def test_suitability_run_solves_each_realization_once(tmp_path, monkeypatch):
     rows = [line.split(",")[:3] for line in
             (tmp_path / "suitability.csv").read_text().splitlines()[1:]]
     assert [(float(t), int(L), float(e)) for t, L, e in rows] == [
-        (t, L, e) for t in (1.5, 3.0) for L in (6, 12) for e in (0.0, 0.5)]
+        (t, L, e) for t in (1.5, 3.0) for L in (6, 12) for e in (0.0, 1.2)]
     assert [(r.name, r.parameters.get("L")) for r in result.reports] == [
         ("gap_event_implies_suitable", 6), ("gap_event_implies_suitable", 12),
         ("suitability_monotone_theta=1.5", None),
         ("gap_event_implies_suitable", 6), ("gap_event_implies_suitable", 12),
         ("suitability_monotone_theta=3", None)]
+
+
+def test_gated_suitability_run_factors_nothing_larger_than_4x4(tmp_path,
+                                                             monkeypatch):
+    # every energy inside the gap at d = 1: no dense eigensolve and no
+    # solve, one stacked eigvalsh of 4x4 Gram matrices per chunk
+    calls = []
+    for name in ("eigvalsh", "eigh", "solve"):
+        def counted(a, *rest, _real=getattr(np.linalg, name), _name=name):
+            calls.append((_name, np.shape(a)[-2:]))
+            return _real(a, *rest)
+        monkeypatch.setattr(np.linalg, name, counted)
+    result = run(parse_config(SUITABILITY_GATED), tmp_path)
+    assert result.exit_code == 0
+    assert calls and set(calls) == {("eigvalsh", (4, 4))}
+
+
+# sha256 of suitability.csv from the dense path of every realization, the
+# only path before the gated one: the file holds hit fractions, Wilson
+# bounds and a_L, so no digest depends on the BLAS build
+SUITABILITY_DIGESTS = [
+    (CONFIG_DIR / "suitability.ini",
+     "712a0dab9cac5e4ebdc05745a9767e97834f79ec565a2fe9365b013dc87e2a7c"),
+    (make_text("suitability", L=12, R=40, va=1.0, vb=2.0,
+               extra="[suitability]\nlengths = 12 24 48\ntheta = -2 1.5 3\n"
+                     "energies = 0.0 0.5 0.9\n"),
+     "45e8a2d7ec28bd5b358460b28265e486660edfa485ce18e0ddc2760357eb7d20"),
+]
+
+
+@pytest.mark.parametrize("source, digest", SUITABILITY_DIGESTS,
+                         ids=["configs", "uniform_B"])
+def test_suitability_csv_bytes_are_pinned(source, digest, tmp_path):
+    text = source.read_text() if isinstance(source, Path) else source
+    assert run(parse_config(text, workers=1), tmp_path).exit_code == 0
+    data = (tmp_path / "suitability.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_green_experiment(tmp_path):
