@@ -255,6 +255,14 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 # -- validation ---------------------------------------------------------------
 
 
+def _finite_power(x: float, y: float) -> bool:
+    """Whether the Python float x ** y is finite."""
+    try:
+        return math.isfinite(x ** y)
+    except OverflowError:
+        return False
+
+
 def _cube_problems(d: int, L: float, what: str = "") -> list[str]:
     """Why a run cannot solve the block (2 |cube| wide) of the cube of
     length L densely: no sites, or past MAX_BLOCK_DIM.  `what` prefixes
@@ -360,6 +368,12 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             if L % 6 != 0:
                 out.append(f"suitability: length {L} not in 6N")
             out += _cube_problems(cfg.d, L, f"suitability: length {L}: ")
+        # the run's target norm L^-theta, a Python float
+        for theta in cfg.value("theta"):
+            big = [L for L in lengths if L >= 1 and not _finite_power(L, -theta)]
+            if big:
+                out.append(f"suitability: theta {theta:g} makes L^-theta overflow "
+                           f"at length {big[0]:g}")
         # a_L = edge + L^-1/2 by np.hypot, as suitability_probability has it
         gap = _gap_edge(cfg)            # None: reported above
         edge = math.inf if gap is None else float(np.hypot(gap[0], gap[1]))
@@ -510,41 +524,29 @@ def realization_mapper(workers: int):
 # -- CSV output ---------------------------------------------------------------
 
 
-def _bit(x) -> str:
-    return "1" if x else "0"
-
-
-def _integer(x) -> str:
-    return str(int(x))
-
-
-def _real(x) -> str:
-    return f"{float(x):.17g}"
+def _spec(kind) -> str:
+    """The % conversion of a CSV cell of type `kind`: bools as 0/1,
+    integers in decimal, floats as .17g (nan, inf and -0 as Python writes
+    them), anything else by str."""
+    if issubclass(kind, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%s"
 
 
 @cache
-def _formatter(kind):
-    """How a CSV cell writes a value of type `kind`: bools as 0/1, integers
-    in decimal, floats as .17g (nan, inf and -0 as Python writes them),
-    anything else by str."""
-    if issubclass(kind, (bool, np.bool_)):
-        return _bit
-    if issubclass(kind, (int, np.integer)):
-        return _integer
-    if issubclass(kind, (float, np.floating)):
-        return _real
-    return str
-
-
-def _fmt(x) -> str:
-    return _formatter(type(x))(x)
+def _formatter(kinds) -> str:
+    """The % template of a CSV line whose cells have the types `kinds`."""
+    return ",".join(map(_spec, kinds)) + "\n"
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
-    """A header line, then one line per row of `_fmt` values."""
+    """A header line, then one line per row, each cell written by its type
+    through one `_formatter` template per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(_formatter(tuple(map(type, row))) % tuple(row) for row in rows)
     return path
 
 
@@ -776,8 +778,9 @@ def _profile_rows(cube, first, second, *columns):
 def _exp_ct(cfg, mapper):
     energy = cfg.value("energy")
     # E at least 1 inside the deterministic gap: the capped spectral
-    # distance is 1, which a factorization proves without the spectrum;
-    # elsewhere the factorization mostly fails and would only add its cost
+    # distance is 1, which a factorization proves without the spectrum,
+    # and the slice recursion gives G with no pivoting; elsewhere the
+    # factorization mostly fails and would only add its cost
     gap = _gap_edge(cfg)
     certify = gap is not None and gap[2] - abs(energy) >= 1.0
     reports, vals = _realizations(

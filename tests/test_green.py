@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
-from blocklab.green import (combes_thomas_bound, combes_thomas_check,
-                            decay_profile, decay_rate_fit, distance_at_least_one,
-                            edi_check, gri_check, resolvent, sli_check)
+from blocklab import green
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, case_beta
+from blocklab.green import (DecayProfile, combes_thomas_bound,
+                            combes_thomas_check, decay_profile, decay_rate_fit,
+                            distance_at_least_one, edi_check, gri_check,
+                            resolvent, sli_check)
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.spectral import eigensolve, plain_block
@@ -314,6 +318,21 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     assert icept == pytest.approx(intercept, rel=1e-9)
 
 
+def test_decay_rate_fit_needs_two_distances():
+    def profile(dist, norm):
+        idx = np.arange(len(dist))
+        norm = np.array(norm)
+        return DecayProfile(0.0, 1.0, idx, idx, np.array(dist), norm, norm)
+    # the diagonal and the norms below the floor are dropped
+    for dist, norm in (([0, 1], [1.0, 0.5]), ([0, 1, 1], [1.0, 0.5, 0.25]),
+                       ([0, 1, 2], [1.0, 0.5, 1e-15])):
+        with pytest.raises(PreconditionError, match="not enough usable pairs"):
+            decay_rate_fit(profile(dist, norm))
+    rate, intercept = decay_rate_fit(profile([0, 1, 2, 3], [1.0, 0.5, 0.25, 0.125]))
+    assert rate == pytest.approx(-math.log(2.0), rel=1e-15)
+    assert intercept == pytest.approx(0.0, abs=1e-15)
+
+
 # the certificate's oracle cases: V and B with a gap edge of 1 (the
 # measures of the resolvent-decay benchmark), with no gap, and constant
 CERT_MEASURES = [(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1)),
@@ -331,8 +350,16 @@ def _capped(f, energy, certify):
     return profile.delta, profile.norm.tobytes()
 
 
+def _unproven(f, energy, monkeypatch):
+    """_capped(f, energy, True) with the certificate failing, so that the
+    distance comes from the eigensolve."""
+    with monkeypatch.context() as patched:
+        patched.setattr(green, "distance_at_least_one", lambda *a: False)
+        return _capped(f, energy, True)
+
+
 @pytest.mark.parametrize("cube", CERT_CUBES)
-def test_certified_distance_matches_the_eigensolve(cube):
+def test_certified_distance_matches_the_eigensolve(cube, monkeypatch):
     outcomes = []
     for k, (mu_V, mu_B) in enumerate(CERT_MEASURES):
         f = sample_field(cube, DisorderConfig(mu_V, mu_B, 60 + k), 0)
@@ -340,32 +367,89 @@ def test_certified_distance_matches_the_eigensolve(cube):
         top = eigensolve(m).eigenvalues[-1]
         # an eigenvalue, on which the guard fires, besides the grid
         for energy in (0.0, 0.5, 1.2, 2.0, 3.0, top):
-            got = _capped(f, energy, True)
-            assert got == _capped(f, energy, False)
             proven = distance_at_least_one(m, energy)
-            if isinstance(got, str):
-                with pytest.raises(PreconditionError) as err:
-                    resolvent(m, energy)
-                assert str(err.value) == got and not proven
+            try:
+                delta = min(resolvent(m, energy).delta, 1.0)
+            except PreconditionError as err:
+                # the gated profile reports the eigensolve's guard
+                assert _capped(f, energy, True) == str(err) and not proven
                 outcomes.append("guard")
             else:
-                assert got[0] == min(resolvent(m, energy).delta, 1.0)
-                assert got[0] == 1.0 or not proven
+                assert delta == 1.0 or not proven
                 outcomes.append(proven)
+        # E = 0 lies 1 inside the gap edge of the first and the last
+        # measures: the gated profile keeps its bytes without the proof
+        if k != 1:
+            got = _capped(f, 0.0, True)
+            assert got == _unproven(f, 0.0, monkeypatch)
+            assert got[0] == min(resolvent(m, 0.0).delta, 1.0) == 1.0
     assert {True, False, "guard"} <= set(outcomes)
 
 
 @pytest.mark.parametrize("cube", CERT_CUBES)
-def test_distance_within_the_margin_of_one_falls_back(cube):
+def test_distance_within_the_margin_of_one_falls_back(cube, monkeypatch):
     mu_V, mu_B = CERT_MEASURES[2]
     f = sample_field(cube, DisorderConfig(mu_V, mu_B, 62), 0)
     m = plain_block(f)
     top = eigensolve(m).eigenvalues[-1]
     # E above the spectrum, 1 + tau from its top: proven only past the
-    # rounding margin
+    # rounding margin; every leading slice section of m - E is then
+    # negative definite with no eigenvalue above -1, as inside the gap
     for tau, proven in ((0.0, False), (1e-12, False), (1e-6, True)):
         energy = top + 1.0 + tau
         assert distance_at_least_one(m, energy) == proven
-        assert _capped(f, energy, True) == _capped(f, energy, False)
+        assert _capped(f, energy, True) == _unproven(f, energy, monkeypatch)
         assert _capped(f, energy, True)[0] == min(resolvent(m, energy).delta, 1.0)
     assert not distance_at_least_one(m * np.nan, 0.0)
+
+
+# the slice recursion's cases: measures with a gap edge, each with an
+# energy exactly 1 inside it; the gapped certificate measures (beta of
+# case 1), a mu_B with sup supp <= 0 (case 2, edge hypot(3, 4) = 5) and a
+# mu_B straddling 0 (case 3, beta = 0)
+SLICE_CASES = [(*CERT_MEASURES[0], 0.0), (*CERT_MEASURES[2], 0.0),
+               (SiteMeasure.uniform(3, 4), SiteMeasure.uniform(-5, -4), 4.0),
+               (SiteMeasure.uniform(3, 4), SiteMeasure.uniform(-5, -4), -4.0),
+               (SiteMeasure.uniform(2, 3), SiteMeasure.uniform(-1, 1), 1.0),
+               (SiteMeasure.uniform(2, 3), SiteMeasure.uniform(-1, 1), -1.0)]
+SLICE_CUBES = [CubeSpec(1, 15), CubeSpec(2, 9), CubeSpec(3, 6)]
+
+
+def _gap_edge(mu_V, mu_B):
+    return math.hypot(mu_V.support_inf, case_beta(mu_B).beta)
+
+
+@pytest.mark.parametrize("cube", SLICE_CUBES)
+def test_slice_resolvent_matches_the_dense_inverse(cube):
+    for k, (mu_V, mu_B, energy) in enumerate(SLICE_CASES):
+        assert _gap_edge(mu_V, mu_B) - abs(energy) == 1.0
+        f = sample_field(cube, DisorderConfig(mu_V, mu_B, 70 + k), 0)
+        m = plain_block(f)
+        g = green.slice_resolvent(m, cube, energy)
+        shifted = oracles.plain_block_on(cube, f) - energy * np.eye(len(m))
+        for dense in (green._inverse(m, energy), np.linalg.inv(shifted)):
+            assert np.abs(g - dense).max() <= 1e-13 * np.abs(g).max(), k
+
+
+@pytest.mark.parametrize("cube", SLICE_CUBES[1:])
+def test_leading_slice_sections_keep_the_gap(cube):
+    # the sites of the first j slices span a rectangle, whose plain block
+    # has no eigenvalue inside the deterministic gap edge: the recursion's
+    # pivots stay bounded by 1 / (edge - |E|)
+    sites = oracles.sites(cube)
+    for k, (mu_V, mu_B, _) in enumerate(SLICE_CASES):
+        edge = _gap_edge(mu_V, mu_B)
+        f = sample_field(cube, DisorderConfig(mu_V, mu_B, 70 + k), 0)
+        for last in oracles.axis_offsets(cube.L):
+            section = [s for s in sites if s[0] <= last]
+            eigenvalues = np.linalg.eigvalsh(oracles.plain_block_on(section, f))
+            assert np.abs(eigenvalues).min() >= edge * (1.0 - 1e-12), (k, last)
+
+
+def test_slice_resolvent_keeps_the_residual_contract(monkeypatch):
+    cube = CubeSpec(2, 9)
+    m = plain_block(sample_field(cube, GAPPED, 5))
+    green.slice_resolvent(m, cube, 0.0)
+    monkeypatch.setattr(green, "RESOLVENT_RESIDUAL_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="exceeds contract"):
+        green.slice_resolvent(m, cube, 0.0)

@@ -140,6 +140,29 @@ def test_validate_suitability_energies_against_the_gap_edge():
     assert len(problems) == 1 and not energies
 
 
+def test_validate_suitability_theta_keeps_the_target_norm_finite(tmp_path, capsys):
+    # the run's target norm L^-theta is a Python float: 12^300 overflows
+    def theta_problems(theta, lengths="12"):
+        return validate(make_cfg("suitability", L=12, va=1.0, vb=2.0, extra=(
+            f"[suitability]\nlengths = {lengths}\ntheta = {theta}\n")))
+    assert theta_problems(-300) == [
+        "suitability: theta -300 makes L^-theta overflow at length 12"]
+    assert theta_problems("1.5 -300 -400", "12 24") == [
+        "suitability: theta -300 makes L^-theta overflow at length 12",
+        "suitability: theta -400 makes L^-theta overflow at length 12"]
+    # finite targets pass: negative ones, and tiny ones that round to 0
+    assert theta_problems("-2 0.5 400") == []
+    assert theta_problems(-285, "12 24") == [
+        "suitability: theta -285 makes L^-theta overflow at length 24"]
+    text = make_text("suitability", L=12, va=1.0, vb=2.0,
+                     extra="[suitability]\nlengths = 12\ntheta = -300\n")
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert "theta -300" in capsys.readouterr().err
+    assert run(parse_config(text), tmp_path / "out").exit_code == 3
+
+
 @pytest.mark.parametrize("kind, key, other", [
     ("suitability", "energies", ""), ("suitability", "lengths", ""),
     ("suitability", "theta", ""), ("tails", "epsilons", ""),
@@ -446,7 +469,10 @@ def test_write_csv_matches_per_value_format(tmp_path):
             (-math.inf, np.float64(2.5e-300), 0, np.int64(9), False, np.False_,
              "0 0", "x", 1.0, 0.0),
             (0.0, np.float64(math.inf), -3, np.int64(0), True, np.False_,
-             "1 -2", "", np.float64(math.nan), "mixed")]
+             "1 -2", "", np.float64(math.nan), "mixed"),
+            # a row given as a list, with cells of every type again
+            [np.float32(0.1), 2 ** 70, np.uint64(2 ** 64 - 1), False, 1e300,
+             np.True_, None, "%d", np.int32(-7), math.inf]]
     header = [f"c{k}" for k in range(10)]
     path = write_csv(tmp_path / "t.csv", header, rows)
     expected = ",".join(header) + "\n" + "".join(
@@ -1266,6 +1292,26 @@ def test_suitability_csv_bytes_are_pinned(source, digest, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of ct.csv and ct_profile.csv of the resolvent-decay benchmark
+# workload (d = 2, L = 12, 40 realizations, seed 42), where E = 0 lies 1
+# inside the gap edge and G comes from the slice recursion.  The files hold
+# 17-digit block norms and fits from LAPACK and BLAS kernels: a BLAS build
+# that rounds them otherwise moves these digests
+CT_GATED = _d2(make_text("ct", L=12, R=40, va=1.0, vb=2.0,
+                         extra="[ct]\nenergy = 0.0\n"))
+CT_DIGESTS = {
+    "ct.csv": "c996e1857a229fade82c16348d4d24d93a379c6ea62edd4d9b134e1ab90c4c0a",
+    "ct_profile.csv": "e16dda675ea9e95bcb0ec7cad940550ac2d83c22353149a6d2a34a72eb79e729",
+}
+
+
+def test_gated_ct_csv_bytes_are_pinned(tmp_path):
+    assert run(parse_config(CT_GATED, seed=42, workers=1), tmp_path).exit_code == 0
+    for name, digest in CT_DIGESTS.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_green_experiment(tmp_path):
     cfg = make_cfg("green", L=9, R=10, va=1.0, vb=2.0,
                    extra="[green]\nenergy = 0.0\nlengths = 2 5 9\n")
@@ -1321,19 +1367,24 @@ def test_cli_missing_config_exits_3(capsys):
 
 
 def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
-    # the one dense solve behind `green.resolvent` and behind a certified
-    # spectral distance alike
+    # one slice recursion per realization where E lies 1 inside the gap
+    # edge, certified or not; one dense solve per realization outside it,
+    # here above the spectrum
     calls = []
-    real = green._inverse
-    monkeypatch.setattr(green, "_inverse",
-                        lambda *a: calls.append(a[1]) or real(*a))
-    cfg = make_cfg("ct", L=10, R=4, va=1.0, vb=2.0, bk="point_mass",
-                   bargs="c = 0.0", extra="[ct]\nenergy = 0.0\n")
-    result = run(cfg, tmp_path)
-    assert result.exit_code == 0
-    assert len(calls) == 4
-    profile = (tmp_path / "ct_profile.csv").read_text().splitlines()
-    assert len(profile) == 1 + 9 ** 2
+    for name in ("slice_resolvent", "_inverse"):
+        def counted(*a, _real=getattr(green, name), _name=name):
+            calls.append(_name)
+            return _real(*a)
+        monkeypatch.setattr(green, name, counted)
+    for energy, path in ((0.0, "slice_resolvent"), (8.0, "_inverse")):
+        calls.clear()
+        cfg = make_cfg("ct", L=10, R=4, va=1.0, vb=2.0, bk="point_mass",
+                       bargs="c = 0.0", extra=f"[ct]\nenergy = {energy}\n")
+        result = run(cfg, tmp_path / path)
+        assert result.exit_code == 0
+        assert calls == [path] * 4
+        profile = (tmp_path / path / "ct_profile.csv").read_text().splitlines()
+        assert len(profile) == 1 + 9 ** 2
 
 
 @pytest.mark.parametrize("d, L", [(1, 16), (2, 12)])
