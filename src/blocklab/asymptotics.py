@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, FieldSample, case_beta, sample_fields
+from .disorder import DisorderConfig, FieldSample, case_beta, gap_edge, sample_fields
 from .green import chain_rim_norms, resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary, site_array,
@@ -34,37 +34,6 @@ LOWER_BOUND_MIN_SUCCESSES = 10
 WILSON_Z = 1.96
 # ct_threshold_length gives up past this length
 CT_THRESHOLD_CAP = 10 ** 9
-
-
-# -- gap edge ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapEdge:
-    """Internal band edge sqrt(lam^2 + beta^2) with its exponent targets."""
-
-    lam: float
-    beta: float
-    case: int
-    sign_flip: bool
-    edge: float
-    alpha_upper: float
-    alpha_lower: float
-
-
-def gap_edge(config: DisorderConfig, d: int) -> GapEdge:
-    """Edge location and Lifschitz exponent targets for the configuration.
-
-    The upper-bound target is d/2 except when lam = 0 with beta != 0, where
-    it weakens to d/4; the lower-bound target is d/2 in all cases.
-    """
-    lam = config.mu_V.support_inf
-    _require(lam >= 0.0, f"needs inf supp mu_V >= 0, got {lam}")
-    bc = case_beta(config.mu_B)
-    weak = (lam == 0.0 and bc.beta != 0.0)
-    return GapEdge(lam, bc.beta, bc.case, bc.sign_flip,
-                   float(np.hypot(lam, bc.beta)),
-                   d / 4.0 if weak else d / 2.0, d / 2.0)
 
 
 # -- tail curve ----------------------------------------------------------------
@@ -109,7 +78,7 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
     one ensemble: each realization is sampled and counted once per cube,
     at all of their thresholds.
     """
-    ge = gap_edge(config, d)
+    edge = gap_edge(config)
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     # grid points by cube: the sites of a centred cube depend on L only
     # through its axis count
@@ -119,7 +88,7 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
     per_point = {}
     for ks in by_cube.values():
         cube = CubeSpec(d, lengths[ks[0]])
-        counts = ensemble_counts(config, cube, ge.edge + eps_grid[ks], R, "right",
+        counts = ensemble_counts(config, cube, edge + eps_grid[ks], R, "right",
                                  mapper)
         per_point.update(zip(ks, (counts / (2 * cube.site_count) - 0.5).T.copy()))
     means, errs, cens = [], [], []
@@ -129,7 +98,7 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
         errs.append(stderr)
         cens.append(bool(np.all(vals == 0.0)))
     return TailCurve(eps_grid, np.array(means), np.array(errs),
-                     np.array(lengths, dtype=int), np.array(cens), ge.edge, R)
+                     np.array(lengths, dtype=int), np.array(cens), edge, R)
 
 
 @dataclass(frozen=True)
@@ -137,7 +106,6 @@ class TailFit:
     alpha_hat: float
     intercept: float
     points_used: int
-    censored_points: int
 
 
 def tail_exponent_fit(curve: TailCurve) -> TailFit:
@@ -153,8 +121,7 @@ def tail_exponent_fit(curve: TailCurve) -> TailFit:
     x = np.log(curve.eps_grid[usable])
     y = np.log(np.abs(np.log(curve.delta_n[usable])))
     slope, intercept = np.polyfit(x, y, 1)
-    return TailFit(float(-slope), float(intercept), int(usable.sum()),
-                   int(curve.censored.sum()))
+    return TailFit(float(-slope), float(intercept), int(usable.sum()))
 
 
 def tail_monotonicity_check(curve: TailCurve) -> CheckReport:
@@ -209,14 +176,13 @@ def trial_function_energy(cube: CubeSpec) -> float:
 class C0Estimate:
     c0_hat: float
     lengths: tuple
-    scaled_values: tuple    # L^2 <psi, H^D psi> per length
 
 
 def c0_estimate(lengths, d: int) -> C0Estimate:
     """sup of L^2 times the tent-function energy over a grid of lengths."""
     lengths = tuple(int(L) for L in lengths)
     vals = tuple(L ** 2 * trial_function_energy(CubeSpec(d, L)) for L in lengths)
-    return C0Estimate(max(vals), lengths, vals)
+    return C0Estimate(max(vals), lengths)
 
 
 def lower_bound_scale(c0_hat: float, eps: float) -> int:
@@ -248,11 +214,11 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
     cubes, is a precondition failure, censored with no frequency: its
     fields are not sampled.
     """
-    ge = gap_edge(config, d)
+    lam, beta = config.mu_V.support_inf, case_beta(config.mu_B)
     cube = CubeSpec(d, L)
     n = cube.site_count
-    bound = (config.mu_V.mass(ge.lam, ge.lam + eps / 4.0) ** n
-             * config.mu_B.mass(ge.beta - eps / 4.0, ge.beta + eps / 4.0) ** n)
+    bound = (config.mu_V.mass(lam, lam + eps / 4.0) ** n
+             * config.mu_B.mass(beta - eps / 4.0, beta + eps / 4.0) ** n)
     rep = CheckReport("lower_bound_probability",
                       parameters={"eps": eps, "L": L, "R": R, "bound": bound})
     if n > MAX_BLOCK_DIM:
@@ -260,8 +226,8 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
         rep.record_precondition_failure()
         return rep
     hits = int(np.count_nonzero(run_realizations(
-        partial(_lower_bound_events, cube=cube, config=config, lam=ge.lam,
-                beta=ge.beta, eps=eps, psi2=_tent_vector(cube) ** 2), R, mapper)))
+        partial(_lower_bound_events, cube=cube, config=config, lam=lam,
+                beta=beta, eps=eps, psi2=_tent_vector(cube) ** 2), R, mapper)))
     phat = hits / R
     sigma = math.sqrt(max(phat * (1.0 - phat), 0.0) / R)
     censored = hits < LOWER_BOUND_MIN_SUCCESSES and phat < 1.0
@@ -368,7 +334,6 @@ class SuitabilityReport:
     """Monte Carlo suitability probabilities on an energy grid."""
 
     L: int
-    theta: float
     energies: np.ndarray
     probability: np.ndarray
     wilson_lo: np.ndarray
@@ -377,7 +342,6 @@ class SuitabilityReport:
     a_L: float
     gap_event_frequency: float
     implication: CheckReport
-    threshold_L: int | None
 
 
 def _suitability_row(f: FieldSample, geometry, energies, a_L, cuts):
@@ -487,14 +451,14 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     """
     energies = np.asarray(energies, dtype=float)
     cube = CubeSpec(d, L)
-    ge = gap_edge(config, d)
-    a_L = ge.edge + L ** -0.5
+    edge = gap_edge(config)
+    a_L = edge + L ** -0.5
     _require(bool(np.all(np.abs(energies) <= a_L)),
              f"energies must lie in [-a_L, a_L] with a_L = {a_L:.6g}")
     geometry = _suitability_geometry(cube)
     distances = _ct_distances(cube)
     cuts = np.array([_ct_cut(distances, L ** -theta, d) for theta in thetas])
-    if d == 1 and np.all(np.abs(energies) < ge.edge):
+    if d == 1 and np.all(np.abs(energies) < edge):
         # the on-spectrum tolerance at the deterministic radius, which
         # bounds every realization's scale
         tol = ON_SPECTRUM_RTOL * max(
@@ -527,8 +491,8 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
         # sharp implication: the distances past delta*
         implication.record(signs[far[events, k]])
         reports.append(SuitabilityReport(
-            L, theta, energies, hits / R, np.array(lo), np.array(hi), R, a_L,
-            float(events.mean()), implication, threshold))
+            L, energies, hits / R, np.array(lo), np.array(hi), R, a_L,
+            float(events.mean()), implication))
     return reports
 
 
@@ -540,7 +504,6 @@ class CorrelatorProfile:
     """Ensemble mean of the spectral-projector correlator over the site
     pairs (first[k], second[k]) of the cube, as canonical site indices."""
 
-    interval: tuple[float, float]
     cube: CubeSpec
     first: np.ndarray
     second: np.ndarray
@@ -596,8 +559,8 @@ def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
         partial(_correlator_row, first=first.tolist(), second=second.tolist(),
                 interval=tuple(interval)), cube, config), R, mapper))
     mean, stderr = ensemble_mean(rows)
-    return CorrelatorProfile(tuple(interval), cube, first, second, mean, stderr,
-                             R, int(np.sum(rows.any(axis=1))))
+    return CorrelatorProfile(cube, first, second, mean, stderr, R,
+                             int(np.sum(rows.any(axis=1))))
 
 
 @dataclass(frozen=True)

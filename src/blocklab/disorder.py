@@ -160,17 +160,8 @@ class SiteMeasure:
         return f"{self.kind}({args})"
 
 
-@dataclass(frozen=True)
-class BetaCase:
-    """Gap-edge parameter of the off-diagonal measure and which case produced it."""
-
-    beta: float
-    case: int            # 1: inf supp >= 0, 2: sup supp <= 0, 3: 0 in supp
-    sign_flip: bool      # case 2 only: B-field is sign-flipped for edge formulas
-
-
-def case_beta(mu_B: SiteMeasure) -> BetaCase:
-    """Classify mu_B into the three admissible gap-edge cases.
+def case_beta(mu_B: SiteMeasure) -> float:
+    """The gap-edge parameter beta of mu_B in its three admissible cases.
 
     Case 1: inf supp >= 0 with beta = inf supp; case 2: sup supp <= 0 with
     beta = sup supp (signed; edge formulas use beta**2); case 3: 0 in supp,
@@ -179,9 +170,9 @@ def case_beta(mu_B: SiteMeasure) -> BetaCase:
     """
     lo, hi = mu_B.support
     if lo >= 0.0:
-        return BetaCase(lo, 1, False)
+        return lo
     if hi <= 0.0:
-        return BetaCase(hi, 2, True)
+        return hi
     contains_zero = True
     if mu_B.kind == "two_point":
         contains_zero = 0.0 in (mu_B.params[0], mu_B.params[2])
@@ -191,7 +182,7 @@ def case_beta(mu_B: SiteMeasure) -> BetaCase:
         raise ValueError(
             f"mu_B {mu_B.describe()} straddles 0 without containing it; "
             "no admissible gap-edge case applies")
-    return BetaCase(0.0, 3, False)
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -201,6 +192,17 @@ class DisorderConfig:
     mu_V: SiteMeasure
     mu_B: SiteMeasure
     master_seed: int = 0
+
+
+def gap_edge(config: DisorderConfig) -> float:
+    """The deterministic internal band edge hypot(lam, beta), lam = inf
+    supp mu_V and beta = case_beta(mu_B): no realization's plain block has
+    an eigenvalue in (-edge, edge) (Kirsch, Metzger and Mueller, J. Stat.
+    Phys. 143, 2011).  ValueError if lam < 0 or case_beta rejects mu_B."""
+    lam = config.mu_V.support_inf
+    if lam < 0.0:
+        raise ValueError(f"the gap edge needs inf supp mu_V >= 0, got {lam}")
+    return float(np.hypot(lam, case_beta(config.mu_B)))
 
 
 @dataclass(frozen=True)

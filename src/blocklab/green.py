@@ -3,8 +3,9 @@
 Covers the geometric resolvent identity across nested regions, the
 scale-linking and eigenfunction-decay inequalities consumed by multi-scale
 arguments, and the Combes-Thomas bound, all at finite volume with dense
-factorizations, or inside the gap with Schur recursions over sites or
-slices.
+factorizations, or inside the deterministic gap with Schur recursions over
+sites or slices, where the gap theorem also bounds the spectral distance
+without a spectrum.
 """
 
 from dataclasses import dataclass
@@ -52,9 +53,11 @@ def _inverse(m: np.ndarray, energy: float) -> np.ndarray:
     return g
 
 
-def _distance(m: np.ndarray, energy: float, spectrum: Spectrum | None = None) -> float:
-    """The distance from E to the spectrum of m (solved here unless given);
-    within SPECTRAL_GUARD_RTOL of its norm raises PreconditionError."""
+def resolvent(m: np.ndarray, energy: float,
+              spectrum: Spectrum | None = None) -> GreenFunction:
+    """Invert (m - E), with delta the distance from E to the spectrum of m
+    (solved here unless given); within SPECTRAL_GUARD_RTOL of its norm
+    raises PreconditionError."""
     s = spectrum if spectrum is not None else eigensolve(m)
     delta = float(np.min(np.abs(s.eigenvalues - energy)))
     scale = max(s.norm, 1e-300)
@@ -62,41 +65,7 @@ def _distance(m: np.ndarray, energy: float, spectrum: Spectrum | None = None) ->
         raise PreconditionError(
             f"E={energy} is within {delta:.3e} of the spectrum (guard "
             f"{SPECTRAL_GUARD_RTOL * scale:.3e})")
-    return delta
-
-
-def resolvent(m: np.ndarray, energy: float,
-              spectrum: Spectrum | None = None) -> GreenFunction:
-    """Invert (m - E); requires E safely away from the spectrum of m."""
-    delta = _distance(m, energy, spectrum)
     return GreenFunction(energy, _inverse(m, energy), delta)
-
-
-def distance_at_least_one(m: np.ndarray, energy: float) -> bool:
-    """Whether every eigenvalue of the symmetric m is at least 1 from E,
-    proven with no spectrum by one Cholesky factorization of
-    S^2 - (1 + eta), S = m - E.
-
-    With r the Gershgorin bound of S plus |E| (so r bounds |S| and |m|),
-    n = dim m and u the unit roundoff, eta = 4 (n + 1)^2 u (r + 2)^2
-    covers the rounding of the product, the factorization and an
-    eigensolve of m: min(delta, 1) of the computed spectrum is 1.0 too.
-    Not proven: a distance within that margin of 1, non-finite entries,
-    and r >= 1 / (2 SPECTRAL_GUARD_RTOL), where `resolvent`'s guard could
-    fire at distance 1.
-    """
-    s = np.asarray(m) - energy * np.eye(len(m))
-    r = float(np.abs(s).sum(axis=1).max(initial=0.0)) + abs(energy)
-    if not 2.0 * SPECTRAL_GUARD_RTOL * r < 1.0:
-        return False
-    # S S^T is S^2 for the symmetric S, and numpy forms it by syrk
-    p, n = s @ s.T, len(s)
-    p.flat[::n + 1] -= 1.0 + 2.0 * (n + 1) ** 2 * np.finfo(float).eps * (r + 2.0) ** 2
-    try:
-        np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def slice_resolvent(m: np.ndarray, cube, energy: float) -> np.ndarray:
@@ -185,8 +154,10 @@ def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
 
 
 # rows per chunk of `chain_rim_norms`: its arrays take about 256 bytes per
-# site and row, so a chunk holds about this many bytes
+# site and row, so a chunk holds about this many bytes, but never fewer
+# than the floor of rows, over which each step of its site loop runs
 CHAIN_CHUNK_BYTES = 2 ** 20
+CHAIN_CHUNK_ROWS = 64
 
 
 def chain_rim_norms(V, B, energies, core) -> np.ndarray:
@@ -205,8 +176,9 @@ def chain_rim_norms(V, B, energies, core) -> np.ndarray:
     Y_k = -T_k^-1 C Y_(k-1).  The squared norm is the top eigenvalue of
     the 4x4 Gram matrix of [Y X] over the core, scaled by its largest core
     entry so that it does not underflow.  Everything runs elementwise over
-    rows, in chunks of about CHAIN_CHUNK_BYTES, so a row's norm does not
-    depend on the rows beside it.
+    rows, so a row's norm does not depend on the rows beside it, in chunks
+    of about CHAIN_CHUNK_BYTES but at least CHAIN_CHUNK_ROWS rows: at most
+    about 34 MB for the 2048 sites of a chain at MAX_BLOCK_DIM.
 
     The caller keeps every energy off the spectrum.  The recursion is
     stable where the pivots S_k and T_k, inverses of diagonal blocks of
@@ -220,7 +192,7 @@ def chain_rim_norms(V, B, energies, core) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     energies = np.asarray(energies, dtype=float)
     core = np.asarray(core)
-    step = max(1, CHAIN_CHUNK_BYTES // (256 * V.shape[1]))
+    step = max(CHAIN_CHUNK_ROWS, CHAIN_CHUNK_BYTES // (256 * V.shape[1]))
     norms = np.empty(len(V))
     for lo in range(0, len(V), step):
         rows = slice(lo, lo + step)
@@ -448,22 +420,23 @@ class DecayProfile:
 
 
 def decay_profile(field: FieldSample, energy: float,
-                  certify: bool = False) -> DecayProfile:
+                  in_gap: bool = False) -> DecayProfile:
     """One resolvent read of the field's plain block at every ordered pair
     of sites of its cube.
 
-    `certify` is the caller's word that E lies at least 1 inside the
-    deterministic gap edge.  Then G comes from `slice_resolvent`, and a
-    distance that `distance_at_least_one` proves spares the eigensolve,
-    to the same profile; otherwise `resolvent` gives both.  The geometry
-    of all pairs (indices, distances, distinct distances) is built once
-    per cube and shared by every profile on it."""
+    `in_gap` is the caller's word that E lies at least 1 inside the
+    deterministic gap edge, in exact arithmetic.  Then no eigenvalue lies
+    within 1 of E, the capped distance is 1.0 with no spectrum, and G
+    comes from `slice_resolvent`; otherwise `resolvent` gives both.  That
+    1.0 is the model operator's capped distance: the rounded entries of
+    the matrix may move it by about ulp(2d + lam), far below the rounding
+    of an eigensolve.  The geometry of all pairs (indices, distances,
+    distinct distances) is built once per cube and shared by every
+    profile on it."""
     cube = field.cube
     m = plain_block(field)
-    if certify:
-        delta = (1.0 if distance_at_least_one(m, energy)
-                 else min(_distance(m, energy), 1.0))
-        g = slice_resolvent(m, cube, energy)
+    if in_gap:
+        delta, g = 1.0, slice_resolvent(m, cube, energy)
     else:
         res = resolvent(m, energy)
         delta, g = min(res.delta, 1.0), res.matrix

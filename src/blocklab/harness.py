@@ -30,11 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-# asymptotics and green load with the kinds that use them, and
+# asymptotics, green and fractions load with the kinds that use them, and
 # concurrent.futures with the first pool: a run pays only for its own kind
 from . import __version__
 from . import blas, disorder, inequalities, lattice, operators, spectral
-from .disorder import DisorderConfig, SiteMeasure, case_beta
+from .disorder import DisorderConfig, SiteMeasure, case_beta, gap_edge
 from .inequalities import CheckReport, PreconditionError
 from .lattice import CubeSpec
 from .operators import MAX_BLOCK_DIM
@@ -104,7 +104,7 @@ KEYS = {
     "dos": {"bins": (_numbers, lambda cfg: _span(cfg, 40.0))},
     "wegner": {"energies": (_numbers, None), "epsilons": (_numbers, None)}, "gap": {},
     "interlace": {"lam": (_number, lambda cfg: max(cfg.mu_V.support_inf, 0.0)),
-                  "beta": (_number, lambda cfg: case_beta(cfg.mu_B).beta),
+                  "beta": (_number, lambda cfg: case_beta(cfg.mu_B)),
                   "eps": (_number, 0.3)},
     "green": {"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
     "ct": {"energy": (_number, 0.0)},
@@ -374,9 +374,11 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             if big:
                 out.append(f"suitability: theta {theta:g} makes L^-theta overflow "
                            f"at length {big[0]:g}")
-        # a_L = edge + L^-1/2 by np.hypot, as suitability_probability has it
-        gap = _gap_edge(cfg)            # None: reported above
-        edge = math.inf if gap is None else float(np.hypot(gap[0], gap[1]))
+        # a_L = edge + L^-1/2, as suitability_probability has it
+        try:
+            edge = gap_edge(cfg.disorder())
+        except ValueError:              # reported above
+            edge = math.inf
         top = max(map(abs, cfg.value("energies")), default=0.0)
         out += [f"suitability: energies must lie in [-a_L, a_L], a_L = "
                 f"{edge + L ** -0.5:.6g} at length {L}"
@@ -676,20 +678,9 @@ def _gap_row(f, edge):
     return [rep], spectral.spectral_gap(s) + (min_abs,)
 
 
-def _gap_edge(cfg):
-    """(lam, beta, hypot(lam, beta)), lam = inf supp mu_V and beta that of
-    case_beta(mu_B): the deterministic gap edge; None if lam < 0 or
-    case_beta rejects mu_B."""
-    try:
-        beta = case_beta(cfg.mu_B).beta
-    except ValueError:
-        return None
-    lam = cfg.mu_V.support_inf
-    return None if lam < 0 else (lam, beta, math.hypot(lam, beta))
-
-
 def _exp_gap(cfg, mapper):
-    lam, beta, edge = _gap_edge(cfg)
+    lam, beta = cfg.mu_V.support_inf, case_beta(cfg.mu_B)
+    edge = gap_edge(cfg.disorder())
     reports, vals = _realizations(
         cfg, mapper, _gap_row,
         CheckReport("gap_edge", parameters={"lam": lam, "beta": beta, "edge": edge}),
@@ -744,10 +735,10 @@ def _exp_green(cfg, mapper):
     return {"green": (header, rows)}, reports, {}
 
 
-def _ct_row(f, energy, certify):
+def _ct_row(f, energy, in_gap):
     from . import green
     try:
-        profile = green.decay_profile(f, energy, certify)
+        profile = green.decay_profile(f, energy, in_gap)
     except PreconditionError:
         return [CheckReport("combes_thomas", preconditions_failed=1)], None
     rep = green.combes_thomas_check(profile)
@@ -775,18 +766,30 @@ def _profile_rows(cube, first, second, *columns):
                *(c.tolist() for c in columns))
 
 
+def _in_gap(cfg, energy) -> bool:
+    """Whether E lies at least 1 inside the deterministic gap edge,
+    lam^2 + beta^2 >= (1 + |E|)^2 decided exactly on the binary values
+    (finite, by validate).  Then no realization's plain block has an
+    eigenvalue within 1 of E: the capped spectral distance is 1 with no
+    spectrum, and the slice recursion gives G with no pivoting.  False
+    with no admissible edge (inf supp mu_V < 0, or a mu_B that case_beta
+    rejects)."""
+    from fractions import Fraction
+    try:
+        beta = case_beta(cfg.mu_B)
+    except ValueError:
+        return False
+    lam = cfg.mu_V.support_inf
+    return lam >= 0.0 and (Fraction(lam) ** 2 + Fraction(beta) ** 2
+                           >= (1 + Fraction(abs(energy))) ** 2)
+
+
 def _exp_ct(cfg, mapper):
     energy = cfg.value("energy")
-    # E at least 1 inside the deterministic gap: the capped spectral
-    # distance is 1, which a factorization proves without the spectrum,
-    # and the slice recursion gives G with no pivoting; elsewhere the
-    # factorization mostly fails and would only add its cost
-    gap = _gap_edge(cfg)
-    certify = gap is not None and gap[2] - abs(energy) >= 1.0
     reports, vals = _realizations(
         cfg, mapper, _ct_row, CheckReport("combes_thomas", parameters={"E": energy}),
         CheckReport("ct_rate", parameters={"E": energy}), energy=energy,
-        certify=certify)
+        in_gap=_in_gap(cfg, energy))
     rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
     p = None if vals[0] is None else vals[0][1]     # realization 0's profile
     tables = {

@@ -247,7 +247,7 @@ def test_criterion_5_lifschitz_tails():
           and lb_pass and feasible >= 1)
     verdict(5, "lifschitz-tails", ok,
             f"alpha_hat={fit.alpha_hat:.3f} target 0.5 band [0.3, 0.8], "
-            f"{fit.points_used} points ({fit.censored_points} censored); "
+            f"{fit.points_used} points ({int(curve.censored.sum())} censored); "
             f"monotone={mono.passed}; lower bound {' '.join(lb_notes)}")
 
 

@@ -11,14 +11,15 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   c0_estimate,
                                   correlator_q,
                                   ct_threshold_length, eigenfunction_correlator,
-                                  finite_volume_tail_bound, gap_edge,
+                                  finite_volume_tail_bound,
                                   lower_bound_probability,
                                   lower_bound_scale, stretched_fit,
                                   suitability_norms, suitability_probability,
                                   tail_curve,
                                   tail_exponent_fit, tail_monotonicity_check,
                                   trial_function_energy, wilson_interval)
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
+from blocklab.disorder import (DisorderConfig, FieldSample, SiteMeasure, gap_edge,
+                               sample_fields)
 from blocklab.green import chain_rim_norms, resolvent_columns
 from blocklab.inequalities import PreconditionError, edge_spectra
 from blocklab.lattice import CubeSpec, site_index
@@ -44,25 +45,27 @@ def constant_field(cube, v, b):
 
 
 def test_gap_edge_cases():
-    ge = gap_edge(LAM1, d=1)
-    assert (ge.lam, ge.beta, ge.edge) == (1.0, 0.0, 1.0)
-    assert ge.alpha_upper == 0.5 and ge.alpha_lower == 0.5
-
-    weak = gap_edge(DisorderConfig(SiteMeasure.uniform(0, 1),
-                                   SiteMeasure.uniform(1, 2), 0), d=1)
-    assert weak.edge == 1.0
-    assert weak.alpha_upper == 0.25 and weak.alpha_lower == 0.5
-
-    ge = gap_edge(DisorderConfig(SiteMeasure.uniform(3, 4),
-                                 SiteMeasure.uniform(4, 5), 0), d=2)
-    assert ge.edge == pytest.approx(5.0)
-    assert ge.alpha_upper == 1.0
+    assert gap_edge(LAM1) == 1.0
+    # lam = 0 with beta != 0, and beta of each case of case_beta
+    assert gap_edge(DisorderConfig(SiteMeasure.uniform(0, 1),
+                                   SiteMeasure.uniform(1, 2), 0)) == 1.0
+    for mu_B, edge in ((SiteMeasure.uniform(4, 5), 5.0),
+                       (SiteMeasure.uniform(-5, -4), 5.0),
+                       (SiteMeasure.uniform(-1, 1), 3.0)):
+        assert gap_edge(DisorderConfig(SiteMeasure.uniform(3, 4), mu_B, 0)) == edge
+    # the value half_half_check and finite_volume_tail_bound compute
+    mu_V, mu_B = SiteMeasure.uniform(2.25, 3), SiteMeasure.uniform(1.378, 2)
+    assert gap_edge(DisorderConfig(mu_V, mu_B, 0)) == np.hypot(2.25, 1.378)
 
 
 def test_gap_edge_rejects_negative_lam():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError, match="inf supp mu_V >= 0"):
         gap_edge(DisorderConfig(SiteMeasure.uniform(-1, 1),
-                                SiteMeasure.point_mass(0), 0), d=1)
+                                SiteMeasure.point_mass(0), 0))
+    # and a mu_B that case_beta rejects
+    with pytest.raises(ValueError, match="straddles 0"):
+        gap_edge(DisorderConfig(SiteMeasure.uniform(1, 2),
+                                SiteMeasure.two_point(-1, 0.5, 1), 0))
 
 
 # -- tail curve -------------------------------------------------------------------
@@ -77,7 +80,7 @@ def test_tail_zero_offset_is_exactly_zero():
 def tail_samples(config, cube, eps_grid, R):
     """N(edge + eps) - 1/2 per realization (rows) and eps (columns), from
     the count kernel that tail_curve reduces."""
-    edge = gap_edge(config, cube.d).edge
+    edge = gap_edge(config)
     counts = ensemble_counts(config, cube, edge + np.asarray(eps_grid), R, "right")
     return counts / (2 * cube.site_count) - 0.5
 
@@ -169,8 +172,9 @@ def test_tent_energy_direct_oracle():
 def test_c0_bounded_1d():
     est = c0_estimate([8, 16, 32, 64, 128], d=1)
     assert est.c0_hat < 50
-    # nonincreasing trend at large L
-    assert est.scaled_values[-1] <= est.scaled_values[0] + 1e-9
+    # nonincreasing trend at large L: L^2 <psi, H^D psi> at both ends
+    first, last = (L ** 2 * trial_function_energy(CubeSpec(1, L)) for L in (8, 128))
+    assert last <= first + 1e-9
 
 
 def test_c0_bounded_2d():
@@ -352,7 +356,7 @@ def chain_norms(cube, config, rs, energies):
 def test_chain_rim_norms_match_the_dense_solves(L, config):
     cube = CubeSpec(1, L)
     rows, cols = _suitability_geometry(cube)
-    edge = gap_edge(config, 1).edge
+    edge = gap_edge(config)
     energies = np.array([0.0, edge / 2, 0.9 * edge])
     norms = chain_norms(cube, config, range(4), energies)
     for r in range(4):
@@ -370,6 +374,7 @@ def test_chain_rim_norms_of_a_row_do_not_depend_on_the_chunk(monkeypatch):
     whole = chain_norms(cube, GAPB, range(7), energies)
     # chunks of one row
     monkeypatch.setattr(green, "CHAIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(green, "CHAIN_CHUNK_ROWS", 1)
     assert np.array_equal(chain_norms(cube, GAPB, range(7), energies), whole)
     assert np.array_equal(chain_norms(cube, GAPB, range(3, 4), energies), whole[3:4])
 
@@ -393,7 +398,7 @@ def test_suitability_block_decides_as_the_eigenvalues(config, L):
     # the counts against the dense eigenvalue rule: gap event, energies on
     # the spectrum, distances past each cut
     cube = CubeSpec(1, L)
-    edge = gap_edge(config, 1).edge
+    edge = gap_edge(config)
     a_L = edge + L ** -0.5
     energies = np.array([0.0, edge / 2, 0.9 * edge])
     cuts = np.array([0.2, 0.6, _ct_cut(_ct_distances(cube), L ** 2.0, 1), np.inf])
@@ -450,7 +455,7 @@ def test_suitability_reports_per_theta_match_single_theta_runs():
     for rep, theta in zip(both, (1.5, 3.0)):
         one, = suitability_probability(LAM1, d=1, L=12, thetas=[theta],
                                        energies=[0.0, 0.5], R=20)
-        assert rep.theta == theta
+        assert rep.implication.parameters["theta"] == theta
         assert np.array_equal(rep.probability, one.probability)
         assert rep.implication.to_json() == one.implication.to_json()
     assert both[0].probability.tolist() != both[1].probability.tolist()
@@ -462,7 +467,7 @@ def test_suitability_probability_report():
     assert rep.a_L == pytest.approx(1.0 + 12 ** -0.5)
     assert np.all(rep.probability >= 0.9)
     assert rep.implication.passed
-    assert rep.threshold_L == ct_threshold_length(1.5, 1)
+    assert rep.implication.parameters["threshold_L"] == ct_threshold_length(1.5, 1)
 
 
 def test_suitability_rejects_energy_outside_window():
@@ -554,8 +559,8 @@ def _ray_profile(q):
     """A profile of the pairs ((0,), (k,)), k = 0..20, on the 1d cube of
     41 sites about 0, with mean Q = q."""
     second = np.arange(20, 41)                # the sites 0..20
-    return CorrelatorProfile((-1, 1), CubeSpec(1, 41), np.full_like(second, 20),
-                             second, q, np.zeros_like(q), 10, 10)
+    return CorrelatorProfile(CubeSpec(1, 41), np.full_like(second, 20), second, q,
+                             np.zeros_like(q), 10, 10)
 
 
 def test_stretched_fit_recovers_synthetic():

@@ -63,14 +63,11 @@ def test_support_data():
 
 
 def test_case_beta_classification():
-    c = case_beta(SiteMeasure.uniform(1, 2))
-    assert (c.case, c.beta, c.sign_flip) == (1, 1.0, False)
-    c = case_beta(SiteMeasure.uniform(-2, -1))
-    assert (c.case, c.beta, c.sign_flip) == (2, -1.0, True)
-    c = case_beta(SiteMeasure.uniform(-1, 1))
-    assert (c.case, c.beta) == (3, 0.0)
-    c = case_beta(SiteMeasure.point_mass(0.0))
-    assert c.beta == 0.0
+    # case 1: inf supp >= 0; case 2: sup supp <= 0, signed; case 3: 0 in supp
+    assert case_beta(SiteMeasure.uniform(1, 2)) == 1.0
+    assert case_beta(SiteMeasure.uniform(-2, -1)) == -1.0
+    assert case_beta(SiteMeasure.uniform(-1, 1)) == 0.0
+    assert case_beta(SiteMeasure.point_mass(0.0)) == 0.0
 
 
 def test_case_beta_rejects_straddling_atoms():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from blocklab import green
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, case_beta
+from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, gap_edge
 from blocklab.green import (DecayProfile, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
-                            distance_at_least_one, edi_check, gri_check,
-                            resolvent, sli_check)
+                            edi_check, gri_check, resolvent, sli_check)
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.spectral import eigensolve, plain_block
@@ -333,81 +332,13 @@ def test_decay_rate_fit_needs_two_distances():
     assert intercept == pytest.approx(0.0, abs=1e-15)
 
 
-# the certificate's oracle cases: V and B with a gap edge of 1 (the
-# measures of the resolvent-decay benchmark), with no gap, and constant
-CERT_MEASURES = [(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1)),
-                 (SiteMeasure.uniform(0, 5), SiteMeasure.uniform(0, 1)),
-                 (SiteMeasure.point_mass(1), SiteMeasure.point_mass(0))]
-CERT_CUBES = [CubeSpec(1, 15), CubeSpec(1, 31), CubeSpec(2, 9), CubeSpec(2, 12)]
-
-
-def _capped(f, energy, certify):
-    """decay_profile's capped distance and norms, or its guard's message."""
-    try:
-        profile = decay_profile(f, energy, certify)
-    except PreconditionError as e:
-        return str(e)
-    return profile.delta, profile.norm.tobytes()
-
-
-def _unproven(f, energy, monkeypatch):
-    """_capped(f, energy, True) with the certificate failing, so that the
-    distance comes from the eigensolve."""
-    with monkeypatch.context() as patched:
-        patched.setattr(green, "distance_at_least_one", lambda *a: False)
-        return _capped(f, energy, True)
-
-
-@pytest.mark.parametrize("cube", CERT_CUBES)
-def test_certified_distance_matches_the_eigensolve(cube, monkeypatch):
-    outcomes = []
-    for k, (mu_V, mu_B) in enumerate(CERT_MEASURES):
-        f = sample_field(cube, DisorderConfig(mu_V, mu_B, 60 + k), 0)
-        m = plain_block(f)
-        top = eigensolve(m).eigenvalues[-1]
-        # an eigenvalue, on which the guard fires, besides the grid
-        for energy in (0.0, 0.5, 1.2, 2.0, 3.0, top):
-            proven = distance_at_least_one(m, energy)
-            try:
-                delta = min(resolvent(m, energy).delta, 1.0)
-            except PreconditionError as err:
-                # the gated profile reports the eigensolve's guard
-                assert _capped(f, energy, True) == str(err) and not proven
-                outcomes.append("guard")
-            else:
-                assert delta == 1.0 or not proven
-                outcomes.append(proven)
-        # E = 0 lies 1 inside the gap edge of the first and the last
-        # measures: the gated profile keeps its bytes without the proof
-        if k != 1:
-            got = _capped(f, 0.0, True)
-            assert got == _unproven(f, 0.0, monkeypatch)
-            assert got[0] == min(resolvent(m, 0.0).delta, 1.0) == 1.0
-    assert {True, False, "guard"} <= set(outcomes)
-
-
-@pytest.mark.parametrize("cube", CERT_CUBES)
-def test_distance_within_the_margin_of_one_falls_back(cube, monkeypatch):
-    mu_V, mu_B = CERT_MEASURES[2]
-    f = sample_field(cube, DisorderConfig(mu_V, mu_B, 62), 0)
-    m = plain_block(f)
-    top = eigensolve(m).eigenvalues[-1]
-    # E above the spectrum, 1 + tau from its top: proven only past the
-    # rounding margin; every leading slice section of m - E is then
-    # negative definite with no eigenvalue above -1, as inside the gap
-    for tau, proven in ((0.0, False), (1e-12, False), (1e-6, True)):
-        energy = top + 1.0 + tau
-        assert distance_at_least_one(m, energy) == proven
-        assert _capped(f, energy, True) == _unproven(f, energy, monkeypatch)
-        assert _capped(f, energy, True)[0] == min(resolvent(m, energy).delta, 1.0)
-    assert not distance_at_least_one(m * np.nan, 0.0)
-
-
 # the slice recursion's cases: measures with a gap edge, each with an
-# energy exactly 1 inside it; the gapped certificate measures (beta of
-# case 1), a mu_B with sup supp <= 0 (case 2, edge hypot(3, 4) = 5) and a
-# mu_B straddling 0 (case 3, beta = 0)
-SLICE_CASES = [(*CERT_MEASURES[0], 0.0), (*CERT_MEASURES[2], 0.0),
+# energy exactly 1 inside it, where the exact gate of the ct kind passes;
+# the measures of the resolvent-decay benchmark and constant fields (beta
+# of case 1), a mu_B with sup supp <= 0 (case 2, edge hypot(3, 4) = 5) and
+# a mu_B straddling 0 (case 3, beta = 0)
+SLICE_CASES = [(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1), 0.0),
+               (SiteMeasure.point_mass(1), SiteMeasure.point_mass(0), 0.0),
                (SiteMeasure.uniform(3, 4), SiteMeasure.uniform(-5, -4), 4.0),
                (SiteMeasure.uniform(3, 4), SiteMeasure.uniform(-5, -4), -4.0),
                (SiteMeasure.uniform(2, 3), SiteMeasure.uniform(-1, 1), 1.0),
@@ -416,7 +347,23 @@ SLICE_CUBES = [CubeSpec(1, 15), CubeSpec(2, 9), CubeSpec(3, 6)]
 
 
 def _gap_edge(mu_V, mu_B):
-    return math.hypot(mu_V.support_inf, case_beta(mu_B).beta)
+    return gap_edge(DisorderConfig(mu_V, mu_B))
+
+
+@pytest.mark.parametrize("cube", SLICE_CUBES + [CubeSpec(1, 31), CubeSpec(2, 12)])
+def test_eigensolve_distance_at_the_gate_is_one_up_to_rounding(cube):
+    # the gated profile puts the capped distance at 1.0 with no spectrum;
+    # eigvalsh is backward stable, each computed eigenvalue within about
+    # n u ||m||_2 of an exact one (u the unit roundoff), and ||m||_2 is at
+    # most the largest absolute row sum of the symmetric m
+    for k, (mu_V, mu_B, energy) in enumerate(SLICE_CASES):
+        assert _gap_edge(mu_V, mu_B) - abs(energy) == 1.0
+        f = sample_field(cube, DisorderConfig(mu_V, mu_B, 70 + k), 0)
+        m = plain_block(f)
+        rounding = len(m) * np.finfo(float).eps / 2 * np.abs(m).sum(axis=1).max()
+        distance = np.abs(np.linalg.eigvalsh(m) - energy).min()
+        assert distance >= 1.0 - rounding, k
+        assert decay_profile(f, energy, in_gap=True).delta == 1.0
 
 
 @pytest.mark.parametrize("cube", SLICE_CUBES)

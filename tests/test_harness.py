@@ -915,8 +915,8 @@ def test_one_eigen_call_per_distinct_matrix(kind, tmp_path, monkeypatch):
         # d = 1 counts come from the inertia, with no dense eigensolve
         assert solved == []
     elif kind == "ct":
-        # E = 0 lies 1 inside the gap edge hypot(1, 0): a factorization
-        # proves the capped spectral distance, with no dense eigensolve
+        # E = 0 lies 1 inside the gap edge hypot(1, 0): the gap theorem
+        # sets the capped spectral distance, with no dense eigensolve
         assert solved == []
     else:
         assert solved
@@ -1366,16 +1366,23 @@ def test_cli_missing_config_exits_3(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
-    # one slice recursion per realization where E lies 1 inside the gap
-    # edge, certified or not; one dense solve per realization outside it,
-    # here above the spectrum
+def _resolvent_paths(monkeypatch):
+    """The list that records, in order, each call of the two resolvent
+    paths of the ct kind: the slice sweep and the dense solve."""
     calls = []
     for name in ("slice_resolvent", "_inverse"):
         def counted(*a, _real=getattr(green, name), _name=name):
             calls.append(_name)
             return _real(*a)
         monkeypatch.setattr(green, name, counted)
+    return calls
+
+
+def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
+    # one slice recursion per realization where E lies 1 inside the gap
+    # edge; one dense solve per realization outside it, here above the
+    # spectrum
+    calls = _resolvent_paths(monkeypatch)
     for energy, path in ((0.0, "slice_resolvent"), (8.0, "_inverse")):
         calls.clear()
         cfg = make_cfg("ct", L=10, R=4, va=1.0, vb=2.0, bk="point_mass",
@@ -1387,46 +1394,30 @@ def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
         assert len(profile) == 1 + 9 ** 2
 
 
-@pytest.mark.parametrize("d, L", [(1, 16), (2, 12)])
-def test_ct_certificate_keeps_the_bytes_of_the_eigensolve(d, L, tmp_path,
-                                                          monkeypatch):
-    # the resolvent-decay measures: E = 0 lies 1 inside the gap edge
-    text = make_text("ct", L=L, R=5, va=1.0, vb=2.0,
-                     extra="[ct]\nenergy = 0.0\n").replace("\nd = 1\n", f"\nd = {d}\n")
-    proven = []
-    real = green.distance_at_least_one
-    monkeypatch.setattr(green, "distance_at_least_one",
-                        lambda *a: proven.append(real(*a)) or proven[-1])
-    certified = run(parse_config(text), tmp_path / "certified")
-    assert proven == [True] * 5
-    monkeypatch.setattr(green, "distance_at_least_one", lambda *a: False)
-    solved = run(parse_config(text), tmp_path / "solved")
-    assert certified.exit_code == solved.exit_code == 0
-    assert [r.to_json() for r in certified.reports] == \
-        [r.to_json() for r in solved.reports]
-    for name in ("ct.csv", "ct_profile.csv"):
-        assert (tmp_path / "certified" / name).read_bytes() == \
-            (tmp_path / "solved" / name).read_bytes()
-
-
-def test_ct_certificate_only_inside_the_gap(tmp_path, monkeypatch):
-    attempts = []
-    monkeypatch.setattr(green, "distance_at_least_one",
-                        lambda *a: attempts.append(a[1]) or False)
-    # attempted at every realization when E lies at least 1 inside the gap
-    # edge hypot(inf supp V, beta); never nearer the edge, or with no
-    # admissible edge (inf supp V < 0, or a B that case_beta rejects)
-    for k, (energy, va, bk, bargs, tries) in enumerate((
-            (-0.5, 1.5, "uniform", "a = 0.0\nb = 1.0", 3),
-            (0.0, 1.0, "uniform", "a = 0.0\nb = 1.0", 3),
-            (0.0, 1.0, "uniform", "a = -2.0\nb = -1.0", 3),
-            (0.5, 1.0, "uniform", "a = 0.0\nb = 1.0", 0),
-            (0.0, -1.0, "uniform", "a = 0.0\nb = 1.0", 0),
-            (0.0, 1.0, "two_point", "v1 = -1.0\np = 0.5\nv2 = 1.0", 0))):
-        attempts.clear()
-        run(make_cfg("ct", L=6, R=3, va=va, vb=va + 1.0, bk=bk, bargs=bargs,
-                     extra=f"[ct]\nenergy = {energy}\n"), tmp_path / str(k))
-        assert attempts == [energy] * tries, k
+def test_ct_takes_the_slice_path_exactly_inside_the_gap(tmp_path, monkeypatch):
+    calls = _resolvent_paths(monkeypatch)
+    # the slice path at every realization when E lies at least 1 inside the
+    # gap edge hypot(inf supp V, beta), in exact arithmetic; a dense solve
+    # nearer the edge, or with no admissible edge (inf supp V < 0, or a B
+    # that case_beta rejects)
+    lam, beta = 2.25, 1.378
+    near = math.hypot(lam, beta) - 1.0
+    # at E = near the rounded test hypot - |E| >= 1 passes, but
+    # lam^2 + beta^2 < (1 + |E|)^2 in exact arithmetic
+    assert math.hypot(lam, beta) - near >= 1.0
+    for k, (energy, va, bk, bargs, path) in enumerate((
+            (-0.5, 1.5, "uniform", "a = 0.0\nb = 1.0", "slice_resolvent"),
+            (0.0, 1.0, "uniform", "a = 0.0\nb = 1.0", "slice_resolvent"),
+            (0.0, 1.0, "uniform", "a = -2.0\nb = -1.0", "slice_resolvent"),
+            (0.5, 1.0, "uniform", "a = 0.0\nb = 1.0", "_inverse"),
+            (0.0, -1.0, "uniform", "a = 0.0\nb = 1.0", "_inverse"),
+            (0.0, 1.0, "two_point", "v1 = -1.0\np = 0.5\nv2 = 1.0", "_inverse"),
+            (near, lam, "uniform", f"a = {beta}\nb = {beta + 1.0}", "_inverse"))):
+        calls.clear()
+        result = run(make_cfg("ct", L=6, R=3, va=va, vb=va + 1.0, bk=bk, bargs=bargs,
+                              extra=f"[ct]\nenergy = {energy!r}\n"), tmp_path / str(k))
+        assert result.exit_code == 0, k
+        assert calls == [path] * 3, k
 
 
 @pytest.mark.parametrize("d, L", [(1, 16), (2, 7)])

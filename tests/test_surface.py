@@ -5,7 +5,9 @@ in src/blocklab names outside its own definition serves only the tests;
 such a reference belongs in tests/oracles.py.  Likewise a public
 function's option (a parameter with a default) that no call in
 src/blocklab passes another value is a branch only tests take, or a
-constant dressed as a setting.
+constant dressed as a setting, and a field of a public dataclass that no
+code in src/blocklab reads outside its own class is a value computed only
+for the tests.
 """
 
 import ast
@@ -170,6 +172,77 @@ def test_scan_flags_a_name_only_its_own_definition_uses(tmp_path):
         "    def _private(self):\n        return 0\n")
     # Box and open are named nowhere, lonely only inside itself
     assert unreached_names(tmp_path) == ["mod.Box", "mod.Box.open", "mod.lonely"]
+
+
+# fields read only by a method of their own class that src calls:
+# RunResult.to_json writes them to run.json
+EXEMPT_FIELDS = ("harness.RunResult.environment", "harness.RunResult.outputs",
+                 "harness.RunResult.summary", "harness.RunResult.wall_time")
+
+
+def _is_dataclass(node) -> bool:
+    return any(_callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields(src=SRC) -> list[str]:
+    """module.Class.field for every field of a public module-level
+    dataclass that no code in src reads as an attribute (loaded, or
+    updated in place) outside the class itself.  Reads match fields by
+    name."""
+    fields, reads = [], set()
+    for path in sorted(Path(src).glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(node, ast.ClassDef):
+                owner = f"{path.stem}.{node.name}"
+                if not node.name.startswith("_") and _is_dataclass(node):
+                    fields += [(owner, item.target.id) for item in node.body
+                               if isinstance(item, ast.AnnAssign)
+                               and isinstance(item.target, ast.Name)]
+            for n in ast.walk(node):
+                targets = [n.target] if isinstance(n, ast.AugAssign) else []
+                reads.update((t.attr, owner) for t in
+                             ([n] if isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Load) else targets)
+                             if isinstance(t, ast.Attribute))
+    return sorted(f"{owner}.{name}" for owner, name in fields
+                  if not any(attr == name and where != owner for attr, where in reads)
+                  and f"{owner}.{name}" not in EXEMPT_FIELDS)
+
+
+def test_every_dataclass_field_is_read_from_src():
+    assert unread_fields() == []
+
+
+def test_scan_flags_a_field_only_its_own_class_reads(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Fit:\n"
+        "    slope: float\n"
+        "    points: int\n"
+        "    note: str\n"
+        "    spread: float = 0.0\n\n"
+        "    def describe(self):\n        return self.note\n\n"
+        "@dataclass\n"
+        "class Tally:\n"
+        "    hits: int\n"
+        "    misses: int\n\n"
+        "@dataclass\n"
+        "class _Scratch:\n"
+        "    junk: int\n\n"
+        "class Plain:\n"
+        "    kept: int = 0\n\n"
+        "def use(fit, tally):\n"
+        "    tally.hits += 1\n"
+        "    tally.misses = 0\n"
+        "    return fit.slope, fit.describe()\n")
+    # slope is read outside its class and hits updated in place; note only
+    # inside its class, misses only assigned, points and spread never; a
+    # private dataclass and a plain class are not scanned
+    assert unread_fields(tmp_path) == ["mod.Fit.note", "mod.Fit.points",
+                                       "mod.Fit.spread", "mod.Tally.misses"]
 
 
 def config_key_problems(src=SRC) -> list[str]:
