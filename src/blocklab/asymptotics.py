@@ -15,11 +15,12 @@ from functools import partial
 import numpy as np
 
 from .disorder import DisorderConfig, FieldSample, case_beta, gap_edge, sample_fields
-from .green import chain_rim_norms, resolvent_columns
+from .green import chain_rim_norms, combes_thomas_bound, resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary, site_array,
                       site_index)
-from .operators import MAX_BLOCK_DIM, build_h0, component_indices, rim_indices
+from .operators import (MAX_BLOCK_DIM, assemble_plain, build_h0, component_indices,
+                        rim_indices)
 from .spectral import (Spectrum, count_below, deterministic_radius, eigensolve,
                        ensemble_counts, ensemble_mean, per_realization, plain_block,
                        run_realizations)
@@ -242,8 +243,8 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
 # -- suitability ---------------------------------------------------------------
 
 
-# an energy this close to the spectrum, relative to its scale (at least
-# 1), is on it: its suitability norm is inf
+# an energy this close to the spectrum, relative to the deterministic
+# radius (at least 1), is on it: its suitability norm is inf
 ON_SPECTRUM_RTOL = 1e-12
 
 
@@ -255,30 +256,19 @@ def _suitability_geometry(cube: CubeSpec):
     return rows, cols
 
 
-def suitability_norms(m: np.ndarray, eigenvalues: np.ndarray, rows, cols,
-                      energies) -> tuple[np.ndarray, np.ndarray]:
-    """Per energy: the norm of the resolvent block [rows, cols] of the
+def suitability_norms(m: np.ndarray, rows, cols, energies) -> np.ndarray:
+    """Per energy, the norm of the resolvent block [rows, cols] of the
     block matrix m (from `_suitability_geometry`: inner third to inner
-    boundary of the cube), and the distance to the spectrum `eigenvalues`.
-    This is the dense path of `suitability_probability`; at d = 1 inside
-    the gap `green.chain_rim_norms` gives the same norms in O(N).
+    boundary of the cube), every energy off the spectrum of m.
 
     G = (m - E)^-1 is symmetric, so the block is the transpose of
     G[cols, rows], read off the columns `rows` of G: one stacked LU solve
     (`green.resolvent_columns`) against only the boundary columns serves
-    every energy, and one batched SVD gives the norms.  An energy on the
-    spectrum (within ON_SPECTRUM_RTOL of its scale, at least 1) has norm
-    inf and distance 0: the cube is suitable there for no theta.
+    every energy, and one batched SVD gives the norms.
     """
-    energies = np.asarray(energies, dtype=float)
-    deltas = np.abs(eigenvalues[None, :] - energies[:, None]).min(axis=1)
-    off = deltas > ON_SPECTRUM_RTOL * max(np.max(np.abs(eigenvalues)), 1.0)
-    norms = np.full(len(energies), np.inf)
-    if off.any():
-        g = resolvent_columns(m, energies[off], rows)
-        # the 2-norm is the largest singular value; svd sorts them descending
-        norms[off] = np.linalg.svd(g[:, cols], compute_uv=False)[:, 0]
-    return norms, np.where(off, deltas, 0.0)
+    g = resolvent_columns(m, energies, rows)
+    # the 2-norm is the largest singular value; svd sorts them descending
+    return np.linalg.svd(g[:, cols], compute_uv=False)[:, 0]
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -344,66 +334,63 @@ class SuitabilityReport:
     implication: CheckReport
 
 
-def _suitability_row(f: FieldSample, geometry, energies, a_L, cuts):
-    """Per realization, from one eigvalsh and one stacked solve: the
-    suitability norm per energy, whether the spectral distance exceeds
-    each cut (theta x energy), and the gap event flag."""
-    m = plain_block(f)
-    ev = eigensolve(m).eigenvalues
-    norms, deltas = suitability_norms(m, ev, *geometry, energies)
-    gap_event = bool(np.min(np.abs(ev)) > a_L + f.cube.L ** -0.5)
-    return norms, deltas[None, :] > cuts[:, None], gap_event
+def _suitability_block(rs, cube, config, energies, a_L, cuts, tol, geometry, chain):
+    """Per realization of the block: the suitability norm per energy,
+    whether the spectral distance exceeds each cut (theta x energy), and
+    the gap event flag.
 
-
-def _suitability_block(rs, cube, config, energies, a_L, cuts, tol):
-    """The rows of `_suitability_row` at d = 1 for a block of realizations,
-    every energy inside the gap, with no eigensolve.
-
-    Two `count_below` calls, one per side, count the eigenvalues in
-    [c - r, c + r] for every window the rule needs: c = 0 with r the gap
-    event's threshold, and c = E with r = tol (on the spectrum) or a
-    finite cut.  An empty window is the event, off the spectrum, or a
-    distance past the cut.  `green.chain_rim_norms` gives the norms off
-    the spectrum."""
+    One `count_below` call, with the side of each energy, counts the
+    eigenvalues in [c - r, c + r] for every window the rule needs: c = 0
+    with r the gap event's threshold, and c = E with r = tol (on the
+    spectrum) or a finite cut.  An empty window is the event, off the
+    spectrum, or a distance past the cut.  The norms off the spectrum
+    come from `green.chain_rim_norms` when `chain` (d = 1, every energy
+    inside the gap), else from one `suitability_norms` solve per
+    realization on the `_suitability_geometry`."""
     V, B = sample_fields(cube, config, rs)
     live = np.isfinite(cuts)
     radii = np.concatenate([[tol], cuts[live]])
     centres = np.concatenate([[0.0], np.tile(energies, len(radii))])
     reach = np.concatenate([[a_L + cube.L ** -0.5],
                             np.repeat(radii, len(energies))])
-    empty = (count_below(cube, V, B, centres + reach, "right")
-             - count_below(cube, V, B, centres - reach, "left")) == 0
+    n = len(centres)
+    counts = count_below(cube, V, B, np.concatenate([centres + reach, centres - reach]),
+                         np.repeat(["right", "left"], n))
+    empty = counts[:, :n] == counts[:, n:]
     free = empty[:, 1:].reshape(len(rs), len(radii), len(energies))
     far = np.zeros((len(rs), len(cuts), len(energies)), dtype=bool)
     far[:, live] = free[:, 1:]
+    off = free[:, 0]
     norms = np.full((len(rs), len(energies)), np.inf)
-    i, j = np.nonzero(free[:, 0])
-    core = site_index(cube, cube.concentric(cube.L / 3.0))
-    norms[i, j] = chain_rim_norms(V[i], B[i], energies[j], core)
+    if chain:
+        i, j = np.nonzero(off)
+        core = site_index(cube, cube.concentric(cube.L / 3.0))
+        norms[i, j] = chain_rim_norms(V[i], B[i], energies[j], core)
+    else:
+        for i in np.flatnonzero(off.any(axis=1)):
+            norms[i, off[i]] = suitability_norms(assemble_plain(cube, V[i], B[i]),
+                                                 *geometry, energies[off[i]])
     return list(zip(norms, far, empty[:, 0].tolist()))
 
 
 def _ct_distances(cube: CubeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The distinct 1-norm distances from the inner boundary to the core
-    (the inner third), and the index among them of every boundary-core
-    pair's distance, pairs in loop order."""
+    (the inner third), and the number of boundary-core pairs at each."""
     bnd = inner_boundary(cube)
     core = site_array(cube.concentric(cube.L / 3.0))
     return np.unique(dist1_array(bnd[:, None], core[None]).ravel(),
-                     return_inverse=True)
+                     return_counts=True)
 
 
 def _ct_block_budget(distances, delta: float, d: int) -> float:
     """Frobenius aggregate of per-pair Combes-Thomas bounds over the
     boundary-to-core block (`distances` from `_ct_distances`); dominates
-    the block operator norm."""
-    dists, at = distances
-    dcap = min(delta, 1.0)
-    # one term per distinct distance, summed left to right over the pairs
-    # (cumsum is sequential) exactly as a loop over them would
-    terms = np.array([(4.0 / dcap * math.exp(-dcap * k / (12.0 * d))) ** 2
-                      for k in dists.tolist()])
-    return math.sqrt(float(np.cumsum(terms[at])[-1]))
+    the block operator norm.  Each distinct distance's squared bound is
+    weighted by its pair count; a bound past the float range makes the
+    budget inf."""
+    dists, pairs = distances
+    with np.errstate(over="ignore"):
+        return math.sqrt(pairs @ combes_thomas_bound(min(delta, 1.0), d, dists) ** 2)
 
 
 def _ct_cut(distances, target: float, d: int) -> float:
@@ -418,11 +405,7 @@ def _ct_cut(distances, target: float, d: int) -> float:
         return math.inf
     lo, hi = 0.0, 1.0             # the budget is inf at 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        try:
-            beats = _ct_block_budget(distances, mid, d) < target
-        except OverflowError:     # a term past the float range
-            beats = False
-        lo, hi = (lo, mid) if beats else (mid, hi)
+        lo, hi = (lo, mid) if _ct_block_budget(distances, mid, d) < target else (mid, hi)
     return lo
 
 
@@ -432,22 +415,25 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     """Suitability frequency per energy, with the gap-event implication,
     one report per theta in `thetas`.
 
-    Each realization is sampled and solved once for every theta and
-    energy.  Energies must lie in [-a_L, a_L] with a_L = edge + 1/sqrt(L).
-    Two implications are asserted per instance: the asymptotic one (active
-    only above the reported worst-case threshold length) and a sharp one,
-    where the instance's spectral distance exceeds the cut delta* of
-    (L, theta) (`_ct_cut`), past which the decay budget beats L^-theta.
+    Each realization is sampled and counted once for every theta and
+    energy, by one kernel (`_suitability_block`): eigenvalue counts decide
+    the gap event, the energies on the spectrum (within ON_SPECTRUM_RTOL
+    of the deterministic radius, at least 1, which bounds every
+    realization's scale) and the distances past delta*.  Energies must lie
+    in [-a_L, a_L] with a_L = edge + 1/sqrt(L).  The implication is
+    asserted on the gap events whose spectral distance exceeds the cut
+    delta* of (L, theta) (`_ct_cut`), past which the decay budget beats
+    L^-theta.  The worst-case threshold length of the asymptotic
+    implication is reported as `threshold_L`: at or above it every gap
+    event is past delta*, so the sharp implication holds every instance.
 
-    At d = 1 with every energy strictly inside the gap, |E| < edge, each
-    block of realizations runs `_suitability_block`: eigenvalue counts
-    decide the gap event, the energies on the spectrum and the distances
-    past delta*, and a Schur recursion gives the norms, in O(N) per
-    realization.  There every leading and trailing section of H_hat - E
-    is a plain block on a shorter chain, with no eigenvalue within
-    edge - |E| of E, so the recursion's pivots stay that far from
-    singular.  Otherwise each realization is solved densely
-    (`_suitability_row`).
+    Only the norm is dispatched.  At d = 1 with every energy strictly
+    inside the gap, |E| < edge, `green.chain_rim_norms` gives it in O(N)
+    per realization, with no eigensolve: every leading and trailing
+    section of H_hat - E is a plain block on a shorter chain, with no
+    eigenvalue within edge - |E| of E, so the recursion's pivots stay
+    that far from singular.  Otherwise one stacked solve per realization
+    gives it (`suitability_norms`).
     """
     energies = np.asarray(energies, dtype=float)
     cube = CubeSpec(d, L)
@@ -458,38 +444,28 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     geometry = _suitability_geometry(cube)
     distances = _ct_distances(cube)
     cuts = np.array([_ct_cut(distances, L ** -theta, d) for theta in thetas])
-    if d == 1 and np.all(np.abs(energies) < edge):
-        # the on-spectrum tolerance at the deterministic radius, which
-        # bounds every realization's scale
-        tol = ON_SPECTRUM_RTOL * max(
-            deterministic_radius(d, config.mu_V, config.mu_B), 1.0)
-        kernel = partial(_suitability_block, cube=cube, config=config,
-                         energies=energies, a_L=a_L, cuts=cuts, tol=tol)
-    else:
-        kernel = per_realization(partial(_suitability_row, geometry=geometry,
-                                         energies=energies, a_L=a_L, cuts=cuts),
-                                 cube, config)
-    rows = run_realizations(kernel, R, mapper)
+    tol = ON_SPECTRUM_RTOL * max(deterministic_radius(d, config.mu_V, config.mu_B), 1.0)
+    rows = run_realizations(partial(
+        _suitability_block, cube=cube, config=config, energies=energies, a_L=a_L,
+        cuts=cuts, tol=tol, geometry=geometry,
+        chain=d == 1 and bool(np.all(np.abs(energies) < edge))),
+        R, mapper)
     norms = np.array([row[0] for row in rows])                  # R x nE
     far = np.array([row[1] for row in rows])                    # R x ntheta x nE
     events = np.array([row[2] for row in rows], dtype=bool)
 
     reports = []
     for k, theta in enumerate(thetas):
-        threshold = ct_threshold_length(theta, d)
         flags = norms < L ** (-theta)
         hits = flags.sum(axis=0)
         lo, hi = zip(*(wilson_interval(int(h), R) for h in hits))
         implication = CheckReport(
             "gap_event_implies_suitable",
-            parameters={"L": L, "theta": theta, "threshold_L": threshold})
-        # per gap event and energy: +1 where the cube is suitable, else -1
-        signs = np.where(flags[events], 1.0, -1.0)
-        # asymptotic implication: in force only above the threshold length
-        if threshold is not None and L >= threshold:
-            implication.record(signs)
-        # sharp implication: the distances past delta*
-        implication.record(signs[far[events, k]])
+            parameters={"L": L, "theta": theta,
+                        "threshold_L": ct_threshold_length(theta, d)})
+        # per gap event and energy past delta*: +1 where the cube is
+        # suitable, else -1
+        implication.record(np.where(flags[events][far[events, k]], 1.0, -1.0))
         reports.append(SuitabilityReport(
             L, energies, hits / R, np.array(lo), np.array(hi), R, a_L,
             float(events.mean()), implication))

@@ -384,8 +384,10 @@ def edi_check(region, cube3, field: FieldSample, eigen_index: int,
     return rep
 
 
-def combes_thomas_bound(delta: float, d: int, distance: float) -> float:
-    """(4/delta) exp(-delta |n-m| / (12 d)) with delta capped at 1."""
+def combes_thomas_bound(delta: float, d: int, distance):
+    """(4/delta) exp(-delta |n-m| / (12 d)), the caller's delta capped at
+    1, elementwise over a distance or an array of them: one np.exp call,
+    which rounds each entry as a call with that distance alone does."""
     return 4.0 / delta * np.exp(-delta * distance / (12.0 * d))
 
 
@@ -444,7 +446,7 @@ def decay_profile(field: FieldSample, energy: float,
     # the pairs run row-major over the grid
     norm = block_norm_grid(g, cube.site_count).ravel()
     # the bound depends on the pair only through its distance
-    caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists.tolist()])
+    caps = combes_thomas_bound(delta, cube.d, dists)
     return DecayProfile(energy, delta, first, second, dist, norm, caps[at])
 
 

@@ -312,13 +312,20 @@ LISTS = {"ids": ("energies",), "wegner": ("energies", "epsilons"),
          "suitability": ("theta", "energies", "lengths")}
 
 
+# the kinds whose run solves only the cubes of their own `lengths`, never
+# the experiment's cube of length L (green's and sli-edi's host length
+# defaults to it)
+OWN_LENGTHS = ("green", "sli-edi", "tails", "suitability")
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
     """All hypothesis diagnostics for the configured experiment, no
     computation: every count and range the run relies on."""
     out = []
     if cfg.d < 1:
         out.append(f"dimension must be >= 1, got {cfg.d}")
-    out += _cube_problems(cfg.d, cfg.L)
+    if cfg.kind not in OWN_LENGTHS:
+        out += _cube_problems(cfg.d, cfg.L)
     if cfg.realizations < 1:
         out.append("realizations must be >= 1")
     if cfg.workers < 1:
@@ -361,7 +368,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"{k}: {e}")
         if cfg.mu_V.support_inf < 0:
             out.append(f"{k}: needs inf supp mu_V >= 0")
-    # the kinds that solve cubes other than the experiment's
+    # the cubes of the OWN_LENGTHS kinds
     if k == "suitability":
         lengths = cfg.value("lengths")
         for L in lengths:
@@ -390,8 +397,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         else:
             names = ("core", "middle", "host")
             for what, L in zip(names, lengths):
-                if L != cfg.L:          # the experiment's cube is reported above
-                    out += _cube_problems(cfg.d, L, f"{k}: {what} length {L:g}: ")
+                out += _cube_problems(cfg.d, L, f"{k}: {what} length {L:g}: ")
             if cfg.d >= 1 and min(lengths) > 1:
                 cubes = [CubeSpec(cfg.d, L) for L in lengths]
                 out += [f"{k}: the {names[j]} cube (length {lengths[j]:g}) is not "
@@ -913,7 +919,7 @@ def _exp_suitability(cfg, mapper):
                 order.record(rep.wilson_hi - prev.wilson_lo)
             prev = rep
         reports.append(order)
-        thresholds[f"{theta:g}"] = asymptotics.ct_threshold_length(theta, cfg.d)
+        thresholds[f"{theta:g}"] = prev.implication.parameters["threshold_L"]
     header = ["theta", "L", "E", "probability", "wilson_lo", "wilson_hi",
               "gap_event_freq", "R", "a_L"]
     return ({"suitability": (header, rows)}, reports,

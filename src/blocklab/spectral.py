@@ -66,7 +66,9 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
     result is the number of eigenvalues of realization i, with
     multiplicity, strictly below energies[k] (side "left": lambda < E) or
     at or below it (side "right": lambda <= E), as np.searchsorted counts
-    them on the ascending spectrum.
+    them on the ascending spectrum.  `side` is one side for every energy
+    or an array of sides that broadcasts against `energies`; each count
+    is the one a call with that energy's side alone returns.
 
     At d = 1, by Sylvester's law of inertia the count below E is the
     number of negative eigenvalues of (H_hat - E), and with the two
@@ -95,29 +97,35 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
 
     At d >= 2 each realization is diagonalized densely.
     """
-    if side not in ("left", "right"):
+    sides = np.asarray(side)
+    if not np.isin(sides, ("left", "right")).all():
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     V = np.asarray(V, dtype=float)
     B = np.asarray(B, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if not all(np.all(np.isfinite(x)) for x in (V, B, energies)):
         raise ValueError("fields or energies have non-finite entries")
+    right = np.broadcast_to(sides == "right", energies.shape)
     if cube.d == 1:
         r = 5.0 + np.abs(V).max(initial=0.0) + np.abs(B).max(initial=0.0)
         # a product that overflows loses to the other form of det S, or
         # the recursion raises
         with np.errstate(over="ignore"):
-            return _schur_counts(V, B, np.clip(energies, -r, r), side == "right")
-    counts = [np.searchsorted(eigensolve(assemble_plain(cube, v, b)).eigenvalues,
-                              energies, side=side) for v, b in zip(V, B)]
+            return _schur_counts(V, B, np.clip(energies, -r, r), right)
+    counts = []
+    for v, b in zip(V, B):
+        ev = eigensolve(assemble_plain(cube, v, b)).eigenvalues
+        counts.append(np.where(right, np.searchsorted(ev, energies, "right"),
+                               np.searchsorted(ev, energies, "left")))
     return np.array(counts, dtype=np.int64).reshape(len(V), len(energies))
 
 
 def _schur_counts(V, B, energies, right):
     """count_below at d = 1: the 2x2 Schur recursion over the sites, on
-    (realizations x energies) arrays.  S = (a b; b c) is the current
-    Schur complement, G = C S^-1 C = (c b; b a) / det S the term it
-    passes to the next site, and det G = 1 / det S."""
+    (realizations x energies) arrays, `right` the side of each energy as
+    a boolean array.  S = (a b; b c) is the current Schur complement,
+    G = C S^-1 C = (c b; b a) / det S the term it passes to the next site,
+    and det G = 1 / det S."""
     E = energies[None, :]
     shape = (len(V), len(energies))
     neg = np.zeros(shape, dtype=np.int64)
@@ -153,7 +161,7 @@ def _schur_counts(V, B, energies, right):
 def _tie_site(a0, b0, c0, a, b, c, d, ties, right):
     """One site of _schur_counts where a pivot, this site's or the previous
     one's, is exactly singular, resolved as the limit s -> 0 of
-    (H_hat - E + s), s < 0 when `right` and s > 0 otherwise.
+    (H_hat - E + s), s < 0 where `right` and s > 0 elsewhere.
 
     A singular S = (a b; b c) has eigenvalues 0 and t = a + c, and the
     shift gives the zero one the sign of s.  C S^-1 C is then of order 1/s
@@ -170,7 +178,7 @@ def _tie_site(a0, b0, c0, a, b, c, d, ties, right):
     if ties is None:
         ties = (np.zeros(shape, dtype=np.int8),) + (np.zeros(shape),) * 4
     mode, x11, x12, x22, o = ties
-    r = int(right)                 # 1 when s < 0
+    r = right.astype(np.int64)     # 1 where s < 0
     regular = (mode == 0) & (d != 0.0)
     fresh = (mode == 0) & (d == 0.0)
     t = a + c

@@ -8,10 +8,12 @@ boundary pairs, the inner and outer boundaries, strict inclusion, the
 block-component indices and the boundary operator built from the pair
 list.  The rest: the densities whose variation the BV norms sum,
 finite differences for the Feynman-Hellmann sums, a dense solve and an
-eigenpair sum for the suitability norm, a variational minimization for
-the lowest positive block eigenvalue, explicit 2x2 element reads, block
-embeddings and indicator projections for the exact identities, the
-Laplacian built site by site and the plain block of a field on any
+eigenpair sum for the suitability norm, the eigenvalue rule of a
+suitability row, the Combes-Thomas block budget pair by pair, a
+variational minimization for the lowest positive block eigenvalue,
+explicit 2x2 element reads, block embeddings and indicator projections
+for the exact identities, the Laplacian built site by site and the
+plain block of a field on any
 region (from that Laplacian and one dict lookup), a per-site hash for
 the field sampler, a per-pair 1-norm distance, window counts read off a
 dense spectrum, and the nested-cube checks with their geometry rebuilt
@@ -20,6 +22,7 @@ from site sets on every call and one norm per EDI probe.
 of them runs in an experiment.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -370,26 +373,49 @@ def dense_suitability_norm(op_matrix, energy, rows, cols) -> float:
     return float(np.linalg.norm(g[np.ix_(rows, cols)], 2))
 
 
-def eigenpair_suitability_norms(s: Spectrum, rows, cols,
-                                energies) -> tuple[np.ndarray, np.ndarray]:
-    """Per energy: the norm of the resolvent block [rows, cols] and the
-    distance to the spectrum, read off the eigenpairs in `s`,
+def suitability_row(field: FieldSample, rows, cols, energies, a_L: float, cuts,
+                    tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One realization's row of the suitability kernel by the eigenvalue
+    rule, from a dense spectrum: per energy the norm of the resolvent block
+    [rows, cols] by a full inverse, inf for an energy within tol of the
+    spectrum, whose distance is then 0; whether each distance exceeds each
+    cut (cut x energy); and the gap event min |lambda| > a_L + L^-1/2."""
+    m = plain_block_on(field.cube, field)
+    ev = eigensolve(m).eigenvalues
+    deltas = np.array([np.min(np.abs(ev - e)) for e in energies])
+    off = deltas > tol
+    norms = np.array([dense_suitability_norm(m, e, rows, cols) if o else np.inf
+                      for e, o in zip(energies, off)])
+    far = np.where(off, deltas, 0.0)[None, :] > np.asarray(cuts)[:, None]
+    return norms, far, bool(np.min(np.abs(ev)) > a_L + field.cube.L ** -0.5)
+
+
+def ct_block_budget(cube: CubeSpec, delta: float) -> float:
+    """The Frobenius aggregate of the Combes-Thomas bounds
+    (4/delta) exp(-delta |n-m| / (12 d)), delta capped at 1, by a loop over
+    every pair of an inner boundary site n and a core (inner third) site
+    m, in loop order; inf when a term leaves the float range."""
+    dcap = min(delta, 1.0)
+    rate = dcap / (12.0 * cube.d)
+    core = sites(cube.concentric(cube.L / 3.0))
+    total = 0.0
+    try:
+        for n in inner_boundary(cube):
+            for m in core:
+                total += (4.0 / dcap * math.exp(-rate * dist1(n, m))) ** 2
+    except OverflowError:
+        return math.inf
+    return math.sqrt(total)
+
+
+def eigenpair_suitability_norms(s: Spectrum, rows, cols, energies) -> np.ndarray:
+    """Per energy off the spectrum, the norm of the resolvent block
+    [rows, cols] read off the eigenpairs in `s`,
     G[rows, cols] = (V[rows] / (lambda - E)) V[cols]^T, with one 2-norm
-    per energy.  An energy on the spectrum (within 1e-12 of its scale, at
-    least 1) has norm inf and distance 0."""
-    ev = s.eigenvalues
+    per energy."""
     v_rows, v_cols = s.eigenvectors[rows], s.eigenvectors[cols]
-    scale = max(np.max(np.abs(ev)), 1.0)
-    norms, deltas = [], []
-    for e in energies:
-        delta = float(np.min(np.abs(ev - e)))
-        if delta <= 1e-12 * scale:
-            norms.append(np.inf)
-            deltas.append(0.0)
-            continue
-        norms.append(float(np.linalg.norm((v_rows / (ev - e)) @ v_cols.T, 2)))
-        deltas.append(delta)
-    return np.array(norms), np.array(deltas)
+    return np.array([np.linalg.norm((v_rows / (s.eigenvalues - e)) @ v_cols.T, 2)
+                     for e in energies])
 
 
 # -- nested-cube checks, geometry rebuilt per call ------------------------------

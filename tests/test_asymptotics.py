@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from blocklab import asymptotics, green
 from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   _ct_block_budget, _ct_cut,
                                   _ct_distances, _suitability_block,
-                                  _suitability_geometry, _suitability_row,
+                                  _suitability_geometry,
                                   c0_estimate,
                                   correlator_q,
                                   ct_threshold_length, eigenfunction_correlator,
@@ -235,40 +236,49 @@ def test_lower_bound_cube_over_the_cap_is_not_sampled(monkeypatch):
 # -- suitability -------------------------------------------------------------------
 
 
-def suitable(cube, f, energy, theta):
-    """Whether the cube is (theta, E)-suitable for the field."""
-    rows, cols = _suitability_geometry(cube)
-    op = plain_block(f)
-    norms, _ = suitability_norms(op, eigensolve(op).eigenvalues, rows, cols,
-                                 [energy])
+def kernel_rows(cube, config, rs, energies, cuts=(), chain=None):
+    """The rows of `_suitability_block` for realizations rs, with the
+    window, tolerance and norm dispatch of `suitability_probability`."""
+    edge = gap_edge(config)
+    energies = np.asarray(energies, dtype=float)
+    if chain is None:
+        chain = cube.d == 1 and bool(np.all(np.abs(energies) < edge))
+    return _suitability_block(rs, cube, config, energies, edge + cube.L ** -0.5,
+                              np.asarray(cuts, dtype=float),
+                              on_spectrum_tol(config, cube.d),
+                              _suitability_geometry(cube), chain)
+
+
+def on_spectrum_tol(config, d):
+    return asymptotics.ON_SPECTRUM_RTOL * max(
+        deterministic_radius(d, config.mu_V, config.mu_B), 1.0)
+
+
+def suitable(cube, r, energy, theta, chain=None):
+    """Whether the cube is (theta, E)-suitable for realization r of LAM1."""
+    (norms, _, _), = kernel_rows(cube, LAM1, range(r, r + 1), [energy], chain=chain)
     return bool(norms[0] < cube.L ** -theta)
 
 
 def test_suitable_deep_gap():
-    cube = CubeSpec(1, 12)
-    f = sample_field(cube, LAM1, 0)
-    assert suitable(cube, f, 0.0, theta=1.5)
+    for chain in (True, False):
+        assert suitable(CubeSpec(1, 12), 0, 0.0, theta=1.5, chain=chain)
 
 
 def test_suitable_false_at_eigenvalue():
     cube = CubeSpec(1, 12)
-    f = sample_field(cube, LAM1, 1)
-    op = plain_block(f)
-    e = float(eigensolve(op).eigenvalues[3])
-    assert not suitable(cube, f, e, theta=1.5)
+    e = float(eigensolve(plain_block(sample_field(cube, LAM1, 1))).eigenvalues[3])
+    for chain in (True, False):
+        assert not suitable(cube, 1, e, theta=1.5, chain=chain)
 
 
 def test_suitable_false_for_huge_theta():
-    cube = CubeSpec(1, 12)
-    f = sample_field(cube, LAM1, 2)
-    assert not suitable(cube, f, 0.0, theta=50.0)
+    assert not suitable(CubeSpec(1, 12), 2, 0.0, theta=50.0)
 
 
 def test_suitable_needs_length_in_6n():
-    cube = CubeSpec(1, 10)
-    f = sample_field(cube, LAM1, 0)
     with pytest.raises(PreconditionError):
-        suitable(cube, f, 0.0, 1.5)
+        suitable(CubeSpec(1, 10), 0, 0.0, 1.5)
 
 
 @pytest.mark.parametrize("d, L", [(1, 12), (1, 48), (2, 6)])
@@ -277,53 +287,40 @@ def test_suitability_norms_match_dense_solve(d, L):
     rows, cols = _suitability_geometry(cube)
     energies = [0.0, 0.5, 0.9]
     for r in range(4):
-        f = sample_field(cube, LAM1, r)
-        op = plain_block(f)
-        ev = eigensolve(op).eigenvalues
-        norms, deltas = suitability_norms(op, ev, rows, cols, energies)
+        op = plain_block(sample_field(cube, LAM1, r))
+        norms = suitability_norms(op, rows, cols, energies)
         dense = [dense_suitability_norm(op, e, rows, cols) for e in energies]
         assert norms == pytest.approx(dense, rel=1e-10)
-        assert deltas == pytest.approx([np.min(np.abs(ev - e)) for e in energies])
 
 
 @pytest.mark.parametrize("d, L, config", [(1, 12, LAM1), (1, 48, LAM1),
                                           (2, 6, LAM1), (2, 12, GAP2)])
 def test_suitability_norms_match_the_eigenpair_oracle(d, L, config):
-    # the boundary-column LU solve against the eigenpair sum, with one
-    # energy on the spectrum of each realization
+    # the boundary-column LU solve against the eigenpair sum
     cube = CubeSpec(d, L)
     rows, cols = _suitability_geometry(cube)
+    energies = [0.0, 0.4, -0.7]
     for r in range(3):
-        f = sample_field(cube, config, r)
-        op = plain_block(f)
+        op = plain_block(sample_field(cube, config, r))
         s = eigensolve(op, want_vectors=True)
-        energies = [0.0, 0.4, float(s.eigenvalues[len(s.eigenvalues) // 2 + r]),
-                    -0.7]
-        norms, deltas = suitability_norms(op, eigensolve(op).eigenvalues, rows,
-                                          cols, energies)
-        ref_norms, ref_deltas = eigenpair_suitability_norms(s, rows, cols, energies)
-        assert norms[2] == ref_norms[2] == np.inf
-        assert deltas[2] == ref_deltas[2] == 0.0
-        assert np.all(np.isfinite(np.delete(norms, 2)))
-        assert norms == pytest.approx(ref_norms, rel=1e-10)
-        assert deltas == pytest.approx(ref_deltas, rel=1e-10)
+        ref = eigenpair_suitability_norms(s, rows, cols, energies)
+        assert suitability_norms(op, rows, cols, energies) == pytest.approx(ref,
+                                                                            rel=1e-10)
 
 
 def test_suitability_norms_solve_only_the_boundary_columns(monkeypatch):
-    # one stacked solve for every energy off the spectrum, against 4
+    # one stacked solve for the energies off the spectrum, against 4
     # columns at d = 1: two boundary sites, two components each
     solves = []
     real = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: solves.append((a.shape, b.shape)) or real(a, b))
     cube = CubeSpec(1, 24)
-    rows, cols = _suitability_geometry(cube)
-    f = sample_field(cube, LAM1, 0)
-    op = plain_block(f)
-    ev = eigensolve(op).eigenvalues
-    norms, _ = suitability_norms(op, ev, rows, cols, [0.0, float(ev[5]), 0.5])
+    ev = eigensolve(plain_block(sample_field(cube, LAM1, 0))).eigenvalues
+    (norms, _, _), = kernel_rows(cube, LAM1, range(1), [0.0, float(ev[5]), 0.5],
+                                 chain=False)
     assert solves == [((2, 46, 46), (46, 4))]
-    assert norms[1] == np.inf
+    assert norms[1] == np.inf and np.all(np.isfinite(norms[[0, 2]]))
 
 
 def test_resolvent_columns_residual_contract(monkeypatch):
@@ -361,8 +358,7 @@ def test_chain_rim_norms_match_the_dense_solves(L, config):
     norms = chain_norms(cube, config, range(4), energies)
     for r in range(4):
         op = plain_block(sample_field(cube, config, r))
-        ref, _ = suitability_norms(op, eigensolve(op).eigenvalues, rows, cols,
-                                   energies)
+        ref = suitability_norms(op, rows, cols, energies)
         assert norms[r] == pytest.approx(ref, rel=1e-12)
         assert norms[r] == pytest.approx(
             [dense_suitability_norm(op, e, rows, cols) for e in energies], rel=1e-12)
@@ -393,43 +389,57 @@ TWO_POINT = DisorderConfig(SiteMeasure.two_point(1.0, 0.2, 3.0),
                            SiteMeasure.point_mass(0.0), 54)
 
 
-@pytest.mark.parametrize("config, L", [(TWO_POINT, 12), (GAPB, 24), (LAM1, 48)])
-def test_suitability_block_decides_as_the_eigenvalues(config, L):
-    # the counts against the dense eigenvalue rule: gap event, energies on
-    # the spectrum, distances past each cut
-    cube = CubeSpec(1, L)
+def decides_as_the_eigenvalues(d, L, config, energies):
+    """The one kernel against the eigenvalue rule of a dense spectrum: gap
+    event, energies on the spectrum, distances past each cut, norms."""
+    cube = CubeSpec(d, L)
     edge = gap_edge(config)
     a_L = edge + L ** -0.5
-    energies = np.array([0.0, edge / 2, 0.9 * edge])
-    cuts = np.array([0.2, 0.6, _ct_cut(_ct_distances(cube), L ** 2.0, 1), np.inf])
-    R = 40
-    tol = asymptotics.ON_SPECTRUM_RTOL * deterministic_radius(1, config.mu_V,
-                                                              config.mu_B)
-    block = _suitability_block(range(R), cube, config, energies, a_L, cuts, tol)
+    energies = np.array([0.0, edge / 2, 0.9 * edge] if energies == "inside" else
+                        [0.0, edge + 0.5 * L ** -0.5, -a_L])
+    cuts = np.array([0.2, 0.6, _ct_cut(_ct_distances(cube), L ** 2.0, d), np.inf])
+    R = 40 if d == 1 else 12
+    block = kernel_rows(cube, config, range(R), energies, cuts)
     geometry = _suitability_geometry(cube)
-    dense = [_suitability_row(sample_field(cube, config, r), geometry, energies,
-                              a_L, cuts) for r in range(R)]
+    dense = [oracles.suitability_row(sample_field(cube, config, r), *geometry,
+                                     energies, a_L, cuts, on_spectrum_tol(config, d))
+             for r in range(R)]
     assert [row[2] for row in block] == [row[2] for row in dense]
     assert np.array_equal([row[1] for row in block], [row[1] for row in dense])
     norms = np.array([row[0] for row in block])
     assert np.all(np.isfinite(norms))
-    assert norms == pytest.approx(np.array([row[0] for row in dense]), rel=1e-12)
+    assert norms == pytest.approx(np.array([row[0] for row in dense]), rel=1e-10)
     far = np.array([row[1] for row in block])
     assert far[:, :3].any() and not far.all() and not far[:, 3].any()
-    if config is TWO_POINT:
+    if config is TWO_POINT and d == 1:
         assert len({row[2] for row in block}) == 2
 
 
+@pytest.mark.parametrize("config, L", [(TWO_POINT, 12), (GAPB, 24), (LAM1, 48)])
+def test_suitability_block_decides_as_the_eigenvalues(config, L):
+    # inside the gap at d = 1: the norms of the Schur recursion
+    decides_as_the_eigenvalues(1, L, config, "inside")
+
+
+@pytest.mark.parametrize("d, L, config, energies", [
+    (1, 12, TWO_POINT, "edge"), (1, 24, GAPB, "edge"), (1, 48, LAM1, "edge"),
+    (2, 6, TWO_POINT, "inside"), (2, 6, GAPB, "edge"), (2, 12, LAM1, "edge")])
+def test_suitability_block_decides_as_the_eigenvalues_off_the_gate(d, L, config,
+                                                                   energies):
+    # in [edge, a_L] at d = 1, and at d = 2: the norms of stacked solves
+    decides_as_the_eigenvalues(d, L, config, energies)
+
+
 def test_suitability_block_reads_an_energy_on_the_spectrum():
-    # outside the gap, where no run dispatches it: an eigenvalue of the
-    # realization is on the spectrum, with norm inf
+    # an eigenvalue of the realization is on the spectrum, with norm inf,
+    # whichever path gives the norms
     cube = CubeSpec(1, 12)
     op = plain_block(sample_field(cube, LAM1, 1))
     e = float(eigensolve(op).eigenvalues[13])
-    (norms, far, _), = _suitability_block(range(1, 2), cube, LAM1, np.array([e, 0.0]),
-                                          1.0 + 12 ** -0.5, np.array([0.1]), 1e-11)
-    assert norms[0] == np.inf and np.isfinite(norms[1])
-    assert far.tolist() == [[False, True]]
+    for chain in (True, False):
+        (norms, far, _), = kernel_rows(cube, LAM1, range(1, 2), [e, 0.0], [0.1], chain)
+        assert norms[0] == np.inf and np.isfinite(norms[1])
+        assert far.tolist() == [[False, True]]
 
 
 @pytest.mark.parametrize("d, L", [(1, 12), (1, 480), (2, 12)])
@@ -491,17 +501,52 @@ def test_ct_threshold_is_astronomical_at_desk_scale():
     assert thr % 6 == 0
 
 
-@pytest.mark.parametrize("d, L", [(1, 48), (2, 12), (3, 6)])
+@pytest.mark.parametrize("d, L", [(1, 48), (2, 12), (3, 6), (1, 480)])
 def test_ct_block_budget_matches_pair_loop(d, L):
-    # the per-pair sum in pair order, bit for bit
+    # the sum over distance multiplicities against the sum over pairs,
+    # which adds in another order
     cube = CubeSpec(d, L)
     for delta in (0.05, 0.7, 3.0):
-        dcap = min(delta, 1.0)
-        total = 0.0
-        for n in oracles.inner_boundary(cube):
-            for m in oracles.sites(cube.concentric(L / 3.0)):
-                total += (4.0 / dcap * math.exp(-dcap * dist1(n, m) / (12.0 * d))) ** 2
-        assert _ct_block_budget(_ct_distances(cube), delta, d) == math.sqrt(total)
+        assert _ct_block_budget(_ct_distances(cube), delta, d) == pytest.approx(
+            oracles.ct_block_budget(cube, delta), rel=1e-13)
+
+
+def test_ct_block_budget_is_inf_past_the_float_range():
+    distances = _ct_distances(CubeSpec(1, 12))
+    assert oracles.ct_block_budget(CubeSpec(1, 12), 1e-160) == math.inf
+    with np.errstate(over="raise"):
+        assert _ct_block_budget(distances, 1e-160, 1) == math.inf
+        assert _ct_block_budget(distances, 5e-324, 1) == math.inf
+
+
+def test_ct_distances_count_every_boundary_core_pair():
+    cube = CubeSpec(2, 12)
+    dists, pairs = _ct_distances(cube)
+    core = oracles.sites(cube.concentric(4.0))
+    ref = Counter(dist1(n, m) for n in oracles.inner_boundary(cube) for m in core)
+    assert dict(zip(dists.tolist(), pairs.tolist())) == ref
+
+
+# gap events at every length: V = 5 but at 1 % of the sites, edge 0
+TIES = DisorderConfig(SiteMeasure.two_point(0.0, 0.01, 5.0),
+                      SiteMeasure.point_mass(0.0), 55)
+
+
+@pytest.mark.parametrize("d, L, theta", [(1, 6, -1.5), (1, 12, -2.0), (1, 48, -3.0),
+                                         (2, 6, -2.5), (2, 12, -3.0)])
+def test_every_gap_event_is_past_the_cut_from_the_threshold_length(d, L, theta):
+    # there every gap event's distance exceeds L^-1/2, the pairs lie at
+    # least L/3 apart and the budget at L^-1/2 is below the worst case that
+    # defines the threshold, so delta* < L^-1/2: each (event, energy) is
+    # one instance of the implication
+    assert L >= ct_threshold_length(theta, d)
+    assert _ct_cut(_ct_distances(CubeSpec(d, L)), L ** -theta, d) < L ** -0.5
+    energies = [0.0, 0.5 * L ** -0.5]
+    rep, = suitability_probability(TIES, d, L, [theta], energies, R=12)
+    events = round(rep.gap_event_frequency * 12)
+    assert events > 0
+    assert rep.implication.instances == events * len(energies)
+    assert rep.implication.parameters["threshold_L"] == ct_threshold_length(theta, d)
 
 
 def test_wilson_interval_sane():

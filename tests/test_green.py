@@ -283,6 +283,15 @@ def test_decay_profile_columns():
     assert profile.norm[k] <= profile.bound[k] + 1e-12
 
 
+def test_combes_thomas_bound_over_an_array_rounds_as_each_distance_alone():
+    dists = np.arange(2000)
+    for delta in np.random.default_rng(0).uniform(0.0, 1.0, 10).tolist() + [1.0]:
+        for d in (1, 2, 3):
+            caps = combes_thomas_bound(delta, d, dists)
+            assert np.array_equal(caps, [combes_thomas_bound(delta, d, k)
+                                         for k in dists.tolist()])
+
+
 @pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 4)])
 def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     op, f = plain_on(cube, GAPPED, 3)

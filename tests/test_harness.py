@@ -214,6 +214,30 @@ def test_validate_matrix_cap(text, where, tmp_path, capsys):
     assert run(parse_config(text), tmp_path / "out").exit_code == 3
 
 
+@pytest.mark.parametrize("text", [
+    (CONFIG_DIR / "suitability.ini").read_text().replace("\nL = 48\n", "\nL = 3000\n"),
+    (CONFIG_DIR / "tails.ini").read_text().replace("\nL = 45\n", "\nL = 3000\n"),
+    make_text("green", L=3000, va=1.0, vb=2.0, extra="[green]\nlengths = 2 5 9\n"),
+    make_text("sli-edi", L=3000, va=1.0, vb=2.0, extra="[sli-edi]\nlengths = 2 5 9\n"),
+], ids=["suitability", "tails", "green", "sli-edi"])
+def test_validate_skips_the_experiment_cube_of_kinds_that_never_build_it(text,
+                                                                         tmp_path):
+    # these runs solve only the cubes of their own lengths
+    assert parse_config(text).L == 3000
+    assert validate(parse_config(text)) == []
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["green", "sli-edi"])
+def test_validate_checks_the_default_host_length(kind):
+    # the default lengths end at the experiment's L
+    assert validate(make_cfg(kind, L=3000, va=1.0, vb=2.0)) == [
+        f"{kind}: host length 3000: matrix dimension 5998 exceeds the hard cap "
+        "4096; reduce L or d"]
+
+
 def test_validate_tails_lengths_pair_with_epsilons():
     cfg = make_cfg("tails", va=1.0, vb=2.0, bk="point_mass", bargs="c = 0.0",
                    extra="[tails]\nepsilons = 0.3 0.5\nlengths = 15\n")
@@ -964,9 +988,9 @@ def test_each_block_is_sampled_once(kind, tmp_path, monkeypatch):
     cubes = list(dict.fromkeys(cube for cube, _ in calls))
     assert cubes
     assert calls == [(cube, rs) for cube in cubes for rs in ((0, 1, 2), (3,))]
-    # a count-only kind counts each sampled block with one count_below call,
-    # suitability at d = 1 inside the gap with two, one per side
-    per_block = {**dict.fromkeys(COUNT_KINDS, 1), "suitability": 2}.get(kind, 0)
+    # a count-only kind and suitability count each sampled block with one
+    # count_below call
+    per_block = 1 if kind in COUNT_KINDS + ("suitability",) else 0
     assert counted_rows == [(cube, len(rs)) for cube, rs in calls
                             for _ in range(per_block)]
 
@@ -1224,24 +1248,28 @@ def test_dos_run_solves_each_realization_once(d, solves, tmp_path, monkeypatch):
     assert all(r.instances == 30 for r in result.reports)
 
 
-def test_suitability_run_solves_each_realization_once(tmp_path, monkeypatch):
+def solves_each_realization_once(d, dims, tmp_path, monkeypatch):
     calls = {"eigvalsh": [], "eigh": [], "solve": []}
     for name, log in calls.items():
         def counted(a, *rest, _real=getattr(np.linalg, name), _log=log):
             _log.append(np.shape(a)[-3:])
             return _real(a, *rest)
         monkeypatch.setattr(np.linalg, name, counted)
-    # E = 1.2 lies in [edge, a_L] (edge 1): the dense path, for every energy
-    cfg = make_cfg("suitability", L=12, R=6, va=1.0, vb=2.0, bk="point_mass",
-                   bargs="c = 0.0",
-                   extra="[suitability]\nlengths = 6 12\ntheta = 1.5 3\n"
-                         "energies = 0.0 1.2\n")
-    result = run(cfg, tmp_path)
+    # E = 1.2 lies in [edge, a_L] (edge 1): the norms of every energy come
+    # from a stacked solve
+    text = make_text("suitability", L=12, R=6, va=1.0, vb=2.0, bk="point_mass",
+                     bargs="c = 0.0",
+                     extra="[suitability]\nlengths = 6 12\ntheta = 1.5 3\n"
+                           "energies = 0.0 1.2\n")
+    result = run(parse_config(_d2(text) if d == 2 else text), tmp_path)
     assert result.exit_code == 0
-    # per realization and length one eigvalsh (dims 10 and 22) and one
-    # stacked solve over both energies serve both thetas
-    assert calls["eigvalsh"] == [(10, 10)] * 6 + [(22, 22)] * 6
-    assert calls["solve"] == [(2, 10, 10)] * 6 + [(2, 22, 22)] * 6
+    # per realization and length one stacked solve over both energies
+    # serves both thetas; the counts come from the Schur recursion at
+    # d = 1 and from one eigvalsh per realization at d = 2
+    small, large = dims
+    assert calls["solve"] == [(2, small, small)] * 6 + [(2, large, large)] * 6
+    assert calls["eigvalsh"] == ([] if d == 1 else
+                                 [(small, small)] * 6 + [(large, large)] * 6)
     assert calls["eigh"] == []
     # rows and reports stay ordered by theta, then length, then energy
     rows = [line.split(",")[:3] for line in
@@ -1253,6 +1281,14 @@ def test_suitability_run_solves_each_realization_once(tmp_path, monkeypatch):
         ("suitability_monotone_theta=1.5", None),
         ("gap_event_implies_suitable", 6), ("gap_event_implies_suitable", 12),
         ("suitability_monotone_theta=3", None)]
+
+
+def test_suitability_run_solves_each_realization_once(tmp_path, monkeypatch):
+    solves_each_realization_once(1, (10, 22), tmp_path, monkeypatch)
+
+
+def test_suitability_run_at_d2_solves_each_realization_once(tmp_path, monkeypatch):
+    solves_each_realization_once(2, (50, 242), tmp_path, monkeypatch)
 
 
 def test_gated_suitability_run_factors_nothing_larger_than_4x4(tmp_path,

@@ -405,11 +405,50 @@ def test_count_below_dense_at_d2():
         assert np.array_equal(count_below(cube, V, B, energies, side), expected)
 
 
+def mixed_sides_match_single_sides(cube, V, B, energies):
+    """count_below with one side per energy equals the single-side calls,
+    entry by entry, for two patterns of sides."""
+    energies = np.asarray(energies, dtype=float)
+    single = {side: count_below(cube, V, B, energies, side)
+              for side in ("left", "right")}
+    n = len(energies)
+    for sides in (np.array(["left", "right"] * n)[:n],
+                  np.repeat(["right", "left"], [n // 2, n - n // 2])):
+        mixed = count_below(cube, V, B, energies, sides)
+        expected = np.where(sides == "right", single["right"], single["left"])
+        assert np.array_equal(mixed, expected)
+    return single
+
+
+@pytest.mark.parametrize("v, b", [(0.0, 0.0), (-1.5, 0.0), (-2.0, 0.0), (0.0, 1.5)])
+def test_count_below_sides_per_energy_on_the_exact_tie_fields(v, b):
+    # the pinned constant fields, whose half-integer energies hit the
+    # spectrum and the leading sections' spectra exactly
+    cube = CubeSpec(1, 11)
+    n = cube.site_count
+    V, B = np.full((2, n), v), np.full((2, n), b)
+    V[1, 1:] = v + 0.5              # only the first site ties
+    single = mixed_sides_match_single_sides(cube, V, B, np.arange(-3.0, 3.01, 0.5))
+    # with B = 0 the arithmetic is exact: eigenvalues at E split the sides
+    assert b != 0.0 or not np.array_equal(single["left"], single["right"])
+
+
+@pytest.mark.parametrize("d, L", [(1, 20), (2, 4)])
+def test_count_below_sides_per_energy_match_single_sides(d, L):
+    cube = CubeSpec(d, L)
+    V, B = sample_fields(cube, UNIT, range(5))
+    ev = dense_spectra(cube, V[:1], B[:1])[0]
+    # an eigenvalue of realization 0, where the two sides differ
+    mixed_sides_match_single_sides(cube, V, B, [-2.5, 0.0, float(ev[3]), 0.7, 3.1])
+
+
 def test_count_below_rejects_bad_input():
     cube = CubeSpec(1, 5)
     V, B = sample_fields(cube, UNIT, range(2))
     with pytest.raises(ValueError, match="side"):
         count_below(cube, V, B, [0.0], "both")
+    with pytest.raises(ValueError, match="side"):
+        count_below(cube, V, B, [0.0, 1.0], np.array(["left", "up"]))
     V[1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         count_below(cube, V, B, [0.0])
