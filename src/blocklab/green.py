@@ -32,32 +32,10 @@ CT_ATOL = 1e-12
 DECAY_FIT_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class GreenFunction:
-    """Dense inverse of (block operator - E) with its spectral distance."""
-
-    energy: float
-    matrix: np.ndarray
-    delta: float
-
-
-def _inverse(m: np.ndarray, energy: float) -> np.ndarray:
-    """(m - E)^-1 from one dense solve; a residual beyond
-    RESOLVENT_RESIDUAL_TOL raises ArithmeticError."""
-    eye = np.eye(len(m))
-    shifted = m - energy * eye
-    g = np.linalg.solve(shifted, eye)
-    resid = np.max(np.abs(shifted @ g - eye))
-    if resid > RESOLVENT_RESIDUAL_TOL:
-        raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
-    return g
-
-
-def resolvent(m: np.ndarray, energy: float,
-              spectrum: Spectrum | None = None) -> GreenFunction:
-    """Invert (m - E), with delta the distance from E to the spectrum of m
-    (solved here unless given); within SPECTRAL_GUARD_RTOL of its norm
-    raises PreconditionError."""
+def spectral_distance(m: np.ndarray, energy: float,
+                      spectrum: Spectrum | None = None) -> float:
+    """delta, the distance from E to the spectrum of m (solved here unless
+    given); within SPECTRAL_GUARD_RTOL of its norm raises PreconditionError."""
     s = spectrum if spectrum is not None else eigensolve(m)
     delta = float(np.min(np.abs(s.eigenvalues - energy)))
     scale = max(s.norm, 1e-300)
@@ -65,7 +43,7 @@ def resolvent(m: np.ndarray, energy: float,
         raise PreconditionError(
             f"E={energy} is within {delta:.3e} of the spectrum (guard "
             f"{SPECTRAL_GUARD_RTOL * scale:.3e})")
-    return GreenFunction(energy, _inverse(m, energy), delta)
+    return delta
 
 
 def slice_resolvent(m: np.ndarray, cube, energy: float) -> np.ndarray:
@@ -87,10 +65,12 @@ def slice_resolvent(m: np.ndarray, cube, energy: float) -> np.ndarray:
     P_k is the last diagonal block of the inverse of the leading section
     less E, and that section is the plain block on a rectangle, so it
     keeps the deterministic gap: for E inside the gap edge,
-    ||P_k|| <= 1 / (edge - |E|).  The caller keeps E there.  Residual
-    contract as in `_inverse`, checked block row by block row,
-    D_k G_k + C G_(k-1) + C G_(k+1) - I, with no dense product: beyond
-    RESOLVENT_RESIDUAL_TOL, or not finite, raises ArithmeticError.
+    ||P_k|| <= 1 / (edge - |E|).  The caller keeps E there, at least 1
+    inside the edge, so ||G|| <= 1 and the residual contract is absolute:
+    max |(m - E) G - I| within RESOLVENT_RESIDUAL_TOL, the floor of the
+    scale-relative bound of `resolvent_columns`.  It is checked block row
+    by block row, D_k G_k + C G_(k-1) + C G_(k+1) - I, with no dense
+    product: beyond it, or not finite, raises ArithmeticError.
     """
     n = lattice.axis_count(cube.L)
     size = len(m)
@@ -133,7 +113,9 @@ def slice_resolvent(m: np.ndarray, cube, energy: float) -> np.ndarray:
 
 def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
     """The given columns of (m - E)^-1 at every energy, as a
-    (len(energies), dim, len(columns)) array, from one stacked LU solve.
+    (len(energies), dim, len(columns)) array, from one stacked LU solve:
+    the one dense solve of m - E.  m is symmetric, so column j holds row
+    j too.
 
     The caller keeps every energy off the spectrum.  Residual contract, per
     energy: max |(m - E) X - 1[:, columns]| stays within
@@ -229,10 +211,8 @@ def _chain_rim_norms(V, B, E, core):
         raise ArithmeticError(f"resolvent residual {resid.max():.2e} exceeds contract")
     top = np.abs(z[core]).max(axis=(0, 1, 2))
     top[top == 0.0] = 1.0
-    gram = np.zeros((4, 4, len(E)))
-    for k in core:
-        for row in z[k] / top:
-            gram += row[:, None] * row[None, :]
+    rows = (z[core] / top).reshape(-1, 4, len(E))
+    gram = np.einsum("kim,kjm->ijm", rows, rows)
     return top * np.sqrt(np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, -1])
 
 
@@ -298,16 +278,18 @@ def nesting(inner, outer) -> Nesting | None:
 def _gri_blocks(region1, region2, region3, field, energy, spectra=(None, None)):
     """G3[i3, r1], G3[i3, o2] and G2[i2, r1] (i: inner boundary, o: outer
     boundary) of the resolvents on region3 and region2, the Nesting of
-    region2 in region3, which holds Gamma[o2, i2], and delta2, delta3."""
+    region2 in region3, which holds Gamma[o2, i2], and delta2, delta3.
+    G is symmetric: each block is read off the rim columns."""
     n12, n23 = nesting(region1, region2), nesting(region2, region3)
     _require(n12 is not None and n23 is not None,
              "need region1 strictly inside region2 strictly inside region3")
-    g2, g3 = (resolvent(plain_block(field, region), energy, s)
-              for region, s in zip((region2, region3), spectra))
-    i3, r1 = rim_indices(region3), n23.inside[n12.inside]
-    return (g3.matrix[np.ix_(i3, r1)], g3.matrix[np.ix_(i3, n23.rim_out)],
-            g2.matrix[np.ix_(rim_indices(region2), n12.inside)], n23,
-            g2.delta, g3.delta)
+    m2, m3 = plain_block(field, region2), plain_block(field, region3)
+    delta2, delta3 = (spectral_distance(m, energy, s)
+                      for m, s in zip((m2, m3), spectra))
+    x2, x3 = (resolvent_columns(m, [energy], rim_indices(region))[0]
+              for m, region in ((m2, region2), (m3, region3)))
+    r1 = n23.inside[n12.inside]
+    return x3[r1].T, x3[n23.rim_out].T, x2[n12.inside].T, n23, delta2, delta3
 
 
 def gri_check(region1, region2, region3, field: FieldSample,
@@ -335,12 +317,11 @@ def gri_check(region1, region2, region3, field: FieldSample,
 
 
 def sli_check(region1, region2, region3, field: FieldSample, energy: float,
-              spectra=(None, None)) -> CheckReport:
+              spectra: tuple[Spectrum, Spectrum]) -> CheckReport:
     """Boundary-to-core resolvent block bounded through the intermediate scale.
 
-    `spectra` holds the spectra of the plain blocks on region2 and region3
-    where the caller has solved them; None solves that block here, as
-    gri_check always does through the same helper.
+    `spectra` holds the spectra of the plain blocks on region2 and region3,
+    which the caller solves once for this check and `edi_check`.
     """
     g3_r1, a, b, n23, _, _ = _gri_blocks(region1, region2, region3, field,
                                          energy, spectra)
@@ -352,30 +333,28 @@ def sli_check(region1, region2, region3, field: FieldSample, energy: float,
 
 
 def edi_check(region, cube3, field: FieldSample, eigen_index: int,
-              host: Spectrum | None = None,
-              inner: Spectrum | None = None) -> CheckReport:
+              host: Spectrum, inner: Spectrum) -> CheckReport:
     """Eigenfunction mass at every site of the region bounded by resolvent
     times boundary mass.
 
     The eigenpair comes from the enclosing cube; the identity behind the
     bound is volume-local, so exact finite-volume eigenfunctions stand in
     for generalized eigenfunctions.  `host` (with eigenvectors) and
-    `inner` are the spectra of the plain blocks on cube3 and on the region
-    where the caller has solved them; None solves that block here.
+    `inner` are the spectra of the plain blocks on cube3 and on the region,
+    which the caller solves once for this check and `sli_check`.
     """
     nest = nesting(region, cube3)
     _require(nest is not None, "region must be strictly inside the host cube")
-    if host is None:
-        host = eigensolve(plain_block(field, cube3), want_vectors=True)
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    # raises if E is too close to sigma(H_region)
-    g = resolvent(plain_block(field, region), energy, inner)
+    m = plain_block(field, region)
+    spectral_distance(m, energy, inner)     # raises if E is too close to sigma(m)
+    x = resolvent_columns(m, [energy], rim_indices(region))[0]
     n = len(nest.inside) // 2
     rows = np.arange(n) + np.array([[0], [n]])   # the probes' rows in both components
-    # per probe the 2-norm of G[probe, rim]: its largest singular value
-    norms = np.linalg.svd(g.matrix[rows.T[:, :, None], rim_indices(region)],
-                          compute_uv=False)[:, 0]
+    # per probe the 2-norm of G[probe, rim], read off the rim columns: its
+    # largest singular value
+    norms = np.linalg.svd(x[rows.T], compute_uv=False)[:, 0]
     lhs = np.hypot(*psi[nest.inside[rows]])
     rhs = nest.gamma_norm * norms * float(np.linalg.norm(psi[nest.rim_out]))
     rep = CheckReport("edi", parameters={"E": energy, "eigen_index": eigen_index,
@@ -429,19 +408,20 @@ def decay_profile(field: FieldSample, energy: float,
     `in_gap` is the caller's word that E lies at least 1 inside the
     deterministic gap edge, in exact arithmetic.  Then no eigenvalue lies
     within 1 of E, the capped distance is 1.0 with no spectrum, and G
-    comes from `slice_resolvent`; otherwise `resolvent` gives both.  That
-    1.0 is the model operator's capped distance: the rounded entries of
-    the matrix may move it by about ulp(2d + lam), far below the rounding
-    of an eigensolve.  The geometry of all pairs (indices, distances,
-    distinct distances) is built once per cube and shared by every
-    profile on it."""
+    comes from `slice_resolvent`.  That 1.0 is the model operator's capped
+    distance: the rounded entries of the matrix may move it by about
+    ulp(2d + lam), far below the rounding of an eigensolve.  Otherwise
+    `spectral_distance` gives the distance and `resolvent_columns`,
+    against every column, gives G.  The geometry of all pairs (indices,
+    distances, distinct distances) is built once per cube and shared by
+    every profile on it."""
     cube = field.cube
     m = plain_block(field)
     if in_gap:
         delta, g = 1.0, slice_resolvent(m, cube, energy)
     else:
-        res = resolvent(m, energy)
-        delta, g = min(res.delta, 1.0), res.matrix
+        delta = min(spectral_distance(m, energy), 1.0)
+        g = resolvent_columns(m, [energy], np.arange(len(m)))[0]
     first, second, dist, dists, at = _all_pairs(cube)
     # the pairs run row-major over the grid
     norm = block_norm_grid(g, cube.site_count).ravel()

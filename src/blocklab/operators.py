@@ -75,8 +75,8 @@ def build_h(cube, bc: str, V: np.ndarray) -> np.ndarray:
 class BlockMatrix(np.ndarray):
     """The array type of block-layout matrices.  `.matrix` is the array
     itself as a plain ndarray: the benchmark's counter hooks
-    (perfbench/spans.py) read it off the argument of `spectral.eigensolve`
-    and `green.resolvent`.  Arithmetic on it returns plain arrays and
+    (perfbench/spans.py) read it off the argument of
+    `spectral.eigensolve`.  Arithmetic on it returns plain arrays and
     scalars, so the type stops at the matrix."""
 
     matrix = property(np.asarray)

@@ -1,10 +1,12 @@
 """Output manifests of every shipped config and benchmark workload.
 
-    python tests/manifests.py OUT.json [--against OTHER.json]
+    python tests/manifests.py OUT.json [--against OTHER.json] [INI ...]
 
 Runs `blocklab.harness.run` on every `configs/*.ini` and every
-`perfbench/workloads/*.ini` of this checkout, at seeds 42 and 7, each in
-a fresh temporary directory; the INI files are only read.  OUT.json holds,
+`perfbench/workloads/*.ini` of this checkout, then on each INI given, at
+seeds 42 and 7, each in a fresh temporary directory; the INI files are
+only read.  The given INIs cover kinds that no shipped file runs; give
+the same paths on both sides of a comparison.  OUT.json holds,
 per run, the exit code, the sha256 manifest of its output files (the
 `outputs` of `run.json`) and its reports' JSON.
 
@@ -36,17 +38,19 @@ def _canonical(entry) -> str:
     return json.dumps(entry, sort_keys=True, default=_plain)
 
 
-def manifest() -> dict:
-    """One entry per config and seed, keyed `path@seed` relative to the
-    checkout."""
-    paths = (sorted(ROOT.glob("configs/*.ini"))
-             + sorted(ROOT.glob("perfbench/workloads/*.ini")))
+def manifest(extra=()) -> dict:
+    """One entry per config and seed, keyed `path@seed`: relative to the
+    checkout for its own INIs, as given for the `extra` ones."""
+    paths = [(p, p.relative_to(ROOT)) for p in
+             sorted(ROOT.glob("configs/*.ini"))
+             + sorted(ROOT.glob("perfbench/workloads/*.ini"))]
+    paths += [(Path(p), p) for p in extra]
     entries = {}
-    for path in paths:
+    for path, name in paths:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as out:
                 result = run(load_config(path, seed=seed), out)
-            entries[f"{path.relative_to(ROOT)}@{seed}"] = {
+            entries[f"{name}@{seed}"] = {
                 "exit_code": result.exit_code,
                 "outputs": result.outputs,
                 "reports": [r.to_json() for r in result.reports],
@@ -65,8 +69,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="where to write this checkout's manifest")
     parser.add_argument("--against", type=Path, help="a manifest to compare with")
-    args = parser.parse_args(argv)
-    entries = manifest()
+    parser.add_argument("inis", nargs="*", metavar="INI",
+                        help="more configs to run, beside the checkout's own")
+    # INIs may follow --against: positionals on either side of it
+    args = parser.parse_intermixed_args(argv)
+    entries = manifest(args.inis)
     args.out.write_text(json.dumps(entries, indent=1, sort_keys=True, default=_plain)
                         + "\n", encoding="utf-8")
     print(f"{len(entries)} runs written to {args.out}")

@@ -17,7 +17,8 @@ plain block of a field on any
 region (from that Laplacian and one dict lookup), a per-site hash for
 the field sampler, a per-pair 1-norm distance, window counts read off a
 dense spectrum, and the nested-cube checks with their geometry rebuilt
-from site sets on every call and one norm per EDI probe.
+from site sets on every call, their resolvents from np.linalg.inv, and
+one norm per EDI probe.
 `sample_field` draws one realization's field, as a one-row block.  None
 of them runs in an experiment.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from blocklab.disorder import FieldSample, sample_fields
-from blocklab.green import GRI_COEFF, NESTED_RTOL, resolvent
+from blocklab.green import GRI_COEFF, NESTED_RTOL, SPECTRAL_GUARD_RTOL
 from blocklab.inequalities import CheckReport, PreconditionError, _require
 from blocklab.lattice import CubeSpec
 from blocklab.operators import block
@@ -427,6 +428,17 @@ def _sub(matrix, ambient_sites, row_sites, col_sites):
     return matrix[np.ix_(rows, cols)]
 
 
+def _resolvent(m, energy, spectrum):
+    """(m - E)^-1 from np.linalg.inv, and the distance from E to the
+    eigenvalues of m (from `spectrum`, or np.linalg.eigvalsh); within
+    SPECTRAL_GUARD_RTOL of their largest modulus raises PreconditionError."""
+    ev = np.linalg.eigvalsh(m) if spectrum is None else spectrum.eigenvalues
+    delta = float(np.min(np.abs(ev - energy)))
+    _require(delta >= SPECTRAL_GUARD_RTOL * max(float(np.max(np.abs(ev))), 1e-300),
+             f"E={energy} is within {delta:.3e} of the spectrum")
+    return np.linalg.inv(m - energy * np.eye(len(m))), delta
+
+
 def _nested_resolvents(region1, region2, region3, field, energy,
                        spectra=(None, None)):
     r1 = sites(region1)
@@ -436,22 +448,28 @@ def _nested_resolvents(region1, region2, region3, field, energy,
              "need region1 strictly inside region2 strictly inside region3")
     _require(set(r2) <= set(r3), "region2 must be contained in region3")
     s2, s3 = spectra
-    g2 = resolvent(plain_block_on(region2, field), energy, s2)
-    g3 = resolvent(plain_block_on(region3, field), energy, s3)
-    return r1, r2, r3, g2, g3
+    g2, delta2 = _resolvent(plain_block_on(region2, field), energy, s2)
+    g3, delta3 = _resolvent(plain_block_on(region3, field), energy, s3)
+    return r1, r2, r3, g2, g3, delta2, delta3
+
+
+def _boundary_blocks(r1, r2, r3, g2, g3):
+    """G3[i3, r1], G3[i3, o2] and G2[i2, r1], each read as the transpose of
+    its mirror block, since G is symmetric: entry by entry, the columns at
+    the inner boundaries that the library solves for."""
+    i3, i2, o2 = inner_boundary(r3), inner_boundary(r2), outer_boundary(r2)
+    return (_sub(g3, r3, r1, i3).T, _sub(g3, r3, o2, i3).T,
+            _sub(g2, r2, r1, i2).T)
 
 
 def _gri(region1, region2, region3, field, energy):
-    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field, energy)
+    r1, r2, r3, g2, g3, delta2, delta3 = _nested_resolvents(region1, region2,
+                                                            region3, field, energy)
     gamma = gamma_on(r2, r3)
-    i3 = inner_boundary(r3)
-    i2 = inner_boundary(r2)
-    o2 = outer_boundary(r2)
-    lhs = _sub(g3.matrix, r3, i3, r1)
-    chain = (_sub(g3.matrix, r3, i3, o2)
-             @ _sub(block(gamma, 0.0, gamma), r3, o2, i2)
-             @ _sub(g2.matrix, r2, i2, r1))
-    return float(np.max(np.abs(lhs + chain))), g2.delta, g3.delta
+    lhs, a, b = _boundary_blocks(r1, r2, r3, g2, g3)
+    chain = a @ _sub(block(gamma, 0.0, gamma), r3, outer_boundary(r2),
+                     inner_boundary(r2)) @ b
+    return float(np.max(np.abs(lhs + chain))), delta2, delta3
 
 
 def gri_check_per_realization(region1, region2, region3, field: FieldSample,
@@ -469,37 +487,30 @@ def gri_check_per_realization(region1, region2, region3, field: FieldSample,
 
 
 def sli_check_per_realization(region1, region2, region3, field: FieldSample,
-                              energy: float, spectra=(None, None)) -> CheckReport:
+                              energy: float, spectra) -> CheckReport:
     """green.sli_check with the nested geometry rebuilt on every call."""
-    r1, r2, r3, g2, g3 = _nested_resolvents(region1, region2, region3, field,
-                                            energy, spectra)
+    r1, r2, r3, g2, g3, _, _ = _nested_resolvents(region1, region2, region3,
+                                                  field, energy, spectra)
     gamma = float(np.linalg.norm(gamma_on(r2, r3), 2))
-    i3 = inner_boundary(r3)
-    i2 = inner_boundary(r2)
-    o2 = outer_boundary(r2)
-    lhs = np.linalg.norm(_sub(g3.matrix, r3, i3, r1), 2)
-    rhs = (gamma
-           * np.linalg.norm(_sub(g3.matrix, r3, i3, o2), 2)
-           * np.linalg.norm(_sub(g2.matrix, r2, i2, r1), 2))
+    g3_r1, a, b = _boundary_blocks(r1, r2, r3, g2, g3)
+    lhs = np.linalg.norm(g3_r1, 2)
+    rhs = gamma * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
     rep = CheckReport("sli", parameters={"E": energy, "gamma": gamma})
     rep.record(rhs - lhs + NESTED_RTOL * max(lhs, rhs, 1.0))
     return rep
 
 
 def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
-                        host: Spectrum | None = None,
-                        inner: Spectrum | None = None) -> CheckReport:
+                        host: Spectrum, inner: Spectrum) -> CheckReport:
     """green.edi_check with the geometry rebuilt on every call and one
     2-norm, and one recorded slack, per probe site."""
     r = sites(region)
     r3 = sites(cube3)
     _require(strictly_inside(r, r3),
              "region must be strictly inside the host cube")
-    if host is None:
-        host = eigensolve(plain_block_on(cube3, field), want_vectors=True)
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    g = resolvent(plain_block_on(region, field), energy, inner)
+    g, _ = _resolvent(plain_block_on(region, field), energy, inner)
     gamma = float(np.linalg.norm(gamma_on(r, r3), 2))
     i_r = inner_boundary(r)
     o_r = outer_boundary(r)
@@ -510,7 +521,7 @@ def edi_check_per_probe(region, cube3, field: FieldSample, eigen_index: int,
                                          "gamma": gamma})
     for n, i in zip(probes, site_index(r3, probes, strict=True).tolist()):
         lhs = float(np.hypot(psi[i], psi[i + n3]))
-        rhs = gamma * np.linalg.norm(_sub(g.matrix, r, (n,), i_r), 2) * psi_out
+        rhs = gamma * np.linalg.norm(_sub(g, r, (n,), i_r), 2) * psi_out
         rep.record(rhs - lhs + NESTED_RTOL * max(lhs, rhs, 1.0))
     return rep
 

@@ -141,7 +141,8 @@ def test_criterion_3_resolvent_inequalities():
         cubes = [CubeSpec(d, l) for l in lengths]
         f = sample_field(cubes[2], cfg, count)
         e = float(rng.uniform(-0.9, 0.9))
-        sli.absorb(green.sli_check(*cubes, f, e))
+        spectra = tuple(eigensolve(plain_block(f, c)) for c in cubes[1:])
+        sli.absorb(green.sli_check(*cubes, f, e, spectra))
         count += 1
 
     edi = CheckReport("edi")
@@ -152,11 +153,13 @@ def test_criterion_3_resolvent_inequalities():
         f = sample_field(cube3, cfg, 1000 + r)
         r += 1
         dim = 2 * cube3.site_count
+        host = eigensolve(plain_block(f), want_vectors=True)
         for region_l in (3, 5, 7):
+            region = CubeSpec(1, region_l)
+            inner = eigensolve(plain_block(f, region))
             for j in sorted(rng.choice(dim, size=4, replace=False)):
                 try:
-                    edi.absorb(green.edi_check(CubeSpec(1, region_l), cube3, f,
-                                              int(j)))
+                    edi.absorb(green.edi_check(region, cube3, f, int(j), host, inner))
                     calls += 1
                 except PreconditionError:
                     continue

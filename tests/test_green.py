@@ -7,7 +7,8 @@ from blocklab import green
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, gap_edge
 from blocklab.green import (DecayProfile, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
-                            edi_check, gri_check, resolvent, sli_check)
+                            edi_check, gri_check, resolvent_columns, sli_check,
+                            spectral_distance)
 from blocklab.inequalities import PreconditionError
 from blocklab.lattice import CubeSpec, strictly_inside
 from blocklab.spectral import eigensolve, plain_block
@@ -35,25 +36,34 @@ def plain_on(cube, cfg, r):
     return plain_block(f), f
 
 
+def dense_resolvent(m, energy):
+    """Every column of (m - E)^-1 from `resolvent_columns`."""
+    return resolvent_columns(m, [energy], np.arange(len(m)))[0]
+
+
 def test_resolvent_2x2_closed_form():
     op = two_by_two()
-    g = resolvent(op, 0.0)
     # H^2 = 13 I, so the inverse at E = 0 is H / 13
-    assert np.allclose(g.matrix, op / 13.0, atol=1e-14)
-    assert g.delta == pytest.approx(np.sqrt(13))
+    assert np.allclose(dense_resolvent(op, 0.0), op / 13.0, atol=1e-14)
+    assert np.allclose(resolvent_columns(op, [0.0], [1])[0], op[:, [1]] / 13.0,
+                       atol=1e-14)
+    assert spectral_distance(op, 0.0) == pytest.approx(np.sqrt(13))
 
 
 def test_resolvent_rejects_spectrum():
     op = two_by_two()
-    e = float(eigensolve(op).eigenvalues[1])
-    with pytest.raises(PreconditionError):
-        resolvent(op, e)
+    s = eigensolve(op)
+    for e in s.eigenvalues:
+        for spectrum in (None, s):
+            with pytest.raises(PreconditionError):
+                spectral_distance(op, float(e), spectrum)
 
 
 def test_resolvent_norm_is_inverse_distance():
     op, _ = plain_on(CubeSpec(1, 9), MIXED, 0)
-    g = resolvent(op, 0.05)
-    assert np.linalg.norm(g.matrix, 2) == pytest.approx(1.0 / g.delta, rel=1e-10)
+    delta = spectral_distance(op, 0.05)
+    assert np.linalg.norm(dense_resolvent(op, 0.05), 2) == pytest.approx(
+        1.0 / delta, rel=1e-10)
 
 
 def test_block_element_identity():
@@ -130,6 +140,16 @@ def test_gri_requires_nesting():
         gri_check(CubeSpec(1, 5), CubeSpec(1, 5), CubeSpec(1, 9), f, 0.0)
 
 
+def spectra(f, *cubes):
+    """The spectra of the field's plain blocks on the cubes."""
+    return tuple(eigensolve(plain_block(f, c)) for c in cubes)
+
+
+def host_spectrum(f):
+    """The spectrum, with eigenvectors, of the field's plain block."""
+    return eigensolve(plain_block(f), want_vectors=True)
+
+
 def test_sli_holds_on_random_instances():
     rng = np.random.default_rng(3)
     for r in range(25):
@@ -138,7 +158,7 @@ def test_sli_holds_on_random_instances():
         c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
         f = sample_field(c3, GAPPED, r)
         e = float(rng.uniform(-1.0, 1.0))
-        rep = sli_check(c1, c2, c3, f, e)
+        rep = sli_check(c1, c2, c3, f, e, spectra(f, c2, c3))
         assert rep.passed
 
 
@@ -146,33 +166,34 @@ def test_sli_degenerate_core():
     # singleton core equal to the interior of the middle cube
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 3), CubeSpec(1, 7)
     f = sample_field(c3, GAPPED, 5)
-    assert sli_check(c1, c2, c3, f, 0.3).passed
+    assert sli_check(c1, c2, c3, f, 0.3, spectra(f, c2, c3)).passed
 
 
 def test_sli_explicit_decoupled_case():
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     f = constant_field(c3, 1.0, 0.0)
-    assert sli_check(c1, c2, c3, f, 0.0).passed
+    assert sli_check(c1, c2, c3, f, 0.0, spectra(f, c2, c3)).passed
 
 
 def test_edi_ground_state():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)
     f = sample_field(cube3, GAPPED, 2)
-    rep = edi_check(region, cube3, f, eigen_index=0)
+    rep = edi_check(region, cube3, f, 0, host_spectrum(f), *spectra(f, region))
     assert rep.passed
 
 
 def test_edi_all_eigenpairs_all_regions():
     cube3 = CubeSpec(1, 11)
     f = sample_field(cube3, GAPPED, 3)
+    host = host_spectrum(f)
     dim = 2 * cube3.site_count
     checked = 0
     for j in range(dim):
         for L in (3, 5, 7):
             region = CubeSpec(1, L)
             try:
-                rep = edi_check(region, cube3, f, eigen_index=j)
+                rep = edi_check(region, cube3, f, j, host, *spectra(f, region))
             except PreconditionError:
                 continue    # eigenvalue too close to the sub-cube spectrum
             assert rep.passed
@@ -183,17 +204,17 @@ def test_edi_all_eigenpairs_all_regions():
 def test_sli_and_edi_read_spectra_solved_by_the_caller(monkeypatch):
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     f = sample_field(c3, GAPPED, 6)
-    host = eigensolve(plain_block(f), want_vectors=True)
-    middle = eigensolve(plain_block(f, c2))
-    fresh = [sli_check(c1, c2, c3, f, 0.3).to_json(),
-             edi_check(c2, c3, f, 7).to_json()]
+    host = host_spectrum(f)
+    middle, = spectra(f, c2)
+    expected = [sli_check_per_realization(c1, c2, c3, f, 0.3, (middle, host)).to_json(),
+                edi_check_per_probe(c2, c3, f, 7, host, middle).to_json()]
     solves = []
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **kw: solves.append(1))
     given = [sli_check(c1, c2, c3, f, 0.3, spectra=(middle, host)).to_json(),
              edi_check(c2, c3, f, 7, host=host, inner=middle).to_json()]
     assert solves == []
-    assert given == fresh
+    assert given == expected
 
 
 def _outcome(check, *args, **kwargs):
@@ -214,24 +235,20 @@ def test_nested_checks_match_the_per_realization_oracle(d, lengths):
     seen = set()
     for r in range(3):
         f = sample_field(c3, GAPPED, r)
-        host = eigensolve(plain_block(f), want_vectors=True)
-        middle = eigensolve(plain_block(f, c2))
+        host = host_spectrum(f)
+        middle, = spectra(f, c2)
         j = len(host.eigenvalues) // 2 + r
         for e in (0.0, 0.5, 2.0):
-            pairs = [
-                (gri_check, gri_check_per_realization, (*cubes, f, e), {}),
-                (sli_check, sli_check_per_realization, (*cubes, f, e), {}),
-                (sli_check, sli_check_per_realization, (*cubes, f, e),
-                 {"spectra": (middle, host)}),
-            ]
-            for lib, oracle, args, kwargs in pairs:
-                out = _outcome(lib, *args, **kwargs)
-                assert out == _outcome(oracle, *args, **kwargs)
+            for lib, oracle, args in (
+                    (gri_check, gri_check_per_realization, (*cubes, f, e)),
+                    (sli_check, sli_check_per_realization,
+                     (*cubes, f, e, (middle, host)))):
+                out = _outcome(lib, *args)
+                assert out == _outcome(oracle, *args)
                 seen.add(out if isinstance(out, str) else out["name"])
-        for kwargs in ({}, {"host": host, "inner": middle}):
-            out = _outcome(edi_check, c2, c3, f, j, **kwargs)
-            assert out == _outcome(edi_check_per_probe, c2, c3, f, j, **kwargs)
-            seen.add(out if isinstance(out, str) else out["name"])
+        out = _outcome(edi_check, c2, c3, f, j, host, middle)
+        assert out == _outcome(edi_check_per_probe, c2, c3, f, j, host, middle)
+        seen.add(out if isinstance(out, str) else out["name"])
     strict = lengths[0] < lengths[1] < lengths[2]
     assert ("gri_residual" in seen) == ("sli" in seen) == strict
     assert ("edi" in seen) == (lengths[1] < lengths[2])
@@ -242,7 +259,7 @@ def test_edi_interior_support_gives_slack():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)
     f = sample_field(cube3, GAPPED, 4)
-    rep = edi_check(region, cube3, f, eigen_index=0)
+    rep = edi_check(region, cube3, f, 0, host_spectrum(f), *spectra(f, region))
     assert rep.passed and rep.worst_margin > 0
 
 
@@ -297,11 +314,11 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     op, f = plain_on(cube, GAPPED, 3)
     profile = decay_profile(f, 0.0)
 
-    g = resolvent(op, 0.0)
-    delta = min(g.delta, 1.0)
+    g = np.linalg.inv(op)
+    delta = min(float(np.abs(np.linalg.eigvalsh(op)).min()), 1.0)
     sites = oracles.sites(cube)
     pairs = [(n, m) for n in sites for m in sites]
-    norms = np.array([block_norm(block_element(g.matrix, sites, n, m))
+    norms = np.array([block_norm(block_element(g, sites, n, m))
                       for n, m in pairs])
     dists = np.array([dist1(n, m) for n, m in pairs])
     caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists])
@@ -383,7 +400,7 @@ def test_slice_resolvent_matches_the_dense_inverse(cube):
         m = plain_block(f)
         g = green.slice_resolvent(m, cube, energy)
         shifted = oracles.plain_block_on(cube, f) - energy * np.eye(len(m))
-        for dense in (green._inverse(m, energy), np.linalg.inv(shifted)):
+        for dense in (dense_resolvent(m, energy), np.linalg.inv(shifted)):
             assert np.abs(g - dense).max() <= 1e-13 * np.abs(g).max(), k
 
 

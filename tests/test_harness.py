@@ -1404,9 +1404,9 @@ def test_cli_missing_config_exits_3(capsys):
 
 def _resolvent_paths(monkeypatch):
     """The list that records, in order, each call of the two resolvent
-    paths of the ct kind: the slice sweep and the dense solve."""
+    paths of the ct kind: the slice sweep and the dense column solve."""
     calls = []
-    for name in ("slice_resolvent", "_inverse"):
+    for name in ("slice_resolvent", "resolvent_columns"):
         def counted(*a, _real=getattr(green, name), _name=name):
             calls.append(_name)
             return _real(*a)
@@ -1419,7 +1419,7 @@ def test_ct_run_forms_one_resolvent_per_realization(tmp_path, monkeypatch):
     # edge; one dense solve per realization outside it, here above the
     # spectrum
     calls = _resolvent_paths(monkeypatch)
-    for energy, path in ((0.0, "slice_resolvent"), (8.0, "_inverse")):
+    for energy, path in ((0.0, "slice_resolvent"), (8.0, "resolvent_columns")):
         calls.clear()
         cfg = make_cfg("ct", L=10, R=4, va=1.0, vb=2.0, bk="point_mass",
                        bargs="c = 0.0", extra=f"[ct]\nenergy = {energy}\n")
@@ -1441,19 +1441,43 @@ def test_ct_takes_the_slice_path_exactly_inside_the_gap(tmp_path, monkeypatch):
     # at E = near the rounded test hypot - |E| >= 1 passes, but
     # lam^2 + beta^2 < (1 + |E|)^2 in exact arithmetic
     assert math.hypot(lam, beta) - near >= 1.0
+    sweep, dense = "slice_resolvent", "resolvent_columns"
     for k, (energy, va, bk, bargs, path) in enumerate((
-            (-0.5, 1.5, "uniform", "a = 0.0\nb = 1.0", "slice_resolvent"),
-            (0.0, 1.0, "uniform", "a = 0.0\nb = 1.0", "slice_resolvent"),
-            (0.0, 1.0, "uniform", "a = -2.0\nb = -1.0", "slice_resolvent"),
-            (0.5, 1.0, "uniform", "a = 0.0\nb = 1.0", "_inverse"),
-            (0.0, -1.0, "uniform", "a = 0.0\nb = 1.0", "_inverse"),
-            (0.0, 1.0, "two_point", "v1 = -1.0\np = 0.5\nv2 = 1.0", "_inverse"),
-            (near, lam, "uniform", f"a = {beta}\nb = {beta + 1.0}", "_inverse"))):
+            (-0.5, 1.5, "uniform", "a = 0.0\nb = 1.0", sweep),
+            (0.0, 1.0, "uniform", "a = 0.0\nb = 1.0", sweep),
+            (0.0, 1.0, "uniform", "a = -2.0\nb = -1.0", sweep),
+            (0.5, 1.0, "uniform", "a = 0.0\nb = 1.0", dense),
+            (0.0, -1.0, "uniform", "a = 0.0\nb = 1.0", dense),
+            (0.0, 1.0, "two_point", "v1 = -1.0\np = 0.5\nv2 = 1.0", dense),
+            (near, lam, "uniform", f"a = {beta}\nb = {beta + 1.0}", dense))):
         calls.clear()
         result = run(make_cfg("ct", L=6, R=3, va=va, vb=va + 1.0, bk=bk, bargs=bargs,
                               extra=f"[ct]\nenergy = {energy!r}\n"), tmp_path / str(k))
         assert result.exit_code == 0, k
         assert calls == [path] * 3, k
+
+
+@pytest.mark.parametrize("kind", ["ct", "green"])
+@pytest.mark.parametrize("k, rel", [(0, 2e-8), (2, 5e-8), (0, 1e-7)])
+def test_dense_resolvents_keep_their_contract_just_off_the_spectrum(kind, k, rel,
+                                                                    tmp_path):
+    # E a few spectral guards above eigenvalue k of the constant block: the
+    # guard admits it, and ||G|| ~ 1e7 / ||m|| scales the rounding of the
+    # dense solve, which the residual contract must follow without raising
+    text = make_text(kind, L=16, R=3, vk="point_mass", vargs="c = 1.5",
+                     bk="point_mass", bargs="c = 0.5")
+    cube = lattice.CubeSpec(1, 16)
+    n = cube.site_count
+    eigenvalues = np.linalg.eigvalsh(spectral.plain_block(
+        disorder.FieldSample(cube, np.full(n, 1.5), np.full(n, 0.5), 0)))
+    energy = float(eigenvalues[k] + rel * np.abs(eigenvalues).max())
+    result = run(parse_config(text + f"[{kind}]\nenergy = {energy!r}\n"), tmp_path)
+    reports = {r.name: r for r in result.reports}
+    # constant fields do not localize: only the fitted rate may fail
+    assert all(r.passed and not r.vacuous for name, r in reports.items()
+               if name != "ct_rate")
+    assert reports.keys() == ({"combes_thomas", "ct_rate"} if kind == "ct"
+                              else {"gri_residual"})
 
 
 @pytest.mark.parametrize("d, L", [(1, 16), (2, 7)])
