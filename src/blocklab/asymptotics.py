@@ -224,7 +224,7 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
                       parameters={"eps": eps, "L": L, "R": R, "bound": bound})
     if n > MAX_BLOCK_DIM:
         rep.parameters.update(empirical=math.nan, censored=True)
-        rep.record_precondition_failure()
+        rep.preconditions_failed += 1
         return rep
     hits = int(np.count_nonzero(run_realizations(
         partial(_lower_bound_events, cube=cube, config=config, lam=lam,
@@ -234,7 +234,7 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
     censored = hits < LOWER_BOUND_MIN_SUCCESSES and phat < 1.0
     rep.parameters.update(empirical=phat, censored=censored)
     if censored:
-        rep.record_precondition_failure()   # too rare to resolve at this R
+        rep.preconditions_failed += 1   # too rare to resolve at this R
     else:
         rep.record(phat - bound + 3.0 * sigma)
     return rep

@@ -24,7 +24,7 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -92,11 +92,14 @@ def _tail_floors(cfg):
             for e in sorted(cfg.value("epsilons"))]
 
 
+# the [experiment] keys besides kind, each with the converter that reads it
+# and its default; --seed and --workers override theirs
+EXPERIMENT = {"d": (int, 1), "L": (_number, 16.0), "realizations": (int, 100),
+              "seed": (int, 0), "workers": (int, 1)}
 # the keys each kind may set in its own section, each with the converter
 # that reads it and its default: a value, a function of the config (called
-# when the key is read) or None, required.  Loading rejects a value its
-# converter cannot read, `validate` rejects any other key, and
-# ExperimentConfig.value is the only reader of either.
+# when the key is read) or None, required.  ExperimentConfig.value is the
+# only reader; loading rejects any other key and a value it cannot read.
 KEYS = {
     "spectrum": {},
     "ids": {"energy_range": (_numbers, lambda cfg: _span(cfg, 41.0)),
@@ -130,6 +133,17 @@ MEASURES = {"uniform": (SiteMeasure.uniform, ("a", "b")),
             "two_point": (SiteMeasure.two_point, ("v1", "p", "v2"))}
 
 
+def _reject_unknown(section: str | None, keys, declared):
+    """PreconditionError naming the keys of [section], or for section None
+    the sections of the config, that are not declared."""
+    fold = str.lower if section else str    # configparser reads L as l
+    if unknown := sorted(set(keys) - set(map(fold, declared))):
+        what = f"[{section}] has unknown key(s)" if section else \
+            "config has unknown section(s)"
+        raise PreconditionError(f"{what} {', '.join(unknown)}; it takes "
+                                f"{', '.join(declared) or 'no keys'}")
+
+
 def _read(section: str, key: str, raw, convert):
     """convert(raw), raw the value of `key` in `section` (None: missing);
     PreconditionError, naming both, if it is missing or does not convert."""
@@ -160,17 +174,10 @@ class ExperimentConfig:
     def cube(self) -> CubeSpec:
         return CubeSpec(self.d, self.L)
 
-    # canonical text excludes the worker count: it must not affect results
-    def canonical_text(self) -> str:
-        lines = [f"kind={self.kind}", f"d={self.d}", f"L={self.L!r}",
-                 f"realizations={self.realizations}", f"seed={self.seed}",
-                 f"mu_V={self.mu_V.describe()}", f"mu_B={self.mu_B.describe()}"]
-        for k in sorted(self.extra):
-            lines.append(f"{self.kind}.{k}={self.extra[k]}")
-        return "\n".join(lines) + "\n"
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        """sha256 of the config's text, blind to the worker count and key order."""
+        same = replace(self, workers=1, extra=dict(sorted(self.extra.items())))
+        return hashlib.sha256(config_to_text(same).encode()).hexdigest()
 
     def value(self, key: str):
         """A key of the kind's section read by its converter in KEYS, else
@@ -191,6 +198,7 @@ def parse_measure(cp, name: str) -> SiteMeasure:
     if kind not in MEASURES:
         raise PreconditionError(f"[{name}] unknown measure kind {kind!r}")
     construct, keys = MEASURES[kind]
+    _reject_unknown(name, cp[name], ("kind", *keys))
     try:
         return construct(*(_read(name, k, cp[name].get(k), _number) for k in keys))
     except ValueError as e:
@@ -199,14 +207,16 @@ def parse_measure(cp, name: str) -> SiteMeasure:
 
 def parse_config(text: str, kind: str | None = None, seed: int | None = None,
                  workers: int | None = None) -> ExperimentConfig:
-    """The config of INI text; PreconditionError if the text is not INI
-    or a value does not parse."""
+    """The config of INI text; PreconditionError if the text is not INI, a value
+    does not parse, or a key or section is undeclared (another kind's is unread)."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise PreconditionError(f"config is not valid INI: {e}") from None
+    _reject_unknown(None, cp.sections(), ("experiment", "mu_V", "mu_B", *KINDS))
     exp = cp["experiment"] if cp.has_section("experiment") else {}
+    _reject_unknown("experiment", exp, ("kind", *EXPERIMENT))
     cfg_kind = kind or exp.get("kind")
     if cfg_kind is None:
         raise PreconditionError("no experiment kind given (config or CLI)")
@@ -216,19 +226,16 @@ def parse_config(text: str, kind: str | None = None, seed: int | None = None,
     if cfg_kind not in KINDS:
         raise PreconditionError(f"unknown experiment kind {cfg_kind!r}")
     extra = dict(cp[cfg_kind]) if cp.has_section(cfg_kind) else {}
-
-    def number(key, convert, default):
-        return _read("experiment", key, exp.get(key, default), convert)
+    _reject_unknown(cfg_kind, extra, KEYS[cfg_kind])
+    given = {"seed": seed, "workers": workers}
     cfg = ExperimentConfig(
-        kind=cfg_kind, d=number("d", int, "1"), L=number("L", _number, "16"),
-        realizations=number("realizations", int, "100"),
-        seed=number("seed", int, "0") if seed is None else seed,
-        workers=number("workers", int, "1") if workers is None else workers,
+        kind=cfg_kind, **{key: _read("experiment", key, exp.get(key, default), convert)
+                          if given.get(key) is None else given[key]
+                          for key, (convert, default) in EXPERIMENT.items()},
         mu_V=parse_measure(cp, "mu_V"), mu_B=parse_measure(cp, "mu_B"),
         extra=extra)
-    for key in KEYS[cfg_kind]:
-        if key in extra:
-            cfg.value(key)
+    for key in extra:
+        cfg.value(key)
     return cfg
 
 
@@ -239,9 +246,8 @@ def load_config(path, **overrides) -> ExperimentConfig:
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize a config back to INI text (round-trips through parse_config)."""
     cp = configparser.ConfigParser()
-    cp["experiment"] = {"kind": cfg.kind, "d": str(cfg.d), "L": repr(cfg.L),
-                        "realizations": str(cfg.realizations),
-                        "seed": str(cfg.seed), "workers": str(cfg.workers)}
+    cp["experiment"] = {"kind": cfg.kind,
+                        **{key: str(getattr(cfg, key)) for key in EXPERIMENT}}
     for name, m in (("mu_V", cfg.mu_V), ("mu_B", cfg.mu_B)):
         cp[name] = {"kind": m.kind, **{key: repr(x) for key, x in
                                        zip(MEASURES[m.kind][1], m.params)}}
@@ -334,10 +340,6 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         out.append(f"seed must be a signed 64-bit integer, got {cfg.seed}")
 
     k = cfg.kind
-    unknown = sorted(set(cfg.extra) - set(KEYS[k]))
-    if unknown:
-        out.append(f"[{k}] has unknown key(s) {', '.join(unknown)}; it takes "
-                   f"{', '.join(KEYS[k]) or 'no keys'}")
     out += (bad := _interval_problems(cfg) if k in INTERVALS else [])
     out += [f"{k}: {key} lists no value" for key in LISTS.get(k, ())
             if key in cfg.extra and not cfg.value(key)]

@@ -59,9 +59,6 @@ class CheckReport:
             self.worst_margin = _lower(self.worst_margin, low)
         self.violations += int(np.count_nonzero(~(s >= 0.0)))
 
-    def record_precondition_failure(self):
-        self.preconditions_failed += 1
-
     @property
     def passed(self) -> bool:
         return self.violations == 0

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import Future
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +97,22 @@ def test_config_hash_ignores_workers():
     assert a.config_hash() == b.config_hash()
     c = parse_config(config_to_text(a), seed=99)
     assert c.config_hash() != a.config_hash()
+    # the hash reads every digit of a measure parameter
+    b1, b2 = (make_cfg("spectrum", vb=b) for b in (2.0, 2.0000001))
+    assert b1.config_hash() != b2.config_hash()
+    # and not the order of a section's keys
+    e1, e2 = (make_cfg("wegner", extra=f"[wegner]\n{x}\n{y}\n") for x, y in
+              permutations(("energies = 2.0", "epsilons = 0.1")))
+    assert e1.config_hash() == e2.config_hash()
 
 
 def test_validate_clean_config():
     cfg = make_cfg("wegner", va=0.0, vb=1.0,
                    extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n")
     assert validate(cfg) == []
+    # another kind's section is accepted, unread
+    cfg = make_cfg("spectrum", extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n")
+    assert cfg.extra == {} and validate(cfg) == []
 
 
 def test_validate_negative_support_for_wegner():
@@ -690,7 +701,9 @@ def test_pool_map_above_threshold_starts_one_pool(monkeypatch):
 
 
 def test_every_shipped_config_validates(capsys):
-    configs = sorted(CONFIG_DIR.glob("*.ini"))
+    # the benchmark's workloads too: its run stops on one that fails validate
+    configs = sorted(CONFIG_DIR.glob("*.ini")) + sorted(
+        (CONFIG_DIR.parent / "perfbench" / "workloads").glob("*.ini"))
     assert configs
     failing = [p.name for p in configs
                if cli_main(["validate", "--config", str(p)]) != 0]
@@ -728,7 +741,9 @@ def test_unknown_section_key_exits_3(section, tmp_path, capsys):
     path.write_text(text)
     assert cli_main(["validate", "--config", str(path)]) == 3
     assert "unknown key" in capsys.readouterr().err
-    assert run(parse_config(text), tmp_path / "out").exit_code == 3
+    assert cli_main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    with pytest.raises(PreconditionError, match="unknown key"):
+        parse_config(text)
 
 
 TAILS_BASE = BASE.format(kind="tails", L=15, R=4, vk="uniform",
@@ -768,6 +783,11 @@ MALFORMED = {
     "lower_realizations-0": TAILS_BASE + "lower_bound = true\n"
                                          "lower_realizations = 0\n",
     "lower_bound-ture": TAILS_BASE + "lower_bound = ture\n",
+    # an undeclared key or section
+    "experiment-realisations": make_text("spectrum").replace(
+        "workers = 1", "workers = 1\nrealisations = 3"),
+    "mu_V-c": make_text("spectrum", vargs="a = 0.0\nb = 1.0\nc = 7"),
+    "spectrm": make_text("spectrum", extra="[spectrm]\n"),
 }
 
 
