@@ -5,7 +5,9 @@ scale-linking and eigenfunction-decay inequalities consumed by multi-scale
 arguments, and the Combes-Thomas bound, all at finite volume with dense
 factorizations, or inside the deterministic gap with Schur recursions over
 sites or slices, where the gap theorem also bounds the spectral distance
-without a spectrum.
+without a spectrum.  The slice recursion builds its blocks from the field
+and returns G in slice order, the one matrix of its size in a
+Combes-Thomas profile, whose pairs are read by their row-major index.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 from . import lattice
 from .disorder import FieldSample
 from .inequalities import CheckReport, PreconditionError, _require
-from .operators import block, build_gamma, component_indices, rim_indices
+from .operators import block, build_gamma, component_indices, rim_indices, template
 from .spectral import Spectrum, eigensolve, plain_block
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -46,20 +48,46 @@ def spectral_distance(m: np.ndarray, energy: float,
     return delta
 
 
-def slice_resolvent(m: np.ndarray, cube, energy: float) -> np.ndarray:
-    """(m - E)^-1 of the plain block m on the cube, in its block layout, by
-    a Schur sweep over the cube's n slices of fixed first coordinate.
+def slice_blocks(field: FieldSample) -> np.ndarray:
+    """The diagonal blocks D_k of the plain block of the field on its cube,
+    as an (n, 2s, 2s) array over its n slices of fixed first coordinate,
+    s = N / n sites each, built from the field with no dense operator.
+
+    Row and column (c, j) of D_k is site j of slice k in component c.  The
+    upper block is the s x s Laplacian within a slice, the leading block
+    of `operators.template`, plus V on its diagonal by the add `build_h`
+    makes; the lower block is minus it, and B lies on both coupling
+    diagonals: the blocks `plain_block` holds, bit for bit.
+    """
+    cube = field.cube
+    n = lattice.axis_count(cube.L)
+    s = cube.site_count // n
+    i = np.arange(s)
+    upper = np.repeat(template(cube, "simple")[None, :s, :s], n, axis=0)
+    upper[:, i, i] += field.V.reshape(n, s)
+    d = np.zeros((n, 2 * s, 2 * s))
+    d[:, :s, :s] = upper
+    d[:, s:, s:] = -upper
+    d[:, i, s + i] = d[:, s + i, i] = field.B.reshape(n, s)
+    return d
+
+
+def slice_resolvent(field: FieldSample, energy: float) -> np.ndarray:
+    """(H_hat - E)^-1 of the plain block of the field on its cube, in
+    slice order, by a Schur sweep over the cube's n slices of fixed first
+    coordinate: row and column (k, c, j) is site j of slice k in
+    component c.
 
     With the s = N / n sites of slice k in both components as one block,
-    m - E is block tridiagonal: diagonal blocks D_k (2s x 2s, E taken
-    off) and couplings C = diag(-1_s, +1_s) between neighbouring slices.
-    The forward sweep forms P_k = (D_k - C P_(k-1) C)^-1, the inverse of
-    the Schur complement of the leading section of slices 0..k, by one
-    small solve per slice.  The backward recursion gives the block rows
-    of G from the last one, G_(n-1,n-1) = P_(n-1):
+    H_hat - E is block tridiagonal: diagonal blocks D_k - E from
+    `slice_blocks` and couplings C = diag(-1_s, +1_s) between neighbouring
+    slices.  The forward sweep forms P_k = (D_k - C P_(k-1) C)^-1, the
+    inverse of the Schur complement of the leading section of slices
+    0..k, by one small solve per slice.  The backward recursion gives the
+    block rows of G from the last one, G_(n-1,n-1) = P_(n-1):
     G[k, k+1:] = -P_k C G[k+1, k+1:], G[k+1:, k] = G[k, k+1:]^T and
     G_kk = P_k - G[k, k+1] C P_k.  The work is O(N^2 s), against O(N^3)
-    for a dense inverse.
+    for a dense inverse, and G is the one matrix of its size.
 
     Elimination without pivoting is stable where the P_k stay bounded.
     P_k is the last diagonal block of the inverse of the leading section
@@ -67,48 +95,44 @@ def slice_resolvent(m: np.ndarray, cube, energy: float) -> np.ndarray:
     keeps the deterministic gap: for E inside the gap edge,
     ||P_k|| <= 1 / (edge - |E|).  The caller keeps E there, at least 1
     inside the edge, so ||G|| <= 1 and the residual contract is absolute:
-    max |(m - E) G - I| within RESOLVENT_RESIDUAL_TOL, the floor of the
-    scale-relative bound of `resolvent_columns`.  It is checked block row
-    by block row, D_k G_k + C G_(k-1) + C G_(k+1) - I, with no dense
-    product: beyond it, or not finite, raises ArithmeticError.
+    max |(H_hat - E) G - I| within RESOLVENT_RESIDUAL_TOL, the floor of
+    the scale-relative bound of `resolvent_columns`.  It is checked one
+    block row at a time, D_k G_k + C G_(k-1) + C G_(k+1) - I, so a
+    (2s, 2N) residual is live: beyond it, or not finite, raises
+    ArithmeticError.
     """
-    n = lattice.axis_count(cube.L)
-    size = len(m)
-    s = size // (2 * n)
-    w = 2 * s
-    # entry (c, k, j) of the block layout is site j of slice k in component c
-    k, eye = np.arange(n), np.eye(w)
-    d = np.asarray(m).reshape(2, n, s, 2, n, s)[:, k, :, :, k].reshape(n, w, w)
-    d = d - energy * eye
+    d = slice_blocks(field)
+    n, w, _ = d.shape
+    s, size = w // 2, n * w
+    i, eye = np.arange(w), np.eye(w)
+    d[:, i, i] -= energy
     c = np.repeat([-1.0, 1.0], s)
     flip = np.outer(c, c)                   # C P C = flip * P
     p = np.empty_like(d)
     p[0] = np.linalg.solve(d[0], eye)
     for j in range(1, n):
         p[j] = np.linalg.solve(d[j] - flip * p[j - 1], eye)
-    pc, cp = p * -c, c[:, None] * p         # -P C and C P
-    # g in slice order: row and column block k are slice k
     g = np.empty((size, size))
     g[-w:, -w:] = p[-1]
     for j in range(n - 2, -1, -1):
         lo, mid = j * w, (j + 1) * w
-        row = pc[j] @ g[mid:mid + w, mid:]
+        row = (p[j] * -c) @ g[mid:mid + w, mid:]           # -P C G[k+1, k+1:]
         g[lo:mid, mid:] = row
         g[mid:, lo:mid] = row.T
-        g[lo:mid, lo:mid] = p[j] - row[:, :w] @ cp[j]
+        g[lo:mid, lo:mid] = p[j] - row[:, :w] @ (c[:, None] * p[j])
     rows = g.reshape(n, w, size)
-    r = d @ rows
-    # the couplings to both neighbouring slices: C = diag(-1_s, +1_s)
-    for near, far in ((slice(1, None), slice(None, -1)),
-                      (slice(None, -1), slice(1, None))):
-        r[near, :s] -= rows[far, :s]
-        r[near, s:] += rows[far, s:]
-    r = r.reshape(size, size)
-    r.flat[::size + 1] -= 1.0
-    resid = np.abs(r, out=r).max()
-    if not resid <= RESOLVENT_RESIDUAL_TOL:
-        raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
-    return g.reshape(n, 2, s, n, 2, s).transpose(1, 0, 2, 4, 3, 5).reshape(size, size)
+    for k in range(n):
+        r = d[k] @ rows[k]
+        # the couplings to both neighbouring slices: C = diag(-1_s, +1_s)
+        for near in (k - 1, k + 1):
+            if 0 <= near < n:
+                r[:s] -= rows[near, :s]
+                r[s:] += rows[near, s:]
+        r[i, k * w + i] -= 1.0
+        resid = np.abs(r, out=r).max()
+        if not resid <= RESOLVENT_RESIDUAL_TOL:
+            raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
+    return g
 
 
 def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
@@ -372,29 +396,35 @@ def combes_thomas_bound(delta: float, d: int, distance):
 
 def block_norm_grid(matrix: np.ndarray, n_sites: int) -> np.ndarray:
     """Frobenius norms of all 2x2 elements of a block-space matrix at once."""
-    n = n_sites
-    sq = matrix ** 2
-    out = sq[:n, :n] + sq[:n, n:]
-    out += sq[n:, :n]
-    out += sq[n:, n:]
+    return _norm_grid(matrix ** 2, 1).reshape(n_sites, n_sites)
+
+
+def _norm_grid(sq: np.ndarray, n: int) -> np.ndarray:
+    """The 2x2 element norms of a matrix from its squares `sq`, in the
+    slice order of `slice_resolvent` over n slices (the block layout is
+    one slice), as an (n, s, n, s) grid: per site pair the root of
+    ((uu + ul) + lu) + ll over its four component quadrants, the same
+    float operations in the same order in either layout."""
+    q = sq.reshape(n, 2, len(sq) // (2 * n), n, 2, -1)
+    out = q[:, 0, :, :, 0] + q[:, 0, :, :, 1]
+    out += q[:, 1, :, :, 0]
+    out += q[:, 1, :, :, 1]
     return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
 class DecayProfile:
     """Resolvent decay of one operator on a cube at one energy, one entry
-    per pair.
+    per ordered pair of its N sites, in row-major order.
 
-    Pair k joins the cube's sites of canonical indices first[k] and
-    second[k] at 1-norm distance dist[k]; norm[k] is the Frobenius norm of
-    its 2x2 resolvent element and bound[k] the Combes-Thomas bound.  delta
-    is the spectral distance capped at 1, as used in the bound.
+    Pair k joins the cube's sites of canonical indices divmod(k, N) at
+    1-norm distance dist[k]; norm[k] is the Frobenius norm of its 2x2
+    resolvent element and bound[k] the Combes-Thomas bound.  delta is the
+    spectral distance capped at 1, as used in the bound.
     """
 
     energy: float
     delta: float
-    first: np.ndarray
-    second: np.ndarray
     dist: np.ndarray
     norm: np.ndarray
     bound: np.ndarray
@@ -408,42 +438,47 @@ def decay_profile(field: FieldSample, energy: float,
     `in_gap` is the caller's word that E lies at least 1 inside the
     deterministic gap edge, in exact arithmetic.  Then no eigenvalue lies
     within 1 of E, the capped distance is 1.0 with no spectrum, and G
-    comes from `slice_resolvent`.  That 1.0 is the model operator's capped
+    comes from `slice_resolvent`, in slice order, with no dense operator;
+    its norms are taken in place, so one profile holds about 1.3 times
+    the memory of G at its peak.  That 1.0 is the model operator's capped
     distance: the rounded entries of the matrix may move it by about
     ulp(2d + lam), far below the rounding of an eigensolve.  Otherwise
     `spectral_distance` gives the distance and `resolvent_columns`,
-    against every column, gives G.  The geometry of all pairs (indices,
-    distances, distinct distances) is built once per cube and shared by
-    every profile on it."""
+    against every column, gives G.  The pair distances are built once per
+    cube and shared by every profile on it."""
     cube = field.cube
-    m = plain_block(field)
     if in_gap:
-        delta, g = 1.0, slice_resolvent(m, cube, energy)
+        delta, g = 1.0, slice_resolvent(field, energy)
+        # squared in place, and dropped before the bound is formed
+        norm = _norm_grid(np.square(g, out=g), lattice.axis_count(cube.L))
+        del g
     else:
+        m = plain_block(field)
         delta = min(spectral_distance(m, energy), 1.0)
-        g = resolvent_columns(m, [energy], np.arange(len(m)))[0]
-    first, second, dist, dists, at = _all_pairs(cube)
-    # the pairs run row-major over the grid
-    norm = block_norm_grid(g, cube.site_count).ravel()
-    # the bound depends on the pair only through its distance
-    caps = combes_thomas_bound(delta, cube.d, dists)
-    return DecayProfile(energy, delta, first, second, dist, norm, caps[at])
+        norm = block_norm_grid(resolvent_columns(m, [energy], np.arange(len(m)))[0],
+                               cube.site_count)
+    dist = _all_pairs(cube)
+    # the bound depends on the pair only through its distance, at most
+    # d (n - 1)
+    caps = combes_thomas_bound(delta, cube.d,
+                               np.arange(cube.d * (lattice.axis_count(cube.L) - 1) + 1))
+    return DecayProfile(energy, delta, dist, norm.reshape(-1), caps[dist])
 
 
 @lru_cache(maxsize=8)
-def _all_pairs(cube):
-    """Every ordered pair (first, second) of site indices, in row-major
-    order, their 1-norm distances, and the distinct distances with the
-    index among them of each pair's; built once per cube and shared: the
-    arrays are read-only.  `harness.run` clears the cache."""
+def _all_pairs(cube) -> np.ndarray:
+    """The 1-norm distance of every ordered pair of the cube's sites, in
+    row-major order of their canonical indices, as one int32 array, built
+    axis by axis with no pair index arrays; built once per cube and
+    shared, so read-only.  `harness.run` clears the cache."""
     n = cube.site_count
-    first, second = np.divmod(np.arange(n * n), n)
-    points = lattice.site_array(cube)
-    dist = lattice.dist1_array(points[first], points[second])
-    geometry = (first, second, dist) + tuple(np.unique(dist, return_inverse=True))
-    for a in geometry:
-        a.flags.writeable = False
-    return geometry
+    dist = np.zeros((n, n), dtype=np.int32)
+    for x in lattice.site_array(cube).T.astype(np.int32):
+        step = np.subtract.outer(x, x)
+        dist += np.abs(step, out=step)
+    dist = dist.reshape(-1)
+    dist.flags.writeable = False
+    return dist
 
 
 def combes_thomas_check(profile: DecayProfile) -> CheckReport:

@@ -763,15 +763,25 @@ def _ct_row(f, energy, in_gap):
     return [rep, fit], (row, profile if f.realization_index == 0 else None)
 
 
-def _profile_rows(cube, first, second, *columns):
-    """The rows of a site-pair table (ct_profile.csv, correlator.csv): the
-    sites of the canonical index arrays `first` and `second` of the cube,
+# pairs per chunk of `_profile_rows`: the Python rows of one chunk are
+# live at a time, not those of the whole table
+PROFILE_CHUNK = 2 ** 16
+
+
+def _profile_rows(cube, pairs, *columns):
+    """The rows of a site-pair table (ct_profile.csv, correlator.csv), one
+    chunk of PROFILE_CHUNK pairs at a time: the sites of the canonical
+    index arrays pairs(k) = (first, second) of the pairs k of the chunk,
     each labelled by its coordinates, then the value columns, each row
     made as the file is written; a site's label is formatted once."""
     label = [" ".join(map(str, x))
              for x in lattice.site_array(cube).tolist()].__getitem__
-    return zip(map(label, first.tolist()), map(label, second.tolist()),
-               *(c.tolist() for c in columns))
+    total = len(columns[0])
+    for lo in range(0, total, PROFILE_CHUNK):
+        hi = min(lo + PROFILE_CHUNK, total)
+        first, second = pairs(np.arange(lo, hi))
+        yield from zip(map(label, first.tolist()), map(label, second.tolist()),
+                       *(c[lo:hi].tolist() for c in columns))
 
 
 def _in_gap(cfg, energy) -> bool:
@@ -800,12 +810,14 @@ def _exp_ct(cfg, mapper):
         in_gap=_in_gap(cfg, energy))
     rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
     p = None if vals[0] is None else vals[0][1]     # realization 0's profile
+    cube = cfg.cube()
     tables = {
         "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
                 "fit_intercept"], rows),
         "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"],
                        [] if p is None else _profile_rows(
-                           cfg.cube(), p.first, p.second, p.dist, p.norm, p.bound)),
+                           cube, lambda k: np.divmod(k, cube.site_count), p.dist,
+                           p.norm, p.bound)),
     }
     return tables, reports, {}
 
@@ -941,8 +953,8 @@ def _exp_correlator(cfg, mapper):
     lo, hi = cfg.value("interval")
     profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi),
                                                    cfg.realizations, mapper)
-    rows = _profile_rows(cube, profile.first, profile.second, profile.distances(),
-                         profile.mean_q, profile.stderr_q)
+    rows = _profile_rows(cube, lambda k: (profile.first[k], profile.second[k]),
+                         profile.distances(), profile.mean_q, profile.stderr_q)
     summary = {"interval": [lo, hi], "contributing": profile.contributing}
     reports = []
     if profile.contributing < CORRELATOR_MIN_CONTRIBUTING:
@@ -1052,6 +1064,15 @@ def emit_plotdata(result: RunResult, outdir) -> list[Path]:
     return written
 
 
+def _sha256(path: Path) -> str:
+    """The sha256 hex digest of a file, read 1 MiB at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(2 ** 20):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def run(cfg: ExperimentConfig, outdir) -> RunResult:
     """Execute the configured experiment and persist its artifacts."""
     outdir = Path(outdir)
@@ -1091,9 +1112,7 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     result = RunResult(cfg, tables, reports, summary, diagnostics,
                        time.perf_counter() - t0, env)
     files = emit_plotdata(result, outdir)
-    result.outputs = [{"name": f.name,
-                       "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
-                      for f in files]
+    result.outputs = [{"name": f.name, "sha256": _sha256(f)} for f in files]
     with open(outdir / "run.json", "w", encoding="utf-8") as fh:
         # numpy scalars in the summary write as the Python numbers they hold
         json.dump(result.record(), fh, indent=2, sort_keys=True,

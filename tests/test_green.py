@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,7 +267,8 @@ def test_edi_interior_support_gives_slack():
 def test_combes_thomas_diagonal_bound():
     cube = CubeSpec(1, 11)
     profile = decay_profile(sample_field(cube, GAPPED, 0), 0.0)
-    diagonal = profile.first == profile.second
+    first, second = np.divmod(np.arange(len(profile.norm)), cube.site_count)
+    diagonal = first == second
     assert np.all(profile.norm[diagonal] <= profile.bound[diagonal] + 1e-12)
 
 
@@ -295,7 +297,7 @@ def test_decay_profile_columns():
     sites = oracles.sites(cube)
     n = len(sites)
     k = sites.index((0,)) * n + sites.index((2,))
-    i, j, dist = profile.first[k], profile.second[k], profile.dist[k]
+    (i, j), dist = divmod(k, n), profile.dist[k]
     assert (sites[i], sites[j], dist) == ((0,), (2,), 2)
     assert profile.norm[k] <= profile.bound[k] + 1e-12
 
@@ -323,9 +325,8 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     dists = np.array([dist1(n, m) for n, m in pairs])
     caps = np.array([combes_thomas_bound(delta, cube.d, k) for k in dists])
     assert profile.delta == delta
-    assert [(sites[i], sites[j], k) for i, j, k in
-            zip(profile.first, profile.second, profile.dist)] == \
-        [(n, m, k) for (n, m), k in zip(pairs, dists)]
+    assert [(*divmod(k, len(sites)), dist) for k, dist in enumerate(profile.dist)] \
+        == [(sites.index(n), sites.index(m), k) for (n, m), k in zip(pairs, dists)]
     assert np.allclose(profile.norm, norms, rtol=1e-12, atol=0)
     assert np.array_equal(profile.bound, caps)
 
@@ -345,9 +346,8 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
 
 def test_decay_rate_fit_needs_two_distances():
     def profile(dist, norm):
-        idx = np.arange(len(dist))
         norm = np.array(norm)
-        return DecayProfile(0.0, 1.0, idx, idx, np.array(dist), norm, norm)
+        return DecayProfile(0.0, 1.0, np.array(dist), norm, norm)
     # the diagonal and the norms below the floor are dropped
     for dist, norm in (([0, 1], [1.0, 0.5]), ([0, 1, 1], [1.0, 0.5, 0.25]),
                        ([0, 1, 2], [1.0, 0.5, 1e-15])):
@@ -392,13 +392,39 @@ def test_eigensolve_distance_at_the_gate_is_one_up_to_rounding(cube):
         assert decay_profile(f, energy, in_gap=True).delta == 1.0
 
 
+def slice_order(cube):
+    """Index in slice order, (slice k, component c, site j of the slice),
+    of every row of the block layout, (c, canonical site k s + j)."""
+    n = len(oracles.axis_offsets(cube.L))
+    s = cube.site_count // n
+    c, k, j = np.indices((2, n, s)).reshape(3, -1)
+    return (k * 2 + c) * s + j
+
+
+@pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 7), CubeSpec(3, 5)])
+def test_slice_blocks_are_the_diagonal_blocks_of_the_plain_block(cube):
+    # every slice block built from the field equals the one read out of the
+    # assembled operator, for several fields and both signs of B
+    n = len(oracles.axis_offsets(cube.L))
+    w = 2 * cube.site_count // n
+    order = slice_order(cube)
+    for r, cfg in enumerate((GAPPED, MIXED, DisorderConfig(
+            SiteMeasure.uniform(-3, 3), SiteMeasure.uniform(-2, 1), 42))):
+        f = sample_field(cube, cfg, r)
+        m = np.empty((len(order),) * 2)
+        m[np.ix_(order, order)] = plain_block(f)
+        dense = np.array([m[k * w:(k + 1) * w, k * w:(k + 1) * w] for k in range(n)])
+        assert np.array_equal(green.slice_blocks(f), dense), r
+
+
 @pytest.mark.parametrize("cube", SLICE_CUBES)
 def test_slice_resolvent_matches_the_dense_inverse(cube):
+    order = slice_order(cube)
     for k, (mu_V, mu_B, energy) in enumerate(SLICE_CASES):
         assert _gap_edge(mu_V, mu_B) - abs(energy) == 1.0
         f = sample_field(cube, DisorderConfig(mu_V, mu_B, 70 + k), 0)
         m = plain_block(f)
-        g = green.slice_resolvent(m, cube, energy)
+        g = green.slice_resolvent(f, energy)[np.ix_(order, order)]
         shifted = oracles.plain_block_on(cube, f) - energy * np.eye(len(m))
         for dense in (dense_resolvent(m, energy), np.linalg.inv(shifted)):
             assert np.abs(g - dense).max() <= 1e-13 * np.abs(g).max(), k
@@ -419,10 +445,28 @@ def test_leading_slice_sections_keep_the_gap(cube):
             assert np.abs(eigenvalues).min() >= edge * (1.0 - 1e-12), (k, last)
 
 
+def test_gap_profile_peaks_below_two_resolvents():
+    # an in-gap profile holds G and its norm grid: no assembled operator,
+    # no layout copy of G, no pair index arrays; the second call reads the
+    # per-cube caches the first one filled
+    cube = CubeSpec(2, 20)
+    dim = 2 * cube.site_count
+    assert dim == 722
+    f = sample_field(cube, GAPPED, 0)
+    decay_profile(f, 0.0, in_gap=True)
+    tracemalloc.start()
+    try:
+        decay_profile(f, 0.0, in_gap=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dim ** 2 * 8
+
+
 def test_slice_resolvent_keeps_the_residual_contract(monkeypatch):
     cube = CubeSpec(2, 9)
-    m = plain_block(sample_field(cube, GAPPED, 5))
-    green.slice_resolvent(m, cube, 0.0)
+    f = sample_field(cube, GAPPED, 5)
+    green.slice_resolvent(f, 0.0)
     monkeypatch.setattr(green, "RESOLVENT_RESIDUAL_TOL", -1.0)
     with pytest.raises(ArithmeticError, match="exceeds contract"):
-        green.slice_resolvent(m, cube, 0.0)
+        green.slice_resolvent(f, 0.0)

@@ -1500,8 +1500,13 @@ def test_dense_resolvents_keep_their_contract_just_off_the_spectrum(kind, k, rel
                               else {"gri_residual"})
 
 
-@pytest.mark.parametrize("d, L", [(1, 16), (2, 7)])
-def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, tmp_path, monkeypatch):
+@pytest.mark.parametrize("d, L, chunk", [(1, 16, None), (2, 7, None), (2, 7, 1000)])
+def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, chunk, tmp_path,
+                                                      monkeypatch):
+    # with chunk set, the 49^2 = 2401 pairs of the d = 2 cube are written in
+    # chunks of 1000, two boundaries falling mid-table
+    if chunk is not None:
+        monkeypatch.setattr(harness, "PROFILE_CHUNK", chunk)
     profiles = {}
     real = green.decay_profile
     monkeypatch.setattr(green, "decay_profile", lambda f, *a: profiles.setdefault(
@@ -1511,9 +1516,9 @@ def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, tmp_path, monkeypatc
     assert run(parse_config(text), tmp_path).exit_code == 0
     p = profiles[0]
     s = oracles.sites(lattice.CubeSpec(d, L))
-    rows = [(site_label(s[i]), site_label(s[j]), k, v, c) for i, j, k, v, c in zip(
-        p.first.tolist(), p.second.tolist(), p.dist.tolist(), p.norm.tolist(),
-        p.bound.tolist())]
+    rows = [(site_label(s[i]), site_label(s[j]), k, v, c) for (i, j), k, v, c in zip(
+        ((i, j) for i in range(len(s)) for j in range(len(s))), p.dist.tolist(),
+        p.norm.tolist(), p.bound.tolist())]
     old = write_csv(tmp_path / "old.csv", ["n", "m", "dist1", "block_norm",
                                             "ct_bound"], rows)
     assert (tmp_path / "ct_profile.csv").read_bytes() == old.read_bytes()
