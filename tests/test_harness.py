@@ -1500,7 +1500,8 @@ def test_dense_resolvents_keep_their_contract_just_off_the_spectrum(kind, k, rel
                               else {"gri_residual"})
 
 
-@pytest.mark.parametrize("d, L, chunk", [(1, 16, None), (2, 7, None), (2, 7, 1000)])
+@pytest.mark.parametrize("d, L, chunk", [(1, 16, None), (2, 7, None), (2, 7, 1000)],
+                         ids=["1-16", "2-7", "2-7-1000"])
 def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, chunk, tmp_path,
                                                       monkeypatch):
     # with chunk set, the 49^2 = 2401 pairs of the d = 2 cube are written in
