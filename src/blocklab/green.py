@@ -18,7 +18,7 @@ import numpy as np
 from . import lattice
 from .disorder import FieldSample
 from .inequalities import CheckReport, PreconditionError, _require
-from .operators import block, build_gamma, component_indices, rim_indices, template
+from .operators import block, build_gamma, component_indices, rim_indices
 from .spectral import Spectrum, eigensolve, plain_block
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -55,15 +55,24 @@ def slice_blocks(field: FieldSample) -> np.ndarray:
 
     Row and column (c, j) of D_k is site j of slice k in component c.  The
     upper block is the s x s Laplacian within a slice, the leading block
-    of `operators.template`, plus V on its diagonal by the add `build_h`
-    makes; the lower block is minus it, and B lies on both coupling
-    diagonals: the blocks `plain_block` holds, bit for bit.
+    of `operators.template`: 2d on the diagonal and -1 between sites one
+    step apart on one of the last d - 1 axes, whose strides in the
+    canonical order are 1, n, ..., n^(d-2); built from that geometry in
+    small integers, so exactly, with no N x N matrix.  V is added on its
+    diagonal by the add `build_h` makes; the lower block is minus it, and
+    B lies on both coupling diagonals: the blocks `plain_block` holds, bit
+    for bit.
     """
     cube = field.cube
     n = lattice.axis_count(cube.L)
     s = cube.site_count // n
     i = np.arange(s)
-    upper = np.repeat(template(cube, "simple")[None, :s, :s], n, axis=0)
+    lap = np.zeros((s, s))
+    lap[i, i] = 2.0 * cube.d
+    for stride in n ** np.arange(cube.d - 1):
+        j = i[i // stride % n < n - 1]        # a site with a +1 neighbour on the axis
+        lap[j, j + stride] = lap[j + stride, j] = -1.0
+    upper = np.repeat(lap[None], n, axis=0)
     upper[:, i, i] += field.V.reshape(n, s)
     d = np.zeros((n, 2 * s, 2 * s))
     d[:, :s, :s] = upper
@@ -145,19 +154,41 @@ def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
     energy: max |(m - E) X - 1[:, columns]| stays within
     RESOLVENT_RESIDUAL_TOL * max(1, max|m - E| * max|X|), the scale of the
     rounding of a backward-stable solve, since X grows like the inverse
-    distance to the spectrum; beyond it ArithmeticError is raised.
+    distance to the spectrum; beyond it ArithmeticError is raised.  The
+    residual is formed RESIDUAL_BLOCK_BYTES of columns at a time, and the
+    largest moduli as max(max a, -min a), so besides the solve's own
+    arrays the check holds no array of the size of X or of m - E.
     """
     energies = np.asarray(energies, dtype=float)
-    eye = np.eye(len(m))
-    shifted = m - energies[:, None, None] * eye
-    rhs = eye[:, columns]
+    dim = len(m)
+    # m - E eye entry by entry with no identity: m - E * 0 off the diagonal,
+    # so that a zero entry takes the sign it takes there, and m - E on it
+    shifted = m - (energies * 0.0)[:, None, None]
+    i = np.arange(dim)
+    shifted[:, i, i] = m[i, i] - energies[:, None]
+    columns = np.arange(dim)[columns]
+    rhs = np.zeros((dim, len(columns)))
+    rhs[columns, np.arange(len(columns))] = 1.0
     x = np.linalg.solve(shifted, rhs)
-    resid = np.abs(shifted @ x - rhs).max(axis=(1, 2))
-    scale = np.abs(shifted).max(axis=(1, 2)) * np.abs(x).max(axis=(1, 2))
+    resid = np.zeros(len(energies))
+    step = max(1, RESIDUAL_BLOCK_BYTES // (8 * dim * len(energies)))
+    for lo in range(0, len(columns), step):
+        r = shifted @ x[:, :, lo:lo + step]
+        r -= rhs[:, lo:lo + step]
+        np.maximum(resid, np.abs(r, out=r).max(axis=(1, 2)), out=resid)
+    scale = _max_abs(shifted) * _max_abs(x)
     if np.any(resid > RESOLVENT_RESIDUAL_TOL * np.maximum(scale, 1.0)):
         raise ArithmeticError(f"resolvent residual {resid.max():.2e} exceeds contract")
     return x
 
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """max |a| over all but the first axis, with no array of |a|."""
+    return np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))
+
+
+# bytes of residual columns per block of `resolvent_columns`
+RESIDUAL_BLOCK_BYTES = 2 ** 22
 
 # rows per chunk of `chain_rim_norms`: its arrays take about 256 bytes per
 # site and row, so a chunk holds about this many bytes, but never fewer

@@ -16,6 +16,7 @@ results in realization order.
 
 import configparser
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -26,11 +27,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-# asymptotics, green and fractions load with the kinds that use them, and
+# asymptotics and green load with the kinds that use them, and
 # concurrent.futures with the first pool: a run pays only for its own kind
 from . import __version__
 from . import blas, disorder, inequalities, lattice, operators, spectral
@@ -551,12 +553,21 @@ def _formatter(kinds) -> str:
     return ",".join(map(_spec, kinds)) + "\n"
 
 
-def write_csv(path: Path, header: list[str], rows) -> Path:
-    """A header line, then one line per row, each cell written by its type
-    through one `_formatter` template per row."""
+# lines per write call of `write_csv`
+CSV_WRITE_LINES = 2 ** 12
+
+
+def write_csv(path: Path, header: list[str], rows, template: str | None = None) -> Path:
+    """A header line, then one line per row, each cell written by its type:
+    through `template`, the `_formatter` template of every row's types,
+    which rows must then be tuples, or else through one per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_formatter(tuple(map(type, row))) % tuple(row) for row in rows)
+        lines = (map(template.__mod__, rows) if template is not None else
+                 (_formatter(tuple(map(type, row))) % tuple(row) for row in rows))
+        # one write call per CSV_WRITE_LINES lines, not one per line
+        while chunk := "".join(islice(lines, CSV_WRITE_LINES)):
+            fh.write(chunk)
     return path
 
 
@@ -600,7 +611,8 @@ def _summary_table(reports):
 # -- experiments ---------------------------------------------------------------
 
 # each _exp_* returns (tables, reports, summary); tables maps file stem to
-# (header, rows), rows iterated once, as the file is written.  Realization kernels take one realization's
+# (header, rows) or (header, rows, template), the arguments of `write_csv`,
+# rows iterated once, as the file is written.  Realization kernels take one realization's
 # FieldSample (see spectral.per_realization) and return their CheckReports
 # beside their CSV values, mapped and reduced by _realizations.  A kind's
 # function, or its kernel where pool workers run it, imports asymptotics or
@@ -763,25 +775,41 @@ def _ct_row(f, energy, in_gap):
     return [rep, fit], (row, profile if f.realization_index == 0 else None)
 
 
-# pairs per chunk of `_profile_rows`: the Python rows of one chunk are
-# live at a time, not those of the whole table
-PROFILE_CHUNK = 2 ** 16
+# pairs per chunk of `_profile_rows`: the Python objects of one chunk, about
+# 0.4 MB, are live at a time, not those of the whole table
+PROFILE_CHUNK = 2 ** 12
 
 
-def _profile_rows(cube, pairs, *columns):
-    """The rows of a site-pair table (ct_profile.csv, correlator.csv), one
-    chunk of PROFILE_CHUNK pairs at a time: the sites of the canonical
-    index arrays pairs(k) = (first, second) of the pairs k of the chunk,
-    each labelled by its coordinates, then the value columns, each row
-    made as the file is written; a site's label is formatted once."""
+def _profile_rows(cube, pairs, *columns, by_dist=None):
+    """The rows of a site-pair table (ct_profile.csv, correlator.csv) and
+    the `write_csv` template of their lines, from the column dtypes.
+
+    The rows are made one chunk of PROFILE_CHUNK pairs at a time, as the
+    file is written: the sites of the canonical index arrays
+    pairs(k) = (first, second) of the pairs k of the chunk, each labelled
+    by its coordinates, then the value columns, the first of them the
+    pair distances.  `by_dist`, if given, holds the values of a last
+    column that depends on a pair only through its distance, indexed by
+    distance.  A site's label and each distance's value are formatted
+    once."""
     label = [" ".join(map(str, x))
              for x in lattice.site_array(cube).tolist()].__getitem__
+    kinds = (str, str) + tuple(c.dtype.type for c in columns)
+    if by_dist is not None:
+        kinds += (str,)
+        keyed = [_spec(by_dist.dtype.type) % v for v in by_dist.tolist()].__getitem__
     total = len(columns[0])
-    for lo in range(0, total, PROFILE_CHUNK):
-        hi = min(lo + PROFILE_CHUNK, total)
-        first, second = pairs(np.arange(lo, hi))
-        yield from zip(map(label, first.tolist()), map(label, second.tolist()),
-                       *(c[lo:hi].tolist() for c in columns))
+
+    def rows():
+        for lo in range(0, total, PROFILE_CHUNK):
+            hi = min(lo + PROFILE_CHUNK, total)
+            first, second = pairs(np.arange(lo, hi))
+            cells = [c[lo:hi].tolist() for c in columns]
+            if by_dist is not None:
+                cells.append(map(keyed, cells[0]))
+            yield from zip(map(label, first.tolist()), map(label, second.tolist()),
+                           *cells)
+    return rows(), _formatter(kinds)
 
 
 def _in_gap(cfg, energy) -> bool:
@@ -792,14 +820,22 @@ def _in_gap(cfg, energy) -> bool:
     spectrum, and the slice recursion gives G with no pivoting.  False
     with no admissible edge (inf supp mu_V < 0, or a mu_B that case_beta
     rejects)."""
-    from fractions import Fraction
     try:
         beta = case_beta(cfg.mu_B)
     except ValueError:
         return False
     lam = cfg.mu_V.support_inf
-    return lam >= 0.0 and (Fraction(lam) ** 2 + Fraction(beta) ** 2
-                           >= (1 + Fraction(abs(energy))) ** 2)
+    return lam >= 0.0 and _one_inside_edge(lam, beta, energy)
+
+
+def _one_inside_edge(lam, beta, energy) -> bool:
+    """lam^2 + beta^2 >= (1 + |E|)^2, decided exactly on finite floats:
+    each is p / q with q > 0 (`float.as_integer_ratio`), and the
+    inequality multiplied through by (q_lam q_beta q_E)^2 is one between
+    integers."""
+    (a, qa), (b, qb), (e, qe) = (float(x).as_integer_ratio()
+                                 for x in (lam, beta, abs(energy)))
+    return (a * qb * qe) ** 2 + (b * qa * qe) ** 2 >= ((qe + e) * qa * qb) ** 2
 
 
 def _exp_ct(cfg, mapper):
@@ -810,15 +846,19 @@ def _exp_ct(cfg, mapper):
         in_gap=_in_gap(cfg, energy))
     rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
     p = None if vals[0] is None else vals[0][1]     # realization 0's profile
-    cube = cfg.cube()
-    tables = {
-        "ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
-                "fit_intercept"], rows),
-        "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"],
-                       [] if p is None else _profile_rows(
-                           cube, lambda k: np.divmod(k, cube.site_count), p.dist,
-                           p.norm, p.bound)),
-    }
+    header = ["n", "m", "dist1", "block_norm", "ct_bound"]
+    tables = {"ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
+                      "fit_intercept"], rows),
+              "ct_profile": (header, [])}
+    if p is not None:
+        cube = cfg.cube()
+        n = cube.site_count
+        # the bound depends on a pair only through its distance, and the
+        # first n pairs, from the cube's least corner, meet every distance
+        caps = np.empty(int(p.dist[:n].max()) + 1)
+        caps[p.dist[:n]] = p.bound[:n]
+        tables["ct_profile"] = (header, *_profile_rows(
+            cube, lambda k: np.divmod(k, n), p.dist, p.norm, by_dist=caps))
     return tables, reports, {}
 
 
@@ -953,8 +993,9 @@ def _exp_correlator(cfg, mapper):
     lo, hi = cfg.value("interval")
     profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi),
                                                    cfg.realizations, mapper)
-    rows = _profile_rows(cube, lambda k: (profile.first[k], profile.second[k]),
-                         profile.distances(), profile.mean_q, profile.stderr_q)
+    rows, template = _profile_rows(
+        cube, lambda k: (profile.first[k], profile.second[k]), profile.distances(),
+        profile.mean_q, profile.stderr_q)
     summary = {"interval": [lo, hi], "contributing": profile.contributing}
     reports = []
     if profile.contributing < CORRELATOR_MIN_CONTRIBUTING:
@@ -973,7 +1014,7 @@ def _exp_correlator(cfg, mapper):
             reports.append(rep)
         except ValueError as e:
             summary["fit_error"] = str(e)
-    return ({"correlator": (["n", "m", "dist1", "mean_Q", "stderr_Q"], rows)},
+    return ({"correlator": (["n", "m", "dist1", "mean_Q", "stderr_Q"], rows, template)},
             reports, summary)
 
 
@@ -1059,8 +1100,8 @@ def emit_plotdata(result: RunResult, outdir) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for stem, (header, rows) in result.tables.items():
-        written.append(write_csv(outdir / f"{stem}.csv", header, rows))
+    for stem, (header, rows, *template) in result.tables.items():
+        written.append(write_csv(outdir / f"{stem}.csv", header, rows, *template))
     return written
 
 
@@ -1071,6 +1112,18 @@ def _sha256(path: Path) -> str:
         while chunk := fh.read(2 ** 20):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _scipy_version() -> str | None:
+    """The version of the installed scipy, recorded but never used, read
+    without importing it: from the name of the `scipy-<version>.dist-info`
+    directory beside the package, the standard wheel layout.  None when
+    there is no scipy or no single such directory."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    found = list(Path(spec.submodule_search_locations[0]).parent.glob("scipy-*.dist-info"))
+    return found[0].name[len("scipy-"):-len(".dist-info")] if len(found) == 1 else None
 
 
 def run(cfg: ExperimentConfig, outdir) -> RunResult:
@@ -1087,11 +1140,8 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
         caches += [green._all_pairs, green.nesting]
     for cache in caches:
         cache.cache_clear()
-    # scipy is recorded, not used: imported here, importing the CLI loads
-    # no scipy module
-    import scipy
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__,
+           "scipy": _scipy_version(),
            "cpu_affinity": len(os.sched_getaffinity(0)),
            "workers_requested": cfg.workers, "pool_size": 1,
            "pool_estimate_s": None, "blas_threads_worker": None}

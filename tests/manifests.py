@@ -3,10 +3,11 @@
     python tests/manifests.py OUT.json [--against OTHER.json] [INI ...]
 
 Runs `blocklab.harness.run` on every `configs/*.ini` and every
-`perfbench/workloads/*.ini` of this checkout, then on each INI given, at
-seeds 42 and 7, each in a fresh temporary directory; the INI files are
-only read.  The given INIs cover kinds that no shipped file runs; give
-the same paths on both sides of a comparison.  OUT.json holds,
+`perfbench/workloads/*.ini` of this checkout, on the two variants of the
+resolvent-decay workload in BULK_CT, then on each INI given, at seeds 42
+and 7, each in a fresh temporary directory; the INI files are only read.
+The variants and the given INIs cover paths that no shipped file runs;
+give the same paths on both sides of a comparison.  OUT.json holds,
 per run, the exit code, the sha256 manifest of its output files (the
 `outputs` of `run.json`) and its reports' JSON.
 
@@ -19,6 +20,8 @@ The file name keeps pytest from collecting it.
 """
 
 import argparse
+import configparser
+import io
 import json
 import sys
 import tempfile
@@ -27,10 +30,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from blocklab.harness import load_config, run  # noqa: E402
+from blocklab.harness import parse_config, run  # noqa: E402
 from blocklab.inequalities import _plain  # noqa: E402
 
 SEEDS = (42, 7)
+# the bulk ct path, off the gap, which no shipped INI takes: the
+# resolvent-decay workload above its spectrum's gap edge, and inside a
+# band with V uniform[0, 1]; each overrides these keys of the workload
+BULK_CT_INI = "perfbench/workloads/resolvent-decay.ini"
+BULK_CT = {"energy=2.0": {"ct": {"energy": "2.0"}},
+           "energy=-1.3,V=uniform[0,1]": {"ct": {"energy": "-1.3"},
+                                          "mu_V": {"a": "0.0", "b": "1.0"}}}
 
 
 def _canonical(entry) -> str:
@@ -38,18 +48,33 @@ def _canonical(entry) -> str:
     return json.dumps(entry, sort_keys=True, default=_plain)
 
 
+def _overridden(text: str, sections: dict) -> str:
+    """INI text with the given keys of its sections set."""
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    for name, values in sections.items():
+        cp[name].update(values)
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
+
+
 def manifest(extra=()) -> dict:
     """One entry per config and seed, keyed `path@seed`: relative to the
-    checkout for its own INIs, as given for the `extra` ones."""
-    paths = [(p, p.relative_to(ROOT)) for p in
-             sorted(ROOT.glob("configs/*.ini"))
-             + sorted(ROOT.glob("perfbench/workloads/*.ini"))]
-    paths += [(Path(p), p) for p in extra]
+    checkout for its own INIs, `path[variant]` for the BULK_CT ones, as
+    given for the `extra` ones."""
+    inis = [(p.relative_to(ROOT), p.read_text(encoding="utf-8")) for p in
+            sorted(ROOT.glob("configs/*.ini"))
+            + sorted(ROOT.glob("perfbench/workloads/*.ini"))]
+    bulk = (ROOT / BULK_CT_INI).read_text(encoding="utf-8")
+    inis += [(f"{BULK_CT_INI}[{name}]", _overridden(bulk, keys))
+             for name, keys in BULK_CT.items()]
+    inis += [(p, Path(p).read_text(encoding="utf-8")) for p in extra]
     entries = {}
-    for path, name in paths:
+    for name, text in inis:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as out:
-                result = run(load_config(path, seed=seed), out)
+                result = run(parse_config(text, seed=seed), out)
             entries[f"{name}@{seed}"] = {
                 "exit_code": result.exit_code,
                 "outputs": result.outputs,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blocklab import green
+from blocklab import green, operators
 from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, gap_edge
 from blocklab.green import (DecayProfile, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
@@ -415,6 +415,46 @@ def test_slice_blocks_are_the_diagonal_blocks_of_the_plain_block(cube):
         m[np.ix_(order, order)] = plain_block(f)
         dense = np.array([m[k * w:(k + 1) * w, k * w:(k + 1) * w] for k in range(n)])
         assert np.array_equal(green.slice_blocks(f), dense), r
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_slice_blocks_build_no_cube_sized_laplacian():
+    # d = 2, L = 44: the N x N Laplacian of the 1,849 sites alone takes
+    # 27.4 MB, the slice blocks 2.5 MB
+    cube = CubeSpec(2, 44)
+    f = sample_field(cube, GAPPED, 0)
+    operators.template.cache_clear()
+    blocks, peak = _traced_peak(green.slice_blocks, f)
+    assert blocks.shape == (43, 86, 86)
+    assert peak < 2 * blocks.nbytes
+
+
+@pytest.mark.parametrize("energy", [2.0, -1.3, 0.0])
+def test_resolvent_columns_keep_the_bits_of_one_solve_in_less_memory(energy):
+    # the bits of one solve of m - E eye against the identity's columns,
+    # the signs of its zeros included.  Against every column the solve's
+    # arrays trace about 4 dim^2 doubles; beside them the residual check
+    # holds no array of the size of m (with an identity, m - E eye and
+    # full-size residual and modulus arrays, the peak was 6 dim^2)
+    cube = CubeSpec(2, 16)
+    m = plain_block(sample_field(cube, MIXED, 0))
+    dim = len(m)
+    eye = np.eye(dim)
+    for cols in (np.arange(dim), [0, 5, dim - 1]):
+        x, peak = _traced_peak(resolvent_columns, m, [energy], cols)
+        ref = np.linalg.solve(m - np.array([energy])[:, None, None] * eye, eye[:, cols])
+        assert np.array_equal(x, ref) and np.array_equal(np.signbit(x), np.signbit(ref))
+        assert peak < (1.5 * dim + 3 * len(x[0, 0])) * dim * 8
 
 
 @pytest.mark.parametrize("cube", SLICE_CUBES)

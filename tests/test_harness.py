@@ -10,6 +10,7 @@ import platform
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from concurrent.futures import Future
 from itertools import permutations
 from pathlib import Path
@@ -17,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import blocklab
 from blocklab import (blas, disorder, green, harness, inequalities, lattice,
@@ -1032,8 +1035,9 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     run(cfg, tmp_path)
     assert len(built) == len(set(built))
     # d = 1 counts come from the inertia, with no operator, and so do the
-    # suitability counts and norms inside the gap
-    assert bool(built) != (kind in COUNT_KINDS + ("suitability",))
+    # suitability counts and norms inside the gap, and the ct profile at
+    # E = 0, whose slice blocks come from the geometry of a slice
+    assert bool(built) != (kind in COUNT_KINDS + ("suitability", "ct"))
 
 
 @pytest.mark.parametrize("kind", ["green", "sli-edi"])
@@ -1376,13 +1380,14 @@ def test_green_experiment(tmp_path):
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The modules of scipy, concurrent, multiprocessing, asymptotics and
-    green that a fresh interpreter has loaded after running `code`."""
+    """The modules of scipy, concurrent, multiprocessing, decimal,
+    fractions, asymptotics and green that a fresh interpreter has loaded
+    after running `code`."""
     env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules "
-         "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing') "
-         "or m in ('blocklab.asymptotics', 'blocklab.green')))"],
+         "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'decimal', "
+         "'_decimal', 'fractions') or m in ('blocklab.asymptotics', 'blocklab.green')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out.splitlines()[-1])
 
@@ -1391,16 +1396,37 @@ def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
     # importing the CLI loads no scipy module, no other kind's module and
     # nothing a process pool needs
     assert _loaded_after("import blocklab.cli") == []
-    # a wegner run loads scipy to record its version, and none of the others
-    path = tmp_path / "wegner.ini"
-    path.write_text(make_text("wegner", R=4,
-                              extra="[wegner]\nenergies = 2.0\nepsilons = 0.1\n"))
-    loaded = _loaded_after(
-        "from blocklab.cli import main\n"
-        f"assert main(['wegner', '--config', {str(path)!r}, '--out', "
-        f"{str(tmp_path / 'out')!r}]) == 0")
-    assert "scipy" in loaded
-    assert [m for m in loaded if m.split(".")[0] != "scipy"] == []
+    # a wegner run and a ct run (in the gap, where the exact gate decides)
+    # load no scipy module, whose version is read off its files, and
+    # neither decimal nor fractions; ct loads green, its own kind's module
+    for kind, extra, own in (
+            ("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n", []),
+            ("ct", "[ct]\nenergy = 0.0\n", ["blocklab.green"])):
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(make_text(kind, R=4, va=1.0, vb=2.0, extra=extra))
+        assert _loaded_after(
+            "from blocklab.cli import main\n"
+            f"assert main([{kind!r}, '--config', {str(path)!r}, '--out', "
+            f"{str(tmp_path / kind)!r}]) == 0") == own, kind
+
+
+def test_scipy_version_is_read_off_the_wheel_layout(tmp_path, monkeypatch):
+    # the name of the dist-info directory beside the package, None with no
+    # package or no single such directory; the package is never run
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("raise ImportError('ran')\n")
+    spec = importlib.util.spec_from_file_location(
+        "scipy", tmp_path / "scipy" / "__init__.py",
+        submodule_search_locations=[str(tmp_path / "scipy")])
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: spec if name == "scipy" else None)
+    assert harness._scipy_version() is None
+    (tmp_path / "scipy-1.17.0rc1.dist-info").mkdir()
+    assert harness._scipy_version() == "1.17.0rc1"
+    (tmp_path / "scipy-1.16.2.dist-info").mkdir()
+    assert harness._scipy_version() is None
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    assert harness._scipy_version() is None
 
 
 def test_cli_import_starts_openblas_on_one_thread():
@@ -1475,6 +1501,48 @@ def test_ct_takes_the_slice_path_exactly_inside_the_gap(tmp_path, monkeypatch):
                               extra=f"[ct]\nenergy = {energy!r}\n"), tmp_path / str(k))
         assert result.exit_code == 0, k
         assert calls == [path] * 3, k
+
+
+def fraction_gate(lam, beta, energy) -> bool:
+    """lam^2 + beta^2 >= (1 + |E|)^2 in rational arithmetic."""
+    return Fraction(lam) ** 2 + Fraction(beta) ** 2 >= (1 + Fraction(abs(energy))) ** 2
+
+
+GATE_LAM, GATE_BETA = 2.25, 1.378
+# just past the edge: the rounded hypot(lam, beta) - |E| >= 1 passes here
+GATE_NEAR = math.hypot(GATE_LAM, GATE_BETA) - 1.0
+
+
+@pytest.mark.parametrize("lam, beta, energy, inside", [
+    (1.5, 0.0, -0.5, True), (1.0, 0.0, 0.0, True), (1.0, -1.0, 0.0, True),
+    (1.0, 0.0, 0.5, False), (1.0, 0.0, 5e-324, False), (1.0, 5e-324, 0.0, True),
+    (GATE_LAM, GATE_BETA, GATE_NEAR, False), (GATE_LAM, GATE_BETA, -GATE_NEAR, False),
+    (GATE_LAM, GATE_BETA, math.nextafter(GATE_NEAR, 0.0), True),
+    (GATE_LAM, -GATE_BETA, math.nextafter(GATE_NEAR, 0.0), True)])
+def test_gap_gate_decides_the_exact_inequality(lam, beta, energy, inside):
+    # the integer gate against a rational oracle at the edges of the slice
+    # path: equality, one ulp either side, and the rounded hypot's miss
+    assert harness._one_inside_edge(lam, beta, energy) == inside
+    assert fraction_gate(lam, beta, energy) == inside
+
+
+@settings(max_examples=400, deadline=None)
+@example(5e-324, 5e-324, 5e-324)
+@example(1.7976931348623157e308, 1.7976931348623157e308, 1.7976931348623157e308)
+@example(1.7976931348623157e308, 0.0, 2.2250738585072014e-308)
+@example(1.0, 2.2250738585072014e-308, 0.0)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_gap_gate_matches_the_fraction_oracle(lam, beta, energy):
+    # subnormal and huge values included: numerators and denominators of
+    # thousands of bits stay exact integers
+    assert harness._one_inside_edge(lam, beta, energy) == fraction_gate(lam, beta, energy)
+    # near the edge too: the energy at which the rounded test turns over
+    edge = math.hypot(lam, beta) - 1.0
+    for e in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)):
+        if math.isfinite(e):
+            assert harness._one_inside_edge(lam, beta, e) == fraction_gate(lam, beta, e)
 
 
 @pytest.mark.parametrize("kind", ["ct", "green"])
