@@ -94,40 +94,17 @@ def _tail_floors(cfg):
             for e in sorted(cfg.value("epsilons"))]
 
 
+def _tail_grid(cfg):
+    """The sorted epsilons of a tails run and the cube length of each, its
+    length raised to the resolution floor; `validate` holds it to the cap."""
+    eps = sorted(cfg.value("epsilons"))
+    return eps, [max(L, f) for L, f in zip(cfg.value("lengths"), _tail_floors(cfg))]
+
+
 # the [experiment] keys besides kind, each with the converter that reads it
 # and its default; --seed and --workers override theirs
 EXPERIMENT = {"d": (int, 1), "L": (_number, 16.0), "realizations": (int, 100),
               "seed": (int, 0), "workers": (int, 1)}
-# the keys each kind may set in its own section, each with the converter
-# that reads it and its default: a value, a function of the config (called
-# when the key is read) or None, required.  ExperimentConfig.value is the
-# only reader; loading rejects any other key and a value it cannot read.
-KEYS = {
-    "spectrum": {},
-    "ids": {"energy_range": (_numbers, lambda cfg: _span(cfg, 41.0)),
-            "energies": (_numbers, lambda cfg: _grid(*cfg.value("energy_range")))},
-    "dos": {"bins": (_numbers, lambda cfg: _span(cfg, 40.0))},
-    "wegner": {"energies": (_numbers, None), "epsilons": (_numbers, None)}, "gap": {},
-    "interlace": {"lam": (_number, lambda cfg: max(cfg.mu_V.support_inf, 0.0)),
-                  "beta": (_number, lambda cfg: case_beta(cfg.mu_B)),
-                  "eps": (_number, 0.3)},
-    "green": {"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
-    "ct": {"energy": (_number, 0.0)},
-    "sli-edi": {"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
-    "tails": {"epsilons": (_numbers, (0.08, 0.125, 0.2, 0.3, 0.4, 0.5)),
-              "lengths": (_ints, _tail_floors), "lower_bound": (_flag, False),
-              # the test-function lengths whose Dirichlet matrix fits the cap
-              "c0_lengths": (_ints, lambda cfg: [
-                  L for L in (8, 16, 32, 64, 128)
-                  if CubeSpec(cfg.d, L).site_count <= MAX_BLOCK_DIM]),
-              "lower_epsilons": (_numbers, (0.5,)),
-              "lower_realizations": (_number, 100000.0)},
-    # theta just above the dimension, and well above it
-    "suitability": {"theta": (_numbers, lambda cfg: [cfg.d + 0.5, 2.0 * cfg.d]),
-                    "energies": (_numbers, (0.0,)), "lengths": (_ints, (12, 24, 48))},
-    "correlator": {"interval": (_numbers, (-0.5, 0.5))}, "fh": {"tol": (_number, 1e-6)},
-}
-KINDS = tuple(KEYS)
 # each measure kind's constructor and its parameters, in constructor order
 MEASURES = {"uniform": (SiteMeasure.uniform, ("a", "b")),
             "triangular": (SiteMeasure.triangular, ("a", "b")),
@@ -182,10 +159,10 @@ class ExperimentConfig:
         return hashlib.sha256(config_to_text(same).encode()).hexdigest()
 
     def value(self, key: str):
-        """A key of the kind's section read by its converter in KEYS, else
-        its default there.  A key the kind does not declare raises
-        KeyError, a missing required one PreconditionError."""
-        convert, default = KEYS[self.kind][key]
+        """A key of the kind's section read by its converter in
+        KINDS[kind].keys, else its default there.  A key the kind does not
+        declare raises KeyError, a missing required one PreconditionError."""
+        convert, default = KINDS[self.kind].keys[key]
         if key in self.extra or default is None:
             return _read(self.kind, key, self.extra.get(key), convert)
         return default(self) if callable(default) else default
@@ -228,7 +205,7 @@ def parse_config(text: str, kind: str | None = None, seed: int | None = None,
     if cfg_kind not in KINDS:
         raise PreconditionError(f"unknown experiment kind {cfg_kind!r}")
     extra = dict(cp[cfg_kind]) if cp.has_section(cfg_kind) else {}
-    _reject_unknown(cfg_kind, extra, KEYS[cfg_kind])
+    _reject_unknown(cfg_kind, extra, KINDS[cfg_kind].keys)
     given = {"seed": seed, "workers": workers}
     cfg = ExperimentConfig(
         kind=cfg_kind, **{key: _read("experiment", key, exp.get(key, default), convert)
@@ -263,37 +240,61 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 # -- validation ---------------------------------------------------------------
 
 
-def _finite_power(x: float, y: float) -> bool:
-    """Whether the Python float x ** y is finite."""
-    try:
-        return math.isfinite(x ** y)
-    except OverflowError:
-        return False
+def validate(cfg: ExperimentConfig) -> list[str]:
+    """All hypothesis diagnostics for the configured experiment, no
+    computation: every count and range the run relies on.  The shared
+    ones; then why the run cannot solve the block (2 |cube| wide) of each
+    cube of the kind densely: no sites, or past MAX_BLOCK_DIM; then the
+    kind's own."""
+    kind = KINDS[cfg.kind]
+    out = []
+    if cfg.d < 1:
+        out.append(f"dimension must be >= 1, got {cfg.d}")
+    if cfg.realizations < 1:
+        out.append("realizations must be >= 1")
+    if cfg.workers < 1:
+        out.append(f"workers must be >= 1, got {cfg.workers}")
+    if not -2 ** 63 <= cfg.seed < 2 ** 63:        # the sampler's key width
+        out.append(f"seed must be a signed 64-bit integer, got {cfg.seed}")
+    # with d < 1, reported above, there is no cube to check
+    for what, L in kind.cubes(cfg) if cfg.d >= 1 else ():
+        if L <= 1:
+            out.append(f"{what}cube length must exceed 1, got {L}")
+        elif (dim := 2 * CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
+            out.append(f"{what}matrix dimension {dim} exceeds the hard cap "
+                       f"{MAX_BLOCK_DIM}; reduce L or d")
+    return out + kind.problems(cfg)
 
 
-def _cube_problems(d: int, L: float, what: str = "") -> list[str]:
-    """Why a run cannot solve the block (2 |cube| wide) of the cube of
-    length L densely: no sites, or past MAX_BLOCK_DIM.  `what` prefixes
-    the diagnostic; a dimension below 1 is reported once, elsewhere."""
-    if d < 1:
-        return []
-    if L <= 1:
-        return [f"{what}cube length must exceed 1, got {L}"]
-    dim = 2 * CubeSpec(d, L).site_count
-    if dim > MAX_BLOCK_DIM:
-        return [f"{what}matrix dimension {dim} exceeds the hard cap "
-                f"{MAX_BLOCK_DIM}; reduce L or d"]
+def _own_cube(cfg):
+    return [("", cfg.L)]
+
+
+NESTED = ("core", "middle", "host")
+
+
+def _nested_cubes(cfg):
+    """The core, middle and host cubes of green and sli-edi, given their
+    three lengths; the host's defaults to the experiment's."""
+    lengths = cfg.value("lengths")
+    return [] if len(lengths) != 3 else [
+        (f"{cfg.kind}: {what} length {L:g}: ", L) for what, L in zip(NESTED, lengths)]
+
+
+def _no_problems(cfg):
     return []
 
 
-# the key of each kind that sets an interval lo hi (and n points, for a grid)
-INTERVALS = {"ids": "energy_range", "dos": "bins", "correlator": "interval"}
+def _empty_lists(cfg, *keys) -> list[str]:
+    """The list keys, read value by value by the run, that are set but
+    empty: the run would assert nothing or fail."""
+    return [f"{cfg.kind}: {key} lists no value" for key in keys
+            if key in cfg.extra and not cfg.value(key)]
 
 
-def _interval_problems(cfg: ExperimentConfig) -> list[str]:
-    """Why the interval of the kind is not "lo hi" (with "n", a whole
-    number >= 1, for a grid) with lo < hi, or is a grid too long to count."""
-    key = INTERVALS[cfg.kind]
+def _interval_problems(cfg: ExperimentConfig, key: str) -> list[str]:
+    """Why the interval `key` is not "lo hi" (with "n", a whole number
+    >= 1, for a grid) with lo < hi, or is a grid too long to count."""
     grid = key != "interval"
     v = cfg.value(key)
     if len(v) == 2 + grid and v[0] < v[1] and (not grid or v[2] >= 1 and
@@ -313,138 +314,131 @@ def _count_problems(kind: str, what: str, n: int) -> list[str]:
         f"cap {MAX_COUNT_ENERGIES}"]
 
 
-# the list keys of each kind that a run reads value by value: set but
-# empty, the run asserts nothing or fails
-LISTS = {"ids": ("energies",), "wegner": ("energies", "epsilons"),
-         "tails": ("epsilons", "lower_epsilons"),
-         "suitability": ("theta", "energies", "lengths")}
+def _density_problems(cfg) -> list[str]:
+    """The hypotheses of the two-density estimate (wegner, dos)."""
+    return [f"{cfg.kind}: the two-density estimate needs {what}" for bad, what in (
+        (not (cfg.mu_V.has_density and cfg.mu_B.has_density),
+         "densities of bounded variation for both measures"),
+        (cfg.mu_V.support_inf < 0 or cfg.mu_B.support_inf < 0,
+         "inf supp mu_V >= 0 and inf supp mu_B >= 0")) if bad]
 
 
-# the kinds whose run solves only the cubes of their own `lengths`, never
-# the experiment's cube of length L (green's and sli-edi's host length
-# defaults to it)
-OWN_LENGTHS = ("green", "sli-edi", "tails", "suitability")
-
-
-def validate(cfg: ExperimentConfig) -> list[str]:
-    """All hypothesis diagnostics for the configured experiment, no
-    computation: every count and range the run relies on."""
+def _edge_problems(cfg) -> list[str]:
+    """Why the measures admit no deterministic gap edge (gap, interlace,
+    tails, suitability)."""
     out = []
-    if cfg.d < 1:
-        out.append(f"dimension must be >= 1, got {cfg.d}")
-    if cfg.kind not in OWN_LENGTHS:
-        out += _cube_problems(cfg.d, cfg.L)
-    if cfg.realizations < 1:
-        out.append("realizations must be >= 1")
-    if cfg.workers < 1:
-        out.append(f"workers must be >= 1, got {cfg.workers}")
-    if not -2 ** 63 <= cfg.seed < 2 ** 63:        # the sampler's key width
-        out.append(f"seed must be a signed 64-bit integer, got {cfg.seed}")
-
-    k = cfg.kind
-    out += (bad := _interval_problems(cfg) if k in INTERVALS else [])
-    out += [f"{k}: {key} lists no value" for key in LISTS.get(k, ())
-            if key in cfg.extra and not cfg.value(key)]
-    if k == "ids" and not bad:          # the default grid needs a valid range
-        out += _count_problems(k, "energies", len(cfg.value("energies")))
-    if k in ("wegner", "dos"):
-        if not (cfg.mu_V.has_density and cfg.mu_B.has_density):
-            out.append(f"{k}: the two-density estimate needs densities of "
-                       "bounded variation for both measures")
-        if cfg.mu_V.support_inf < 0 or cfg.mu_B.support_inf < 0:
-            out.append(f"{k}: the two-density estimate needs "
-                       "inf supp mu_V >= 0 and inf supp mu_B >= 0")
-    if k == "wegner":
-        try:
-            energies = cfg.value("energies")
-            epsilons = cfg.value("epsilons")
-        except PreconditionError as e:
-            out.append(str(e))
-        else:
-            out += [f"wegner: window (E={e}, eps={eps}) violates E > 0, 3*eps < E"
-                    for e in energies for eps in epsilons
-                    if not (e > 0 and 0 < eps and 3 * eps < e)]
-            out += _count_problems(k, "window edges", 2 * len(energies) * len(epsilons))
-    if k in ("gap", "interlace", "tails", "suitability"):
-        try:
-            case_beta(cfg.mu_B)
-        except ValueError as e:
-            out.append(f"{k}: {e}")
-        if cfg.mu_V.support_inf < 0:
-            out.append(f"{k}: needs inf supp mu_V >= 0")
-    # the cubes of the OWN_LENGTHS kinds
-    if k == "suitability":
-        lengths = cfg.value("lengths")
-        for L in lengths:
-            if L % 6 != 0:
-                out.append(f"suitability: length {L} not in 6N")
-            out += _cube_problems(cfg.d, L, f"suitability: length {L}: ")
-        # the run's target norm L^-theta, a Python float
-        for theta in cfg.value("theta"):
-            big = [L for L in lengths if L >= 1 and not _finite_power(L, -theta)]
-            if big:
-                out.append(f"suitability: theta {theta:g} makes L^-theta overflow "
-                           f"at length {big[0]:g}")
-        # a_L = edge + L^-1/2, as suitability_probability has it
-        try:
-            edge = gap_edge(cfg.disorder())
-        except ValueError:              # reported above
-            edge = math.inf
-        top = max(map(abs, cfg.value("energies")), default=0.0)
-        out += [f"suitability: energies must lie in [-a_L, a_L], a_L = "
-                f"{edge + L ** -0.5:.6g} at length {L}"
-                for L in lengths if L >= 1 and top > edge + L ** -0.5]
-    if k in ("green", "sli-edi"):
-        lengths = cfg.value("lengths")
-        if len(lengths) != 3:
-            out.append(f"{k}: lengths must be three numbers l1 l2 l3")
-        else:
-            names = ("core", "middle", "host")
-            for what, L in zip(names, lengths):
-                out += _cube_problems(cfg.d, L, f"{k}: {what} length {L:g}: ")
-            if cfg.d >= 1 and min(lengths) > 1:
-                cubes = [CubeSpec(cfg.d, L) for L in lengths]
-                out += [f"{k}: the {names[j]} cube (length {lengths[j]:g}) is not "
-                        f"strictly inside the {names[j + 1]} cube (length "
-                        f"{lengths[j + 1]:g})" for j in (0, 1)
-                        if not lattice.strictly_inside(cubes[j], cubes[j + 1])]
-    if k == "tails":
-        if cfg.mu_V.kind == "point_mass":
-            out.append("tails: mu_V concentrated in a single point has no tail")
-        if cfg.d >= 1:
-            eps, lengths = _tail_grid(cfg)
-            if min(eps, default=1.0) <= 0:
-                out.append("tails: epsilons must be > 0")
-            if (n := len(cfg.value("lengths"))) != len(eps):
-                out.append(f"tails: {n} lengths for {len(eps)} epsilons")
-            # grid points whose lengths give one cube share one count
-            out += _count_problems(k, "epsilons", len(eps))
-            for e, L in zip(eps, lengths):
-                out += _cube_problems(cfg.d, L, f"tails: length {L} at eps {e:g}: ")
-        if cfg.d >= 1 and cfg.value("lower_bound"):
-            c0 = cfg.value("c0_lengths")
-            if not c0:
-                out.append("tails: the lower bound needs at least one c0 length")
-            for L in c0:
-                if L < 4:
-                    out.append(f"tails: c0 length {L} is below 4, the least "
-                               "the test function takes")
-                elif (n := CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
-                    out.append(f"tails: c0 length {L}: Dirichlet matrix dimension "
-                               f"{n} exceeds the hard cap {MAX_BLOCK_DIM}")
-            if min(cfg.value("lower_epsilons"), default=1.0) <= 0:
-                out.append("tails: lower_epsilons must be > 0")
-            if not (r := cfg.value("lower_realizations")) >= 1 or not r.is_integer():
-                out.append(f"tails: lower_realizations {r:g} is not a whole "
-                           "number >= 1")
-    if k == "fh":
-        if (tol := cfg.value("tol")) < 0:
-            out.append(f"fh: tol must be >= 0, got {tol:g}")
-        if cfg.mu_V.support_inf < 0:
-            out.append("fh: needs V >= 0 so that H >= 0")
-        if cfg.mu_B.support_inf < 0:
-            out.append("fh: needs B >= 0")
+    try:
+        case_beta(cfg.mu_B)
+    except ValueError as e:
+        out.append(f"{cfg.kind}: {e}")
+    if cfg.mu_V.support_inf < 0:
+        out.append(f"{cfg.kind}: needs inf supp mu_V >= 0")
     return out
+
+
+def _ids_problems(cfg):
+    bad = _interval_problems(cfg, "energy_range")
+    out = bad + _empty_lists(cfg, "energies")
+    if not bad:                     # the default grid needs a valid range
+        out += _count_problems("ids", "energies", len(cfg.value("energies")))
+    return out
+
+
+def _wegner_problems(cfg):
+    out = _empty_lists(cfg, "energies", "epsilons") + _density_problems(cfg)
+    try:
+        energies = cfg.value("energies")
+        epsilons = cfg.value("epsilons")
+    except PreconditionError as e:
+        return out + [str(e)]
+    out += [f"wegner: window (E={e}, eps={eps}) violates E > 0, 3*eps < E"
+            for e in energies for eps in epsilons
+            if not (e > 0 and 0 < eps and 3 * eps < e)]
+    return out + _count_problems("wegner", "window edges",
+                                 2 * len(energies) * len(epsilons))
+
+
+def _nested_problems(cfg):
+    """green and sli-edi: three lengths, each cube strictly inside the next."""
+    lengths = cfg.value("lengths")
+    if len(lengths) != 3:
+        return [f"{cfg.kind}: lengths must be three numbers l1 l2 l3"]
+    if cfg.d < 1 or min(lengths) <= 1:
+        return []
+    cubes = [CubeSpec(cfg.d, L) for L in lengths]
+    return [f"{cfg.kind}: the {NESTED[j]} cube (length {lengths[j]:g}) is not "
+            f"strictly inside the {NESTED[j + 1]} cube (length {lengths[j + 1]:g})"
+            for j in (0, 1) if not lattice.strictly_inside(cubes[j], cubes[j + 1])]
+
+
+def _tails_problems(cfg):
+    out = _empty_lists(cfg, "epsilons", "lower_epsilons") + _edge_problems(cfg)
+    if cfg.mu_V.kind == "point_mass":
+        out.append("tails: mu_V concentrated in a single point has no tail")
+    if cfg.d < 1:
+        return out
+    eps = cfg.value("epsilons")
+    if min(eps, default=1.0) <= 0:
+        out.append("tails: epsilons must be > 0")
+    if (n := len(cfg.value("lengths"))) != len(eps):
+        out.append(f"tails: {n} lengths for {len(eps)} epsilons")
+    # grid points whose lengths give one cube share one count
+    out += _count_problems("tails", "epsilons", len(eps))
+    if not cfg.value("lower_bound"):
+        return out
+    c0 = cfg.value("c0_lengths")
+    if not c0:
+        out.append("tails: the lower bound needs at least one c0 length")
+    for L in c0:
+        if L < 4:
+            out.append(f"tails: c0 length {L} is below 4, the least "
+                       "the test function takes")
+        elif (n := CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
+            out.append(f"tails: c0 length {L}: Dirichlet matrix dimension "
+                       f"{n} exceeds the hard cap {MAX_BLOCK_DIM}")
+    if min(cfg.value("lower_epsilons"), default=1.0) <= 0:
+        out.append("tails: lower_epsilons must be > 0")
+    if not (r := cfg.value("lower_realizations")) >= 1 or not r.is_integer():
+        out.append(f"tails: lower_realizations {r:g} is not a whole "
+                   "number >= 1")
+    return out
+
+
+def _finite_power(x: float, y: float) -> bool:
+    """Whether the Python float x ** y is finite."""
+    try:
+        return math.isfinite(x ** y)
+    except OverflowError:
+        return False
+
+
+def _suitability_problems(cfg):
+    out = _empty_lists(cfg, "theta", "energies", "lengths") + _edge_problems(cfg)
+    lengths = cfg.value("lengths")
+    out += [f"suitability: length {L} not in 6N" for L in lengths if L % 6 != 0]
+    # the run's target norm L^-theta, a Python float
+    for theta in cfg.value("theta"):
+        big = [L for L in lengths if L >= 1 and not _finite_power(L, -theta)]
+        if big:
+            out.append(f"suitability: theta {theta:g} makes L^-theta overflow "
+                       f"at length {big[0]:g}")
+    # a_L = edge + L^-1/2, as suitability_probability has it
+    try:
+        edge = gap_edge(cfg.disorder())
+    except ValueError:              # an _edge_problems diagnostic
+        edge = math.inf
+    top = max(map(abs, cfg.value("energies")), default=0.0)
+    return out + [f"suitability: energies must lie in [-a_L, a_L], a_L = "
+                  f"{edge + L ** -0.5:.6g} at length {L}"
+                  for L in lengths if L >= 1 and top > edge + L ** -0.5]
+
+
+def _fh_problems(cfg):
+    tol = cfg.value("tol")
+    return [f"fh: {what}" for bad, what in (
+        (tol < 0, f"tol must be >= 0, got {tol:g}"),
+        (cfg.mu_V.support_inf < 0, "needs V >= 0 so that H >= 0"),
+        (cfg.mu_B.support_inf < 0, "needs B >= 0")) if bad]
 
 
 # -- parallel mapping ---------------------------------------------------------
@@ -898,13 +892,6 @@ def _exp_sli_edi(cfg, mapper):
     return {"sli_edi": _summary_table(reports)}, reports, {}
 
 
-def _tail_grid(cfg):
-    """The sorted epsilons of a tails run and the cube length of each, its
-    length raised to the resolution floor; `validate` holds it to the cap."""
-    eps = sorted(cfg.value("epsilons"))
-    return eps, [max(L, f) for L, f in zip(cfg.value("lengths"), _tail_floors(cfg))]
-
-
 def _exp_tails(cfg, mapper):
     from . import asymptotics
     dis = cfg.disorder()
@@ -1039,20 +1026,65 @@ def _exp_fh(cfg, mapper):
     return {"fh": (header, rows)}, reports, {}
 
 
-EXPERIMENTS = {
-    "spectrum": _exp_spectrum,
-    "ids": _exp_ids,
-    "dos": _exp_dos,
-    "wegner": _exp_wegner,
-    "gap": _exp_gap,
-    "interlace": _exp_interlace,
-    "green": _exp_green,
-    "ct": _exp_ct,
-    "sli-edi": _exp_sli_edi,
-    "tails": _exp_tails,
-    "suitability": _exp_suitability,
-    "correlator": _exp_correlator,
-    "fh": _exp_fh,
+# -- experiment kinds -------------------------------------------------------------
+
+
+# slots keep the default functions off the class, where perfbench's span
+# tracer would take them for public methods
+@dataclass(frozen=True, slots=True)
+class Kind:
+    """An experiment kind, declared once: the keys of its own section,
+    each with the converter that reads it and its default (a value, a
+    function of the config called when the key is read, or None,
+    required), read only by ExperimentConfig.value; its run(cfg, mapper)
+    -> (tables, reports, summary); and for `validate`, problems(cfg), its
+    own diagnostics, and cubes(cfg), the (label, L) of every cube the run
+    solves, the label prefixing the cube's diagnostics."""
+
+    keys: dict
+    run: object
+    problems: object = _no_problems
+    cubes: object = _own_cube
+
+
+KINDS = {
+    "spectrum": Kind({}, _exp_spectrum),
+    "ids": Kind({"energy_range": (_numbers, lambda cfg: _span(cfg, 41.0)),
+                 "energies": (_numbers, lambda cfg: _grid(*cfg.value("energy_range")))},
+                _exp_ids, _ids_problems),
+    "dos": Kind({"bins": (_numbers, lambda cfg: _span(cfg, 40.0))}, _exp_dos,
+                lambda cfg: _interval_problems(cfg, "bins") + _density_problems(cfg)),
+    "wegner": Kind({"energies": (_numbers, None), "epsilons": (_numbers, None)},
+                   _exp_wegner, _wegner_problems),
+    "gap": Kind({}, _exp_gap, _edge_problems),
+    "interlace": Kind({"lam": (_number, lambda cfg: max(cfg.mu_V.support_inf, 0.0)),
+                       "beta": (_number, lambda cfg: case_beta(cfg.mu_B)),
+                       "eps": (_number, 0.3)}, _exp_interlace, _edge_problems),
+    "green": Kind({"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
+                  _exp_green, _nested_problems, _nested_cubes),
+    "ct": Kind({"energy": (_number, 0.0)}, _exp_ct),
+    "sli-edi": Kind({"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
+                    _exp_sli_edi, _nested_problems, _nested_cubes),
+    "tails": Kind({"epsilons": (_numbers, (0.08, 0.125, 0.2, 0.3, 0.4, 0.5)),
+                   "lengths": (_ints, _tail_floors), "lower_bound": (_flag, False),
+                   # the test-function lengths whose Dirichlet matrix fits the cap
+                   "c0_lengths": (_ints, lambda cfg: [
+                       L for L in (8, 16, 32, 64, 128)
+                       if CubeSpec(cfg.d, L).site_count <= MAX_BLOCK_DIM]),
+                   "lower_epsilons": (_numbers, (0.5,)),
+                   "lower_realizations": (_number, 100000.0)},
+                  _exp_tails, _tails_problems, lambda cfg: [
+                      (f"tails: length {L} at eps {e:g}: ", L)
+                      for e, L in zip(*_tail_grid(cfg))]),
+    # theta just above the dimension, and well above it
+    "suitability": Kind({"theta": (_numbers, lambda cfg: [cfg.d + 0.5, 2.0 * cfg.d]),
+                         "energies": (_numbers, (0.0,)),
+                         "lengths": (_ints, (12, 24, 48))},
+                        _exp_suitability, _suitability_problems, lambda cfg: [
+                            (f"suitability: length {L}: ", L) for L in cfg.value("lengths")]),
+    "correlator": Kind({"interval": (_numbers, (-0.5, 0.5))}, _exp_correlator,
+                       lambda cfg: _interval_problems(cfg, "interval")),
+    "fh": Kind({"tol": (_number, 1e-6)}, _exp_fh, _fh_problems),
 }
 
 
@@ -1153,7 +1185,7 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
         env["blas_threads_main"] = blas.threads()
         if not diagnostics:
             with realization_mapper(cfg.workers) as mapper:
-                tables, reports, summary = EXPERIMENTS[cfg.kind](cfg, mapper)
+                tables, reports, summary = KINDS[cfg.kind].run(cfg, mapper)
                 if mapper is not None:
                     env["pool_estimate_s"] = mapper.estimate_s
                     if mapper.executor is not None:

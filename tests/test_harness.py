@@ -327,12 +327,13 @@ def test_declared_default_is_the_one_validate_and_the_run_read(monkeypatch,
                                                                tmp_path):
     text = make_text("suitability", L=12, R=4, va=1.0, vb=2.0, bk="point_mass",
                      bargs="c = 0.0")
-    convert, _ = harness.KEYS["suitability"]["lengths"]
-    monkeypatch.setitem(harness.KEYS["suitability"], "lengths", (convert, (2400,)))
+    keys = harness.KINDS["suitability"].keys
+    convert, _ = keys["lengths"]
+    monkeypatch.setitem(keys, "lengths", (convert, (2400,)))
     assert validate(parse_config(text)) == [
         "suitability: length 2400: matrix dimension 4798 exceeds the hard cap "
         "4096; reduce L or d"]
-    monkeypatch.setitem(harness.KEYS["suitability"], "lengths", (convert, (18,)))
+    monkeypatch.setitem(keys, "lengths", (convert, (18,)))
     result = run(parse_config(text), tmp_path)
     assert result.diagnostics == []
     assert {r.parameters["L"] for r in result.reports

@@ -245,17 +245,27 @@ def test_scan_flags_a_field_only_its_own_class_reads(tmp_path):
                                        "mod.Fit.spread", "mod.Tally.misses"]
 
 
+def _kinds(tree):
+    """The (name, Kind(...) call) of each entry of the literal KINDS dict."""
+    (kinds,) = [n.value for n in tree.body if isinstance(n, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "KINDS" for t in n.targets)]
+    return [(name.value, call) for name, call in zip(kinds.keys, kinds.values)]
+
+
 def config_key_problems(src=SRC) -> list[str]:
-    """Each entry of harness.KEYS that is not a literal (converter, default)
-    pair, as kind.key, and each `.value(` call in src that passes more than
-    the key, as module:line."""
+    """Each entry of the `keys` of a harness.KINDS record that is not a
+    literal (converter, default) pair, as kind.key, a record whose keys
+    are not a literal dict, as kind, and each `.value(` call in src that
+    passes more than the key, as module:line."""
     out = []
     tree = ast.parse((Path(src) / "harness.py").read_text(encoding="utf-8"))
-    (keys,) = [n.value for n in tree.body if isinstance(n, ast.Assign)
-               and any(isinstance(t, ast.Name) and t.id == "KEYS" for t in n.targets)]
-    for kind, section in zip(keys.keys, keys.values):
-        out += [f"{kind.value}.{key.value}" for key, entry in
-                zip(section.keys, section.values)
+    for kind, call in _kinds(tree):
+        keys = ([k.value for k in call.keywords if k.arg == "keys"]
+                + call.args[:1])[0]
+        if not isinstance(keys, ast.Dict):
+            out.append(kind)
+            continue
+        out += [f"{kind}.{key.value}" for key, entry in zip(keys.keys, keys.values)
                 if not (isinstance(entry, ast.Tuple) and len(entry.elts) == 2)]
     for path in sorted(Path(src).glob("*.py")):
         out += [f"{path.stem}:{n.lineno}"
@@ -271,7 +281,52 @@ def test_every_config_key_declares_its_default_once():
 
 def test_scan_flags_a_bare_converter_and_a_reader_default(tmp_path):
     (tmp_path / "harness.py").write_text(
-        "KEYS = {'a': {'x': (int, 1), 'y': int}, 'b': {'z': (float, None, 2)}}\n\n"
+        "KINDS = {'a': Kind({'x': (int, 1), 'y': int}, run),\n"
+        "         'b': Kind(keys={'z': (float, None, 2)}, run=run),\n"
+        "         'c': Kind(KEYS, run)}\n\n"
         "def read(cfg):\n"
         "    return cfg.value('x'), cfg.value('y', 2), cfg.value('z', default=3)\n")
-    assert config_key_problems(tmp_path) == ["a.y", "b.z", "harness:4", "harness:4"]
+    assert config_key_problems(tmp_path) == ["a.y", "b.z", "c", "harness:6",
+                                             "harness:6"]
+
+
+# comparison operators that would test a kind's name
+NAME_TESTS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def kind_name_comparisons(kinds, src=SRC) -> list[str]:
+    """module:line of each comparison in harness.py and cli.py that tests
+    a value against a kind name: an operand that is the name, or a
+    literal tuple, list or set holding it.  What a kind does belongs in
+    its record."""
+    def names(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {x.value for x in items if isinstance(x, ast.Constant)}
+
+    out = []
+    for module in ("harness", "cli"):
+        tree = ast.parse((Path(src) / f"{module}.py").read_text(encoding="utf-8"))
+        out += [f"{module}:{n.lineno}" for n in ast.walk(tree)
+                if isinstance(n, ast.Compare)
+                and any(isinstance(op, NAME_TESTS) for op in n.ops)
+                and any(names(x) & set(kinds) for x in (n.left, *n.comparators))]
+    return out
+
+
+def test_no_code_tests_a_kind_name():
+    from blocklab import harness
+    assert kind_name_comparisons(tuple(harness.KINDS)) == []
+
+
+def test_scan_flags_a_kind_name_in_a_comparison(tmp_path):
+    (tmp_path / "harness.py").write_text(
+        "def f(cfg, k):\n"
+        "    if k == 'ct' or 'gap' != cfg.kind:\n"
+        "        return k in ('ids', 'dos')\n"
+        "    return k not in ['tails'], k == 'other', k < 'ct', k in {0: 'ct'}\n")
+    (tmp_path / "cli.py").write_text("def g(args):\n    return args.command in {'fh'}\n")
+    # two tests on line 2, one on each line after it; a name that is no
+    # kind's, an ordering and a dict's value are no test of a name
+    assert kind_name_comparisons(("ct", "gap", "ids", "dos", "tails", "fh"),
+                                 tmp_path) == ["harness:2", "harness:2", "harness:3",
+                                               "harness:4", "cli:2"]
