@@ -450,15 +450,17 @@ class DecayProfile:
 
     Pair k joins the cube's sites of canonical indices divmod(k, N) at
     1-norm distance dist[k]; norm[k] is the Frobenius norm of its 2x2
-    resolvent element and bound[k] the Combes-Thomas bound.  delta is the
-    spectral distance capped at 1, as used in the bound.
+    resolvent element and bound_by_dist[dist[k]] the Combes-Thomas bound,
+    which depends on a pair only through its distance: one value for each
+    distance 0, ..., d (n - 1), n sites per axis.  delta is the spectral
+    distance capped at 1, as used in the bound.
     """
 
     energy: float
     delta: float
     dist: np.ndarray
     norm: np.ndarray
-    bound: np.ndarray
+    bound_by_dist: np.ndarray
 
 
 def decay_profile(field: FieldSample, energy: float,
@@ -488,12 +490,9 @@ def decay_profile(field: FieldSample, energy: float,
         delta = min(spectral_distance(m, energy), 1.0)
         norm = block_norm_grid(resolvent_columns(m, [energy], np.arange(len(m)))[0],
                                cube.site_count)
-    dist = _all_pairs(cube)
-    # the bound depends on the pair only through its distance, at most
-    # d (n - 1)
     caps = combes_thomas_bound(delta, cube.d,
                                np.arange(cube.d * (lattice.axis_count(cube.L) - 1) + 1))
-    return DecayProfile(energy, delta, dist, norm.reshape(-1), caps[dist])
+    return DecayProfile(energy, delta, _all_pairs(cube), norm.reshape(-1), caps)
 
 
 @lru_cache(maxsize=8)
@@ -516,7 +515,7 @@ def combes_thomas_check(profile: DecayProfile) -> CheckReport:
     """Every 2x2 resolvent element of the profile obeys the exponential bound."""
     rep = CheckReport("combes_thomas", parameters={"E": profile.energy,
                                                    "delta": profile.delta})
-    rep.record(profile.bound + CT_ATOL - profile.norm)
+    rep.record(profile.bound_by_dist[profile.dist] + CT_ATOL - profile.norm)
     return rep
 
 

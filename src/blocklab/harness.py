@@ -60,7 +60,10 @@ def _number(raw) -> float:
 
 
 def _ints(raw) -> list[int]:
-    return [int(round(x)) for x in _numbers(raw)]
+    values = _numbers(raw)
+    if not all(x.is_integer() for x in values):
+        raise ValueError(f"{raw!r} is not whole")
+    return [int(x) for x in values]
 
 
 FLAGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -266,10 +269,6 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     return out + kind.problems(cfg)
 
 
-def _own_cube(cfg):
-    return [("", cfg.L)]
-
-
 NESTED = ("core", "middle", "host")
 
 
@@ -279,10 +278,6 @@ def _nested_cubes(cfg):
     lengths = cfg.value("lengths")
     return [] if len(lengths) != 3 else [
         (f"{cfg.kind}: {what} length {L:g}: ", L) for what, L in zip(NESTED, lengths)]
-
-
-def _no_problems(cfg):
-    return []
 
 
 def _empty_lists(cfg, *keys) -> list[str]:
@@ -338,10 +333,9 @@ def _edge_problems(cfg) -> list[str]:
 
 def _ids_problems(cfg):
     bad = _interval_problems(cfg, "energy_range")
-    out = bad + _empty_lists(cfg, "energies")
-    if not bad:                     # the default grid needs a valid range
-        out += _count_problems("ids", "energies", len(cfg.value("energies")))
-    return out
+    # the default grid needs a valid range
+    return bad + _empty_lists(cfg, "energies") + ([] if bad else _count_problems(
+        "ids", "energies", len(cfg.value("energies"))))
 
 
 def _wegner_problems(cfg):
@@ -642,8 +636,7 @@ def _exp_ids(cfg, mapper):
     rng = CheckReport("ids_range")
     rng.record(float(np.min(est.mean_N)))
     rng.record(1.0 - float(np.max(est.mean_N)))
-    rows = [(e, m, s, est.realizations)
-            for e, m, s in zip(est.grid, est.mean_N, est.stderr_N)]
+    rows = [(e, m, s, est.realizations) for e, m, s in zip(est.grid, est.mean_N, est.stderr_N)]
     return {"ids": (["E", "mean_N", "stderr", "R"], rows)}, [mono, rng], {}
 
 
@@ -669,17 +662,11 @@ def _exp_dos(cfg, mapper):
 
 
 def _exp_wegner(cfg, mapper):
-    dis = cfg.disorder()
-    cube = cfg.cube()
-    windows = [(e, eps) for e in cfg.value("energies")
-               for eps in cfg.value("epsilons")]
-    reports = inequalities.wegner_finite_volume(dis, cube, windows,
+    windows = [(e, eps) for e in cfg.value("energies") for eps in cfg.value("epsilons")]
+    reports = inequalities.wegner_finite_volume(cfg.disorder(), cfg.cube(), windows,
                                                 cfg.realizations, mapper)
-    rows = []
-    for rep in reports:
-        p = rep.parameters
-        rows.append((p["E"], p["eps"], p["mean"], p["stderr"], p["bound"],
-                     rep.worst_margin, rep.passed))
+    rows = [tuple(rep.parameters[k] for k in ("E", "eps", "mean", "stderr", "bound"))
+            + (rep.worst_margin, rep.passed) for rep in reports]
     header = ["E", "eps", "mean_count", "stderr", "bound", "slack", "passed"]
     return {"wegner": (header, rows)}, reports, {}
 
@@ -721,8 +708,7 @@ def _exp_interlace(cfg, mapper):
     lam, beta = cfg.value("lam"), cfg.value("beta")
     reports, _ = _realizations(cfg, mapper, _interlace_row, lam=lam, beta=beta,
                                eps=cfg.value("eps"))
-    return ({"interlace": _summary_table(reports)}, reports,
-            {"lam": lam, "beta": beta})
+    return {"interlace": _summary_table(reports)}, reports, {"lam": lam, "beta": beta}
 
 
 def _green_row(f, cubes, energy):
@@ -760,13 +746,9 @@ def _ct_row(f, energy, in_gap):
         rate, intercept = green.decay_rate_fit(profile)
     except PreconditionError:        # the bound stands without a fitted rate
         rate = intercept = math.nan
-        fit = CheckReport("ct_rate", preconditions_failed=1)
-    else:
-        fit = CheckReport("ct_rate")
-        fit.record(-rate - profile.delta / (12.0 * f.cube.d))
     row = (profile.delta, rep.worst_margin, rate, intercept)
     # ct_profile.csv holds realization 0
-    return [rep, fit], (row, profile if f.realization_index == 0 else None)
+    return [rep], (row, profile if f.realization_index == 0 else None)
 
 
 # pairs per chunk of `_profile_rows`: the Python objects of one chunk, about
@@ -836,24 +818,17 @@ def _exp_ct(cfg, mapper):
     energy = cfg.value("energy")
     reports, vals = _realizations(
         cfg, mapper, _ct_row, CheckReport("combes_thomas", parameters={"E": energy}),
-        CheckReport("ct_rate", parameters={"E": energy}), energy=energy,
-        in_gap=_in_gap(cfg, energy))
+        energy=energy, in_gap=_in_gap(cfg, energy))
     rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
     p = None if vals[0] is None else vals[0][1]     # realization 0's profile
-    header = ["n", "m", "dist1", "block_norm", "ct_bound"]
-    tables = {"ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
-                      "fit_intercept"], rows),
-              "ct_profile": (header, [])}
-    if p is not None:
-        cube = cfg.cube()
-        n = cube.site_count
-        # the bound depends on a pair only through its distance, and the
-        # first n pairs, from the cube's least corner, meet every distance
-        caps = np.empty(int(p.dist[:n].max()) + 1)
-        caps[p.dist[:n]] = p.bound[:n]
-        tables["ct_profile"] = (header, *_profile_rows(
-            cube, lambda k: np.divmod(k, n), p.dist, p.norm, by_dist=caps))
-    return tables, reports, {}
+    cube = cfg.cube()
+    profile = ([],) if p is None else _profile_rows(
+        cube, lambda k: np.divmod(k, cube.site_count), p.dist, p.norm,
+        by_dist=p.bound_by_dist)
+    return ({"ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
+                     "fit_intercept"], rows),
+             "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"], *profile)},
+            reports, {})
 
 
 def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
@@ -898,8 +873,7 @@ def _exp_tails(cfg, mapper):
     eps, lengths = _tail_grid(cfg)
     curve = asymptotics.tail_curve(dis, cfg.d, eps, cfg.realizations,
                                    lengths=lengths, mapper=mapper)
-    mono = asymptotics.tail_monotonicity_check(curve)
-    reports = [mono]
+    reports = [asymptotics.tail_monotonicity_check(curve)]
     summary = {"edge": curve.edge}
     try:
         fit = asymptotics.tail_exponent_fit(curve)
@@ -924,8 +898,7 @@ def _exp_tails(cfg, mapper):
             reports.append(rep)
             p = rep.parameters
             lb_rows.append((e, L, p["empirical"], p["bound"], p["censored"]))
-        tables["tails_lower"] = (["eps", "L", "empirical", "bound", "censored"],
-                                 lb_rows)
+        tables["tails_lower"] = (["eps", "L", "empirical", "bound", "censored"], lb_rows)
         summary["c0_hat"] = c0.c0_hat
     return tables, reports, summary
 
@@ -937,13 +910,10 @@ def _exp_suitability(cfg, mapper):
     energies = cfg.value("energies")
     # one ensemble per length serves every theta: by_length[i][k] is the
     # report at the i-th length and the k-th theta
-    by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas,
-                                                     energies,
+    by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas, energies,
                                                      cfg.realizations, mapper)
                  for L in cfg.value("lengths")]
-    rows = []
-    reports = []
-    thresholds = {}
+    rows, reports, thresholds = [], [], {}
     for k, theta in enumerate(thetas):
         prev = None
         order = CheckReport(f"suitability_monotone_theta={theta:g}",
@@ -1034,17 +1004,16 @@ def _exp_fh(cfg, mapper):
 @dataclass(frozen=True, slots=True)
 class Kind:
     """An experiment kind, declared once: the keys of its own section,
-    each with the converter that reads it and its default (a value, a
-    function of the config called when the key is read, or None,
-    required), read only by ExperimentConfig.value; its run(cfg, mapper)
-    -> (tables, reports, summary); and for `validate`, problems(cfg), its
-    own diagnostics, and cubes(cfg), the (label, L) of every cube the run
-    solves, the label prefixing the cube's diagnostics."""
+    each with its converter and default (a value, a function of the
+    config called when the key is read, or None, required), read only by
+    ExperimentConfig.value; its run, an _exp_* function; and for
+    `validate`, problems(cfg), its own diagnostics, and cubes(cfg), the
+    (label, L) of every cube the run solves, labels prefixing diagnostics."""
 
     keys: dict
     run: object
-    problems: object = _no_problems
-    cubes: object = _own_cube
+    problems: object = lambda cfg: []
+    cubes: object = lambda cfg: [("", cfg.L)]     # the experiment's cube
 
 
 KINDS = {
@@ -1131,10 +1100,8 @@ def emit_plotdata(result: RunResult, outdir) -> list[Path]:
     """Write one CSV per figure-type table of a completed run."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for stem, (header, rows, *template) in result.tables.items():
-        written.append(write_csv(outdir / f"{stem}.csv", header, rows, *template))
-    return written
+    return [write_csv(outdir / f"{stem}.csv", header, rows, *template)
+            for stem, (header, rows, *template) in result.tables.items()]
 
 
 def _sha256(path: Path) -> str:

@@ -13,8 +13,10 @@ per run, the exit code, the sha256 manifest of its output files (the
 
 With --against, the manifest is compared with one written the same way,
 for instance by this script in a checkout of another commit: every entry
-that differs, or is on one side only, is named and the exit code is 1.
-That is the byte-identity proof of a refactor, one command per side.
+that differs, or is on one side only, is named, with what differs in it
+(the exit code, each output file whose sha256 differs, each report name
+added, removed or changed), and the exit code is 1.  That is the
+byte-identity proof of a refactor, one command per side.
 
 The file name keeps pytest from collecting it.
 """
@@ -90,6 +92,29 @@ def differences(ours: dict, theirs: dict) -> list[str]:
                   or _canonical(ours[key]) != _canonical(theirs[key]))
 
 
+def _by_name(items) -> dict:
+    """Each name of a list of JSON objects with a "name", mapped to the
+    canonical text of its objects, in order."""
+    out = {}
+    for item in items:
+        out.setdefault(item["name"], []).append(_canonical(item))
+    return out
+
+
+def changes(ours: dict, theirs: dict) -> list[str]:
+    """What differs between two entries of one run, ours against theirs:
+    the exit code, the output files whose sha256 differs or that one side
+    lacks, and the report names added, removed or changed."""
+    out = [f"exit code {theirs['exit_code']} -> {ours['exit_code']}"] \
+        if ours["exit_code"] != theirs["exit_code"] else []
+    for what, key in (("output", "outputs"), ("report", "reports")):
+        a, b = _by_name(ours[key]), _by_name(theirs[key])
+        out += [f"{what} {name} " + ("added" if name not in b else "removed"
+                                     if name not in a else "changed")
+                for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="where to write this checkout's manifest")
@@ -104,9 +129,14 @@ def main(argv=None) -> int:
     print(f"{len(entries)} runs written to {args.out}")
     if args.against is None:
         return 0
-    differ = differences(entries, json.loads(args.against.read_text(encoding="utf-8")))
+    theirs = json.loads(args.against.read_text(encoding="utf-8"))
+    differ = differences(entries, theirs)
     for key in differ:
         print(f"differs: {key}")
+        side = ("only here" if key not in theirs else
+                f"only in {args.against}" if key not in entries else None)
+        for line in [side] if side else changes(entries[key], theirs[key]):
+            print(f"  {line}")
     print(f"{len(differ)} of {len(entries)} runs differ from {args.against}")
     return 1 if differ else 0
 

@@ -269,7 +269,8 @@ def test_combes_thomas_diagonal_bound():
     profile = decay_profile(sample_field(cube, GAPPED, 0), 0.0)
     first, second = np.divmod(np.arange(len(profile.norm)), cube.site_count)
     diagonal = first == second
-    assert np.all(profile.norm[diagonal] <= profile.bound[diagonal] + 1e-12)
+    assert np.all(profile.norm[diagonal]
+                  <= profile.bound_by_dist[profile.dist[diagonal]] + 1e-12)
 
 
 def test_combes_thomas_all_pairs():
@@ -299,7 +300,7 @@ def test_decay_profile_columns():
     k = sites.index((0,)) * n + sites.index((2,))
     (i, j), dist = divmod(k, n), profile.dist[k]
     assert (sites[i], sites[j], dist) == ((0,), (2,), 2)
-    assert profile.norm[k] <= profile.bound[k] + 1e-12
+    assert profile.norm[k] <= profile.bound_by_dist[dist] + 1e-12
 
 
 def test_combes_thomas_bound_over_an_array_rounds_as_each_distance_alone():
@@ -328,7 +329,7 @@ def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     assert [(*divmod(k, len(sites)), dist) for k, dist in enumerate(profile.dist)] \
         == [(sites.index(n), sites.index(m), k) for (n, m), k in zip(pairs, dists)]
     assert np.allclose(profile.norm, norms, rtol=1e-12, atol=0)
-    assert np.array_equal(profile.bound, caps)
+    assert np.array_equal(profile.bound_by_dist[profile.dist], caps)
 
     rep = combes_thomas_check(profile)
     assert rep.instances == len(pairs)

@@ -771,6 +771,12 @@ MALFORMED = {
     "mu_V-a-above-b": make_text("spectrum", vargs="a = 2\nb = 1.3"),
     "suitability-lengths": SUITABILITY_BASE.replace("lengths = 6 12",
                                                     "lengths = x"),
+    # a length that is not whole, once rounded silently
+    "suitability-lengths-fraction": SUITABILITY_BASE.replace("lengths = 6 12",
+                                                             "lengths = 11.6 24.4"),
+    "tails-lengths-fraction": TAILS_BASE.replace("lengths = 15", "lengths = 15.5"),
+    "tails-c0_lengths-fraction": TAILS_BASE.replace("c0_lengths = 8",
+                                                    "c0_lengths = 8.5"),
     "tails-epsilons": TAILS_BASE.replace("epsilons = 0.3", "epsilons = x"),
     "ct-energy": make_text("ct", extra="[ct]\nenergy = x\n"),
     "interlace-eps": make_text("interlace", extra="[interlace]\neps = x\n"),
@@ -1156,8 +1162,6 @@ def test_ct_failed_rate_fit_keeps_the_bound(tmp_path):
     reports = {r.name: r for r in result.reports}
     assert (reports["combes_thomas"].instances,
             reports["combes_thomas"].preconditions_failed) == (3, 0)
-    assert (reports["ct_rate"].instances,
-            reports["ct_rate"].preconditions_failed) == (0, 3)
     rows = [line.split(",") for line in
             (tmp_path / "ct.csv").read_text().splitlines()[1:]]
     assert len(rows) == 3
@@ -1562,11 +1566,8 @@ def test_dense_resolvents_keep_their_contract_just_off_the_spectrum(kind, k, rel
     energy = float(eigenvalues[k] + rel * np.abs(eigenvalues).max())
     result = run(parse_config(text + f"[{kind}]\nenergy = {energy!r}\n"), tmp_path)
     reports = {r.name: r for r in result.reports}
-    # constant fields do not localize: only the fitted rate may fail
-    assert all(r.passed and not r.vacuous for name, r in reports.items()
-               if name != "ct_rate")
-    assert reports.keys() == ({"combes_thomas", "ct_rate"} if kind == "ct"
-                              else {"gri_residual"})
+    assert all(r.passed and not r.vacuous for r in reports.values())
+    assert reports.keys() == ({"combes_thomas"} if kind == "ct" else {"gri_residual"})
 
 
 @pytest.mark.parametrize("d, L, chunk", [(1, 16, None), (2, 7, None), (2, 7, 1000)],
@@ -1588,7 +1589,7 @@ def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, chunk, tmp_path,
     s = oracles.sites(lattice.CubeSpec(d, L))
     rows = [(site_label(s[i]), site_label(s[j]), k, v, c) for (i, j), k, v, c in zip(
         ((i, j) for i in range(len(s)) for j in range(len(s))), p.dist.tolist(),
-        p.norm.tolist(), p.bound.tolist())]
+        p.norm.tolist(), p.bound_by_dist[p.dist].tolist())]
     old = write_csv(tmp_path / "old.csv", ["n", "m", "dist1", "block_norm",
                                             "ct_bound"], rows)
     assert (tmp_path / "ct_profile.csv").read_bytes() == old.read_bytes()
@@ -1631,3 +1632,19 @@ def test_cli_reports_vacuous_checks(tmp_path, capsys):
                if r["name"] == "gap_event_implies_suitable"]
     assert reports and all(r["vacuous"] and r["passed"] for r in reports)
     assert all(r["vacuous"] == (r["instances"] == 0) for r in record["reports"])
+
+
+def test_manifest_comparison_names_what_differs_in_a_run():
+    import manifests
+    theirs = {"exit_code": 2,
+              "outputs": [{"name": "ct.csv", "sha256": "a"},
+                          {"name": "gone.csv", "sha256": "b"}],
+              "reports": [{"name": "combes_thomas", "instances": 3},
+                          {"name": "ct_rate", "instances": 1}]}
+    ours = {"exit_code": 0, "outputs": [{"name": "ct.csv", "sha256": "c"}],
+            "reports": [{"name": "combes_thomas", "instances": 4},
+                        {"name": "new", "instances": 0}]}
+    assert manifests.changes(ours, theirs) == [
+        "exit code 2 -> 0", "output ct.csv changed", "output gone.csv removed",
+        "report combes_thomas changed", "report ct_rate removed", "report new added"]
+    assert manifests.changes(theirs, theirs) == []
