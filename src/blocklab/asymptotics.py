@@ -15,12 +15,13 @@ from functools import partial
 import numpy as np
 
 from .disorder import DisorderConfig, FieldSample, case_beta, gap_edge, sample_fields
-from .green import chain_rim_norms, combes_thomas_bound, resolvent_columns
+from .green import combes_thomas_bound, resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary, site_array,
                       site_index)
 from .operators import (MAX_BLOCK_DIM, assemble_plain, build_h0, component_indices,
                         rim_indices)
+from .schur import chain_rim_norms
 from .spectral import (Spectrum, count_below, deterministic_radius, eigensolve,
                        ensemble_counts, ensemble_mean, per_realization, plain_block,
                        run_realizations)
@@ -344,7 +345,7 @@ def _suitability_block(rs, cube, config, energies, a_L, cuts, tol, geometry, cha
     with r the gap event's threshold, and c = E with r = tol (on the
     spectrum) or a finite cut.  An empty window is the event, off the
     spectrum, or a distance past the cut.  The norms off the spectrum
-    come from `green.chain_rim_norms` when `chain` (d = 1, every energy
+    come from `schur.chain_rim_norms` when `chain` (d = 1, every energy
     inside the gap), else from one `suitability_norms` solve per
     realization on the `_suitability_geometry`."""
     V, B = sample_fields(cube, config, rs)
@@ -365,7 +366,7 @@ def _suitability_block(rs, cube, config, energies, a_L, cuts, tol, geometry, cha
     if chain:
         i, j = np.nonzero(off)
         core = site_index(cube, cube.concentric(cube.L / 3.0))
-        norms[i, j] = chain_rim_norms(V[i], B[i], energies[j], core)
+        norms[i, j] = chain_rim_norms(cube, V[i], B[i], energies[j], core)
     else:
         for i in np.flatnonzero(off.any(axis=1)):
             norms[i, off[i]] = suitability_norms(assemble_plain(cube, V[i], B[i]),
@@ -428,12 +429,10 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     event is past delta*, so the sharp implication holds every instance.
 
     Only the norm is dispatched.  At d = 1 with every energy strictly
-    inside the gap, |E| < edge, `green.chain_rim_norms` gives it in O(N)
-    per realization, with no eigensolve: every leading and trailing
-    section of H_hat - E is a plain block on a shorter chain, with no
-    eigenvalue within edge - |E| of E, so the recursion's pivots stay
-    that far from singular.  Otherwise one stacked solve per realization
-    gives it (`suitability_norms`).
+    inside the gap, |E| < edge, `schur.chain_rim_norms` gives it in O(N)
+    per realization, with no eigensolve, under the pivot policy of
+    `schur`.  Otherwise one stacked solve per realization gives it
+    (`suitability_norms`).
     """
     energies = np.asarray(energies, dtype=float)
     cube = CubeSpec(d, L)

@@ -3,25 +3,24 @@
 Covers the geometric resolvent identity across nested regions, the
 scale-linking and eigenfunction-decay inequalities consumed by multi-scale
 arguments, and the Combes-Thomas bound, all at finite volume with dense
-factorizations, or inside the deterministic gap with Schur recursions over
-sites or slices, where the gap theorem also bounds the spectral distance
-without a spectrum.  The slice recursion builds its blocks from the field
-and returns G in slice order, the one matrix of its size in a
-Combes-Thomas profile, whose pairs are read by their row-major index.
-"""
+factorizations, or inside the deterministic gap with the Schur sweeps of
+`schur`, where the gap theorem also bounds the spectral distance without a
+spectrum.  The slice resolvent returns G in slice order, the one matrix of
+its size in a Combes-Thomas profile, whose pairs are read by their
+row-major index."""
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import lattice
+from . import lattice, schur
 from .disorder import FieldSample
 from .inequalities import CheckReport, PreconditionError, _require
 from .operators import block, build_gamma, component_indices, rim_indices
+from .schur import slice_resolvent
 from .spectral import Spectrum, eigensolve, plain_block
 
-RESOLVENT_RESIDUAL_TOL = 1e-10
 SPECTRAL_GUARD_RTOL = 1e-8
 # the declared tolerances of the checks: the GRI residual cap's
 # coefficient, the relative slack of the SLI and EDI bounds, the absolute
@@ -48,102 +47,6 @@ def spectral_distance(m: np.ndarray, energy: float,
     return delta
 
 
-def slice_blocks(field: FieldSample) -> np.ndarray:
-    """The diagonal blocks D_k of the plain block of the field on its cube,
-    as an (n, 2s, 2s) array over its n slices of fixed first coordinate,
-    s = N / n sites each, built from the field with no dense operator.
-
-    Row and column (c, j) of D_k is site j of slice k in component c.  The
-    upper block is the s x s Laplacian within a slice, the leading block
-    of `operators.template`: 2d on the diagonal and -1 between sites one
-    step apart on one of the last d - 1 axes, whose strides in the
-    canonical order are 1, n, ..., n^(d-2); built from that geometry in
-    small integers, so exactly, with no N x N matrix.  V is added on its
-    diagonal by the add `build_h` makes; the lower block is minus it, and
-    B lies on both coupling diagonals: the blocks `plain_block` holds, bit
-    for bit.
-    """
-    cube = field.cube
-    n = lattice.axis_count(cube.L)
-    s = cube.site_count // n
-    i = np.arange(s)
-    lap = np.zeros((s, s))
-    lap[i, i] = 2.0 * cube.d
-    for stride in n ** np.arange(cube.d - 1):
-        j = i[i // stride % n < n - 1]        # a site with a +1 neighbour on the axis
-        lap[j, j + stride] = lap[j + stride, j] = -1.0
-    upper = np.repeat(lap[None], n, axis=0)
-    upper[:, i, i] += field.V.reshape(n, s)
-    d = np.zeros((n, 2 * s, 2 * s))
-    d[:, :s, :s] = upper
-    d[:, s:, s:] = -upper
-    d[:, i, s + i] = d[:, s + i, i] = field.B.reshape(n, s)
-    return d
-
-
-def slice_resolvent(field: FieldSample, energy: float) -> np.ndarray:
-    """(H_hat - E)^-1 of the plain block of the field on its cube, in
-    slice order, by a Schur sweep over the cube's n slices of fixed first
-    coordinate: row and column (k, c, j) is site j of slice k in
-    component c.
-
-    With the s = N / n sites of slice k in both components as one block,
-    H_hat - E is block tridiagonal: diagonal blocks D_k - E from
-    `slice_blocks` and couplings C = diag(-1_s, +1_s) between neighbouring
-    slices.  The forward sweep forms P_k = (D_k - C P_(k-1) C)^-1, the
-    inverse of the Schur complement of the leading section of slices
-    0..k, by one small solve per slice.  The backward recursion gives the
-    block rows of G from the last one, G_(n-1,n-1) = P_(n-1):
-    G[k, k+1:] = -P_k C G[k+1, k+1:], G[k+1:, k] = G[k, k+1:]^T and
-    G_kk = P_k - G[k, k+1] C P_k.  The work is O(N^2 s), against O(N^3)
-    for a dense inverse, and G is the one matrix of its size.
-
-    Elimination without pivoting is stable where the P_k stay bounded.
-    P_k is the last diagonal block of the inverse of the leading section
-    less E, and that section is the plain block on a rectangle, so it
-    keeps the deterministic gap: for E inside the gap edge,
-    ||P_k|| <= 1 / (edge - |E|).  The caller keeps E there, at least 1
-    inside the edge, so ||G|| <= 1 and the residual contract is absolute:
-    max |(H_hat - E) G - I| within RESOLVENT_RESIDUAL_TOL, the floor of
-    the scale-relative bound of `resolvent_columns`.  It is checked one
-    block row at a time, D_k G_k + C G_(k-1) + C G_(k+1) - I, so a
-    (2s, 2N) residual is live: beyond it, or not finite, raises
-    ArithmeticError.
-    """
-    d = slice_blocks(field)
-    n, w, _ = d.shape
-    s, size = w // 2, n * w
-    i, eye = np.arange(w), np.eye(w)
-    d[:, i, i] -= energy
-    c = np.repeat([-1.0, 1.0], s)
-    flip = np.outer(c, c)                   # C P C = flip * P
-    p = np.empty_like(d)
-    p[0] = np.linalg.solve(d[0], eye)
-    for j in range(1, n):
-        p[j] = np.linalg.solve(d[j] - flip * p[j - 1], eye)
-    g = np.empty((size, size))
-    g[-w:, -w:] = p[-1]
-    for j in range(n - 2, -1, -1):
-        lo, mid = j * w, (j + 1) * w
-        row = (p[j] * -c) @ g[mid:mid + w, mid:]           # -P C G[k+1, k+1:]
-        g[lo:mid, mid:] = row
-        g[mid:, lo:mid] = row.T
-        g[lo:mid, lo:mid] = p[j] - row[:, :w] @ (c[:, None] * p[j])
-    rows = g.reshape(n, w, size)
-    for k in range(n):
-        r = d[k] @ rows[k]
-        # the couplings to both neighbouring slices: C = diag(-1_s, +1_s)
-        for near in (k - 1, k + 1):
-            if 0 <= near < n:
-                r[:s] -= rows[near, :s]
-                r[s:] += rows[near, s:]
-        r[i, k * w + i] -= 1.0
-        resid = np.abs(r, out=r).max()
-        if not resid <= RESOLVENT_RESIDUAL_TOL:
-            raise ArithmeticError(f"resolvent residual {resid:.2e} exceeds contract")
-    return g
-
-
 def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
     """The given columns of (m - E)^-1 at every energy, as a
     (len(energies), dim, len(columns)) array, from one stacked LU solve:
@@ -152,8 +55,8 @@ def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
 
     The caller keeps every energy off the spectrum.  Residual contract, per
     energy: max |(m - E) X - 1[:, columns]| stays within
-    RESOLVENT_RESIDUAL_TOL * max(1, max|m - E| * max|X|), the scale of the
-    rounding of a backward-stable solve, since X grows like the inverse
+    schur.RESOLVENT_RESIDUAL_TOL * max(1, max|m - E| * max|X|), the scale of
+    the rounding of a backward-stable solve, since X grows like the inverse
     distance to the spectrum; beyond it ArithmeticError is raised.  The
     residual is formed RESIDUAL_BLOCK_BYTES of columns at a time, and the
     largest moduli as max(max a, -min a), so besides the solve's own
@@ -177,7 +80,7 @@ def resolvent_columns(m: np.ndarray, energies, columns) -> np.ndarray:
         r -= rhs[:, lo:lo + step]
         np.maximum(resid, np.abs(r, out=r).max(axis=(1, 2)), out=resid)
     scale = _max_abs(shifted) * _max_abs(x)
-    if np.any(resid > RESOLVENT_RESIDUAL_TOL * np.maximum(scale, 1.0)):
+    if np.any(resid > schur.RESOLVENT_RESIDUAL_TOL * np.maximum(scale, 1.0)):
         raise ArithmeticError(f"resolvent residual {resid.max():.2e} exceeds contract")
     return x
 
@@ -189,116 +92,6 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
 
 # bytes of residual columns per block of `resolvent_columns`
 RESIDUAL_BLOCK_BYTES = 2 ** 22
-
-# rows per chunk of `chain_rim_norms`: its arrays take about 256 bytes per
-# site and row, so a chunk holds about this many bytes, but never fewer
-# than the floor of rows, over which each step of its site loop runs
-CHAIN_CHUNK_BYTES = 2 ** 20
-CHAIN_CHUNK_ROWS = 64
-
-
-def chain_rim_norms(V, B, energies, core) -> np.ndarray:
-    """d = 1: per row m of the (M, n) fields V and B, the norm
-    ||G[core, rim]||_2 of G = (H_hat - E)^-1 at E = energies[m], for the
-    plain block of the chain of n sites.  The rim is the two end sites,
-    `core` the indices of the core sites, both components of each: the
-    norm `suitability_norms` reads off a stacked solve.
-
-    With the two components of each site put together, H_hat - E is block
-    tridiagonal with 2x2 blocks D_k and couplings C = diag(-1, 1), as in
-    `spectral.count_below`.  The forward and backward Schur complements
-    S_k = D_k - C S_(k-1)^-1 C and T_k = D_k - C T_(k+1)^-1 C give the
-    block columns of G at the two ends by back-substitution:
-    X_(n-1) = S_(n-1)^-1, X_k = -S_k^-1 C X_(k+1), and Y_0 = T_0^-1,
-    Y_k = -T_k^-1 C Y_(k-1).  The squared norm is the top eigenvalue of
-    the 4x4 Gram matrix of [Y X] over the core, scaled by its largest core
-    entry so that it does not underflow.  Everything runs elementwise over
-    rows, so a row's norm does not depend on the rows beside it, in chunks
-    of about CHAIN_CHUNK_BYTES but at least CHAIN_CHUNK_ROWS rows: at most
-    about 34 MB for the 2048 sites of a chain at MAX_BLOCK_DIM.
-
-    The caller keeps every energy off the spectrum.  The recursion is
-    stable where the pivots S_k and T_k, inverses of diagonal blocks of
-    the inverses of leading and trailing sections of H_hat - E, stay away
-    from singular, as inside the deterministic gap.  Residual contract as
-    in `resolvent_columns`: max |(H_hat - E) [Y X] - 1[:, rim]| stays
-    within RESOLVENT_RESIDUAL_TOL * max(1, max|H_hat - E| * max|[Y X]|),
-    else ArithmeticError.
-    """
-    V = np.asarray(V, dtype=float)
-    B = np.asarray(B, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    core = np.asarray(core)
-    step = max(CHAIN_CHUNK_ROWS, CHAIN_CHUNK_BYTES // (256 * V.shape[1]))
-    norms = np.empty(len(V))
-    for lo in range(0, len(V), step):
-        rows = slice(lo, lo + step)
-        norms[rows] = _chain_rim_norms(V[rows].T, B[rows].T, energies[rows], core)
-    return norms
-
-
-def _chain_rim_norms(V, B, E, core):
-    """chain_rim_norms on site-major (n, m) fields and m energies."""
-    n = len(V)
-    a0, b0, c0 = 2.0 + V - E, B, -2.0 - V - E       # D_k = (a0 b0; b0 c0)
-    # z[k, i, j]: row i of site k in column j of [Y X]
-    z = np.empty((n, 2, 4, len(E)))
-    _back_substitute(z[:, :, 2:], _schur_sweep(a0, b0, c0, range(n)),
-                     range(n - 1, -1, -1))
-    _back_substitute(z[:, :, :2], _schur_sweep(a0, b0, c0, range(n - 1, -1, -1)),
-                     range(n))
-    # the rows of (H_hat - E) z: D_k z_k + C z_(k-1) + C z_(k+1)
-    r = np.empty_like(z)
-    r[:, 0] = a0[:, None] * z[:, 0] + b0[:, None] * z[:, 1]
-    r[:, 1] = b0[:, None] * z[:, 0] + c0[:, None] * z[:, 1]
-    for near, far in ((slice(1, None), slice(None, -1)),
-                      (slice(None, -1), slice(1, None))):
-        r[near, 0] -= z[far, 0]
-        r[near, 1] += z[far, 1]
-    eye = np.eye(2)[:, :, None]
-    r[0, :, :2] -= eye
-    r[-1, :, 2:] -= eye
-    resid = np.abs(r).max(axis=(0, 1, 2))
-    # the couplings are 1 in modulus
-    scale = np.maximum(np.abs(np.array([a0, b0, c0])).max(axis=(0, 1)), 1.0)
-    scale *= np.abs(z).max(axis=(0, 1, 2))
-    if np.any(resid > RESOLVENT_RESIDUAL_TOL * np.maximum(scale, 1.0)):
-        raise ArithmeticError(f"resolvent residual {resid.max():.2e} exceeds contract")
-    top = np.abs(z[core]).max(axis=(0, 1, 2))
-    top[top == 0.0] = 1.0
-    rows = (z[core] / top).reshape(-1, 4, len(E))
-    gram = np.einsum("kim,kjm->ijm", rows, rows)
-    return top * np.sqrt(np.linalg.eigvalsh(np.moveaxis(gram, -1, 0))[:, -1])
-
-
-def _schur_sweep(a0, b0, c0, order):
-    """The 2x2 Schur complements S of (a0 b0; b0 c0) - C S_prev^-1 C along
-    the sites in `order`, as (3, n, m) entries (11, 12, 22) of C S^-1 C,
-    the term each passes on."""
-    p = np.empty((3,) + a0.shape)
-    p11 = p12 = p22 = 0.0
-    for k in order:
-        a, b, c = a0[k] - p11, b0[k] - p12, c0[k] - p22
-        det = a * c - b * b
-        p[:, k] = c / det, b / det, a / det
-        p11, p12, p22 = p[:, k]
-    return p
-
-
-def _back_substitute(x, p, order):
-    """x[k] = -S_k^-1 C x[prev] along the sites in `order`, from the first
-    one's S^-1, for p from _schur_sweep: S^-1 = C p C and -S^-1 C = -C p."""
-    first, *rest = order
-    p11, p12, p22 = p[:, first]
-    x[first] = (p11, -p12), (-p12, p22)
-    prev = first
-    for k in rest:
-        p11, p12, p22 = p[:, k]
-        u, w = x[prev]
-        x[k, 0] = p11 * u + p12 * w
-        x[k, 1] = -p12 * u - p22 * w
-        prev = k
-
 
 @dataclass(frozen=True)
 class Nesting:

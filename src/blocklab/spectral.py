@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from . import schur
 from .disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
 from .lattice import CubeSpec
 from .operators import assemble_plain
@@ -70,30 +71,10 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
     or an array of sides that broadcasts against `energies`; each count
     is the one a call with that energy's side alone returns.
 
-    At d = 1, by Sylvester's law of inertia the count below E is the
-    number of negative eigenvalues of (H_hat - E), and with the two
-    components of each site put together that matrix is block tridiagonal
-    with 2x2 blocks.  Haynsworth's additivity sums the negative
-    eigenvalues of the Schur complements
-    S_n = A_n - E - C S_(n-1)^-1 C, C = diag(-1, 1), over the sites.  The
-    recursion runs elementwise over realizations and energies and builds
-    no matrix, so a realization's counts do not depend on the block it
-    sits in.
-
-    A Schur complement that is exactly singular (a zero pivot: E is an
-    eigenvalue of the leading section of the chain that ends there) is
-    resolved exactly, as the limit s -> 0 of the counts of
-    (H_hat - E + s), with s > 0 for side "left" and s < 0 for "right".
-    A zero pivot inside the chain is no eigenvalue and does not bias the
-    count, and one at the last site is an eigenvalue at E, counted as the
-    side says; where the recursion's arithmetic is exact, as on constant
-    half-integer fields, the counts are the exact ones.  Otherwise it
-    rounds like any eigensolver: a count can differ from one read off a
-    computed spectrum when an eigenvalue of the operator, or of one of its
-    leading sections, lies within rounding of E.  An energy beyond
+    At d = 1 `schur.chain_counts` reads them off the inertia of
+    (H_hat - E), under the pivot policy of `schur`.  An energy beyond
     r = 5 + max|V| + max|B|, past every eigenvalue (Gershgorin), is
-    counted at +-r; fields that drive the recursion out of the
-    floating-point range raise ArithmeticError.
+    counted at +-r.
 
     At d >= 2 each realization is diagonalized densely.
     """
@@ -108,106 +89,13 @@ def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
     right = np.broadcast_to(sides == "right", energies.shape)
     if cube.d == 1:
         r = 5.0 + np.abs(V).max(initial=0.0) + np.abs(B).max(initial=0.0)
-        # a product that overflows loses to the other form of det S, or
-        # the recursion raises
-        with np.errstate(over="ignore"):
-            return _schur_counts(V, B, np.clip(energies, -r, r), right)
+        return schur.chain_counts(cube, V, B, np.clip(energies, -r, r), right)
     counts = []
     for v, b in zip(V, B):
         ev = eigensolve(assemble_plain(cube, v, b)).eigenvalues
         counts.append(np.where(right, np.searchsorted(ev, energies, "right"),
                                np.searchsorted(ev, energies, "left")))
     return np.array(counts, dtype=np.int64).reshape(len(V), len(energies))
-
-
-def _schur_counts(V, B, energies, right):
-    """count_below at d = 1: the 2x2 Schur recursion over the sites, on
-    (realizations x energies) arrays, `right` the side of each energy as
-    a boolean array.  S = (a b; b c) is the current Schur complement,
-    G = C S^-1 C = (c b; b a) / det S the term it passes to the next site,
-    and det G = 1 / det S."""
-    E = energies[None, :]
-    shape = (len(V), len(energies))
-    neg = np.zeros(shape, dtype=np.int64)
-    g11 = g12 = g22 = gdet = 0.0
-    ties = None
-    for n in range(V.shape[1]):
-        v = V[:, n, None]
-        a0 = 2.0 + v - E
-        c0 = -2.0 - v - E
-        b0 = np.broadcast_to(B[:, n, None], shape)
-        a, b, c = a0 - g11, b0 - g12, c0 - g22
-        # det S two ways, each where its rounding bound is the smaller:
-        # a c - b^2, exact where the entries make S exactly singular, and
-        # det(A - G) = det A - tr(adj(A) G) + det G, which multiplies no two
-        # entries of G, large after a small pivot
-        t1, t2, t3 = c0 * g11, b0 * g12, a0 * g22
-        d = np.where(np.abs(a * c) + b * b <= np.abs(a0 * c0) + b0 * b0 + np.abs(t1)
-                     + 2.0 * np.abs(t2) + np.abs(t3) + np.abs(gdet),
-                     a * c - b * b, a0 * c0 - b0 * b0 - (t1 - 2.0 * t2 + t3) + gdet)
-        if not np.all(np.isfinite(d)):
-            raise ArithmeticError("Schur recursion left the floating-point range")
-        if ties is None and np.all(d):
-            # det S < 0: one negative eigenvalue; det S > 0: two when a + c < 0
-            neg += (d < 0.0) + 2 * ((d > 0.0) & (a + c < 0.0))
-            g11, g12, g22, gdet = c / d, b / d, a / d, 1.0 / d
-            continue
-        inc, (g11, g12, g22, gdet), ties = _tie_site(a0, b0, c0, a, b, c, d,
-                                                     ties, right)
-        neg += inc
-    return neg
-
-
-def _tie_site(a0, b0, c0, a, b, c, d, ties, right):
-    """One site of _schur_counts where a pivot, this site's or the previous
-    one's, is exactly singular, resolved as the limit s -> 0 of
-    (H_hat - E + s), s < 0 where `right` and s > 0 elsewhere.
-
-    A singular S = (a b; b c) has eigenvalues 0 and t = a + c, and the
-    shift gives the zero one the sign of s.  C S^-1 C is then of order 1/s
-    along C u, u the null vector of S, so the next Schur complement has one
-    eigenvalue of the sign of -s, and its other one tends to
-    rho = tr(A X) - o, X the projector orthogonal to C u and o = 1/t the
-    finite part of C S^-1 C there.  A nonzero rho passes G = C X C / rho on;
-    rho = 0 repeats the pair with X -> I - C X C and o = 0.  When S = 0 the
-    next Schur complement has both eigenvalues of the sign of -s and passes
-    G = 0 on.  `ties` holds, per element, 1 (a rank-one tie pending),
-    2 (S = 0 pending) or 0, with X and o; it is None when none is pending.
-    """
-    shape = d.shape
-    if ties is None:
-        ties = (np.zeros(shape, dtype=np.int8),) + (np.zeros(shape),) * 4
-    mode, x11, x12, x22, o = ties
-    r = right.astype(np.int64)     # 1 where s < 0
-    regular = (mode == 0) & (d != 0.0)
-    fresh = (mode == 0) & (d == 0.0)
-    t = a + c
-    rho = a0 * x11 + 2.0 * b0 * x12 + c0 * x22 - o
-    settled = (mode == 1) & (rho != 0.0)
-    nested = (mode == 1) & (rho == 0.0)
-    inc = (regular * ((d < 0.0) + 2 * ((d > 0.0) & (t < 0.0)))
-           + fresh * ((t < 0.0) + r * (1 + (t == 0.0)))
-           + settled * ((1 - r) + (rho < 0.0))
-           + nested
-           + (mode == 2) * 2 * (1 - r))
-    dd = np.where(regular, d, 1.0)
-    rr = np.where(settled, rho, 1.0)
-    g = (np.where(regular, c / dd, np.where(settled, x11 / rr, 0.0)),
-         np.where(regular, b / dd, np.where(settled, -x12 / rr, 0.0)),
-         np.where(regular, a / dd, np.where(settled, x22 / rr, 0.0)),
-         np.where(regular, 1.0 / dd, 0.0))
-    rank1 = fresh & (t != 0.0)
-    mode = np.where(rank1 | nested, 1, np.where(fresh, 2, 0)).astype(np.int8)
-    if not mode.any():
-        return inc, g, None
-    tt = np.where(rank1, t, 1.0)
-    # X = C S C / t on a fresh tie, I - C X C on a nested one
-    ties = (mode,
-            np.where(rank1, a / tt, np.where(nested, 1.0 - x11, 0.0)),
-            np.where(rank1, -b / tt, np.where(nested, x12, 0.0)),
-            np.where(rank1, c / tt, np.where(nested, 1.0 - x22, 0.0)),
-            np.where(rank1, 1.0 / tt, 0.0))
-    return inc, g, ties
 
 
 def spectral_gap(s: Spectrum) -> tuple[float, float]:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blocklab import asymptotics, green
+from blocklab import asymptotics, schur
 from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   _ct_block_budget, _ct_cut,
                                   _ct_distances, _suitability_block,
@@ -21,7 +21,7 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   trial_function_energy, wilson_interval)
 from blocklab.disorder import (DisorderConfig, FieldSample, SiteMeasure, gap_edge,
                                sample_fields)
-from blocklab.green import chain_rim_norms, resolvent_columns
+from blocklab.green import resolvent_columns
 from blocklab.inequalities import PreconditionError, edge_spectra
 from blocklab.lattice import CubeSpec, site_index
 from blocklab.operators import MAX_BLOCK_DIM
@@ -344,8 +344,8 @@ def chain_norms(cube, config, rs, energies):
     V, B = sample_fields(cube, config, rs)
     core = site_index(cube, cube.concentric(cube.L / 3.0))
     n = len(energies)
-    return chain_rim_norms(np.repeat(V, n, axis=0), np.repeat(B, n, axis=0),
-                           np.tile(energies, len(V)), core).reshape(len(V), n)
+    return schur.chain_rim_norms(cube, np.repeat(V, n, axis=0), np.repeat(B, n, axis=0),
+                                 np.tile(energies, len(V)), core).reshape(len(V), n)
 
 
 @pytest.mark.parametrize("config", [LAM1, GAPB], ids=["B=0", "B~U[0,1]"])
@@ -369,8 +369,8 @@ def test_chain_rim_norms_of_a_row_do_not_depend_on_the_chunk(monkeypatch):
     energies = np.array([0.0, 0.5, -0.9])
     whole = chain_norms(cube, GAPB, range(7), energies)
     # chunks of one row
-    monkeypatch.setattr(green, "CHAIN_CHUNK_BYTES", 1)
-    monkeypatch.setattr(green, "CHAIN_CHUNK_ROWS", 1)
+    monkeypatch.setattr(schur, "CHAIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(schur, "CHAIN_CHUNK_ROWS", 1)
     assert np.array_equal(chain_norms(cube, GAPB, range(7), energies), whole)
     assert np.array_equal(chain_norms(cube, GAPB, range(3, 4), energies), whole[3:4])
 
@@ -379,7 +379,7 @@ def test_chain_rim_norms_residual_contract(monkeypatch):
     cube = CubeSpec(1, 48)
     chain_norms(cube, GAPB, range(2), np.array([0.0, 0.5]))
     # a rounding residual breaks a contract with no slack
-    monkeypatch.setattr(green, "RESOLVENT_RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(schur, "RESOLVENT_RESIDUAL_TOL", 0.0)
     with pytest.raises(ArithmeticError, match="residual"):
         chain_norms(cube, GAPB, range(2), np.array([0.0, 0.5]))
 

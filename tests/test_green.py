@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blocklab import green, operators
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, gap_edge
+from blocklab import green, operators, schur
+from blocklab.disorder import (DisorderConfig, FieldSample, SiteMeasure, gap_edge,
+                               sample_fields)
 from blocklab.green import (DecayProfile, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
                             edi_check, gri_check, resolvent_columns, sli_check,
@@ -404,18 +405,24 @@ def slice_order(cube):
 
 @pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 7), CubeSpec(3, 5)])
 def test_slice_blocks_are_the_diagonal_blocks_of_the_plain_block(cube):
-    # every slice block built from the field equals the one read out of the
-    # assembled operator, for several fields and both signs of B
+    # every slice block built from the fields equals the one read out of the
+    # assembled operator, for several fields and both signs of B, of one
+    # field and of a block of realizations at once
     n = len(oracles.axis_offsets(cube.L))
     w = 2 * cube.site_count // n
     order = slice_order(cube)
-    for r, cfg in enumerate((GAPPED, MIXED, DisorderConfig(
+    for k, cfg in enumerate((GAPPED, MIXED, DisorderConfig(
             SiteMeasure.uniform(-3, 3), SiteMeasure.uniform(-2, 1), 42))):
-        f = sample_field(cube, cfg, r)
-        m = np.empty((len(order),) * 2)
-        m[np.ix_(order, order)] = plain_block(f)
-        dense = np.array([m[k * w:(k + 1) * w, k * w:(k + 1) * w] for k in range(n)])
-        assert np.array_equal(green.slice_blocks(f), dense), r
+        V, B = sample_fields(cube, cfg, range(3))
+        blocks = schur.slice_blocks(cube, V, B)
+        assert blocks.shape == (3, n, w, w)
+        for r in range(3):
+            f = sample_field(cube, cfg, r)
+            m = np.empty((len(order),) * 2)
+            m[np.ix_(order, order)] = plain_block(f)
+            dense = np.array([m[j * w:(j + 1) * w, j * w:(j + 1) * w] for j in range(n)])
+            assert np.array_equal(schur.slice_blocks(cube, f.V, f.B), dense), (k, r)
+            assert np.array_equal(blocks[r], dense), (k, r)
 
 
 def _traced_peak(fn, *args):
@@ -435,7 +442,7 @@ def test_slice_blocks_build_no_cube_sized_laplacian():
     cube = CubeSpec(2, 44)
     f = sample_field(cube, GAPPED, 0)
     operators.template.cache_clear()
-    blocks, peak = _traced_peak(green.slice_blocks, f)
+    blocks, peak = _traced_peak(schur.slice_blocks, cube, f.V, f.B)
     assert blocks.shape == (43, 86, 86)
     assert peak < 2 * blocks.nbytes
 
@@ -508,6 +515,6 @@ def test_slice_resolvent_keeps_the_residual_contract(monkeypatch):
     cube = CubeSpec(2, 9)
     f = sample_field(cube, GAPPED, 5)
     green.slice_resolvent(f, 0.0)
-    monkeypatch.setattr(green, "RESOLVENT_RESIDUAL_TOL", -1.0)
+    monkeypatch.setattr(schur, "RESOLVENT_RESIDUAL_TOL", -1.0)
     with pytest.raises(ArithmeticError, match="exceeds contract"):
         green.slice_resolvent(f, 0.0)
