@@ -58,13 +58,17 @@ def default_tail_length(eps: float, d: int) -> int:
     """Smallest workable cube length for resolving the edge at offset eps.
 
     Grows like 10/sqrt(eps) from TAIL_LENGTH_FLOOR and is capped by the
-    dense-solver budget.
+    dense-solver budget: at most k + 1, k the largest odd axis count with
+    2 k^d <= MAX_BLOCK_DIM, but never below the floor.
     """
     floor = TAIL_LENGTH_FLOOR
     L = floor if eps <= 0.0 else max(int(math.ceil(10.0 / math.sqrt(eps))), floor)
-    while (2 * CubeSpec(d, L).site_count) > MAX_BLOCK_DIM and L > floor:
-        L -= 1
-    return L
+    half = MAX_BLOCK_DIM // 2
+    # the rounded d-th root, moved by one where it rounded across an integer
+    k = int(half ** (1.0 / d))
+    k -= k ** d > half
+    k += (k + 1) ** d <= half
+    return max(floor, min(L, k + k % 2))
 
 
 def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,

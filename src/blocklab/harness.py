@@ -255,10 +255,19 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         out.append(f"dimension must be >= 1, got {cfg.d}")
     if cfg.realizations < 1:
         out.append("realizations must be >= 1")
+    if cfg.realizations > 2 ** 63:      # indices 0..R-1, the sampler's key width
+        out.append(f"realizations must be at most 2^63, got {cfg.realizations}")
     if cfg.workers < 1:
         out.append(f"workers must be >= 1, got {cfg.workers}")
     if not -2 ** 63 <= cfg.seed < 2 ** 63:        # the sampler's key width
         out.append(f"seed must be a signed 64-bit integer, got {cfg.seed}")
+    # every entry of H_hat - E is at most 2r in modulus at the energies a
+    # run reads, which the count recursion clips to [-r, r]; the Schur
+    # recursions and the eigensolvers multiply two such entries
+    r = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
+    if not _finite_power(2.0 * r, 2):
+        out.append(f"the deterministic radius {r:g} of the measures is too large: "
+                   "(2r)^2 leaves the floating-point range")
     # with d < 1, reported above, there is no cube to check
     for what, L in kind.cubes(cfg) if cfg.d >= 1 else ():
         if L <= 1:
@@ -294,8 +303,19 @@ def _interval_problems(cfg: ExperimentConfig, key: str) -> list[str]:
     v = cfg.value(key)
     if len(v) == 2 + grid and v[0] < v[1] and (not grid or v[2] >= 1 and
                                                 v[2].is_integer()):
+        if not grid:
+            return []
         # n points for ids, the n + 1 edges of n bins for dos
-        return _count_problems(cfg.kind, key, int(v[2]) + (key == "bins")) if grid else []
+        n = int(v[2]) + (key == "bins")
+        if bad := _count_problems(cfg.kind, key, n):
+            return bad
+        # linspace overflows on a span past the float range, and repeats
+        # points on one too short for n of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = _grid(v[0], v[1], n)
+        return [] if np.isfinite(points).all() and (np.diff(points) > 0).all() else [
+            f"{cfg.kind}: {key} = {cfg.extra.get(key, v)!r} gives a grid that is "
+            "not finite and strictly increasing"]
     # echo the text as configured
     return [f"{cfg.kind}: {key} = {cfg.extra.get(key, v)!r} is not lo hi{' n' * grid} "
             f"with lo < hi{' and a whole n >= 1' * grid}"]
@@ -392,9 +412,10 @@ def _tails_problems(cfg):
                        f"{n} exceeds the hard cap {MAX_BLOCK_DIM}")
     if min(cfg.value("lower_epsilons"), default=1.0) <= 0:
         out.append("tails: lower_epsilons must be > 0")
-    if not (r := cfg.value("lower_realizations")) >= 1 or not r.is_integer():
+    # realization indices 0..R-1 are the sampler's signed 64-bit keys
+    if not 1 <= (r := cfg.value("lower_realizations")) <= 2 ** 63 or not r.is_integer():
         out.append(f"tails: lower_realizations {r:g} is not a whole "
-                   "number >= 1")
+                   "number from 1 to 2^63")
     return out
 
 

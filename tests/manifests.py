@@ -9,13 +9,13 @@ and 7, each in a fresh temporary directory; the INI files are only read.
 The variants and the given INIs cover paths that no shipped file runs;
 give the same paths on both sides of a comparison.  OUT.json holds,
 per run, the exit code, the sha256 manifest of its output files (the
-`outputs` of `run.json`) and its reports' JSON.
+`outputs` of `run.json`), its reports' JSON and its `summary`.
 
 With --against, the manifest is compared with one written the same way,
 for instance by this script in a checkout of another commit: every entry
 that differs, or is on one side only, is named, with what differs in it
 (the exit code, each output file whose sha256 differs, each report name
-added, removed or changed), and the exit code is 1.  That is the
+and each summary key added, removed or changed), and the exit code is 1.  That is the
 byte-identity proof of a refactor, one command per side.
 
 The file name keeps pytest from collecting it.
@@ -81,6 +81,7 @@ def manifest(extra=()) -> dict:
                 "exit_code": result.exit_code,
                 "outputs": result.outputs,
                 "reports": [r.to_json() for r in result.reports],
+                "summary": result.summary,
             }
     return entries
 
@@ -101,18 +102,26 @@ def _by_name(items) -> dict:
     return out
 
 
+def _named_changes(what: str, ours: dict, theirs: dict) -> list[str]:
+    """One line per key of either dict whose values differ, sorted."""
+    return [f"{what} {name} " + ("added" if name not in theirs else "removed"
+                                 if name not in ours else "changed")
+            for name in sorted(ours.keys() | theirs.keys())
+            if ours.get(name) != theirs.get(name)]
+
+
 def changes(ours: dict, theirs: dict) -> list[str]:
     """What differs between two entries of one run, ours against theirs:
     the exit code, the output files whose sha256 differs or that one side
-    lacks, and the report names added, removed or changed."""
+    lacks, the report names and the summary keys added, removed or
+    changed."""
     out = [f"exit code {theirs['exit_code']} -> {ours['exit_code']}"] \
         if ours["exit_code"] != theirs["exit_code"] else []
     for what, key in (("output", "outputs"), ("report", "reports")):
-        a, b = _by_name(ours[key]), _by_name(theirs[key])
-        out += [f"{what} {name} " + ("added" if name not in b else "removed"
-                                     if name not in a else "changed")
-                for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
-    return out
+        out += _named_changes(what, _by_name(ours[key]), _by_name(theirs[key]))
+    summaries = ({k: _canonical(v) for k, v in entry.get("summary", {}).items()}
+                 for entry in (ours, theirs))
+    return out + _named_changes("summary", *summaries)
 
 
 def main(argv=None) -> int:

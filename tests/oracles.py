@@ -18,7 +18,8 @@ region (from that Laplacian and one dict lookup), a per-site hash for
 the field sampler, a per-pair 1-norm distance, window counts read off a
 dense spectrum, and the nested-cube checks with their geometry rebuilt
 from site sets on every call, their resolvents from np.linalg.inv, and
-one norm per EDI probe.
+one norm per EDI probe, and the default tails length lowered one at a
+time until its cube fits the cap.
 `sample_field` draws one realization's field, as a one-row block.  None
 of them runs in an experiment.
 """
@@ -30,11 +31,12 @@ from itertools import product
 import numpy as np
 from scipy.optimize import minimize
 
+from blocklab.asymptotics import TAIL_LENGTH_FLOOR
 from blocklab.disorder import FieldSample, sample_fields
 from blocklab.green import GRI_COEFF, NESTED_RTOL, SPECTRAL_GUARD_RTOL
 from blocklab.inequalities import CheckReport, PreconditionError, _require
 from blocklab.lattice import CubeSpec
-from blocklab.operators import block
+from blocklab.operators import MAX_BLOCK_DIM, block
 from blocklab.spectral import Spectrum, eigensolve
 
 # -- site sets -------------------------------------------------------------------
@@ -590,3 +592,15 @@ def minmaxmax_lambda1(A, B, D, budget: int = 40000, seed: int = 0,
         elif res.fun <= best + tol * scale:
             agreeing += 1
     return float(best)
+
+
+def default_tail_length(eps: float, d: int) -> int:
+    """`asymptotics.default_tail_length` by a loop: from
+    max(ceil(10 / sqrt(eps)), TAIL_LENGTH_FLOOR), one length down at a time
+    while the block is wider than MAX_BLOCK_DIM and the length is above
+    the floor."""
+    floor = TAIL_LENGTH_FLOOR
+    L = floor if eps <= 0.0 else max(int(math.ceil(10.0 / math.sqrt(eps))), floor)
+    while 2 * CubeSpec(d, L).site_count > MAX_BLOCK_DIM and L > floor:
+        L -= 1
+    return L

@@ -183,6 +183,30 @@ def test_c0_bounded_2d():
     assert est.c0_hat < 100
 
 
+# every eps of a log grid from 1 down to 1e-8, and the eps whose length
+# 10 / sqrt(eps) lies at the cap of each dimension: 2048, 46 and 12
+TAIL_EPSILONS = sorted({*np.logspace(0, -8, 17), *((10.0 / np.arange(8, 16)) ** 2),
+                        *((10.0 / np.arange(42, 50)) ** 2),
+                        *((10.0 / np.arange(2044, 2052)) ** 2)})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_default_tail_length_is_the_loop_in_closed_form(d):
+    for eps in TAIL_EPSILONS:
+        assert asymptotics.default_tail_length(eps, d) == \
+            oracles.default_tail_length(eps, d), eps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 11, 12])
+def test_default_tail_length_of_a_tiny_eps_is_the_longest_that_fits(d):
+    # no loop from 10 / sqrt(1e-300) = 1e151 down: the longest length whose
+    # block fits the cap, or the floor when none above it does
+    fits = [L for L in range(2, 4100)
+            if 2 * CubeSpec(d, L).site_count <= MAX_BLOCK_DIM]
+    assert asymptotics.default_tail_length(1e-300, d) == max(
+        max(fits), asymptotics.TAIL_LENGTH_FLOOR)
+
+
 def test_lower_bound_scale():
     c0 = 12.0
     L = lower_bound_scale(c0, 0.5)

@@ -49,6 +49,28 @@ def test_density_integrates_to_one(m):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _density_integral(m, lo, hi):
+    """The integral of oracles.density over [lo, hi]: trapezoids between
+    the breakpoints of the piecewise-linear density, so exact up to
+    rounding."""
+    a, b = m.support
+    nodes = sorted({lo, hi, *(x for x in (a, 0.5 * (a + b), b) if lo < x < hi)})
+    return np.trapezoid([density(m, x) for x in nodes], nodes)
+
+
+@pytest.mark.parametrize("m", [SiteMeasure.triangular(0, 1),
+                               SiteMeasure.triangular(-1, 3)])
+def test_triangular_cdf_and_mass_integrate_the_density(m):
+    # the tails lower bound reads these masses
+    a, b = m.support
+    xs = np.linspace(a - 0.5, b + 0.5, 41)
+    for x in xs:
+        assert m.cdf(x) == pytest.approx(_density_integral(m, a - 1.0, x), abs=1e-14)
+    for lo, hi in zip(xs[:-5], xs[5:]):
+        assert m.mass(lo, hi) == pytest.approx(_density_integral(m, lo, hi), abs=1e-14)
+    assert m.mass(b, a) == 0.0
+
+
 def test_bv_rejected_without_density():
     with pytest.raises(ValueError):
         _ = SiteMeasure.point_mass(0.0).bv_norm

@@ -793,6 +793,18 @@ MALFORMED = {
     "lower_realizations-0": TAILS_BASE + "lower_bound = true\n"
                                          "lower_realizations = 0\n",
     "lower_bound-ture": TAILS_BASE + "lower_bound = ture\n",
+    # a grid or a field scale past the float range, and more realizations
+    # than the sampler's signed 64-bit indices: each once passed validate,
+    # then crashed or never ended
+    "ids-energy_range-overflow": make_text("ids", extra="[ids]\n"
+                                           "energy_range = -1e308 1e308 3\n"),
+    "dos-bins-overflow": make_text("dos", extra="[dos]\nbins = -1e308 1e308 4\n"),
+    "mu_V-squares-overflow": make_text("ids", L=12, va=1e154, vb=2e154),
+    "mu_V-radius-overflow": make_text("spectrum", va=-1e308, vb=1e308),
+    "lower_realizations-1e300": TAILS_BASE + "lower_bound = true\n"
+                                             "lower_realizations = 1e300\n",
+    "realizations-2^63+1": make_text("spectrum").replace(
+        "realizations = 5", f"realizations = {2 ** 63 + 1}"),
     # an undeclared key or section
     "experiment-realisations": make_text("spectrum").replace(
         "workers = 1", "workers = 1\nrealisations = 3"),
@@ -813,6 +825,45 @@ def test_malformed_config_exits_3(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("precondition: ")
+
+
+# one bad input per diagnostic of parsing and of validate's shared and
+# tails checks, keyed by the message it prints
+DIAGNOSTICS = {
+    "config is not valid INI": "[experiment\nkind = spectrum\n",
+    "no experiment kind given (config or CLI)":
+        make_text("spectrum").replace("kind = spectrum\n", ""),
+    "unknown experiment kind 'spectra'":
+        make_text("spectrum").replace("kind = spectrum", "kind = spectra"),
+    "config has no [mu_B] section": make_text("spectrum").split("[mu_B]")[0],
+    "[mu_V] unknown measure kind 'gauss'": make_text("spectrum", vk="gauss"),
+    "[experiment] L = 'inf' does not parse":
+        make_text("spectrum").replace("\nL = 9\n", "\nL = inf\n"),
+    "dimension must be >= 1, got 0": make_text("spectrum").replace("\nd = 1\n",
+                                                                   "\nd = 0\n"),
+    "realizations must be >= 1": make_text("spectrum", R=0),
+    "tails: epsilons must be > 0": TAILS_BASE.replace("epsilons = 0.3",
+                                                      "epsilons = -0.3"),
+    "tails: mu_V concentrated in a single point has no tail":
+        TAILS_BASE.replace("kind = uniform\na = 1.0\nb = 2.0",
+                           "kind = point_mass\nc = 1.0"),
+}
+
+
+@pytest.mark.parametrize("message", sorted(DIAGNOSTICS))
+def test_each_diagnostic_names_its_input(message, tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(DIAGNOSTICS[message])
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert f"precondition: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, problems", [(1e153, 0), (1e154, 1)])
+def test_validate_keeps_the_squares_of_the_radius_finite(a, problems):
+    # r = 4 + 2a: (2r)^2 is 1.6e307 at a = 1e153 and past the range at 1e154
+    for kind in ("spectrum", "ids", "gap", "ct", "fh"):
+        cfg = make_cfg(kind, L=12, va=a, vb=2 * a)
+        assert len(validate(cfg)) == problems, kind
 
 
 def test_unparsable_values_name_their_section_and_key():
@@ -1101,6 +1152,31 @@ def test_run_clears_every_cache(tmp_path, monkeypatch):
     assert PROCESS_MEMOS <= found
     run(make_cfg("spectrum", R=2), tmp_path)
     assert sorted(set(cleared)) == sorted(found - PROCESS_MEMOS)
+
+
+@pytest.mark.parametrize("kind, name", [("ct", "combes_thomas"),
+                                        ("green", "gri_residual")])
+def test_an_energy_on_the_spectrum_fails_the_precondition_of_each_row(kind, name,
+                                                                       tmp_path):
+    # V = B = 0: E = 2 is an eigenvalue of the plain block of every chain of
+    # an odd number of sites, the cube's and the nested ones
+    cfg = make_cfg(kind, R=3, vk="point_mass", vargs="c = 0.0", bk="point_mass",
+                   bargs="c = 0.0", extra=f"[{kind}]\nenergy = 2.0\n")
+    result = run(cfg, tmp_path)
+    assert result.exit_code == 0
+    (rep,) = [r for r in result.reports if r.name == name]
+    assert (rep.preconditions_failed, rep.instances) == (3, 0)
+    assert len((tmp_path / f"{kind}.csv").read_text().splitlines()) == 1   # a header
+
+
+def test_correlator_fit_error_is_reported_with_too_few_sites(tmp_path):
+    # L = 3: two sites at positive distance from the centre, fewer than the
+    # three points a stretched fit needs
+    cfg = make_cfg("correlator", L=3, R=10, extra="[correlator]\ninterval = -10 10\n")
+    result = run(cfg, tmp_path)
+    assert result.exit_code == 0 and result.reports == []
+    assert result.summary["contributing"] == 10
+    assert result.summary["fit_error"] == "not enough positive correlator entries for a fit"
 
 
 def test_correlator_decay_needs_enough_contributing_realizations(tmp_path):
@@ -1640,11 +1716,18 @@ def test_manifest_comparison_names_what_differs_in_a_run():
               "outputs": [{"name": "ct.csv", "sha256": "a"},
                           {"name": "gone.csv", "sha256": "b"}],
               "reports": [{"name": "combes_thomas", "instances": 3},
-                          {"name": "ct_rate", "instances": 1}]}
+                          {"name": "ct_rate", "instances": 1}],
+              "summary": {"alpha_hat": 0.5, "c0_hat": 9.8, "edge": 1.0,
+                          "threshold_L": {"1.5": 3475038}, "zeta": math.nan}}
     ours = {"exit_code": 0, "outputs": [{"name": "ct.csv", "sha256": "c"}],
             "reports": [{"name": "combes_thomas", "instances": 4},
-                        {"name": "new", "instances": 0}]}
+                        {"name": "new", "instances": 0}],
+            "summary": {"alpha_hat": 0.5000000000000001, "edge": 1.0,
+                        "fit_error": "too few points",
+                        "threshold_L": {"1.5": 3475044}, "zeta": math.nan}}
     assert manifests.changes(ours, theirs) == [
         "exit code 2 -> 0", "output ct.csv changed", "output gone.csv removed",
-        "report combes_thomas changed", "report ct_rate removed", "report new added"]
+        "report combes_thomas changed", "report ct_rate removed", "report new added",
+        "summary alpha_hat changed", "summary c0_hat removed", "summary fit_error added",
+        "summary threshold_L changed"]
     assert manifests.changes(theirs, theirs) == []
