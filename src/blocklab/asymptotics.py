@@ -14,17 +14,16 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import DisorderConfig, FieldSample, case_beta, gap_edge, sample_fields
+from .disorder import FieldSample, gap_edge, sample_fields
 from .green import combes_thomas_bound, resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
-from .lattice import (CubeSpec, axis_count, dist1_array, inner_boundary, site_array,
-                      site_index)
-from .operators import (MAX_BLOCK_DIM, assemble_plain, build_h0, component_indices,
-                        rim_indices)
+from .lattice import dist1_array, inner_boundary, site_array, site_index
+from .model import (MAX_BLOCK_DIM, CubeSpec, DisorderConfig, axis_count, case_beta,
+                    deterministic_radius)
+from .operators import assemble_plain, build_h0, component_indices, rim_indices
 from .schur import chain_rim_norms
-from .spectral import (Spectrum, count_below, deterministic_radius, eigensolve,
-                       ensemble_counts, ensemble_mean, per_realization, plain_block,
-                       run_realizations)
+from .spectral import (Spectrum, count_below, eigensolve, ensemble_counts,
+                       ensemble_mean, per_realization, plain_block, run_realizations)
 
 # the smallest cube length of a tail-curve point
 TAIL_LENGTH_FLOOR = 12
@@ -64,10 +63,12 @@ def default_tail_length(eps: float, d: int) -> int:
     floor = TAIL_LENGTH_FLOOR
     L = floor if eps <= 0.0 else max(int(math.ceil(10.0 / math.sqrt(eps))), floor)
     half = MAX_BLOCK_DIM // 2
-    # the rounded d-th root, moved by one where it rounded across an integer
+    # the rounded d-th root, moved by one where it rounded across an integer;
+    # k >= 2 only at small d, and 2^d > half from d = half.bit_length(),
+    # so no power larger than half^2 is formed
     k = int(half ** (1.0 / d))
     k -= k ** d > half
-    k += (k + 1) ** d <= half
+    k += d < half.bit_length() and (k + 1) ** d <= half
     return max(floor, min(L, k + k % 2))
 
 

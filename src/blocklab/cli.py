@@ -10,13 +10,14 @@ import argparse
 import os
 import sys
 
-# OpenBLAS reads this once, when numpy loads it.  Every run pins one thread
-# anyway (see harness.run); set here, the idle threads of a larger default
-# are never started and do not spin after import.
+# OpenBLAS reads this once, when numpy loads it, which is when a run
+# starts (harness.run), after this pin; `validate` loads no numpy for most
+# kinds.  Every run pins one thread anyway; set here, the idle threads of
+# a larger default are never started and do not spin after import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .inequalities import PreconditionError  # noqa: E402  (after the pin)
 from .harness import KINDS, load_config, run, validate  # noqa: E402
+from .model import PreconditionError  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,9 @@
-"""Single-site measures and deterministic i.i.d. field sampling.
+"""Deterministic i.i.d. field sampling from the single-site measures.
 
-Supported measure kinds: uniform(a, b), triangular(a, b) (symmetric peak),
-point_mass(c) and two_point(v1, p, v2).  The density kinds have closed-form
-total-variation norms and interval masses, which is all the estimates here
-ever need.
+The measures and the disorder pair are `model.SiteMeasure` and
+`model.DisorderConfig`; here they meet numpy: the inverse CDF of a
+measure, the gap edge of a pair, and the fields of a block of
+realizations.
 
 Sampling is counter-based: the value at a site is a pure function of
 (master seed, realization index, site coordinates, family tag), so fields
@@ -20,178 +20,32 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import CubeSpec, site_array, site_index
-
-_DENSITY_KINDS = ("uniform", "triangular")
-
-
-@dataclass(frozen=True)
-class SiteMeasure:
-    """Descriptor of a compactly supported single-site probability measure."""
-
-    kind: str
-    params: tuple[float, ...]
-
-    def __post_init__(self):
-        k, p = self.kind, self.params
-        if k in ("uniform", "triangular"):
-            a, b = p
-            if not a < b:
-                raise ValueError(f"{k} needs a < b, got {p}")
-        elif k == "point_mass":
-            if len(p) != 1:
-                raise ValueError("point_mass takes a single value")
-        elif k == "two_point":
-            v1, prob, v2 = p
-            if not 0.0 < prob < 1.0:
-                raise ValueError(f"two_point weight must lie in ]0,1[, got {prob}")
-            if v1 == v2:
-                raise ValueError("two_point values must differ")
-        else:
-            raise ValueError(f"unknown measure kind {k!r}")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def uniform(a: float, b: float) -> "SiteMeasure":
-        return SiteMeasure("uniform", (float(a), float(b)))
-
-    @staticmethod
-    def triangular(a: float, b: float) -> "SiteMeasure":
-        return SiteMeasure("triangular", (float(a), float(b)))
-
-    @staticmethod
-    def point_mass(c: float) -> "SiteMeasure":
-        return SiteMeasure("point_mass", (float(c),))
-
-    @staticmethod
-    def two_point(v1: float, p: float, v2: float) -> "SiteMeasure":
-        return SiteMeasure("two_point", (float(v1), float(p), float(v2)))
-
-    # -- support and density ----------------------------------------------
-
-    @property
-    def support(self) -> tuple[float, float]:
-        k, p = self.kind, self.params
-        if k in ("uniform", "triangular"):
-            return p[0], p[1]
-        if k == "point_mass":
-            return p[0], p[0]
-        v1, _, v2 = p
-        return min(v1, v2), max(v1, v2)
-
-    @property
-    def support_inf(self) -> float:
-        return self.support[0]
-
-    @property
-    def has_density(self) -> bool:
-        return self.kind in _DENSITY_KINDS
-
-    def cdf(self, x: float) -> float:
-        k = self.kind
-        if k == "uniform":
-            a, b = self.params
-            return min(max((x - a) / (b - a), 0.0), 1.0)
-        if k == "triangular":
-            a, b = self.params
-            if x <= a:
-                return 0.0
-            if x >= b:
-                return 1.0
-            mid = 0.5 * (a + b)
-            if x <= mid:
-                return 2.0 * ((x - a) / (b - a)) ** 2
-            return 1.0 - 2.0 * ((b - x) / (b - a)) ** 2
-        raise ValueError(f"{k} measure has no continuous cdf")
-
-    def mass(self, lo: float, hi: float) -> float:
-        """Measure of the half-open interval [lo, hi[."""
-        if hi < lo:
-            return 0.0
-        if self.has_density:
-            return self.cdf(hi) - self.cdf(lo)
-        atoms = ([(self.params[0], 1.0)] if self.kind == "point_mass"
-                 else [(self.params[0], self.params[1]),
-                       (self.params[2], 1.0 - self.params[1])])
-        total = 0.0
-        for x, w in atoms:
-            if lo <= x < hi:
-                total += w
-        return total
-
-    @property
-    def bv_norm(self) -> float:
-        """Total variation of the density over R, including support-edge jumps."""
-        if not self.has_density:
-            raise ValueError(f"{self.kind} measure has no density, no BV norm")
-        a, b = self.params
-        if self.kind == "uniform":
-            return 2.0 / (b - a)
-        return 4.0 / (b - a)
-
-    # -- sampling ----------------------------------------------------------
-
-    def from_uniform(self, u):
-        """Inverse-CDF transform of uniform [0,1) variates.
-
-        Takes a float (returns a float) or an array (returns an array of the
-        same shape); each value goes through the same IEEE operations in the
-        same order either way.
-        """
-        k, p = self.kind, self.params
-        x = np.asarray(u, dtype=float)
-        if k == "uniform":
-            a, b = p
-            out = a + x * (b - a)
-        elif k == "triangular":
-            a, b = p
-            out = np.where(x <= 0.5, a + (b - a) * np.sqrt(x / 2.0),
-                           b - (b - a) * np.sqrt((1.0 - x) / 2.0))
-        elif k == "point_mass":
-            out = np.full(x.shape, p[0])
-        else:
-            v1, prob, v2 = p
-            out = np.where(x < prob, v1, v2)
-        return out if out.ndim else float(out)
-
-    def describe(self) -> str:
-        args = ",".join(f"{x:g}" for x in self.params)
-        return f"{self.kind}({args})"
+from .lattice import site_array, site_index
+from .model import CubeSpec, DisorderConfig, SiteMeasure, case_beta
 
 
-def case_beta(mu_B: SiteMeasure) -> float:
-    """The gap-edge parameter beta of mu_B in its three admissible cases.
+def from_uniform(measure: SiteMeasure, u):
+    """Inverse-CDF transform of uniform [0,1) variates to `measure`.
 
-    Case 1: inf supp >= 0 with beta = inf supp; case 2: sup supp <= 0 with
-    beta = sup supp (signed; edge formulas use beta**2); case 3: 0 in supp,
-    beta = 0.  A measure straddling 0 without 0 in its support is outside
-    the admissible cases and rejected.
+    Takes a float (returns a float) or an array (returns an array of the
+    same shape); each value goes through the same IEEE operations in the
+    same order either way.
     """
-    lo, hi = mu_B.support
-    if lo >= 0.0:
-        return lo
-    if hi <= 0.0:
-        return hi
-    contains_zero = True
-    if mu_B.kind == "two_point":
-        contains_zero = 0.0 in (mu_B.params[0], mu_B.params[2])
-    if mu_B.kind == "point_mass":
-        contains_zero = mu_B.params[0] == 0.0
-    if not contains_zero:
-        raise ValueError(
-            f"mu_B {mu_B.describe()} straddles 0 without containing it; "
-            "no admissible gap-edge case applies")
-    return 0.0
-
-
-@dataclass(frozen=True)
-class DisorderConfig:
-    """The pair of single-site measures plus the master seed of the ensemble."""
-
-    mu_V: SiteMeasure
-    mu_B: SiteMeasure
-    master_seed: int = 0
+    k, p = measure.kind, measure.params
+    x = np.asarray(u, dtype=float)
+    if k == "uniform":
+        a, b = p
+        out = a + x * (b - a)
+    elif k == "triangular":
+        a, b = p
+        out = np.where(x <= 0.5, a + (b - a) * np.sqrt(x / 2.0),
+                       b - (b - a) * np.sqrt((1.0 - x) / 2.0))
+    elif k == "point_mass":
+        out = np.full(x.shape, p[0])
+    else:
+        v1, prob, v2 = p
+        out = np.where(x < prob, v1, v2)
+    return out if out.ndim else float(out)
 
 
 def gap_edge(config: DisorderConfig) -> float:
@@ -316,6 +170,6 @@ def sample_fields(cube: CubeSpec, config: DisorderConfig,
     # a point mass ignores its uniforms, so its family is not hashed
     return tuple(
         np.full((len(realizations), n), m.params[0]) if m.kind == "point_mass"
-        else m.from_uniform(_uniforms(seed, realizations, family, cube))
+        else from_uniform(m, _uniforms(seed, realizations, family, cube))
         for m, family in ((config.mu_V, "V"), (config.mu_B, "B")))
 

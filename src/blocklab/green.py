@@ -16,7 +16,8 @@ import numpy as np
 
 from . import lattice, schur
 from .disorder import FieldSample
-from .inequalities import CheckReport, PreconditionError, _require
+from .inequalities import CheckReport, _require
+from .model import PreconditionError, axis_count
 from .operators import block, build_gamma, component_indices, rim_indices
 from .schur import slice_resolvent
 from .spectral import Spectrum, eigensolve, plain_block
@@ -276,7 +277,7 @@ def decay_profile(field: FieldSample, energy: float,
     if in_gap:
         delta, g = 1.0, slice_resolvent(field, energy)
         # squared in place, and dropped before the bound is formed
-        norm = _norm_grid(np.square(g, out=g), lattice.axis_count(cube.L))
+        norm = _norm_grid(np.square(g, out=g), axis_count(cube.L))
         del g
     else:
         m = plain_block(field)
@@ -284,7 +285,7 @@ def decay_profile(field: FieldSample, energy: float,
         norm = block_norm_grid(resolvent_columns(m, [energy], np.arange(len(m)))[0],
                                cube.site_count)
     caps = combes_thomas_bound(delta, cube.d,
-                               np.arange(cube.d * (lattice.axis_count(cube.L) - 1) + 1))
+                               np.arange(cube.d * (axis_count(cube.L) - 1) + 1))
     return DecayProfile(energy, delta, _all_pairs(cube), norm.reshape(-1), caps)
 
 

@@ -1,4 +1,5 @@
-"""Experiment configuration, orchestration and flat-file persistence.
+"""Experiment configuration, validation, orchestration and flat-file
+persistence.
 
 Configs are plain INI text: an [experiment] section (kind, dimension,
 length, realizations, seed, workers), one section per single-site measure
@@ -11,37 +12,36 @@ Determinism contract: with a fixed config and seed, every CSV is
 byte-identical regardless of the worker count and the realization block
 size, because a realization's row is a pure function of (seed, realization
 index), whatever block it is computed in, and aggregation always consumes
-results in realization order.
+results in realization order (see `experiments`).
+
+Loading and validating a config read only `model` and the standard
+library, so neither imports numpy.  A kind whose hypotheses need
+numerics loads them when validated: ids and dos build their np.linspace
+grid, green and sli-edi call `lattice.strictly_inside`, suitability
+`disorder.gap_edge` and tails `asymptotics.default_tail_length`.  `run`
+loads the run side, `experiments` and numpy with it, when a run starts.
 """
 
 import configparser
 import hashlib
 import importlib.util
 import io
-import json
 import math
 import os
-import platform
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
-# asymptotics and green load with the kinds that use them, and
-# concurrent.futures with the first pool: a run pays only for its own kind
+# numpy and the run side load when a run starts; asymptotics and green with
+# the kinds that use them, and concurrent.futures with the first pool: a
+# validate or a run pays only for its own kind
 from . import __version__
-from . import blas, disorder, inequalities, lattice, operators, spectral
-from .disorder import DisorderConfig, SiteMeasure, case_beta, gap_edge
-from .inequalities import CheckReport, PreconditionError
-from .lattice import CubeSpec
-from .operators import MAX_BLOCK_DIM
-from .spectral import (MAX_COUNT_ENERGIES, deterministic_radius, eigensolve,
-                       per_realization, plain_block)
+from .model import (MAX_BLOCK_DIM, MAX_COUNT_ENERGIES, CubeSpec, DisorderConfig,
+                    PreconditionError, SiteMeasure, axis_count, case_beta,
+                    deterministic_radius, sites_within)
 
 # -- configuration -----------------------------------------------------------
 
@@ -81,6 +81,7 @@ def _span(cfg, n):
 
 
 def _grid(lo, hi, n):
+    import numpy as np
     return np.linspace(lo, hi, int(n))
 
 
@@ -268,14 +269,27 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     if not _finite_power(2.0 * r, 2):
         out.append(f"the deterministic radius {r:g} of the measures is too large: "
                    "(2r)^2 leaves the floating-point range")
-    # with d < 1, reported above, there is no cube to check
+    # with d < 1, reported above, there is no cube to check; the cap is
+    # decided without forming n^d or building the cube, whose center is a
+    # d-tuple
     for what, L in kind.cubes(cfg) if cfg.d >= 1 else ():
         if L <= 1:
             out.append(f"{what}cube length must exceed 1, got {L}")
-        elif (dim := 2 * CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
-            out.append(f"{what}matrix dimension {dim} exceeds the hard cap "
-                       f"{MAX_BLOCK_DIM}; reduce L or d")
+        elif sites_within(cfg.d, L, MAX_BLOCK_DIM // 2) is None:
+            out.append(f"{what}matrix dimension {_dimension(cfg.d, L, 2)} exceeds the "
+                       f"hard cap {MAX_BLOCK_DIM}; reduce L or d")
     return out + kind.problems(cfg)
+
+
+def _dimension(d: int, L: float, copies: int) -> str:
+    """The dimension copies * n^d, n = axis_count(L), of a matrix on the
+    cube of length L, as a diagnostic names it: by its digits up to
+    2^1024, which bounds every d = 1 cube of a float length, and past
+    that as the product, so that no larger power is formed."""
+    n = axis_count(L)
+    if d * n.bit_length() <= 1024:
+        return str(copies * n ** d)
+    return f"{n}^{d}" if copies == 1 else f"{copies} * {n}^{d}"
 
 
 NESTED = ("core", "middle", "host")
@@ -311,6 +325,7 @@ def _interval_problems(cfg: ExperimentConfig, key: str) -> list[str]:
             return bad
         # linspace overflows on a span past the float range, and repeats
         # points on one too short for n of them
+        import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
             points = _grid(v[0], v[1], n)
         return [] if np.isfinite(points).all() and (np.diff(points) > 0).all() else [
@@ -379,7 +394,10 @@ def _nested_problems(cfg):
         return [f"{cfg.kind}: lengths must be three numbers l1 l2 l3"]
     if cfg.d < 1 or min(lengths) <= 1:
         return []
-    cubes = [CubeSpec(cfg.d, L) for L in lengths]
+    from . import lattice
+    # concentric cubes about the origin are alike on every axis, so one
+    # axis decides the nesting, and no d-tuple center is built
+    cubes = [CubeSpec(1, L) for L in lengths]
     return [f"{cfg.kind}: the {NESTED[j]} cube (length {lengths[j]:g}) is not "
             f"strictly inside the {NESTED[j + 1]} cube (length {lengths[j + 1]:g})"
             for j in (0, 1) if not lattice.strictly_inside(cubes[j], cubes[j + 1])]
@@ -407,9 +425,9 @@ def _tails_problems(cfg):
         if L < 4:
             out.append(f"tails: c0 length {L} is below 4, the least "
                        "the test function takes")
-        elif (n := CubeSpec(cfg.d, L).site_count) > MAX_BLOCK_DIM:
+        elif sites_within(cfg.d, L, MAX_BLOCK_DIM) is None:
             out.append(f"tails: c0 length {L}: Dirichlet matrix dimension "
-                       f"{n} exceeds the hard cap {MAX_BLOCK_DIM}")
+                       f"{_dimension(cfg.d, L, 1)} exceeds the hard cap {MAX_BLOCK_DIM}")
     if min(cfg.value("lower_epsilons"), default=1.0) <= 0:
         out.append("tails: lower_epsilons must be > 0")
     # realization indices 0..R-1 are the sampler's signed 64-bit keys
@@ -438,6 +456,7 @@ def _suitability_problems(cfg):
             out.append(f"suitability: theta {theta:g} makes L^-theta overflow "
                        f"at length {big[0]:g}")
     # a_L = edge + L^-1/2, as suitability_probability has it
+    from .disorder import gap_edge
     try:
         edge = gap_edge(cfg.disorder())
     except ValueError:              # an _edge_problems diagnostic
@@ -456,99 +475,15 @@ def _fh_problems(cfg):
         (cfg.mu_B.support_inf < 0, "needs B >= 0")) if bad]
 
 
-# -- parallel mapping ---------------------------------------------------------
-
-
-# What a run pays to start, feed and join a process pool, in seconds.  On a
-# 2-vCPU host (Python 3.11, numpy 2.4, fork start), in-process wall time at
-# 2 workers minus half the inline one, median of 5 runs of each shipped
-# config: 0.09 to 0.16 s, median 0.10 s.  An idle pool's import, start and
-# join alone take about 0.05 s; feeding real kernels and their results
-# takes the rest.
-POOL_START_S = 0.1
-
-
-class PoolMap:
-    """Ordered map of realization-block kernels (`spectral.run_realizations`)
-    over a process pool of `size` workers that starts only when the
-    measured work pays for it.
-
-    A call cuts R realizations into blocks of ceil(R / (4 size)), at most
-    REALIZATION_BLOCK: about four per worker.  While no pool runs, the
-    call computes the first block inline and times it, t.  The B - 1
-    other blocks would take about t (B - 1) inline, and a pool saves
-    (1 - 1/size) of that; it starts when the saving exceeds POOL_START_S.
-    Otherwise the rest runs inline, in blocks of REALIZATION_BLOCK.  Once
-    started, the pool maps every block of later calls, in about four
-    chunks per worker, and each worker runs one BLAS thread.
-    `estimate_s` is the largest t (B - 1) measured, None before a probe.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.executor = None
-        self.estimate_s = None
-
-    def __call__(self, kernel, R: int):
-        block = min(spectral.REALIZATION_BLOCK, max(1, math.ceil(R / (4 * self.size))))
-        blocks = spectral.realization_blocks(0, R, block)
-        if self.executor is not None:
-            return self._map(kernel, blocks)
-        if not blocks:
-            return []
-        t0 = time.perf_counter()
-        first = kernel(blocks[0])
-        rest = (time.perf_counter() - t0) * (len(blocks) - 1)
-        self.estimate_s = max(self.estimate_s or 0.0, rest)
-        if rest * (1.0 - 1.0 / self.size) <= POOL_START_S:
-            return [first, *map(kernel, spectral.realization_blocks(
-                block, R, spectral.REALIZATION_BLOCK))]
-        # only a pool needs concurrent.futures and multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        self.executor = ProcessPoolExecutor(
-            max_workers=self.size, initializer=blas.set_threads, initargs=(1,))
-        return [first, *self._map(kernel, blocks[1:])]
-
-    def _map(self, kernel, blocks):
-        chunksize = max(1, math.ceil(len(blocks) / (4 * self.size)))
-        return self.executor.map(kernel, blocks, chunksize=chunksize)
-
-    def worker_blas_threads(self) -> int | None:
-        """OpenBLAS thread count reported by a pool worker."""
-        return self.executor.submit(blas.threads).result()
-
-    def close(self):
-        """Join the pool, if one started."""
-        if self.executor is not None:
-            self.executor.shutdown()
-
-
-@contextmanager
-def realization_mapper(workers: int):
-    """Yield a `PoolMap` of up to min(workers, usable CPUs) processes when
-    that is more than one, else None (inline execution).
-
-    Either way results come back in realization order, so aggregates are
-    identical across worker counts.
-    """
-    size = min(workers, len(os.sched_getaffinity(0)))
-    if size <= 1:
-        yield None
-        return
-    mapper = PoolMap(size)
-    try:
-        yield mapper
-    finally:
-        mapper.close()
-
-
 # -- CSV output ---------------------------------------------------------------
 
 
 def _spec(kind) -> str:
     """The % conversion of a CSV cell of type `kind`: bools as 0/1,
     integers in decimal, floats as .17g (nan, inf and -0 as Python writes
-    them), anything else by str."""
+    them), anything else by str.  Only a run writes CSVs, and a run has
+    loaded numpy."""
+    import numpy as np
     if issubclass(kind, (bool, np.bool_, int, np.integer)):
         return "%d"
     if issubclass(kind, (float, np.floating)):
@@ -580,443 +515,6 @@ def write_csv(path: Path, header: list[str], rows, template: str | None = None) 
     return path
 
 
-# -- reduction ------------------------------------------------------------------
-
-
-def _attempt(name: str, check, *args, **kwargs) -> CheckReport:
-    """check(*args, **kwargs), or a report of one precondition failure
-    under `name`, the name of the report that check returns."""
-    try:
-        return check(*args, **kwargs)
-    except PreconditionError:
-        return CheckReport(name, preconditions_failed=1)
-
-
-def _realizations(cfg, mapper, row, *totals: CheckReport, cube=None, **kw):
-    """Map row(field, **kw) -> (reports, values) over the run's fields on
-    `cube` (None: the experiment's), and return one total per check name,
-    absorbing each realization's reports in realization order, and the
-    rows' values.  `totals` seed the totals that carry run-level
-    parameters; any other name gets a fresh one, in order of appearance.
-    """
-    rows = spectral.run_realizations(
-        per_realization(partial(row, **kw), cfg.cube() if cube is None else cube,
-                        cfg.disorder()), cfg.realizations, mapper)
-    merged = {t.name: t for t in totals}
-    for reports, _ in rows:
-        for rep in reports:
-            merged.setdefault(rep.name, CheckReport(rep.name)).absorb(rep)
-    return list(merged.values()), [values for _, values in rows]
-
-
-def _summary_table(reports):
-    rows = [(r.name, r.instances, r.violations,
-             r.worst_margin if r.instances else math.nan,
-             r.preconditions_failed) for r in reports]
-    return (["check", "instances", "violations", "worst_margin",
-             "preconditions_failed"], rows)
-
-
-# -- experiments ---------------------------------------------------------------
-
-# each _exp_* returns (tables, reports, summary); tables maps file stem to
-# (header, rows) or (header, rows, template), the arguments of `write_csv`,
-# rows iterated once, as the file is written.  Realization kernels take one realization's
-# FieldSample (see spectral.per_realization) and return their CheckReports
-# beside their CSV values, mapped and reduced by _realizations.  A kind's
-# function, or its kernel where pool workers run it, imports asymptotics or
-# green itself.
-
-
-def _spectrum_row(f, radius, simple):
-    """The structural checks of one realization's spectrum (nondegeneracy
-    where the spectrum is a.s. `simple`) and its eigenvalues."""
-    s = eigensolve(plain_block(f))
-    reports = [inequalities.symmetry_check(s), inequalities.radius_check(s, radius)]
-    if simple:
-        reports.append(inequalities.nondegeneracy_check(s))
-    return reports, s.eigenvalues
-
-
-def _exp_spectrum(cfg, mapper):
-    radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
-    reports, spectra = _realizations(
-        cfg, mapper, _spectrum_row, CheckReport("symmetry"), CheckReport("nondegeneracy"),
-        CheckReport("radius", parameters={"radius": radius}),
-        radius=radius, simple=cfg.mu_V.has_density)
-    rows = [(r, j, e) for r, ev in enumerate(spectra) for j, e in enumerate(ev)]
-    tables = {"eigenvalues": (["realization", "index", "eigenvalue"], rows)}
-    return tables, reports, {"radius_bound": radius}
-
-
-def _exp_ids(cfg, mapper):
-    est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), cfg.value("energies"),
-                                   cfg.realizations, mapper)
-    mono = CheckReport("ids_monotone")
-    mono.record(np.diff(est.mean_N))
-    rng = CheckReport("ids_range")
-    rng.record(float(np.min(est.mean_N)))
-    rng.record(1.0 - float(np.max(est.mean_N)))
-    rows = [(e, m, s, est.realizations) for e, m, s in zip(est.grid, est.mean_N, est.stderr_N)]
-    return {"ids": (["E", "mean_N", "stderr", "R"], rows)}, [mono, rng], {}
-
-
-def _exp_dos(cfg, mapper):
-    lo, hi, n = cfg.value("bins")
-    hist = spectral.dos_histogram(cfg.disorder(), cfg.cube(), _grid(lo, hi, n + 1),
-                                  cfg.realizations, mapper)
-    uniform = inequalities.dos_bound_uniform(hist)
-    reports = [uniform]
-    energy_bounds = [math.inf] * len(hist.density)
-    try:
-        reports.append(inequalities.dos_bound_energy_dependent(hist))
-        energy_bounds = reports[-1].parameters["bounds"]
-    except PreconditionError:
-        pass                    # neither the V- nor the B-variant applies
-    bound = uniform.parameters["bound"]
-    rows = [(lo, hi, c, dens, se, bound, b) for lo, hi, c, dens, se, b in
-            zip(hist.edges[:-1], hist.edges[1:], hist.centers, hist.density,
-                hist.stderr, energy_bounds)]
-    header = ["bin_lo", "bin_hi", "center", "density", "stderr",
-              "bound_uniform", "bound_energy_dependent"]
-    return {"dos": (header, rows)}, reports, {"bound_uniform": bound}
-
-
-def _exp_wegner(cfg, mapper):
-    windows = [(e, eps) for e in cfg.value("energies") for eps in cfg.value("epsilons")]
-    reports = inequalities.wegner_finite_volume(cfg.disorder(), cfg.cube(), windows,
-                                                cfg.realizations, mapper)
-    rows = [tuple(rep.parameters[k] for k in ("E", "eps", "mean", "stderr", "bound"))
-            + (rep.worst_margin, rep.passed) for rep in reports]
-    header = ["E", "eps", "mean_count", "stderr", "bound", "slack", "passed"]
-    return {"wegner": (header, rows)}, reports, {}
-
-
-def _gap_row(f, edge):
-    s = eigensolve(plain_block(f))
-    min_abs = float(np.min(np.abs(s.eigenvalues)))
-    rep = CheckReport("gap_edge")
-    rep.record(min_abs - edge + 1e-12 * max(edge, 1.0))
-    return [rep], spectral.spectral_gap(s) + (min_abs,)
-
-
-def _exp_gap(cfg, mapper):
-    lam, beta = cfg.mu_V.support_inf, case_beta(cfg.mu_B)
-    edge = gap_edge(cfg.disorder())
-    reports, vals = _realizations(
-        cfg, mapper, _gap_row,
-        CheckReport("gap_edge", parameters={"lam": lam, "beta": beta, "edge": edge}),
-        edge=edge)
-    rows = [(r,) + v + (edge,) for r, v in enumerate(vals)]
-    header = ["realization", "gap_lo", "gap_hi", "min_abs_eigenvalue", "edge"]
-    return {"gap": (header, rows)}, reports, {"edge": edge}
-
-
-def _interlace_row(f, lam, beta, eps):
-    from . import asymptotics
-    es = inequalities.edge_spectra(f, beta)
-    return [
-        _attempt("interlacing", inequalities.interlacing_check, es),
-        _attempt("half_half", inequalities.half_half_check, es, lam),
-        _attempt("bracketing_gap", inequalities.bracketing_gap_check, f, lam, beta),
-        _attempt("finite_volume_tail_bound", asymptotics.finite_volume_tail_bound,
-                 es, lam, eps),
-        inequalities.beta_map_check(es),
-    ], None
-
-
-def _exp_interlace(cfg, mapper):
-    lam, beta = cfg.value("lam"), cfg.value("beta")
-    reports, _ = _realizations(cfg, mapper, _interlace_row, lam=lam, beta=beta,
-                               eps=cfg.value("eps"))
-    return {"interlace": _summary_table(reports)}, reports, {"lam": lam, "beta": beta}
-
-
-def _green_row(f, cubes, energy):
-    from . import green
-    try:
-        rep = green.gri_check(*cubes, f, energy)
-    except PreconditionError:
-        return [CheckReport("gri_residual", preconditions_failed=1)], None
-    p = rep.parameters
-    return [rep], (p["residual"], p["delta2"], p["delta3"], p["cap"], rep.passed)
-
-
-def _exp_green(cfg, mapper):
-    energy = cfg.value("energy")
-    lengths = cfg.value("lengths")
-    cubes = tuple(CubeSpec(cfg.d, l) for l in lengths)
-    # the field is sampled on the host cube, the largest
-    reports, vals = _realizations(
-        cfg, mapper, _green_row,
-        CheckReport("gri_residual", parameters={"E": energy, "lengths": list(lengths)}),
-        cube=cubes[2], cubes=cubes, energy=energy)
-    rows = [(r, energy) + v for r, v in enumerate(vals) if v is not None]
-    header = ["realization", "E", "residual", "delta2", "delta3", "cap", "passed"]
-    return {"green": (header, rows)}, reports, {}
-
-
-def _ct_row(f, energy, in_gap):
-    from . import green
-    try:
-        profile = green.decay_profile(f, energy, in_gap)
-    except PreconditionError:
-        return [CheckReport("combes_thomas", preconditions_failed=1)], None
-    rep = green.combes_thomas_check(profile)
-    try:
-        rate, intercept = green.decay_rate_fit(profile)
-    except PreconditionError:        # the bound stands without a fitted rate
-        rate = intercept = math.nan
-    row = (profile.delta, rep.worst_margin, rate, intercept)
-    # ct_profile.csv holds realization 0
-    return [rep], (row, profile if f.realization_index == 0 else None)
-
-
-# pairs per chunk of `_profile_rows`: the Python objects of one chunk, about
-# 0.4 MB, are live at a time, not those of the whole table
-PROFILE_CHUNK = 2 ** 12
-
-
-def _profile_rows(cube, pairs, *columns, by_dist=None):
-    """The rows of a site-pair table (ct_profile.csv, correlator.csv) and
-    the `write_csv` template of their lines, from the column dtypes.
-
-    The rows are made one chunk of PROFILE_CHUNK pairs at a time, as the
-    file is written: the sites of the canonical index arrays
-    pairs(k) = (first, second) of the pairs k of the chunk, each labelled
-    by its coordinates, then the value columns, the first of them the
-    pair distances.  `by_dist`, if given, holds the values of a last
-    column that depends on a pair only through its distance, indexed by
-    distance.  A site's label and each distance's value are formatted
-    once."""
-    label = [" ".join(map(str, x))
-             for x in lattice.site_array(cube).tolist()].__getitem__
-    kinds = (str, str) + tuple(c.dtype.type for c in columns)
-    if by_dist is not None:
-        kinds += (str,)
-        keyed = [_spec(by_dist.dtype.type) % v for v in by_dist.tolist()].__getitem__
-    total = len(columns[0])
-
-    def rows():
-        for lo in range(0, total, PROFILE_CHUNK):
-            hi = min(lo + PROFILE_CHUNK, total)
-            first, second = pairs(np.arange(lo, hi))
-            cells = [c[lo:hi].tolist() for c in columns]
-            if by_dist is not None:
-                cells.append(map(keyed, cells[0]))
-            yield from zip(map(label, first.tolist()), map(label, second.tolist()),
-                           *cells)
-    return rows(), _formatter(kinds)
-
-
-def _in_gap(cfg, energy) -> bool:
-    """Whether E lies at least 1 inside the deterministic gap edge,
-    lam^2 + beta^2 >= (1 + |E|)^2 decided exactly on the binary values
-    (finite, by validate).  Then no realization's plain block has an
-    eigenvalue within 1 of E: the capped spectral distance is 1 with no
-    spectrum, and the slice recursion gives G with no pivoting.  False
-    with no admissible edge (inf supp mu_V < 0, or a mu_B that case_beta
-    rejects)."""
-    try:
-        beta = case_beta(cfg.mu_B)
-    except ValueError:
-        return False
-    lam = cfg.mu_V.support_inf
-    return lam >= 0.0 and _one_inside_edge(lam, beta, energy)
-
-
-def _one_inside_edge(lam, beta, energy) -> bool:
-    """lam^2 + beta^2 >= (1 + |E|)^2, decided exactly on finite floats:
-    each is p / q with q > 0 (`float.as_integer_ratio`), and the
-    inequality multiplied through by (q_lam q_beta q_E)^2 is one between
-    integers."""
-    (a, qa), (b, qb), (e, qe) = (float(x).as_integer_ratio()
-                                 for x in (lam, beta, abs(energy)))
-    return (a * qb * qe) ** 2 + (b * qa * qe) ** 2 >= ((qe + e) * qa * qb) ** 2
-
-
-def _exp_ct(cfg, mapper):
-    energy = cfg.value("energy")
-    reports, vals = _realizations(
-        cfg, mapper, _ct_row, CheckReport("combes_thomas", parameters={"E": energy}),
-        energy=energy, in_gap=_in_gap(cfg, energy))
-    rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
-    p = None if vals[0] is None else vals[0][1]     # realization 0's profile
-    cube = cfg.cube()
-    profile = ([],) if p is None else _profile_rows(
-        cube, lambda k: np.divmod(k, cube.site_count), p.dist, p.norm,
-        by_dist=p.bound_by_dist)
-    return ({"ct": (["realization", "E", "delta", "worst_slack", "fit_rate",
-                     "fit_intercept"], rows),
-             "ct_profile": (["n", "m", "dist1", "block_norm", "ct_bound"], *profile)},
-            reports, {})
-
-
-def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
-    """Index of the eigenvalue closest to `energy`, among ascending ones.
-
-    Distances within 1e-12 * max(1, max |lambda|) of the smallest count as
-    a tie, and a tie goes to the largest eigenvalue.  The block spectrum is
-    symmetric about 0, so at energy 0 the probe is always the nonnegative
-    member of a +-lambda pair, whichever solver rounded the pair.
-    """
-    dist = np.abs(eigenvalues - energy)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(eigenvalues))))
-    return int(np.flatnonzero(dist <= dist.min() + tol)[-1])
-
-
-def _sli_edi_row(f, cubes, energy):
-    from . import green
-    c1, c2, c3 = cubes
-    # one solve each of the host cube and the middle cube serves both checks
-    host = eigensolve(plain_block(f), want_vectors=True)
-    middle = eigensolve(plain_block(f, c2))
-    sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy,
-                   spectra=(middle, host))
-    edi = _attempt("edi", green.edi_check, c2, c3, f,
-                   _probe_index(host.eigenvalues, energy), host=host, inner=middle)
-    return [sli, edi], None
-
-
-def _exp_sli_edi(cfg, mapper):
-    energy = cfg.value("energy")
-    cubes = tuple(CubeSpec(cfg.d, l) for l in cfg.value("lengths"))
-    reports, _ = _realizations(cfg, mapper, _sli_edi_row,
-                               CheckReport("sli", parameters={"E": energy}),
-                               CheckReport("edi"), cube=cubes[2], cubes=cubes,
-                               energy=energy)
-    return {"sli_edi": _summary_table(reports)}, reports, {}
-
-
-def _exp_tails(cfg, mapper):
-    from . import asymptotics
-    dis = cfg.disorder()
-    eps, lengths = _tail_grid(cfg)
-    curve = asymptotics.tail_curve(dis, cfg.d, eps, cfg.realizations,
-                                   lengths=lengths, mapper=mapper)
-    reports = [asymptotics.tail_monotonicity_check(curve)]
-    summary = {"edge": curve.edge}
-    try:
-        fit = asymptotics.tail_exponent_fit(curve)
-        summary.update(alpha_hat=fit.alpha_hat, fit_intercept=fit.intercept,
-                       fit_points=fit.points_used)
-    except ValueError as e:
-        summary.update(alpha_hat=None, fit_error=str(e))
-    rows = [(e, int(L), dn, se, bool(c),
-             math.log(e), math.log(abs(math.log(dn))) if 0 < dn < 1 else math.nan)
-            for e, L, dn, se, c in zip(curve.eps_grid, curve.lengths,
-                                       curve.delta_n, curve.stderr,
-                                       curve.censored)]
-    tables = {"tails": (["eps", "L", "delta_N", "stderr", "censored",
-                         "ln_eps", "ln_abs_ln_delta_N"], rows)}
-    if cfg.value("lower_bound"):
-        c0 = asymptotics.c0_estimate(cfg.value("c0_lengths"), cfg.d)
-        lb_rows = []
-        for e in cfg.value("lower_epsilons"):
-            L = asymptotics.lower_bound_scale(c0.c0_hat, e)
-            rep = asymptotics.lower_bound_probability(
-                dis, cfg.d, e, L, int(cfg.value("lower_realizations")), mapper)
-            reports.append(rep)
-            p = rep.parameters
-            lb_rows.append((e, L, p["empirical"], p["bound"], p["censored"]))
-        tables["tails_lower"] = (["eps", "L", "empirical", "bound", "censored"], lb_rows)
-        summary["c0_hat"] = c0.c0_hat
-    return tables, reports, summary
-
-
-def _exp_suitability(cfg, mapper):
-    from . import asymptotics
-    dis = cfg.disorder()
-    thetas = cfg.value("theta")
-    energies = cfg.value("energies")
-    # one ensemble per length serves every theta: by_length[i][k] is the
-    # report at the i-th length and the k-th theta
-    by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas, energies,
-                                                     cfg.realizations, mapper)
-                 for L in cfg.value("lengths")]
-    rows, reports, thresholds = [], [], {}
-    for k, theta in enumerate(thetas):
-        prev = None
-        order = CheckReport(f"suitability_monotone_theta={theta:g}",
-                            parameters={"theta": theta})
-        for rep in (reps[k] for reps in by_length):
-            reports.append(rep.implication)
-            for j, e in enumerate(rep.energies):
-                rows.append((theta, rep.L, e, rep.probability[j],
-                             rep.wilson_lo[j], rep.wilson_hi[j],
-                             rep.gap_event_frequency, rep.realizations, rep.a_L))
-            if prev is not None:
-                # nondecreasing within CI: the new upper bound must reach the
-                # previous lower bound
-                order.record(rep.wilson_hi - prev.wilson_lo)
-            prev = rep
-        reports.append(order)
-        thresholds[f"{theta:g}"] = prev.implication.parameters["threshold_L"]
-    header = ["theta", "L", "E", "probability", "wilson_lo", "wilson_hi",
-              "gap_event_freq", "R", "a_L"]
-    return ({"suitability": (header, rows)}, reports,
-            {"threshold_L": thresholds})
-
-
-# the correlator_decay check needs this many realizations with spectrum in
-# the interval: a slope fitted from a handful is noise (2 of them gave a
-# slope of +5.1 at r^2 = 0.03)
-CORRELATOR_MIN_CONTRIBUTING = 10
-
-
-def _exp_correlator(cfg, mapper):
-    from . import asymptotics
-    dis = cfg.disorder()
-    cube = cfg.cube()
-    lo, hi = cfg.value("interval")
-    profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi),
-                                                   cfg.realizations, mapper)
-    rows, template = _profile_rows(
-        cube, lambda k: (profile.first[k], profile.second[k]), profile.distances(),
-        profile.mean_q, profile.stderr_q)
-    summary = {"interval": [lo, hi], "contributing": profile.contributing}
-    reports = []
-    if profile.contributing < CORRELATOR_MIN_CONTRIBUTING:
-        reports.append(CheckReport(
-            "correlator_decay", preconditions_failed=1,
-            parameters={"contributing": profile.contributing,
-                        "min_contributing": CORRELATOR_MIN_CONTRIBUTING}))
-    else:
-        try:
-            fit = asymptotics.stretched_fit(profile)
-            summary.update(zeta=fit.zeta, c_zeta=fit.c_zeta,
-                           log_slope=fit.log_slope, r_squared=fit.r_squared)
-            rep = CheckReport("correlator_decay",
-                              parameters={"zeta": fit.zeta})
-            rep.record(-fit.log_slope)     # decay = negative slope
-            reports.append(rep)
-        except ValueError as e:
-            summary["fit_error"] = str(e)
-    return ({"correlator": (["n", "m", "dist1", "mean_Q", "stderr_Q"], rows, template)},
-            reports, summary)
-
-
-def _fh_row(f, tol):
-    try:
-        rep = inequalities.feynman_hellmann_report(f, tol)
-    except PreconditionError:
-        return [CheckReport("feynman_hellmann", preconditions_failed=1)], None
-    return [rep], (rep.instances, rep.violations,
-                   rep.worst_margin if rep.instances else None,
-                   rep.preconditions_failed)
-
-
-def _exp_fh(cfg, mapper):
-    tol = cfg.value("tol")
-    reports, vals = _realizations(
-        cfg, mapper, _fh_row, CheckReport("feynman_hellmann", parameters={"tol": tol}),
-        tol=tol)
-    rows = [(r,) + v for r, v in enumerate(vals) if v is not None]
-    header = ["realization", "eigenvalues_checked", "violations",
-              "worst_margin", "skipped_near_degenerate"]
-    return {"fh": (header, rows)}, reports, {}
-
-
 # -- experiment kinds -------------------------------------------------------------
 
 
@@ -1027,54 +525,55 @@ class Kind:
     """An experiment kind, declared once: the keys of its own section,
     each with its converter and default (a value, a function of the
     config called when the key is read, or None, required), read only by
-    ExperimentConfig.value; its run, an _exp_* function; and for
+    ExperimentConfig.value; its run, the name of an _exp_* function of
+    `experiments`, which loads when a run starts; and for
     `validate`, problems(cfg), its own diagnostics, and cubes(cfg), the
     (label, L) of every cube the run solves, labels prefixing diagnostics."""
 
     keys: dict
-    run: object
+    run: str
     problems: object = lambda cfg: []
     cubes: object = lambda cfg: [("", cfg.L)]     # the experiment's cube
 
 
 KINDS = {
-    "spectrum": Kind({}, _exp_spectrum),
+    "spectrum": Kind({}, "_exp_spectrum"),
     "ids": Kind({"energy_range": (_numbers, lambda cfg: _span(cfg, 41.0)),
                  "energies": (_numbers, lambda cfg: _grid(*cfg.value("energy_range")))},
-                _exp_ids, _ids_problems),
-    "dos": Kind({"bins": (_numbers, lambda cfg: _span(cfg, 40.0))}, _exp_dos,
+                "_exp_ids", _ids_problems),
+    "dos": Kind({"bins": (_numbers, lambda cfg: _span(cfg, 40.0))}, "_exp_dos",
                 lambda cfg: _interval_problems(cfg, "bins") + _density_problems(cfg)),
     "wegner": Kind({"energies": (_numbers, None), "epsilons": (_numbers, None)},
-                   _exp_wegner, _wegner_problems),
-    "gap": Kind({}, _exp_gap, _edge_problems),
+                   "_exp_wegner", _wegner_problems),
+    "gap": Kind({}, "_exp_gap", _edge_problems),
     "interlace": Kind({"lam": (_number, lambda cfg: max(cfg.mu_V.support_inf, 0.0)),
                        "beta": (_number, lambda cfg: case_beta(cfg.mu_B)),
-                       "eps": (_number, 0.3)}, _exp_interlace, _edge_problems),
+                       "eps": (_number, 0.3)}, "_exp_interlace", _edge_problems),
     "green": Kind({"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
-                  _exp_green, _nested_problems, _nested_cubes),
-    "ct": Kind({"energy": (_number, 0.0)}, _exp_ct),
+                  "_exp_green", _nested_problems, _nested_cubes),
+    "ct": Kind({"energy": (_number, 0.0)}, "_exp_ct"),
     "sli-edi": Kind({"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
-                    _exp_sli_edi, _nested_problems, _nested_cubes),
+                    "_exp_sli_edi", _nested_problems, _nested_cubes),
     "tails": Kind({"epsilons": (_numbers, (0.08, 0.125, 0.2, 0.3, 0.4, 0.5)),
                    "lengths": (_ints, _tail_floors), "lower_bound": (_flag, False),
                    # the test-function lengths whose Dirichlet matrix fits the cap
                    "c0_lengths": (_ints, lambda cfg: [
                        L for L in (8, 16, 32, 64, 128)
-                       if CubeSpec(cfg.d, L).site_count <= MAX_BLOCK_DIM]),
+                       if sites_within(cfg.d, L, MAX_BLOCK_DIM) is not None]),
                    "lower_epsilons": (_numbers, (0.5,)),
                    "lower_realizations": (_number, 100000.0)},
-                  _exp_tails, _tails_problems, lambda cfg: [
+                  "_exp_tails", _tails_problems, lambda cfg: [
                       (f"tails: length {L} at eps {e:g}: ", L)
                       for e, L in zip(*_tail_grid(cfg))]),
     # theta just above the dimension, and well above it
     "suitability": Kind({"theta": (_numbers, lambda cfg: [cfg.d + 0.5, 2.0 * cfg.d]),
                          "energies": (_numbers, (0.0,)),
                          "lengths": (_ints, (12, 24, 48))},
-                        _exp_suitability, _suitability_problems, lambda cfg: [
+                        "_exp_suitability", _suitability_problems, lambda cfg: [
                             (f"suitability: length {L}: ", L) for L in cfg.value("lengths")]),
-    "correlator": Kind({"interval": (_numbers, (-0.5, 0.5))}, _exp_correlator,
+    "correlator": Kind({"interval": (_numbers, (-0.5, 0.5))}, "_exp_correlator",
                        lambda cfg: _interval_problems(cfg, "interval")),
-    "fh": Kind({"tol": (_number, 1e-6)}, _exp_fh, _fh_problems),
+    "fh": Kind({"tol": (_number, 1e-6)}, "_exp_fh", _fh_problems),
 }
 
 
@@ -1147,7 +646,15 @@ def _scipy_version() -> str | None:
 
 
 def run(cfg: ExperimentConfig, outdir) -> RunResult:
-    """Execute the configured experiment and persist its artifacts."""
+    """Execute the configured experiment and persist its artifacts.  The
+    run side loads here, numpy with it: a config loads and validates
+    without either."""
+    import json
+    import platform
+
+    import numpy as np
+
+    from . import blas, disorder, experiments, inequalities, operators
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     diagnostics = validate(cfg)
@@ -1172,8 +679,9 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
     with blas.limited(1):
         env["blas_threads_main"] = blas.threads()
         if not diagnostics:
-            with realization_mapper(cfg.workers) as mapper:
-                tables, reports, summary = KINDS[cfg.kind].run(cfg, mapper)
+            with experiments.realization_mapper(cfg.workers) as mapper:
+                execute = getattr(experiments, KINDS[cfg.kind].run)
+                tables, reports, summary = execute(cfg, mapper)
                 if mapper is not None:
                     env["pool_estimate_s"] = mapper.estimate_s
                     if mapper.executor is not None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import DisorderConfig, FieldSample
-from .lattice import CubeSpec
+from .disorder import FieldSample
+from .model import CubeSpec, DisorderConfig, PreconditionError
 from .operators import assemble_bracketing, block, build_h
 from .spectral import DosHistogram, Spectrum, eigensolve, ensemble_counts, ensemble_mean
 
@@ -22,10 +22,6 @@ SYMMETRY_RTOL = 1e-9
 NONDEGENERACY_MIN_SPACING = 1e-12
 INTERLACING_TOL = 1e-10
 BETA_MAP_RTOL = 1e-9
-
-
-class PreconditionError(ValueError):
-    """Raised when a check is invoked on an instance outside its hypotheses."""
 
 
 @dataclass

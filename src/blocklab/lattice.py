@@ -1,56 +1,21 @@
-"""Discrete cubes in Z^d, site indexing, and boundary geometry.
+"""Site indexing and boundary geometry of discrete cubes in Z^d.
 
-A cube of "length" L about a center c is the set of lattice points in the
-open box c + ]-L/2, L/2[^d.  L may be any real > 1; for even integer L the
-open interval drops the endpoints, so e.g. L=4 and L=3 give the same 1d
-site set {-1, 0, 1}.
+A cube (`model.CubeSpec`) of "length" L about a center c is the set of
+lattice points in the open box c + ]-L/2, L/2[^d.  L may be any real > 1;
+for even integer L the open interval drops the endpoints, so e.g. L=4 and
+L=3 give the same 1d site set {-1, 0, 1}.
 
 All matrices and field arrays in this package index sites in lexicographic
 order of their coordinate tuples; every helper here returns sites in that
 canonical order, as (k, d) integer arrays, and `site_index` is the one map
-from sites to those indices.  A cube has n = axis_count(L) sites per axis
-from its least corner, so its geometry is index arithmetic on the offsets
-from that corner.
+from sites to those indices.  A cube has n = `model.axis_count(L)` sites
+per axis from its least corner, so its geometry is index arithmetic on
+the offsets from that corner.
 """
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-Site = tuple[int, ...]
-
-
-def axis_count(L: float) -> int:
-    """Number of integers k with -L/2 < k < L/2, i.e. 2 ceil(L/2) - 1."""
-    if L <= 1:
-        raise ValueError(f"cube of length {L} contains no sites (need L > 1)")
-    return 2 * math.ceil(L / 2) - 1
-
-
-@dataclass(frozen=True)
-class CubeSpec:
-    """A discrete cube ``center + ]-L/2, L/2[^d  intersect  Z^d``."""
-
-    d: int
-    L: float
-    center: Site = ()
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not self.center:
-            object.__setattr__(self, "center", (0,) * self.d)
-        if len(self.center) != self.d:
-            raise ValueError(f"center {self.center} does not match d={self.d}")
-
-    @property
-    def site_count(self) -> int:
-        return axis_count(self.L) ** self.d
-
-    def concentric(self, L: float) -> "CubeSpec":
-        """The cube of length L with the same center."""
-        return CubeSpec(self.d, L, self.center)
+from .model import CubeSpec, axis_count
 
 
 def _corner(cube: CubeSpec) -> tuple[np.ndarray, int]:

@@ -20,9 +20,6 @@ from . import lattice
 
 BOUNDARY_CONDITIONS = ("simple", "dirichlet", "neumann")
 
-# dense-eigensolve budget: full spectra need O(dim^3) work
-MAX_BLOCK_DIM = 4096
-
 
 def build_h0(cube, bc: str = "simple") -> np.ndarray:
     """Discrete Laplacian on a cube under the given boundary condition.

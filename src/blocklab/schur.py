@@ -36,7 +36,7 @@ Pivot policy.
 
 import numpy as np
 
-from . import lattice
+from .model import axis_count
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
 
@@ -59,7 +59,7 @@ def slice_blocks(cube, V, B) -> np.ndarray:
     lower block is minus it, and B lies on both coupling diagonals: the
     blocks `plain_block` holds, bit for bit.
     """
-    n = lattice.axis_count(cube.L)
+    n = axis_count(cube.L)
     s = cube.site_count // n
     lead = np.shape(V)[:-1] + (n,)
     i = np.arange(s)

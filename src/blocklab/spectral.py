@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import schur
-from .disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
-from .lattice import CubeSpec
+from .disorder import FieldSample, sample_fields
+from .model import CubeSpec, DisorderConfig
 from .operators import assemble_plain
 
 EIG_RESIDUAL_RTOL = 1e-10
@@ -108,14 +108,6 @@ def spectral_gap(s: Spectrum) -> tuple[float, float]:
     return g_minus, g_plus
 
 
-def deterministic_radius(d: int, mu_V: SiteMeasure, mu_B: SiteMeasure) -> float:
-    """Finite-volume radius bound 4d + max|supp mu_V| + max|supp mu_B|."""
-    def extent(m):
-        lo, hi = m.support
-        return max(abs(lo), abs(hi))
-    return 4.0 * d + extent(mu_V) + extent(mu_B)
-
-
 # -- ensembles -------------------------------------------------------------
 
 
@@ -127,9 +119,6 @@ def plain_block(field: FieldSample, cube=None) -> np.ndarray:
 
 # realizations per block kernel call run inline (a pool may cut smaller ones)
 REALIZATION_BLOCK = 256
-# energies per ensemble_counts call, whose block arrays take about 37 KB
-# per energy at d = 1, L = 16: `harness.validate` rejects a run past it
-MAX_COUNT_ENERGIES = 4096
 
 
 def realization_blocks(start: int, stop: int, size: int) -> list[range]:

@@ -8,15 +8,17 @@ resolvent-decay workload in BULK_CT, then on each INI given, at seeds 42
 and 7, each in a fresh temporary directory; the INI files are only read.
 The variants and the given INIs cover paths that no shipped file runs;
 give the same paths on both sides of a comparison.  OUT.json holds,
-per run, the exit code, the sha256 manifest of its output files (the
-`outputs` of `run.json`), its reports' JSON and its `summary`.
+per run, the `config_hash` and the `validate` diagnostics of its config,
+the exit code, the sha256 manifest of its output files (the `outputs` of
+`run.json`), its reports' JSON and its `summary`.
 
 With --against, the manifest is compared with one written the same way,
 for instance by this script in a checkout of another commit: every entry
 that differs, or is on one side only, is named, with what differs in it
-(the exit code, each output file whose sha256 differs, each report name
-and each summary key added, removed or changed), and the exit code is 1.  That is the
-byte-identity proof of a refactor, one command per side.
+(the config hash, the validate list, the exit code, each output file
+whose sha256 differs, each report name and each summary key added,
+removed or changed), and the exit code is 1.  That is the byte-identity
+proof of a refactor, one command per side, the config side included.
 
 The file name keeps pytest from collecting it.
 """
@@ -32,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from blocklab.harness import parse_config, run  # noqa: E402
+from blocklab.harness import parse_config, run, validate  # noqa: E402
 from blocklab.inequalities import _plain  # noqa: E402
 
 SEEDS = (42, 7)
@@ -75,9 +77,12 @@ def manifest(extra=()) -> dict:
     entries = {}
     for name, text in inis:
         for seed in SEEDS:
+            cfg = parse_config(text, seed=seed)
             with tempfile.TemporaryDirectory() as out:
-                result = run(parse_config(text, seed=seed), out)
+                result = run(cfg, out)
             entries[f"{name}@{seed}"] = {
+                "config_hash": cfg.config_hash(),
+                "validate": validate(cfg),
                 "exit_code": result.exit_code,
                 "outputs": result.outputs,
                 "reports": [r.to_json() for r in result.reports],
@@ -112,11 +117,14 @@ def _named_changes(what: str, ours: dict, theirs: dict) -> list[str]:
 
 def changes(ours: dict, theirs: dict) -> list[str]:
     """What differs between two entries of one run, ours against theirs:
-    the exit code, the output files whose sha256 differs or that one side
-    lacks, the report names and the summary keys added, removed or
-    changed."""
-    out = [f"exit code {theirs['exit_code']} -> {ours['exit_code']}"] \
-        if ours["exit_code"] != theirs["exit_code"] else []
+    the config hash, the validate list, the exit code, the output files
+    whose sha256 differs or that one side lacks, the report names and the
+    summary keys added, removed or changed."""
+    out = [f"{what} changed" for what, key in (("config hash", "config_hash"),
+                                               ("validate", "validate"))
+           if ours.get(key) != theirs.get(key)]
+    if ours["exit_code"] != theirs["exit_code"]:
+        out.append(f"exit code {theirs['exit_code']} -> {ours['exit_code']}")
     for what, key in (("output", "outputs"), ("report", "reports")):
         out += _named_changes(what, _by_name(ours[key]), _by_name(theirs[key]))
     summaries = ({k: _canonical(v) for k, v in entry.get("summary", {}).items()}

@@ -34,9 +34,9 @@ from scipy.optimize import minimize
 from blocklab.asymptotics import TAIL_LENGTH_FLOOR
 from blocklab.disorder import FieldSample, sample_fields
 from blocklab.green import GRI_COEFF, NESTED_RTOL, SPECTRAL_GUARD_RTOL
-from blocklab.inequalities import CheckReport, PreconditionError, _require
-from blocklab.lattice import CubeSpec
-from blocklab.operators import MAX_BLOCK_DIM, block
+from blocklab.inequalities import CheckReport, _require
+from blocklab.model import MAX_BLOCK_DIM, CubeSpec, PreconditionError
+from blocklab.operators import block
 from blocklab.spectral import Spectrum, eigensolve
 
 # -- site sets -------------------------------------------------------------------

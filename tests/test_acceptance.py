@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from blocklab import asymptotics, green, inequalities, spectral
-from blocklab.disorder import DisorderConfig, SiteMeasure
 from blocklab.harness import parse_config, run
-from blocklab.inequalities import CheckReport, PreconditionError
-from blocklab.lattice import CubeSpec, strictly_inside
+from blocklab.inequalities import CheckReport
+from blocklab.lattice import strictly_inside
+from blocklab.model import (CubeSpec, DisorderConfig, PreconditionError, SiteMeasure,
+                            deterministic_radius)
 from blocklab.operators import block, build_gamma
-from blocklab.spectral import deterministic_radius, eigensolve, plain_block
+from blocklab.spectral import eigensolve, plain_block
 import oracles
 from oracles import (block_element, block_norm, embed_block, minmaxmax_lambda1,
                      plain_block_on, sample_field)

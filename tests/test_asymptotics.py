@@ -19,14 +19,13 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   tail_curve,
                                   tail_exponent_fit, tail_monotonicity_check,
                                   trial_function_energy, wilson_interval)
-from blocklab.disorder import (DisorderConfig, FieldSample, SiteMeasure, gap_edge,
-                               sample_fields)
+from blocklab.disorder import FieldSample, gap_edge, sample_fields
 from blocklab.green import resolvent_columns
-from blocklab.inequalities import PreconditionError, edge_spectra
-from blocklab.lattice import CubeSpec, site_index
-from blocklab.operators import MAX_BLOCK_DIM
-from blocklab.spectral import (deterministic_radius, eigensolve, ensemble_counts,
-                               plain_block)
+from blocklab.inequalities import edge_spectra
+from blocklab.lattice import site_index
+from blocklab.model import (MAX_BLOCK_DIM, CubeSpec, DisorderConfig, PreconditionError,
+                            SiteMeasure, deterministic_radius)
+from blocklab.spectral import eigensolve, ensemble_counts, plain_block
 import oracles
 from oracles import (dense_suitability_norm, dist1, eigenpair_suitability_norms,
                      sample_field)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from blocklab.disorder import DisorderConfig, SiteMeasure, case_beta, sample_fields
-from blocklab.lattice import CubeSpec, site_index
+from blocklab.disorder import from_uniform, sample_fields
+from blocklab.lattice import site_index
+from blocklab.model import CubeSpec, DisorderConfig, SiteMeasure, case_beta
 from oracles import density, sample_field, site_uniform, sites
 
 
@@ -239,8 +240,8 @@ def test_from_uniform_array_matches_scalar_formulas(m):
          1.0 - 2.0 ** -53]
     u += [site_uniform(11, k, (k,), "V") for k in range(500)]
     expected = [reference_transform(m, x) for x in u]
-    assert bits(m.from_uniform(np.array(u))) == bits(expected)
-    scalars = [m.from_uniform(x) for x in u]
+    assert bits(from_uniform(m, np.array(u))) == bits(expected)
+    scalars = [from_uniform(m, x) for x in u]
     assert all(type(x) is float for x in scalars)
     assert bits(scalars) == bits(expected)
 
@@ -269,7 +270,7 @@ def test_sample_field_matches_per_site_oracle(d, L, center, mu_V, mu_B, seed, r)
     ss = sites(cube)
     assert (f.cube, f.realization_index) == (cube, r)
     for family, values, m in (("V", f.V, mu_V), ("B", f.B, mu_B)):
-        oracle = [m.from_uniform(site_uniform(seed, r, s, family)) for s in ss]
+        oracle = [from_uniform(m, site_uniform(seed, r, s, family)) for s in ss]
         assert values.dtype == np.float64 and values.shape == (len(ss),)
         assert bits(values) == bits(oracle)
 

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from blocklab import green, operators, schur
-from blocklab.disorder import (DisorderConfig, FieldSample, SiteMeasure, gap_edge,
-                               sample_fields)
+from blocklab.disorder import FieldSample, gap_edge, sample_fields
 from blocklab.green import (DecayProfile, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
                             edi_check, gri_check, resolvent_columns, sli_check,
                             spectral_distance)
-from blocklab.inequalities import PreconditionError
-from blocklab.lattice import CubeSpec, strictly_inside
+from blocklab.lattice import strictly_inside
+from blocklab.model import CubeSpec, DisorderConfig, PreconditionError, SiteMeasure
 from blocklab.spectral import eigensolve, plain_block
 import oracles
 from oracles import (block_element, block_norm, dist1, edi_check_per_probe,

@@ -22,15 +22,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blocklab
-from blocklab import (blas, disorder, green, harness, inequalities, lattice,
-                      operators, spectral)
+from blocklab import (blas, disorder, experiments, green, harness, inequalities,
+                      lattice, model, operators, spectral)
 # loaded before any test patches a name it binds, as the kinds that use it
 # would load it: _wrap_everywhere reaches only modules already loaded
 from blocklab import asymptotics  # noqa: F401
 from blocklab.cli import main as cli_main
-from blocklab.harness import (config_to_text, parse_config, realization_mapper,
-                              run, validate, write_csv)
-from blocklab.inequalities import PreconditionError
+from blocklab.experiments import realization_mapper
+from blocklab.harness import config_to_text, parse_config, run, validate, write_csv
+from blocklab.model import PreconditionError
 import oracles
 from oracles import csv_cell, sample_field, site_label
 
@@ -199,8 +199,12 @@ def test_validate_rejects_a_negative_fh_tolerance():
     assert validate(make_cfg("fh", L=12, extra="[fh]\ntol = 0\n")) == []
 
 
+def _d(text, d):
+    return text.replace("\nd = 1\n", f"\nd = {d}\n")
+
+
 def _d2(text):
-    return text.replace("\nd = 1\n", "\nd = 2\n")
+    return _d(text, 2)
 
 
 @pytest.mark.parametrize("text, where", [
@@ -318,8 +322,8 @@ def test_default_c0_grid_stays_within_the_cap():
              for d in (1, 2, 3)}
     assert grids == {1: [8, 16, 32, 64, 128], 2: [8, 16, 32, 64], 3: [8, 16]}
     for d, grid in grids.items():
-        assert max(lattice.CubeSpec(d, L).site_count for L in grid) \
-            <= operators.MAX_BLOCK_DIM
+        assert max(model.CubeSpec(d, L).site_count for L in grid) \
+            <= model.MAX_BLOCK_DIM
         assert validate(parse_config(_tails_lower_bound(d))) == []
 
 
@@ -394,7 +398,7 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     # two usable CPUs and a pool that always pays, so that more than one
     # worker starts a real pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "POOL_START_S", 0)
+    monkeypatch.setattr(experiments, "POOL_START_S", 0)
     text = BASE.format(kind="ids", L=9, R=12, vk="uniform",
                        vargs="a = 0.0\nb = 1.0",
                        bk="uniform", bargs="a = 0.0\nb = 1.0") \
@@ -476,7 +480,7 @@ def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
     # two usable CPUs and a pool that always pays, so that two workers
     # start a real pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "POOL_START_S", 0)
+    monkeypatch.setattr(experiments, "POOL_START_S", 0)
     cases = ((WEGNER_BLOCKS, ["wegner.csv"]),
              (IDS_BLOCKS, ["ids.csv"]),
              (DOS_BLOCKS, ["dos.csv"]),
@@ -600,7 +604,7 @@ def recording_pools(monkeypatch) -> list:
 
 def test_huge_worker_count_is_clamped_to_usable_cpus(tmp_path, monkeypatch):
     pools = recording_pools(monkeypatch)
-    monkeypatch.setattr(harness, "POOL_START_S", 0)
+    monkeypatch.setattr(experiments, "POOL_START_S", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     cfg = make_cfg("ids", L=9, R=30, extra="[ids]\nenergies = -1 0 1\n")
     cfg.workers = 10 ** 6
@@ -628,7 +632,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     if blas.threads() is None:
         pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "POOL_START_S", 0)
+    monkeypatch.setattr(experiments, "POOL_START_S", 0)
     main_threads = blas.threads()
     with realization_mapper(2) as mapper:
         assert mapper.size == 2
@@ -643,7 +647,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 def _gated_pools(monkeypatch, threshold) -> list:
     """Two usable CPUs, POOL_START_S = threshold and recording pools."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "POOL_START_S", threshold)
+    monkeypatch.setattr(experiments, "POOL_START_S", threshold)
     return recording_pools(monkeypatch)
 
 
@@ -811,6 +815,13 @@ MALFORMED = {
                                              "lower_realizations = 1e300\n",
     "realizations-2^63+1": make_text("spectrum").replace(
         "realizations = 5", f"realizations = {2 ** 63 + 1}"),
+    # a dimension that puts every cube past the cap: at d = 5000 the cap
+    # message once raised ValueError on the 5,000-digit block dimension, and
+    # at d = 10^9 the cap check, the tails length floor and the c0 check
+    # once formed powers of 10^9 digits
+    "d-5000": _d(make_text("ids", L=12), 5000),
+    "d-10^9": _d(make_text("ids", L=12), 10 ** 9),
+    "tails-d-10^9": _d(TAILS_BASE, 10 ** 9) + "lower_bound = true\n",
     # an undeclared key or section
     "experiment-realisations": make_text("spectrum").replace(
         "workers = 1", "workers = 1\nrealisations = 3"),
@@ -848,6 +859,11 @@ DIAGNOSTICS = {
     "dimension must be >= 1, got 0": make_text("spectrum").replace("\nd = 1\n",
                                                                    "\nd = 0\n"),
     "realizations must be >= 1": make_text("spectrum", R=0),
+    # past 2^1024 a dimension is named as its power
+    "matrix dimension 2 * 11^5000 exceeds the hard cap 4096; reduce L or d":
+        _d(make_text("ids", L=12), 5000),
+    "tails: c0 length 8: Dirichlet matrix dimension 7^5000 exceeds the hard cap 4096":
+        _d(TAILS_BASE, 5000) + "lower_bound = true\n",
     "tails: epsilons must be > 0": TAILS_BASE.replace("epsilons = 0.3",
                                                       "epsilons = -0.3"),
     "tails: mu_V concentrated in a single point has no tail":
@@ -1089,7 +1105,7 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     def counted(real):
         def build_h0(cube, bc="simple"):
             # a cube's site set: cubes of lengths 15 and 16 share one
-            built.append((cube.d, lattice.axis_count(cube.L), cube.center, bc))
+            built.append((cube.d, model.axis_count(cube.L), cube.center, bc))
             m = real(cube, bc)
             assert np.array_equal(m, oracles.laplacian_on(cube, bc))
             return m
@@ -1197,13 +1213,13 @@ def test_correlator_decay_needs_enough_contributing_realizations(tmp_path):
             ("correlator_decay", 0, 1)
         assert rep.parameters == {
             "contributing": contributing,
-            "min_contributing": harness.CORRELATOR_MIN_CONTRIBUTING}
+            "min_contributing": experiments.CORRELATOR_MIN_CONTRIBUTING}
         assert "log_slope" not in result.summary
     # with enough of them the slope is asserted
     cfg = make_cfg("correlator", L=21, R=30, va=0.0, vb=5.0,
                    extra="[correlator]\ninterval = -1.5 1.5\n")
     result = run(cfg, tmp_path / "many")
-    assert result.summary["contributing"] >= harness.CORRELATOR_MIN_CONTRIBUTING
+    assert result.summary["contributing"] >= experiments.CORRELATOR_MIN_CONTRIBUTING
     rep, = result.reports
     assert (rep.instances, rep.preconditions_failed) == (1, 0)
     assert result.exit_code == 0
@@ -1254,7 +1270,7 @@ def test_tails_lower_bound_cube_over_the_cap_is_skipped(tmp_path, monkeypatch):
     from blocklab import asymptotics
 
     def sample_fields(cube, config, rs):
-        assert cube.site_count <= operators.MAX_BLOCK_DIM, "over-cap cube sampled"
+        assert cube.site_count <= model.MAX_BLOCK_DIM, "over-cap cube sampled"
         return disorder.sample_fields(cube, config, rs)
     monkeypatch.setattr(asymptotics, "sample_fields", sample_fields)
     # at d = 1, eps = 1e-7 asks for a cube of more than 4096 sites
@@ -1265,7 +1281,7 @@ def test_tails_lower_bound_cube_over_the_cap_is_skipped(tmp_path, monkeypatch):
     assert [r.preconditions_failed for r in lower][0] == 1
     assert lower[0].instances == 0
     L = lower[0].parameters["L"]
-    assert lattice.CubeSpec(1, L).site_count > operators.MAX_BLOCK_DIM
+    assert model.CubeSpec(1, L).site_count > model.MAX_BLOCK_DIM
     rows = [line.split(",") for line in
             (tmp_path / "tails_lower.csv").read_text().splitlines()[1:]]
     assert float(rows[0][0]) == pytest.approx(1e-7)
@@ -1281,7 +1297,7 @@ def test_sli_edi_experiment(tmp_path):
 
 
 def test_sli_edi_probe_ties_go_to_the_larger_eigenvalue():
-    probe = harness._probe_index
+    probe = experiments._probe_index
     # -0.3 is closer to 0 by one rounding step: still a tie, 0.3 wins
     assert probe(np.array([-2.0, -0.3, 0.30000000000000004, 2.0]), 0.0) == 2
     assert probe(np.array([-2.0, -0.30000000000000004, 0.3, 2.0]), 0.0) == 2
@@ -1294,14 +1310,14 @@ def test_sli_edi_probe_does_not_depend_on_the_solver():
     # eigh and eigvalsh round a +-lambda pair differently; at E = 0 the
     # probe is the nonnegative member either way
     cfg = parse_config(EIGEN_COUNT_CASES["sli-edi"])
-    cube = lattice.CubeSpec(cfg.d, cfg.value("lengths")[2])
+    cube = model.CubeSpec(cfg.d, cfg.value("lengths")[2])
     for r in range(20):
         f = sample_field(cube, cfg.disorder(), r)
         block = spectral.plain_block(f)
         ev = [spectral.eigensolve(block, want_vectors=v).eigenvalues
               for v in (True, False)]
-        j = harness._probe_index(ev[0], 0.0)
-        assert j == harness._probe_index(ev[1], 0.0) == len(ev[0]) // 2
+        j = experiments._probe_index(ev[0], 0.0)
+        assert j == experiments._probe_index(ev[1], 0.0) == len(ev[0]) // 2
         assert ev[0][j] > 0.0
 
 
@@ -1471,24 +1487,30 @@ def test_green_experiment(tmp_path):
 
 def _loaded_after(code: str) -> list[str]:
     """The modules of scipy, concurrent, multiprocessing, decimal,
-    fractions, asymptotics and green that a fresh interpreter has loaded
-    after running `code`."""
+    fractions, asymptotics and green, and numpy itself, that a fresh
+    interpreter has loaded after running `code`."""
     env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules "
          "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'decimal', "
-         "'_decimal', 'fractions') or m in ('blocklab.asymptotics', 'blocklab.green')))"],
+         "'_decimal', 'fractions') or m in ('numpy', 'blocklab.asymptotics', "
+         "'blocklab.green')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out.splitlines()[-1])
 
 
+def _validate_code(path) -> str:
+    return ("from blocklab.cli import main\n"
+            f"assert main(['validate', '--config', {str(path)!r}]) == 0")
+
+
 def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
-    # importing the CLI loads no scipy module, no other kind's module and
-    # nothing a process pool needs
+    # importing the CLI loads no numpy, no scipy module, no other kind's
+    # module and nothing a process pool needs
     assert _loaded_after("import blocklab.cli") == []
     # a wegner run and a ct run (in the gap, where the exact gate decides)
-    # load no scipy module, whose version is read off its files, and
-    # neither decimal nor fractions; ct loads green, its own kind's module
+    # load numpy but no scipy module, whose version is read off its files,
+    # and neither decimal nor fractions; ct loads green, its own kind's module
     for kind, extra, own in (
             ("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n", []),
             ("ct", "[ct]\nenergy = 0.0\n", ["blocklab.green"])):
@@ -1497,7 +1519,49 @@ def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
         assert _loaded_after(
             "from blocklab.cli import main\n"
             f"assert main([{kind!r}, '--config', {str(path)!r}, '--out', "
-            f"{str(tmp_path / kind)!r}]) == 0") == own, kind
+            f"{str(tmp_path / kind)!r}]) == 0") == own + ["numpy"], kind
+
+
+def test_validate_loads_no_numpy(tmp_path):
+    # the hypotheses of these kinds are arithmetic on the config's numbers,
+    # read from `model`: validating a wegner or a ct config, or the
+    # count-ensemble or resolvent-decay workload, loads no numpy
+    workloads = CONFIG_DIR.parent / "perfbench" / "workloads"
+    paths = [workloads / "count-ensemble.ini", workloads / "resolvent-decay.ini"]
+    for kind, extra in (("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n"),
+                        ("ct", "[ct]\nenergy = 0.0\n")):
+        paths.append(tmp_path / f"{kind}.ini")
+        paths[-1].write_text(make_text(kind, R=4, va=1.0, vb=2.0, extra=extra))
+    for path in paths:
+        assert _loaded_after(_validate_code(path)) == [], path.name
+    # a tails config still loads asymptotics, whose resolution floor of the
+    # cube lengths it reads, and numpy with it
+    tails = tmp_path / "tails.ini"
+    tails.write_text(TAILS_BASE)
+    assert "blocklab.asymptotics" in _loaded_after(_validate_code(tails))
+
+
+def test_workload_validates_load_every_traced_layer(tmp_path):
+    # the benchmark validates its workload INIs in-process, then installs
+    # its span tracer, which needs every module of LAYERS loaded: the tails
+    # validate loads the numeric layers through asymptotics
+    root = CONFIG_DIR.parent
+    tree = ast.parse((root / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (layers,) = [ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in n.targets)]
+    code = (f"import sys\nsys.path.insert(0, {str(root / 'perfbench')!r})\n"
+            "from blocklab.cli import main\n"
+            + "".join(f"assert main(['validate', '--config', {str(p)!r}]) == 0\n"
+                      for p in sorted((root / "perfbench" / "workloads").glob("*.ini")))
+            + f"missing = [m for m in {layers!r} if 'blocklab.' + m not in sys.modules]\n"
+            "assert not missing, missing\n"
+            "from spans import Tracer\n"
+            "tracer = Tracer()\ntracer.install()\ntracer.remove()\nprint('installed')")
+    env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "installed"
 
 
 def test_scipy_version_is_read_off_the_wheel_layout(tmp_path, monkeypatch):
@@ -1612,7 +1676,7 @@ GATE_NEAR = math.hypot(GATE_LAM, GATE_BETA) - 1.0
 def test_gap_gate_decides_the_exact_inequality(lam, beta, energy, inside):
     # the integer gate against a rational oracle at the edges of the slice
     # path: equality, one ulp either side, and the rounded hypot's miss
-    assert harness._one_inside_edge(lam, beta, energy) == inside
+    assert experiments._one_inside_edge(lam, beta, energy) == inside
     assert fraction_gate(lam, beta, energy) == inside
 
 
@@ -1627,12 +1691,12 @@ def test_gap_gate_decides_the_exact_inequality(lam, beta, energy, inside):
 def test_gap_gate_matches_the_fraction_oracle(lam, beta, energy):
     # subnormal and huge values included: numerators and denominators of
     # thousands of bits stay exact integers
-    assert harness._one_inside_edge(lam, beta, energy) == fraction_gate(lam, beta, energy)
+    assert experiments._one_inside_edge(lam, beta, energy) == fraction_gate(lam, beta, energy)
     # near the edge too: the energy at which the rounded test turns over
     edge = math.hypot(lam, beta) - 1.0
     for e in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)):
         if math.isfinite(e):
-            assert harness._one_inside_edge(lam, beta, e) == fraction_gate(lam, beta, e)
+            assert experiments._one_inside_edge(lam, beta, e) == fraction_gate(lam, beta, e)
 
 
 @pytest.mark.parametrize("kind", ["ct", "green"])
@@ -1644,7 +1708,7 @@ def test_dense_resolvents_keep_their_contract_just_off_the_spectrum(kind, k, rel
     # dense solve, which the residual contract must follow without raising
     text = make_text(kind, L=16, R=3, vk="point_mass", vargs="c = 1.5",
                      bk="point_mass", bargs="c = 0.5")
-    cube = lattice.CubeSpec(1, 16)
+    cube = model.CubeSpec(1, 16)
     n = cube.site_count
     eigenvalues = np.linalg.eigvalsh(spectral.plain_block(
         disorder.FieldSample(cube, np.full(n, 1.5), np.full(n, 0.5), 0)))
@@ -1662,7 +1726,7 @@ def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, chunk, tmp_path,
     # with chunk set, the 49^2 = 2401 pairs of the d = 2 cube are written in
     # chunks of 1000, two boundaries falling mid-table
     if chunk is not None:
-        monkeypatch.setattr(harness, "PROFILE_CHUNK", chunk)
+        monkeypatch.setattr(experiments, "PROFILE_CHUNK", chunk)
     profiles = {}
     real = green.decay_profile
     monkeypatch.setattr(green, "decay_profile", lambda f, *a: profiles.setdefault(
@@ -1671,7 +1735,7 @@ def test_ct_profile_lines_match_write_csv_of_the_rows(d, L, chunk, tmp_path,
                      extra="[ct]\nenergy = 0.3\n").replace("\nd = 1\n", f"\nd = {d}\n")
     assert run(parse_config(text), tmp_path).exit_code == 0
     p = profiles[0]
-    s = oracles.sites(lattice.CubeSpec(d, L))
+    s = oracles.sites(model.CubeSpec(d, L))
     rows = [(site_label(s[i]), site_label(s[j]), k, v, c) for (i, j), k, v, c in zip(
         ((i, j) for i in range(len(s)) for j in range(len(s))), p.dist.tolist(),
         p.norm.tolist(), p.bound_by_dist[p.dist].tolist())]
@@ -1691,7 +1755,7 @@ def test_correlator_lines_match_write_csv_of_the_rows(d, L, tmp_path, monkeypatc
         EIGEN_COUNT_CASES["correlator"]
     assert run(parse_config(text.replace("L = 21", f"L = {L}")), tmp_path).exit_code == 0
     (p,) = profiles
-    s = oracles.sites(lattice.CubeSpec(d, L))
+    s = oracles.sites(model.CubeSpec(d, L))
     rows = [(site_label([0] * d), site_label(m), oracles.dist1([0] * d, m), q, e)
             for m, q, e in zip(s, p.mean_q.tolist(), p.stderr_q.tolist())]
     old = write_csv(tmp_path / "old.csv", ["n", "m", "dist1", "mean_Q", "stderr_Q"],
@@ -1721,22 +1785,25 @@ def test_cli_reports_vacuous_checks(tmp_path, capsys):
 
 def test_manifest_comparison_names_what_differs_in_a_run():
     import manifests
-    theirs = {"exit_code": 2,
+    theirs = {"config_hash": "d", "validate": [], "exit_code": 2,
               "outputs": [{"name": "ct.csv", "sha256": "a"},
                           {"name": "gone.csv", "sha256": "b"}],
               "reports": [{"name": "combes_thomas", "instances": 3},
                           {"name": "ct_rate", "instances": 1}],
               "summary": {"alpha_hat": 0.5, "c0_hat": 9.8, "edge": 1.0,
                           "threshold_L": {"1.5": 3475038}, "zeta": math.nan}}
-    ours = {"exit_code": 0, "outputs": [{"name": "ct.csv", "sha256": "c"}],
+    ours = {"config_hash": "e", "validate": ["tails: epsilons must be > 0"],
+            "exit_code": 0, "outputs": [{"name": "ct.csv", "sha256": "c"}],
             "reports": [{"name": "combes_thomas", "instances": 4},
                         {"name": "new", "instances": 0}],
             "summary": {"alpha_hat": 0.5000000000000001, "edge": 1.0,
                         "fit_error": "too few points",
                         "threshold_L": {"1.5": 3475044}, "zeta": math.nan}}
     assert manifests.changes(ours, theirs) == [
-        "exit code 2 -> 0", "output ct.csv changed", "output gone.csv removed",
+        "config hash changed", "validate changed", "exit code 2 -> 0", "output ct.csv changed", "output gone.csv removed",
         "report combes_thomas changed", "report ct_rate removed", "report new added",
         "summary alpha_hat changed", "summary c0_hat removed", "summary fit_error added",
         "summary threshold_L changed"]
     assert manifests.changes(theirs, theirs) == []
+    assert manifests.changes(dict(theirs, validate=["dimension must be >= 1, got 0"]),
+                             theirs) == ["validate changed"]

@@ -5,15 +5,14 @@ import pytest
 
 from blocklab import inequalities, spectral
 from blocklab.asymptotics import TailCurve, tail_monotonicity_check
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
-from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, PreconditionError,
+from blocklab.disorder import FieldSample
+from blocklab.inequalities import (FH_MIN_SPACING, CheckReport, EdgeSpectra,
                                    beta_map_check, bracketing_gap_check,
-                                   EdgeSpectra, dos_bound_energy_dependent,
-                                   edge_spectra, feynman_hellmann_report,
-                                   fh_derivative_sums,
+                                   dos_bound_energy_dependent, edge_spectra,
+                                   feynman_hellmann_report, fh_derivative_sums,
                                    half_half_check, interlacing_check,
                                    wegner_finite_volume)
-from blocklab.lattice import CubeSpec
+from blocklab.model import CubeSpec, DisorderConfig, PreconditionError, SiteMeasure
 from blocklab.operators import assemble_bracketing, block, build_h, build_h0
 from blocklab.spectral import dos_histogram, eigensolve, plain_block
 from oracles import (count_window, fh_derivative_sums_fd, minmaxmax_lambda1,

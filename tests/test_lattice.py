@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from blocklab import operators
-from blocklab.lattice import (CubeSpec, axis_count, dist1_array, inner_boundary,
-                              outer_boundary, site_array, site_index,
-                              strictly_inside)
+from blocklab.lattice import (dist1_array, inner_boundary, outer_boundary, site_array,
+                              site_index, strictly_inside)
+from blocklab.model import CubeSpec, axis_count
 from oracles import dist1
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from blocklab import disorder, lattice, operators
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure
-from blocklab.lattice import CubeSpec, site_index
+from blocklab.disorder import FieldSample
+from blocklab.lattice import site_index
+from blocklab.model import CubeSpec, DisorderConfig, SiteMeasure
 from blocklab.operators import (BOUNDARY_CONDITIONS, assemble_bracketing,
                                 assemble_plain, block, build_gamma, build_h,
                                 build_h0, component_indices, template)

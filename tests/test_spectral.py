@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from blocklab import spectral
-from blocklab.disorder import DisorderConfig, FieldSample, SiteMeasure, sample_fields
+from blocklab.disorder import FieldSample, sample_fields
 from blocklab.inequalities import nondegeneracy_check, radius_check, symmetry_check
-from blocklab.lattice import CubeSpec
+from blocklab.model import CubeSpec, DisorderConfig, SiteMeasure, deterministic_radius
 from blocklab.operators import assemble_plain, build_h, build_h0
-from blocklab.spectral import (count_below, deterministic_radius, dos_histogram,
-                               eigensolve, ensemble_counts, ids_monte_carlo,
-                               per_realization, plain_block, run_realizations,
-                               spectral_gap)
+from blocklab.spectral import (count_below, dos_histogram, eigensolve, ensemble_counts,
+                               ids_monte_carlo, per_realization, plain_block,
+                               run_realizations, spectral_gap)
 from oracles import count_window, plain_block_on, sample_field
 
 UNIT = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 17)
@@ -461,7 +460,7 @@ def test_assemble_plain_writes_the_plain_block():
 
 
 class Mapper:
-    """Stands in for harness.PoolMap: records each R and maps the kernel
+    """Stands in for experiments.PoolMap: records each R and maps the kernel
     over blocks of 3."""
 
     def __init__(self):

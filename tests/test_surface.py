@@ -330,3 +330,10 @@ def test_scan_flags_a_kind_name_in_a_comparison(tmp_path):
     assert kind_name_comparisons(("ct", "gap", "ids", "dos", "tails", "fh"),
                                  tmp_path) == ["harness:2", "harness:2", "harness:3",
                                                "harness:4", "cli:2"]
+
+
+def test_every_kind_names_a_run_of_experiments():
+    # a Kind names its run, which loads with `experiments` when a run starts
+    from blocklab import experiments, harness
+    for name, kind in harness.KINDS.items():
+        assert kind.run.startswith("_exp_") and callable(getattr(experiments, kind.run)), name
