@@ -64,8 +64,8 @@ def default_tail_length(eps: float, d: int) -> int:
     L = floor if eps <= 0.0 else max(int(math.ceil(10.0 / math.sqrt(eps))), floor)
     half = MAX_BLOCK_DIM // 2
     # the rounded d-th root, moved by one where it rounded across an integer;
-    # k >= 2 only at small d, and 2^d > half from d = half.bit_length(),
-    # so no power larger than half^2 is formed
+    # from d = half.bit_length() on, k = 1 and 2^d > half, so the step up is
+    # decided without forming 2^d
     k = int(half ** (1.0 / d))
     k -= k ** d > half
     k += d < half.bit_length() and (k + 1) ** d <= half

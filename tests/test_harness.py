@@ -1524,14 +1524,13 @@ def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
 
 def test_validate_loads_no_numpy(tmp_path):
     # the hypotheses of these kinds are arithmetic on the config's numbers,
-    # read from `model`: validating a wegner or a ct config, or the
-    # count-ensemble or resolvent-decay workload, loads no numpy
+    # read from `model`: validating one of their configs, or the
+    # count-ensemble (wegner) or resolvent-decay (ct) workload, loads no numpy
     workloads = CONFIG_DIR.parent / "perfbench" / "workloads"
     paths = [workloads / "count-ensemble.ini", workloads / "resolvent-decay.ini"]
-    for kind, extra in (("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n"),
-                        ("ct", "[ct]\nenergy = 0.0\n")):
+    for kind in ("spectrum", "wegner", "gap", "interlace", "ct", "correlator", "fh"):
         paths.append(tmp_path / f"{kind}.ini")
-        paths[-1].write_text(make_text(kind, R=4, va=1.0, vb=2.0, extra=extra))
+        paths[-1].write_text(EIGEN_COUNT_CASES[kind])
     for path in paths:
         assert _loaded_after(_validate_code(path)) == [], path.name
     # a tails config still loads asymptotics, whose resolution floor of the
