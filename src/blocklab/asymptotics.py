@@ -72,8 +72,7 @@ def default_tail_length(eps: float, d: int) -> int:
     return max(floor, min(L, k + k % 2))
 
 
-def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
-               lengths, mapper=None) -> TailCurve:
+def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int, lengths) -> TailCurve:
     """Ensemble mean of N(edge + eps) - 1/2 over an epsilon grid, N(t) the
     eigenvalues at or below t (<=) over 2 |cube|, on the cube of length
     lengths[k] at the k-th smallest eps.
@@ -95,8 +94,7 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int,
     per_point = {}
     for ks in by_cube.values():
         cube = CubeSpec(d, lengths[ks[0]])
-        counts = ensemble_counts(config, cube, edge + eps_grid[ks], R, "right",
-                                 mapper)
+        counts = ensemble_counts(config, cube, edge + eps_grid[ks], R, "right")
         per_point.update(zip(ks, (counts / (2 * cube.site_count) - 0.5).T.copy()))
     means, errs, cens = [], [], []
     for _, vals in sorted(per_point.items()):
@@ -210,7 +208,7 @@ def _lower_bound_events(rs, cube, config, lam, beta, eps, psi2):
 
 
 def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
-                            L: int, R: int, mapper=None) -> CheckReport:
+                            L: int, R: int) -> CheckReport:
     """Frequency of the small-quadratic-form event against the product bound.
 
     The analytic bound is mass_V([lam, lam + eps/4[)^N times
@@ -234,7 +232,7 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
         return rep
     hits = int(np.count_nonzero(run_realizations(
         partial(_lower_bound_events, cube=cube, config=config, lam=lam,
-                beta=beta, eps=eps, psi2=_tent_vector(cube) ** 2), R, mapper)))
+                beta=beta, eps=eps, psi2=_tent_vector(cube) ** 2), R)))
     phat = hits / R
     sigma = math.sqrt(max(phat * (1.0 - phat), 0.0) / R)
     censored = hits < LOWER_BOUND_MIN_SUCCESSES and phat < 1.0
@@ -416,8 +414,7 @@ def _ct_cut(distances, target: float, d: int) -> float:
 
 
 def suitability_probability(config: DisorderConfig, d: int, L: int,
-                            thetas, energies, R: int,
-                            mapper=None) -> list[SuitabilityReport]:
+                            thetas, energies, R: int) -> list[SuitabilityReport]:
     """Suitability frequency per energy, with the gap-event implication,
     one report per theta in `thetas`.
 
@@ -452,8 +449,7 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     rows = run_realizations(partial(
         _suitability_block, cube=cube, config=config, energies=energies, a_L=a_L,
         cuts=cuts, tol=tol, geometry=geometry,
-        chain=d == 1 and bool(np.all(np.abs(energies) < edge))),
-        R, mapper)
+        chain=d == 1 and bool(np.all(np.abs(energies) < edge))), R)
     norms = np.array([row[0] for row in rows])                  # R x nE
     far = np.array([row[1] for row in rows])                    # R x ntheta x nE
     events = np.array([row[2] for row in rows], dtype=bool)
@@ -528,8 +524,7 @@ def _correlator_row(f: FieldSample, first, second, interval):
 
 
 def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
-                             interval, R: int = 1,
-                             mapper=None) -> CorrelatorProfile:
+                             interval, R: int = 1) -> CorrelatorProfile:
     """Ensemble mean of the correlator from the centre to every site, in
     canonical order."""
     n = cube.site_count
@@ -537,7 +532,7 @@ def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
     first, second = np.full(n, n // 2), np.arange(n)
     rows = np.vstack(run_realizations(per_realization(
         partial(_correlator_row, first=first.tolist(), second=second.tolist(),
-                interval=tuple(interval)), cube, config), R, mapper))
+                interval=tuple(interval)), cube, config), R))
     mean, stderr = ensemble_mean(rows)
     return CorrelatorProfile(cube, first, second, mean, stderr, R,
                              int(np.sum(rows.any(axis=1))))

@@ -50,22 +50,17 @@ def threads() -> int | None:
     return None if fns is None else fns[0]()
 
 
-def set_threads(n: int) -> None:
-    """Set the OpenBLAS thread count (no-op without OpenBLAS)."""
-    fns = _openblas()
-    if fns is not None:
-        fns[1](n)
-
-
 @contextmanager
 def limited(n: int):
     """Run the block with OpenBLAS on `n` threads, then restore the count."""
-    before = threads()
-    if before is None:
+    fns = _openblas()
+    if fns is None:
         yield
         return
-    set_threads(n)
+    get, set_ = fns
+    before = get()
+    set_(n)
     try:
         yield
     finally:
-        set_threads(before)
+        set_(before)

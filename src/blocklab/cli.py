@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="override the worker count")
+                       help="override the worker count, validated (>= 1) and "
+                            "recorded; every run computes in one process")
         p.add_argument("--out", default="out", help="output directory")
 
     for kind in KINDS:

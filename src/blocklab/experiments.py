@@ -1,114 +1,25 @@
-"""The run side of the experiments: realization mapping, reduction and
-each kind's tables.
+"""The run side of the experiments: the reduction of per-realization
+reports and each kind's tables.
 
 `harness.run` loads this module, and numpy with it, when a run starts;
 loading and validating a config need neither.  Each kind's record in
 `harness.KINDS` names its function here, an _exp_* function of the
-config and the realization mapper.  They keep the determinism contract
-of `harness`: rows come back and are reduced in realization order.
+config.  They keep the determinism contract of `harness`: rows are
+computed in this process, in blocks (`spectral.run_realizations`), and
+come back and are reduced in realization order.
 """
 
 import math
-import os
-import time
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
-from . import blas, inequalities, lattice, spectral
+from . import inequalities, lattice, spectral
 from .disorder import gap_edge
 from .harness import _formatter, _grid, _spec, _tail_grid
 from .inequalities import CheckReport
 from .model import CubeSpec, PreconditionError, case_beta, deterministic_radius
 from .spectral import eigensolve, per_realization, plain_block
-
-# -- parallel mapping ---------------------------------------------------------
-
-
-# What a run pays to start, feed and join a process pool, in seconds.  On a
-# 2-vCPU host (Python 3.11, numpy 2.4, fork start), in-process wall time at
-# 2 workers minus half the inline one, median of 5 runs of each shipped
-# config: 0.09 to 0.16 s, median 0.10 s.  An idle pool's import, start and
-# join alone take about 0.05 s; feeding real kernels and their results
-# takes the rest.
-POOL_START_S = 0.1
-
-
-class PoolMap:
-    """Ordered map of realization-block kernels (`spectral.run_realizations`)
-    over a process pool of `size` workers that starts only when the
-    measured work pays for it.
-
-    A call cuts R realizations into blocks of ceil(R / (4 size)), at most
-    REALIZATION_BLOCK: about four per worker.  While no pool runs, the
-    call computes the first block inline and times it, t.  The B - 1
-    other blocks would take about t (B - 1) inline, and a pool saves
-    (1 - 1/size) of that; it starts when the saving exceeds POOL_START_S.
-    Otherwise the rest runs inline, in blocks of REALIZATION_BLOCK.  Once
-    started, the pool maps every block of later calls, in about four
-    chunks per worker, and each worker runs one BLAS thread.
-    `estimate_s` is the largest t (B - 1) measured, None before a probe.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.executor = None
-        self.estimate_s = None
-
-    def __call__(self, kernel, R: int):
-        block = min(spectral.REALIZATION_BLOCK, max(1, math.ceil(R / (4 * self.size))))
-        blocks = spectral.realization_blocks(0, R, block)
-        if self.executor is not None:
-            return self._map(kernel, blocks)
-        if not blocks:
-            return []
-        t0 = time.perf_counter()
-        first = kernel(blocks[0])
-        rest = (time.perf_counter() - t0) * (len(blocks) - 1)
-        self.estimate_s = max(self.estimate_s or 0.0, rest)
-        if rest * (1.0 - 1.0 / self.size) <= POOL_START_S:
-            return [first, *map(kernel, spectral.realization_blocks(
-                block, R, spectral.REALIZATION_BLOCK))]
-        # only a pool needs concurrent.futures and multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        self.executor = ProcessPoolExecutor(
-            max_workers=self.size, initializer=blas.set_threads, initargs=(1,))
-        return [first, *self._map(kernel, blocks[1:])]
-
-    def _map(self, kernel, blocks):
-        chunksize = max(1, math.ceil(len(blocks) / (4 * self.size)))
-        return self.executor.map(kernel, blocks, chunksize=chunksize)
-
-    def worker_blas_threads(self) -> int | None:
-        """OpenBLAS thread count reported by a pool worker."""
-        return self.executor.submit(blas.threads).result()
-
-    def close(self):
-        """Join the pool, if one started."""
-        if self.executor is not None:
-            self.executor.shutdown()
-
-
-@contextmanager
-def realization_mapper(workers: int):
-    """Yield a `PoolMap` of up to min(workers, usable CPUs) processes when
-    that is more than one, else None (inline execution).
-
-    Either way results come back in realization order, so aggregates are
-    identical across worker counts.
-    """
-    size = min(workers, len(os.sched_getaffinity(0)))
-    if size <= 1:
-        yield None
-        return
-    mapper = PoolMap(size)
-    try:
-        yield mapper
-    finally:
-        mapper.close()
-
-
 
 # -- reduction ------------------------------------------------------------------
 
@@ -122,7 +33,7 @@ def _attempt(name: str, check, *args, **kwargs) -> CheckReport:
         return CheckReport(name, preconditions_failed=1)
 
 
-def _realizations(cfg, mapper, row, *totals: CheckReport, cube=None, **kw):
+def _realizations(cfg, row, *totals: CheckReport, cube=None, **kw):
     """Map row(field, **kw) -> (reports, values) over the run's fields on
     `cube` (None: the experiment's), and return one total per check name,
     absorbing each realization's reports in realization order, and the
@@ -131,7 +42,7 @@ def _realizations(cfg, mapper, row, *totals: CheckReport, cube=None, **kw):
     """
     rows = spectral.run_realizations(
         per_realization(partial(row, **kw), cfg.cube() if cube is None else cube,
-                        cfg.disorder()), cfg.realizations, mapper)
+                        cfg.disorder()), cfg.realizations)
     merged = {t.name: t for t in totals}
     for reports, _ in rows:
         for rep in reports:
@@ -154,8 +65,8 @@ def _summary_table(reports):
 # rows iterated once, as the file is written.  Realization kernels take one realization's
 # FieldSample (see spectral.per_realization) and return their CheckReports
 # beside their CSV values, mapped and reduced by _realizations.  A kind's
-# function, or its kernel where pool workers run it, imports asymptotics or
-# green itself.
+# function or kernel imports asymptotics or green itself, so that only the
+# kinds that use them load them.
 
 
 def _spectrum_row(f, radius, simple):
@@ -168,10 +79,10 @@ def _spectrum_row(f, radius, simple):
     return reports, s.eigenvalues
 
 
-def _exp_spectrum(cfg, mapper):
+def _exp_spectrum(cfg):
     radius = deterministic_radius(cfg.d, cfg.mu_V, cfg.mu_B)
     reports, spectra = _realizations(
-        cfg, mapper, _spectrum_row, CheckReport("symmetry"), CheckReport("nondegeneracy"),
+        cfg, _spectrum_row, CheckReport("symmetry"), CheckReport("nondegeneracy"),
         CheckReport("radius", parameters={"radius": radius}),
         radius=radius, simple=cfg.mu_V.has_density)
     rows = [(r, j, e) for r, ev in enumerate(spectra) for j, e in enumerate(ev)]
@@ -179,9 +90,9 @@ def _exp_spectrum(cfg, mapper):
     return tables, reports, {"radius_bound": radius}
 
 
-def _exp_ids(cfg, mapper):
+def _exp_ids(cfg):
     est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), cfg.value("energies"),
-                                   cfg.realizations, mapper)
+                                   cfg.realizations)
     mono = CheckReport("ids_monotone")
     mono.record(np.diff(est.mean_N))
     rng = CheckReport("ids_range")
@@ -191,10 +102,10 @@ def _exp_ids(cfg, mapper):
     return {"ids": (["E", "mean_N", "stderr", "R"], rows)}, [mono, rng], {}
 
 
-def _exp_dos(cfg, mapper):
+def _exp_dos(cfg):
     lo, hi, n = cfg.value("bins")
     hist = spectral.dos_histogram(cfg.disorder(), cfg.cube(), _grid(lo, hi, n + 1),
-                                  cfg.realizations, mapper)
+                                  cfg.realizations)
     uniform = inequalities.dos_bound_uniform(hist)
     reports = [uniform]
     energy_bounds = [math.inf] * len(hist.density)
@@ -212,10 +123,10 @@ def _exp_dos(cfg, mapper):
     return {"dos": (header, rows)}, reports, {"bound_uniform": bound}
 
 
-def _exp_wegner(cfg, mapper):
+def _exp_wegner(cfg):
     windows = [(e, eps) for e in cfg.value("energies") for eps in cfg.value("epsilons")]
     reports = inequalities.wegner_finite_volume(cfg.disorder(), cfg.cube(), windows,
-                                                cfg.realizations, mapper)
+                                                cfg.realizations)
     rows = [tuple(rep.parameters[k] for k in ("E", "eps", "mean", "stderr", "bound"))
             + (rep.worst_margin, rep.passed) for rep in reports]
     header = ["E", "eps", "mean_count", "stderr", "bound", "slack", "passed"]
@@ -230,11 +141,11 @@ def _gap_row(f, edge):
     return [rep], spectral.spectral_gap(s) + (min_abs,)
 
 
-def _exp_gap(cfg, mapper):
+def _exp_gap(cfg):
     lam, beta = cfg.mu_V.support_inf, case_beta(cfg.mu_B)
     edge = gap_edge(cfg.disorder())
     reports, vals = _realizations(
-        cfg, mapper, _gap_row,
+        cfg, _gap_row,
         CheckReport("gap_edge", parameters={"lam": lam, "beta": beta, "edge": edge}),
         edge=edge)
     rows = [(r,) + v + (edge,) for r, v in enumerate(vals)]
@@ -255,9 +166,9 @@ def _interlace_row(f, lam, beta, eps):
     ], None
 
 
-def _exp_interlace(cfg, mapper):
+def _exp_interlace(cfg):
     lam, beta = cfg.value("lam"), cfg.value("beta")
-    reports, _ = _realizations(cfg, mapper, _interlace_row, lam=lam, beta=beta,
+    reports, _ = _realizations(cfg, _interlace_row, lam=lam, beta=beta,
                                eps=cfg.value("eps"))
     return {"interlace": _summary_table(reports)}, reports, {"lam": lam, "beta": beta}
 
@@ -272,13 +183,13 @@ def _green_row(f, cubes, energy):
     return [rep], (p["residual"], p["delta2"], p["delta3"], p["cap"], rep.passed)
 
 
-def _exp_green(cfg, mapper):
+def _exp_green(cfg):
     energy = cfg.value("energy")
     lengths = cfg.value("lengths")
     cubes = tuple(CubeSpec(cfg.d, l) for l in lengths)
     # the field is sampled on the host cube, the largest
     reports, vals = _realizations(
-        cfg, mapper, _green_row,
+        cfg, _green_row,
         CheckReport("gri_residual", parameters={"E": energy, "lengths": list(lengths)}),
         cube=cubes[2], cubes=cubes, energy=energy)
     rows = [(r, energy) + v for r, v in enumerate(vals) if v is not None]
@@ -365,10 +276,10 @@ def _one_inside_edge(lam, beta, energy) -> bool:
     return (a * qb * qe) ** 2 + (b * qa * qe) ** 2 >= ((qe + e) * qa * qb) ** 2
 
 
-def _exp_ct(cfg, mapper):
+def _exp_ct(cfg):
     energy = cfg.value("energy")
     reports, vals = _realizations(
-        cfg, mapper, _ct_row, CheckReport("combes_thomas", parameters={"E": energy}),
+        cfg, _ct_row, CheckReport("combes_thomas", parameters={"E": energy}),
         energy=energy, in_gap=_in_gap(cfg, energy))
     rows = [(r, energy) + v[0] for r, v in enumerate(vals) if v is not None]
     p = None if vals[0] is None else vals[0][1]     # realization 0's profile
@@ -408,22 +319,21 @@ def _sli_edi_row(f, cubes, energy):
     return [sli, edi], None
 
 
-def _exp_sli_edi(cfg, mapper):
+def _exp_sli_edi(cfg):
     energy = cfg.value("energy")
     cubes = tuple(CubeSpec(cfg.d, l) for l in cfg.value("lengths"))
-    reports, _ = _realizations(cfg, mapper, _sli_edi_row,
+    reports, _ = _realizations(cfg, _sli_edi_row,
                                CheckReport("sli", parameters={"E": energy}),
                                CheckReport("edi"), cube=cubes[2], cubes=cubes,
                                energy=energy)
     return {"sli_edi": _summary_table(reports)}, reports, {}
 
 
-def _exp_tails(cfg, mapper):
+def _exp_tails(cfg):
     from . import asymptotics
     dis = cfg.disorder()
     eps, lengths = _tail_grid(cfg)
-    curve = asymptotics.tail_curve(dis, cfg.d, eps, cfg.realizations,
-                                   lengths=lengths, mapper=mapper)
+    curve = asymptotics.tail_curve(dis, cfg.d, eps, cfg.realizations, lengths=lengths)
     reports = [asymptotics.tail_monotonicity_check(curve)]
     summary = {"edge": curve.edge}
     try:
@@ -445,7 +355,7 @@ def _exp_tails(cfg, mapper):
         for e in cfg.value("lower_epsilons"):
             L = asymptotics.lower_bound_scale(c0.c0_hat, e)
             rep = asymptotics.lower_bound_probability(
-                dis, cfg.d, e, L, int(cfg.value("lower_realizations")), mapper)
+                dis, cfg.d, e, L, int(cfg.value("lower_realizations")))
             reports.append(rep)
             p = rep.parameters
             lb_rows.append((e, L, p["empirical"], p["bound"], p["censored"]))
@@ -454,7 +364,7 @@ def _exp_tails(cfg, mapper):
     return tables, reports, summary
 
 
-def _exp_suitability(cfg, mapper):
+def _exp_suitability(cfg):
     from . import asymptotics
     dis = cfg.disorder()
     thetas = cfg.value("theta")
@@ -462,7 +372,7 @@ def _exp_suitability(cfg, mapper):
     # one ensemble per length serves every theta: by_length[i][k] is the
     # report at the i-th length and the k-th theta
     by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas, energies,
-                                                     cfg.realizations, mapper)
+                                                     cfg.realizations)
                  for L in cfg.value("lengths")]
     rows, reports, thresholds = [], [], {}
     for k, theta in enumerate(thetas):
@@ -494,13 +404,12 @@ def _exp_suitability(cfg, mapper):
 CORRELATOR_MIN_CONTRIBUTING = 10
 
 
-def _exp_correlator(cfg, mapper):
+def _exp_correlator(cfg):
     from . import asymptotics
     dis = cfg.disorder()
     cube = cfg.cube()
     lo, hi = cfg.value("interval")
-    profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi),
-                                                   cfg.realizations, mapper)
+    profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi), cfg.realizations)
     rows, template = _profile_rows(
         cube, lambda k: (profile.first[k], profile.second[k]), profile.distances(),
         profile.mean_q, profile.stderr_q)
@@ -536,11 +445,10 @@ def _fh_row(f, tol):
                    rep.preconditions_failed)
 
 
-def _exp_fh(cfg, mapper):
+def _exp_fh(cfg):
     tol = cfg.value("tol")
     reports, vals = _realizations(
-        cfg, mapper, _fh_row, CheckReport("feynman_hellmann", parameters={"tol": tol}),
-        tol=tol)
+        cfg, _fh_row, CheckReport("feynman_hellmann", parameters={"tol": tol}), tol=tol)
     rows = [(r,) + v for r, v in enumerate(vals) if v is not None]
     header = ["realization", "eigenvalues_checked", "violations",
               "worst_margin", "skipped_near_degenerate"]

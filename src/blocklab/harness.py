@@ -12,7 +12,9 @@ Determinism contract: with a fixed config and seed, every CSV is
 byte-identical regardless of the worker count and the realization block
 size, because a realization's row is a pure function of (seed, realization
 index), whatever block it is computed in, and aggregation always consumes
-results in realization order (see `experiments`).
+results in realization order (see `experiments`).  The worker count is
+validated and recorded; every run computes in one process, on one BLAS
+thread.
 
 Loading and validating a config read only `model` and the standard
 library, so neither imports numpy.  A kind whose hypotheses need
@@ -35,13 +37,12 @@ from functools import cache
 from itertools import islice
 from pathlib import Path
 
-# numpy and the run side load when a run starts; asymptotics and green with
-# the kinds that use them, and concurrent.futures with the first pool: a
-# validate or a run pays only for its own kind
+# numpy and the run side load when a run starts, asymptotics and green with
+# the kinds that use them: a validate or a run pays only for its own kind
 from . import __version__
-from .model import (MAX_BLOCK_DIM, MAX_COUNT_ENERGIES, CubeSpec, DisorderConfig,
-                    PreconditionError, SiteMeasure, axis_count, case_beta,
-                    deterministic_radius, sites_within)
+from .model import (MAX_BLOCK_DIM, MAX_COUNT_ENERGIES, MAX_DIMENSION, CubeSpec,
+                    DisorderConfig, PreconditionError, SiteMeasure, axis_count,
+                    case_beta, deterministic_radius, sites_within)
 
 # -- configuration -----------------------------------------------------------
 
@@ -254,6 +255,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     out = []
     if cfg.d < 1:
         out.append(f"dimension must be >= 1, got {cfg.d}")
+    if cfg.d > MAX_DIMENSION:
+        out.append(f"dimension must be at most {MAX_DIMENSION}, got {cfg.d}")
     if cfg.realizations < 1:
         out.append("realizations must be >= 1")
     if cfg.realizations > 2 ** 63:      # indices 0..R-1, the sampler's key width
@@ -669,24 +672,16 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
         cache.cache_clear()
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": _scipy_version(),
-           "cpu_affinity": len(os.sched_getaffinity(0)),
-           "workers_requested": cfg.workers, "pool_size": 1,
-           "pool_estimate_s": None, "blas_threads_worker": None}
+           "cpu_affinity": len(os.sched_getaffinity(0))}
     t0 = time.perf_counter()
     tables, reports, summary = {}, [], {}
-    # one BLAS thread here as in every pool worker: a threaded LAPACK call
-    # rounds differently, so the bytes would depend on the worker count
+    # results must not depend on the BLAS thread count, and a threaded
+    # LAPACK call rounds differently from a single-threaded one: every run
+    # computes on one thread, whatever the library's default
     with blas.limited(1):
         env["blas_threads_main"] = blas.threads()
         if not diagnostics:
-            with experiments.realization_mapper(cfg.workers) as mapper:
-                execute = getattr(experiments, KINDS[cfg.kind].run)
-                tables, reports, summary = execute(cfg, mapper)
-                if mapper is not None:
-                    env["pool_estimate_s"] = mapper.estimate_s
-                    if mapper.executor is not None:
-                        env.update(pool_size=mapper.size,
-                                   blas_threads_worker=mapper.worker_blas_threads())
+            tables, reports, summary = getattr(experiments, KINDS[cfg.kind].run)(cfg)
     result = RunResult(cfg, tables, reports, summary, diagnostics,
                        time.perf_counter() - t0, env)
     files = emit_plotdata(result, outdir)

@@ -107,8 +107,8 @@ def _require(cond: bool, message: str):
 # -- Wegner estimates --------------------------------------------------------
 
 
-def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int,
-                         mapper=None) -> list[CheckReport]:
+def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows,
+                         R: int) -> list[CheckReport]:
     """Expected eigenvalue count in [E-eps, E+eps[ against 8 eps N (BV_V + BV_B).
 
     `windows` is a sequence of (E, eps) pairs; one report is returned per
@@ -132,7 +132,7 @@ def wegner_finite_volume(config: DisorderConfig, cube: CubeSpec, windows, R: int
 
     below = ensemble_counts(config, cube,
                             [x for e, eps in windows for x in (e - eps, e + eps)],
-                            R, "left", mapper)
+                            R, "left")
     in_window = below[:, 1::2] - below[:, 0::2]
     reports = []
     for k, (energy, eps) in enumerate(windows):

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 # dense-eigensolve budget: full spectra need O(dim^3) work
 MAX_BLOCK_DIM = 4096
+# the largest dimension d of every kind: `lattice` enumerates a cube's
+# sites with np.indices, an array of d + 1 axes, and a numpy 2 array has
+# at most 64
+MAX_DIMENSION = 63
 # energies per `spectral.ensemble_counts` call, whose block arrays take
 # about 37 KB per energy at d = 1, L = 16: `harness.validate` rejects a run
 # past it

@@ -117,31 +117,23 @@ def plain_block(field: FieldSample, cube=None) -> np.ndarray:
     return assemble_plain(cube, *field.at(cube))
 
 
-# realizations per block kernel call run inline (a pool may cut smaller ones)
+# realizations per call of a block kernel
 REALIZATION_BLOCK = 256
 
 
-def realization_blocks(start: int, stop: int, size: int) -> list[range]:
-    """Consecutive ranges of at most `size` realization indices that cover
-    start..stop-1."""
-    return [range(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
-
-
-def run_realizations(kernel, R: int, mapper=None) -> list:
+def run_realizations(kernel, R: int) -> list:
     """One row per realization r = 0..R-1, in realization order, from a
     block kernel: kernel(rs) takes a range of consecutive realization
     indices and returns one row per index, in order.  `per_realization`
     lifts a kernel of one realization's field.
 
-    Inline, blocks hold REALIZATION_BLOCK realizations.  A `mapper`
-    (harness.PoolMap) takes the kernel and R, cuts its own blocks and
-    returns their rows in order.  A kernel's row for r may not depend on
-    the block r sits in, so aggregates depend neither on the degree of
-    parallelism nor on the block size.
+    The blocks hold REALIZATION_BLOCK realizations, the last one the
+    rest, and run in this process one after another.  A kernel's row for
+    r may not depend on the block r sits in, so aggregates do not depend
+    on the block size.
     """
-    results = (map(kernel, realization_blocks(0, R, REALIZATION_BLOCK))
-               if mapper is None else mapper(kernel, R))
-    return [row for rows in results for row in rows]
+    return [row for lo in range(0, R, REALIZATION_BLOCK)
+            for row in kernel(range(lo, min(lo + REALIZATION_BLOCK, R)))]
 
 
 def per_realization(kernel, cube: CubeSpec, config: DisorderConfig):
@@ -160,14 +152,14 @@ def _each_realization(kernel, cube, config, rs):
 
 
 def ensemble_counts(config: DisorderConfig, cube: CubeSpec, energies, R: int,
-                    side: str, mapper=None) -> np.ndarray:
+                    side: str) -> np.ndarray:
     """The (R, len(energies)) count_below of realizations 0..R-1 on the
     cube at every energy, with the side given.  Each block of realizations
     is sampled once and counted by one count_below call; the count-only
     kinds (ids, dos, wegner, tails) differ only in how they reduce this."""
     energies = np.asarray(energies, dtype=float)
     rows = run_realizations(partial(_block_counts, cube=cube, config=config,
-                                    energies=energies, side=side), R, mapper)
+                                    energies=energies, side=side), R)
     return np.array(rows, dtype=np.int64).reshape(R, len(energies))
 
 
@@ -195,14 +187,13 @@ class IdsEstimate:
     realizations: int
 
 
-def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int,
-                    mapper=None) -> IdsEstimate:
+def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int) -> IdsEstimate:
     """Mean and standard error of the counting function over R realizations:
     the eigenvalues at or below each grid energy (<=), over 2 |cube|."""
     if R < 1:
         raise ValueError("need at least one realization")
     grid = np.asarray(grid, dtype=float)
-    mean, stderr = ensemble_mean(ensemble_counts(config, cube, grid, R, "right", mapper)
+    mean, stderr = ensemble_mean(ensemble_counts(config, cube, grid, R, "right")
                                  / (2 * cube.site_count))
     return IdsEstimate(grid, mean, stderr, R)
 
@@ -222,8 +213,7 @@ class DosHistogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def dos_histogram(config: DisorderConfig, cube: CubeSpec, edges, R: int,
-                  mapper=None) -> DosHistogram:
+def dos_histogram(config: DisorderConfig, cube: CubeSpec, edges, R: int) -> DosHistogram:
     """Density-of-states estimate: eigenvalues per bin / (2N * width).
 
     Every bin is half-open, [lo, hi[, the last one too: the strict counts
@@ -233,6 +223,6 @@ def dos_histogram(config: DisorderConfig, cube: CubeSpec, edges, R: int,
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("bin edges must be strictly increasing")
     mean, stderr = ensemble_mean(
-        np.diff(ensemble_counts(config, cube, edges, R, "left", mapper), axis=1))
+        np.diff(ensemble_counts(config, cube, edges, R, "left"), axis=1))
     scale = 1.0 / (2 * cube.site_count * np.diff(edges))
     return DosHistogram(edges, mean * scale, stderr * scale, R, config)

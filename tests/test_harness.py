@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import hashlib
 import importlib
 import json
@@ -11,7 +10,6 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from concurrent.futures import Future
 from itertools import permutations
 from pathlib import Path
 
@@ -28,7 +26,6 @@ from blocklab import (blas, disorder, experiments, green, harness, inequalities,
 # would load it: _wrap_everywhere reaches only modules already loaded
 from blocklab import asymptotics  # noqa: F401
 from blocklab.cli import main as cli_main
-from blocklab.experiments import realization_mapper
 from blocklab.harness import config_to_text, parse_config, run, validate, write_csv
 from blocklab.model import PreconditionError
 import oracles
@@ -394,74 +391,6 @@ def test_repeat_run_byte_identical(tmp_path):
         (tmp_path / "b/ids.csv").read_bytes()
 
 
-def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    # two usable CPUs and a pool that always pays, so that more than one
-    # worker starts a real pool
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(experiments, "POOL_START_S", 0)
-    text = BASE.format(kind="ids", L=9, R=12, vk="uniform",
-                       vargs="a = 0.0\nb = 1.0",
-                       bk="uniform", bargs="a = 0.0\nb = 1.0") \
-        + "[ids]\nenergies = -2 -1 0 1 2\n"
-    cfg1 = parse_config(text, workers=1)
-    cfg2 = parse_config(text, workers=4)
-    run(cfg1, tmp_path / "w1")
-    run(cfg2, tmp_path / "w4")
-    assert (tmp_path / "w1/ids.csv").read_bytes() == \
-        (tmp_path / "w4/ids.csv").read_bytes()
-
-    results = [run(parse_config(TAILS_BLOCKS, workers=w), tmp_path / f"tails{w}")
-               for w in (1, 2)]
-    assert [r.exit_code for r in results] == [0, 0]
-    assert [r.environment["pool_size"] for r in results] == [1, 2]
-    for name in ("tails.csv", "tails_lower.csv"):
-        assert (tmp_path / "tails1" / name).read_bytes() == \
-            (tmp_path / "tails2" / name).read_bytes()
-
-    # dim 242: dense resolvents large enough that a threaded LAPACK call
-    # rounds differently from a single-threaded one
-    ct = BASE.format(kind="ct", L=12, R=4, vk="uniform",
-                     vargs="a = 1.0\nb = 2.0",
-                     bk="uniform", bargs="a = 0.0\nb = 1.0") \
-        .replace("\nd = 1\n", "\nd = 2\n") + "[ct]\nenergy = 0.0\n"
-    for w in (1, 2):
-        assert run(parse_config(ct, workers=w), tmp_path / f"ct{w}").exit_code == 0
-    for name in ("ct.csv", "ct_profile.csv"):
-        assert (tmp_path / "ct1" / name).read_bytes() == \
-            (tmp_path / "ct2" / name).read_bytes()
-
-    # per-realization CheckReports cross the pickle boundary, precondition
-    # skips included (the interlace case skips half-half and bracketing)
-    green_2d = make_text("green", L=7, R=6, va=1.0, vb=2.0,
-                         extra="[green]\nenergy = 0.3\nlengths = 2 4 7\n") \
-        .replace("\nd = 1\n", "\nd = 2\n")
-    for kind, text in (("wegner", WEGNER_BLOCKS), ("ids", IDS_BLOCKS),
-                       ("dos", DOS_BLOCKS), ("interlace", INTERLACE_SKIPS),
-                       ("sli_edi", make_text("sli-edi", L=9, R=6, va=1.0,
-                                             vb=2.0)),
-                       ("fh", make_text("fh", L=6, R=5)),
-                       ("green", green_2d),
-                       ("correlator", make_text(
-                           "correlator", L=21, R=6, va=0.0, vb=5.0,
-                           extra="[correlator]\ninterval = -1.5 1.5\n")),
-                       # theta < 0: the gap-event implication asserts
-                       ("suitability", make_text(
-                           "suitability", L=12, R=8, vk="two_point",
-                           vargs="v1 = 1.0\np = 0.2\nv2 = 3.0",
-                           bk="point_mass", bargs="c = 0.0",
-                           extra="[suitability]\nlengths = 6 12\ntheta = -2 0.5\n"
-                                 "energies = 0.0 1.2\n")),
-                       ("gap", make_text("gap", L=8, R=6, va=1.0, vb=2.0,
-                                         bargs="a = 1.0\nb = 2.0"))):
-        results = [run(parse_config(text, workers=w), tmp_path / f"{kind}{w}")
-                   for w in (1, 2)]
-        assert [r.environment["pool_size"] for r in results] == [1, 2]
-        assert (tmp_path / f"{kind}1" / f"{kind}.csv").read_bytes() == \
-            (tmp_path / f"{kind}2" / f"{kind}.csv").read_bytes()
-        assert [r.to_json() for r in results[0].reports] == \
-            [r.to_json() for r in results[1].reports]
-
-
 # one-realization kernels fed a field row per realization of a block
 SUITABILITY_BLOCKS = make_text("suitability", L=12, R=9, vk="two_point",
                                vargs="v1 = 1.0\np = 0.2\nv2 = 3.0",
@@ -477,10 +406,6 @@ CT_BLOCKS = make_text("ct", L=10, R=9, va=1.0, vb=2.0, extra="[ct]\nenergy = 0.0
 
 @pytest.mark.parametrize("block", [1, 7, 10 ** 6])
 def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
-    # two usable CPUs and a pool that always pays, so that two workers
-    # start a real pool
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(experiments, "POOL_START_S", 0)
     cases = ((WEGNER_BLOCKS, ["wegner.csv"]),
              (IDS_BLOCKS, ["ids.csv"]),
              (DOS_BLOCKS, ["dos.csv"]),
@@ -496,14 +421,13 @@ def test_block_size_does_not_change_output(block, tmp_path, monkeypatch):
         expected.update(((text, name), (out / name).read_bytes()) for name in names)
         expected[text] = [r.to_json() for r in result.reports]
     monkeypatch.setattr(spectral, "REALIZATION_BLOCK", block)
-    for w in (1, 2):
-        for text, names in cases:
-            out = tmp_path / f"w{w}"
-            result = run(parse_config(text, workers=w), out)
-            assert result.exit_code == 0
-            assert [r.to_json() for r in result.reports] == expected[text]
-            for name in names:
-                assert (out / name).read_bytes() == expected[text, name], (w, name)
+    for text, names in cases:
+        out = tmp_path / f"block{block}"
+        result = run(parse_config(text), out)
+        assert result.exit_code == 0
+        assert [r.to_json() for r in result.reports] == expected[text]
+        for name in names:
+            assert (out / name).read_bytes() == expected[text, name], name
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -546,9 +470,7 @@ def test_run_json_environment(tmp_path):
     assert env == {"python": platform.python_version(),
                    "numpy": np.__version__, "scipy": scipy.__version__,
                    "cpu_affinity": len(os.sched_getaffinity(0)),
-                   "workers_requested": 1, "pool_size": 1, "pool_estimate_s": None,
-                   "blas_threads_main": None if before is None else 1,
-                   "blas_threads_worker": None}
+                   "blas_threads_main": None if before is None else 1}
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -561,151 +483,6 @@ def test_validate_rejects_nonpositive_workers(tmp_path, workers, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(text.replace("workers = 1", f"workers = {workers}"))
     assert cli_main(["validate", "--config", str(cfg_path)]) == 3
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records how it was built, what
-    it was asked to map and whether it was shut down, runs every task in
-    this process, starts none."""
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.max_workers = max_workers
-        self.initializer = initializer
-        self.initargs = initargs
-        self.chunksizes = []
-        self.mapped = []
-        self.shut_down = False
-
-    def shutdown(self):
-        self.shut_down = True
-
-    def map(self, fn, items, chunksize=1):
-        self.chunksizes.append(chunksize)
-        self.mapped.append(list(items))
-        return map(fn, items)
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-def recording_pools(monkeypatch) -> list:
-    """Make every pool a run starts a RecordingPool; the list collects them."""
-    pools = []
-
-    def make_pool(**kw):
-        pools.append(RecordingPool(**kw))
-        return pools[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
-    return pools
-
-
-def test_huge_worker_count_is_clamped_to_usable_cpus(tmp_path, monkeypatch):
-    pools = recording_pools(monkeypatch)
-    monkeypatch.setattr(experiments, "POOL_START_S", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    cfg = make_cfg("ids", L=9, R=30, extra="[ids]\nenergies = -1 0 1\n")
-    cfg.workers = 10 ** 6
-    assert validate(cfg) == []
-    result = run(cfg, tmp_path)
-    assert result.exit_code == 0
-    assert len(pools) == 1
-    pool = pools[0]
-    assert pool.max_workers == 3
-    assert (pool.initializer, pool.initargs) == (blas.set_threads, (1,))
-    # blocks of ceil(30 / (4 * 3)) realizations, about four per worker:
-    # the first ran inline, the pool got the others one by one
-    assert pool.mapped == [[range(k, k + 3) for k in range(3, 30, 3)]]
-    assert pool.chunksizes == [1]
-    assert pool.shut_down
-    env = json.loads((tmp_path / "run.json").read_text())["environment"]
-    assert (env["workers_requested"], env["pool_size"]) == (10 ** 6, 3)
-
-
-def _worker_blas_threads(_):
-    return blas.threads()
-
-
-def test_pool_workers_run_one_blas_thread(monkeypatch):
-    if blas.threads() is None:
-        pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(experiments, "POOL_START_S", 0)
-    main_threads = blas.threads()
-    with realization_mapper(2) as mapper:
-        assert mapper.size == 2
-        # 8 blocks of one realization: the first runs here, the rest in
-        # the workers
-        assert list(mapper(_worker_blas_threads, 8)) == [main_threads] + [1] * 7
-        assert mapper.executor is not None
-        assert mapper.worker_blas_threads() == 1
-    assert blas.threads() == main_threads
-
-
-def _gated_pools(monkeypatch, threshold) -> list:
-    """Two usable CPUs, POOL_START_S = threshold and recording pools."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(experiments, "POOL_START_S", threshold)
-    return recording_pools(monkeypatch)
-
-
-def _rows_of(rs):
-    return [(r, r * r) for r in rs]
-
-
-def test_pool_map_below_threshold_runs_the_rest_inline(monkeypatch):
-    pools = _gated_pools(monkeypatch, math.inf)
-    monkeypatch.setattr(spectral, "REALIZATION_BLOCK", 4)
-    ran = []
-    with realization_mapper(2) as mapper:
-        rows = list(mapper(lambda rs: ran.append(rs) or _rows_of(rs), 10))
-        assert mapper.executor is None and mapper.estimate_s >= 0.0
-    assert pools == []
-    # the probe block of ceil(10 / (4 * 2)) = 2, then blocks of
-    # REALIZATION_BLOCK
-    assert ran == [range(0, 2), range(2, 6), range(6, 10)]
-    assert rows == [_rows_of(rs) for rs in ran]
-
-
-def test_run_below_pool_threshold_starts_no_pool(tmp_path, monkeypatch):
-    pools = _gated_pools(monkeypatch, math.inf)
-    for text, names in ((WEGNER_BLOCKS, ["wegner.csv"]),
-                        (TAILS_BLOCKS, ["tails.csv", "tails_lower.csv"]),
-                        (CT_BLOCKS, ["ct.csv", "ct_profile.csv"])):
-        results = [run(parse_config(text, workers=w), tmp_path / f"w{w}")
-                   for w in (1, 2)]
-        assert pools == []
-        env = [r.environment for r in results]
-        assert [(e["pool_size"], e["blas_threads_worker"]) for e in env] == \
-            [(1, None), (1, None)]
-        assert env[0]["pool_estimate_s"] is None and env[1]["pool_estimate_s"] > 0.0
-        assert [r.to_json() for r in results[0].reports] == \
-            [r.to_json() for r in results[1].reports]
-        for name in names:
-            assert (tmp_path / "w1" / name).read_bytes() == \
-                (tmp_path / "w2" / name).read_bytes()
-
-
-def test_pool_map_above_threshold_starts_one_pool(monkeypatch):
-    pools = _gated_pools(monkeypatch, 0)
-    ran = []
-    kernel = (lambda rs: ran.append(rs) or _rows_of(rs))
-    with realization_mapper(2) as mapper:
-        first = list(mapper(kernel, 10))
-        second = list(mapper(kernel, 6))
-        assert mapper.executor is pools[0]
-    assert len(pools) == 1
-    pool = pools[0]
-    assert pool.shut_down
-    # blocks of ceil(R / (4 * 2)): block 0 of the first call ran inline,
-    # its other blocks and every block of the second call went to the pool
-    assert ran[0] == range(0, 2)
-    assert pool.mapped == [[range(k, k + 2) for k in range(2, 10, 2)],
-                           [range(k, k + 1) for k in range(6)]]
-    assert first == [_rows_of(range(k, k + 2)) for k in range(0, 10, 2)]
-    assert second == [_rows_of(range(k, k + 1)) for k in range(6)]
 
 
 def test_every_shipped_config_validates(capsys):
@@ -815,6 +592,9 @@ MALFORMED = {
                                              "lower_realizations = 1e300\n",
     "realizations-2^63+1": make_text("spectrum").replace(
         "realizations = 5", f"realizations = {2 ** 63 + 1}"),
+    # a dimension past numpy's 64 axes, with a one-site cube well inside
+    # the cap: it once validated, then the run exited 1
+    "d-64": _d(make_text("spectrum", L=2), 64),
     # a dimension that puts every cube past the cap: at d = 5000 the cap
     # message once raised ValueError on the 5,000-digit block dimension, and
     # at d = 10^9 the cap check, the tails length floor and the c0 check
@@ -859,6 +639,7 @@ DIAGNOSTICS = {
     "dimension must be >= 1, got 0": make_text("spectrum").replace("\nd = 1\n",
                                                                    "\nd = 0\n"),
     "realizations must be >= 1": make_text("spectrum", R=0),
+    "dimension must be at most 63, got 64": _d(make_text("spectrum", L=2), 64),
     # past 2^1024 a dimension is named as its power
     "matrix dimension 2 * 11^5000 exceeds the hard cap 4096; reduce L or d":
         _d(make_text("ids", L=12), 5000),
@@ -870,6 +651,16 @@ DIAGNOSTICS = {
         TAILS_BASE.replace("kind = uniform\na = 1.0\nb = 2.0",
                            "kind = point_mass\nc = 1.0"),
 }
+
+
+def test_the_largest_dimension_runs(tmp_path, capsys):
+    # at d = 63 a cube of length 2 is one site, and the site enumeration of
+    # `lattice`, an array of d + 1 axes, has numpy's most
+    path = tmp_path / "cfg.ini"
+    path.write_text(_d(make_text("spectrum", L=2), 63))
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    assert cli_main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("message", sorted(DIAGNOSTICS))
@@ -1506,20 +1297,24 @@ def _validate_code(path) -> str:
 
 def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
     # importing the CLI loads no numpy, no scipy module, no other kind's
-    # module and nothing a process pool needs
+    # module and neither concurrent nor multiprocessing
     assert _loaded_after("import blocklab.cli") == []
     # a wegner run and a ct run (in the gap, where the exact gate decides)
     # load numpy but no scipy module, whose version is read off its files,
-    # and neither decimal nor fractions; ct loads green, its own kind's module
-    for kind, extra, own in (
-            ("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n", []),
-            ("ct", "[ct]\nenergy = 0.0\n", ["blocklab.green"])):
-        path = tmp_path / f"{kind}.ini"
-        path.write_text(make_text(kind, R=4, va=1.0, vb=2.0, extra=extra))
+    # and neither decimal nor fractions; ct loads green, its own kind's
+    # module.  A run asking for 4 workers computes in this process too: it
+    # loads neither concurrent nor multiprocessing
+    for kind, extra, own, workers in (
+            ("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n", [], 1),
+            ("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n", [], 4),
+            ("ct", "[ct]\nenergy = 0.0\n", ["blocklab.green"], 1)):
+        path = tmp_path / f"{kind}{workers}.ini"
+        path.write_text(make_text(kind, R=4, va=1.0, vb=2.0, extra=extra)
+                        .replace("workers = 1", f"workers = {workers}"))
         assert _loaded_after(
             "from blocklab.cli import main\n"
             f"assert main([{kind!r}, '--config', {str(path)!r}, '--out', "
-            f"{str(tmp_path / kind)!r}]) == 0") == own + ["numpy"], kind
+            f"{str(tmp_path / kind)!r}]) == 0") == own + ["numpy"], (kind, workers)
 
 
 def test_validate_loads_no_numpy(tmp_path):

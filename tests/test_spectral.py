@@ -459,18 +459,6 @@ def test_assemble_plain_writes_the_plain_block():
     assert np.array_equal(assemble_plain(cube, f.V, f.B), plain_block_on(cube, f))
 
 
-class Mapper:
-    """Stands in for experiments.PoolMap: records each R and maps the kernel
-    over blocks of 3."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __call__(self, kernel, R):
-        self.calls.append(R)
-        return map(kernel, spectral.realization_blocks(0, R, 3))
-
-
 def field_row(f):
     return f.realization_index, f.cube, f.V.tolist(), f.B.tolist()
 
@@ -485,8 +473,4 @@ def test_run_realizations_cuts_blocks_and_keeps_order(block, monkeypatch):
     expected = [field_row(sample_field(cube, UNIT, r)) for r in range(20)]
     lifted = per_realization(field_row, cube, UNIT)
     assert run_realizations(lifted, 20) == expected
-    # a mapper gets the kernel and R and cuts its own blocks
-    mapper = Mapper()
-    assert run_realizations(lifted, 20, mapper) == expected
-    assert mapper.calls == [20]
     assert run_realizations(lifted, 0) == []
