@@ -14,12 +14,12 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import FieldSample, gap_edge, sample_fields
+from .disorder import FieldSample, sample_fields
 from .green import combes_thomas_bound, resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import dist1_array, inner_boundary, site_array, site_index
-from .model import (MAX_BLOCK_DIM, CubeSpec, DisorderConfig, axis_count, case_beta,
-                    deterministic_radius)
+from .model import (MAX_BLOCK_DIM, CubeSpec, DisorderConfig, axis_count, band_edge,
+                    case_beta, deterministic_radius, gap_edge)
 from .operators import assemble_plain, build_h0, component_indices, rim_indices
 from .schur import chain_rim_norms
 from .spectral import (Spectrum, count_below, eigensolve, ensemble_counts,
@@ -149,7 +149,7 @@ def finite_volume_tail_bound(spectra: EdgeSpectra, lam: float,
     _require(float(spectra.scalar[0]) > 0.0, "needs H > 0")
     _require(spectra.V.min() >= lam, "needs V_n >= lam")
     _require(spectra.B.min() >= beta, "needs B_n >= beta")
-    edge = np.hypot(lam, beta)
+    edge = band_edge(lam, beta)
     threshold = edge + eps
     block_count = (int(np.searchsorted(spectra.plain, threshold, side="right"))
                    - len(spectra.scalar))

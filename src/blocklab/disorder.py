@@ -2,8 +2,7 @@
 
 The measures and the disorder pair are `model.SiteMeasure` and
 `model.DisorderConfig`; here they meet numpy: the inverse CDF of a
-measure, the gap edge of a pair, and the fields of a block of
-realizations.
+measure and the fields of a block of realizations.
 
 Sampling is counter-based: the value at a site is a pure function of
 (master seed, realization index, site coordinates, family tag), so fields
@@ -21,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import site_array, site_index
-from .model import CubeSpec, DisorderConfig, SiteMeasure, case_beta
+from .model import CubeSpec, DisorderConfig, SiteMeasure
 
 
 def from_uniform(measure: SiteMeasure, u):
@@ -46,17 +45,6 @@ def from_uniform(measure: SiteMeasure, u):
         v1, prob, v2 = p
         out = np.where(x < prob, v1, v2)
     return out if out.ndim else float(out)
-
-
-def gap_edge(config: DisorderConfig) -> float:
-    """The deterministic internal band edge hypot(lam, beta), lam = inf
-    supp mu_V and beta = case_beta(mu_B): no realization's plain block has
-    an eigenvalue in (-edge, edge) (Kirsch, Metzger and Mueller, J. Stat.
-    Phys. 143, 2011).  ValueError if lam < 0 or case_beta rejects mu_B."""
-    lam = config.mu_V.support_inf
-    if lam < 0.0:
-        raise ValueError(f"the gap edge needs inf supp mu_V >= 0, got {lam}")
-    return float(np.hypot(lam, case_beta(config.mu_B)))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from functools import partial
 import numpy as np
 
 from . import inequalities, lattice, spectral
-from .disorder import gap_edge
 from .harness import _formatter, _grid, _spec, _tail_grid
 from .inequalities import CheckReport
-from .model import CubeSpec, PreconditionError, case_beta, deterministic_radius
+from .model import (CubeSpec, PreconditionError, case_beta, deterministic_radius,
+                    gap_edge)
 from .spectral import eigensolve, per_realization, plain_block
 
 # -- reduction ------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import lattice, schur
 from .disorder import FieldSample
 from .inequalities import CheckReport, _require
-from .model import PreconditionError, axis_count
+from .model import PreconditionError, axis_count, strictly_inside
 from .operators import block, build_gamma, component_indices, rim_indices
 from .schur import slice_resolvent
 from .spectral import Spectrum, eigensolve, plain_block
@@ -113,7 +113,7 @@ def nesting(inner, outer) -> Nesting | None:
     """The read-only Nesting of cube `inner` in cube `outer`, None unless
     `inner` lies strictly inside `outer`; decided once per pair per run
     (`harness.run` clears the cache)."""
-    if not lattice.strictly_inside(inner, outer):
+    if not strictly_inside(inner, outer):
         return None
     inside = component_indices(outer, inner)
     rim_out = component_indices(outer, lattice.outer_boundary(inner))

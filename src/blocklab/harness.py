@@ -16,12 +16,12 @@ results in realization order (see `experiments`).  The worker count is
 validated and recorded; every run computes in one process, on one BLAS
 thread.
 
-Loading and validating a config read only `model` and the standard
-library, so neither imports numpy.  A kind whose hypotheses need
-numerics loads them when validated: ids and dos build their np.linspace
-grid, green and sli-edi call `lattice.strictly_inside`, suitability
-`disorder.gap_edge` and tails `asymptotics.default_tail_length`.  `run`
-loads the run side, `experiments` and numpy with it, when a run starts.
+Loading a config reads only `model` and the standard library, and so
+does validating it, the gap edge and the nesting of cubes included, for
+every kind but three, whose validate loads numpy: ids and dos build
+their np.linspace grid, and tails reads
+`asymptotics.default_tail_length`.  `run` loads the run side,
+`experiments` and numpy with it, when a run starts.
 """
 
 import configparser
@@ -38,11 +38,13 @@ from itertools import islice
 from pathlib import Path
 
 # numpy and the run side load when a run starts, asymptotics and green with
-# the kinds that use them: a validate or a run pays only for its own kind
+# the kinds that use them, and in a validate only for the ids and dos grids
+# and the tails lengths: a validate or a run pays only for its own kind
 from . import __version__
 from .model import (MAX_BLOCK_DIM, MAX_COUNT_ENERGIES, MAX_DIMENSION, CubeSpec,
                     DisorderConfig, PreconditionError, SiteMeasure, axis_count,
-                    case_beta, deterministic_radius, sites_within)
+                    case_beta, deterministic_radius, gap_edge, sites_within,
+                    strictly_inside)
 
 # -- configuration -----------------------------------------------------------
 
@@ -397,13 +399,12 @@ def _nested_problems(cfg):
         return [f"{cfg.kind}: lengths must be three numbers l1 l2 l3"]
     if cfg.d < 1 or min(lengths) <= 1:
         return []
-    from . import lattice
     # concentric cubes about the origin are alike on every axis, so one
     # axis decides the nesting, and no d-tuple center is built
     cubes = [CubeSpec(1, L) for L in lengths]
     return [f"{cfg.kind}: the {NESTED[j]} cube (length {lengths[j]:g}) is not "
             f"strictly inside the {NESTED[j + 1]} cube (length {lengths[j + 1]:g})"
-            for j in (0, 1) if not lattice.strictly_inside(cubes[j], cubes[j + 1])]
+            for j in (0, 1) if not strictly_inside(cubes[j], cubes[j + 1])]
 
 
 def _tails_problems(cfg):
@@ -459,7 +460,6 @@ def _suitability_problems(cfg):
             out.append(f"suitability: theta {theta:g} makes L^-theta overflow "
                        f"at length {big[0]:g}")
     # a_L = edge + L^-1/2, as suitability_probability has it
-    from .disorder import gap_edge
     try:
         edge = gap_edge(cfg.disorder())
     except ValueError:              # an _edge_problems diagnostic

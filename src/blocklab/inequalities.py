@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disorder import FieldSample
-from .model import CubeSpec, DisorderConfig, PreconditionError
+from .model import CubeSpec, DisorderConfig, PreconditionError, band_edge
 from .operators import assemble_bracketing, block, build_h
 from .spectral import DosHistogram, Spectrum, eigensolve, ensemble_counts, ensemble_mean
 
@@ -334,7 +334,7 @@ def half_half_check(spectra: EdgeSpectra, lam: float) -> CheckReport:
         _require(spectra.B.min() >= beta, "half-half (case 1) needs B_n >= beta")
     elif beta < 0.0:
         _require(spectra.B.max() <= beta, "half-half (case 2) needs B_n <= beta")
-    edge = np.hypot(lam, beta)
+    edge = band_edge(lam, beta)
     n = len(spectra.scalar)
     rep = CheckReport("half_half", parameters={"lam": lam, "beta": beta, "edge": edge})
     for ev in (spectra.plain, spectra.reference):
@@ -358,7 +358,7 @@ def bracketing_gap_check(field: FieldSample, lam: float,
     _require(lam >= 0.0 and beta >= 0.0, "bracketing check needs lam, beta >= 0")
     _require(field.V.min() >= lam, "needs V_n >= lam")
     _require(field.B.min() >= beta, "needs B_n >= beta")
-    edge = np.hypot(lam, beta)
+    edge = band_edge(lam, beta)
     ev = eigensolve(assemble_bracketing(field.cube, field.V, field.B)).eigenvalues
     atol = 1e-12 * max(1.0, float(np.max(np.abs(ev))))
     inside = int(np.sum((ev > 0.0) & (ev < edge - atol)))

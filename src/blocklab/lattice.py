@@ -77,10 +77,3 @@ def outer_boundary(cube: CubeSpec) -> np.ndarray:
     lo, n = _corner(cube)
     off = _offsets(n + 2, cube.d) - 1
     return (off[:, ((off < 0) | (off >= n)).sum(axis=0) == 1] + lo).T
-
-
-def strictly_inside(inner: CubeSpec, outer: CubeSpec) -> bool:
-    """Whether every boundary edge of `inner` has both endpoints in
-    `outer`: on every axis, `outer` reaches one step past `inner`."""
-    (lo1, n1), (lo2, n2) = _corner(inner), _corner(outer)
-    return bool(np.all((lo2 < lo1) & (lo1 + n1 < lo2 + n2)))

@@ -1,11 +1,11 @@
 """The model's parameters and their hypotheses, in plain Python.
 
 Single-site measures and the disorder pair of the ensemble, discrete
-cubes and their site counts, the deterministic spectral radius, the
-gap-edge case of mu_B and the caps a run is held to: everything
+cubes, their site counts and their nesting, the deterministic spectral
+radius, the gap edge and the caps a run is held to: everything
 `harness.validate` reads of a config.  Nothing here imports numpy, so a
 config loads and validates without it; sampling (the inverse CDF of a
-measure) lives in `disorder`, cube geometry in `lattice`.
+measure) lives in `disorder`, site enumeration in `lattice`.
 
 Supported measure kinds: uniform(a, b), triangular(a, b) (symmetric peak),
 point_mass(c) and two_point(v1, p, v2).  The density kinds have closed-form
@@ -181,6 +181,31 @@ class DisorderConfig:
     master_seed: int = 0
 
 
+def band_edge(lam: float, beta: float) -> float:
+    """hypot(lam, beta), the one formula of the internal band edge.
+
+    abs() of a complex calls libm's hypot, as np.hypot does, and gives
+    the same bits; math.hypot has CPython's own algorithm, which can
+    differ in the last bit, and these bits reach the outputs.  Past the
+    float range it is inf, as np.hypot's is, where abs() would raise.
+    """
+    try:
+        return abs(complex(lam, beta))
+    except OverflowError:
+        return math.inf
+
+
+def gap_edge(config: DisorderConfig) -> float:
+    """The deterministic internal band edge band_edge(lam, beta), lam = inf
+    supp mu_V and beta = case_beta(mu_B): no realization's plain block has
+    an eigenvalue in (-edge, edge) (Kirsch, Metzger and Mueller, J. Stat.
+    Phys. 143, 2011).  ValueError if lam < 0 or case_beta rejects mu_B."""
+    lam = config.mu_V.support_inf
+    if lam < 0.0:
+        raise ValueError(f"the gap edge needs inf supp mu_V >= 0, got {lam}")
+    return band_edge(lam, case_beta(config.mu_B))
+
+
 def deterministic_radius(d: int, mu_V: SiteMeasure, mu_B: SiteMeasure) -> float:
     """Finite-volume radius bound 4d + max|supp mu_V| + max|supp mu_B|."""
     def extent(m):
@@ -239,3 +264,14 @@ class CubeSpec:
     def concentric(self, L: float) -> "CubeSpec":
         """The cube of length L with the same center."""
         return CubeSpec(self.d, L, self.center)
+
+
+def strictly_inside(inner: CubeSpec, outer: CubeSpec) -> bool:
+    """Whether every boundary edge of `inner` has both endpoints in
+    `outer`: on every axis, `outer` reaches one step past `inner`.  A cube
+    spans its center -h to +h on an axis, h = (axis_count(L) - 1) // 2,
+    so the test is |c_inner - c_outer| < h_outer - h_inner on each of the
+    d <= MAX_DIMENSION axes."""
+    margin = (axis_count(outer.L) - axis_count(inner.L)) // 2
+    return all(abs(a - b) < margin
+               for a, b in zip(inner.center, outer.center, strict=True))

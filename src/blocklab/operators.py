@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lattice
+from .model import strictly_inside
 
 BOUNDARY_CONDITIONS = ("simple", "dirichlet", "neumann")
 
@@ -114,7 +115,7 @@ def build_gamma(inner, ambient) -> np.ndarray:
     `ambient`): -1 on the boundary edge pairs of `inner`, each rim site
     with each unit step that leaves `inner`, both ways.  Its block version
     is block(Gamma, 0.0, Gamma), of the same operator norm."""
-    if not lattice.strictly_inside(inner, ambient):
+    if not strictly_inside(inner, ambient):
         raise ValueError("inner region is not strictly inside the ambient region")
     rim = lattice.inner_boundary(inner)
     eye = np.eye(inner.d, dtype=np.int64)

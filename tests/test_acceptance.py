@@ -14,9 +14,8 @@ import pytest
 from blocklab import asymptotics, green, inequalities, spectral
 from blocklab.harness import parse_config, run
 from blocklab.inequalities import CheckReport
-from blocklab.lattice import strictly_inside
 from blocklab.model import (CubeSpec, DisorderConfig, PreconditionError, SiteMeasure,
-                            deterministic_radius)
+                            deterministic_radius, strictly_inside)
 from blocklab.operators import block, build_gamma
 from blocklab.spectral import eigensolve, plain_block
 import oracles

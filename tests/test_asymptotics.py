@@ -19,12 +19,12 @@ from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   tail_curve,
                                   tail_exponent_fit, tail_monotonicity_check,
                                   trial_function_energy, wilson_interval)
-from blocklab.disorder import FieldSample, gap_edge, sample_fields
+from blocklab.disorder import FieldSample, sample_fields
 from blocklab.green import resolvent_columns
 from blocklab.inequalities import edge_spectra
 from blocklab.lattice import site_index
 from blocklab.model import (MAX_BLOCK_DIM, CubeSpec, DisorderConfig, PreconditionError,
-                            SiteMeasure, deterministic_radius)
+                            SiteMeasure, band_edge, deterministic_radius, gap_edge)
 from blocklab.spectral import eigensolve, ensemble_counts, plain_block
 import oracles
 from oracles import (dense_suitability_norm, dist1, eigenpair_suitability_norms,
@@ -56,6 +56,23 @@ def test_gap_edge_cases():
     # the value half_half_check and finite_volume_tail_bound compute
     mu_V, mu_B = SiteMeasure.uniform(2.25, 3), SiteMeasure.uniform(1.378, 2)
     assert gap_edge(DisorderConfig(mu_V, mu_B, 0)) == np.hypot(2.25, 1.378)
+
+
+def test_band_edge_has_the_bits_of_np_hypot():
+    # libm's hypot, as np.hypot: math.hypot rounds (2.595, 1.755) one ulp
+    # higher, and the edge's bits reach the outputs
+    assert math.hypot(2.595, 1.755) != np.hypot(2.595, 1.755)
+    pairs = [(2.25, 1.378), (2.595, 1.755), (0.0, -1.5), (3.0, -4.0)]
+    rng = np.random.default_rng(32)
+    lam = rng.uniform(0.0, 4.0, 2000)
+    pairs += zip(lam.tolist(), rng.uniform(-3.0, 3.0, 2000).tolist())
+    pairs += zip((10.0 ** rng.uniform(-300, 300, 500)).tolist(),
+                 (-10.0 ** rng.uniform(-300, 300, 500)).tolist())
+    lams, betas = np.array(pairs).T
+    assert [band_edge(x, y) for x, y in pairs] == np.hypot(lams, betas).tolist()
+    # past the float range it is inf, as np.hypot's, where abs() raises
+    with np.errstate(over="ignore"):
+        assert band_edge(1.5e308, 1.5e308) == np.hypot(1.5e308, 1.5e308) == math.inf
 
 
 def test_gap_edge_rejects_negative_lam():

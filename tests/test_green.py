@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from blocklab import green, operators, schur
-from blocklab.disorder import FieldSample, gap_edge, sample_fields
+from blocklab.disorder import FieldSample, sample_fields
 from blocklab.green import (DecayProfile, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
                             edi_check, gri_check, resolvent_columns, sli_check,
                             spectral_distance)
-from blocklab.lattice import strictly_inside
-from blocklab.model import CubeSpec, DisorderConfig, PreconditionError, SiteMeasure
+from blocklab.model import (CubeSpec, DisorderConfig, PreconditionError, SiteMeasure,
+                            gap_edge, strictly_inside)
 from blocklab.spectral import eigensolve, plain_block
 import oracles
 from oracles import (block_element, block_norm, dist1, edi_check_per_probe,

@@ -588,6 +588,10 @@ MALFORMED = {
     "dos-bins-overflow": make_text("dos", extra="[dos]\nbins = -1e308 1e308 4\n"),
     "mu_V-squares-overflow": make_text("ids", L=12, va=1e154, vb=2e154),
     "mu_V-radius-overflow": make_text("spectrum", va=-1e308, vb=1e308),
+    # a gap edge past the float range: inf, so validate reports the radius
+    "suitability-edge-overflow": make_text(
+        "suitability", L=12, va=1.5e308, vb=1.6e308, bargs="a = 1.5e308\nb = 1.6e308",
+        extra="[suitability]\nlengths = 12\n"),
     "lower_realizations-1e300": TAILS_BASE + "lower_bound = true\n"
                                              "lower_realizations = 1e300\n",
     "realizations-2^63+1": make_text("spectrum").replace(
@@ -920,7 +924,7 @@ def test_nested_geometry_is_built_once_per_run(kind, tmp_path, monkeypatch):
             calls.append(real.__name__)
             return real(*args, **kwargs)
         return wrapper
-    for module, name in ((operators, "build_gamma"), (lattice, "strictly_inside"),
+    for module, name in ((operators, "build_gamma"), (model, "strictly_inside"),
                          (lattice, "inner_boundary"), (lattice, "outer_boundary")):
         _wrap_everywhere(monkeypatch, module, name, counted)
     counts = []
@@ -1319,11 +1323,15 @@ def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
 
 def test_validate_loads_no_numpy(tmp_path):
     # the hypotheses of these kinds are arithmetic on the config's numbers,
-    # read from `model`: validating one of their configs, or the
-    # count-ensemble (wegner) or resolvent-decay (ct) workload, loads no numpy
+    # read from `model`, the gap edge and the nesting of cubes included:
+    # validating one of their configs, the count-ensemble (wegner),
+    # resolvent-decay (ct) or suitability-scan workload, or the shipped
+    # suitability config, loads no numpy
     workloads = CONFIG_DIR.parent / "perfbench" / "workloads"
-    paths = [workloads / "count-ensemble.ini", workloads / "resolvent-decay.ini"]
-    for kind in ("spectrum", "wegner", "gap", "interlace", "ct", "correlator", "fh"):
+    paths = [workloads / "count-ensemble.ini", workloads / "resolvent-decay.ini",
+             workloads / "suitability-scan.ini", CONFIG_DIR / "suitability.ini"]
+    for kind in ("spectrum", "wegner", "gap", "interlace", "ct", "correlator", "fh",
+                 "suitability", "green", "sli-edi"):
         paths.append(tmp_path / f"{kind}.ini")
         paths[-1].write_text(EIGEN_COUNT_CASES[kind])
     for path in paths:
