@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import FieldSample, sample_fields
+from .disorder import FieldSample
 from .green import combes_thomas_bound, resolvent_columns
 from .inequalities import CheckReport, EdgeSpectra, _require
 from .lattice import dist1_array, inner_boundary, site_array, site_index
@@ -23,7 +23,7 @@ from .model import (MAX_BLOCK_DIM, CubeSpec, DisorderConfig, axis_count, band_ed
 from .operators import assemble_plain, build_h0, component_indices, rim_indices
 from .schur import chain_rim_norms
 from .spectral import (Spectrum, count_below, eigensolve, ensemble_counts,
-                       ensemble_mean, per_realization, plain_block, run_realizations)
+                       ensemble_mean, per_field, plain_block, run_realizations)
 
 # the smallest cube length of a tail-curve point
 TAIL_LENGTH_FLOOR = 12
@@ -198,11 +198,10 @@ def lower_bound_scale(c0_hat: float, eps: float) -> int:
     return L
 
 
-def _lower_bound_events(rs, cube, config, lam, beta, eps, psi2):
+def _lower_bound_events(rs, V, B, lam, beta, eps, psi2):
     """Per realization of the block, whether the quadratic form
     <psi2, V - lam> + sqrt(<psi2, (B - beta)^2>) lies below eps/2.  Each
     row is summed on its own, so its value does not depend on the block."""
-    V, B = sample_fields(cube, config, rs)
     value = (psi2 * (V - lam)).sum(axis=1) + np.sqrt((psi2 * (B - beta) ** 2).sum(axis=1))
     return value < eps / 2.0
 
@@ -231,8 +230,8 @@ def lower_bound_probability(config: DisorderConfig, d: int, eps: float,
         rep.preconditions_failed += 1
         return rep
     hits = int(np.count_nonzero(run_realizations(
-        partial(_lower_bound_events, cube=cube, config=config, lam=lam,
-                beta=beta, eps=eps, psi2=_tent_vector(cube) ** 2), R)))
+        partial(_lower_bound_events, lam=lam, beta=beta, eps=eps,
+                psi2=_tent_vector(cube) ** 2), cube, config, R)))
     phat = hits / R
     sigma = math.sqrt(max(phat * (1.0 - phat), 0.0) / R)
     censored = hits < LOWER_BOUND_MIN_SUCCESSES and phat < 1.0
@@ -338,7 +337,7 @@ class SuitabilityReport:
     implication: CheckReport
 
 
-def _suitability_block(rs, cube, config, energies, a_L, cuts, tol, geometry, chain):
+def _suitability_block(rs, V, B, cube, energies, a_L, cuts, tol, geometry, chain):
     """Per realization of the block: the suitability norm per energy,
     whether the spectral distance exceeds each cut (theta x energy), and
     the gap event flag.
@@ -351,7 +350,6 @@ def _suitability_block(rs, cube, config, energies, a_L, cuts, tol, geometry, cha
     come from `schur.chain_rim_norms` when `chain` (d = 1, every energy
     inside the gap), else from one `suitability_norms` solve per
     realization on the `_suitability_geometry`."""
-    V, B = sample_fields(cube, config, rs)
     live = np.isfinite(cuts)
     radii = np.concatenate([[tol], cuts[live]])
     centres = np.concatenate([[0.0], np.tile(energies, len(radii))])
@@ -447,9 +445,9 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
     cuts = np.array([_ct_cut(distances, L ** -theta, d) for theta in thetas])
     tol = ON_SPECTRUM_RTOL * max(deterministic_radius(d, config.mu_V, config.mu_B), 1.0)
     rows = run_realizations(partial(
-        _suitability_block, cube=cube, config=config, energies=energies, a_L=a_L,
-        cuts=cuts, tol=tol, geometry=geometry,
-        chain=d == 1 and bool(np.all(np.abs(energies) < edge))), R)
+        _suitability_block, cube=cube, energies=energies, a_L=a_L, cuts=cuts, tol=tol,
+        geometry=geometry, chain=d == 1 and bool(np.all(np.abs(energies) < edge))),
+        cube, config, R)
     norms = np.array([row[0] for row in rows])                  # R x nE
     far = np.array([row[1] for row in rows])                    # R x ntheta x nE
     events = np.array([row[2] for row in rows], dtype=bool)
@@ -530,9 +528,9 @@ def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
     n = cube.site_count
     # an odd number of sites per axis: the centre is the middle site
     first, second = np.full(n, n // 2), np.arange(n)
-    rows = np.vstack(run_realizations(per_realization(
+    rows = np.vstack(run_realizations(per_field(
         partial(_correlator_row, first=first.tolist(), second=second.tolist(),
-                interval=tuple(interval)), cube, config), R))
+                interval=tuple(interval)), cube), cube, config, R))
     mean, stderr = ensemble_mean(rows)
     return CorrelatorProfile(cube, first, second, mean, stderr, R,
                              int(np.sum(rows.any(axis=1))))

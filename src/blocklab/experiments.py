@@ -5,8 +5,10 @@ reports and each kind's tables.
 loading and validating a config need neither.  Each kind's record in
 `harness.KINDS` names its function here, an _exp_* function of the
 config.  They keep the determinism contract of `harness`: rows are
-computed in this process, in blocks (`spectral.run_realizations`), and
-come back and are reduced in realization order.
+computed in this process, in blocks of realizations that
+`spectral.run_realizations` samples once each, and come back and are
+reduced in realization order.  The block size is a count, not a byte
+budget (see `spectral`).
 """
 
 import math
@@ -19,7 +21,7 @@ from .harness import _formatter, _grid, _spec, _tail_grid
 from .inequalities import CheckReport
 from .model import (CubeSpec, PreconditionError, case_beta, deterministic_radius,
                     gap_edge)
-from .spectral import eigensolve, per_realization, plain_block
+from .spectral import eigensolve, plain_block
 
 # -- reduction ------------------------------------------------------------------
 
@@ -40,9 +42,9 @@ def _realizations(cfg, row, *totals: CheckReport, cube=None, **kw):
     rows' values.  `totals` seed the totals that carry run-level
     parameters; any other name gets a fresh one, in order of appearance.
     """
-    rows = spectral.run_realizations(
-        per_realization(partial(row, **kw), cfg.cube() if cube is None else cube,
-                        cfg.disorder()), cfg.realizations)
+    cube = cfg.cube() if cube is None else cube
+    rows = spectral.run_realizations(spectral.per_field(partial(row, **kw), cube),
+                                     cube, cfg.disorder(), cfg.realizations)
     merged = {t.name: t for t in totals}
     for reports, _ in rows:
         for rep in reports:
@@ -63,7 +65,7 @@ def _summary_table(reports):
 # each _exp_* returns (tables, reports, summary); tables maps file stem to
 # (header, rows) or (header, rows, template), the arguments of `write_csv`,
 # rows iterated once, as the file is written.  Realization kernels take one realization's
-# FieldSample (see spectral.per_realization) and return their CheckReports
+# FieldSample (see spectral.per_field) and return their CheckReports
 # beside their CSV values, mapped and reduced by _realizations.  A kind's
 # function or kernel imports asymptotics or green itself, so that only the
 # kinds that use them load them.

@@ -8,11 +8,18 @@ counts at bin edges estimate the density of states.
 Eigenvalue counts need no spectrum: `count_below` reads them off the
 inertia of (H_hat - E) for a whole block of realizations at once, and
 `ensemble_counts` maps it over an ensemble for every count-only kind.
+
+Every ensemble runs through `run_realizations`, the one code that samples
+fields, a block of REALIZATION_BLOCK realizations at a time.  That block
+and the row chunks of the d = 1 chain recursions in `schur` are two
+rules, not one byte budget: larger blocks speed up the small-N count
+kinds but raise the peak memory, and the chain chunks' row floor pays
+for their Python loop over the sites, O(N) steps per chunk.  One budget
+cannot keep both time and memory flat until that loop takes O(sqrt N)
+steps (README, "Realization blocks").
 """
 
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from . import schur
@@ -121,50 +128,45 @@ def plain_block(field: FieldSample, cube=None) -> np.ndarray:
 REALIZATION_BLOCK = 256
 
 
-def run_realizations(kernel, R: int) -> list:
+def run_realizations(kernel, cube: CubeSpec, config: DisorderConfig, R: int) -> list:
     """One row per realization r = 0..R-1, in realization order, from a
-    block kernel: kernel(rs) takes a range of consecutive realization
-    indices and returns one row per index, in order.  `per_realization`
-    lifts a kernel of one realization's field.
+    block kernel: kernel(rs, V, B) takes a range of consecutive realization
+    indices and their fields on the cube, the (len(rs), N) arrays of
+    `disorder.sample_fields`, and returns one row per index, in order.
+    `per_field` lifts a kernel of one realization's field.
 
-    The blocks hold REALIZATION_BLOCK realizations, the last one the
-    rest, and run in this process one after another.  A kernel's row for
-    r may not depend on the block r sits in, so aggregates do not depend
-    on the block size.
+    This is the one place a run samples: each block of REALIZATION_BLOCK
+    realizations, the last one the rest, is sampled once, and the blocks
+    run in this process one after another.  A kernel's row for r may not
+    depend on the block r sits in, so aggregates do not depend on the
+    block size.
     """
-    return [row for lo in range(0, R, REALIZATION_BLOCK)
-            for row in kernel(range(lo, min(lo + REALIZATION_BLOCK, R)))]
+    rows = []
+    for lo in range(0, R, REALIZATION_BLOCK):
+        rs = range(lo, min(lo + REALIZATION_BLOCK, R))
+        rows.extend(kernel(rs, *sample_fields(cube, config, rs)))
+    return rows
 
 
-def per_realization(kernel, cube: CubeSpec, config: DisorderConfig):
-    """The block kernel of a kernel of one realization's field.
-
-    Each block of realizations is sampled once on the cube
-    (`disorder.sample_fields`), and kernel(field) gets the FieldSample of
-    each row in turn.
-    """
-    return partial(_each_realization, kernel, cube, config)
-
-
-def _each_realization(kernel, cube, config, rs):
-    V, B = sample_fields(cube, config, rs)
-    return [kernel(FieldSample(cube, v, b, r)) for r, v, b in zip(rs, V, B)]
+def per_field(kernel, cube: CubeSpec):
+    """The block kernel of a kernel of one realization's field:
+    kernel(field) for each row of the block in turn, its FieldSample on
+    the cube."""
+    def block(rs, V, B):
+        return [kernel(FieldSample(cube, v, b, r)) for r, v, b in zip(rs, V, B)]
+    return block
 
 
 def ensemble_counts(config: DisorderConfig, cube: CubeSpec, energies, R: int,
                     side: str) -> np.ndarray:
     """The (R, len(energies)) count_below of realizations 0..R-1 on the
-    cube at every energy, with the side given.  Each block of realizations
-    is sampled once and counted by one count_below call; the count-only
-    kinds (ids, dos, wegner, tails) differ only in how they reduce this."""
+    cube at every energy, with the side given, one count_below call per
+    block; the count-only kinds (ids, dos, wegner, tails) differ only in
+    how they reduce this."""
     energies = np.asarray(energies, dtype=float)
-    rows = run_realizations(partial(_block_counts, cube=cube, config=config,
-                                    energies=energies, side=side), R)
+    rows = run_realizations(lambda rs, V, B: count_below(cube, V, B, energies, side),
+                            cube, config, R)
     return np.array(rows, dtype=np.int64).reshape(R, len(energies))
-
-
-def _block_counts(rs, cube, config, energies, side):
-    return count_below(cube, *sample_fields(cube, config, rs), energies, side)
 
 
 def ensemble_mean(samples: np.ndarray):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blocklab import asymptotics, schur
+from blocklab import asymptotics, schur, spectral
 from blocklab.asymptotics import (ZETA_GRID, CorrelatorProfile, TailCurve,
                                   _ct_block_budget, _ct_cut,
                                   _ct_distances, _suitability_block,
@@ -264,7 +264,7 @@ def test_lower_bound_cube_over_the_cap_is_not_sampled(monkeypatch):
 
     def refuse(cube, *args):
         raise AssertionError(f"built a field or test function on {cube}")
-    monkeypatch.setattr(asymptotics, "sample_fields", refuse)
+    monkeypatch.setattr(spectral, "sample_fields", refuse)
     monkeypatch.setattr(asymptotics, "_tent_vector", refuse)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     rep = lower_bound_probability(cfg, d=2, eps=1e-4, L=L, R=100)
@@ -283,7 +283,8 @@ def kernel_rows(cube, config, rs, energies, cuts=(), chain=None):
     energies = np.asarray(energies, dtype=float)
     if chain is None:
         chain = cube.d == 1 and bool(np.all(np.abs(energies) < edge))
-    return _suitability_block(rs, cube, config, energies, edge + cube.L ** -0.5,
+    return _suitability_block(rs, *sample_fields(cube, config, rs), cube, energies,
+                              edge + cube.L ** -0.5,
                               np.asarray(cuts, dtype=float),
                               on_spectrum_tol(config, cube.d),
                               _suitability_geometry(cube), chain)

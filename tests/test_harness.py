@@ -1062,12 +1062,10 @@ def test_ct_failed_rate_fit_keeps_the_bound(tmp_path):
 
 
 def test_tails_lower_bound_cube_over_the_cap_is_skipped(tmp_path, monkeypatch):
-    from blocklab import asymptotics
-
     def sample_fields(cube, config, rs):
         assert cube.site_count <= model.MAX_BLOCK_DIM, "over-cap cube sampled"
         return disorder.sample_fields(cube, config, rs)
-    monkeypatch.setattr(asymptotics, "sample_fields", sample_fields)
+    monkeypatch.setattr(spectral, "sample_fields", sample_fields)
     # at d = 1, eps = 1e-7 asks for a cube of more than 4096 sites
     cfg = parse_config(TAILS_BASE + "lower_bound = true\nlower_epsilons = 1e-7 0.75\n"
                        "lower_realizations = 200\n")

@@ -7,7 +7,7 @@ from blocklab.inequalities import nondegeneracy_check, radius_check, symmetry_ch
 from blocklab.model import CubeSpec, DisorderConfig, SiteMeasure, deterministic_radius
 from blocklab.operators import assemble_plain, build_h, build_h0
 from blocklab.spectral import (count_below, dos_histogram, eigensolve, ensemble_counts,
-                               ids_monte_carlo, per_realization, plain_block,
+                               ids_monte_carlo, per_field, plain_block,
                                run_realizations, spectral_gap)
 from oracles import count_window, plain_block_on, sample_field
 
@@ -466,11 +466,14 @@ def field_row(f):
 @pytest.mark.parametrize("block", [1, 7, 256])
 def test_run_realizations_cuts_blocks_and_keeps_order(block, monkeypatch):
     monkeypatch.setattr(spectral, "REALIZATION_BLOCK", block)
-    assert run_realizations(lambda rs: [(r, len(rs)) for r in rs], 20) == [
-        (r, min(block, 20 - block * (r // block))) for r in range(20)]
-    # per_realization hands each kernel call its realization's field
     cube = CubeSpec(2, 3)
+    # each block is sampled once, its fields (len(rs), N) arrays
+    sizes = run_realizations(lambda rs, V, B: [(r, len(rs), V.shape, B.shape)
+                                               for r in rs], cube, UNIT, 20)
+    assert sizes == [(r, n, (n, 9), (n, 9)) for r in range(20)
+                     for n in [min(block, 20 - block * (r // block))]]
+    # per_field hands each kernel call its realization's field, in order
     expected = [field_row(sample_field(cube, UNIT, r)) for r in range(20)]
-    lifted = per_realization(field_row, cube, UNIT)
-    assert run_realizations(lifted, 20) == expected
-    assert run_realizations(lifted, 0) == []
+    lifted = per_field(field_row, cube)
+    assert run_realizations(lifted, cube, UNIT, 20) == expected
+    assert run_realizations(lifted, cube, UNIT, 0) == []

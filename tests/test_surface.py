@@ -337,3 +337,47 @@ def test_every_kind_names_a_run_of_experiments():
     from blocklab import experiments, harness
     for name, kind in harness.KINDS.items():
         assert kind.run.startswith("_exp_") and callable(getattr(experiments, kind.run)), name
+
+
+def _named(node):
+    """The identifier a node names, if any."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, (ast.alias, *DEFINITIONS)) else None)
+
+
+def naming_sites(name: str, src=SRC) -> list[str]:
+    """The sites in src that name `name` (its definition, an import, a
+    call or an attribute): module.function for a name inside a
+    module-level function, the module for any other."""
+    out = set()
+    for path in sorted(Path(src).glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = (f"{path.stem}.{stmt.name}" if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else path.stem)
+            out.update(path.stem if node is stmt else scope
+                       for node in ast.walk(stmt) if _named(node) == name)
+    return sorted(out)
+
+
+def test_only_the_realization_driver_samples_fields():
+    # disorder defines sample_fields; spectral imports it and only
+    # run_realizations calls it
+    assert naming_sites("sample_fields") == ["disorder", "spectral",
+                                             "spectral.run_realizations"]
+
+
+def test_scan_names_each_site_of_a_name(tmp_path):
+    (tmp_path / "lib.py").write_text("def draw(n):\n    return n\n")
+    (tmp_path / "mod.py").write_text(
+        "from lib import draw\n"
+        "import lib\n\n"
+        "def run(n):\n"
+        "    def block(k):\n        return draw(k)\n"
+        "    return block(n)\n\n"
+        "class Box:\n"
+        "    def take(self):\n        return lib.draw(1)\n\n"
+        "def drawn():\n    return 'draw'\n")
+    # a nested function counts for its module-level function, a method for
+    # its module; a string is no name
+    assert naming_sites("draw", tmp_path) == ["lib", "mod", "mod.run"]
