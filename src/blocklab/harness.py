@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import islice
@@ -94,18 +95,20 @@ def _nested(cfg):
 
 
 def _tail_floors(cfg):
-    """The resolution floor L >= 10/sqrt(eps) of the cube of each sorted
-    tails epsilon (`asymptotics.default_tail_length`)."""
+    """The resolution floor L >= 10/sqrt(eps) of the cube of each tails
+    epsilon, in config order (`asymptotics.default_tail_length`)."""
     from . import asymptotics
-    return [asymptotics.default_tail_length(e, cfg.d)
-            for e in sorted(cfg.value("epsilons"))]
+    return [asymptotics.default_tail_length(e, cfg.d) for e in cfg.value("epsilons")]
 
 
 def _tail_grid(cfg):
-    """The sorted epsilons of a tails run and the cube length of each, its
-    length raised to the resolution floor; `validate` holds it to the cap."""
-    eps = sorted(cfg.value("epsilons"))
-    return eps, [max(L, f) for L, f in zip(cfg.value("lengths"), _tail_floors(cfg))]
+    """The sorted epsilons of a tails run and the cube length of each: the
+    length at its epsilon's position in the config, raised to the
+    resolution floor; `validate` holds it to the cap.  The sort is stable,
+    so equal epsilons keep their config order."""
+    grid = sorted(zip(cfg.value("epsilons"), cfg.value("lengths"), _tail_floors(cfg)),
+                  key=lambda point: point[0])
+    return [e for e, _, _ in grid], [max(L, f) for _, L, f in grid]
 
 
 # the [experiment] keys besides kind, each with the converter that reads it
@@ -371,11 +374,20 @@ def _edge_problems(cfg) -> list[str]:
     return out
 
 
+def _increasing_problems(cfg, key: str) -> list[str]:
+    """Why the list `key` is not strictly increasing: the run asserts its
+    results in that order (ids_monotone, suitability_monotone_theta)."""
+    v = cfg.value(key)
+    return [] if all(a < b for a, b in zip(v, v[1:])) else [
+        f"{cfg.kind}: {key} = {cfg.extra.get(key, v)!r} is not strictly increasing"]
+
+
 def _ids_problems(cfg):
     bad = _interval_problems(cfg, "energy_range")
     # the default grid needs a valid range
     return bad + _empty_lists(cfg, "energies") + ([] if bad else _count_problems(
-        "ids", "energies", len(cfg.value("energies"))))
+        "ids", "energies", len(cfg.value("energies")))
+        + _increasing_problems(cfg, "energies"))
 
 
 def _wegner_problems(cfg):
@@ -450,9 +462,15 @@ def _finite_power(x: float, y: float) -> bool:
 
 
 def _suitability_problems(cfg):
-    out = _empty_lists(cfg, "theta", "energies", "lengths") + _edge_problems(cfg)
+    out = (_empty_lists(cfg, "theta", "energies", "lengths") + _edge_problems(cfg)
+           + _increasing_problems(cfg, "lengths"))
     lengths = cfg.value("lengths")
     out += [f"suitability: length {L} not in 6N" for L in lengths if L % 6 != 0]
+    # each theta names its reports and its threshold_L key by {theta:g}
+    names = Counter(f"{theta:g}" for theta in cfg.value("theta"))
+    out += [f"suitability: {n} thetas share the name {name} (6 significant "
+            f"digits) of their reports suitability_monotone_theta={name}"
+            for name, n in names.items() if n > 1]
     # the run's target norm L^-theta, a Python float
     for theta in cfg.value("theta"):
         big = [L for L in lengths if L >= 1 and not _finite_power(L, -theta)]

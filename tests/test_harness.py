@@ -343,7 +343,7 @@ def test_declared_default_is_the_one_validate_and_the_run_read(monkeypatch,
 
 @pytest.mark.parametrize("extra", [
     "[ids]\nenergy_range = -3 3 1e9\n",
-    "[ids]\nenergies = " + "0 " * 4097 + "\n",
+    "[ids]\nenergies = " + " ".join(map(str, range(4097))) + "\n",
     # 4096 bins have 4097 edges
     "[dos]\nbins = -3 3 4096\n",
     # two edges for each of 2049 windows
@@ -611,6 +611,14 @@ MALFORMED = {
         "workers = 1", "workers = 1\nrealisations = 3"),
     "mu_V-c": make_text("spectrum", vargs="a = 0.0\nb = 1.0\nc = 7"),
     "spectrm": make_text("spectrum", extra="[spectrm]\n"),
+    # a grid out of order, and thetas that share a report name: each once
+    # validated, and then its run failed a check by construction or merged
+    # two thetas' names
+    "ids-energies-unsorted": make_text("ids", extra="[ids]\nenergies = 2 0 1\n"),
+    "suitability-lengths-unsorted": SUITABILITY_BASE.replace("lengths = 6 12",
+                                                             "lengths = 24 12"),
+    "suitability-theta-same-name": SUITABILITY_BASE + "theta = 1.5 1.5000001\n",
+    "suitability-theta-repeated": SUITABILITY_BASE + "theta = 2 2\n",
 }
 
 
@@ -655,6 +663,18 @@ DIAGNOSTICS = {
         TAILS_BASE.replace("kind = uniform\na = 1.0\nb = 2.0",
                            "kind = point_mass\nc = 1.0"),
 }
+
+
+@pytest.mark.parametrize("name, problem", [
+    ("ids-energies-unsorted", "ids: energies = '2 0 1' is not strictly increasing"),
+    ("suitability-lengths-unsorted",
+     "suitability: lengths = '24 12' is not strictly increasing"),
+    ("suitability-theta-same-name",
+     "suitability: 2 thetas share the name 1.5 (6 significant digits) of their "
+     "reports suitability_monotone_theta=1.5"),
+], ids=["ids-energies", "suitability-lengths", "suitability-theta"])
+def test_validate_names_the_key_of_a_grid_out_of_order(name, problem):
+    assert validate(parse_config(MALFORMED[name])) == [problem]
 
 
 def test_the_largest_dimension_runs(tmp_path, capsys):
@@ -1121,6 +1141,24 @@ def test_tails_experiment(tmp_path):
     result = run(cfg, tmp_path)
     assert result.exit_code == 0
     assert "alpha_hat" in result.summary
+
+
+def test_tails_lengths_pair_with_their_epsilons(tmp_path):
+    # each length goes with the epsilon at its position in the config, and
+    # then the grid is sorted: the floor 10/sqrt(0.3) raises 16 to 19 at
+    # eps = 0.3, and 40 stays at eps = 0.5
+    text = TAILS_BASE.replace("epsilons = 0.3", "epsilons = 0.5 0.3")
+    cfg = parse_config(text.replace("lengths = 15", "lengths = 40 16"))
+    assert validate(cfg) == []
+    assert harness._tail_grid(cfg) == ([0.3, 0.5], [19, 40])
+    assert run(cfg, tmp_path).exit_code == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "tails.csv").read_text().splitlines()[1:]]
+    assert [(float(row[0]), int(row[1])) for row in rows] == [(0.3, 19), (0.5, 40)]
+    # unset lengths default to the floors, in config order
+    cfg = parse_config(text.replace("lengths = 15\n", ""))
+    assert cfg.value("lengths") == [15, 19]
+    assert harness._tail_grid(cfg) == ([0.3, 0.5], [19, 15])
 
 
 def test_correlator_experiment(tmp_path):
