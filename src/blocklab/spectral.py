@@ -20,6 +20,7 @@ steps (README, "Realization blocks").
 """
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import schur

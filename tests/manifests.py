@@ -1,6 +1,6 @@
 """Output manifests of every shipped config and benchmark workload.
 
-    python tests/manifests.py OUT.json [--against OTHER.json] [INI ...]
+    python tests/manifests.py OUT.json [--against OTHER.json | --parent REF] [INI ...]
 
 Runs `blocklab.harness.run` on every `configs/*.ini` and every
 `perfbench/workloads/*.ini` of this checkout, on the two variants of the
@@ -20,6 +20,12 @@ whose sha256 differs, each report name and each summary key added,
 removed or changed), and the exit code is 1.  That is the byte-identity
 proof of a refactor, one command per side, the config side included.
 
+--parent REF builds the other side itself: it checks REF out in a
+temporary detached `git worktree`, runs REF's own tests/manifests.py
+there with the same INI arguments (paths resolve from the current
+directory on both sides), removes the worktree, and compares as
+--against does.  So the proof against a parent commit is one command.
+
 The file name keeps pytest from collecting it.
 """
 
@@ -27,6 +33,7 @@ import argparse
 import configparser
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -91,6 +98,22 @@ def manifest(extra=()) -> dict:
     return entries
 
 
+def parent_manifest(ref: str, inis) -> dict:
+    """The manifest that commit `ref`'s own tests/manifests.py writes for
+    the given INIs, run in a temporary detached worktree of this
+    repository, which is removed afterwards."""
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, out = Path(tmp) / "tree", Path(tmp) / "parent.json"
+        subprocess.run(git + ["add", "--detach", "--quiet", str(tree), ref], check=True)
+        try:
+            subprocess.run([sys.executable, str(tree / "tests" / "manifests.py"),
+                            str(out), *map(str, inis)], check=True)
+        finally:
+            subprocess.run(git + ["remove", "--force", str(tree)], check=True)
+        return json.loads(out.read_text(encoding="utf-8"))
+
+
 def differences(ours: dict, theirs: dict) -> list[str]:
     """The keys whose entries differ or exist on one side only, sorted."""
     return sorted(key for key in ours.keys() | theirs.keys()
@@ -135,7 +158,11 @@ def changes(ours: dict, theirs: dict) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="where to write this checkout's manifest")
-    parser.add_argument("--against", type=Path, help="a manifest to compare with")
+    other = parser.add_mutually_exclusive_group()
+    other.add_argument("--against", type=Path, help="a manifest to compare with")
+    other.add_argument("--parent", metavar="REF",
+                       help="a commit whose own manifest, for the same INIs, to "
+                            "compare with")
     parser.add_argument("inis", nargs="*", metavar="INI",
                         help="more configs to run, beside the checkout's own")
     # INIs may follow --against: positionals on either side of it
@@ -144,17 +171,26 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(entries, indent=1, sort_keys=True, default=_plain)
                         + "\n", encoding="utf-8")
     print(f"{len(entries)} runs written to {args.out}")
-    if args.against is None:
+    if args.parent is not None:
+        try:
+            theirs = parent_manifest(args.parent, args.inis)
+        except subprocess.CalledProcessError as e:
+            print(f"--parent {args.parent}: {e}", file=sys.stderr)
+            return 2
+        other = args.parent
+    elif args.against is not None:
+        theirs = json.loads(args.against.read_text(encoding="utf-8"))
+        other = args.against
+    else:
         return 0
-    theirs = json.loads(args.against.read_text(encoding="utf-8"))
     differ = differences(entries, theirs)
     for key in differ:
         print(f"differs: {key}")
         side = ("only here" if key not in theirs else
-                f"only in {args.against}" if key not in entries else None)
+                f"only in {other}" if key not in entries else None)
         for line in [side] if side else changes(entries[key], theirs[key]):
             print(f"  {line}")
-    print(f"{len(differ)} of {len(entries)} runs differ from {args.against}")
+    print(f"{len(differ)} of {len(entries)} runs differ from {other}")
     return 1 if differ else 0
 
 
