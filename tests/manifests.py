@@ -165,7 +165,7 @@ def main(argv=None) -> int:
                             "compare with")
     parser.add_argument("inis", nargs="*", metavar="INI",
                         help="more configs to run, beside the checkout's own")
-    # INIs may follow --against: positionals on either side of it
+    # INIs may follow --against or --parent: positionals on either side of it
     args = parser.parse_intermixed_args(argv)
     entries = manifest(args.inis)
     args.out.write_text(json.dumps(entries, indent=1, sort_keys=True, default=_plain)

@@ -18,6 +18,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "blocklab"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _named(node):
+    """The identifier a node names, if any."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, (ast.alias, *DEFINITIONS)) else None)
+
+
 def _scan(tree, module, defined, named):
     """Record the public definitions of one module in `defined` (name ->
     qualified names) and every identifier it names in `named`, skipping a
@@ -34,9 +41,7 @@ def _scan(tree, module, defined, named):
                          else None)
                 visit(child, enclosing | {child.name}, inner)
                 continue
-            name = (child.id if isinstance(child, ast.Name)
-                    else child.attr if isinstance(child, ast.Attribute)
-                    else child.name if isinstance(child, ast.alias) else None)
+            name = _named(child)
             if name is not None and name not in enclosing:
                 named.add(name)
             visit(child, enclosing, owner)
@@ -337,13 +342,6 @@ def test_every_kind_names_a_run_of_experiments():
     from blocklab import experiments, harness
     for name, kind in harness.KINDS.items():
         assert kind.run.startswith("_exp_") and callable(getattr(experiments, kind.run)), name
-
-
-def _named(node):
-    """The identifier a node names, if any."""
-    return (node.id if isinstance(node, ast.Name)
-            else node.attr if isinstance(node, ast.Attribute)
-            else node.name if isinstance(node, (ast.alias, *DEFINITIONS)) else None)
 
 
 def naming_sites(name: str, src=SRC) -> list[str]:
