@@ -11,11 +11,12 @@ worker count, and a sub-region of a cube automatically carries the same
 field values.  A SplitMix64-style counter hash (Steele, Lea & Flood,
 OOPSLA 2014) draws a whole block of realizations at once as uint64 array
 arithmetic; seeds, realization indices and coordinates are signed 64-bit
-integers.
+integers.  `sample_fields(cube, config)` is the sampler of one cube: it
+mixes the site and family keys once, and its draws read them, so the
+keys live as long as the sampler and no longer.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,18 +62,9 @@ class FieldSample:
 
     def at(self, cube: CubeSpec) -> tuple[np.ndarray, np.ndarray]:
         """(V, B) on a cube inside this field's cube, in its canonical site
-        order.  The positions of the cube's sites in this cube are
-        computed once per run and cached."""
-        idx = _positions(self.cube, cube)
+        order."""
+        idx = site_index(self.cube, cube, strict=True)
         return self.V[idx], self.B[idx]
-
-
-@lru_cache(maxsize=64)
-def _positions(cube: CubeSpec, sub: CubeSpec) -> np.ndarray:
-    """Canonical index in the cube of every site of the sub-cube, read-only."""
-    idx = site_index(cube, sub, strict=True)
-    idx.flags.writeable = False
-    return idx
 
 
 # SplitMix64's increment and finalizer multipliers, its three shifts and the
@@ -104,33 +96,23 @@ def _absorb(key: int, words) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=64)
-def _family_key(master_seed: int, family: str) -> np.ndarray:
-    """The key of one (seed, family) stream, as a read-only one-element
-    array."""
-    key = _absorb(_SEED_KEY0, (master_seed, *family.encode("ascii")))
-    key.flags.writeable = False
-    return key
-
-
-@lru_cache(maxsize=64)
 def _site_keys(cube: CubeSpec) -> np.ndarray:
     """One key per cube site, in canonical order, mixed from (d, coordinates).
 
     A key depends on the site's coordinates, not its index, so a site has
-    the same key in every cube that contains it.  Read-only: it is shared.
+    the same key in every cube that contains it.
     """
     coords = site_array(cube).view(np.uint64)
     keys = _absorb(_SITE_KEY0, (cube.d,)).repeat(len(coords))
     for j in range(cube.d):
         keys = _mix(keys ^ coords[:, j])
-    keys.flags.writeable = False
     return keys
 
 
-def _uniforms(master_seed: int, realizations, family: str,
-              cube: CubeSpec) -> np.ndarray:
-    """Uniform [0,1) variates of a block of realizations at every cube site.
+def _uniforms(realizations, family_key: np.ndarray,
+              site_keys: np.ndarray) -> np.ndarray:
+    """Uniform [0,1) variates of a block of realizations at every site of
+    a cube, from the keys of its (seed, family) stream and of its sites.
 
     A counter hash in the style of SplitMix64: the (seed, family) key and
     each realization index give a realization key, each site its
@@ -141,23 +123,29 @@ def _uniforms(master_seed: int, realizations, family: str,
     computes one value on Python ints and is the bit-for-bit reference.
     """
     rs = np.asarray(realizations, dtype=np.int64).view(np.uint64)
-    z = _mix(rs ^ _family_key(master_seed, family))[:, None] ^ _site_keys(cube)
+    z = _mix(rs ^ family_key)[:, None] ^ site_keys
     return (_mix(_mix(z)) >> _S11) * 2.0 ** -53
 
 
-def sample_fields(cube: CubeSpec, config: DisorderConfig,
-                  realizations) -> tuple[np.ndarray, np.ndarray]:
-    """The V- and B-fields of a block of realizations on a cube.
+def sample_fields(cube: CubeSpec, config: DisorderConfig):
+    """The sampler of the V- and B-fields on a cube: draw(realizations)
+    returns the two (R, N) arrays of a block of realizations.
 
-    Row i of each (R, N) array is realization realizations[i], in canonical
-    site order, and its values do not depend on the other rows of the
-    block: a block of one realization draws the same row.
+    Row i of each array is realization realizations[i], in canonical site
+    order, and its values do not depend on the other rows of the block: a
+    block of one realization draws the same row.  The site keys and the
+    family keys are mixed here, once per sampler, and read by every draw.
     """
-    seed = config.master_seed
     n = cube.site_count
-    # a point mass ignores its uniforms, so its family is not hashed
-    return tuple(
-        np.full((len(realizations), n), m.params[0]) if m.kind == "point_mass"
-        else from_uniform(m, _uniforms(seed, realizations, family, cube))
-        for m, family in ((config.mu_V, "V"), (config.mu_B, "B")))
+    site_keys = _site_keys(cube)
+    # each measure with the key of its (seed, family) stream; a point mass
+    # ignores its uniforms, so its family is not hashed
+    measures = [(m, None if m.kind == "point_mass" else _absorb(
+                    _SEED_KEY0, (config.master_seed, *family.encode("ascii"))))
+                for m, family in ((config.mu_V, "V"), (config.mu_B, "B"))]
 
+    def draw(realizations) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.full((len(realizations), n), m.params[0]) if key is None
+                     else from_uniform(m, _uniforms(realizations, key, site_keys))
+                     for m, key in measures)
+    return draw

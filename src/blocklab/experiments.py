@@ -175,10 +175,16 @@ def _exp_interlace(cfg):
     return {"interlace": _summary_table(reports)}, reports, {"lam": lam, "beta": beta}
 
 
-def _green_row(f, cubes, energy):
+def _nestings(cubes):
+    """The Nestings of each of three cubes in the next, built once per run."""
+    from . import green
+    return tuple(green.nesting(inner, outer) for inner, outer in zip(cubes, cubes[1:]))
+
+
+def _green_row(f, nests, energy):
     from . import green
     try:
-        rep = green.gri_check(*cubes, f, energy)
+        rep = green.gri_check(*nests, f, energy)
     except PreconditionError:
         return [CheckReport("gri_residual", preconditions_failed=1)], None
     p = rep.parameters
@@ -193,7 +199,7 @@ def _exp_green(cfg):
     reports, vals = _realizations(
         cfg, _green_row,
         CheckReport("gri_residual", parameters={"E": energy, "lengths": list(lengths)}),
-        cube=cubes[2], cubes=cubes, energy=energy)
+        cube=cubes[2], nests=_nestings(cubes), energy=energy)
     rows = [(r, energy) + v for r, v in enumerate(vals) if v is not None]
     header = ["realization", "E", "residual", "delta2", "delta3", "cap", "passed"]
     return {"green": (header, rows)}, reports, {}
@@ -308,15 +314,15 @@ def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
     return int(np.flatnonzero(dist <= dist.min() + tol)[-1])
 
 
-def _sli_edi_row(f, cubes, energy):
+def _sli_edi_row(f, nests, energy):
     from . import green
-    c1, c2, c3 = cubes
+    n12, n23 = nests
     # one solve each of the host cube and the middle cube serves both checks
     host = eigensolve(plain_block(f), want_vectors=True)
-    middle = eigensolve(plain_block(f, c2))
-    sli = _attempt("sli", green.sli_check, c1, c2, c3, f, energy,
+    middle = eigensolve(plain_block(f, n23.inner))
+    sli = _attempt("sli", green.sli_check, n12, n23, f, energy,
                    spectra=(middle, host))
-    edi = _attempt("edi", green.edi_check, c2, c3, f,
+    edi = _attempt("edi", green.edi_check, n23, f,
                    _probe_index(host.eigenvalues, energy), host=host, inner=middle)
     return [sli, edi], None
 
@@ -326,8 +332,8 @@ def _exp_sli_edi(cfg):
     cubes = tuple(CubeSpec(cfg.d, l) for l in cfg.value("lengths"))
     reports, _ = _realizations(cfg, _sli_edi_row,
                                CheckReport("sli", parameters={"E": energy}),
-                               CheckReport("edi"), cube=cubes[2], cubes=cubes,
-                               energy=energy)
+                               CheckReport("edi"), cube=cubes[2],
+                               nests=_nestings(cubes), energy=energy)
     return {"sli_edi": _summary_table(reports)}, reports, {}
 
 

@@ -7,17 +7,19 @@ factorizations, or inside the deterministic gap with the Schur sweeps of
 `schur`, where the gap theorem also bounds the spectral distance without a
 spectrum.  The slice resolvent returns G in slice order, the one matrix of
 its size in a Combes-Thomas profile, whose pairs are read by their
-row-major index."""
+row-major index, and each profile builds its own pair distances.  The
+nested checks read `Nesting` records of the cubes, which the caller
+builds once per run and hands to every realization; nothing is cached
+here."""
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import lattice, schur
 from .disorder import FieldSample
 from .inequalities import CheckReport, _require
-from .model import PreconditionError, axis_count, strictly_inside
+from .model import CubeSpec, PreconditionError, axis_count, strictly_inside
 from .operators import block, build_gamma, component_indices, rim_indices
 from .schur import slice_resolvent
 from .spectral import Spectrum, eigensolve, plain_block
@@ -96,55 +98,59 @@ RESIDUAL_BLOCK_BYTES = 2 ** 22
 
 @dataclass(frozen=True)
 class Nesting:
-    """A cube strictly inside an enclosing one, as the nested checks read
-    it: the indices, in both block components, of the cube (`inside`) and
-    of its outer boundary (`rim_out`) in the enclosing one; the block
-    Gamma[rim_out, inner boundary] of the lifted boundary operator, and
-    the norm of Gamma."""
+    """Cube `inner` strictly inside cube `outer`, as the nested checks read
+    it: the indices, in both block components, of the inner cube
+    (`inside`) and of its outer boundary (`rim_out`) in the outer one;
+    each cube's inner boundary in itself (`inner_rim`, `outer_rim`), the
+    resolvent columns a check solves for; the block Gamma[rim_out, inner
+    boundary] of the lifted boundary operator, and the norm of Gamma."""
 
+    inner: CubeSpec
+    outer: CubeSpec
     inside: np.ndarray
     rim_out: np.ndarray
+    inner_rim: np.ndarray
+    outer_rim: np.ndarray
     gamma: np.ndarray
     gamma_norm: float
 
 
-@lru_cache(maxsize=8)
 def nesting(inner, outer) -> Nesting | None:
-    """The read-only Nesting of cube `inner` in cube `outer`, None unless
-    `inner` lies strictly inside `outer`; decided once per pair per run
-    (`harness.run` clears the cache)."""
+    """The Nesting of cube `inner` in cube `outer`, None unless `inner`
+    lies strictly inside `outer`.  A kind builds its records once per run
+    and hands them to every realization's checks."""
     if not strictly_inside(inner, outer):
         return None
     inside = component_indices(outer, inner)
     rim_out = component_indices(outer, lattice.outer_boundary(inner))
+    inner_rim = rim_indices(inner)
     gamma = build_gamma(inner, outer)
-    lifted = block(gamma, 0.0, gamma)[np.ix_(rim_out, inside[rim_indices(inner)])]
-    for a in (inside, rim_out, lifted):
-        a.flags.writeable = False
-    return Nesting(inside, rim_out, lifted, float(np.linalg.norm(gamma, 2)))
+    lifted = block(gamma, 0.0, gamma)[np.ix_(rim_out, inside[inner_rim])]
+    return Nesting(inner, outer, inside, rim_out, inner_rim, rim_indices(outer),
+                   lifted, float(np.linalg.norm(gamma, 2)))
 
 
-def _gri_blocks(region1, region2, region3, field, energy, spectra=(None, None)):
+def _gri_blocks(n12, n23, field, energy, spectra=(None, None)):
     """G3[i3, r1], G3[i3, o2] and G2[i2, r1] (i: inner boundary, o: outer
-    boundary) of the resolvents on region3 and region2, the Nesting of
-    region2 in region3, which holds Gamma[o2, i2], and delta2, delta3.
-    G is symmetric: each block is read off the rim columns."""
-    n12, n23 = nesting(region1, region2), nesting(region2, region3)
+    boundary) of the resolvents on region3 and region2, for the Nestings
+    n12 of region1 in region2 and n23 of region2 in region3, and delta2,
+    delta3.  G is symmetric: each block is read off the rim columns."""
     _require(n12 is not None and n23 is not None,
              "need region1 strictly inside region2 strictly inside region3")
-    m2, m3 = plain_block(field, region2), plain_block(field, region3)
+    m2, m3 = plain_block(field, n23.inner), plain_block(field, n23.outer)
     delta2, delta3 = (spectral_distance(m, energy, s)
                       for m, s in zip((m2, m3), spectra))
-    x2, x3 = (resolvent_columns(m, [energy], rim_indices(region))[0]
-              for m, region in ((m2, region2), (m3, region3)))
+    x2, x3 = (resolvent_columns(m, [energy], rim)[0]
+              for m, rim in ((m2, n23.inner_rim), (m3, n23.outer_rim)))
     r1 = n23.inside[n12.inside]
-    return x3[r1].T, x3[n23.rim_out].T, x2[n12.inside].T, n23, delta2, delta3
+    return x3[r1].T, x3[n23.rim_out].T, x2[n12.inside].T, delta2, delta3
 
 
-def gri_check(region1, region2, region3, field: FieldSample,
+def gri_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
               energy: float) -> CheckReport:
-    """Geometric resolvent identity: its max-entry residual against
-    GRI_COEFF (1 + 1/delta2)(1 + 1/delta3).
+    """Geometric resolvent identity on region1 in region2 in region3, the
+    Nestings n12 and n23 (None: not strictly inside): its max-entry
+    residual against GRI_COEFF (1 + 1/delta2)(1 + 1/delta3).
 
     The boundary-block of the large resolvent towards the core region must
     equal the chain large-resolvent -> boundary operator -> small-resolvent
@@ -153,8 +159,7 @@ def gri_check(region1, region2, region3, field: FieldSample,
     The residual, both spectral distances and the cap are reported as
     parameters.
     """
-    lhs, a, b, n23, delta2, delta3 = _gri_blocks(region1, region2, region3,
-                                                 field, energy)
+    lhs, a, b, delta2, delta3 = _gri_blocks(n12, n23, field, energy)
     res = float(np.max(np.abs(lhs + a @ n23.gamma @ b)))
     cap = GRI_COEFF * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
     rep = CheckReport("gri_residual",
@@ -165,15 +170,15 @@ def gri_check(region1, region2, region3, field: FieldSample,
     return rep
 
 
-def sli_check(region1, region2, region3, field: FieldSample, energy: float,
-              spectra: tuple[Spectrum, Spectrum]) -> CheckReport:
-    """Boundary-to-core resolvent block bounded through the intermediate scale.
+def sli_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
+              energy: float, spectra: tuple[Spectrum, Spectrum]) -> CheckReport:
+    """Boundary-to-core resolvent block bounded through the intermediate
+    scale, on the Nestings of `gri_check`.
 
     `spectra` holds the spectra of the plain blocks on region2 and region3,
     which the caller solves once for this check and `edi_check`.
     """
-    g3_r1, a, b, n23, _, _ = _gri_blocks(region1, region2, region3, field,
-                                         energy, spectra)
+    g3_r1, a, b, _, _ = _gri_blocks(n12, n23, field, energy, spectra)
     lhs = np.linalg.norm(g3_r1, 2)
     rhs = n23.gamma_norm * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
     rep = CheckReport("sli", parameters={"E": energy, "gamma": n23.gamma_norm})
@@ -181,24 +186,25 @@ def sli_check(region1, region2, region3, field: FieldSample, energy: float,
     return rep
 
 
-def edi_check(region, cube3, field: FieldSample, eigen_index: int,
+def edi_check(nest: Nesting | None, field: FieldSample, eigen_index: int,
               host: Spectrum, inner: Spectrum) -> CheckReport:
     """Eigenfunction mass at every site of the region bounded by resolvent
-    times boundary mass.
+    times boundary mass, for the Nesting of the region in the host cube
+    (None: not strictly inside).
 
     The eigenpair comes from the enclosing cube; the identity behind the
     bound is volume-local, so exact finite-volume eigenfunctions stand in
     for generalized eigenfunctions.  `host` (with eigenvectors) and
-    `inner` are the spectra of the plain blocks on cube3 and on the region,
-    which the caller solves once for this check and `sli_check`.
+    `inner` are the spectra of the plain blocks on the host cube and on
+    the region, which the caller solves once for this check and
+    `sli_check`.
     """
-    nest = nesting(region, cube3)
     _require(nest is not None, "region must be strictly inside the host cube")
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    m = plain_block(field, region)
+    m = plain_block(field, nest.inner)
     spectral_distance(m, energy, inner)     # raises if E is too close to sigma(m)
-    x = resolvent_columns(m, [energy], rim_indices(region))[0]
+    x = resolvent_columns(m, [energy], nest.inner_rim)[0]
     n = len(nest.inside) // 2
     rows = np.arange(n) + np.array([[0], [n]])   # the probes' rows in both components
     # per probe the 2-norm of G[probe, rim], read off the rim columns: its
@@ -271,8 +277,8 @@ def decay_profile(field: FieldSample, energy: float,
     distance: the rounded entries of the matrix may move it by about
     ulp(2d + lam), far below the rounding of an eigensolve.  Otherwise
     `spectral_distance` gives the distance and `resolvent_columns`,
-    against every column, gives G.  The pair distances are built once per
-    cube and shared by every profile on it."""
+    against every column, gives G.  Each profile builds its own pair
+    distances."""
     cube = field.cube
     if in_gap:
         delta, g = 1.0, slice_resolvent(field, energy)
@@ -289,20 +295,16 @@ def decay_profile(field: FieldSample, energy: float,
     return DecayProfile(energy, delta, _all_pairs(cube), norm.reshape(-1), caps)
 
 
-@lru_cache(maxsize=8)
 def _all_pairs(cube) -> np.ndarray:
     """The 1-norm distance of every ordered pair of the cube's sites, in
     row-major order of their canonical indices, as one int32 array, built
-    axis by axis with no pair index arrays; built once per cube and
-    shared, so read-only.  `harness.run` clears the cache."""
+    axis by axis with no pair index arrays."""
     n = cube.site_count
     dist = np.zeros((n, n), dtype=np.int32)
     for x in lattice.site_array(cube).T.astype(np.int32):
         step = np.subtract.outer(x, x)
         dist += np.abs(step, out=step)
-    dist = dist.reshape(-1)
-    dist.flags.writeable = False
-    return dist
+    return dist.reshape(-1)
 
 
 def combes_thomas_check(profile: DecayProfile) -> CheckReport:

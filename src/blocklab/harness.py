@@ -14,7 +14,10 @@ size, because a realization's row is a pure function of (seed, realization
 index), whatever block it is computed in, and aggregation always consumes
 results in realization order (see `experiments`).  The worker count is
 validated and recorded; every run computes in one process, on one BLAS
-thread.
+thread.  Nor does a run depend on the runs before it in the process:
+each per-cube value (an operator, a sampler's keys, a nested geometry)
+is built by the call that uses it, and the only memos, `_formatter`
+and `blas._openblas`, hold nothing of a run's cubes.
 
 Loading a config reads only `model` and the standard library, and so
 does validating it, the gap edge and the nesting of cubes included, for
@@ -30,7 +33,6 @@ import importlib.util
 import io
 import math
 import os
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -428,6 +430,11 @@ def _tails_problems(cfg):
     eps = cfg.value("epsilons")
     if min(eps, default=1.0) <= 0:
         out.append("tails: epsilons must be > 0")
+    # the run sorts the grid, asserts tail_monotonicity along it and fits
+    # the exponent in ln eps: one epsilon at two lengths compares two cube
+    # sizes as if they were two epsilons
+    out += [f"tails: epsilon {e:g} is given {n} times"
+            for e, n in Counter(eps).items() if n > 1]
     if (n := len(cfg.value("lengths"))) != len(eps):
         out.append(f"tails: {n} lengths for {len(eps)} epsilons")
     # grid points whose lengths give one cube share one count
@@ -675,19 +682,10 @@ def run(cfg: ExperimentConfig, outdir) -> RunResult:
 
     import numpy as np
 
-    from . import blas, disorder, experiments, inequalities, operators
+    from . import blas, experiments, inequalities
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     diagnostics = validate(cfg)
-    # cold per-cube caches: a run's cost does not depend on earlier runs in
-    # this process, and the caches hold only this run's cubes
-    caches = [disorder._site_keys, disorder._family_key, disorder._positions,
-              operators.template, operators.rim_indices]
-    green = sys.modules.get(f"{__package__}.green")   # loaded by its kinds only
-    if green is not None:
-        caches += [green._all_pairs, green.nesting]
-    for cache in caches:
-        cache.cache_clear()
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": _scipy_version(),
            "cpu_affinity": len(os.sched_getaffinity(0))}

@@ -30,6 +30,16 @@ def _offsets(n: int, d: int) -> np.ndarray:
     return np.indices((n,) * d).reshape(d, -1)
 
 
+def neighbour_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sites one step apart in an n^d box, as two arrays of canonical
+    indices (i, i + stride): axis k has stride n^k, and i is each site
+    with an offset below n - 1 on it; none at n = 1."""
+    i = np.arange(n ** d)
+    strides = n ** np.arange(d)
+    axis, lo = np.nonzero(i // strides[:, None] % n < n - 1)
+    return lo, lo + strides[axis]
+
+
 def site_array(cube: CubeSpec) -> np.ndarray:
     """The cube's sites as an (N, d) integer array, in canonical order."""
     lo, n = _corner(cube)

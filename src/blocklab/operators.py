@@ -7,17 +7,17 @@ the Dirichlet/Neumann bracketing blocks of a field on a cube, and the
 boundary hopping operator.
 
 Every operator is a float matrix; the block layout's are `BlockMatrix`
-arrays.  Block layout is fixed throughout
-the package: with N cube sites in canonical (lexicographic) order,
-indices 0..N-1 address the upper component and N..2N-1 the lower one.
+arrays.  Each call builds its own matrix, from the axis strides of the
+cube, and nothing is cached, so the caller owns what it gets.  Block
+layout is fixed throughout the package: with N cube sites in canonical
+(lexicographic) order, indices 0..N-1 address the upper component and
+N..2N-1 the lower one.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
 from . import lattice
-from .model import strictly_inside
+from .model import axis_count, strictly_inside
 
 BOUNDARY_CONDITIONS = ("simple", "dirichlet", "neumann")
 
@@ -25,47 +25,34 @@ BOUNDARY_CONDITIONS = ("simple", "dirichlet", "neumann")
 def build_h0(cube, bc: str = "simple") -> np.ndarray:
     """Discrete Laplacian on a cube under the given boundary condition.
 
-    All variants have -1 on neighbour pairs inside the cube.  Diagonals:
-    simple 2d everywhere (plain truncation of the full-lattice matrix),
-    neumann = number of neighbours kept inside, dirichlet = 2d + number of
-    neighbours lost to the outside.  This pins the quadratic-form bracketing
-    H^N <= H0 <= H^D.
+    All variants have -1 on neighbour pairs inside the cube, found by the
+    axis strides of the canonical order (`lattice.neighbour_pairs`).
+    Diagonals: simple 2d everywhere (plain truncation of the full-lattice
+    matrix), neumann = number of neighbours kept inside, dirichlet = 2d +
+    number of neighbours lost to the outside.  This pins the
+    quadratic-form bracketing H^N <= H0 <= H^D.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    points = lattice.site_array(cube)
-    n, d = points.shape
+    n = cube.site_count
     m = np.zeros((n, n))
-    # canonical index of the +1 neighbour along each axis, -1 outside
-    shifted = points + np.eye(d, dtype=np.int64)[:, None]      # (d, n, d)
-    up = lattice.site_index(cube, shifted.reshape(-1, d)).reshape(d, n)
-    for j in up:
-        i = np.flatnonzero(j >= 0)
-        m[i, j[i]] = m[j[i], i] = -1.0
-    deg = np.count_nonzero(m, axis=1).astype(float)   # neighbours inside
+    lo, hi = lattice.neighbour_pairs(axis_count(cube.L), cube.d)
+    m[lo, hi] = m[hi, lo] = -1.0
+    # neighbours inside
+    deg = (np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)).astype(float)
     if bc == "simple":
-        m[np.diag_indices(n)] = 2.0 * d
+        m[np.diag_indices(n)] = 2.0 * cube.d
     elif bc == "neumann":
         m[np.diag_indices(n)] = deg
     else:
-        m[np.diag_indices(n)] = 4.0 * d - deg
-    return m
-
-
-@lru_cache(maxsize=32)
-def template(cube, bc: str) -> np.ndarray:
-    """H0 on a cube under the boundary condition, built once per (cube, bc)
-    and shared, so read-only: an operator of one realization copies it and
-    writes only its diagonal.  `harness.run` clears the cache."""
-    m = build_h0(cube, bc)
-    m.flags.writeable = False
+        m[np.diag_indices(n)] = 4.0 * cube.d - deg
     return m
 
 
 def build_h(cube, bc: str, V: np.ndarray) -> np.ndarray:
     """Random Schroedinger operator H = H0 + V on the cube, V in its
     canonical site order."""
-    m = template(cube, bc).copy()
+    m = build_h0(cube, bc)
     m[np.diag_indices(len(m))] += V
     return m
 
@@ -137,11 +124,6 @@ def component_indices(ambient, subset) -> np.ndarray:
     return np.concatenate([base, base + ambient.site_count])
 
 
-@lru_cache(maxsize=8)
 def rim_indices(cube) -> np.ndarray:
-    """Indices of a cube's inner boundary in it, in both components, built
-    once per cube and shared, so read-only.  `harness.run` clears the
-    cache."""
-    rim = component_indices(cube, lattice.inner_boundary(cube))
-    rim.flags.writeable = False
-    return rim
+    """Indices of a cube's inner boundary in it, in both components."""
+    return component_indices(cube, lattice.inner_boundary(cube))

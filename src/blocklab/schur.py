@@ -36,6 +36,7 @@ Pivot policy.
 
 import numpy as np
 
+from .lattice import neighbour_pairs
 from .model import axis_count
 
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -52,12 +53,12 @@ def slice_blocks(cube, V, B) -> np.ndarray:
     B on the cube, as a (..., n, 2s, 2s) array, with no dense operator.
 
     The upper block is the s x s Laplacian within a slice, the leading
-    block of `operators.template`: 2d on the diagonal and -1 between sites
-    one step apart on one of the last d - 1 axes, whose strides in the
-    canonical order are 1, n, ..., n^(d-2); built in small integers, so
-    exactly.  V is added on its diagonal by the add `build_h` makes; the
-    lower block is minus it, and B lies on both coupling diagonals: the
-    blocks `plain_block` holds, bit for bit.
+    block of `operators.build_h0`: 2d on the diagonal and -1 between the
+    sites one step apart on one of the last d - 1 axes
+    (`lattice.neighbour_pairs` of an n^(d-1) box); built in small
+    integers, so exactly.  V is added on its diagonal by the add `build_h`
+    makes; the lower block is minus it, and B lies on both coupling
+    diagonals: the blocks `plain_block` holds, bit for bit.
     """
     n = axis_count(cube.L)
     s = cube.site_count // n
@@ -65,9 +66,8 @@ def slice_blocks(cube, V, B) -> np.ndarray:
     i = np.arange(s)
     d = np.zeros(lead + (2 * s, 2 * s))
     d[..., i, i] = 2.0 * cube.d
-    for stride in n ** np.arange(cube.d - 1):
-        j = i[i // stride % n < n - 1]        # a site with a +1 neighbour on the axis
-        d[..., j, j + stride] = d[..., j + stride, j] = -1.0
+    lo, hi = neighbour_pairs(n, cube.d - 1)
+    d[..., lo, hi] = d[..., hi, lo] = -1.0
     d[..., i, i] += np.reshape(V, lead + (s,))
     d[..., s:, s:] = -d[..., :s, :s]
     d[..., i, s + i] = d[..., s + i, i] = np.reshape(B, lead + (s,))

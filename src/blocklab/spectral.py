@@ -10,7 +10,8 @@ inertia of (H_hat - E) for a whole block of realizations at once, and
 `ensemble_counts` maps it over an ensemble for every count-only kind.
 
 Every ensemble runs through `run_realizations`, the one code that samples
-fields, a block of REALIZATION_BLOCK realizations at a time.  That block
+fields: one sampler per call, which mixes the cube's site keys once, and
+one draw per block of REALIZATION_BLOCK realizations.  That block
 and the row chunks of the d = 1 chain recursions in `schur` are two
 rules, not one byte budget: larger blocks speed up the small-N count
 kinds but raise the peak memory, and the chain chunks' row floor pays
@@ -120,8 +121,10 @@ def spectral_gap(s: Spectrum) -> tuple[float, float]:
 
 
 def plain_block(field: FieldSample, cube=None) -> np.ndarray:
-    """The plain block operator (simple BC) of a field on its cube or `cube` in it."""
-    cube = field.cube if cube is None else cube
+    """The plain block operator (simple BC) of a field on its cube or `cube`
+    in it: on its own cube it reads field.V and field.B as they are."""
+    if cube is None or cube == field.cube:
+        return assemble_plain(field.cube, field.V, field.B)
     return assemble_plain(cube, *field.at(cube))
 
 
@@ -132,20 +135,21 @@ REALIZATION_BLOCK = 256
 def run_realizations(kernel, cube: CubeSpec, config: DisorderConfig, R: int) -> list:
     """One row per realization r = 0..R-1, in realization order, from a
     block kernel: kernel(rs, V, B) takes a range of consecutive realization
-    indices and their fields on the cube, the (len(rs), N) arrays of
-    `disorder.sample_fields`, and returns one row per index, in order.
-    `per_field` lifts a kernel of one realization's field.
+    indices and their fields on the cube, the (len(rs), N) arrays that the
+    sampler of `disorder.sample_fields` draws, and returns one row per
+    index, in order.  `per_field` lifts a kernel of one realization's field.
 
-    This is the one place a run samples: each block of REALIZATION_BLOCK
-    realizations, the last one the rest, is sampled once, and the blocks
-    run in this process one after another.  A kernel's row for r may not
-    depend on the block r sits in, so aggregates do not depend on the
-    block size.
+    This is the one place a run samples: one sampler per call, so the
+    cube's site keys are mixed once, and each block of REALIZATION_BLOCK
+    realizations, the last one the rest, is drawn once; the blocks run in
+    this process one after another.  A kernel's row for r may not depend
+    on the block r sits in, so aggregates do not depend on the block size.
     """
+    draw = sample_fields(cube, config)
     rows = []
     for lo in range(0, R, REALIZATION_BLOCK):
         rs = range(lo, min(lo + REALIZATION_BLOCK, R))
-        rows.extend(kernel(rs, *sample_fields(cube, config, rs)))
+        rows.extend(kernel(rs, *draw(rs)))
     return rows
 
 

@@ -24,7 +24,11 @@ proof of a refactor, one command per side, the config side included.
 temporary detached `git worktree`, runs REF's own tests/manifests.py
 there with the same INI arguments (paths resolve from the current
 directory on both sides), removes the worktree, and compares as
---against does.  So the proof against a parent commit is one command.
+--against does.  So the proof against a parent commit is one command,
+which covers every kind with the INIs of tests/kinds, one per kind that
+no shipped config or workload runs:
+
+    python tests/manifests.py OUT.json --parent REF tests/kinds/*.ini
 
 The file name keeps pytest from collecting it.
 """

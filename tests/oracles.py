@@ -166,7 +166,7 @@ def _absorb(key: int, words) -> int:
 def sample_field(cube, config, realization_index: int) -> FieldSample:
     """One realization of the V- and B-fields on a cube: the block of
     `sample_fields` that holds that realization alone."""
-    V, B = sample_fields(cube, config, (realization_index,))
+    V, B = sample_fields(cube, config)((realization_index,))
     return FieldSample(cube, V[0], B[0], realization_index)
 
 

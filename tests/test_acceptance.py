@@ -32,6 +32,11 @@ def verdict(number: int, name: str, ok: bool, detail: str):
 # -- 1: exact identities -------------------------------------------------------
 
 
+def nestings(cubes):
+    """The Nesting of each cube in the next."""
+    return tuple(green.nesting(inner, outer) for inner, outer in zip(cubes, cubes[1:]))
+
+
 def test_criterion_1_exact_identities():
     rng = np.random.default_rng(1001)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(0, 1), 11)
@@ -50,7 +55,7 @@ def test_criterion_1_exact_identities():
             continue
         f = sample_field(cubes[2], cfg, triples)
         e = float(rng.uniform(-0.9, 0.9))      # inside the deterministic gap
-        gri.absorb(green.gri_check(*cubes, f, e))
+        gri.absorb(green.gri_check(*nestings(cubes), f, e))
         triples += 1
 
     worst_decomp = 0.0
@@ -142,7 +147,7 @@ def test_criterion_3_resolvent_inequalities():
         f = sample_field(cubes[2], cfg, count)
         e = float(rng.uniform(-0.9, 0.9))
         spectra = tuple(eigensolve(plain_block(f, c)) for c in cubes[1:])
-        sli.absorb(green.sli_check(*cubes, f, e, spectra))
+        sli.absorb(green.sli_check(*nestings(cubes), f, e, spectra))
         count += 1
 
     edi = CheckReport("edi")
@@ -156,10 +161,11 @@ def test_criterion_3_resolvent_inequalities():
         host = eigensolve(plain_block(f), want_vectors=True)
         for region_l in (3, 5, 7):
             region = CubeSpec(1, region_l)
+            nest = green.nesting(region, cube3)
             inner = eigensolve(plain_block(f, region))
             for j in sorted(rng.choice(dim, size=4, replace=False)):
                 try:
-                    edi.absorb(green.edi_check(region, cube3, f, int(j), host, inner))
+                    edi.absorb(green.edi_check(nest, f, int(j), host, inner))
                     calls += 1
                 except PreconditionError:
                     continue

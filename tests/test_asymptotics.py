@@ -283,7 +283,7 @@ def kernel_rows(cube, config, rs, energies, cuts=(), chain=None):
     energies = np.asarray(energies, dtype=float)
     if chain is None:
         chain = cube.d == 1 and bool(np.all(np.abs(energies) < edge))
-    return _suitability_block(rs, *sample_fields(cube, config, rs), cube, energies,
+    return _suitability_block(rs, *sample_fields(cube, config)(rs), cube, energies,
                               edge + cube.L ** -0.5,
                               np.asarray(cuts, dtype=float),
                               on_spectrum_tol(config, cube.d),
@@ -382,7 +382,7 @@ def test_resolvent_columns_residual_contract(monkeypatch):
 
 def chain_norms(cube, config, rs, energies):
     """chain_rim_norms of realizations rs at every energy, (len(rs), nE)."""
-    V, B = sample_fields(cube, config, rs)
+    V, B = sample_fields(cube, config)(rs)
     core = site_index(cube, cube.concentric(cube.L / 3.0))
     n = len(energies)
     return schur.chain_rim_norms(cube, np.repeat(V, n, axis=0), np.repeat(B, n, axis=0),

@@ -153,7 +153,7 @@ ONE_SITE = CubeSpec(1, 2)                                # the site (0,)
 def library_draws(m, seed, n, family="V", cube=ONE_SITE):
     """n realizations of measure m at the sites of a cube, drawn by the
     library's sampler in one block: an (n, N) array."""
-    V, B = sample_fields(cube, DisorderConfig(m, m, seed), range(n))
+    V, B = sample_fields(cube, DisorderConfig(m, m, seed))(range(n))
     return V if family == "V" else B
 
 
@@ -193,7 +193,7 @@ def test_lag1_correlations_vanish(cube):
     # neighbouring sites in canonical order, consecutive realizations and
     # the two families of one draw: each correlation within 4 / sqrt(n)
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 8)
-    V, B = sample_fields(cube, cfg, range(2000))
+    V, B = sample_fields(cube, cfg)(range(2000))
     for a, b in ((V[:, :-1], V[:, 1:]), (V[:-1], V[1:]), (V, B)):
         assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 4.0 / math.sqrt(a.size)
 
@@ -306,10 +306,10 @@ def test_sample_fields_rows_match_sample_field(d, L, center, mu_V, mu_B):
     cube = CubeSpec(d, L, center)
     cfg = DisorderConfig(mu_V, mu_B, 2 ** 40 + 3)
     rs = [5, 0, 2 ** 62, 5, 17]
-    V, B = sample_fields(cube, cfg, rs)
+    V, B = sample_fields(cube, cfg)(rs)
     assert V.shape == B.shape == (len(rs), cube.site_count)
     for i, r in enumerate(rs):
         f = sample_field(cube, cfg, r)
         assert bits(V[i]) == bits(f.V) and bits(B[i]) == bits(f.B)
-    empty = sample_fields(cube, cfg, range(0))
+    empty = sample_fields(cube, cfg)(range(0))
     assert [a.shape for a in empty] == [(0, cube.site_count)] * 2

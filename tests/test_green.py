@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blocklab import green, operators, schur
+from blocklab import green, schur
 from blocklab.disorder import FieldSample, sample_fields
 from blocklab.green import (DecayProfile, combes_thomas_bound,
                             combes_thomas_check, decay_profile, decay_rate_fit,
-                            edi_check, gri_check, resolvent_columns, sli_check,
-                            spectral_distance)
+                            edi_check, gri_check, nesting, resolvent_columns,
+                            sli_check, spectral_distance)
 from blocklab.model import (CubeSpec, DisorderConfig, PreconditionError, SiteMeasure,
                             gap_edge, strictly_inside)
 from blocklab.spectral import eigensolve, plain_block
@@ -25,6 +25,12 @@ MIXED = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 41)
 def constant_field(cube, v, b):
     n = cube.site_count
     return FieldSample(cube, np.full(n, float(v)), np.full(n, float(b)), 0)
+
+
+def nestings(*cubes):
+    """The Nesting of each cube in the next, None where it is not
+    strictly inside."""
+    return tuple(nesting(inner, outer) for inner, outer in zip(cubes, cubes[1:]))
 
 
 def two_by_two():
@@ -108,14 +114,14 @@ def test_hs_equality_of_block_norm():
 def test_gri_residual_tiny_in_gap():
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     f = sample_field(c3, GAPPED, 0)
-    assert gri_check(c1, c2, c3, f, 0.0).parameters["residual"] <= 1e-10
+    assert gri_check(*nestings(c1, c2, c3), f, 0.0).parameters["residual"] <= 1e-10
 
 
 def test_gri_blockwise_when_decoupled():
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 1)
     f = sample_field(c3, cfg, 0)
-    assert gri_check(c1, c2, c3, f, 0.0).parameters["residual"] <= 1e-12
+    assert gri_check(*nestings(c1, c2, c3), f, 0.0).parameters["residual"] <= 1e-12
 
 
 def test_gri_random_nested_2d():
@@ -129,7 +135,7 @@ def test_gri_random_nested_2d():
             continue
         f = sample_field(c3, GAPPED, r)
         e = float(rng.uniform(-1.0, 1.0))
-        rep = gri_check(c1, c2, c3, f, e)
+        rep = gri_check(*nestings(c1, c2, c3), f, e)
         assert rep.passed
         count += 1
     assert count >= 30
@@ -138,7 +144,7 @@ def test_gri_random_nested_2d():
 def test_gri_requires_nesting():
     f = sample_field(CubeSpec(1, 9), GAPPED, 0)
     with pytest.raises(PreconditionError):
-        gri_check(CubeSpec(1, 5), CubeSpec(1, 5), CubeSpec(1, 9), f, 0.0)
+        gri_check(*nestings(CubeSpec(1, 5), CubeSpec(1, 5), CubeSpec(1, 9)), f, 0.0)
 
 
 def spectra(f, *cubes):
@@ -159,7 +165,7 @@ def test_sli_holds_on_random_instances():
         c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
         f = sample_field(c3, GAPPED, r)
         e = float(rng.uniform(-1.0, 1.0))
-        rep = sli_check(c1, c2, c3, f, e, spectra(f, c2, c3))
+        rep = sli_check(*nestings(c1, c2, c3), f, e, spectra(f, c2, c3))
         assert rep.passed
 
 
@@ -167,20 +173,20 @@ def test_sli_degenerate_core():
     # singleton core equal to the interior of the middle cube
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 3), CubeSpec(1, 7)
     f = sample_field(c3, GAPPED, 5)
-    assert sli_check(c1, c2, c3, f, 0.3, spectra(f, c2, c3)).passed
+    assert sli_check(*nestings(c1, c2, c3), f, 0.3, spectra(f, c2, c3)).passed
 
 
 def test_sli_explicit_decoupled_case():
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     f = constant_field(c3, 1.0, 0.0)
-    assert sli_check(c1, c2, c3, f, 0.0, spectra(f, c2, c3)).passed
+    assert sli_check(*nestings(c1, c2, c3), f, 0.0, spectra(f, c2, c3)).passed
 
 
 def test_edi_ground_state():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)
     f = sample_field(cube3, GAPPED, 2)
-    rep = edi_check(region, cube3, f, 0, host_spectrum(f), *spectra(f, region))
+    rep = edi_check(nesting(region, cube3), f, 0, host_spectrum(f), *spectra(f, region))
     assert rep.passed
 
 
@@ -194,7 +200,8 @@ def test_edi_all_eigenpairs_all_regions():
         for L in (3, 5, 7):
             region = CubeSpec(1, L)
             try:
-                rep = edi_check(region, cube3, f, j, host, *spectra(f, region))
+                rep = edi_check(nesting(region, cube3), f, j, host,
+                                *spectra(f, region))
             except PreconditionError:
                 continue    # eigenvalue too close to the sub-cube spectrum
             assert rep.passed
@@ -212,8 +219,9 @@ def test_sli_and_edi_read_spectra_solved_by_the_caller(monkeypatch):
     solves = []
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **kw: solves.append(1))
-    given = [sli_check(c1, c2, c3, f, 0.3, spectra=(middle, host)).to_json(),
-             edi_check(c2, c3, f, 7, host=host, inner=middle).to_json()]
+    n12, n23 = nestings(c1, c2, c3)
+    given = [sli_check(n12, n23, f, 0.3, spectra=(middle, host)).to_json(),
+             edi_check(n23, f, 7, host=host, inner=middle).to_json()]
     assert solves == []
     assert given == expected
 
@@ -233,6 +241,7 @@ def test_nested_checks_match_the_per_realization_oracle(d, lengths):
     # strict triples and triples with region1 = region2 or region2 = region3
     cubes = tuple(CubeSpec(d, l) for l in lengths)
     c2, c3 = cubes[1:]
+    nests = nestings(*cubes)
     seen = set()
     for r in range(3):
         f = sample_field(c3, GAPPED, r)
@@ -241,13 +250,12 @@ def test_nested_checks_match_the_per_realization_oracle(d, lengths):
         j = len(host.eigenvalues) // 2 + r
         for e in (0.0, 0.5, 2.0):
             for lib, oracle, args in (
-                    (gri_check, gri_check_per_realization, (*cubes, f, e)),
-                    (sli_check, sli_check_per_realization,
-                     (*cubes, f, e, (middle, host)))):
-                out = _outcome(lib, *args)
-                assert out == _outcome(oracle, *args)
+                    (gri_check, gri_check_per_realization, (f, e)),
+                    (sli_check, sli_check_per_realization, (f, e, (middle, host)))):
+                out = _outcome(lib, *nests, *args)
+                assert out == _outcome(oracle, *cubes, *args)
                 seen.add(out if isinstance(out, str) else out["name"])
-        out = _outcome(edi_check, c2, c3, f, j, host, middle)
+        out = _outcome(edi_check, nests[1], f, j, host, middle)
         assert out == _outcome(edi_check_per_probe, c2, c3, f, j, host, middle)
         seen.add(out if isinstance(out, str) else out["name"])
     strict = lengths[0] < lengths[1] < lengths[2]
@@ -260,7 +268,7 @@ def test_edi_interior_support_gives_slack():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)
     f = sample_field(cube3, GAPPED, 4)
-    rep = edi_check(region, cube3, f, 0, host_spectrum(f), *spectra(f, region))
+    rep = edi_check(nesting(region, cube3), f, 0, host_spectrum(f), *spectra(f, region))
     assert rep.passed and rep.worst_margin > 0
 
 
@@ -412,7 +420,7 @@ def test_slice_blocks_are_the_diagonal_blocks_of_the_plain_block(cube):
     order = slice_order(cube)
     for k, cfg in enumerate((GAPPED, MIXED, DisorderConfig(
             SiteMeasure.uniform(-3, 3), SiteMeasure.uniform(-2, 1), 42))):
-        V, B = sample_fields(cube, cfg, range(3))
+        V, B = sample_fields(cube, cfg)(range(3))
         blocks = schur.slice_blocks(cube, V, B)
         assert blocks.shape == (3, n, w, w)
         for r in range(3):
@@ -440,7 +448,6 @@ def test_slice_blocks_build_no_cube_sized_laplacian():
     # 27.4 MB, the slice blocks 2.5 MB
     cube = CubeSpec(2, 44)
     f = sample_field(cube, GAPPED, 0)
-    operators.template.cache_clear()
     blocks, peak = _traced_peak(schur.slice_blocks, cube, f.V, f.B)
     assert blocks.shape == (43, 86, 86)
     assert peak < 2 * blocks.nbytes

@@ -113,8 +113,11 @@ def test_wegner_samples_and_solves_each_realization_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, lambda *a, **kw: solves.append(1))
     # the count kernel of spectral.ensemble_counts samples each block
     real_sample = spectral.sample_fields
-    monkeypatch.setattr(spectral, "sample_fields",
-                        lambda *a: samples.extend(a[2]) or real_sample(*a))
+
+    def sampler(cube, config):
+        draw = real_sample(cube, config)
+        return lambda rs: samples.extend(rs) or draw(rs)
+    monkeypatch.setattr(spectral, "sample_fields", sampler)
     windows = [(e, eps) for e in (1.0, 2.0, 3.0) for eps in (0.1, 0.2)]
     # a bad window anywhere is rejected before any realization is sampled
     with pytest.raises(PreconditionError, match="E=0.3, eps=0.2"):

@@ -244,7 +244,7 @@ def test_geometry_memory_is_linear_in_the_sites():
     try:
         tracemalloc.reset_peak()
         points = site_array(cube)
-        rim = operators.rim_indices.__wrapped__(cube)
+        rim = operators.rim_indices(cube)
         outer = outer_boundary(cube)
         idx = site_index(cube, points)
         peak = tracemalloc.get_traced_memory()[1]

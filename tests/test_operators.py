@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from blocklab import disorder, lattice, operators
+from blocklab import lattice, operators
 from blocklab.disorder import FieldSample
 from blocklab.lattice import site_index
 from blocklab.model import CubeSpec, DisorderConfig, SiteMeasure
 from blocklab.operators import (BOUNDARY_CONDITIONS, assemble_bracketing,
                                 assemble_plain, block, build_gamma, build_h,
-                                build_h0, component_indices, template)
+                                build_h0, component_indices)
 from blocklab.spectral import plain_block
 import oracles
 from oracles import (dump_matrix, embed_block, indicator, laplacian_on, plain_block_on,
@@ -245,7 +245,7 @@ def test_dump_matrix_format(tmp_path):
     assert np.array_equal(data, m)
 
 
-# -- operator templates ------------------------------------------------------------
+# -- operators on sub-cubes -----------------------------------------------------------
 
 
 # a field cube at d = 1, 2, 3 and an off-centre sub-cube of it
@@ -254,16 +254,14 @@ SUB_CUBES = ((CubeSpec(1, 9), CubeSpec(1, 4, (2,))),
              (CubeSpec(3, 5), CubeSpec(3, 2.5, (1, 0, -1))))
 
 
-def template_cases():
-    """(field cube, sub-cube) pairs: the cube itself and its off-centre
-    sub-cube."""
-    for cube, sub in SUB_CUBES:
-        yield cube, cube
-        yield cube, sub
+# one site per axis: no neighbour pairs, the edge of the stride rule
+ONE_SITE_CUBES = (CubeSpec(1, 2), CubeSpec(2, 2, (3, -1)), CubeSpec(3, 2))
 
 
 @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
 def test_h0_on_ragged_regions_equals_its_definition(bc):
+    for region in ONE_SITE_CUBES:
+        assert np.array_equal(build_h0(region, bc), laplacian_on(region, bc))
     for cube, sub in SUB_CUBES:
         for region in (cube, sub):
             assert np.array_equal(build_h0(region, bc), laplacian_on(region, bc))
@@ -277,45 +275,28 @@ def test_h0_on_ragged_regions_equals_its_definition(bc):
 
 
 @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
-def test_cached_templates_equal_fresh_operators(bc):
-    operators.template.cache_clear()
-    for cube, sub in template_cases():
+def test_operators_on_sub_cubes_equal_their_definitions(bc):
+    for cube, sub in SUB_CUBES:
         f = sample_field(cube, UNIT, 3)
-        fresh = build_h0(sub, bc)
-        idx = site_index(cube, sub, strict=True)
-        v, b = f.V[idx], f.B[idx]
-        h = fresh + np.diag(v)
-        for _ in range(2):              # a cold cache, then a warm one
-            assert np.array_equal(template(sub, bc), fresh)
-            assert np.array_equal(build_h(sub, bc, v), h)
-            assert np.array_equal(f.at(sub)[0], v)
-            assert np.array_equal(f.at(sub)[1], b)
-        hs = build_h0(sub, "simple") + np.diag(v)
-        plain = np.block([[hs, np.diag(b)], [np.diag(b), -hs]])
-        assert np.array_equal(assemble_plain(sub, v, b), plain)
-        assert np.array_equal(plain_block(f, sub), plain)
-        assert np.array_equal(plain_block(f, sub), plain_block_on(sub, f))
-        beta = 0.7
-        ref = np.block([[hs, beta * np.eye(len(hs))], [beta * np.eye(len(hs)), -hs]])
-        assert np.array_equal(block(hs, beta, hs), ref)
-        hd = build_h0(sub, "dirichlet") + np.diag(v)
-        hn = build_h0(sub, "neumann") + np.diag(v)
-        assert np.array_equal(assemble_bracketing(sub, v, b),
-                              np.block([[hd, np.diag(b)], [np.diag(b), -hn]]))
-
-
-def test_template_matrix_is_read_only():
-    cube = CubeSpec(2, 4)
-    t = template(cube, "simple")
-    with pytest.raises(ValueError, match="read-only"):
-        t[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        t += 1.0
-    # an operator built from it owns its matrix
-    h = build_h(cube, "simple", sample_field(cube, UNIT, 0).V)
-    h[0, 0] += 1.0
-    assert np.array_equal(template(cube, "simple"), build_h0(cube, "simple"))
-    # so is the cached index of a sub-cube in a field cube
-    idx = disorder._positions(cube, CubeSpec(2, 2))
-    with pytest.raises(ValueError, match="read-only"):
-        idx[0] = 0
+        # on its own cube the plain block reads the field as it is
+        assert np.array_equal(plain_block(f), plain_block(f, cube))
+        for region in (cube, sub):
+            idx = site_index(cube, region, strict=True)
+            v, b = f.V[idx], f.B[idx]
+            assert np.array_equal(f.at(region)[0], v)
+            assert np.array_equal(f.at(region)[1], b)
+            assert np.array_equal(build_h(region, bc, v),
+                                  build_h0(region, bc) + np.diag(v))
+            hs = build_h0(region, "simple") + np.diag(v)
+            plain = np.block([[hs, np.diag(b)], [np.diag(b), -hs]])
+            assert np.array_equal(assemble_plain(region, v, b), plain)
+            assert np.array_equal(plain_block(f, region), plain)
+            assert np.array_equal(plain_block(f, region), plain_block_on(region, f))
+            beta = 0.7
+            ref = np.block([[hs, beta * np.eye(len(hs))],
+                            [beta * np.eye(len(hs)), -hs]])
+            assert np.array_equal(block(hs, beta, hs), ref)
+            hd = build_h0(region, "dirichlet") + np.diag(v)
+            hn = build_h0(region, "neumann") + np.diag(v)
+            assert np.array_equal(assemble_bracketing(region, v, b),
+                                  np.block([[hd, np.diag(b)], [np.diag(b), -hn]]))

@@ -183,7 +183,7 @@ COUNT_ORACLE_CASES = [(d, L, mu) for d, L in ((1, 16), (1, 50), (2, 5))
 
 def dense_counts(cube, cfg, R, energies, side):
     """Per realization, the counts read off its computed spectrum."""
-    V, B = sample_fields(cube, cfg, range(R))
+    V, B = sample_fields(cube, cfg)(range(R))
     return np.array([np.searchsorted(ev, energies, side)
                      for ev in dense_spectra(cube, V, B)])
 
@@ -207,7 +207,7 @@ def test_dos_matches_dense_half_open_bins(d, L, mu):
     cube = CubeSpec(d, L)
     edges = np.linspace(-7, 7, 29)
     hist = dos_histogram(cfg, cube, edges, 12)
-    V, B = sample_fields(cube, cfg, range(12))
+    V, B = sample_fields(cube, cfg)(range(12))
     # [lo, hi[ per bin, read off each computed spectrum
     counts = np.array([[np.sum((lo <= ev) & (ev < hi))
                         for lo, hi in zip(edges[:-1], edges[1:])]
@@ -272,7 +272,7 @@ def assert_counts_match_dense(cube, V, B, energies):
 def test_inertia_counts_match_dense_counts(L, mu):
     cube = CubeSpec(1, L)
     cfg = DisorderConfig(mu, SiteMeasure.triangular(-1, 1), 31)
-    V, B = sample_fields(cube, cfg, range(12))
+    V, B = sample_fields(cube, cfg)(range(12))
     energies = np.linspace(-6.5, 6.5, 61)
     assert assert_counts_match_dense(cube, V, B, energies) > 0.9 * 2 * 12 * 61
 
@@ -286,7 +286,7 @@ DISCRETE = DisorderConfig(SiteMeasure.two_point(0, 0.5, 1),
 @pytest.mark.parametrize("L", [2, 4, 15, 40])
 def test_inertia_counts_match_dense_counts_on_discrete_fields(L):
     cube = CubeSpec(1, L)
-    V, B = sample_fields(cube, DISCRETE, range(40))
+    V, B = sample_fields(cube, DISCRETE)(range(40))
     assert (V[:, 0] == 0.0).any()
     energies = np.arange(-6.0, 6.01, 0.25)
     assert assert_counts_match_dense(cube, V, B, energies) > 0.5 * 2 * 40 * 49
@@ -348,7 +348,7 @@ def test_inertia_counts_through_coupled_zero_pivots(L):
 def test_count_below_counts_far_energies_without_overflow():
     # 1e200 squared overflows; past every eigenvalue the count is 0 or 2N
     cube = CubeSpec(1, 9)
-    V, B = sample_fields(cube, UNIT, range(3))
+    V, B = sample_fields(cube, UNIT)(range(3))
     for side in ("left", "right"):
         counts = count_below(cube, V, B, [-1e200, -7.0, 7.0, 1e200], side)
         assert counts.tolist() == [[0, 0, 18, 18]] * 3
@@ -387,7 +387,7 @@ def test_inertia_tie_policy_on_a_constant_field(L, v):
 
 def test_inertia_counts_per_realization_do_not_depend_on_the_block():
     cube = CubeSpec(1, 20)
-    V, B = sample_fields(cube, UNIT, range(9))
+    V, B = sample_fields(cube, UNIT)(range(9))
     energies = [-2.5, 0.0, 0.7, 3.1]
     whole = count_below(cube, V, B, energies)
     rows = [count_below(cube, V[i:i + 1], B[i:i + 1], energies)[0] for i in range(9)]
@@ -396,7 +396,7 @@ def test_inertia_counts_per_realization_do_not_depend_on_the_block():
 
 def test_count_below_dense_at_d2():
     cube = CubeSpec(2, 4)
-    V, B = sample_fields(cube, UNIT, range(3))
+    V, B = sample_fields(cube, UNIT)(range(3))
     energies = [-1.0, 0.25, 2.0]
     for side in ("left", "right"):
         expected = [np.searchsorted(ev, energies, side=side)
@@ -435,7 +435,7 @@ def test_count_below_sides_per_energy_on_the_exact_tie_fields(v, b):
 @pytest.mark.parametrize("d, L", [(1, 20), (2, 4)])
 def test_count_below_sides_per_energy_match_single_sides(d, L):
     cube = CubeSpec(d, L)
-    V, B = sample_fields(cube, UNIT, range(5))
+    V, B = sample_fields(cube, UNIT)(range(5))
     ev = dense_spectra(cube, V[:1], B[:1])[0]
     # an eigenvalue of realization 0, where the two sides differ
     mixed_sides_match_single_sides(cube, V, B, [-2.5, 0.0, float(ev[3]), 0.7, 3.1])
@@ -443,7 +443,7 @@ def test_count_below_sides_per_energy_match_single_sides(d, L):
 
 def test_count_below_rejects_bad_input():
     cube = CubeSpec(1, 5)
-    V, B = sample_fields(cube, UNIT, range(2))
+    V, B = sample_fields(cube, UNIT)(range(2))
     with pytest.raises(ValueError, match="side"):
         count_below(cube, V, B, [0.0], "both")
     with pytest.raises(ValueError, match="side"):
