@@ -7,6 +7,7 @@ does not change the exit code.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -44,6 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command of argv (None: the process's arguments).
+
+    As the process entry (argv None) main keeps the cycle collector off
+    while the process loads, then freezes what loaded: the collections of
+    the run and the one at interpreter exit skip the start-up heap, which
+    they would otherwise walk in full.  A run loads its run side first and
+    computes with the collector on, so that its own cycles are freed.  A
+    caller that passes argv keeps its collector as it was."""
+    entry = argv is None
+    if entry:
+        gc.disable()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
@@ -52,6 +64,8 @@ def main(argv=None) -> int:
             for p in problems:
                 print(f"precondition: {p}", file=sys.stderr)
             print("config ok" if not problems else f"{len(problems)} problem(s)")
+            if entry:
+                gc.freeze()
             return 3 if problems else 0
         cfg = load_config(args.config, kind=args.command, seed=args.seed,
                           workers=args.workers)
@@ -62,6 +76,10 @@ def main(argv=None) -> int:
         print(f"cannot read config: {e}", file=sys.stderr)
         return 3
 
+    if entry:
+        from . import experiments  # noqa: F401  (the run side, numpy with it)
+        gc.freeze()
+        gc.enable()
     result = run(cfg, args.out)
     for p in result.diagnostics:
         print(f"precondition: {p}", file=sys.stderr)

@@ -317,13 +317,16 @@ def _probe_index(eigenvalues: np.ndarray, energy: float) -> int:
 def _sli_edi_row(f, nests, energy):
     from . import green
     n12, n23 = nests
-    # one solve each of the host cube and the middle cube serves both checks
-    host = eigensolve(plain_block(f), want_vectors=True)
-    middle = eigensolve(plain_block(f, n23.inner))
+    # one assembly and one solve each of the host cube and the middle cube
+    # serve both checks
+    m2, m3 = plain_block(f, n23.inner), plain_block(f)
+    host = eigensolve(m3, want_vectors=True)
+    middle = eigensolve(m2)
     sli = _attempt("sli", green.sli_check, n12, n23, f, energy,
-                   spectra=(middle, host))
+                   spectra=(middle, host), blocks=(m2, m3))
     edi = _attempt("edi", green.edi_check, n23, f,
-                   _probe_index(host.eigenvalues, energy), host=host, inner=middle)
+                   _probe_index(host.eigenvalues, energy), host=host, inner=middle,
+                   block=m2)
     return [sli, edi], None
 
 

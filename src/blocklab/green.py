@@ -130,14 +130,18 @@ def nesting(inner, outer) -> Nesting | None:
                    lifted, float(np.linalg.norm(gamma, 2)))
 
 
-def _gri_blocks(n12, n23, field, energy, spectra=(None, None)):
+def _gri_blocks(n12, n23, field, energy, spectra=(None, None), blocks=None):
     """G3[i3, r1], G3[i3, o2] and G2[i2, r1] (i: inner boundary, o: outer
     boundary) of the resolvents on region3 and region2, for the Nestings
     n12 of region1 in region2 and n23 of region2 in region3, and delta2,
-    delta3.  G is symmetric: each block is read off the rim columns."""
+    delta3.  G is symmetric: each block is read off the rim columns.  The
+    field's plain blocks on region2 and region3 are `blocks`, assembled
+    here unless given, and their spectra `spectra`, solved here unless
+    given."""
     _require(n12 is not None and n23 is not None,
              "need region1 strictly inside region2 strictly inside region3")
-    m2, m3 = plain_block(field, n23.inner), plain_block(field, n23.outer)
+    m2, m3 = blocks if blocks is not None else (plain_block(field, n23.inner),
+                                                plain_block(field, n23.outer))
     delta2, delta3 = (spectral_distance(m, energy, s)
                       for m, s in zip((m2, m3), spectra))
     x2, x3 = (resolvent_columns(m, [energy], rim)[0]
@@ -171,14 +175,16 @@ def gri_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
 
 
 def sli_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
-              energy: float, spectra: tuple[Spectrum, Spectrum]) -> CheckReport:
+              energy: float, spectra: tuple[Spectrum, Spectrum],
+              blocks: tuple[np.ndarray, np.ndarray] | None = None) -> CheckReport:
     """Boundary-to-core resolvent block bounded through the intermediate
     scale, on the Nestings of `gri_check`.
 
     `spectra` holds the spectra of the plain blocks on region2 and region3,
-    which the caller solves once for this check and `edi_check`.
+    which the caller solves once for this check and `edi_check`; `blocks`,
+    if given, holds those blocks, which are otherwise assembled here.
     """
-    g3_r1, a, b, _, _ = _gri_blocks(n12, n23, field, energy, spectra)
+    g3_r1, a, b, _, _ = _gri_blocks(n12, n23, field, energy, spectra, blocks)
     lhs = np.linalg.norm(g3_r1, 2)
     rhs = n23.gamma_norm * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
     rep = CheckReport("sli", parameters={"E": energy, "gamma": n23.gamma_norm})
@@ -187,7 +193,8 @@ def sli_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
 
 
 def edi_check(nest: Nesting | None, field: FieldSample, eigen_index: int,
-              host: Spectrum, inner: Spectrum) -> CheckReport:
+              host: Spectrum, inner: Spectrum,
+              block: np.ndarray | None = None) -> CheckReport:
     """Eigenfunction mass at every site of the region bounded by resolvent
     times boundary mass, for the Nesting of the region in the host cube
     (None: not strictly inside).
@@ -197,12 +204,13 @@ def edi_check(nest: Nesting | None, field: FieldSample, eigen_index: int,
     for generalized eigenfunctions.  `host` (with eigenvectors) and
     `inner` are the spectra of the plain blocks on the host cube and on
     the region, which the caller solves once for this check and
-    `sli_check`.
+    `sli_check`; `block`, if given, is the plain block on the region that
+    `inner` was solved from, which is otherwise assembled here.
     """
     _require(nest is not None, "region must be strictly inside the host cube")
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    m = plain_block(field, nest.inner)
+    m = block if block is not None else plain_block(field, nest.inner)
     spectral_distance(m, energy, inner)     # raises if E is too close to sigma(m)
     x = resolvent_columns(m, [energy], nest.inner_rim)[0]
     n = len(nest.inside) // 2

@@ -28,7 +28,6 @@ their np.linspace grid, and tails reads
 """
 
 import configparser
-import hashlib
 import importlib.util
 import io
 import math
@@ -167,6 +166,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         """sha256 of the config's text, blind to the worker count and key order."""
+        import hashlib                  # here, so that `validate` loads none
         same = replace(self, workers=1, extra=dict(sorted(self.extra.items())))
         return hashlib.sha256(config_to_text(same).encode()).hexdigest()
 
@@ -376,6 +376,15 @@ def _edge_problems(cfg) -> list[str]:
     return out
 
 
+def _interlace_problems(cfg):
+    """The gap edge's problems, and an eps that puts the threshold of
+    finite_volume_tail_bound at or below the band edge, where the block
+    tail count is at most 0 and the bound holds by construction."""
+    eps = cfg.value("eps")
+    return _edge_problems(cfg) + ([] if eps > 0 else [
+        f"interlace: eps must be > 0, got {eps:g}"])
+
+
 def _increasing_problems(cfg, key: str) -> list[str]:
     """Why the list `key` is not strictly increasing: the run asserts its
     results in that order (ids_monotone, suitability_monotone_theta)."""
@@ -576,7 +585,7 @@ KINDS = {
     "gap": Kind({}, "_exp_gap", _edge_problems),
     "interlace": Kind({"lam": (_number, lambda cfg: max(cfg.mu_V.support_inf, 0.0)),
                        "beta": (_number, lambda cfg: case_beta(cfg.mu_B)),
-                       "eps": (_number, 0.3)}, "_exp_interlace", _edge_problems),
+                       "eps": (_number, 0.3)}, "_exp_interlace", _interlace_problems),
     "green": Kind({"energy": (_number, 0.0), "lengths": (_numbers, _nested)},
                   "_exp_green", _nested_problems, _nested_cubes),
     "ct": Kind({"energy": (_number, 0.0)}, "_exp_ct"),
@@ -654,6 +663,7 @@ def emit_plotdata(result: RunResult, outdir) -> list[Path]:
 
 def _sha256(path: Path) -> str:
     """The sha256 hex digest of a file, read 1 MiB at a time."""
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(2 ** 20):

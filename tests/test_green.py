@@ -216,12 +216,19 @@ def test_sli_and_edi_read_spectra_solved_by_the_caller(monkeypatch):
     middle, = spectra(f, c2)
     expected = [sli_check_per_realization(c1, c2, c3, f, 0.3, (middle, host)).to_json(),
                 edi_check_per_probe(c2, c3, f, 7, host, middle).to_json()]
+    blocks = plain_block(f, c2), plain_block(f)
     solves = []
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **kw: solves.append(1))
     n12, n23 = nestings(c1, c2, c3)
     given = [sli_check(n12, n23, f, 0.3, spectra=(middle, host)).to_json(),
              edi_check(n23, f, 7, host=host, inner=middle).to_json()]
+    assert solves == []
+    assert given == expected
+    # given the blocks those spectra were solved from, neither assembles one
+    monkeypatch.setattr(green, "plain_block", lambda *a: solves.append(1))
+    given = [sli_check(n12, n23, f, 0.3, spectra=(middle, host), blocks=blocks).to_json(),
+             edi_check(n23, f, 7, host=host, inner=middle, block=blocks[0]).to_json()]
     assert solves == []
     assert given == expected
 

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -32,6 +33,12 @@ import oracles
 from oracles import csv_cell, sample_field, site_label
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _subprocess_env() -> dict:
+    """This environment, with the package this suite imports on the path."""
+    return dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
+
 
 BASE = """
 [experiment]
@@ -574,6 +581,12 @@ MALFORMED = {
                                                   "epsilons = 0.3 0.3\nlengths = 80 20"),
     "ct-energy": make_text("ct", extra="[ct]\nenergy = x\n"),
     "interlace-eps": make_text("interlace", extra="[interlace]\neps = x\n"),
+    # a threshold at or below the band edge: the tail bound held by
+    # construction, and the run printed PASS for every realization
+    "interlace-eps-negative": make_text("interlace", L=8, R=4, va=1.0, vb=2.0,
+                                        extra="[interlace]\neps = -1\n"),
+    "interlace-eps-0": make_text("interlace", L=8, R=4, va=1.0, vb=2.0,
+                                 extra="[interlace]\neps = 0\n"),
     "ids-energy_range": make_text("ids", extra="[ids]\nenergy_range = 1 2\n"),
     "correlator-interval": make_text("correlator",
                                      extra="[correlator]\ninterval = 1\n"),
@@ -643,8 +656,8 @@ def test_malformed_config_exits_3(name, tmp_path, capsys):
     assert err.startswith("precondition: ")
 
 
-# one bad input per diagnostic of parsing and of validate's shared and
-# tails checks, keyed by the message it prints
+# one bad input per diagnostic of parsing and of validate's shared,
+# tails and interlace checks, keyed by the message it prints
 DIAGNOSTICS = {
     "config is not valid INI": "[experiment\nkind = spectrum\n",
     "no experiment kind given (config or CLI)":
@@ -670,6 +683,7 @@ DIAGNOSTICS = {
     "tails: mu_V concentrated in a single point has no tail":
         TAILS_BASE.replace("kind = uniform\na = 1.0\nb = 2.0",
                            "kind = point_mass\nc = 1.0"),
+    "interlace: eps must be > 0, got -1": MALFORMED["interlace-eps-negative"],
 }
 
 
@@ -729,15 +743,14 @@ def test_validate_loads_no_module(tmp_path):
     # asymptotics that the epsilon grid reads
     path = tmp_path / "cfg.ini"
     path.write_text(MALFORMED["lower_realizations-0"])
-    env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
     argv = ["validate", "--config", str(path)]
     code = ("import sys, blocklab.cli\nfrom blocklab import asymptotics\n"
             f"blocklab.cli.build_parser().parse_args({argv!r})\n"
             "before = set(sys.modules)\n"
             f"assert blocklab.cli.main({argv!r}) == 3\n"
             "print(sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
 
 
@@ -783,6 +796,68 @@ def test_cli_kind_conflict_exits_3(tmp_path, capsys):
                                     bk="uniform", bargs="a = 1.0\nb = 2.0"))
     assert cli_main(["ids", "--config", str(cfg_path)]) == 3
     assert "conflicts" in capsys.readouterr().err
+
+
+def test_cli_main_given_argv_keeps_the_collector_as_it_was(tmp_path):
+    # only the process entry changes the cycle collector: a caller's run
+    # and validate leave it on or off as it was, and freeze nothing
+    path = tmp_path / "cfg.ini"
+    path.write_text(make_text("gap", L=8, R=3, va=1.0, vb=2.0))
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            assert cli_main(["validate", "--config", str(path)]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+            assert cli_main(["gap", "--config", str(path), "--out",
+                             str(tmp_path / f"out{enabled}")]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+
+
+def test_cli_entry_freezes_what_loaded_and_runs_with_the_collector_on(tmp_path):
+    # main() as the process entry, argv read from sys.argv: a validate
+    # freezes what it loaded and leaves the collector off until exit; a
+    # run freezes what it loaded, its run side included, and computes
+    # with the collector on
+    path = tmp_path / "cfg.ini"
+    path.write_text(make_text("gap", L=8, R=3, va=1.0, vb=2.0))
+    # enabled, frozen, run side loaded
+    for argv, expected in ((["validate", "--config", str(path)], "False True False"),
+                           (["gap", "--config", str(path), "--out", str(tmp_path / "out")],
+                            "True True True")):
+        code = ("import gc, sys\nfrom blocklab.cli import main\n"
+                f"sys.argv = ['blocklab'] + {argv!r}\n"
+                "assert main() == 0\n"
+                "print(gc.isenabled(), gc.get_freeze_count() > 0, "
+                "'blocklab.experiments' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == expected, argv[0]
+
+
+@pytest.mark.parametrize("kind, ini", [
+    ("sli-edi", Path(__file__).parent / "kinds" / "sli-edi.ini"),
+    ("wegner", CONFIG_DIR.parent / "perfbench" / "workloads" / "count-ensemble.ini")],
+    ids=["sli-edi", "count-ensemble"])
+def test_process_entry_writes_the_bytes_of_an_in_process_run(kind, ini, tmp_path, capsys):
+    # `python -m blocklab.cli` takes the process entry's start-up path,
+    # which tests/manifests.py (harness.run in process) never takes: each
+    # output file it writes has the sha256 of the in-process run's
+    argv = [kind, "--config", str(ini), "--seed", "42", "--out"]
+    subprocess.run([sys.executable, "-m", "blocklab.cli"] + argv + [str(tmp_path / "entry")],
+                   env=_subprocess_env(), capture_output=True, check=True)
+    assert cli_main(argv + [str(tmp_path / "inline")]) == 0
+    capsys.readouterr()
+    manifests = []
+    for side in ("entry", "inline"):
+        outputs = json.loads((tmp_path / side / "run.json").read_text())["outputs"]
+        assert outputs and all(
+            hashlib.sha256((tmp_path / side / o["name"]).read_bytes()).hexdigest()
+            == o["sha256"] for o in outputs)
+        manifests.append(outputs)
+    assert manifests[0] == manifests[1]
 
 
 def test_interlace_experiment(tmp_path):
@@ -928,8 +1003,9 @@ def test_each_block_is_sampled_once(kind, tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", sorted(EIGEN_COUNT_CASES))
 def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch):
     # once per region and condition of each operator a realization builds:
-    # no Laplacian outlives its realization, so every (cube, bc) is built
-    # the same number of times by each of the R = 4
+    # no Laplacian outlives its realization, and no realization builds one
+    # twice (sli-edi hands the host and middle blocks it solves to both
+    # its checks), so every (cube, bc) is built once by each of the R = 4
     built = []
 
     def counted(real):
@@ -943,7 +1019,7 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     _wrap_everywhere(monkeypatch, operators, "build_h0", counted)
     cfg = parse_config(EIGEN_COUNT_CASES[kind])
     run(cfg, tmp_path)
-    assert all(k % cfg.realizations == 0 for k in Counter(built).values())
+    assert all(k == cfg.realizations for k in Counter(built).values()), Counter(built)
     # d = 1 counts come from the inertia, with no operator, and so do the
     # suitability counts and norms inside the gap, and the ct profile at
     # E = 0, whose slice blocks come from the geometry of a slice
@@ -1317,15 +1393,16 @@ def test_green_experiment(tmp_path):
 
 def _loaded_after(code: str) -> list[str]:
     """The modules of scipy, concurrent, multiprocessing, decimal,
-    fractions, asymptotics and green, and numpy itself, that a fresh
-    interpreter has loaded after running `code`."""
-    env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
+    fractions, asymptotics and green, and numpy and hashlib themselves,
+    that a fresh interpreter loads running `code`, past those its start-up
+    loaded (`site` may load modules of its own)."""
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules "
+        [sys.executable, "-c", "import sys\nbefore = set(sys.modules)\n" + code
+         + "\nprint(sorted(m for m in set(sys.modules) - before "
          "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'decimal', "
-         "'_decimal', 'fractions') or m in ('numpy', 'blocklab.asymptotics', "
+         "'_decimal', 'fractions') or m in ('numpy', 'hashlib', 'blocklab.asymptotics', "
          "'blocklab.green')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=_subprocess_env(), capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out.splitlines()[-1])
 
 
@@ -1341,8 +1418,9 @@ def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
     # a wegner run and a ct run (in the gap, where the exact gate decides)
     # load numpy but no scipy module, whose version is read off its files,
     # and neither decimal nor fractions; ct loads green, its own kind's
-    # module.  A run asking for 4 workers computes in this process too: it
-    # loads neither concurrent nor multiprocessing
+    # module, and each loads hashlib for its config hash and output
+    # manifest.  A run asking for 4 workers computes in this process too:
+    # it loads neither concurrent nor multiprocessing
     for kind, extra, own, workers in (
             ("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n", [], 1),
             ("wegner", "[wegner]\nenergies = 2.0\nepsilons = 0.1\n", [], 4),
@@ -1353,7 +1431,8 @@ def test_cli_import_and_wegner_run_load_only_what_they_use(tmp_path):
         assert _loaded_after(
             "from blocklab.cli import main\n"
             f"assert main([{kind!r}, '--config', {str(path)!r}, '--out', "
-            f"{str(tmp_path / kind)!r}]) == 0") == own + ["numpy"], (kind, workers)
+            f"{str(tmp_path / kind)!r}]) == 0") == own + ["hashlib", "numpy"], \
+            (kind, workers)
 
 
 def test_validate_loads_no_numpy(tmp_path):
@@ -1361,7 +1440,8 @@ def test_validate_loads_no_numpy(tmp_path):
     # read from `model`, the gap edge and the nesting of cubes included:
     # validating one of their configs, the count-ensemble (wegner),
     # resolvent-decay (ct) or suitability-scan workload, or the shipped
-    # suitability config, loads no numpy
+    # suitability config, loads no numpy, and no hashlib either, which only
+    # the config hash and the output manifest of a run read
     workloads = CONFIG_DIR.parent / "perfbench" / "workloads"
     paths = [workloads / "count-ensemble.ini", workloads / "resolvent-decay.ini",
              workloads / "suitability-scan.ini", CONFIG_DIR / "suitability.ini"]
@@ -1394,8 +1474,7 @@ def test_workload_validates_load_every_traced_layer(tmp_path):
             "assert not missing, missing\n"
             "from spans import Tracer\n"
             "tracer = Tracer()\ntracer.install()\ntracer.remove()\nprint('installed')")
-    env = dict(os.environ, PYTHONPATH=str(Path(blocklab.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), cwd=tmp_path,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "installed"
