@@ -50,7 +50,6 @@ class TailCurve:
     lengths: np.ndarray
     censored: np.ndarray          # True where no eigenvalue was ever captured
     edge: float
-    realizations: int
 
 
 def default_tail_length(eps: float, d: int) -> int:
@@ -103,7 +102,7 @@ def tail_curve(config: DisorderConfig, d: int, eps_grid, R: int, lengths) -> Tai
         errs.append(stderr)
         cens.append(bool(np.all(vals == 0.0)))
     return TailCurve(eps_grid, np.array(means), np.array(errs),
-                     np.array(lengths, dtype=int), np.array(cens), edge, R)
+                     np.array(lengths, dtype=int), np.array(cens), edge)
 
 
 @dataclass(frozen=True)
@@ -177,17 +176,9 @@ def trial_function_energy(cube: CubeSpec) -> float:
     return float(psi @ hd @ psi)
 
 
-@dataclass(frozen=True)
-class C0Estimate:
-    c0_hat: float
-    lengths: tuple
-
-
-def c0_estimate(lengths, d: int) -> C0Estimate:
+def c0_estimate(lengths, d: int) -> float:
     """sup of L^2 times the tent-function energy over a grid of lengths."""
-    lengths = tuple(int(L) for L in lengths)
-    vals = tuple(L ** 2 * trial_function_energy(CubeSpec(d, L)) for L in lengths)
-    return C0Estimate(max(vals), lengths)
+    return max(L ** 2 * trial_function_energy(CubeSpec(d, L)) for L in map(int, lengths))
 
 
 def lower_bound_scale(c0_hat: float, eps: float) -> int:
@@ -326,12 +317,9 @@ def ct_threshold_length(theta: float, d: int) -> int | None:
 class SuitabilityReport:
     """Monte Carlo suitability probabilities on an energy grid."""
 
-    L: int
-    energies: np.ndarray
     probability: np.ndarray
     wilson_lo: np.ndarray
     wilson_hi: np.ndarray
-    realizations: int
     a_L: float
     gap_event_frequency: float
     implication: CheckReport
@@ -465,8 +453,8 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
         # suitable, else -1
         implication.record(np.where(flags[events][far[events, k]], 1.0, -1.0))
         reports.append(SuitabilityReport(
-            L, energies, hits / R, np.array(lo), np.array(hi), R, a_L,
-            float(events.mean()), implication))
+            hits / R, np.array(lo), np.array(hi), a_L, float(events.mean()),
+            implication))
     return reports
 
 
@@ -475,15 +463,14 @@ def suitability_probability(config: DisorderConfig, d: int, L: int,
 
 @dataclass(frozen=True)
 class CorrelatorProfile:
-    """Ensemble mean of the spectral-projector correlator over the site
-    pairs (first[k], second[k]) of the cube, as canonical site indices."""
+    """Ensemble mean of the spectral-projector correlator from the site of
+    canonical index `centre` to every site of the cube, in canonical
+    order."""
 
     cube: CubeSpec
-    first: np.ndarray
-    second: np.ndarray
+    centre: int
     mean_q: np.ndarray
     stderr_q: np.ndarray
-    realizations: int
     contributing: int        # realizations with spectrum inside the interval
 
     @property
@@ -492,12 +479,13 @@ class CorrelatorProfile:
 
     def distances(self) -> np.ndarray:
         points = site_array(self.cube)
-        return dist1_array(points[self.first], points[self.second]).astype(float)
+        return dist1_array(points[self.centre], points).astype(float)
 
 
-def correlator_q(s: Spectrum, first, second, interval) -> np.ndarray:
-    """Projector-sum correlator Q(n, m) for one realization, at the site
-    pairs (first[k], second[k]), given as canonical site indices.
+def correlator_q(s: Spectrum, centre: int, interval) -> np.ndarray:
+    """Projector-sum correlator Q(centre, m) for one realization, at every
+    site m of the cube, in canonical order; `centre` is a canonical site
+    index.
 
     Q sums the 2x2 Frobenius norms of the rank-one spectral projectors with
     eigenvalue in the interval; it dominates the sup over unit-bounded Borel
@@ -509,31 +497,29 @@ def correlator_q(s: Spectrum, first, second, interval) -> np.ndarray:
     sel = (s.eigenvalues >= lo) & (s.eigenvalues <= hi)
     n = s.dim // 2
     if not np.any(sel):
-        return np.zeros(len(first))
+        return np.zeros(n)
     v = s.eigenvectors[:, sel]
     amp = np.sqrt(v[:n, :] ** 2 + v[n:, :] ** 2)     # site amplitude per vector
-    # one BLAS dot per pair: a batched product may sum in another order
-    return np.array([amp[i] @ amp[j] for i, j in zip(first, second)])
+    # one BLAS dot per site: a batched product may sum in another order
+    return np.array([amp[centre] @ amp[j] for j in range(n)])
 
 
-def _correlator_row(f: FieldSample, first, second, interval):
+def _correlator_row(f: FieldSample, centre, interval):
     s = eigensolve(plain_block(f), want_vectors=True)
-    return correlator_q(s, first, second, interval)
+    return correlator_q(s, centre, interval)
 
 
 def eigenfunction_correlator(config: DisorderConfig, cube: CubeSpec,
-                             interval, R: int = 1) -> CorrelatorProfile:
+                             interval, R: int) -> CorrelatorProfile:
     """Ensemble mean of the correlator from the centre to every site, in
     canonical order."""
-    n = cube.site_count
     # an odd number of sites per axis: the centre is the middle site
-    first, second = np.full(n, n // 2), np.arange(n)
+    centre = cube.site_count // 2
     rows = np.vstack(run_realizations(per_field(
-        partial(_correlator_row, first=first.tolist(), second=second.tolist(),
-                interval=tuple(interval)), cube), cube, config, R))
+        partial(_correlator_row, centre=centre, interval=tuple(interval)), cube),
+        cube, config, R))
     mean, stderr = ensemble_mean(rows)
-    return CorrelatorProfile(cube, first, second, mean, stderr, R,
-                             int(np.sum(rows.any(axis=1))))
+    return CorrelatorProfile(cube, centre, mean, stderr, int(np.sum(rows.any(axis=1))))
 
 
 @dataclass(frozen=True)

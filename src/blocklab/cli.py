@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 One subcommand per experiment kind plus `validate`.  Exit codes: 0 when
-all checks pass, 2 on check violations, 3 on precondition failures.  A
+all checks pass, 2 on check violations, 3 on precondition failures, a
+config that cannot be read, and outputs that cannot be written.  A
 check that asserted nothing (0 instances) prints as VACUOUS, not PASS; it
 does not change the exit code.
 """
@@ -80,7 +81,11 @@ def main(argv=None) -> int:
         from . import experiments  # noqa: F401  (the run side, numpy with it)
         gc.freeze()
         gc.enable()
-    result = run(cfg, args.out)
+    try:
+        result = run(cfg, args.out)
+    except OSError as e:
+        print(f"cannot write outputs: {e}", file=sys.stderr)
+        return 3
     for p in result.diagnostics:
         print(f"precondition: {p}", file=sys.stderr)
     for rep in result.reports:

@@ -93,14 +93,14 @@ def _exp_spectrum(cfg):
 
 
 def _exp_ids(cfg):
-    est = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), cfg.value("energies"),
-                                   cfg.realizations)
+    grid, R = cfg.value("energies"), cfg.realizations
+    mean, stderr = spectral.ids_monte_carlo(cfg.disorder(), cfg.cube(), grid, R)
     mono = CheckReport("ids_monotone")
-    mono.record(np.diff(est.mean_N))
+    mono.record(np.diff(mean))
     rng = CheckReport("ids_range")
-    rng.record(float(np.min(est.mean_N)))
-    rng.record(1.0 - float(np.max(est.mean_N)))
-    rows = [(e, m, s, est.realizations) for e, m, s in zip(est.grid, est.mean_N, est.stderr_N)]
+    rng.record(float(np.min(mean)))
+    rng.record(1.0 - float(np.max(mean)))
+    rows = [(e, m, s, R) for e, m, s in zip(grid, mean, stderr)]
     return {"ids": (["E", "mean_N", "stderr", "R"], rows)}, [mono, rng], {}
 
 
@@ -322,11 +322,10 @@ def _sli_edi_row(f, nests, energy):
     m2, m3 = plain_block(f, n23.inner), plain_block(f)
     host = eigensolve(m3, want_vectors=True)
     middle = eigensolve(m2)
-    sli = _attempt("sli", green.sli_check, n12, n23, f, energy,
-                   spectra=(middle, host), blocks=(m2, m3))
-    edi = _attempt("edi", green.edi_check, n23, f,
-                   _probe_index(host.eigenvalues, energy), host=host, inner=middle,
-                   block=m2)
+    sli = _attempt("sli", green.sli_check, n12, n23, (m2, m3), energy,
+                   spectra=(middle, host))
+    edi = _attempt("edi", green.edi_check, n23, m2,
+                   _probe_index(host.eigenvalues, energy), host=host, inner=middle)
     return [sli, edi], None
 
 
@@ -361,17 +360,17 @@ def _exp_tails(cfg):
     tables = {"tails": (["eps", "L", "delta_N", "stderr", "censored",
                          "ln_eps", "ln_abs_ln_delta_N"], rows)}
     if cfg.value("lower_bound"):
-        c0 = asymptotics.c0_estimate(cfg.value("c0_lengths"), cfg.d)
+        c0_hat = asymptotics.c0_estimate(cfg.value("c0_lengths"), cfg.d)
         lb_rows = []
         for e in cfg.value("lower_epsilons"):
-            L = asymptotics.lower_bound_scale(c0.c0_hat, e)
+            L = asymptotics.lower_bound_scale(c0_hat, e)
             rep = asymptotics.lower_bound_probability(
                 dis, cfg.d, e, L, int(cfg.value("lower_realizations")))
             reports.append(rep)
             p = rep.parameters
             lb_rows.append((e, L, p["empirical"], p["bound"], p["censored"]))
         tables["tails_lower"] = (["eps", "L", "empirical", "bound", "censored"], lb_rows)
-        summary["c0_hat"] = c0.c0_hat
+        summary["c0_hat"] = c0_hat
     return tables, reports, summary
 
 
@@ -380,22 +379,23 @@ def _exp_suitability(cfg):
     dis = cfg.disorder()
     thetas = cfg.value("theta")
     energies = cfg.value("energies")
+    lengths = cfg.value("lengths")
+    R = cfg.realizations
     # one ensemble per length serves every theta: by_length[i][k] is the
     # report at the i-th length and the k-th theta
-    by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas, energies,
-                                                     cfg.realizations)
-                 for L in cfg.value("lengths")]
+    by_length = [asymptotics.suitability_probability(dis, cfg.d, L, thetas, energies, R)
+                 for L in lengths]
     rows, reports, thresholds = [], [], {}
     for k, theta in enumerate(thetas):
         prev = None
         order = CheckReport(f"suitability_monotone_theta={theta:g}",
                             parameters={"theta": theta})
-        for rep in (reps[k] for reps in by_length):
+        for L, rep in zip(lengths, (reps[k] for reps in by_length)):
             reports.append(rep.implication)
-            for j, e in enumerate(rep.energies):
-                rows.append((theta, rep.L, e, rep.probability[j],
+            for j, e in enumerate(energies):
+                rows.append((theta, L, e, rep.probability[j],
                              rep.wilson_lo[j], rep.wilson_hi[j],
-                             rep.gap_event_frequency, rep.realizations, rep.a_L))
+                             rep.gap_event_frequency, R, rep.a_L))
             if prev is not None:
                 # nondecreasing within CI: the new upper bound must reach the
                 # previous lower bound
@@ -422,7 +422,7 @@ def _exp_correlator(cfg):
     lo, hi = cfg.value("interval")
     profile = asymptotics.eigenfunction_correlator(dis, cube, (lo, hi), cfg.realizations)
     rows, template = _profile_rows(
-        cube, lambda k: (profile.first[k], profile.second[k]), profile.distances(),
+        cube, lambda k: (np.full(len(k), profile.centre), k), profile.distances(),
         profile.mean_q, profile.stderr_q)
     summary = {"interval": [lo, hi], "contributing": profile.contributing}
     reports = []

@@ -19,7 +19,7 @@ import numpy as np
 from . import lattice, schur
 from .disorder import FieldSample
 from .inequalities import CheckReport, _require
-from .model import CubeSpec, PreconditionError, axis_count, strictly_inside
+from .model import CubeSpec, PreconditionError, axis_count
 from .operators import block, build_gamma, component_indices, rim_indices
 from .schur import slice_resolvent
 from .spectral import Spectrum, eigensolve, plain_block
@@ -115,33 +115,28 @@ class Nesting:
     gamma_norm: float
 
 
-def nesting(inner, outer) -> Nesting | None:
-    """The Nesting of cube `inner` in cube `outer`, None unless `inner`
-    lies strictly inside `outer`.  A kind builds its records once per run
-    and hands them to every realization's checks."""
-    if not strictly_inside(inner, outer):
-        return None
+def nesting(inner, outer) -> Nesting:
+    """The Nesting of cube `inner` in cube `outer`; ValueError unless
+    `inner` lies strictly inside `outer` (`build_gamma`).  A kind builds
+    its records once per run and hands them to every realization's
+    checks."""
+    gamma = build_gamma(inner, outer)
     inside = component_indices(outer, inner)
     rim_out = component_indices(outer, lattice.outer_boundary(inner))
     inner_rim = rim_indices(inner)
-    gamma = build_gamma(inner, outer)
     lifted = block(gamma, 0.0, gamma)[np.ix_(rim_out, inside[inner_rim])]
     return Nesting(inner, outer, inside, rim_out, inner_rim, rim_indices(outer),
                    lifted, float(np.linalg.norm(gamma, 2)))
 
 
-def _gri_blocks(n12, n23, field, energy, spectra=(None, None), blocks=None):
+def _gri_blocks(n12, n23, blocks, energy, spectra=(None, None)):
     """G3[i3, r1], G3[i3, o2] and G2[i2, r1] (i: inner boundary, o: outer
     boundary) of the resolvents on region3 and region2, for the Nestings
     n12 of region1 in region2 and n23 of region2 in region3, and delta2,
     delta3.  G is symmetric: each block is read off the rim columns.  The
-    field's plain blocks on region2 and region3 are `blocks`, assembled
-    here unless given, and their spectra `spectra`, solved here unless
-    given."""
-    _require(n12 is not None and n23 is not None,
-             "need region1 strictly inside region2 strictly inside region3")
-    m2, m3 = blocks if blocks is not None else (plain_block(field, n23.inner),
-                                                plain_block(field, n23.outer))
+    field's plain blocks on region2 and region3 are `blocks`, and their
+    spectra `spectra`, solved here unless given."""
+    m2, m3 = blocks
     delta2, delta3 = (spectral_distance(m, energy, s)
                       for m, s in zip((m2, m3), spectra))
     x2, x3 = (resolvent_columns(m, [energy], rim)[0]
@@ -150,11 +145,11 @@ def _gri_blocks(n12, n23, field, energy, spectra=(None, None), blocks=None):
     return x3[r1].T, x3[n23.rim_out].T, x2[n12.inside].T, delta2, delta3
 
 
-def gri_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
+def gri_check(n12: Nesting, n23: Nesting, field: FieldSample,
               energy: float) -> CheckReport:
     """Geometric resolvent identity on region1 in region2 in region3, the
-    Nestings n12 and n23 (None: not strictly inside): its max-entry
-    residual against GRI_COEFF (1 + 1/delta2)(1 + 1/delta3).
+    Nestings n12 and n23: its max-entry residual against
+    GRI_COEFF (1 + 1/delta2)(1 + 1/delta3).
 
     The boundary-block of the large resolvent towards the core region must
     equal the chain large-resolvent -> boundary operator -> small-resolvent
@@ -163,7 +158,8 @@ def gri_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
     The residual, both spectral distances and the cap are reported as
     parameters.
     """
-    lhs, a, b, delta2, delta3 = _gri_blocks(n12, n23, field, energy)
+    blocks = plain_block(field, n23.inner), plain_block(field, n23.outer)
+    lhs, a, b, delta2, delta3 = _gri_blocks(n12, n23, blocks, energy)
     res = float(np.max(np.abs(lhs + a @ n23.gamma @ b)))
     cap = GRI_COEFF * (1.0 + 1.0 / delta2) * (1.0 + 1.0 / delta3)
     rep = CheckReport("gri_residual",
@@ -174,17 +170,16 @@ def gri_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
     return rep
 
 
-def sli_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
-              energy: float, spectra: tuple[Spectrum, Spectrum],
-              blocks: tuple[np.ndarray, np.ndarray] | None = None) -> CheckReport:
+def sli_check(n12: Nesting, n23: Nesting, blocks: tuple[np.ndarray, np.ndarray],
+              energy: float, spectra: tuple[Spectrum, Spectrum]) -> CheckReport:
     """Boundary-to-core resolvent block bounded through the intermediate
     scale, on the Nestings of `gri_check`.
 
-    `spectra` holds the spectra of the plain blocks on region2 and region3,
-    which the caller solves once for this check and `edi_check`; `blocks`,
-    if given, holds those blocks, which are otherwise assembled here.
+    `blocks` holds a field's plain blocks on region2 and region3, and
+    `spectra` their spectra, which the caller assembles and solves once
+    for this check and `edi_check`.
     """
-    g3_r1, a, b, _, _ = _gri_blocks(n12, n23, field, energy, spectra, blocks)
+    g3_r1, a, b, _, _ = _gri_blocks(n12, n23, blocks, energy, spectra)
     lhs = np.linalg.norm(g3_r1, 2)
     rhs = n23.gamma_norm * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
     rep = CheckReport("sli", parameters={"E": energy, "gamma": n23.gamma_norm})
@@ -192,27 +187,23 @@ def sli_check(n12: Nesting | None, n23: Nesting | None, field: FieldSample,
     return rep
 
 
-def edi_check(nest: Nesting | None, field: FieldSample, eigen_index: int,
-              host: Spectrum, inner: Spectrum,
-              block: np.ndarray | None = None) -> CheckReport:
+def edi_check(nest: Nesting, block: np.ndarray, eigen_index: int,
+              host: Spectrum, inner: Spectrum) -> CheckReport:
     """Eigenfunction mass at every site of the region bounded by resolvent
-    times boundary mass, for the Nesting of the region in the host cube
-    (None: not strictly inside).
+    times boundary mass, for the Nesting of the region in the host cube.
 
     The eigenpair comes from the enclosing cube; the identity behind the
     bound is volume-local, so exact finite-volume eigenfunctions stand in
     for generalized eigenfunctions.  `host` (with eigenvectors) and
-    `inner` are the spectra of the plain blocks on the host cube and on
-    the region, which the caller solves once for this check and
-    `sli_check`; `block`, if given, is the plain block on the region that
-    `inner` was solved from, which is otherwise assembled here.
+    `inner` are the spectra of a field's plain blocks on the host cube
+    and on the region, which the caller solves once for this check and
+    `sli_check`; `block` is the plain block on the region that `inner`
+    was solved from.
     """
-    _require(nest is not None, "region must be strictly inside the host cube")
     energy = float(host.eigenvalues[eigen_index])
     psi = host.eigenvectors[:, eigen_index]
-    m = block if block is not None else plain_block(field, nest.inner)
-    spectral_distance(m, energy, inner)     # raises if E is too close to sigma(m)
-    x = resolvent_columns(m, [energy], nest.inner_rim)[0]
+    spectral_distance(block, energy, inner)  # raises if E is too close to sigma(block)
+    x = resolvent_columns(block, [energy], nest.inner_rim)[0]
     n = len(nest.inside) // 2
     rows = np.arange(n) + np.array([[0], [n]])   # the probes' rows in both components
     # per probe the 2-norm of G[probe, rim], read off the rim columns: its
@@ -271,8 +262,7 @@ class DecayProfile:
     bound_by_dist: np.ndarray
 
 
-def decay_profile(field: FieldSample, energy: float,
-                  in_gap: bool = False) -> DecayProfile:
+def decay_profile(field: FieldSample, energy: float, in_gap: bool) -> DecayProfile:
     """One resolvent read of the field's plain block at every ordered pair
     of sites of its cube.
 

@@ -199,8 +199,9 @@ def parse_measure(cp, name: str) -> SiteMeasure:
 def parse_config(text: str, kind: str | None = None, seed: int | None = None,
                  workers: int | None = None) -> ExperimentConfig:
     """The config of INI text; PreconditionError if the text is not INI, a value
-    does not parse, or a key or section is undeclared (another kind's is unread)."""
-    cp = configparser.ConfigParser()
+    does not parse, or a key or section is undeclared (another kind's is unread).
+    `%` is an ordinary character: no value refers to another."""
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
@@ -231,12 +232,17 @@ def parse_config(text: str, kind: str | None = None, seed: int | None = None,
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), **overrides)
+    """The config of a UTF-8 INI file; PreconditionError if it does not decode."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise PreconditionError(f"config is not UTF-8: {e}") from None
+    return parse_config(text, **overrides)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize a config back to INI text (round-trips through parse_config)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["experiment"] = {"kind": cfg.kind,
                         **{key: str(getattr(cfg, key)) for key in EXPERIMENT}}
     for name, m in (("mu_V", cfg.mu_V), ("mu_B", cfg.mu_B)):

@@ -6,12 +6,11 @@ Neumann conditions, its random-potential perturbation, the
 the Dirichlet/Neumann bracketing blocks of a field on a cube, and the
 boundary hopping operator.
 
-Every operator is a float matrix; the block layout's are `BlockMatrix`
-arrays.  Each call builds its own matrix, from the axis strides of the
-cube, and nothing is cached, so the caller owns what it gets.  Block
-layout is fixed throughout the package: with N cube sites in canonical
-(lexicographic) order, indices 0..N-1 address the upper component and
-N..2N-1 the lower one.
+Every operator is a plain float matrix.  Each call builds its own
+matrix, from the axis strides of the cube, and nothing is cached, so the
+caller owns what it gets.  Block layout is fixed throughout the package:
+with N cube sites in canonical (lexicographic) order, indices 0..N-1
+address the upper component and N..2N-1 the lower one.
 """
 
 import numpy as np
@@ -22,7 +21,7 @@ from .model import axis_count, strictly_inside
 BOUNDARY_CONDITIONS = ("simple", "dirichlet", "neumann")
 
 
-def build_h0(cube, bc: str = "simple") -> np.ndarray:
+def build_h0(cube, bc: str) -> np.ndarray:
     """Discrete Laplacian on a cube under the given boundary condition.
 
     All variants have -1 on neighbour pairs inside the cube, found by the
@@ -57,21 +56,7 @@ def build_h(cube, bc: str, V: np.ndarray) -> np.ndarray:
     return m
 
 
-class BlockMatrix(np.ndarray):
-    """The array type of block-layout matrices.  `.matrix` is the array
-    itself as a plain ndarray: the benchmark's counter hooks
-    (perfbench/spans.py) read it off the argument of
-    `spectral.eigensolve`.  Arithmetic on it returns plain arrays and
-    scalars, so the type stops at the matrix."""
-
-    matrix = property(np.asarray)
-
-    def __array_wrap__(self, arr, context=None, return_scalar=False):
-        arr = np.asarray(arr)
-        return arr[()] if return_scalar else arr
-
-
-def block(upper: np.ndarray, coupling, lower: np.ndarray) -> BlockMatrix:
+def block(upper: np.ndarray, coupling, lower: np.ndarray) -> np.ndarray:
     """The block layout (upper  C; C  -lower): C is an n x n coupling
     matrix, or a number c for c times the identity."""
     n = len(upper)
@@ -80,7 +65,7 @@ def block(upper: np.ndarray, coupling, lower: np.ndarray) -> BlockMatrix:
     m[n:, n:] = -lower
     m[:n, n:] = m[n:, :n] = (coupling * np.eye(n) if np.ndim(coupling) == 0
                              else coupling)
-    return m.view(BlockMatrix)
+    return m
 
 
 def assemble_plain(cube, V: np.ndarray, B: np.ndarray) -> np.ndarray:

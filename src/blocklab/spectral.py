@@ -67,7 +67,7 @@ def eigensolve(m: np.ndarray, want_vectors: bool = False) -> Spectrum:
 
 
 def count_below(cube: CubeSpec, V: np.ndarray, B: np.ndarray, energies,
-                side: str = "left") -> np.ndarray:
+                side) -> np.ndarray:
     """Eigenvalue counts of the plain blocks (H  B; B  -H) of a block of
     realizations on the cube, H = H0 + V under the simple condition.
 
@@ -184,25 +184,14 @@ def ensemble_mean(samples: np.ndarray):
     return mean, spread / np.sqrt(R)
 
 
-@dataclass(frozen=True)
-class IdsEstimate:
-    """Monte Carlo estimate of the integrated density of states on a grid."""
-
-    grid: np.ndarray
-    mean_N: np.ndarray
-    stderr_N: np.ndarray
-    realizations: int
-
-
-def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int) -> IdsEstimate:
-    """Mean and standard error of the counting function over R realizations:
-    the eigenvalues at or below each grid energy (<=), over 2 |cube|."""
+def ids_monte_carlo(config: DisorderConfig, cube: CubeSpec, grid, R: int):
+    """Mean and standard error, per grid energy, of the counting function
+    over R realizations: the eigenvalues at or below the energy (<=), over
+    2 |cube|."""
     if R < 1:
         raise ValueError("need at least one realization")
-    grid = np.asarray(grid, dtype=float)
-    mean, stderr = ensemble_mean(ensemble_counts(config, cube, grid, R, "right")
-                                 / (2 * cube.site_count))
-    return IdsEstimate(grid, mean, stderr, R)
+    return ensemble_mean(ensemble_counts(config, cube, grid, R, "right")
+                         / (2 * cube.site_count))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ temporary detached `git worktree`, runs REF's own tests/manifests.py
 there with the same INI arguments (paths resolve from the current
 directory on both sides), removes the worktree, and compares as
 --against does.  So the proof against a parent commit is one command,
-which covers every kind with the INIs of tests/kinds, one per kind that
-no shipped config or workload runs:
+which covers every kind with the INIs of tests/kinds, one per kind or
+path that no shipped file runs:
 
     python tests/manifests.py OUT.json --parent REF tests/kinds/*.ini
 
@@ -65,7 +65,7 @@ def _canonical(entry) -> str:
 
 def _overridden(text: str, sections: dict) -> str:
     """INI text with the given keys of its sections set."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
     for name, values in sections.items():
         cp[name].update(values)

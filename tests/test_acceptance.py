@@ -146,8 +146,9 @@ def test_criterion_3_resolvent_inequalities():
         cubes = [CubeSpec(d, l) for l in lengths]
         f = sample_field(cubes[2], cfg, count)
         e = float(rng.uniform(-0.9, 0.9))
-        spectra = tuple(eigensolve(plain_block(f, c)) for c in cubes[1:])
-        sli.absorb(green.sli_check(*nestings(cubes), f, e, spectra))
+        blocks = tuple(plain_block(f, c) for c in cubes[1:])
+        spectra = tuple(map(eigensolve, blocks))
+        sli.absorb(green.sli_check(*nestings(cubes), blocks, e, spectra))
         count += 1
 
     edi = CheckReport("edi")
@@ -162,10 +163,11 @@ def test_criterion_3_resolvent_inequalities():
         for region_l in (3, 5, 7):
             region = CubeSpec(1, region_l)
             nest = green.nesting(region, cube3)
-            inner = eigensolve(plain_block(f, region))
+            m = plain_block(f, region)
+            inner = eigensolve(m)
             for j in sorted(rng.choice(dim, size=4, replace=False)):
                 try:
-                    edi.absorb(green.edi_check(nest, f, int(j), host, inner))
+                    edi.absorb(green.edi_check(nest, m, int(j), host, inner))
                     calls += 1
                 except PreconditionError:
                     continue
@@ -176,7 +178,7 @@ def test_criterion_3_resolvent_inequalities():
     for r in range(50):
         f = sample_field(cube, ct_cfg, r)
         ct.absorb(green.combes_thomas_check(
-            green.decay_profile(f, 0.0)))
+            green.decay_profile(f, 0.0, in_gap=False)))
 
     fh_cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 35)
     fh = CheckReport("feynman_hellmann")
@@ -240,11 +242,11 @@ def test_criterion_5_lifschitz_tails():
 
     lb_cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.uniform(-1, 1),
                             55)
-    c0 = asymptotics.c0_estimate([8, 16, 32, 64, 128], 1)
+    c0_hat = asymptotics.c0_estimate([8, 16, 32, 64, 128], 1)
     lb_pass = True
     lb_notes = []
     for eps in (0.5, 0.75, 1.0):
-        L = asymptotics.lower_bound_scale(c0.c0_hat, eps)
+        L = asymptotics.lower_bound_scale(c0_hat, eps)
         rep = asymptotics.lower_bound_probability(lb_cfg, 1, eps, L, R=100000)
         censored = rep.parameters["censored"]
         lb_notes.append(f"eps={eps}{'(censored)' if censored else ''}")

@@ -120,8 +120,7 @@ def test_tail_fit_recovers_synthetic_exponent():
     eps = np.array([0.05, 0.1, 0.2, 0.4])
     alpha = 0.5
     dn = np.exp(-2.0 * eps ** -alpha)
-    curve = TailCurve(eps, dn, np.zeros(4), np.full(4, 21), np.zeros(4, bool),
-                      1.0, 100)
+    curve = TailCurve(eps, dn, np.zeros(4), np.full(4, 21), np.zeros(4, bool), 1.0)
     fit = tail_exponent_fit(curve)
     assert fit.alpha_hat == pytest.approx(alpha, abs=1e-12)
     assert fit.points_used == 4
@@ -131,12 +130,12 @@ def test_tail_fit_excludes_censored_and_large():
     eps = np.array([0.05, 0.1, 0.2, 0.4])
     dn = np.array([0.0, 0.01, 0.05, 0.45])
     curve = TailCurve(eps, dn, np.zeros(4), np.full(4, 21),
-                      np.array([True, False, False, False]), 1.0, 100)
+                      np.array([True, False, False, False]), 1.0)
     fit = tail_exponent_fit(curve)
     assert fit.points_used == 2
     with pytest.raises(ValueError):
         tail_exponent_fit(TailCurve(eps, np.zeros(4), np.zeros(4),
-                                    np.full(4, 21), np.ones(4, bool), 1.0, 10))
+                                    np.full(4, 21), np.ones(4, bool), 1.0))
 
 
 def test_finite_volume_tail_bound_equality_at_constant_b():
@@ -187,16 +186,14 @@ def test_tent_energy_direct_oracle():
 
 
 def test_c0_bounded_1d():
-    est = c0_estimate([8, 16, 32, 64, 128], d=1)
-    assert est.c0_hat < 50
+    assert c0_estimate([8, 16, 32, 64, 128], d=1) < 50
     # nonincreasing trend at large L: L^2 <psi, H^D psi> at both ends
     first, last = (L ** 2 * trial_function_energy(CubeSpec(1, L)) for L in (8, 128))
     assert last <= first + 1e-9
 
 
 def test_c0_bounded_2d():
-    est = c0_estimate([8, 16, 24, 40], d=2)
-    assert est.c0_hat < 100
+    assert c0_estimate([8, 16, 24, 40], d=2) < 100
 
 
 # every eps of a log grid from 1 down to 1e-8, and the eps whose length
@@ -259,7 +256,7 @@ def test_lower_bound_censoring():
 def test_lower_bound_cube_over_the_cap_is_not_sampled(monkeypatch):
     # eps = 1e-4 at d = 2 gives L = 818, 667,489 sites: a precondition
     # failure, decided before the test function or any field is built
-    L = lower_bound_scale(c0_estimate([8, 16, 32], d=2).c0_hat, 1e-4)
+    L = lower_bound_scale(c0_estimate([8, 16, 32], d=2), 1e-4)
     assert CubeSpec(2, L).site_count > MAX_BLOCK_DIM
 
     def refuse(cube, *args):
@@ -613,19 +610,18 @@ def test_correlator_empty_below_spectrum():
 def test_correlator_pairs_run_from_the_centre(cube):
     profile = eigenfunction_correlator(GAP2, cube, (-0.5, 0.5), R=2)
     ss = oracles.sites(cube)
-    centre = oracles.site_index(cube, [cube.center]).tolist()
-    assert profile.first.tolist() == centre * len(ss)
-    assert profile.second.tolist() == list(range(len(ss)))
+    centre, = oracles.site_index(cube, [cube.center]).tolist()
+    assert profile.centre == centre
     assert profile.distances().tolist() == [dist1(cube.center, m) for m in ss]
 
 
 def test_correlator_diagonal_contraction():
     cube = CubeSpec(1, 9)
     cfg = DisorderConfig(SiteMeasure.uniform(0, 5), SiteMeasure.uniform(0, 1), 8)
-    sites = np.arange(cube.site_count)
     for r in range(8):
         s = eigensolve(plain_block(sample_field(cube, cfg, r)), want_vectors=True)
-        assert np.all(correlator_q(s, sites, sites, (-1.0, 1.0)) <= 2.0 + 1e-12)
+        for centre in range(cube.site_count):
+            assert correlator_q(s, centre, (-1.0, 1.0))[centre] <= 2.0 + 1e-12
 
 
 def test_correlator_strong_disorder_decays():
@@ -642,11 +638,10 @@ def test_correlator_strong_disorder_decays():
 
 
 def _ray_profile(q):
-    """A profile of the pairs ((0,), (k,)), k = 0..20, on the 1d cube of
-    41 sites about 0, with mean Q = q."""
-    second = np.arange(20, 41)                # the sites 0..20
-    return CorrelatorProfile(CubeSpec(1, 41), np.full_like(second, 20), second, q,
-                             np.zeros_like(q), 10, 10)
+    """A profile from the centre (0,) of the 1d cube of 41 sites about 0,
+    with mean Q = q[|k|] at the site (k,), k = -20..20."""
+    q = np.concatenate([q[:0:-1], q])
+    return CorrelatorProfile(CubeSpec(1, 41), 20, q, np.zeros_like(q), 10)
 
 
 def test_stretched_fit_recovers_synthetic():
@@ -654,7 +649,7 @@ def test_stretched_fit_recovers_synthetic():
     zeta0, c0 = 0.6, 1.7
     q = c0 * np.exp(-dists ** zeta0)
     prof = _ray_profile(q)
-    assert prof.distances().tolist() == dists.tolist()
+    assert prof.distances().tolist() == np.abs(np.arange(-20, 21.0)).tolist()
     fit = stretched_fit(prof)
     assert fit.zeta == pytest.approx(zeta0, abs=0.051)
     assert fit.log_slope == pytest.approx(-1.0, abs=0.05)

@@ -28,8 +28,7 @@ def constant_field(cube, v, b):
 
 
 def nestings(*cubes):
-    """The Nesting of each cube in the next, None where it is not
-    strictly inside."""
+    """The Nesting of each cube in the next."""
     return tuple(nesting(inner, outer) for inner, outer in zip(cubes, cubes[1:]))
 
 
@@ -142,14 +141,18 @@ def test_gri_random_nested_2d():
 
 
 def test_gri_requires_nesting():
-    f = sample_field(CubeSpec(1, 9), GAPPED, 0)
-    with pytest.raises(PreconditionError):
-        gri_check(*nestings(CubeSpec(1, 5), CubeSpec(1, 5), CubeSpec(1, 9)), f, 0.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        nestings(CubeSpec(1, 5), CubeSpec(1, 5), CubeSpec(1, 9))
+
+
+def blocks(f, *cubes):
+    """The field's plain blocks on the cubes."""
+    return tuple(plain_block(f, c) for c in cubes)
 
 
 def spectra(f, *cubes):
     """The spectra of the field's plain blocks on the cubes."""
-    return tuple(eigensolve(plain_block(f, c)) for c in cubes)
+    return tuple(map(eigensolve, blocks(f, *cubes)))
 
 
 def host_spectrum(f):
@@ -165,7 +168,8 @@ def test_sli_holds_on_random_instances():
         c1, c2, c3 = (CubeSpec(d, l) for l in lengths)
         f = sample_field(c3, GAPPED, r)
         e = float(rng.uniform(-1.0, 1.0))
-        rep = sli_check(*nestings(c1, c2, c3), f, e, spectra(f, c2, c3))
+        rep = sli_check(*nestings(c1, c2, c3), blocks(f, c2, c3), e,
+                        spectra(f, c2, c3))
         assert rep.passed
 
 
@@ -173,20 +177,23 @@ def test_sli_degenerate_core():
     # singleton core equal to the interior of the middle cube
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 3), CubeSpec(1, 7)
     f = sample_field(c3, GAPPED, 5)
-    assert sli_check(*nestings(c1, c2, c3), f, 0.3, spectra(f, c2, c3)).passed
+    assert sli_check(*nestings(c1, c2, c3), blocks(f, c2, c3), 0.3,
+                     spectra(f, c2, c3)).passed
 
 
 def test_sli_explicit_decoupled_case():
     c1, c2, c3 = CubeSpec(1, 2), CubeSpec(1, 5), CubeSpec(1, 9)
     f = constant_field(c3, 1.0, 0.0)
-    assert sli_check(*nestings(c1, c2, c3), f, 0.0, spectra(f, c2, c3)).passed
+    assert sli_check(*nestings(c1, c2, c3), blocks(f, c2, c3), 0.0,
+                     spectra(f, c2, c3)).passed
 
 
 def test_edi_ground_state():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)
     f = sample_field(cube3, GAPPED, 2)
-    rep = edi_check(nesting(region, cube3), f, 0, host_spectrum(f), *spectra(f, region))
+    rep = edi_check(nesting(region, cube3), *blocks(f, region), 0, host_spectrum(f),
+                    *spectra(f, region))
     assert rep.passed
 
 
@@ -200,7 +207,7 @@ def test_edi_all_eigenpairs_all_regions():
         for L in (3, 5, 7):
             region = CubeSpec(1, L)
             try:
-                rep = edi_check(nesting(region, cube3), f, j, host,
+                rep = edi_check(nesting(region, cube3), *blocks(f, region), j, host,
                                 *spectra(f, region))
             except PreconditionError:
                 continue    # eigenvalue too close to the sub-cube spectrum
@@ -216,19 +223,15 @@ def test_sli_and_edi_read_spectra_solved_by_the_caller(monkeypatch):
     middle, = spectra(f, c2)
     expected = [sli_check_per_realization(c1, c2, c3, f, 0.3, (middle, host)).to_json(),
                 edi_check_per_probe(c2, c3, f, 7, host, middle).to_json()]
-    blocks = plain_block(f, c2), plain_block(f)
+    m2, m3 = blocks(f, c2, c3)
+    # given the blocks and their spectra, neither check assembles or solves one
     solves = []
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **kw: solves.append(1))
-    n12, n23 = nestings(c1, c2, c3)
-    given = [sli_check(n12, n23, f, 0.3, spectra=(middle, host)).to_json(),
-             edi_check(n23, f, 7, host=host, inner=middle).to_json()]
-    assert solves == []
-    assert given == expected
-    # given the blocks those spectra were solved from, neither assembles one
     monkeypatch.setattr(green, "plain_block", lambda *a: solves.append(1))
-    given = [sli_check(n12, n23, f, 0.3, spectra=(middle, host), blocks=blocks).to_json(),
-             edi_check(n23, f, 7, host=host, inner=middle, block=blocks[0]).to_json()]
+    n12, n23 = nestings(c1, c2, c3)
+    given = [sli_check(n12, n23, (m2, m3), 0.3, spectra=(middle, host)).to_json(),
+             edi_check(n23, m2, 7, host=host, inner=middle).to_json()]
     assert solves == []
     assert given == expected
 
@@ -240,6 +243,21 @@ def _outcome(check, *args, **kwargs):
         return "precondition failed"
 
 
+def _nest_or_none(inner, outer):
+    """The Nesting of `inner` in `outer`, None where `nesting` refuses it:
+    `inner` is not strictly inside."""
+    try:
+        return nesting(inner, outer)
+    except ValueError:
+        return None
+
+
+def _nested_outcome(check, nests, *args):
+    """_outcome of a library check on the Nestings `nests`, and the
+    oracle's precondition failure where one of them was refused."""
+    return "precondition failed" if None in nests else _outcome(check, *nests, *args)
+
+
 @pytest.mark.parametrize("d, lengths", [
     (1, (2, 5, 9)), (1, (3, 7, 13)), (1, (5, 5, 9)), (1, (2, 5, 5)),
     (2, (2, 5, 9)), (2, (3, 5, 7)), (2, (5, 5, 9)), (2, (2, 5, 5)),
@@ -248,21 +266,23 @@ def test_nested_checks_match_the_per_realization_oracle(d, lengths):
     # strict triples and triples with region1 = region2 or region2 = region3
     cubes = tuple(CubeSpec(d, l) for l in lengths)
     c2, c3 = cubes[1:]
-    nests = nestings(*cubes)
+    nests = tuple(_nest_or_none(inner, outer) for inner, outer in zip(cubes, cubes[1:]))
     seen = set()
     for r in range(3):
         f = sample_field(c3, GAPPED, r)
         host = host_spectrum(f)
         middle, = spectra(f, c2)
+        m2, m3 = blocks(f, c2, c3)
         j = len(host.eigenvalues) // 2 + r
         for e in (0.0, 0.5, 2.0):
-            for lib, oracle, args in (
-                    (gri_check, gri_check_per_realization, (f, e)),
-                    (sli_check, sli_check_per_realization, (f, e, (middle, host)))):
-                out = _outcome(lib, *nests, *args)
-                assert out == _outcome(oracle, *cubes, *args)
+            for out, expected in (
+                    (_nested_outcome(gri_check, nests, f, e),
+                     _outcome(gri_check_per_realization, *cubes, f, e)),
+                    (_nested_outcome(sli_check, nests, (m2, m3), e, (middle, host)),
+                     _outcome(sli_check_per_realization, *cubes, f, e, (middle, host)))):
+                assert out == expected
                 seen.add(out if isinstance(out, str) else out["name"])
-        out = _outcome(edi_check, nests[1], f, j, host, middle)
+        out = _nested_outcome(edi_check, nests[1:], m2, j, host, middle)
         assert out == _outcome(edi_check_per_probe, c2, c3, f, j, host, middle)
         seen.add(out if isinstance(out, str) else out["name"])
     strict = lengths[0] < lengths[1] < lengths[2]
@@ -275,13 +295,14 @@ def test_edi_interior_support_gives_slack():
     cube3 = CubeSpec(1, 9)
     region = CubeSpec(1, 3)
     f = sample_field(cube3, GAPPED, 4)
-    rep = edi_check(nesting(region, cube3), f, 0, host_spectrum(f), *spectra(f, region))
+    rep = edi_check(nesting(region, cube3), *blocks(f, region), 0, host_spectrum(f),
+                    *spectra(f, region))
     assert rep.passed and rep.worst_margin > 0
 
 
 def test_combes_thomas_diagonal_bound():
     cube = CubeSpec(1, 11)
-    profile = decay_profile(sample_field(cube, GAPPED, 0), 0.0)
+    profile = decay_profile(sample_field(cube, GAPPED, 0), 0.0, in_gap=False)
     first, second = np.divmod(np.arange(len(profile.norm)), cube.site_count)
     diagonal = first == second
     assert np.all(profile.norm[diagonal]
@@ -293,7 +314,7 @@ def test_combes_thomas_all_pairs():
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     for r in range(5):
         f = sample_field(cube, cfg, r)
-        rep = combes_thomas_check(decay_profile(f, 0.0))
+        rep = combes_thomas_check(decay_profile(f, 0.0, in_gap=False))
         assert rep.passed
         assert rep.parameters["delta"] == pytest.approx(1.0)  # capped at 1
 
@@ -302,14 +323,14 @@ def test_decay_rate_beats_ct_rate():
     cube = CubeSpec(1, 30)
     cfg = DisorderConfig(SiteMeasure.uniform(1, 2), SiteMeasure.point_mass(0), 9)
     f = sample_field(cube, cfg, 1)
-    rate, _ = decay_rate_fit(decay_profile(f, 0.0))
+    rate, _ = decay_rate_fit(decay_profile(f, 0.0, in_gap=False))
     assert rate < 0
     assert -rate >= 1.0 / 12.0    # delta = 1, d = 1
 
 
 def test_decay_profile_columns():
     cube = CubeSpec(1, 7)
-    profile = decay_profile(sample_field(cube, GAPPED, 6), 0.0)
+    profile = decay_profile(sample_field(cube, GAPPED, 6), 0.0, in_gap=False)
     sites = oracles.sites(cube)
     n = len(sites)
     k = sites.index((0,)) * n + sites.index((2,))
@@ -330,7 +351,7 @@ def test_combes_thomas_bound_over_an_array_rounds_as_each_distance_alone():
 @pytest.mark.parametrize("cube", [CubeSpec(1, 9), CubeSpec(2, 4)])
 def test_ct_check_fit_and_profile_match_independent_resolvents(cube):
     op, f = plain_on(cube, GAPPED, 3)
-    profile = decay_profile(f, 0.0)
+    profile = decay_profile(f, 0.0, in_gap=False)
 
     g = np.linalg.inv(op)
     delta = min(float(np.abs(np.linalg.eigvalsh(op)).min()), 1.0)

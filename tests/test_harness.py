@@ -639,6 +639,11 @@ MALFORMED = {
                                                              "lengths = 24 12"),
     "suitability-theta-same-name": SUITABILITY_BASE + "theta = 1.5 1.5000001\n",
     "suitability-theta-repeated": SUITABILITY_BASE + "theta = 2 2\n",
+    # a % in a value: configparser's interpolation once raised on it, and
+    # validate exited 1 with a traceback
+    "wegner-energies-percent": make_text("wegner", extra="[wegner]\nenergies = 1%\n"
+                                                         "epsilons = 0.1\n"),
+    "L-reference": make_text("spectrum").replace("\nL = 9\n", "\nL = %(x)s\n"),
 }
 
 
@@ -715,6 +720,80 @@ def test_each_diagnostic_names_its_input(message, tmp_path, capsys):
     path.write_text(DIAGNOSTICS[message])
     assert cli_main(["validate", "--config", str(path)]) == 3
     assert f"precondition: {message}" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_exits_3(tmp_path, capsys):
+    # one byte 0xE9 (e acute in Latin-1) in a comment once crashed validate
+    # with UnicodeDecodeError
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(b"# caf\xe9\n" + make_text("spectrum").encode())
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert cli_main(["spectrum", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("precondition: config is not UTF-8: ") == 2
+
+
+def test_a_percent_sign_is_an_ordinary_character(tmp_path):
+    # no interpolation: a % in a comment or in an unread value is text
+    text = make_text("spectrum").replace("seed = 7", "seed = 7\n# 100% % %(seed)s")
+    cfg = parse_config(text)
+    assert cfg.seed == 7
+    assert parse_config(config_to_text(cfg)).config_hash() == cfg.config_hash()
+    cfg = parse_config(make_text("correlator", extra="[correlator]\ninterval = -1 1\n"))
+    cfg.extra["interval"] = "-1 1 % x"
+    assert "interval = -1 1 % x" in config_to_text(cfg)
+
+
+def test_an_out_path_that_is_a_file_exits_3(tmp_path, capsys):
+    # --out naming a file once crashed the run with FileExistsError
+    path = tmp_path / "cfg.ini"
+    path.write_text(make_text("spectrum"))
+    out = tmp_path / "out"
+    out.write_text("")
+    assert cli_main(["spectrum", "--config", str(path), "--out", str(out)]) == 3
+    assert cli_main(["spectrum", "--config", str(path), "--out",
+                     str(out / "sub")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("cannot write outputs: ") for line in err)
+
+
+# every "key = value" line of the shipped configs: (the config's lines,
+# the line's index)
+VALUE_LINES = [(lines, i) for lines in (p.read_text(encoding="utf-8").splitlines()
+                                        for p in sorted(CONFIG_DIR.glob("*.ini")))
+               for i, line in enumerate(lines) if " = " in line]
+
+
+def _with_value(lines, i, value) -> bytes:
+    """The config `lines` with the value of line i replaced, as UTF-8."""
+    key = lines[i].split(" = ")[0]
+    return "\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:]).encode()
+
+
+@st.composite
+def edited_configs(draw):
+    """A shipped config with one value replaced by arbitrary text."""
+    lines, i = draw(st.sampled_from(VALUE_LINES))
+    return _with_value(lines, i, draw(st.text(st.characters(codec="utf-8"),
+                                              max_size=16)))
+
+
+WEGNER_LINES = (CONFIG_DIR / "wegner.ini").read_text(encoding="utf-8").splitlines()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(_with_value(WEGNER_LINES, WEGNER_LINES.index("energies = 1.0 2.0 3.0"), "1%"))
+@example(_with_value(WEGNER_LINES, WEGNER_LINES.index("L = 50"), "%(x)s"))
+@example(b"# caf\xe9\n" + "\n".join(WEGNER_LINES).encode())
+@given(st.one_of(edited_configs(), st.binary(max_size=64)))
+def test_validate_of_any_file_exits_0_or_3(tmp_path_factory, data):
+    # whatever the file holds, validate decides it: exit 0 or 3, no raise
+    path = tmp_path_factory.getbasetemp() / "any.ini"
+    path.write_bytes(data)
+    assert cli_main(["validate", "--config", str(path)]) in (0, 3)
 
 
 @pytest.mark.parametrize("a, problems", [(1e153, 0), (1e154, 1)])
@@ -981,7 +1060,7 @@ def test_each_block_is_sampled_once(kind, tmp_path, monkeypatch):
         return sample_fields
 
     def counting(real):
-        def count_below(cube, V, B, energies, side="left"):
+        def count_below(cube, V, B, energies, side):
             counted_rows.append((cube, len(V)))
             return real(cube, V, B, energies, side)
         return count_below
@@ -1009,7 +1088,7 @@ def test_build_h0_runs_once_per_region_and_condition(kind, tmp_path, monkeypatch
     built = []
 
     def counted(real):
-        def build_h0(cube, bc="simple"):
+        def build_h0(cube, bc):
             # a cube's site set: cubes of lengths 15 and 16 share one
             built.append((cube.d, model.axis_count(cube.L), cube.center, bc))
             m = real(cube, bc)

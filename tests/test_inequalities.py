@@ -64,7 +64,7 @@ def test_nan_slack_fails_the_check():
     # a NaN in the measured curve makes two of its three differences NaN
     curve = TailCurve(np.array([0.1, 0.2, 0.3, 0.4]),
                       np.array([0.01, np.nan, 0.03, 0.04]), np.zeros(4),
-                      np.full(4, 12), np.zeros(4, dtype=bool), 1.0, 10)
+                      np.full(4, 12), np.zeros(4, dtype=bool), 1.0)
     rep = tail_monotonicity_check(curve)
     assert (rep.instances, rep.violations) == (3, 2)
     assert not rep.passed and np.isnan(rep.worst_margin)

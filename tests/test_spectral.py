@@ -60,8 +60,8 @@ def test_block_with_zero_coupling_symmetric_union():
 def test_counting_basics():
     # the one-site block of two_by_two: eigenvalues -+sqrt(13)
     cfg = DisorderConfig(SiteMeasure.point_mass(1), SiteMeasure.point_mass(2), 0)
-    est = ids_monte_carlo(cfg, CubeSpec(1, 2), [-100.0, 0.0, 100.0], 1)
-    assert est.mean_N.tolist() == [0.0, 0.5, 1.0]
+    mean, _ = ids_monte_carlo(cfg, CubeSpec(1, 2), [-100.0, 0.0, 100.0], 1)
+    assert mean.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_counting_monotone():
@@ -123,37 +123,37 @@ def test_ids_and_dos_count_exact_ties_exactly(L):
     spectrum = constant_field_spectrum(n, 0.0, 0.0)
     grid = np.linspace(-5, 5, 21)
     assert np.any(np.abs(spectrum[:, None] - grid) < 1e-12)
-    est = ids_monte_carlo(ZERO, cube, grid, 4)
-    assert np.all(est.stderr_N == 0.0)
-    assert est.mean_N.tolist() == [np.sum(spectrum <= e + 1e-12) / (2 * n)
-                                   for e in grid]
+    mean, stderr = ids_monte_carlo(ZERO, cube, grid, 4)
+    assert np.all(stderr == 0.0)
+    assert mean.tolist() == [np.sum(spectrum <= e + 1e-12) / (2 * n)
+                             for e in grid]
     hist = dos_histogram(ZERO, cube, grid, 4)
     below = np.array([np.sum(spectrum < e - 1e-12) for e in grid])
     assert (hist.density * np.diff(hist.edges) * 2 * n).round(12).tolist() == \
         np.diff(below).tolist()
     if L == 5:
-        assert est.mean_N[grid.tolist().index(-2.0)] == 0.3
+        assert mean[grid.tolist().index(-2.0)] == 0.3
 
 
 def test_ids_single_realization():
     grid = np.linspace(-4, 4, 9)
-    est = ids_monte_carlo(UNIT, CubeSpec(1, 7), grid, 1)
+    mean, _ = ids_monte_carlo(UNIT, CubeSpec(1, 7), grid, 1)
     s = eigensolve(plain_block(sample_field(CubeSpec(1, 7), UNIT, 0)))
-    assert est.mean_N.tolist() == (np.searchsorted(s.eigenvalues, grid, "right")
-                                   / s.dim).tolist()
+    assert mean.tolist() == (np.searchsorted(s.eigenvalues, grid, "right")
+                             / s.dim).tolist()
 
 
 def test_ids_monotone_and_bounded():
-    est = ids_monte_carlo(UNIT, CubeSpec(1, 9), np.linspace(-6, 6, 31), 40)
-    assert np.all(np.diff(est.mean_N) >= 0)
-    assert np.all((est.mean_N >= 0) & (est.mean_N <= 1))
+    mean, _ = ids_monte_carlo(UNIT, CubeSpec(1, 9), np.linspace(-6, 6, 31), 40)
+    assert np.all(np.diff(mean) >= 0)
+    assert np.all((mean >= 0) & (mean <= 1))
 
 
 def test_ids_half_at_gap_edge():
     cfg = DisorderConfig(SiteMeasure.uniform(0, 1), SiteMeasure.uniform(0, 1), 11)
-    est = ids_monte_carlo(cfg, CubeSpec(1, 20), [0.0], 25)
-    assert est.mean_N[0] == pytest.approx(0.5)
-    assert est.stderr_N[0] == 0.0
+    mean, stderr = ids_monte_carlo(cfg, CubeSpec(1, 20), [0.0], 25)
+    assert mean[0] == pytest.approx(0.5)
+    assert stderr[0] == 0.0
 
 
 def test_dos_zero_outside_radius():
@@ -194,10 +194,10 @@ def test_ids_matches_dense_counts(d, L, mu):
     cfg = DisorderConfig(mu, SiteMeasure.triangular(-1, 1), 5)
     cube = CubeSpec(d, L)
     grid = np.linspace(-7, 7, 41)
-    est = ids_monte_carlo(cfg, cube, grid, 12)
+    mean, stderr = ids_monte_carlo(cfg, cube, grid, 12)
     data = dense_counts(cube, cfg, 12, grid, "right") / (2 * cube.site_count)
-    assert est.mean_N.tolist() == data.mean(axis=0).tolist()
-    assert est.stderr_N.tolist() == (data.std(axis=0, ddof=1) / np.sqrt(12)).tolist()
+    assert mean.tolist() == data.mean(axis=0).tolist()
+    assert stderr.tolist() == (data.std(axis=0, ddof=1) / np.sqrt(12)).tolist()
 
 
 @pytest.mark.parametrize("d, L, mu", COUNT_ORACLE_CASES,
@@ -231,8 +231,8 @@ def test_self_averaging_variance_trend():
     R = 160
     variances = []
     for L in (20, 40, 80):
-        est = ids_monte_carlo(cfg, CubeSpec(1, L), [1.0], R)
-        variances.append(est.stderr_N[0] ** 2 * R)
+        _, stderr = ids_monte_carlo(cfg, CubeSpec(1, L), [1.0], R)
+        variances.append(stderr[0] ** 2 * R)
     # var-of-var slack ~ var * sqrt(2/(R-1)) per term, 3 sigma
     for small, large in zip(variances[1:], variances):
         slack = 3.0 * np.hypot(small, large) * np.sqrt(2.0 / (R - 1))
@@ -358,7 +358,7 @@ def test_count_below_raises_when_the_recursion_overflows():
     cube = CubeSpec(1, 5)
     V = np.full((1, 5), 1e200)
     with pytest.raises(ArithmeticError, match="floating-point range"):
-        count_below(cube, V, np.zeros_like(V), [0.0])
+        count_below(cube, V, np.zeros_like(V), [0.0], "left")
 
 
 @pytest.mark.parametrize("L", [3, 5, 11])
@@ -389,8 +389,9 @@ def test_inertia_counts_per_realization_do_not_depend_on_the_block():
     cube = CubeSpec(1, 20)
     V, B = sample_fields(cube, UNIT)(range(9))
     energies = [-2.5, 0.0, 0.7, 3.1]
-    whole = count_below(cube, V, B, energies)
-    rows = [count_below(cube, V[i:i + 1], B[i:i + 1], energies)[0] for i in range(9)]
+    whole = count_below(cube, V, B, energies, "left")
+    rows = [count_below(cube, V[i:i + 1], B[i:i + 1], energies, "left")[0]
+            for i in range(9)]
     assert np.array_equal(whole, np.array(rows))
 
 
@@ -450,7 +451,7 @@ def test_count_below_rejects_bad_input():
         count_below(cube, V, B, [0.0, 1.0], np.array(["left", "up"]))
     V[1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        count_below(cube, V, B, [0.0])
+        count_below(cube, V, B, [0.0], "left")
 
 
 def test_assemble_plain_writes_the_plain_block():

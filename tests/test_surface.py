@@ -5,9 +5,10 @@ in src/blocklab names outside its own definition serves only the tests;
 such a reference belongs in tests/oracles.py.  Likewise a public
 function's option (a parameter with a default) that no call in
 src/blocklab passes another value is a branch only tests take, or a
-constant dressed as a setting, and a field of a public dataclass that no
-code in src/blocklab reads outside its own class is a value computed only
-for the tests.
+constant dressed as a setting; an option that every call in src/blocklab
+sets has a default, or a fallback behind it, that only tests take; and a
+field of a public dataclass that no code in src/blocklab reads outside
+its own class is a value computed only for the tests.
 """
 
 import ast
@@ -94,13 +95,27 @@ def _sets_option(call_args, keywords, param, default, positional) -> bool:
     return any(ast.dump(v) != ast.dump(default) for v in given)
 
 
-def unused_options(src=SRC) -> list[str]:
-    """module.function(parameter) for every option of a public function or
-    method that no call in src sets to another value: directly, through
-    functools.partial, or by a keyword of a call that passes the function
-    itself as an argument (as `_attempt(name, check, ..., spectra=s)`
-    forwards `spectra` to `check`).  Calls match definitions by name."""
-    defs, calls = {}, []
+def _takes_default(call_args, keywords, param, positional) -> bool:
+    """Whether a call may leave `param` at its default: it passes it
+    neither by keyword nor by position, or it forwards * or ** arguments,
+    which may or may not hold it."""
+    if any(k.arg is None for k in keywords) or any(
+            isinstance(x, ast.Starred) for x in call_args):
+        return True
+    if any(k.arg == param.arg for k in keywords):
+        return False
+    return param not in positional or positional.index(param) >= len(call_args)
+
+
+def _option_uses(src=SRC):
+    """The public functions and methods of src, as name -> [(qualified
+    name, definition)], and every (call target, its positional arguments,
+    the call's keywords) in src: a call's function, or the function of
+    functools.partial, with the arguments it is given, and each function
+    passed to a call as an argument with none but the call's keywords (as
+    `_attempt(name, check, ..., spectra=s)` forwards `spectra` to
+    `check`).  Calls match definitions by name."""
+    defs, uses = {}, []
     for path in sorted(Path(src).glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -109,25 +124,48 @@ def unused_options(src=SRC) -> list[str]:
             for owner, fn in members:
                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                     defs.setdefault(fn.name, []).append((f"{owner}.{fn.name}", fn))
-        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func, args = call.func, call.args
+            if _callee(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            uses += [(func, args, call.keywords)] + [
+                (a, [], call.keywords) for a in call.args if a is not func]
+    return defs, uses
+
+
+def unused_options(src=SRC) -> list[str]:
+    """module.function(parameter) for every option of a public function or
+    method that no call in src sets to another value (`_option_uses`)."""
+    defs, uses = _option_uses(src)
     set_options = set()
-    for call in calls:
-        func, args = call.func, call.args
-        if _callee(func) == "partial" and args:
-            func, args = args[0], args[1:]
-        # a function passed as an argument gets the call's keywords only
-        targets = [(func, args)] + [(a, []) for a in call.args if a is not func]
-        for target, target_args in targets:
-            for qualified, fn in defs.get(_callee(target), ()):
-                options, positional = _options(fn)
-                set_options.update(
-                    (qualified, p.arg) for p, default in options
-                    if _sets_option(target_args, call.keywords, p, default,
-                                    positional))
+    for target, args, keywords in uses:
+        for qualified, fn in defs.get(_callee(target), ()):
+            options, positional = _options(fn)
+            set_options.update(
+                (qualified, p.arg) for p, default in options
+                if _sets_option(args, keywords, p, default, positional))
     return sorted(f"{q}({p.arg})" for entries in defs.values() for q, fn in entries
                   for p, _ in _options(fn)[0]
                   if (q, p.arg) not in set_options
                   and f"{q}({p.arg})" not in EXEMPT_OPTIONS)
+
+
+def untaken_defaults(src=SRC) -> list[str]:
+    """module.function(parameter) for every option of a public function or
+    method that src calls, directly or as `_option_uses` finds it, when
+    every such call sets it: its default serves only callers outside
+    src, and the parameter is required in all but name."""
+    defs, uses = _option_uses(src)
+    called, taken = set(), set()
+    for target, args, keywords in uses:
+        for qualified, fn in defs.get(_callee(target), ()):
+            called.add(qualified)
+            options, positional = _options(fn)
+            taken.update((qualified, p.arg) for p, _ in options
+                         if _takes_default(args, keywords, p, positional))
+    return sorted(f"{q}({p.arg})" for entries in defs.values() for q, fn in entries
+                  if q in called for p, _ in _options(fn)[0]
+                  if (q, p.arg) not in taken)
 
 
 def test_every_public_option_is_set_from_src():
@@ -160,6 +198,42 @@ def test_scan_flags_an_option_no_call_sets(tmp_path):
     assert unused_options(tmp_path) == ["mod.check(cap)", "mod.check(rtol)",
                                         "mod.fit(flip)", "mod.fit(grid)",
                                         "mod.solve(guess)", "mod.solve(tol)"]
+
+
+def test_every_default_is_taken_by_some_call_from_src():
+    assert untaken_defaults() == []
+
+
+def test_scan_flags_a_default_every_call_overrides(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from functools import partial\n\n"
+        "def solve(x, vectors=False, guess=None, tol=1e-9):\n    return x\n\n"
+        "def fit(y, grid=None, keep=False):\n    return y\n\n"
+        "def spread(z, cut=None, step=1):\n    return z\n\n"
+        "def check(x, rtol=1e-9, spectra=None):\n    return x\n\n"
+        "def lonely(w=0):\n    return w\n\n"
+        "def attempt(name, fn, *args, **kwargs):\n    return fn(*args, **kwargs)\n\n"
+        "class Box:\n"
+        "    def mass(self, lo, closed=False):\n        return lo\n\n"
+        "def use(kw, rest):\n"
+        "    solve(1, True, tol=1e-9)\n"
+        "    solve(2, False, None, 1e-6)\n"
+        "    fit(2, grid=None, keep=kw)\n"
+        "    spread(3, **kw)\n"
+        "    spread(3, *rest)\n"
+        "    partial(Box().mass, closed=True)\n"
+        "    Box().mass(1, True)\n"
+        "    attempt('c', check, 1, spectra=kw)\n"
+        "    check(2, 1e-09, spectra=None)\n")
+    # every call of solve passes vectors and tol, even at the default's
+    # value, and every call of fit grid and keep; mass's closed is set by
+    # partial and by position, check's spectra by keyword, through attempt
+    # too.  solve's guess is left out once, check's rtol once, and spread's
+    # options may be left to the default through * and **; lonely is
+    # never called
+    assert untaken_defaults(tmp_path) == [
+        "mod.Box.mass(closed)", "mod.check(spectra)", "mod.fit(grid)",
+        "mod.fit(keep)", "mod.solve(tol)", "mod.solve(vectors)"]
 
 
 def test_every_public_name_is_reached_from_src():
